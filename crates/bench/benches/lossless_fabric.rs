@@ -14,8 +14,11 @@
 //!   pause/resume ([`LosslessFabric`]): **zero drops, asserted** — the
 //!   hog is paced to its drain rate instead of shedding.
 //!
-//! Every discipline runs on every exact PIFO backend; the lossless leg
-//! also reports pause counts and peak pool occupancy. Results land in
+//! Every discipline runs on every exact PIFO backend and reports its
+//! peak pool occupancy; the lossless leg also reports pause counts, and
+//! runs the storm ≈ 41× longer so that its paced hog delivers as many
+//! packets as the drop legs handle (see [`lossless_waves`]) — the
+//! `pkts_per_sec` columns compare like with like. Results land in
 //! `BENCH_lossless.json` (override with `BENCH_LOSSLESS_OUT`);
 //! `--smoke` / `BENCH_LOSSLESS_SMOKE=1` shrinks the sweep for CI.
 
@@ -125,6 +128,14 @@ fn hog_source(waves: u64) -> Vec<Box<dyn TrafficSource>> {
     )) as Box<dyn TrafficSource>]
 }
 
+/// Waves the lossless leg runs so that its `packets` matches the drop
+/// legs': backpressure holds the hog to port 0's line rate — one packet
+/// per `tx_time`, not one wave per period — so delivering a drop leg's
+/// `waves × WAVE_PKTS` packets takes that many transmit times.
+fn lossless_waves(waves: u64) -> u64 {
+    (waves * WAVE_PKTS * tx_time(1_000, RATE_BPS).as_nanos()).div_ceil(WAVE_PERIOD_NS)
+}
+
 // Every storm flow lands on port 0; ports 1..15 stand by (their share
 // of the pool is what the sizing rule reserves).
 fn classify(_: &Packet) -> usize {
@@ -161,7 +172,9 @@ fn run_drop_based(discipline: Discipline, backend: PifoBackend, arr: &[Packet]) 
         departed: run.total_departures() as u64,
         drops: run.total_drops(),
         pauses: 0,
-        peak_pool: 0,
+        // Freed slots are reused first, so the slots ever claimed are
+        // exactly the pool's high-water mark.
+        peak_pool: sw.port(0).pool_handle().pool().slot_count(),
         elapsed_ns,
     }
 }
@@ -219,7 +232,7 @@ fn main() {
     for discipline in Discipline::ALL {
         for backend in PifoBackend::EXACT {
             let r = match discipline {
-                Discipline::PfcLossless => run_lossless(backend, waves).0,
+                Discipline::PfcLossless => run_lossless(backend, lossless_waves(waves)).0,
                 _ => run_drop_based(discipline, backend, &arr),
             };
             println!(
@@ -257,6 +270,8 @@ fn main() {
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "full" }
     );
+    let _ = writeln!(json, "  \"waves\": {waves},");
+    let _ = writeln!(json, "  \"lossless_waves\": {},", lossless_waves(waves));
     let _ = writeln!(json, "  \"ports\": {PORTS},");
     let _ = writeln!(json, "  \"pool_capacity\": {POOL_CAPACITY},");
     let _ = writeln!(json, "  \"xoff\": {XOFF},");

@@ -809,6 +809,18 @@ impl SharedPacketPool {
     /// cause; release builds tally underflows in
     /// [`accounting_errors`](Self::accounting_errors) instead.
     pub fn release(&self, handle: PktHandle) -> Option<Packet> {
+        self.release_with(handle, None)
+    }
+
+    /// The release hot path. `cached` is the releasing [`PoolHandle`]'s
+    /// own `(port, counters)` pair: when the slot was inserted through
+    /// that port (always, for a tree) the occupancy settles on the
+    /// cached block and the port-table lock is never touched.
+    fn release_with(
+        &self,
+        handle: PktHandle,
+        cached: Option<(u32, &PortCounters)>,
+    ) -> Option<Packet> {
         let idx = handle.index() as u32;
         let slot = self.slot(idx);
         assert_eq!(
@@ -839,16 +851,22 @@ impl SharedPacketPool {
         // SAFETY: we observed the count go 1 -> 0, so this thread is the
         // sole owner of the slot until `push_free` republishes it.
         let packet = unsafe { (*slot.packet.get()).assume_init_read() };
-        let port = slot.port.load(Ordering::Relaxed) as usize;
+        let port = slot.port.load(Ordering::Relaxed);
         slot.gen.fetch_add(1, Ordering::Release); // odd -> even: free
         self.push_free(idx);
         checked_dec(&self.live, &self.accounting_errors, "pool live");
-        let counters = self.port_counters(port);
-        checked_dec(
-            &counters.occupancy,
-            &self.accounting_errors,
-            "port occupancy",
-        );
+        match cached {
+            Some((own, counters)) if own == port => checked_dec(
+                &counters.occupancy,
+                &self.accounting_errors,
+                "port occupancy",
+            ),
+            _ => checked_dec(
+                &self.ports.read().expect("pool port table poisoned")[port as usize].occupancy,
+                &self.accounting_errors,
+                "port occupancy",
+            ),
+        }
         {
             let mut shard = self.flow_shard(packet.flow);
             if !dec_flow_entry(&mut shard, packet.flow) {
@@ -1219,7 +1237,8 @@ impl PoolHandle {
     /// Drop one reference to `handle`'s slot; the last release moves the
     /// packet out and settles the counters.
     pub fn release(&self, handle: PktHandle) -> Option<Packet> {
-        self.pool.release(handle)
+        self.pool
+            .release_with(handle, Some((self.port, &self.counters)))
     }
 
     /// Pre-grow the slab for `additional` imminent inserts.

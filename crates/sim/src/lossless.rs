@@ -37,7 +37,8 @@
 //!
 //! The driver executes one global event loop in `(time, kind, index)`
 //! order — control-frame deliveries before emissions before scheduling
-//! rounds at equal instants — and rounds reuse the exact
+//! rounds at equal instants, lowest index first within a kind — and
+//! rounds reuse the exact
 //! [`Switch`]-fabric round semantics (admit-by-arrival-instant, `burst`
 //! dequeues decided at the round time, back-to-back transmit). All
 //! decisions read tree/pool state that is identical across the exact
@@ -57,13 +58,36 @@
 //! longer than [`LosslessConfig::max_pause`], a scheduling-round budget
 //! blowout, or a quiescent fabric with packets still trapped
 //! (circular wait) stops the run with a diagnosis instead of looping.
+//!
+//! # The event calendar
+//!
+//! Choosing the next event costs O(log n) in the source count, not a
+//! scan of every source. Two ordered indexes carry the selection:
+//!
+//! * the **emission calendar**, keyed `(max(arrival, gate), source)`,
+//!   holds exactly the unblocked sources with a pending packet; its
+//!   first entry is the next emission. A source's key can change at
+//!   four places only, and each re-keys it — the initial pull, its own
+//!   emission (the next packet is pulled), a pause delivery (it leaves)
+//!   and a resume delivery (it re-enters at `max(arrival, gate)`);
+//! * the **pause index**, keyed `(paused_since, port, class)`, holds
+//!   exactly the asserted switch-side pauses; its first entry is the
+//!   pause the watchdog measures. It changes where the pause signal
+//!   does, in the per-port watermark evaluation.
+//!
+//! Tuple order *is* the event order: equal instants fall back to the
+//! lower source (or port) index, as the `(time, kind, index)` rule
+//! demands. Debug builds re-derive both heads before every event by the
+//! definitional scan over all sources and all `(port, class)` pairs and
+//! assert they agree, so every debug test run checks the calendar
+//! against its specification; release builds contain no such scan.
 
 use crate::port::Departure;
 use crate::switch::{DrainMode, PortTrace, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
 use pifo_core::telemetry::NO_NODE;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -482,6 +506,54 @@ fn fabric_live(switch: &Switch) -> usize {
     }
 }
 
+/// The emission-calendar key of a source: its head packet's emission
+/// instant — the stamp, or the resume gate when that is later — then
+/// the source index. `None` while the source is blocked or exhausted,
+/// which is exactly when it is absent from the calendar.
+fn emit_key(si: usize, s: &SourceState) -> Option<(Nanos, usize)> {
+    match &s.next {
+        Some(p) if !s.blocked => Some((p.arrival.max(s.gate), si)),
+        _ => None,
+    }
+}
+
+/// The debug oracle: the calendar heads must equal what the
+/// definitional scans — the earliest `max(arrival, gate)` over every
+/// unblocked source with a packet, the earliest `paused_since` over
+/// every `(port, class)` pair, lowest index first — would have chosen.
+/// Written out independently of [`emit_key`] on purpose.
+#[cfg(debug_assertions)]
+fn assert_calendar_heads(
+    srcs: &[SourceState],
+    ports: &[PortState],
+    next_emit: Option<(Nanos, usize)>,
+    oldest_pause: Option<(Nanos, usize, u8)>,
+) {
+    let scanned_emit = srcs
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.blocked)
+        .filter_map(|(si, s)| s.next.as_ref().map(|p| (p.arrival.max(s.gate), si)))
+        .min();
+    assert_eq!(
+        next_emit, scanned_emit,
+        "emission calendar head disagrees with the scan over all sources"
+    );
+    let scanned_pause = ports
+        .iter()
+        .enumerate()
+        .flat_map(|(i, ps)| {
+            ps.classes
+                .iter()
+                .filter_map(move |(&class, cs)| cs.paused_since.map(|since| (since, i, class)))
+        })
+        .min();
+    assert_eq!(
+        oldest_pause, scanned_pause,
+        "pause index head disagrees with the scan over all (port, class) pairs"
+    );
+}
+
 /// A [`Switch`] driven closed-loop: watermark-triggered PFC pause and
 /// resume to the traffic sources instead of admission drops. Build the
 /// switch as usual (a shared pool under
@@ -582,9 +654,19 @@ impl LosslessFabric {
             })
             .collect();
 
+        // The event calendar (see the module docs): unblocked sources
+        // with a pending packet by emission instant, and asserted pauses
+        // by assertion instant.
+        let mut emit_cal: BTreeSet<(Nanos, usize)> = srcs
+            .iter()
+            .enumerate()
+            .filter_map(|(si, s)| emit_key(si, s))
+            .collect();
+        let mut paused: BTreeSet<(Nanos, usize, u8)> = BTreeSet::new();
+
         let mut frames: BinaryHeap<std::cmp::Reverse<Frame>> = BinaryHeap::new();
         let mut frame_seq = 0u64;
-        let mut visible: HashSet<(usize, u8)> = HashSet::new();
+        let mut visible: BTreeSet<(usize, u8)> = BTreeSet::new();
         let mut pause_events: Vec<PauseEvent> = Vec::new();
         let mut misrouted = 0u64;
         let mut skid_overflow = 0u64;
@@ -618,6 +700,7 @@ impl LosslessFabric {
                     match cs.paused_since {
                         None if pressure >= xoff || !pool_ok => {
                             cs.paused_since = Some(now);
+                            paused.insert((now, i, class));
                             pause_events.push(PauseEvent {
                                 time: now,
                                 port: i,
@@ -635,6 +718,7 @@ impl LosslessFabric {
                         }
                         Some(since) if pressure <= xon && pool_ok => {
                             cs.paused_since = None;
+                            paused.remove(&(since, i, class));
                             ps.paused_total += now.saturating_sub(since);
                             pause_events.push(PauseEvent {
                                 time: now,
@@ -660,18 +744,10 @@ impl LosslessFabric {
         loop {
             // --- choose the next event: (time, kind, index) order ----
             let next_control = frames.peek().map(|r| r.0.deliver);
-            let mut next_emit: Option<(Nanos, usize)> = None;
-            for (si, s) in srcs.iter().enumerate() {
-                if s.blocked {
-                    continue;
-                }
-                if let Some(p) = &s.next {
-                    let t = p.arrival.max(s.gate);
-                    if next_emit.map_or(true, |(bt, _)| t < bt) {
-                        next_emit = Some((t, si));
-                    }
-                }
-            }
+            let next_emit = emit_cal.first().copied();
+            let oldest_pause = paused.first().copied();
+            #[cfg(debug_assertions)]
+            assert_calendar_heads(&srcs, &ports, next_emit, oldest_pause);
             let mut next_round: Option<(Nanos, usize)> = None;
             for (i, ps) in ports.iter().enumerate() {
                 if ps.done {
@@ -699,16 +775,7 @@ impl LosslessFabric {
 
             // --- watchdog: the oldest asserted pause must not outlive
             // max_pause before the next event runs --------------------
-            let oldest_pause = ports
-                .iter()
-                .enumerate()
-                .flat_map(|(i, ps)| {
-                    ps.classes
-                        .values()
-                        .filter_map(move |cs| cs.paused_since.map(|s| (s, i)))
-                })
-                .min();
-            if let (Some((since, port)), Some((tev, _))) = (oldest_pause, pick) {
+            if let (Some((since, port, _)), Some((tev, _))) = (oldest_pause, pick) {
                 let deadline = since + self.cfg.max_pause;
                 if tev > deadline {
                     let kind = if dead(port) {
@@ -741,7 +808,7 @@ impl LosslessFabric {
                     // pause outlives any bound: report the watchdog
                     // deadline. Otherwise stamp the last event time.
                     let (at, paused_for) = match oldest_pause {
-                        Some((since, _)) => (since + self.cfg.max_pause, self.cfg.max_pause),
+                        Some((since, ..)) => (since + self.cfg.max_pause, self.cfg.max_pause),
                         None => (
                             pause_events.last().map_or(Nanos::ZERO, |e| e.time),
                             Nanos::ZERO,
@@ -777,8 +844,11 @@ impl LosslessFabric {
                     match action {
                         PauseAction::Pause => {
                             visible.insert((port, class));
-                            for s in srcs.iter_mut() {
+                            for (si, s) in srcs.iter_mut().enumerate() {
                                 if !s.blocked && s.target == Some((port, class)) {
+                                    if let Some(key) = emit_key(si, s) {
+                                        emit_cal.remove(&key);
+                                    }
                                     s.blocked = true;
                                     s.blocked_since = now;
                                     s.stats.pauses += 1;
@@ -788,7 +858,7 @@ impl LosslessFabric {
                         }
                         PauseAction::Resume => {
                             visible.remove(&(port, class));
-                            for s in srcs.iter_mut() {
+                            for (si, s) in srcs.iter_mut().enumerate() {
                                 if s.blocked && s.target == Some((port, class)) {
                                     s.blocked = false;
                                     let dur = now.saturating_sub(s.blocked_since);
@@ -797,6 +867,9 @@ impl LosslessFabric {
                                     s.stats.max_pause = s.stats.max_pause.max(dur);
                                     s.src.resume(now);
                                     s.gate = now;
+                                    // Back on the calendar, no earlier
+                                    // than the gate just set.
+                                    emit_cal.extend(emit_key(si, s));
                                 }
                             }
                         }
@@ -805,7 +878,7 @@ impl LosslessFabric {
 
                 // --- emission ----------------------------------------
                 1 => {
-                    let (_, si) = next_emit.expect("picked emission");
+                    let (_, si) = emit_cal.pop_first().expect("picked emission");
                     let s = &mut srcs[si];
                     let mut p = s.next.take().expect("eligible emission");
                     let target = s.target.take();
@@ -882,6 +955,9 @@ impl LosslessFabric {
                             s.src.pause(now);
                         }
                     }
+                    // Re-key: a source blocked by an already-visible
+                    // pause (or exhausted) stays off the calendar.
+                    emit_cal.extend(emit_key(si, s));
                 }
 
                 // --- scheduling round --------------------------------
@@ -893,7 +969,7 @@ impl LosslessFabric {
                             kind: StallKind::RoundBudget { rounds },
                             at: now,
                             paused_for: oldest_pause
-                                .map_or(Nanos::ZERO, |(s, _)| now.saturating_sub(s)),
+                                .map_or(Nanos::ZERO, |(s, ..)| now.saturating_sub(s)),
                         });
                         break;
                     }
@@ -1015,12 +1091,7 @@ impl LosslessFabric {
                     max_pool_live = max_pool_live.max(fabric_live(&self.switch));
                     if sample_every.is_some_and(|every| rounds % every == 0) {
                         g_pool.push(round_end, fabric_live(&self.switch) as u64);
-                        let paused = ports
-                            .iter()
-                            .flat_map(|p| p.classes.values())
-                            .filter(|c| c.paused_since.is_some())
-                            .count();
-                        g_paused.push(round_end, paused as u64);
+                        g_paused.push(round_end, paused.len() as u64);
                         let skid: usize = ports.iter().map(|p| p.skid.len()).sum();
                         g_skid.push(round_end, skid as u64);
                     }

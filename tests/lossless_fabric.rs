@@ -67,6 +67,25 @@ fn build_fabric(
     pool_capacity: usize,
     cfg: LosslessConfig,
 ) -> LosslessFabric {
+    fabric_of(
+        PORTS,
+        backend,
+        port_threshold,
+        pool_capacity,
+        cfg,
+        Box::new(classify),
+    )
+}
+
+/// `ports` STFQ ports on one port×flow pool behind `classifier`.
+fn fabric_of(
+    ports: usize,
+    backend: PifoBackend,
+    port_threshold: usize,
+    pool_capacity: usize,
+    cfg: LosslessConfig,
+    classifier: pifo::sim::PortClassifier,
+) -> LosslessFabric {
     let mut sb = SwitchBuilder::new(RATE_BPS);
     sb.with_shared_pool(
         pool_capacity,
@@ -75,7 +94,7 @@ fn build_fabric(
             flow: Threshold::Unlimited,
         },
     );
-    for _ in 0..PORTS {
+    for _ in 0..ports {
         sb.add_shared_port(|h| {
             let mut b = TreeBuilder::new();
             b.with_backend(backend);
@@ -83,7 +102,7 @@ fn build_fabric(
             b.build_in_pool(Box::new(move |_| root), h).expect("tree")
         });
     }
-    LosslessFabric::new(sb.build(Box::new(classify)), cfg)
+    LosslessFabric::new(sb.build(classifier), cfg)
 }
 
 /// The on-die configuration: pause frames propagate instantly, so the
@@ -238,5 +257,227 @@ fn lossless_traces_identical_across_backends_and_drain_modes() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The event calendar
+// ---------------------------------------------------------------------------
+//
+// The fabric picks its next emission from an ordered `(emission instant,
+// source index)` calendar. These tests pin the calendar's subtle rules by
+// their observable outcome; in a debug build (what `cargo test` runs) the
+// fabric additionally asserts, before every event, that the calendar head
+// equals the definitional scan over all sources — so a mis-keyed calendar
+// fails here twice over.
+
+/// An oblivious scripted source: pre-stamped packets handed out in
+/// order, no reaction to pause or resume. An empty script never emits.
+struct Script(std::collections::VecDeque<Packet>);
+
+impl TrafficSource for Script {
+    fn next_packet(&mut self) -> Option<Packet> {
+        self.0.pop_front()
+    }
+}
+
+/// A script of `(flow, stamp)` 1000-byte packets.
+fn script(packets: &[(u32, u64)]) -> Box<dyn TrafficSource> {
+    Box::new(Script(
+        packets
+            .iter()
+            .map(|&(flow, stamp)| Packet::new(0, FlowId(flow), 1_000, Nanos(stamp)))
+            .collect(),
+    ))
+}
+
+/// A `ports`-port lossless fabric classifying `flow % ports`, its pool
+/// sized by the `ports × (xoff + headroom)` rule.
+fn calendar_fabric(ports: usize, cfg: LosslessConfig) -> LosslessFabric {
+    fabric_of(
+        ports,
+        PifoBackend::Bucket,
+        cfg.watermarks.xoff + cfg.headroom,
+        cfg.min_pool_capacity(ports),
+        cfg,
+        Box::new(move |p: &Packet| p.flow.0 as usize % ports),
+    )
+}
+
+/// Every delivered packet, in emission order (the fabric numbers packets
+/// as it admits them).
+fn by_emission(run: &LosslessRun) -> Vec<Packet> {
+    let mut all: Vec<Packet> = run
+        .run
+        .ports
+        .iter()
+        .flat_map(|p| p.departures.iter().map(|d| d.packet.clone()))
+        .collect();
+    all.sort_by_key(|p| p.id);
+    all
+}
+
+/// Rule 1 — many sources share every emission instant: admission order
+/// is source index order, whatever the flow ids or target ports.
+#[test]
+fn tied_emission_instants_admit_in_source_index_order() {
+    const N: usize = 48;
+    const PER_SOURCE: usize = 20;
+    // Source k carries flow 7k mod 48 — a permutation, so neither flow
+    // order nor port order coincides with index order. Three quarter-rate
+    // sources per port: nothing ever pauses.
+    let flow_of = |k: usize| (k * 7 % N) as u32;
+    let gap = tx_time(1_000, RATE_BPS / 4);
+    let start = Nanos(1_000);
+    let sources: Vec<Box<dyn TrafficSource>> = (0..N)
+        .map(|k| {
+            Box::new(CbrSource::new(
+                FlowId(flow_of(k)),
+                1_000,
+                RATE_BPS / 4,
+                start,
+                start + Nanos(PER_SOURCE as u64 * gap.as_nanos()),
+            )) as Box<dyn TrafficSource>
+        })
+        .collect();
+    let mut fabric = calendar_fabric(PORTS, LosslessConfig::new(32, 8).with_headroom(32));
+    let run = fabric.run(sources, DrainMode::Batched);
+
+    assert_lossless(&run, "tied");
+    assert!(
+        run.pause_events.is_empty(),
+        "under-loaded ports never pause"
+    );
+    let emitted = by_emission(&run);
+    assert_eq!(emitted.len(), N * PER_SOURCE);
+    for (j, p) in emitted.iter().enumerate() {
+        let (wave, k) = (j / N, j % N);
+        assert_eq!(p.id, PacketId(j as u64));
+        assert_eq!(
+            p.flow,
+            FlowId(flow_of(k)),
+            "emission {j}: wave {wave} must admit source {k} here"
+        );
+        assert_eq!(
+            p.arrival,
+            start + Nanos(wave as u64 * gap.as_nanos()),
+            "emission {j}: all {N} sources share wave {wave}'s instant"
+        );
+    }
+}
+
+/// Rule 2 — a resume whose gate is later than the head packet's stamp
+/// re-keys the source at the gate, and a source whose *next* packet
+/// targets an already-visible pause blocks without entering the
+/// calendar.
+#[test]
+fn resume_gate_rekeys_and_visible_pause_blocks_the_next_packet() {
+    for wire in [0u64, 300] {
+        let label = format!("wire {wire}");
+        let cfg = LosslessConfig::new(4, 1)
+            .with_headroom(16)
+            .with_wire_delay(Nanos(wire));
+        // Source 0: one packet to port 1 while port 0's pause is visible
+        // (asserted at 400, visible by 700), then one to port 0 stamped
+        // 760 — pulled at 750 into a visible pause.
+        // Source 1: the hog — twelve packets to port 0 at 10x line rate,
+        // so its head-of-line stamp is always far behind the gate.
+        let hog: Vec<(u32, u64)> = (0..12).map(|k| (0, k * 100)).collect();
+        let sources = vec![script(&[(1, 750), (2, 760)]), script(&hog)];
+        let run = calendar_fabric(2, cfg).run(sources, DrainMode::Batched);
+        assert_lossless(&run, &label);
+        assert_eq!(run.total_departures(), 14, "[{label}] everything delivered");
+
+        let first_pause = run.pause_events[0];
+        assert_eq!(
+            (first_pause.time, first_pause.port, first_pause.action),
+            (Nanos(400), 0, PauseAction::Pause),
+            "[{label}] the fifth hog packet trips xoff"
+        );
+        // The instants at which resume frames reach the sources. A clean
+        // drain appends settlement resumes at the last event time; those
+        // never gate an emission, so extra entries are harmless here.
+        let gates: Vec<Nanos> = run
+            .pause_events
+            .iter()
+            .filter(|e| e.port == 0 && e.action == PauseAction::Resume)
+            .map(|e| e.time + Nanos(wire))
+            .collect();
+        let visible_at = first_pause.time + Nanos(wire);
+
+        // Every port-0 emission after the pause became visible happened
+        // exactly at a gate: the stamps (<= 1100) are all older than the
+        // first gate, so a source keyed by its raw stamp would show up
+        // here with an instant that is no gate.
+        let emitted = by_emission(&run);
+        for p in emitted.iter().filter(|p| p.flow != FlowId(1)) {
+            assert!(
+                p.arrival <= visible_at || gates.contains(&p.arrival),
+                "[{label}] {} emitted at {}, neither before the pause nor at a gate {gates:?}",
+                p.id,
+                p.arrival
+            );
+        }
+
+        // Source 0 pulled its port-0 packet into the visible pause: it
+        // was blocked at 750 without ever being eligible, and released
+        // at the first gate — ahead of the hog, which shares that gate
+        // with an *older* stamp but a higher index.
+        let gated = emitted
+            .iter()
+            .find(|p| p.flow == FlowId(2))
+            .expect("delivered");
+        assert!(run.sources[0].pauses >= 1, "[{label}] source 0 was blocked");
+        assert_eq!(gated.arrival, gates[0], "[{label}] released at the gate");
+        assert!(gated.arrival > Nanos(760));
+        assert_eq!(
+            run.sources[0].total_paused,
+            gates[0] - Nanos(750),
+            "[{label}] blocked from the pull at 750 to the gate"
+        );
+        let hog_at_gate = emitted
+            .iter()
+            .find(|p| p.flow == FlowId(0) && p.arrival == gates[0])
+            .expect("the hog is released at the same gate");
+        assert!(
+            gated.id < hog_at_gate.id,
+            "[{label}] equal gates fall back to source index order"
+        );
+    }
+}
+
+/// Rule 3 — sources that never emit are invisible: appending any number
+/// of them leaves departures, pause log and every run counter
+/// bit-identical.
+#[test]
+fn idle_sources_leave_the_run_bit_identical() {
+    let cfg = LosslessConfig::new(32, 8).with_headroom(32);
+    let reference = run_on_die(PifoBackend::Bucket, DrainMode::Batched);
+    let live = reference.sources.len();
+    for idle in [1usize, 17, 300] {
+        let mut with_idle = sources();
+        with_idle.extend((0..idle).map(|_| script(&[])));
+        let run = build_fabric(PifoBackend::Bucket, 64, PORTS * 64, cfg)
+            .run(with_idle, DrainMode::Batched);
+
+        assert_eq!(reference.pause_events, run.pause_events, "+{idle} idle");
+        for (a, b) in reference.run.ports.iter().zip(&run.run.ports) {
+            assert_eq!(a.departures, b.departures, "+{idle} idle");
+            assert_eq!(a.drops, b.drops, "+{idle} idle");
+        }
+        assert_eq!(reference.run.misrouted, run.run.misrouted);
+        assert_eq!(reference.stall, run.stall);
+        assert_eq!(reference.port_paused, run.port_paused);
+        assert_eq!(reference.peak_skid, run.peak_skid);
+        assert_eq!(reference.skid_overflow, run.skid_overflow);
+        assert_eq!(reference.max_pool_live, run.max_pool_live);
+        assert_eq!(reference.rounds, run.rounds);
+        assert_eq!(reference.sources[..], run.sources[..live]);
+        assert!(
+            run.sources[live..]
+                .iter()
+                .all(|s| *s == SourcePauseStats::default()),
+            "+{idle} idle: an idle source is never paused"
+        );
     }
 }

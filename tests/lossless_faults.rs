@@ -4,7 +4,10 @@
 //! with a typed [`FabricStall`](pifo::prelude::FabricStall) inside the
 //! round budget — and the pause/resume bookkeeping reconciles either
 //! way. The property is checked over randomized fault plans and drain
-//! modes, with each plan run twice to pin determinism under faults.
+//! modes, with each plan run twice to pin determinism under faults, and
+//! again with the source count varied from 1 to 300 — all sources
+//! starting at one instant, so the fabric's event calendar is exercised
+//! with hundreds of tied keys under every fault class.
 
 use pifo::prelude::*;
 use proptest::prelude::*;
@@ -42,15 +45,18 @@ fn build_fabric() -> LosslessFabric {
     LosslessFabric::new(sb.build(Box::new(classify)), config())
 }
 
-/// One 1.5×-overdriven CBR stream per port: every port receives traffic,
-/// so every injected fault is actually exercised.
-fn sources() -> Vec<Box<dyn TrafficSource>> {
-    (0..PORTS as u32)
-        .map(|p| {
+/// `n` CBR streams, source `k` feeding port `k % PORTS`, all starting at
+/// the same instant and together overdriving the fabric 1.5× — for
+/// `n = PORTS` one 15 Gb/s stream per port, so every port receives
+/// traffic and every injected fault is actually exercised.
+fn sources(n: usize) -> Vec<Box<dyn TrafficSource>> {
+    let rate = PORTS as u64 * 15_000_000_000 / n as u64;
+    (0..n as u32)
+        .map(|k| {
             Box::new(CbrSource::new(
-                FlowId(p),
+                FlowId(k),
                 1_000,
-                15_000_000_000,
+                rate,
                 Nanos::ZERO,
                 Nanos(40_000),
             )) as Box<dyn TrafficSource>
@@ -94,92 +100,121 @@ fn mode_strategy() -> impl Strategy<Value = DrainMode> {
     ]
 }
 
-fn run_plan(plan: &FaultPlan, mode: DrainMode) -> LosslessRun {
-    build_fabric().run_with_faults(sources(), mode, plan)
+fn run_plan(n: usize, plan: &FaultPlan, mode: DrainMode) -> LosslessRun {
+    build_fabric().run_with_faults(sources(n), mode, plan)
+}
+
+/// Stall-or-drain: a run of `n` sources under `plan` came back inside
+/// the round budget, with the pause ledger balanced and any stall
+/// naming an injected fault class.
+fn assert_stalls_or_drains(run: &LosslessRun, n: usize, plan: &FaultPlan) {
+    // Termination bookkeeping: the budget was respected (a budget
+    // stall reports the overshooting round itself).
+    prop_assert!(
+        run.rounds <= config().round_budget + 1,
+        "rounds {} blew the budget without a stall",
+        run.rounds
+    );
+
+    let pauses = run.count_events(PauseAction::Pause);
+    let resumes = run.count_events(PauseAction::Resume);
+    match run.stall {
+        None => {
+            // Complete drain: every pause resolved, switch-side and
+            // source-side, and nothing was silently lost to a fault
+            // that never actually fired.
+            prop_assert_eq!(pauses, resumes, "unresolved switch-side pause");
+            for (i, s) in run.sources.iter().enumerate() {
+                prop_assert_eq!(
+                    s.pauses,
+                    s.resumes,
+                    "source {} pause ledger does not reconcile",
+                    i
+                );
+            }
+            // A clean drain with live dead ports is impossible: a
+            // dead port that received traffic (source k feeds port
+            // k % PORTS) traps it forever.
+            prop_assert!(
+                plan.dead_ports.iter().all(|&p| p >= n),
+                "dead ports {:?} cannot drain cleanly",
+                plan.dead_ports
+            );
+        }
+        Some(stall) => {
+            // A stall may leave pauses asserted — but never more
+            // resumes than pauses, anywhere.
+            prop_assert!(resumes <= pauses, "resumes exceed pauses");
+            for (i, s) in run.sources.iter().enumerate() {
+                prop_assert!(
+                    s.resumes <= s.pauses,
+                    "source {} resumed more than it paused",
+                    i
+                );
+            }
+            // The diagnosis names an injected fault class (or the
+            // generic wedges any fault combination can produce).
+            match stall.kind {
+                StallKind::DeadPort { port } => {
+                    prop_assert!(
+                        plan.dead_ports.contains(&port),
+                        "diagnosed dead port {} was not injected",
+                        port
+                    );
+                }
+                StallKind::StuckPool => {
+                    prop_assert!(plan.stuck_pool_at.is_some());
+                }
+                StallKind::PauseStorm { port } => prop_assert!(port < PORTS),
+                StallKind::RoundBudget { rounds } => {
+                    prop_assert!(rounds > config().round_budget);
+                }
+                StallKind::CircularWait => {}
+            }
+        }
+    }
+}
+
+/// Two runs agree on the stall, the pause log, and the traces.
+fn assert_same_run(a: &LosslessRun, b: &LosslessRun) {
+    prop_assert_eq!(a.stall, b.stall);
+    prop_assert_eq!(&a.pause_events, &b.pause_events);
+    prop_assert_eq!(a.rounds, b.rounds);
+    prop_assert_eq!(a.skid_overflow, b.skid_overflow);
+    prop_assert_eq!(&a.sources, &b.sources);
+    for (x, y) in a.run.ports.iter().zip(&b.run.ports) {
+        prop_assert_eq!(&x.departures, &y.departures);
+        prop_assert_eq!(x.drops, y.drops);
+    }
 }
 
 proptest! {
-    /// Stall-or-drain: the run function *returns* for every plan (a hang
-    /// fails the test by timeout), inside the round budget, with the
-    /// pause ledger balanced.
+    /// The run function *returns* for every plan (a hang fails the test
+    /// by timeout) and satisfies the stall-or-drain contract.
     #[test]
     fn any_fault_plan_stalls_or_drains(plan in fault_strategy(), mode in mode_strategy()) {
-        let run = run_plan(&plan, mode);
-
-        // Termination bookkeeping: the budget was respected (a budget
-        // stall reports the overshooting round itself).
-        prop_assert!(
-            run.rounds <= config().round_budget + 1,
-            "rounds {} blew the budget without a stall", run.rounds
-        );
-
-        let pauses = run.count_events(PauseAction::Pause);
-        let resumes = run.count_events(PauseAction::Resume);
-        match run.stall {
-            None => {
-                // Complete drain: every pause resolved, switch-side and
-                // source-side, and nothing was silently lost to a fault
-                // that never actually fired.
-                prop_assert_eq!(pauses, resumes, "unresolved switch-side pause");
-                for (i, s) in run.sources.iter().enumerate() {
-                    prop_assert_eq!(
-                        s.pauses, s.resumes,
-                        "source {} pause ledger does not reconcile", i
-                    );
-                }
-                // A clean drain with live dead ports is impossible: a
-                // dead port that received traffic traps it forever.
-                prop_assert!(
-                    plan.dead_ports.is_empty(),
-                    "dead ports {:?} cannot drain cleanly", plan.dead_ports
-                );
-            }
-            Some(stall) => {
-                // A stall may leave pauses asserted — but never more
-                // resumes than pauses, anywhere.
-                prop_assert!(resumes <= pauses, "resumes exceed pauses");
-                for (i, s) in run.sources.iter().enumerate() {
-                    prop_assert!(
-                        s.resumes <= s.pauses,
-                        "source {} resumed more than it paused", i
-                    );
-                }
-                // The diagnosis names an injected fault class (or the
-                // generic wedges any fault combination can produce).
-                match stall.kind {
-                    StallKind::DeadPort { port } => {
-                        prop_assert!(
-                            plan.dead_ports.contains(&port),
-                            "diagnosed dead port {} was not injected", port
-                        );
-                    }
-                    StallKind::StuckPool => {
-                        prop_assert!(plan.stuck_pool_at.is_some());
-                    }
-                    StallKind::PauseStorm { port } => prop_assert!(port < PORTS),
-                    StallKind::RoundBudget { rounds } => {
-                        prop_assert!(rounds > config().round_budget);
-                    }
-                    StallKind::CircularWait => {}
-                }
-            }
-        }
+        assert_stalls_or_drains(&run_plan(PORTS, &plan, mode), PORTS, &plan);
     }
 
     /// Faulty runs are still deterministic: the same plan and mode give
     /// the same stall, the same pause log, and the same traces.
     #[test]
     fn faulty_runs_are_reproducible(plan in fault_strategy(), mode in mode_strategy()) {
-        let a = run_plan(&plan, mode);
-        let b = run_plan(&plan, mode);
-        prop_assert_eq!(a.stall, b.stall);
-        prop_assert_eq!(a.pause_events, b.pause_events);
-        prop_assert_eq!(a.rounds, b.rounds);
-        prop_assert_eq!(a.skid_overflow, b.skid_overflow);
-        for (x, y) in a.run.ports.iter().zip(&b.run.ports) {
-            prop_assert_eq!(&x.departures, &y.departures);
-            prop_assert_eq!(x.drops, y.drops);
-        }
+        assert_same_run(&run_plan(PORTS, &plan, mode), &run_plan(PORTS, &plan, mode));
+    }
+
+    /// Both contracts with the source count varied: 1 to 300 sources
+    /// that all start at one instant, so the event calendar holds up to
+    /// 300 tied keys while pauses, gated resumes and faults re-key them.
+    #[test]
+    fn any_source_count_stalls_or_drains_reproducibly(
+        n in 1usize..=300,
+        plan in fault_strategy(),
+        mode in mode_strategy(),
+    ) {
+        let run = run_plan(n, &plan, mode);
+        assert_stalls_or_drains(&run, n, &plan);
+        assert_same_run(&run, &run_plan(n, &plan, mode));
     }
 }
 
@@ -189,7 +224,7 @@ proptest! {
 #[test]
 fn dead_port_under_load_is_diagnosed_not_hung() {
     let plan = FaultPlan::none().dead_port(2);
-    let run = run_plan(&plan, DrainMode::Batched);
+    let run = run_plan(PORTS, &plan, DrainMode::Batched);
     let stall = run.stall.expect("a dead port under load must stall");
     assert_eq!(stall.kind, StallKind::DeadPort { port: 2 });
     assert!(stall.paused_for >= config().max_pause);
@@ -206,7 +241,7 @@ fn dead_port_under_load_is_diagnosed_not_hung() {
 #[test]
 fn stuck_pool_is_diagnosed() {
     let plan = FaultPlan::none().stuck_pool(Nanos(10_000));
-    let run = run_plan(&plan, DrainMode::Batched);
+    let run = run_plan(PORTS, &plan, DrainMode::Batched);
     let stall = run.stall.expect("a permanently stuck pool must stall");
     assert_eq!(stall.kind, StallKind::StuckPool);
 }
@@ -216,7 +251,7 @@ fn stuck_pool_is_diagnosed() {
 #[test]
 fn slow_drain_completes_without_stall() {
     let plan = FaultPlan::none().slow_port(0, 4);
-    let run = run_plan(&plan, DrainMode::Batched);
+    let run = run_plan(PORTS, &plan, DrainMode::Batched);
     assert!(run.stall.is_none(), "slow drain stalled: {:?}", run.stall);
     assert_eq!(run.total_drops(), 0, "slow drain stays lossless");
     assert_eq!(
