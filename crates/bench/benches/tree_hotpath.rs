@@ -12,10 +12,11 @@
 //!   release path (agenda vs. scan) is on the measured path.
 //!
 //! Each scenario runs at several standing occupancies (fill → churn →
-//! drain); the results are printed and written to `BENCH_tree.json` at
-//! the repo root (override with `BENCH_TREE_OUT`) so CI can archive a
-//! per-PR perf trajectory. `--smoke` (or `BENCH_TREE_SMOKE=1`) skips the
-//! largest occupancy for fast CI runs.
+//! drain) on [`PifoBackend::default`], with a `sorted` reference row per
+//! occupancy for `hpfq_fig3`; the results are printed and written to
+//! `BENCH_tree.json` at the repo root (override with `BENCH_TREE_OUT`)
+//! so CI can archive a per-PR perf trajectory. `--smoke` (or
+//! `BENCH_TREE_SMOKE=1`) skips the largest occupancy for fast CI runs.
 
 use pifo_algos::{fig3_hpfq_with_backend, Hierarchy, Stfq, TokenBucketFilter, WeightTable};
 use pifo_core::prelude::*;
@@ -182,28 +183,20 @@ fn main() {
     } else {
         &[1_000, 10_000, 60_000]
     };
-    let scenarios: &[(&'static str, BuildFn)] = &[
-        ("hpfq_fig3", fig3),
-        ("wide_256", wide_256),
-        ("shaped_tbf", shaped_tbf),
+    let default = PifoBackend::default();
+    let sweeps: &[(&'static str, PifoBackend, BuildFn)] = &[
+        // Every scenario on the engine users get without asking.
+        ("hpfq_fig3", default, fig3),
+        ("wide_256", default, wide_256),
+        ("shaped_tbf", default, shaped_tbf),
+        // The O(n) reference beside it on the headline scenario, so the
+        // sorted array's collapse at depth stays on record next to the
+        // engine that replaced it as the default.
+        ("hpfq_fig3", PifoBackend::SortedArray, fig3),
     ];
 
     let mut results = Vec::new();
-    for &(name, build) in scenarios {
-        for &occ in occupancies {
-            let churn = occ.min(10_000);
-            let r = run_one(name, PifoBackend::SortedArray, build, occ, churn);
-            println!(
-                "tree_hotpath {name:<12} backend={:<6} occ={occ:<6} {:>12.0} pkts/s",
-                r.backend.label(),
-                r.pps()
-            );
-            results.push(r);
-        }
-    }
-    // Backend sweep at the headline occupancy for the headline scenario.
-    for backend in [PifoBackend::Heap, PifoBackend::Bucket] {
-        let r = run_one("hpfq_fig3", backend, fig3, 10_000, 10_000);
+    let mut record = |r: Measurement| {
         println!(
             "tree_hotpath {:<12} backend={:<6} occ={:<6} {:>12.0} pkts/s",
             r.scenario,
@@ -212,7 +205,20 @@ fn main() {
             r.pps()
         );
         results.push(r);
+    };
+    for &(name, backend, build) in sweeps {
+        for &occ in occupancies {
+            record(run_one(name, backend, build, occ, occ.min(10_000)));
+        }
     }
+    // The remaining exact engine at the headline occupancy.
+    record(run_one(
+        "hpfq_fig3",
+        PifoBackend::Bucket,
+        fig3,
+        10_000,
+        10_000,
+    ));
 
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json = String::from("{\n  \"bench\": \"tree_hotpath\",\n");

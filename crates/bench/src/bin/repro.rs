@@ -12,21 +12,23 @@
 //! ```
 
 use pifo_bench::cli;
-use pifo_bench::experiments::{registry, run, set_backend};
+use pifo_bench::experiments::{self, registry, run, set_backend};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
     // Extract `--backend <name>` / `--backend=<name>` before dispatching
     // — one shared parser across every pifo-bench entry point.
-    let backend = match cli::extract_backend(&mut args) {
-        Ok(choice) => choice.unwrap_or_default(),
+    match cli::extract_backend(&mut args) {
+        Ok(Some(choice)) => set_backend(choice),
+        // No flag: `experiments::backend()` resolves the default.
+        Ok(None) => {}
         Err(e) => {
             eprintln!("repro: {e}");
             std::process::exit(2);
         }
-    };
-    set_backend(backend);
+    }
+    let backend = experiments::backend();
 
     // `--lossless` appends the Sec 6.2 lossless experiment to whatever
     // was asked for — alone it runs just that demo (`all` already

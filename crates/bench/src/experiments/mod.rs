@@ -26,22 +26,28 @@ pub mod lossless;
 pub mod synth_tables;
 pub mod telemetry;
 
-/// Which PIFO backend experiment trees are built with. A `Mutex` rather
-/// than an atomic index into [`PifoBackend::ALL`]: parameterised
-/// selectors like `sp-pifo:4` are not members of the canonical array,
-/// so the value itself must be stored.
-static BACKEND: Mutex<PifoBackend> = Mutex::new(PifoBackend::SortedArray);
+/// Which PIFO backend experiment trees are built with; `None` until
+/// [`set_backend`] is called. A `Mutex` rather than an atomic index into
+/// [`PifoBackend::ALL`]: parameterised selectors like `sp-pifo:4` are
+/// not members of the canonical array, so the value itself must be
+/// stored.
+static BACKEND: Mutex<Option<PifoBackend>> = Mutex::new(None);
 
 /// Select the PIFO queue engine used by every subsequently-run
 /// experiment that builds a scheduling tree.
 pub fn set_backend(backend: PifoBackend) {
-    *BACKEND.lock().expect("backend lock poisoned") = backend;
+    *BACKEND.lock().expect("backend lock poisoned") = Some(backend);
 }
 
-/// The currently selected experiment backend (default: the reference
-/// sorted array).
+/// The currently selected experiment backend: the last
+/// [`set_backend`] choice, else [`PifoBackend::default`] — the engine
+/// `TreeBuilder::new()` hands out, so library callers and a
+/// flag-less `repro` agree.
 pub fn backend() -> PifoBackend {
-    *BACKEND.lock().expect("backend lock poisoned")
+    BACKEND
+        .lock()
+        .expect("backend lock poisoned")
+        .unwrap_or_default()
 }
 
 /// A `TreeBuilder` pre-configured with the selected backend — every

@@ -16,9 +16,10 @@
 //! * [`pifo`] — the PIFO contract ([`pifo::PifoQueue`] +
 //!   [`pifo::PifoInspect`]) and its interchangeable backends:
 //!   [`pifo::SortedArrayPifo`] (reference semantics), [`pifo::HeapPifo`]
-//!   (binary heap) and [`pifo::BucketPifo`] (Eiffel-style FFS bucket
-//!   calendar). [`pifo::PifoBackend`] selects one at runtime — boxed
-//!   ([`pifo::BoxedPifo`]) or statically dispatched ([`pifo::EnumPifo`]);
+//!   (binary heap, the default) and [`pifo::BucketPifo`] (Eiffel-style
+//!   FFS bucket calendar). [`pifo::PifoBackend`] selects one at runtime
+//!   — boxed ([`pifo::BoxedPifo`]) or statically dispatched
+//!   ([`pifo::EnumPifo`]);
 //!   see the module docs for the "choosing a backend" table.
 //! * [`approx`] — deliberately inexact engines behind the same contract:
 //!   [`approx::SpPifo`] (k strict-priority FIFOs, SP-PIFO bound

@@ -35,12 +35,21 @@
 //!
 //! | Backend | `push` | `pop` | Notes |
 //! |---|---|---|---|
-//! | [`SortedArrayPifo`] | O(n) | O(1) | Reference semantics; direct analogue of the naive hardware of §5.2. Best below ~1 K elements and for debugging. |
-//! | [`HeapPifo`] | O(log n) | O(log n) | Binary heap with explicit sequence numbers for FIFO ties. Solid general-purpose software choice. |
+//! | [`SortedArrayPifo`] | O(n) | O(1) | **The reference** every differential suite compares against; direct analogue of the flat sorted array §5.2 rejects for a 60 K-packet buffer. Best below ~1 K elements and for debugging; name it ([`PifoBackend::SortedArray`]) wherever a reference is meant. |
+//! | [`HeapPifo`] | O(log n) | O(log n) | **The default** ([`PifoBackend::default`]). Binary heap with explicit sequence numbers for FIFO ties; a packet's cost does not grow with the backlog. |
 //! | [`BucketPifo`] | O(1)* | O(1)* | Eiffel-style FFS bucket calendar (integer-rank buckets, two-level find-first-set bitmap, overflow heap). Fastest at Trident-scale occupancies when ranks spread across the bucket window; *amortised, degrades gracefully toward the heap when they do not. |
 //! | [`SpPifo`](crate::approx::SpPifo) | O(k) | O(k) | **Approximate.** k strict-priority FIFOs with SP-PIFO push-up/push-down bound adaptation; exact between rank bands, FIFO within one. |
 //! | [`Rifo`](crate::approx::Rifo) | O(1) | O(1) | **Approximate.** Single FIFO; rank-awareness only at admission (windowed min/max relative-rank gate when bounded). |
 //! | [`Aifo`](crate::approx::Aifo) | O(W) | O(1) | **Approximate.** Single FIFO with windowed-quantile admission against a small sliding rank sample. |
+//!
+//! [`PifoBackend::default`] — what `TreeBuilder::new()` and every
+//! constructor above it hand out — is the heap: it is exact, it matches
+//! the sorted array on shallow queues, and at depth it is the engine whose
+//! push does not memmove the backlog (`hpfq_fig3` at 60 K occupancy:
+//! `sorted` ≈ 0.2 M pkts/s, `heap` ≈ 2.0 M; `BENCH_tree.json`). The
+//! bucket calendar is faster still on a single deep queue but costs a
+//! 4 096-bucket calendar per tree node, so it stays opt-in
+//! (`with_backend` / `set_node_backend`).
 //!
 //! The first three — [`PifoBackend::EXACT`] — are **exactly** equivalent
 //! observationally: same dequeue order, same FIFO tie-breaks, same
@@ -208,7 +217,8 @@ pub trait PifoEngine<T>: PifoInspect<T> {}
 impl<T, Q: PifoInspect<T> + ?Sized> PifoEngine<T> for Q {}
 
 /// A heap-allocated, backend-erased PIFO — what [`PifoBackend::make`]
-/// returns and what every `ScheduleTree` node stores.
+/// returns, for callers that need an open set of engines behind one
+/// pointer type. (`ScheduleTree` nodes store an [`EnumPifo`] instead.)
 pub type BoxedPifo<T> = Box<dyn PifoEngine<T>>;
 
 // ---------------------------------------------------------------------------
@@ -220,10 +230,12 @@ pub type BoxedPifo<T> = Box<dyn PifoEngine<T>>;
 /// `sp-pifo[:k]` / `rifo` / `aifo` on CLIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PifoBackend {
-    /// [`SortedArrayPifo`] — the O(n)-insert reference.
-    #[default]
+    /// [`SortedArrayPifo`] — the O(n)-insert reference the differential
+    /// suites compare every other engine against.
     SortedArray,
-    /// [`HeapPifo`] — O(log n) binary heap.
+    /// [`HeapPifo`] — O(log n) binary heap; the default, so that a
+    /// packet's cost does not grow with the backlog.
+    #[default]
     Heap,
     /// [`BucketPifo`] — FFS bucket calendar, O(1) amortised.
     Bucket,
@@ -378,10 +390,10 @@ impl PifoBackend {
 }
 
 // ---------------------------------------------------------------------------
-// EnumPifo — static dispatch over the three engines
+// EnumPifo — static dispatch over the six engines
 // ---------------------------------------------------------------------------
 
-/// A closed sum of the three queue engines with `match` dispatch.
+/// A closed sum of the six queue engines with `match` dispatch.
 ///
 /// Semantically identical to the corresponding [`BoxedPifo`] (both
 /// delegate to the same implementations), but the compiler sees concrete

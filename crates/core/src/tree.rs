@@ -273,7 +273,10 @@ impl Default for TreeBuilder {
 }
 
 impl TreeBuilder {
-    /// An empty builder using the default (reference) PIFO backend.
+    /// An empty builder using [`PifoBackend::default`] — the heap, whose
+    /// per-packet cost does not grow with the backlog. Tests that compare
+    /// *against* a reference name [`PifoBackend::SortedArray`] through
+    /// [`with_backend`](Self::with_backend).
     pub fn new() -> Self {
         TreeBuilder {
             nodes: Vec::new(),
@@ -324,7 +327,7 @@ impl TreeBuilder {
     }
 
     /// Override the queue engine for one node (e.g. a bucket calendar at a
-    /// 60 K-deep leaf while small interior nodes keep the reference array).
+    /// 60 K-deep leaf while small interior nodes keep the default heap).
     ///
     /// # Panics
     ///
