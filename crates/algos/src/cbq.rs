@@ -15,13 +15,15 @@ use std::collections::HashMap;
 /// element refers to.
 #[derive(Debug, Clone)]
 pub struct ClassPriority {
-    prio_of_child: HashMap<FlowId, u64>,
+    prio_of_child: FlowMap<u64>,
 }
 
 impl ClassPriority {
     /// Priorities keyed by child-node flow ids (lower = served first).
     pub fn new(prio_of_child: HashMap<FlowId, u64>) -> Self {
-        ClassPriority { prio_of_child }
+        ClassPriority {
+            prio_of_child: prio_of_child.into_iter().collect(),
+        }
     }
 }
 
@@ -110,7 +112,10 @@ fn cbq_builder_parts(
         b.add_child(root, &class.name, Box::new(Stfq::new(table)));
     }
 
-    let map = leaf_of.clone();
+    // The caller gets the map; the classifier, which probes once per
+    // packet, captures it re-keyed as a `FlowMap`.
+    let map = leaf_of;
+    let leaf_of: FlowMap<NodeId> = map.iter().map(|(&f, &n)| (f, n)).collect();
     let classifier: Classifier =
         Box::new(move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID));
     (b, classifier, map)

@@ -197,7 +197,10 @@ impl Hierarchy {
         let mut next = 0;
         build_node(self, None, &mut b, &mut next, &mut leaf_of);
 
-        let map = leaf_of.clone();
+        // The caller gets the map; the classifier, which probes once
+        // per packet, captures it re-keyed as a `FlowMap`.
+        let map = leaf_of;
+        let leaf_of: FlowMap<NodeId> = map.iter().map(|(&f, &n)| (f, n)).collect();
         let classifier: Classifier =
             Box::new(move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID));
         (b, classifier, map)

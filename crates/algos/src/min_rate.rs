@@ -27,7 +27,6 @@
 
 use crate::prio::Fifo;
 use pifo_core::prelude::*;
-use std::collections::HashMap;
 
 const NANOBITS_PER_BYTE: i128 = 8 * 1_000_000_000;
 
@@ -43,10 +42,10 @@ struct BucketState {
 /// PIFO tie-break keeps each priority band FIFO.
 #[derive(Debug, Clone)]
 pub struct MinRateGuarantee {
-    rates_bps: HashMap<FlowId, u64>,
+    rates_bps: FlowMap<u64>,
     default_rate_bps: u64,
     burst_bytes: u64,
-    buckets: HashMap<FlowId, BucketState>,
+    buckets: FlowMap<BucketState>,
 }
 
 impl MinRateGuarantee {
@@ -54,10 +53,10 @@ impl MinRateGuarantee {
     /// `burst_bytes` (Fig 8's `BURST_SIZE`).
     pub fn new(default_rate_bps: u64, burst_bytes: u64) -> Self {
         MinRateGuarantee {
-            rates_bps: HashMap::new(),
+            rates_bps: FlowMap::default(),
             default_rate_bps,
             burst_bytes,
-            buckets: HashMap::new(),
+            buckets: FlowMap::default(),
         }
     }
 
@@ -167,7 +166,7 @@ fn min_rate_builder_parts(
     // The root sees child nodes as flows. Node ids are assigned densely
     // (root = 0, leaves = 1..), so the per-child guarantees can be wired
     // into the root transaction before the leaves exist.
-    let mut leaf_of: HashMap<FlowId, NodeId> = HashMap::new();
+    let mut leaf_of: FlowMap<NodeId> = FlowMap::default();
     for (i, (flow, rate)) in flows.iter().enumerate() {
         let leaf_id = NodeId::from_index(i + 1);
         root_tx.set_rate(leaf_id.as_flow(), *rate);

@@ -17,7 +17,6 @@
 //!   giving every flow at most `slot/frame` of the link.
 
 use pifo_core::prelude::*;
-use std::collections::HashMap;
 
 /// Jitter-EDD rate regulator: hold each packet for `packet.slack`
 /// nanoseconds (its earliness tag from the previous hop), so all packets
@@ -46,8 +45,8 @@ impl ShapingTransaction for JitterEdd {
 pub struct HierarchicalRoundRobin {
     frame_len: Nanos,
     slot_len: Nanos,
-    slot_of: HashMap<FlowId, u64>,
-    next_frame: HashMap<FlowId, u64>,
+    slot_of: FlowMap<u64>,
+    next_frame: FlowMap<u64>,
 }
 
 impl HierarchicalRoundRobin {
@@ -62,8 +61,8 @@ impl HierarchicalRoundRobin {
         HierarchicalRoundRobin {
             frame_len,
             slot_len,
-            slot_of: HashMap::new(),
-            next_frame: HashMap::new(),
+            slot_of: FlowMap::default(),
+            next_frame: FlowMap::default(),
         }
     }
 

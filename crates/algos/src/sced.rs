@@ -11,7 +11,6 @@
 //! The scheduling transaction sets `p.rank = deadline`.
 
 use pifo_core::prelude::*;
-use std::collections::HashMap;
 
 /// One segment of a piecewise-linear service curve: the flow is promised
 /// at least `burst_bytes + rate_bps·Δt/8e9` bytes by offset `Δt` into its
@@ -86,18 +85,18 @@ struct FlowState {
 /// tracking stays accurate (the simulator adapter does this).
 #[derive(Debug, Clone)]
 pub struct ScEdf {
-    curves: HashMap<FlowId, ServiceCurve>,
+    curves: FlowMap<ServiceCurve>,
     default_curve: ServiceCurve,
-    flows: HashMap<FlowId, FlowState>,
+    flows: FlowMap<FlowState>,
 }
 
 impl ScEdf {
     /// SC-EDF where unspecified flows get `default_curve`.
     pub fn new(default_curve: ServiceCurve) -> Self {
         ScEdf {
-            curves: HashMap::new(),
+            curves: FlowMap::default(),
             default_curve,
-            flows: HashMap::new(),
+            flows: FlowMap::default(),
         }
     }
 

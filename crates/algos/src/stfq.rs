@@ -18,17 +18,20 @@
 //! All arithmetic is integer fixed-point with [`VT_SHIFT`] fractional bits:
 //! `length / weight` becomes `(length << VT_SHIFT) / weight`, exactly as a
 //! hardware rank computation would be specified.
+//!
+//! `last_finish` and the weights are [`FlowMap`]s — the software stand-in
+//! for the register arrays, indexed by flow id, that the transaction's
+//! atom holds in the paper: one cheap probe each per packet.
 
 use crate::weights::WeightTable;
 use pifo_core::prelude::*;
-use std::collections::HashMap;
 
 /// The STFQ scheduling transaction.
 #[derive(Debug, Clone)]
 pub struct Stfq {
     weights: WeightTable,
     virtual_time: u64,
-    last_finish: HashMap<FlowId, u64>,
+    last_finish: FlowMap<u64>,
 }
 
 impl Default for Stfq {
@@ -43,7 +46,7 @@ impl Stfq {
         Stfq {
             weights,
             virtual_time: 0,
-            last_finish: HashMap::new(),
+            last_finish: FlowMap::default(),
         }
     }
 
@@ -66,16 +69,16 @@ impl Stfq {
 impl SchedulingTransaction for Stfq {
     fn rank(&mut self, ctx: &EnqCtx<'_>) -> Rank {
         let f = ctx.flow;
-        let start = match self.last_finish.get(&f) {
-            Some(&fin) => self.virtual_time.max(fin),
-            None => self.virtual_time,
-        };
         let w = self.weights.get(f);
         let service = ((ctx.packet.length as u64) << VT_SHIFT) / w;
         // A zero-length packet must still advance the finish tag by at
         // least one quantum, or two such packets would tie forever.
         let service = service.max(1);
-        self.last_finish.insert(f, start.saturating_add(service));
+        // One probe reads and rewrites the tag. A flow not in the table
+        // enters at 0, and `max(virtual_time, 0)` is Fig 1's else branch.
+        let finish = self.last_finish.entry(f).or_insert(0);
+        let start = self.virtual_time.max(*finish);
+        *finish = start.saturating_add(service);
         Rank(start)
     }
 

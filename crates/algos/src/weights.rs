@@ -1,14 +1,13 @@
 //! Per-flow weight tables shared by the fair-queueing transactions.
 
 use pifo_core::prelude::*;
-use std::collections::HashMap;
 
 /// Maps flows to scheduling weights. Flows without an explicit entry get
 /// `default_weight` (1 unless overridden), so a weight table is never a
 /// correctness hazard — only a fairness-policy input.
 #[derive(Debug, Clone)]
 pub struct WeightTable {
-    weights: HashMap<FlowId, u64>,
+    weights: FlowMap<u64>,
     default_weight: u64,
 }
 
@@ -22,7 +21,7 @@ impl WeightTable {
     /// Empty table: every flow weighs 1.
     pub fn new() -> Self {
         WeightTable {
-            weights: HashMap::new(),
+            weights: FlowMap::default(),
             default_weight: 1,
         }
     }

@@ -13,6 +13,7 @@ use pifo_algos::{
 };
 use pifo_core::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn ctx<'a>(p: &'a Packet, now: u64) -> EnqCtx<'a> {
     EnqCtx {
@@ -20,6 +21,35 @@ fn ctx<'a>(p: &'a Packet, now: u64) -> EnqCtx<'a> {
         now: Nanos(now),
         flow: p.flow,
     }
+}
+
+/// Flow ids that stress a table index: neighbours, a byte boundary, a
+/// high power of two (interior-node numbering), the top of the range.
+const STFQ_FLOWS: [u32; 6] = [0, 1, 255, 256, 1 << 20, u32::MAX];
+
+fn flow_id() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        3 => (0usize..STFQ_FLOWS.len()).prop_map(|i| STFQ_FLOWS[i]),
+        1 => any::<u32>(),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum StfqStep {
+    /// A packet of (flow, length) arrives.
+    Enqueue(u32, u32),
+    /// A packet with this rank departs.
+    Dequeue(u64),
+}
+
+fn stfq_step() -> impl Strategy<Value = StfqStep> {
+    prop_oneof![
+        // Lengths include 0 (the one-quantum floor) and oversize values.
+        6 => (flow_id(), prop_oneof![4 => 0u32..1_501, 1 => any::<u32>()])
+            .prop_map(|(f, len)| StfqStep::Enqueue(f, len)),
+        // Departing ranks include ones that saturate the finish tag.
+        3 => prop_oneof![4 => 0u64..1 << 40, 1 => any::<u64>()].prop_map(StfqStep::Dequeue),
+    ]
 }
 
 proptest! {
@@ -47,6 +77,51 @@ proptest! {
             last[f as usize] = Some(r);
             // Virtual time may advance arbitrarily between arrivals.
             tx.on_dequeue(Rank(vt_jump), &DeqCtx { now: Nanos(now), flow: FlowId(f) });
+        }
+    }
+
+    /// STFQ's state lives in `FlowMap`s (a fixed multiplicative hasher,
+    /// one `entry` probe per rank); Fig 1 written over a `BTreeMap` must
+    /// give the same rank, finish tag and virtual time at every step —
+    /// on small ids, on ids a power of two apart, and on random ones.
+    #[test]
+    fn stfq_matches_fig1_over_a_btreemap(
+        weights in proptest::collection::vec((flow_id(), 1u64..16), 0..12),
+        default_weight in 1u64..4,
+        steps in proptest::collection::vec(stfq_step(), 1..300),
+    ) {
+        let mut table = WeightTable::from_pairs(weights.iter().map(|&(f, w)| (FlowId(f), w)));
+        table.set_default(default_weight);
+        let weight_of: BTreeMap<u32, u64> = weights.into_iter().collect();
+        let mut tx = Stfq::new(table);
+        let mut virtual_time = 0u64;
+        let mut last_finish: BTreeMap<u32, u64> = BTreeMap::new();
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                StfqStep::Enqueue(f, length) => {
+                    let start = match last_finish.get(&f) {
+                        Some(&fin) => virtual_time.max(fin),
+                        None => virtual_time,
+                    };
+                    let w = weight_of.get(&f).copied().unwrap_or(default_weight);
+                    let service = (((length as u64) << VT_SHIFT) / w).max(1);
+                    last_finish.insert(f, start.saturating_add(service));
+                    let p = Packet::new(i as u64, FlowId(f), length, Nanos(i as u64));
+                    prop_assert_eq!(tx.rank(&ctx(&p, i as u64)), Rank(start), "step {}", i);
+                }
+                StfqStep::Dequeue(rank) => {
+                    virtual_time = virtual_time.max(rank);
+                    tx.on_dequeue(Rank(rank), &DeqCtx { now: Nanos(i as u64), flow: FlowId(0) });
+                }
+            }
+            prop_assert_eq!(tx.virtual_time(), virtual_time, "step {}", i);
+            for &f in STFQ_FLOWS.iter().chain(last_finish.keys()) {
+                prop_assert_eq!(
+                    tx.last_finish(FlowId(f)),
+                    last_finish.get(&f).copied(),
+                    "flow {} at step {}", f, i
+                );
+            }
         }
     }
 

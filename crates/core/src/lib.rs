@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::approx::{Aifo, Rifo, SpPifo};
     pub use crate::buffer::{PacketBuffer, PktHandle};
     pub use crate::metrics::{InversionStats, InversionTracker};
-    pub use crate::packet::{FlowId, Packet, PacketId};
+    pub use crate::packet::{FlowId, FlowMap, Packet, PacketId};
     pub use crate::pifo::{
         BoxedPifo, BucketPifo, EnumPifo, HeapPifo, PifoBackend, PifoEngine, PifoFull, PifoInspect,
         PifoQueue, SortedArrayPifo,

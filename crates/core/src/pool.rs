@@ -10,9 +10,12 @@
 //!
 //! * [`SharedPacketPool`] owns the single packet slab (a chunked,
 //!   lock-free slot store with a tagged free list and per-slot generation
-//!   counters) **plus** the §6.1 counters: per-port and per-flow
-//!   occupancy, maintained O(1) on every insert/release, and per-port
-//!   admitted/rejected tallies.
+//!   counters) **plus** the §6.1 counters: per-port occupancy and
+//!   admitted/rejected tallies, maintained O(1) on every insert/release,
+//!   and per-flow occupancy — a [`FlowMap`] table maintained O(1) when
+//!   the policy has a flow-side threshold (the only reader on the packet
+//!   path), and otherwise recounted on demand from the flow tag every
+//!   slot carries.
 //! * [`AdmissionPolicy`] decides drops *before* any slab insert:
 //!   [`AdmissionPolicy::Unlimited`] (global capacity only — the naive
 //!   shared buffer whose lockout pathology motivates §6.1),
@@ -59,10 +62,9 @@
 //! builds, instead of silently saturating.
 
 use crate::buffer::PktHandle;
-use crate::packet::{FlowId, Packet};
+use crate::packet::{FlowId, FlowMap, Packet};
 use core::fmt;
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -143,12 +145,13 @@ pub enum AdmissionPolicy {
     /// Combined port × flow admission — the paper's §5.1 "occupancies of
     /// various flows and ports" in one decision. A packet is admitted
     /// only if **both** thresholds pass: the port it targets and the flow
-    /// it belongs to (per-flow occupancy is already tracked O(1) by the
-    /// pool's sharded flow table). This subsumes the per-flow
-    /// [`SharedBuffer`] tracker: `PortFlow { port: Unlimited, flow: t }`
-    /// is exactly a flow-threshold buffer, and mixed pairs express
-    /// lossless fabrics where a port watermark backs a per-flow fairness
-    /// cap.
+    /// it belongs to (a flow-side threshold is what makes the pool keep
+    /// its O(1) sharded flow table; under every other policy per-flow
+    /// occupancy is recounted from the slots on demand). This subsumes
+    /// the per-flow [`SharedBuffer`] tracker: `PortFlow { port: Unlimited,
+    /// flow: t }` is exactly a flow-threshold buffer, and mixed pairs
+    /// express lossless fabrics where a port watermark backs a per-flow
+    /// fairness cap.
     PortFlow {
         /// Threshold applied to the target port's occupancy.
         port: Threshold,
@@ -319,10 +322,18 @@ struct SlotCell {
     refs: AtomicU32,
     /// The port the §6.1 counters attribute this slot to.
     port: AtomicU32,
-    /// Intrusive free-list link.
-    next_free: AtomicU32,
+    /// One word, two lives, so the flow tag costs the slot no bytes.
+    /// Occupied: the flow the §6.1 counters attribute this slot to (the
+    /// resident packet's flow id, stamped at insert). Free: the intrusive
+    /// free-list link. `gen`'s parity says which; a reader racing the
+    /// transition is either a diagnostic or `pop_free`, whose tagged CAS
+    /// discards what it read.
+    flow_or_next_free: AtomicU32,
     packet: UnsafeCell<MaybeUninit<Packet>>,
 }
+
+// Four header words and the packet: the flow tag added none.
+const _: () = assert!(std::mem::size_of::<SlotCell>() == 16 + std::mem::size_of::<Packet>());
 
 impl SlotCell {
     fn new_free() -> SlotCell {
@@ -330,7 +341,7 @@ impl SlotCell {
             gen: AtomicU32::new(0),
             refs: AtomicU32::new(0),
             port: AtomicU32::new(0),
-            next_free: AtomicU32::new(FREE_END),
+            flow_or_next_free: AtomicU32::new(FREE_END),
             packet: UnsafeCell::new(MaybeUninit::uninit()),
         }
     }
@@ -351,10 +362,11 @@ fn chunk_of(idx: u32) -> (usize, usize) {
 /// All mutation goes through the pool so the counters can never drift
 /// from the slab: `try_insert` gates on the [`AdmissionPolicy`] *before*
 /// any slab write (a reject hands the caller's packet back by move,
-/// unchanged), and `release` settles the port/flow counters exactly when
-/// the slot's last reference drops. Every counter update is O(1) and
-/// atomic, so the pool may be driven from many threads at once (see the
-/// module docs for the threading model).
+/// unchanged), and `release` settles the port/flow counters — from the
+/// port and flow tags stamped in the slot — exactly when the slot's last
+/// reference drops. Every counter update is O(1) and atomic, so the pool
+/// may be driven from many threads at once (see the module docs for the
+/// threading model).
 ///
 /// Use [`SharedPacketPool::into_shared`] to start handing out per-port
 /// [`PoolHandle`]s.
@@ -378,9 +390,15 @@ pub struct SharedPacketPool {
     /// time); hot-path reads take the uncontended read lock, and
     /// [`PoolHandle`]s bypass it entirely for their own port.
     ports: RwLock<Vec<Arc<PortCounters>>>,
+    /// `policy.uses_flow_state()`, decided once: only a policy with a
+    /// flow-side threshold reads per-flow occupancy on the packet path,
+    /// so only then is the table below maintained.
+    track_flows: bool,
     /// Live slots per flow, sharded by flow id (entries removed at zero,
     /// so each map stays bounded by the instantaneous flow fan-in).
-    flows: [Mutex<HashMap<FlowId, usize>>; FLOW_SHARDS],
+    /// Empty forever when `track_flows` is off — every slot carries its
+    /// flow tag, and [`Self::flow_occupancy`] recounts from those.
+    flows: [Mutex<FlowMap<usize>>; FLOW_SHARDS],
     /// Accounting violations detected in release builds (debug builds
     /// panic instead) — see [`Self::accounting_errors`].
     accounting_errors: AtomicU64,
@@ -448,7 +466,7 @@ fn checked_dec(counter: &AtomicUsize, errors: &AtomicU64, what: &str) {
 /// caller apply its double-release policy — this is the single copy of
 /// the checked flow decrement, shared by [`SharedPacketPool::release`]
 /// and [`SharedBuffer::on_dequeue`].
-fn dec_flow_entry(map: &mut HashMap<FlowId, usize>, flow: FlowId) -> bool {
+fn dec_flow_entry(map: &mut FlowMap<usize>, flow: FlowId) -> bool {
     match map.get_mut(&flow) {
         Some(c) if *c > 0 => {
             *c -= 1;
@@ -472,7 +490,8 @@ impl SharedPacketPool {
             capacity,
             policy,
             ports: RwLock::new(Vec::new()),
-            flows: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            track_flows: policy.uses_flow_state(),
+            flows: std::array::from_fn(|_| Mutex::new(FlowMap::default())),
             accounting_errors: AtomicU64::new(0),
         }
     }
@@ -579,9 +598,10 @@ impl SharedPacketPool {
                 return None;
             }
             let tag = head >> 32;
-            // Reading a stale `next_free` is benign: the tagged CAS
-            // below fails if anyone else touched the head since.
-            let next = self.slot(idx).next_free.load(Ordering::Acquire);
+            // Reading a stale link (or, if the slot was claimed since, its
+            // flow tag) is benign: the tagged CAS below fails if anyone
+            // else touched the head since.
+            let next = self.slot(idx).flow_or_next_free.load(Ordering::Acquire);
             let new = ((tag + 1) << 32) | next as u64;
             match self.free_head.compare_exchange_weak(
                 head,
@@ -600,7 +620,7 @@ impl SharedPacketPool {
         let slot = self.slot(idx);
         let mut head = self.free_head.load(Ordering::Acquire);
         loop {
-            slot.next_free.store(head as u32, Ordering::Release);
+            slot.flow_or_next_free.store(head as u32, Ordering::Release);
             let tag = head >> 32;
             let new = ((tag + 1) << 32) | idx as u64;
             match self.free_head.compare_exchange_weak(
@@ -623,11 +643,12 @@ impl SharedPacketPool {
         idx
     }
 
-    /// Would a packet for `port` be admitted right now? (The same
-    /// decision [`try_insert`](Self::try_insert) makes, without counting
-    /// a reject. Under concurrent mutation this is advisory — another
-    /// thread may change the answer before you act on it.)
-    pub fn would_admit(&self, port: usize) -> bool {
+    /// The admission verdict [`try_insert_with`](Self::try_insert_with)
+    /// would reach right now, without reserving anything or counting a
+    /// reject: global capacity, then the port threshold, then — when a
+    /// `flow` is named and the policy has a flow side — the flow
+    /// threshold. The one copy behind all four `would_admit*` probes.
+    fn probe(&self, counters: &PortCounters, flow: Option<FlowId>) -> bool {
         let live = self.live.load(Ordering::Acquire);
         let free = match self.capacity {
             Some(cap) => {
@@ -638,8 +659,24 @@ impl SharedPacketPool {
             }
             None => usize::MAX,
         };
-        let used = self.port_counters(port).occupancy.load(Ordering::Acquire);
-        self.policy.admits(used, free)
+        let used = counters.occupancy.load(Ordering::Acquire);
+        match flow {
+            Some(flow) if self.track_flows => {
+                self.policy
+                    .admits_port_flow(used, self.flow_occupancy(flow), free)
+            }
+            // Port side only; for a policy without a flow side that *is*
+            // the full verdict.
+            _ => self.policy.admits(used, free),
+        }
+    }
+
+    /// Would a packet for `port` be admitted right now? (The same
+    /// decision [`try_insert`](Self::try_insert) makes, without counting
+    /// a reject. Under concurrent mutation this is advisory — another
+    /// thread may change the answer before you act on it.)
+    pub fn would_admit(&self, port: usize) -> bool {
+        self.probe(&self.port_counters(port), None)
     }
 
     /// Would a packet of `flow` for `port` be admitted right now? This is
@@ -650,23 +687,7 @@ impl SharedPacketPool {
     /// under concurrent mutation; the lossless fabric calls it serially
     /// in round order, where it is exact.
     pub fn would_admit_flow(&self, port: usize, flow: FlowId) -> bool {
-        let live = self.live.load(Ordering::Acquire);
-        let free = match self.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
-            None => usize::MAX,
-        };
-        let used = self.port_counters(port).occupancy.load(Ordering::Acquire);
-        let flow_used = if self.policy.uses_flow_state() {
-            self.flow_occupancy(flow)
-        } else {
-            0
-        };
-        self.policy.admits_port_flow(used, flow_used, free)
+        self.probe(&self.port_counters(port), Some(flow))
     }
 
     /// Insert `packet` on behalf of `port`, with one reference, returning
@@ -717,7 +738,7 @@ impl SharedPacketPool {
         // threshold (§5.1/§6.1), against the free space observed at
         // reservation — exactly the sequential decision.
         let used = counters.occupancy.load(Ordering::Acquire);
-        let admitted = if self.policy.uses_flow_state() {
+        let admitted = if self.track_flows {
             let flow_used = self.flow_occupancy(packet.flow);
             self.policy.admits_port_flow(used, flow_used, free)
         } else {
@@ -732,26 +753,31 @@ impl SharedPacketPool {
         let flow = packet.flow;
         let idx = self.pop_free().unwrap_or_else(|| self.fresh_slot());
         let slot = self.slot(idx);
-        debug_assert_eq!(
-            slot.gen.load(Ordering::Acquire) & 1,
-            0,
-            "claimed occupied slot"
-        );
+        let gen = slot.gen.load(Ordering::Acquire);
+        debug_assert_eq!(gen & 1, 0, "claimed occupied slot");
         debug_assert_eq!(slot.refs.load(Ordering::Acquire), 0);
         // SAFETY: the slot was just popped off the free list (or claimed
         // fresh), so this thread has exclusive access until the `gen`
         // store below publishes it.
         unsafe { (*slot.packet.get()).write(packet) };
         slot.port.store(port, Ordering::Relaxed);
+        slot.flow_or_next_free.store(flow.0, Ordering::Relaxed);
         slot.refs.store(1, Ordering::Relaxed);
-        slot.gen.fetch_add(1, Ordering::Release); // even -> odd: occupied
+        // even -> odd: occupied. A plain store, not an RMW: only the
+        // slot's exclusive owner ever writes `gen`, so the value loaded
+        // above is still current. The `Release` pairs with the `Acquire`
+        // loads of `gen` in `get`/`retain`/`release_with`, publishing the
+        // packet bytes and the tags written above.
+        slot.gen.store(gen.wrapping_add(1), Ordering::Release);
         counters.occupancy.fetch_add(1, Ordering::AcqRel);
         counters.admitted.fetch_add(1, Ordering::Relaxed);
-        *self.flow_shard(flow).entry(flow).or_insert(0) += 1;
+        if self.track_flows {
+            *self.flow_shard(flow).entry(flow).or_insert(0) += 1;
+        }
         Ok(PktHandle::from_raw(idx))
     }
 
-    fn flow_shard(&self, flow: FlowId) -> std::sync::MutexGuard<'_, HashMap<FlowId, usize>> {
+    fn flow_shard(&self, flow: FlowId) -> std::sync::MutexGuard<'_, FlowMap<usize>> {
         self.flows[flow.0 as usize & (FLOW_SHARDS - 1)]
             .lock()
             .expect("pool flow shard poisoned")
@@ -847,12 +873,18 @@ impl SharedPacketPool {
             return None; // other holders remain
         }
         // Last reference: move the packet out, free the slot, settle the
-        // counters against the inserting port.
+        // counters against the inserting port and flow — both read from
+        // the slot's tags while it is still ours.
+        let port = slot.port.load(Ordering::Relaxed);
+        let flow = FlowId(slot.flow_or_next_free.load(Ordering::Relaxed));
         // SAFETY: we observed the count go 1 -> 0, so this thread is the
         // sole owner of the slot until `push_free` republishes it.
         let packet = unsafe { (*slot.packet.get()).assume_init_read() };
-        let port = slot.port.load(Ordering::Relaxed);
-        slot.gen.fetch_add(1, Ordering::Release); // odd -> even: free
+        // odd -> even: free. Sole owner, so a load and a `Release` store
+        // (pairing with the `Acquire` loads that reject stale handles)
+        // replace the RMW, as at insert.
+        let gen = slot.gen.load(Ordering::Relaxed);
+        slot.gen.store(gen.wrapping_add(1), Ordering::Release);
         self.push_free(idx);
         checked_dec(&self.live, &self.accounting_errors, "pool live");
         match cached {
@@ -867,9 +899,9 @@ impl SharedPacketPool {
                 "port occupancy",
             ),
         }
-        {
-            let mut shard = self.flow_shard(packet.flow);
-            if !dec_flow_entry(&mut shard, packet.flow) {
+        if self.track_flows {
+            let mut shard = self.flow_shard(flow);
+            if !dec_flow_entry(&mut shard, flow) {
                 drop(shard);
                 if cfg!(debug_assertions) {
                     panic!("pool accounting underflow: flow occupancy (double release)");
@@ -964,8 +996,24 @@ impl SharedPacketPool {
     }
 
     /// Live slots currently holding packets of `flow`.
+    ///
+    /// O(1) from the flow table when the policy has a flow-side threshold
+    /// (the only case that asks per packet). Under every other policy the
+    /// table is not kept, and this recounts the occupied slots carrying
+    /// `flow`'s tag: O(slots), atomic loads only — a diagnostic, like
+    /// [`assert_coherent`](Self::assert_coherent), exact when the pool is
+    /// quiescent and advisory under concurrent mutation.
     pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        self.flow_shard(flow).get(&flow).copied().unwrap_or(0)
+        if self.track_flows {
+            return self.flow_shard(flow).get(&flow).copied().unwrap_or(0);
+        }
+        (0..self.next_slot.load(Ordering::Acquire))
+            .map(|idx| self.slot(idx))
+            .filter(|slot| {
+                slot.gen.load(Ordering::Acquire) & 1 == 1
+                    && slot.flow_or_next_free.load(Ordering::Relaxed) == flow.0
+            })
+            .count()
     }
 
     /// Accounting violations detected so far (double releases and other
@@ -977,8 +1025,10 @@ impl SharedPacketPool {
     }
 
     /// Check counter/slab coherence: per-port occupancies sum to the
-    /// slab's live count, per-flow occupancies too, the free list visits
-    /// exactly the free slots, and no accounting errors were recorded.
+    /// slab's live count, the free list visits exactly the free slots, no
+    /// accounting errors were recorded, and the flow table agrees with
+    /// the slots' flow tags — entry for entry (and in total) when the
+    /// policy keeps it, empty when it does not.
     /// O(slots); for tests, and **quiescent only** — concurrent mutation
     /// during the walk yields false positives.
     ///
@@ -988,10 +1038,14 @@ impl SharedPacketPool {
     pub fn assert_coherent(&self) {
         let claimed = self.next_slot.load(Ordering::Acquire);
         let mut occupied = 0usize;
+        let mut tagged: FlowMap<usize> = FlowMap::default();
         for idx in 0..claimed {
             let slot = self.slot(idx);
             if slot.gen.load(Ordering::Acquire) & 1 == 1 {
                 occupied += 1;
+                *tagged
+                    .entry(FlowId(slot.flow_or_next_free.load(Ordering::Relaxed)))
+                    .or_insert(0) += 1;
                 assert!(
                     slot.refs.load(Ordering::Acquire) > 0,
                     "occupied slot {idx} has zero references"
@@ -1025,7 +1079,7 @@ impl SharedPacketPool {
                 0,
                 "free list visits occupied slot {idx}"
             );
-            cursor = slot.next_free.load(Ordering::Acquire);
+            cursor = slot.flow_or_next_free.load(Ordering::Acquire);
         }
         assert_eq!(
             free_len + occupied,
@@ -1048,16 +1102,25 @@ impl SharedPacketPool {
         for shard in &self.flows {
             let shard = shard.lock().expect("pool flow shard poisoned");
             assert!(
-                !shard.values().any(|&c| c == 0),
-                "zero-count flow entry leaked"
+                self.track_flows || shard.is_empty(),
+                "flow table populated under a policy that never reads it"
             );
-            by_flow += shard.values().sum::<usize>();
+            for (flow, &count) in shard.iter() {
+                assert_eq!(
+                    Some(&count),
+                    tagged.get(flow),
+                    "flow table entry for {flow} diverged from the slot tags"
+                );
+                by_flow += count;
+            }
         }
-        assert_eq!(
-            by_flow,
-            self.live(),
-            "per-flow occupancies diverged from the slab"
-        );
+        if self.track_flows {
+            assert_eq!(
+                by_flow,
+                self.live(),
+                "per-flow occupancies diverged from the slab"
+            );
+        }
         assert_eq!(
             self.accounting_errors(),
             0,
@@ -1184,18 +1247,7 @@ impl PoolHandle {
 
     /// Would a packet for this port be admitted right now?
     pub fn would_admit(&self) -> bool {
-        let live = self.pool.live.load(Ordering::Acquire);
-        let free = match self.pool.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
-            None => usize::MAX,
-        };
-        let used = self.counters.occupancy.load(Ordering::Acquire);
-        self.pool.policy.admits(used, free)
+        self.pool.probe(&self.counters, None)
     }
 
     /// Would a packet of `flow` for this port be admitted right now? The
@@ -1204,23 +1256,7 @@ impl PoolHandle {
     /// probe the lossless fabric gates ingress on before committing a
     /// packet to the tree.
     pub fn would_admit_flow(&self, flow: FlowId) -> bool {
-        let live = self.pool.live.load(Ordering::Acquire);
-        let free = match self.pool.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
-            None => usize::MAX,
-        };
-        let used = self.counters.occupancy.load(Ordering::Acquire);
-        let flow_used = if self.pool.policy.uses_flow_state() {
-            self.pool.flow_occupancy(flow)
-        } else {
-            0
-        };
-        self.pool.policy.admits_port_flow(used, flow_used, free)
+        self.pool.probe(&self.counters, Some(flow))
     }
 
     /// Borrow the packet in `handle`'s slot (generation-checked; see
@@ -1284,7 +1320,7 @@ impl PoolHandle {
 pub struct SharedBuffer {
     capacity: usize,
     occupancy: usize,
-    per_flow: HashMap<FlowId, usize>,
+    per_flow: FlowMap<usize>,
     /// The flow threshold, stored as the one shared policy type: a
     /// counters-only buffer is a `PortFlow` with an unlimited port side,
     /// so the verdict arithmetic lives in a single place
@@ -1309,7 +1345,7 @@ impl SharedBuffer {
         SharedBuffer {
             capacity,
             occupancy: 0,
-            per_flow: HashMap::new(),
+            per_flow: FlowMap::default(),
             policy: AdmissionPolicy::PortFlow {
                 port: Threshold::Unlimited,
                 flow: threshold,

@@ -10,7 +10,10 @@
 //!   the free list whole, and zero `accounting_errors`. The §6.1
 //!   counters are only correct if every one of the millions of racing
 //!   updates was exact — `saturating_sub`-style clamping would pass a
-//!   `>= 0` check but fail the Σ reconciliation here.
+//!   `>= 0` check but fail the Σ reconciliation here. One churn runs
+//!   under per-flow caps, the only policy family that keeps the sharded
+//!   flow table, so the shards stay exercised by racing threads; the
+//!   others end by asking `flow_occupancy`, which recounts for them.
 //! * **Model equivalence (proptest)** — `AdmissionPolicy` decisions
 //!   (including `DynamicThreshold`) are *identical* between the atomic
 //!   pool and a plain sequential counter model (the arithmetic the old
@@ -95,6 +98,10 @@ fn threaded_churn_keeps_accounting_exact() {
     assert_eq!(total, p.live(), "live == Σ port occupancy");
     assert_eq!(p.accounting_errors(), 0, "no silent underflows");
     p.assert_coherent();
+    // No flow-side threshold, so no flow table: the recount answers.
+    for f in 0..31 {
+        assert_eq!(p.flow_occupancy(FlowId(f)), 0, "flow {f} drained");
+    }
     // Conservation of attempts: admitted + rejected == offered inserts.
     let offered = THREADS * (0..OPS).filter(|i| i % 7 <= 3).count() as u64;
     let stats = pool.stats();
@@ -123,13 +130,85 @@ fn capacity_is_never_exceeded_under_contention() {
                         port.release(held.remove(0));
                     }
                 }
+                // Leave one packet per thread resident for the recount.
+                for h in held.drain(1..) {
+                    port.release(h);
+                }
+            });
+        }
+    });
+    let p = pool.borrow();
+    p.assert_coherent();
+    // `Unlimited` keeps no flow table; thread `t` used flow `t` only, so
+    // the recount finds exactly its one resident packet.
+    for t in 0..4 {
+        assert_eq!(p.flow_occupancy(FlowId(t)), 1, "flow {t}");
+    }
+    assert_eq!(p.flow_occupancy(FlowId(4)), 0, "a flow never inserted");
+}
+
+/// The same churn under per-flow caps — the policy family that keeps the
+/// sharded flow table — so racing threads hit the shards on every insert
+/// and release, with flows shared across threads and across shards.
+#[test]
+fn threaded_churn_with_flow_caps() {
+    const THREADS: u64 = 4;
+    const OPS: u64 = 20_000;
+    const FLOWS: u64 = 8;
+    // Below one thread's share of its own backlog (40 over 8 flows), so
+    // the caps bind under any interleaving.
+    const FLOW_CAP: usize = 4;
+
+    let pool = SharedPacketPool::new(
+        256,
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow: Threshold::Static(FLOW_CAP),
+        },
+    )
+    .into_shared();
+    let handles: Vec<_> = (0..THREADS).map(|_| pool.register_port()).collect();
+    // Even flows 32 apart (one shard), odd flows 2 apart (four shards).
+    let flow_of = |id: u64| ((id % FLOWS) * if id % 2 == 0 { 16 } else { 1 }) as u32;
+
+    std::thread::scope(|s| {
+        for (tid, port) in handles.iter().enumerate() {
+            s.spawn(move || {
+                let mut held: Vec<PktHandle> = Vec::new();
+                for i in 0..OPS {
+                    let id = tid as u64 * OPS + i;
+                    if i % 3 < 2 {
+                        // Rejects are expected: the caps bind.
+                        if let Ok(h) = port.try_insert(pkt(id, flow_of(id))) {
+                            held.push(h);
+                        }
+                    } else if let Some(h) = held.pop() {
+                        port.release(h);
+                    }
+                    if held.len() > 40 {
+                        port.release(held.remove(0));
+                    }
+                }
                 for h in held {
                     port.release(h);
                 }
             });
         }
     });
-    pool.borrow().assert_coherent();
+
+    let p = pool.borrow();
+    assert_eq!(p.live(), 0, "every insert was matched by a release");
+    assert_eq!(p.accounting_errors(), 0, "no silent underflows");
+    p.assert_coherent();
+    for id in 0..FLOWS {
+        let f = flow_of(id);
+        assert_eq!(p.flow_occupancy(FlowId(f)), 0, "flow {f} drained");
+    }
+    let rejected: u64 = pool.stats().ports.iter().map(|s| s.rejected).sum();
+    assert!(
+        rejected > 0,
+        "the flow caps never bound: nothing was tested"
+    );
 }
 
 /// The sequential reference model of the pool's admission arithmetic —
@@ -272,5 +351,7 @@ proptest! {
             }
         }
         pool.borrow().assert_coherent();
+        // A flow never inserted reads 0 from the table and the recount.
+        prop_assert_eq!(pool.borrow().flow_occupancy(FlowId(u32::MAX)), 0);
     }
 }
