@@ -128,7 +128,8 @@ pub fn tour() -> String {
     );
     if let Some(port) = with_paths.first() {
         // The record reconciles with the departure it is aligned to.
-        let (rec, dep) = (&port.paths[0], &port.departures[0]);
+        let rec = port.paths.get(0).expect("port has path records");
+        let dep = &port.departures[0];
         assert_eq!(rec.wait(), dep.wait, "telemetry wait == departure wait");
         let _ = writeln!(
             s,

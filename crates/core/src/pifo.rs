@@ -777,15 +777,18 @@ impl<T> PifoQueue<T> for HeapPifo<T> {
     /// sift-down per element; a batch that takes a large bite of the
     /// heap does better by leaving heap order entirely:
     ///
-    /// * `max >= len` — **sorted drain**: move the backing vector out,
-    ///   sort once by `(rank, seq)` (the exact pop order) and append —
-    ///   one cache-friendly sort instead of `len` sift-downs.
+    /// * `max >= len` — **sorted drain**: take the backing vector, sort
+    ///   once by `(rank, seq)` (the exact pop order) and append — one
+    ///   cache-friendly sort instead of `len` sift-downs.
     /// * `4 * max >= len` — **select + rebuild**: partition the `max`
     ///   smallest entries to the front with `select_nth_unstable`
     ///   (O(len) expected), sort only that prefix, and rebuild the heap
     ///   from the remainder (`BinaryHeap::from`, O(len)).
     /// * otherwise — per-element pops; for a small bite of a deep heap,
     ///   `max log len` sift-downs beat an O(len) restructuring.
+    ///
+    /// The first two hand the vector back to the heap, so a drain round
+    /// that empties the queue does not cost the next push an allocation.
     ///
     /// All three produce byte-identical output — `(rank, seq)` is a
     /// total order — enforced by the cross-backend differential suite.
@@ -794,20 +797,16 @@ impl<T> PifoQueue<T> for HeapPifo<T> {
         if max == 0 || len == 0 {
             return 0;
         }
-        if max >= len {
+        if max.saturating_mul(4) >= len {
+            let take = max.min(len);
             let mut v = std::mem::take(&mut self.heap).into_vec();
-            v.sort_unstable_by_key(|e| (e.rank, e.seq));
-            out.extend(v.into_iter().map(|e| (e.rank, e.item)));
-            return len;
-        }
-        if 4 * max >= len {
-            let mut v = std::mem::take(&mut self.heap).into_vec();
-            v.select_nth_unstable_by_key(max, |e| (e.rank, e.seq));
-            let rest = v.split_off(max);
-            v.sort_unstable_by_key(|e| (e.rank, e.seq));
-            out.extend(v.into_iter().map(|e| (e.rank, e.item)));
-            self.heap = BinaryHeap::from(rest);
-            return max;
+            if take < len {
+                v.select_nth_unstable_by_key(take, |e| (e.rank, e.seq));
+            }
+            v[..take].sort_unstable_by_key(|e| (e.rank, e.seq));
+            out.extend(v.drain(..take).map(|e| (e.rank, e.item)));
+            self.heap = BinaryHeap::from(v);
+            return take;
         }
         let before = out.len();
         while out.len() - before < max {

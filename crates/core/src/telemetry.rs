@@ -12,10 +12,12 @@
 //!   source. Recording is O(1) and allocation-free; the recorder is
 //!   `Option`-gated at every hook site, so a disabled recorder costs one
 //!   pointer-null branch on the hot path and nothing else.
-//! * [`PathRecord`] / [`PathRecorder`] — INT-style per-packet digests: an
+//! * [`PathLog`] / [`PathRecorder`] — INT-style per-packet digests: an
 //!   opt-in mode where each packet accumulates a bounded list of
 //!   [`PathHop`]s (node, rank, queue depth seen at enqueue, entry time)
-//!   plus its enqueue/departure instants, surfaced after departure for
+//!   plus its enqueue/departure instants. A finished digest is appended
+//!   once, as a 40-byte [`PathRecord`] header over a hop arena that
+//!   holds only the hops its walk took, and surfaced after departure for
 //!   post-hoc joins against the departure trace.
 //! * [`GaugeSeries`] — named time series of sampled counters (per-port
 //!   queue depth, pool occupancy, free-list length, paused-class count,
@@ -329,14 +331,16 @@ pub struct PathHop {
     pub entered: Nanos,
 }
 
-/// An INT-style per-packet digest: the hops a packet's enqueue walk took
-/// and the instants it entered and left the tree.
+/// An INT-style per-packet digest: who the packet was, the instants it
+/// entered and left the tree, and where in its [`PathLog`]'s hop arena
+/// the hops of its enqueue walk sit. Read one through
+/// [`PathLog::get`]/[`PathLog::iter`], which pair it with those hops.
 ///
 /// `departed - enqueued` reconciles exactly with the departure trace's
 /// wait accounting (`Departure::wait` in `pifo-sim`) — the simulation
 /// layer finalizes `departed` with the transmit start time, and
 /// `enqueued` is the tree-enqueue instant, which is the packet's arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathRecord {
     /// Raw packet id.
     pub packet: u64,
@@ -344,24 +348,25 @@ pub struct PathRecord {
     pub flow: FlowId,
     /// The pool port of the tree that buffered it.
     pub port: u16,
+    hop_count: u8,
+    /// True when the walk had more than [`MAX_PATH_HOPS`] hops and the
+    /// extra hops were discarded.
+    pub truncated: bool,
     /// When the packet entered the tree (tree-enqueue `now`).
     pub enqueued: Nanos,
     /// When the packet departed (finalized by the sim layer to the
     /// transmit start instant).
     pub departed: Nanos,
-    hops: [PathHop; MAX_PATH_HOPS],
-    hop_count: u8,
-    /// True when the walk had more than [`MAX_PATH_HOPS`] hops and the
-    /// extra hops were discarded.
-    pub truncated: bool,
+    /// Index of this record's first hop in its log's arena.
+    first_hop: u64,
 }
 
-impl PathRecord {
-    /// The recorded hops, leaf first.
-    pub fn hops(&self) -> &[PathHop] {
-        &self.hops[..self.hop_count as usize]
-    }
+// Like `TraceEvent`'s, these layouts are a perf contract: a one-hop
+// packet costs the log 64 bytes, not a fixed eight-hop record.
+const _: () = assert!(std::mem::size_of::<PathRecord>() == 40);
+const _: () = assert!(std::mem::size_of::<PathHop>() == 24);
 
+impl PathRecord {
     /// Time from tree enqueue to departure — the packet's total
     /// residence in the tree.
     pub fn wait(&self) -> Nanos {
@@ -371,15 +376,38 @@ impl PathRecord {
                 .saturating_sub(self.enqueued.as_nanos()),
         )
     }
+}
+
+/// One entry of a [`PathLog`]: a [`PathRecord`] (reachable through
+/// `Deref`) together with the hops its walk took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathRef<'a> {
+    record: &'a PathRecord,
+    hops: &'a [PathHop],
+}
+
+impl std::ops::Deref for PathRef<'_> {
+    type Target = PathRecord;
+
+    fn deref(&self) -> &PathRecord {
+        self.record
+    }
+}
+
+impl<'a> PathRef<'a> {
+    /// The recorded hops, leaf first.
+    pub fn hops(&self) -> &'a [PathHop] {
+        self.hops
+    }
 
     /// Residence time attributable to hop `i`: from that hop's entry to
     /// the next hop's entry (or to departure for the last hop). For
     /// work-conserving trees every hop of one walk shares an entry time,
     /// so the leaf hop carries the full residence.
     pub fn residence(&self, i: usize) -> Nanos {
-        let hops = self.hops();
-        let start = hops[i].entered.as_nanos();
-        let end = hops
+        let start = self.hops[i].entered.as_nanos();
+        let end = self
+            .hops
             .get(i + 1)
             .map(|h| h.entered.as_nanos())
             .unwrap_or(self.departed.as_nanos());
@@ -387,16 +415,96 @@ impl PathRecord {
     }
 }
 
+/// Completed path records in departure order: 40-byte [`PathRecord`]
+/// headers over one arena holding only the hops each walk took.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PathLog {
+    records: Vec<PathRecord>,
+    hops: Vec<PathHop>,
+}
+
+impl PathLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty log with room for `records` records and `hops` hops.
+    pub fn with_capacity(records: usize, hops: usize) -> Self {
+        PathLog {
+            records: Vec::with_capacity(records),
+            hops: Vec::with_capacity(hops),
+        }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the log holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Record `i` with its hops, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<PathRef<'_>> {
+        self.records.get(i).map(|r| self.entry(r))
+    }
+
+    /// Every record with its hops, in departure order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PathRef<'_>> + '_ {
+        self.records.iter().map(|r| self.entry(r))
+    }
+
+    /// The record headers, mutable — for drivers that model transmission
+    /// and finalize `departed` to the transmit start.
+    pub fn records_mut(&mut self) -> &mut [PathRecord] {
+        &mut self.records
+    }
+
+    /// Move every record of `other` to the end of this log, rebasing
+    /// each onto this log's hop arena. `other` is left empty with its
+    /// capacity intact.
+    pub fn append(&mut self, other: &mut PathLog) {
+        let base = self.hops.len() as u64;
+        self.hops.append(&mut other.hops);
+        self.records.extend(other.records.drain(..).map(|mut r| {
+            r.first_hop += base;
+            r
+        }));
+    }
+
+    fn entry<'a>(&'a self, record: &'a PathRecord) -> PathRef<'a> {
+        let first = record.first_hop as usize;
+        PathRef {
+            record,
+            hops: &self.hops[first..first + record.hop_count as usize],
+        }
+    }
+}
+
+/// One pool slot's in-flight record. `hops` past `head.hop_count` is
+/// whatever the slot's previous occupants left there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct InFlight {
+    live: bool,
+    head: PathRecord,
+    hops: [PathHop; MAX_PATH_HOPS],
+}
+
 /// Accumulates [`PathRecord`]s for in-flight packets, keyed by their
-/// packet-pool slot, and hands back completed records in departure order.
+/// packet-pool slot, and appends each to a [`PathLog`] when it finishes,
+/// so completed records come out in departure order.
 ///
-/// All three mutators are no-ops for unknown slots, so hook sites never
-/// need to know whether a given walk belongs to a tracked packet (e.g.
-/// shaping resumptions whose packet already departed).
+/// `hop` and `finish` are no-ops for slots with no record in flight, so
+/// hook sites never need to know whether a given walk belongs to a
+/// tracked packet (e.g. shaping resumptions whose packet already
+/// departed).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PathRecorder {
-    inflight: Vec<Option<PathRecord>>,
-    completed: Vec<PathRecord>,
+    inflight: Vec<InFlight>,
+    completed: PathLog,
 }
 
 impl PathRecorder {
@@ -406,57 +514,67 @@ impl PathRecorder {
     }
 
     /// Start a record for the packet admitted into pool slot `slot`.
+    /// Resets the slot's header only: the hop storage is reused as is.
     pub fn begin(&mut self, slot: usize, packet: u64, flow: FlowId, port: u16, enqueued: Nanos) {
         if slot >= self.inflight.len() {
-            self.inflight.resize(slot + 1, None);
+            self.inflight.resize(slot + 1, InFlight::default());
         }
-        self.inflight[slot] = Some(PathRecord {
+        let s = &mut self.inflight[slot];
+        s.live = true;
+        s.head = PathRecord {
             packet,
             flow,
             port,
-            enqueued,
-            departed: enqueued,
-            hops: [PathHop::default(); MAX_PATH_HOPS],
             hop_count: 0,
             truncated: false,
-        });
+            enqueued,
+            departed: enqueued,
+            first_hop: 0,
+        };
     }
 
     /// Append a hop to slot `slot`'s record (no-op when untracked; sets
     /// `truncated` past [`MAX_PATH_HOPS`]).
     pub fn hop(&mut self, slot: usize, node: u32, rank: u64, depth: u32, entered: Nanos) {
-        let Some(Some(rec)) = self.inflight.get_mut(slot) else {
+        let Some(s) = self.inflight.get_mut(slot).filter(|s| s.live) else {
             return;
         };
-        let n = rec.hop_count as usize;
+        let n = s.head.hop_count as usize;
         if n < MAX_PATH_HOPS {
-            rec.hops[n] = PathHop {
+            s.hops[n] = PathHop {
                 node,
                 rank,
                 depth,
                 entered,
             };
-            rec.hop_count += 1;
+            s.head.hop_count += 1;
         } else {
-            rec.truncated = true;
+            s.head.truncated = true;
         }
     }
 
-    /// Close slot `slot`'s record at `departed` and queue it for
-    /// [`drain_completed`](Self::drain_completed) (no-op when untracked).
+    /// Close slot `slot`'s record at `departed` and append it, with the
+    /// hops it took, to the completed log (no-op when untracked).
     pub fn finish(&mut self, slot: usize, departed: Nanos) {
-        let Some(entry) = self.inflight.get_mut(slot) else {
+        let Some(s) = self.inflight.get_mut(slot).filter(|s| s.live) else {
             return;
         };
-        if let Some(mut rec) = entry.take() {
-            rec.departed = departed;
-            self.completed.push(rec);
-        }
+        s.live = false;
+        let log = &mut self.completed;
+        log.records.push(PathRecord {
+            departed,
+            first_hop: log.hops.len() as u64,
+            ..s.head
+        });
+        log.hops
+            .extend_from_slice(&s.hops[..s.head.hop_count as usize]);
     }
 
-    /// Take every completed record, in departure order.
-    pub fn drain_completed(&mut self) -> Vec<PathRecord> {
-        std::mem::take(&mut self.completed)
+    /// Move every completed record, in departure order, to the end of
+    /// `out`. The recorder keeps its own log's capacity, so steady-state
+    /// draining allocates nothing here.
+    pub fn drain_into(&mut self, out: &mut PathLog) {
+        out.append(&mut self.completed);
     }
 
     /// Completed records waiting to be drained.
@@ -656,25 +774,156 @@ mod tests {
         assert_eq!(FlightRecorder::new(4096).capacity(), 4096);
     }
 
+    fn drained(pr: &mut PathRecorder) -> PathLog {
+        let mut log = PathLog::new();
+        pr.drain_into(&mut log);
+        log
+    }
+
+    #[test]
+    fn multi_hop_record_round_trips_leaf_first() {
+        let mut pr = PathRecorder::new();
+        pr.begin(3, 42, FlowId(1), 5, Nanos(10));
+        pr.hop(3, 7, 100, 2, Nanos(10));
+        pr.hop(3, 4, 200, 1, Nanos(25));
+        pr.hop(3, 0, 300, 0, Nanos(40));
+        assert_eq!(pr.completed_len(), 0);
+        pr.finish(3, Nanos(50));
+        assert_eq!(pr.completed_len(), 1);
+
+        let log = drained(&mut pr);
+        assert_eq!(pr.completed_len(), 0, "drained records leave the recorder");
+        assert_eq!(log.len(), 1);
+        assert!(log.get(1).is_none());
+        let r = log.get(0).expect("one record");
+        assert_eq!((r.packet, r.flow, r.port), (42, FlowId(1), 5));
+        assert_eq!((r.enqueued, r.departed), (Nanos(10), Nanos(50)));
+        assert!(!r.truncated);
+        let hop = |node, rank, depth, entered| PathHop {
+            node,
+            rank,
+            depth,
+            entered: Nanos(entered),
+        };
+        assert_eq!(
+            r.hops(),
+            [hop(7, 100, 2, 10), hop(4, 200, 1, 25), hop(0, 300, 0, 40)]
+        );
+        assert_eq!(r.wait(), Nanos(40));
+        let residences: Vec<Nanos> = (0..3).map(|i| r.residence(i)).collect();
+        assert_eq!(residences, [Nanos(15), Nanos(15), Nanos(10)]);
+    }
+
+    /// A ninth hop sets `truncated` and keeps the first eight.
     #[test]
     fn path_recorder_tracks_hops_and_truncates() {
         let mut pr = PathRecorder::new();
-        pr.begin(3, 42, FlowId(1), 0, Nanos(10));
-        for i in 0..(MAX_PATH_HOPS as u32 + 2) {
-            pr.hop(3, i, i as u64, i, Nanos(10));
+        pr.begin(0, 1, FlowId(0), 0, Nanos(0));
+        for i in 0..MAX_PATH_HOPS as u32 {
+            pr.hop(0, i, i as u64, i, Nanos(0));
         }
-        // Untracked slots are silently ignored.
+        pr.finish(0, Nanos(1));
+        pr.begin(0, 2, FlowId(0), 0, Nanos(1));
+        for i in 0..=MAX_PATH_HOPS as u32 {
+            pr.hop(0, 100 + i, i as u64, i, Nanos(1));
+        }
+        pr.finish(0, Nanos(2));
+
+        let log = drained(&mut pr);
+        let exact = log.get(0).expect("eight-hop record");
+        assert_eq!(exact.hops().len(), MAX_PATH_HOPS);
+        assert!(!exact.truncated, "eight hops fit");
+        let over = log.get(1).expect("nine-hop record");
+        assert!(over.truncated);
+        let nodes: Vec<u32> = over.hops().iter().map(|h| h.node).collect();
+        assert_eq!(nodes, (100..100 + MAX_PATH_HOPS as u32).collect::<Vec<_>>());
+    }
+
+    /// The overtaken-shaped-reference case: a packet departs while a
+    /// parked reference to it still holds its slot, and the resumed walk
+    /// later reports hops for a record that is already closed.
+    #[test]
+    fn hop_and_finish_on_unknown_or_finished_slots_are_no_ops() {
+        let mut pr = PathRecorder::new();
         pr.hop(99, 0, 0, 0, Nanos(10));
         pr.finish(99, Nanos(50));
-        pr.finish(3, Nanos(50));
-        let recs = pr.drain_completed();
-        assert_eq!(recs.len(), 1);
-        let r = &recs[0];
-        assert_eq!(r.packet, 42);
-        assert_eq!(r.hops().len(), MAX_PATH_HOPS);
-        assert!(r.truncated);
-        assert_eq!(r.wait(), Nanos(40));
-        assert_eq!(r.residence(MAX_PATH_HOPS - 1), Nanos(40));
+        assert_eq!(pr.completed_len(), 0, "never-begun slots are ignored");
+
+        pr.begin(2, 7, FlowId(0), 0, Nanos(10));
+        pr.hop(2, 1, 1, 0, Nanos(10));
+        pr.finish(2, Nanos(20));
+        pr.hop(2, 0, 9, 9, Nanos(30));
+        pr.finish(2, Nanos(40));
+        // In range but never begun: storage exists, no record is live.
+        pr.hop(1, 0, 0, 0, Nanos(30));
+        pr.finish(1, Nanos(40));
+
+        let log = drained(&mut pr);
+        assert_eq!(log.len(), 1);
+        let r = log.get(0).expect("the one finished record");
+        assert_eq!(r.departed, Nanos(20), "the late finish changed nothing");
+        assert_eq!(r.hops().len(), 1, "the late hop was dropped");
+    }
+
+    #[test]
+    fn reused_slot_starts_from_zero_hops() {
+        let mut pr = PathRecorder::new();
+        pr.begin(0, 1, FlowId(1), 0, Nanos(0));
+        for i in 0..=MAX_PATH_HOPS as u32 {
+            pr.hop(0, 50 + i, 5, 5, Nanos(0));
+        }
+        pr.finish(0, Nanos(5));
+        // Same slot, next occupant: one hop, then none at all.
+        pr.begin(0, 2, FlowId(2), 0, Nanos(6));
+        pr.hop(0, 9, 1, 0, Nanos(6));
+        pr.finish(0, Nanos(7));
+        pr.begin(0, 3, FlowId(3), 0, Nanos(8));
+        pr.finish(0, Nanos(9));
+
+        let log = drained(&mut pr);
+        let second = log.get(1).expect("second occupant");
+        assert_eq!(second.packet, 2);
+        assert!(
+            !second.truncated,
+            "truncation does not leak across occupants"
+        );
+        assert_eq!(second.hops().len(), 1);
+        assert_eq!(second.hops()[0].node, 9);
+        let third = log.get(2).expect("third occupant");
+        assert_eq!(third.packet, 3);
+        assert!(third.hops().is_empty());
+    }
+
+    #[test]
+    fn successive_drains_rebase_first_hop() {
+        let mut pr = PathRecorder::new();
+        let mut log = PathLog::new();
+        for round in 0..3u64 {
+            // Each round completes two records with `round + 1` and one
+            // hop respectively, tagged by node so a mix-up shows.
+            pr.begin(0, round * 2, FlowId(0), 0, Nanos(round));
+            for h in 0..=round {
+                pr.hop(0, (round * 10 + h) as u32, h, 0, Nanos(round));
+            }
+            pr.begin(1, round * 2 + 1, FlowId(0), 0, Nanos(round));
+            pr.hop(1, (round * 10 + 9) as u32, 0, 0, Nanos(round));
+            pr.finish(0, Nanos(round + 1));
+            pr.finish(1, Nanos(round + 1));
+            pr.drain_into(&mut log);
+        }
+        assert_eq!(log.len(), 6);
+        assert_eq!(log.iter().len(), 6);
+        for (i, r) in log.iter().enumerate() {
+            let round = i as u64 / 2;
+            assert_eq!(r.packet, i as u64);
+            let nodes: Vec<u64> = r.hops().iter().map(|h| h.node as u64).collect();
+            let want: Vec<u64> = if i % 2 == 0 {
+                (0..=round).map(|h| round * 10 + h).collect()
+            } else {
+                vec![round * 10 + 9]
+            };
+            assert_eq!(nodes, want, "record {i} indexes its own hops");
+        }
     }
 
     #[test]

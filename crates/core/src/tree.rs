@@ -62,9 +62,7 @@ use crate::packet::{FlowId, Packet};
 use crate::pifo::{EnumPifo, PifoBackend, PifoInspect, PifoQueue};
 use crate::pool::{PoolHandle, SharedPacketPool};
 use crate::rank::Rank;
-use crate::telemetry::{
-    drop_reason, EventKind, FlightRecorder, PathRecord, PathRecorder, TraceEvent,
-};
+use crate::telemetry::{drop_reason, EventKind, FlightRecorder, PathLog, PathRecorder, TraceEvent};
 use crate::time::Nanos;
 use crate::transaction::{DeqCtx, EnqCtx, SchedulingTransaction, ShapingTransaction};
 use core::fmt;
@@ -307,10 +305,10 @@ impl TreeBuilder {
         self
     }
 
-    /// Collect an INT-style [`PathRecord`] per packet: the hops of its
-    /// enqueue walk (node, rank, queue depth seen) plus enqueue and
-    /// departure instants. The most expensive telemetry mode; off by
-    /// default.
+    /// Collect an INT-style [`PathRecord`](crate::telemetry::PathRecord)
+    /// per packet: the hops of its enqueue walk (node, rank, queue depth
+    /// seen) plus enqueue and departure instants. The most expensive
+    /// telemetry mode; off by default.
     pub fn with_path_records(&mut self, enabled: bool) -> &mut Self {
         self.path_records = enabled;
         self
@@ -1440,16 +1438,18 @@ impl ScheduleTree {
         self.paths.is_some()
     }
 
-    /// Take every completed [`PathRecord`], in departure order. Empty
-    /// when path records are disabled. The `departed` stamp is the tree
-    /// dequeue instant; drivers that model transmission (e.g.
-    /// `pifo-sim`'s switch) overwrite it with the transmit start so the
-    /// record's wait reconciles exactly with the departure trace.
-    pub fn drain_path_records(&mut self) -> Vec<PathRecord> {
-        self.paths
-            .as_mut()
-            .map(|p| p.drain_completed())
-            .unwrap_or_default()
+    /// Move every completed path record, in departure order, to the end
+    /// of `out` (nothing when path records are disabled). A record is
+    /// written once, when its packet is dequeued, into a log this tree
+    /// keeps and reuses; draining copies it on to `out` and allocates
+    /// nothing here. The `departed` stamp is the tree dequeue instant;
+    /// drivers that model transmission (e.g. `pifo-sim`'s switch)
+    /// overwrite it with the transmit start so the record's wait
+    /// reconciles exactly with the departure trace.
+    pub fn drain_path_records(&mut self, out: &mut PathLog) {
+        if let Some(p) = &mut self.paths {
+            p.drain_into(out);
+        }
     }
 
     /// Record one event when the flight recorder is enabled — the single

@@ -1062,18 +1062,7 @@ impl LosslessFabric {
                         }
                         ports[i].busy_until = t;
                         ports[i].t = Some(t);
-                        if self.switch.ports[i].path_records_enabled() {
-                            // One record completed per dequeued packet,
-                            // in dequeue order — the departures just
-                            // pushed. Finalize `departed` to transmit
-                            // start so waits reconcile exactly.
-                            let mut recs = self.switch.ports[i].drain_path_records();
-                            let base = ports[i].trace.departures.len() - recs.len();
-                            for (k, r) in recs.iter_mut().enumerate() {
-                                r.departed = ports[i].trace.departures[base + k].start;
-                            }
-                            ports[i].trace.paths.append(&mut recs);
-                        }
+                        ports[i].trace.absorb_paths(&mut self.switch.ports[i]);
                         // Progress frees pool space: wake parked ports
                         // whose skid heads may now be admissible.
                         for (j, other) in ports.iter_mut().enumerate() {

@@ -37,6 +37,18 @@
 //! by the `switch_fabric` bench's cross-check. The batch buys
 //! throughput, never different behaviour.
 //!
+//! # Packets stay put
+//!
+//! The paper's scheduler never moves packet bytes: PIFO entries are
+//! small handles and the packet sits still in the shared buffer (§4–§5,
+//! Fig 6). [`Switch::run`] keeps that shape around the trees. The
+//! classifier splits the borrowed arrival slice into per-port *index*
+//! lists, so an arrival is cloned exactly once — at the tree enqueue
+//! call that buffers it — and moves out of the buffer into its
+//! [`Departure`]. Each port's departure trace is allocated once, at the
+//! port's arrival count, and a path record is appended to
+//! [`PortTrace::paths`] once, when its packet departs.
+//!
 //! # One buffer for all ports
 //!
 //! The paper's switch serves every port from **one** shared packet
@@ -354,12 +366,12 @@ pub struct PortTrace {
     /// Packets this port's tree rejected (buffer full / unknown flow).
     pub drops: u64,
     /// Completed per-packet path records, index-aligned with
-    /// [`departures`](Self::departures) (`paths[i]` digests
+    /// [`departures`](Self::departures) (`paths.get(i)` digests
     /// `departures[i]`'s walk, with `departed` finalized to its transmit
     /// start so `PathRecord::wait` equals `Departure::wait` exactly).
     /// Empty unless the fabric enabled
     /// [`TelemetryConfig::path_records`].
-    pub paths: Vec<PathRecord>,
+    pub paths: PathLog,
     /// This port's sampled gauge series (queue depth, pool occupancy,
     /// cumulative inversions when tracking). Empty unless the fabric was
     /// built with [`SwitchBuilder::with_telemetry`].
@@ -374,6 +386,25 @@ pub struct SwitchRun {
     pub ports: Vec<PortTrace>,
     /// Packets the classifier sent to a non-existent port.
     pub misrouted: u64,
+}
+
+impl PortTrace {
+    /// Append the path records `tree` completed since the last call —
+    /// one per packet it dequeued this round, in dequeue order, which is
+    /// exactly the departures just pushed — and finalize each `departed`
+    /// to its packet's transmit start so telemetry waits reconcile with
+    /// `Departure::wait`. Does nothing when the tree records no paths.
+    pub(crate) fn absorb_paths(&mut self, tree: &mut ScheduleTree) {
+        let before = self.paths.len();
+        tree.drain_path_records(&mut self.paths);
+        let base = self.departures.len() - (self.paths.len() - before);
+        for (r, d) in self.paths.records_mut()[before..]
+            .iter_mut()
+            .zip(&self.departures[base..])
+        {
+            r.departed = d.start;
+        }
+    }
 }
 
 impl SwitchRun {
@@ -457,20 +488,26 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` is not sorted by arrival time.
+    /// Panics if `arrivals` is not sorted by arrival time, or holds more
+    /// than `u32::MAX` packets.
     pub fn run(&mut self, arrivals: &[Packet], mode: DrainMode) -> SwitchRun {
         assert!(
             arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "arrivals must be time-sorted"
         );
-        // Shared classification: split the arrival stream per port,
-        // preserving arrival order (stable).
-        let mut per_port: Vec<Vec<Packet>> = (0..self.ports.len()).map(|_| Vec::new()).collect();
+        assert!(
+            u32::try_from(arrivals.len()).is_ok(),
+            "a run indexes its arrivals with 32 bits"
+        );
+        // Shared classification: split the arrival stream per port by
+        // index, preserving arrival order. The packets stay where they
+        // are until a port enqueues them.
+        let mut per_port: Vec<Vec<u32>> = vec![Vec::new(); self.ports.len()];
         let mut misrouted = 0u64;
-        for p in arrivals {
+        for (i, p) in arrivals.iter().enumerate() {
             let port = (self.classifier)(p);
             match per_port.get_mut(port) {
-                Some(q) => q.push(p.clone()),
+                Some(q) => q.push(i as u32),
                 None => misrouted += 1,
             }
         }
@@ -480,7 +517,9 @@ impl Switch {
             .into_iter()
             .zip(&self.ports)
             .enumerate()
-            .map(|(i, (arr, tree))| PortSim::new(arr, tree, self.burst, i, telemetry))
+            .map(|(i, (pending, tree))| {
+                PortSim::new(arrivals, pending, tree, self.burst, i, telemetry)
+            })
             .collect();
 
         match mode {
@@ -497,13 +536,7 @@ impl Switch {
         }
 
         SwitchRun {
-            ports: sims
-                .into_iter()
-                .map(|mut s| {
-                    s.flush_gauges();
-                    s.trace
-                })
-                .collect(),
+            ports: sims.into_iter().map(PortSim::into_trace).collect(),
             misrouted,
         }
     }
@@ -610,66 +643,95 @@ impl Switch {
 /// arrivals, the time its next scheduling round is decided at, and the
 /// trace accumulated so far. The tree itself stays in `Switch::ports`
 /// (borrowed per round) so shared-pool borrows never overlap.
-struct PortSim {
-    /// The port owns its arrivals: packets move (never clone) from the
-    /// classified stream into the tree.
-    pending: std::iter::Peekable<std::vec::IntoIter<Packet>>,
+struct PortSim<'a> {
+    /// The run's whole arrival stream, borrowed. A packet is cloned
+    /// exactly once, where it is handed to the tree.
+    arrivals: &'a [Packet],
+    /// This port's share of `arrivals`, as indices in arrival order;
+    /// `pending[next..]` has not been enqueued yet.
+    pending: Vec<u32>,
+    next: usize,
     /// Decision time of the next scheduling round.
     t: Nanos,
     done: bool,
     trace: PortTrace,
     /// Reused across rounds so the steady state allocates nothing.
     round: Vec<Packet>,
-    batch: Vec<Packet>,
     /// Scheduling rounds executed so far (drives gauge sampling; counts
     /// the same way in every drain mode, so sample instants agree).
     rounds: u64,
-    /// `Some(every)` when telemetry gauges are being sampled.
-    sample_every: Option<u64>,
-    depth_gauge: GaugeSeries,
-    occ_gauge: GaugeSeries,
-    inv_gauge: GaugeSeries,
+    /// `Some` when telemetry gauges are being sampled.
+    gauges: Option<PortGauges>,
 }
 
-impl PortSim {
+/// One port's sampled gauge series and their sampling stride.
+struct PortGauges {
+    every: u64,
+    depth: GaugeSeries,
+    occupancy: GaugeSeries,
+    inversions: GaugeSeries,
+}
+
+impl<'a> PortSim<'a> {
     fn new(
-        arrivals: Vec<Packet>,
+        arrivals: &'a [Packet],
+        pending: Vec<u32>,
         tree: &ScheduleTree,
         burst: usize,
         port: usize,
         telemetry: Option<TelemetryConfig>,
-    ) -> PortSim {
-        let (t, done) = match arrivals.first() {
-            Some(p) => (p.arrival, false),
+    ) -> Self {
+        let (t, done) = match pending.first() {
+            Some(&i) => (arrivals[i as usize].arrival, false),
             None if tree.is_empty() && tree.shaped_len() == 0 => (Nanos::ZERO, true),
             None => (Nanos::ZERO, false),
         };
+        // Sized once: a port departs at most what arrives for it (plus
+        // whatever its tree already held, which grows the trace as usual).
+        let expect = pending.len();
+        let trace = PortTrace {
+            departures: Vec::with_capacity(expect),
+            paths: if tree.path_records_enabled() {
+                PathLog::with_capacity(expect, expect)
+            } else {
+                PathLog::new()
+            },
+            ..PortTrace::default()
+        };
         PortSim {
-            pending: arrivals.into_iter().peekable(),
+            arrivals,
+            pending,
+            next: 0,
             t,
             done,
-            trace: PortTrace::default(),
+            trace,
             round: Vec::with_capacity(burst),
-            batch: Vec::new(),
             rounds: 0,
-            sample_every: telemetry.map(|c| c.sample_every.max(1)),
-            depth_gauge: GaugeSeries::new(format!("port{port}.depth")),
-            occ_gauge: GaugeSeries::new(format!("port{port}.pool_occupancy")),
-            inv_gauge: GaugeSeries::new(format!("port{port}.inversions")),
+            gauges: telemetry.map(|c| PortGauges {
+                every: c.sample_every.max(1),
+                depth: GaugeSeries::new(format!("port{port}.depth")),
+                occupancy: GaugeSeries::new(format!("port{port}.pool_occupancy")),
+                inversions: GaugeSeries::new(format!("port{port}.inversions")),
+            }),
         }
     }
 
-    /// Move the sampled gauge series into the trace (end of run).
-    fn flush_gauges(&mut self) {
-        if self.sample_every.is_some() {
-            self.trace.gauges = vec![
-                std::mem::take(&mut self.depth_gauge),
-                std::mem::take(&mut self.occ_gauge),
-            ];
-            if !self.inv_gauge.points.is_empty() {
-                self.trace.gauges.push(std::mem::take(&mut self.inv_gauge));
+    /// The next packet this port has yet to enqueue.
+    fn head(&self) -> Option<&'a Packet> {
+        let &i = self.pending.get(self.next)?;
+        Some(&self.arrivals[i as usize])
+    }
+
+    /// The finished trace, with the sampled gauge series moved into it.
+    fn into_trace(self) -> PortTrace {
+        let mut trace = self.trace;
+        if let Some(g) = self.gauges {
+            trace.gauges = vec![g.depth, g.occupancy];
+            if !g.inversions.points.is_empty() {
+                trace.gauges.push(g.inversions);
             }
         }
+        trace
     }
 
     /// Execute one scheduling round at `self.t`: admit everything
@@ -690,22 +752,26 @@ impl PortSim {
             self.done = true;
             return;
         }
-        while self.pending.peek().is_some_and(|p| p.arrival <= self.t) {
-            let at = self.pending.peek().expect("peeked above").arrival;
-            self.batch.clear();
-            while self.pending.peek().is_some_and(|p| p.arrival == at) {
-                self.batch.push(self.pending.next().expect("peeked"));
-            }
-            match mode {
-                DrainMode::PerPacket => {
-                    for p in self.batch.drain(..) {
-                        if tree.enqueue(p, at).is_err() {
-                            self.trace.drops += 1;
-                        }
+        match mode {
+            DrainMode::PerPacket => {
+                while let Some(p) = self.head().filter(|p| p.arrival <= self.t) {
+                    self.next += 1;
+                    if tree.enqueue(p.clone(), p.arrival).is_err() {
+                        self.trace.drops += 1;
                     }
                 }
-                DrainMode::Batched | DrainMode::Parallel { .. } => {
-                    self.trace.drops += tree.enqueue_batch(self.batch.drain(..), at).len() as u64;
+            }
+            DrainMode::Batched | DrainMode::Parallel { .. } => {
+                while let Some(at) = self.head().map(|p| p.arrival).filter(|&a| a <= self.t) {
+                    let arrivals = self.arrivals;
+                    let rest = &self.pending[self.next..];
+                    let same = rest
+                        .iter()
+                        .take_while(|&&i| arrivals[i as usize].arrival == at)
+                        .count();
+                    let batch = rest[..same].iter().map(|&i| arrivals[i as usize].clone());
+                    self.trace.drops += tree.enqueue_batch(batch, at).len() as u64;
+                    self.next += same;
                 }
             }
         }
@@ -730,13 +796,12 @@ impl PortSim {
         // the dequeue decisions, before transmit — so the sampled values
         // and instants are identical in every drain mode.
         self.rounds += 1;
-        if let Some(every) = self.sample_every {
-            if self.rounds % every == 0 {
-                self.depth_gauge.push(self.t, tree.len() as u64);
-                self.occ_gauge
-                    .push(self.t, tree.packet_buffer().live() as u64);
+        if let Some(g) = &mut self.gauges {
+            if self.rounds % g.every == 0 {
+                g.depth.push(self.t, tree.len() as u64);
+                g.occupancy.push(self.t, tree.packet_buffer().live() as u64);
                 if let Some(s) = tree.inversion_stats() {
-                    self.inv_gauge.push(self.t, s.inversions);
+                    g.inversions.push(self.t, s.inversions);
                 }
             }
         }
@@ -745,7 +810,7 @@ impl PortSim {
             // Idle: hop to the next arrival or shaping release. The
             // round already released everything due at `t`, so any
             // pending shaping event is strictly in the future.
-            let next_arrival = self.pending.peek().map(|p| p.arrival);
+            let next_arrival = self.head().map(|p| p.arrival);
             let next_ready = tree.next_shaping_event();
             let next = match (next_arrival, next_ready) {
                 (Some(a), Some(r)) => a.min(r),
@@ -769,18 +834,7 @@ impl PortSim {
                 });
                 self.t = finish;
             }
-            if tree.path_records_enabled() {
-                // One record completed per packet dequeued this round,
-                // in dequeue order — exactly the departures just pushed.
-                // Finalize `departed` to each packet's transmit start so
-                // telemetry waits reconcile with `Departure::wait`.
-                let mut recs = tree.drain_path_records();
-                let base = self.trace.departures.len() - recs.len();
-                for (i, r) in recs.iter_mut().enumerate() {
-                    r.departed = self.trace.departures[base + i].start;
-                }
-                self.trace.paths.append(&mut recs);
-            }
+            self.trace.absorb_paths(tree);
         }
     }
 }

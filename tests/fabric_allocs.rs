@@ -1,0 +1,146 @@
+//! `Switch::run` allocates per run, not per packet or per scheduling
+//! round: the classifier demuxes by index, each port's departure trace
+//! is sized once, and path records are appended into logs that are
+//! reused. This test counts allocator calls over two run sizes and
+//! fails when their number scales with the packet count — the shape of
+//! regression (a `mem::take` per round, a packet clone per demux) that
+//! otherwise only shows up as `alloc.count_per_pkt` / `alloc.bytes_per_pkt`
+//! in a traced benchmark run.
+//!
+//! An integration test is its own binary, so it can install its own
+//! `#[global_allocator]`. There is exactly one `#[test]` here: the
+//! counters are process-wide, so that `DrainMode::Parallel`'s worker
+//! threads are counted too.
+
+use pifo::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn on_alloc(size: usize) {
+    if COUNTING.load(Relaxed) {
+        CALLS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(size as u64, Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and returns its result unchanged; the counters are plain
+// statistics that publish no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        on_alloc(new_size);
+        // SAFETY: `ptr` came from `System` through this allocator, and
+        // the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const PORTS: usize = 4;
+const RATE_BPS: u64 = 10_000_000_000;
+
+/// Four private-slab single-node STFQ ports behind a flow-hash
+/// classifier.
+fn build_switch(telemetry: Option<TelemetryConfig>) -> Switch {
+    let mut sb = SwitchBuilder::new(RATE_BPS);
+    if let Some(cfg) = telemetry {
+        sb.with_telemetry(cfg);
+    }
+    for _ in 0..PORTS {
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+        sb.add_port(b.build(Box::new(move |_| root)).expect("tree"));
+    }
+    sb.build(Box::new(|p: &Packet| p.flow.0 as usize % PORTS))
+}
+
+/// `n` packets round-robin over the ports, one per port per microsecond
+/// against an 800 ns service time: every port stays busy and its backlog
+/// stays short, so nothing but the traces grows with `n`.
+fn arrivals(n: u64) -> Vec<Packet> {
+    (0..n)
+        .map(|i| Packet::new(i, FlowId((i % 16) as u32), 1_000, Nanos(i * 250)))
+        .collect()
+}
+
+/// Allocator calls and bytes requested during one `Switch::run`.
+fn measure(n: u64, mode: DrainMode, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
+    let arr = arrivals(n);
+    let mut sw = build_switch(telemetry);
+    CALLS.store(0, Relaxed);
+    BYTES.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let run = sw.run(&arr, mode);
+    COUNTING.store(false, Relaxed);
+    assert_eq!(run.total_departures() as u64, n, "nothing dropped");
+    if telemetry.is_some_and(|c| c.path_records) {
+        let records: usize = run.ports.iter().map(|p| p.paths.len()).sum();
+        assert_eq!(records as u64, n, "one path record per departure");
+    }
+    (CALLS.load(Relaxed), BYTES.load(Relaxed))
+}
+
+#[test]
+fn run_allocations_do_not_scale_with_packets() {
+    const N: u64 = 4_096;
+    let modes = [
+        DrainMode::PerPacket,
+        DrainMode::Batched,
+        DrainMode::Parallel { workers: 2 },
+    ];
+    for mode in modes {
+        for telemetry in [None, Some(TelemetryConfig::with_paths())] {
+            let label = format!(
+                "{} / {}",
+                mode.label(),
+                if telemetry.is_some() { "paths" } else { "off" }
+            );
+            let (small_calls, small_bytes) = measure(N, mode, telemetry);
+            let (big_calls, big_bytes) = measure(4 * N, mode, telemetry);
+            // Amortised `Vec` growth only: a few doublings per port for
+            // the index lists and the gauge series.
+            let grew = big_calls.saturating_sub(small_calls);
+            assert!(
+                grew < 64,
+                "[{label}] {small_calls} allocations for {N} packets, {big_calls} for {}: \
+                 something allocates per packet or per round",
+                4 * N
+            );
+            if telemetry.is_none() {
+                // Each extra packet costs its `Departure` and an index:
+                // a second copy of the packet anywhere would show.
+                let per_pkt = big_bytes.saturating_sub(small_bytes) / (3 * N);
+                let bound = std::mem::size_of::<Departure>() + std::mem::size_of::<Packet>();
+                assert!(
+                    per_pkt < bound as u64,
+                    "[{label}] {per_pkt} B allocated per extra packet, expected under {bound}"
+                );
+            }
+        }
+    }
+}

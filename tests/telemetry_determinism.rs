@@ -8,7 +8,9 @@
 //!    is invariant across `PerPacket`/`Batched`/`Parallel` drains.
 //! 3. **Reconciles** — telemetry-derived waits equal the
 //!    departure-derived waits of [`waits_of`](pifo::sim::metrics), and
-//!    the same holds through `latency_stats` percentiles.
+//!    the same holds through `latency_stats` percentiles; every record's
+//!    hops retrace its leaf-to-root walk and their residences sum to its
+//!    wait.
 //!
 //! The same properties are pinned on the lossless fabric, whose runs
 //! add synthesized pause/resume events and fabric gauges.
@@ -74,6 +76,39 @@ fn build_switch(
     sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports))
 }
 
+/// Four private-slab ports, each a two-level HPFQ-style tree: the root
+/// shares the link 1:3 between a FIFO class held to 1 Gb/s, one packet
+/// of burst, by a token bucket on the leaf and a WFQ class. The shaped leaf is FIFO so that a
+/// packet never departs before its own parked walk resumed — every
+/// record then carries the full leaf-to-root walk.
+fn build_shaped_hpfq_switch(telemetry: TelemetryConfig) -> Switch {
+    const PORTS: usize = 4;
+    let mut sb = SwitchBuilder::new(RATE_BPS);
+    sb.with_burst(8).with_telemetry(telemetry);
+    for _ in 0..PORTS {
+        let mut b = TreeBuilder::new();
+        // Children get the two ids after the root's.
+        let weights = WeightTable::from_pairs([(FlowId(1), 1), (FlowId(2), 3)]);
+        let root = b.add_root("wfq_root", Box::new(Stfq::new(weights)));
+        let shaped = b.add_child(root, "fifo_shaped", Box::new(Fifo));
+        let open = b.add_child(root, "wfq_open", Box::new(Stfq::unweighted()));
+        assert_eq!((shaped.as_flow(), open.as_flow()), (FlowId(1), FlowId(2)));
+        b.set_shaper(
+            shaped,
+            Box::new(TokenBucketFilter::new(1_000_000_000, 1_000)),
+        );
+        let classifier = move |p: &Packet| {
+            if (p.flow.0 as usize / PORTS) % 2 == 0 {
+                shaped
+            } else {
+                open
+            }
+        };
+        sb.add_port(b.build(Box::new(classifier)).expect("tree"));
+    }
+    sb.build(Box::new(|p: &Packet| p.flow.0 as usize % PORTS))
+}
+
 const MODES: [DrainMode; 3] = [
     DrainMode::PerPacket,
     DrainMode::Batched,
@@ -106,6 +141,7 @@ proptest! {
 
         for backend in PifoBackend::EXACT {
             let mut stream_ref: Option<TelemetrySnapshot> = None;
+            let mut run_ref: Option<SwitchRun> = None;
             for mode in MODES {
                 let base = build_switch(ports, pool, backend, None).run(&arr, mode);
 
@@ -132,6 +168,18 @@ proptest! {
                 }
                 prop_assert_eq!(snap.to_json(), snap2.to_json(), "JSON export must be stable");
 
+                // 2c: so are the path logs, records and hops, which the
+                // snapshot does not carry — across the rerun and, like
+                // the event stream, across drain modes.
+                let first = run_ref.get_or_insert_with(|| run.clone());
+                for other in [&run2, &*first] {
+                    for (port, (a, b)) in run.ports.iter().zip(&other.ports).enumerate() {
+                        prop_assert_eq!(&a.paths, &b.paths,
+                            "[{}/{}] port {} path records differ from the rerun's or the \
+                             per-packet drain's", backend, mode_name(mode), port);
+                    }
+                }
+
                 // 2b: the event stream is drain-mode invariant.
                 match &stream_ref {
                     None => stream_ref = Some(snap),
@@ -151,7 +199,9 @@ proptest! {
 
     /// Contract 3: the telemetry layer's per-packet waits reconcile
     /// exactly with the departure-derived waits — record for record,
-    /// and through the `latency_stats` percentiles.
+    /// and through the `latency_stats` percentiles — in every drain mode,
+    /// on a flat tree and on a shaped two-level one; and each record's
+    /// hops retrace the packet's walk.
     #[test]
     fn path_record_waits_match_departure_waits(
         flows in 1u32..24,
@@ -159,27 +209,71 @@ proptest! {
         wave_pkts in 16u64..128,
     ) {
         let arr = arrivals(flows, waves, wave_pkts);
-        let mut sw = build_switch(4, 256, PifoBackend::default(), Some(TelemetryConfig::with_paths()));
-        let run = sw.run(&arr, DrainMode::Batched);
+        let cfg = TelemetryConfig::with_paths();
+        for mode in MODES {
+            for shaped in [false, true] {
+                let mut sw = if shaped {
+                    build_shaped_hpfq_switch(cfg)
+                } else {
+                    build_switch(4, 256, PifoBackend::default(), Some(cfg))
+                };
+                let run = sw.run(&arr, mode);
+                if shaped {
+                    prop_assert_eq!(run.total_departures(), arr.len(), "nothing dropped");
+                }
 
-        for port in &run.ports {
-            prop_assert_eq!(port.paths.len(), port.departures.len(),
-                "one path record per departure");
-            let from_paths: Vec<u64> =
-                port.paths.iter().map(|r| r.wait().as_nanos()).collect();
-            let from_departures = pifo::sim::metrics::waits_of(&port.departures, None);
-            prop_assert_eq!(&from_paths, &from_departures,
-                "telemetry waits must equal departure waits");
-            prop_assert_eq!(
-                latency_stats(&from_paths),
-                latency_stats(&from_departures)
-            );
-            // Spot the stronger per-record identity too.
-            for (rec, dep) in port.paths.iter().zip(&port.departures) {
-                prop_assert_eq!(rec.packet, dep.packet.id.0);
-                prop_assert_eq!(rec.wait(), dep.wait);
-                prop_assert_eq!(rec.departed, dep.start);
-                prop_assert_eq!(rec.enqueued, dep.packet.arrival);
+                for (i, port) in run.ports.iter().enumerate() {
+                    prop_assert_eq!(port.paths.len(), port.departures.len(),
+                        "one path record per departure");
+                    let from_paths: Vec<u64> =
+                        port.paths.iter().map(|r| r.wait().as_nanos()).collect();
+                    let from_departures = pifo::sim::metrics::waits_of(&port.departures, None);
+                    prop_assert_eq!(&from_paths, &from_departures,
+                        "telemetry waits must equal departure waits");
+                    prop_assert_eq!(
+                        latency_stats(&from_paths),
+                        latency_stats(&from_departures)
+                    );
+                    // Spot the stronger per-record identity too.
+                    let tree = sw.port(i);
+                    for (rec, dep) in port.paths.iter().zip(&port.departures) {
+                        prop_assert_eq!(rec.packet, dep.packet.id.0);
+                        prop_assert_eq!(rec.wait(), dep.wait);
+                        prop_assert_eq!(rec.departed, dep.start);
+                        prop_assert_eq!(rec.enqueued, dep.packet.arrival);
+
+                        // The hops are the leaf-to-root walk, in order.
+                        let hops = rec.hops();
+                        prop_assert!(!rec.truncated);
+                        let leaf = NodeId::from_index(hops[0].node as usize);
+                        prop_assert!(tree.children(leaf).is_empty(), "first hop is a leaf");
+                        let mut walk = vec![leaf];
+                        while let Some(up) = tree.parent(*walk.last().expect("non-empty")) {
+                            walk.push(up);
+                        }
+                        let nodes: Vec<NodeId> = hops
+                            .iter()
+                            .map(|h| NodeId::from_index(h.node as usize))
+                            .collect();
+                        prop_assert_eq!(&nodes, &walk,
+                            "[{}] hops follow parent links up to the root", mode_name(mode));
+                        prop_assert_eq!(hops[0].entered, rec.enqueued);
+                        prop_assert!(hops.windows(2).all(|w| w[0].entered <= w[1].entered),
+                            "entry times never go back");
+                        let total: u64 =
+                            (0..hops.len()).map(|k| rec.residence(k).as_nanos()).sum();
+                        prop_assert_eq!(Nanos(total), rec.wait(),
+                            "per-hop residences add up to the wait");
+                    }
+                    if shaped {
+                        prop_assert!(port.paths.iter().all(|r| r.hops().len() == 2));
+                    }
+                }
+                if shaped {
+                    let parked = run.ports.iter().flat_map(|p| p.paths.iter())
+                        .filter(|r| r.residence(0) > Nanos::ZERO).count();
+                    prop_assert!(parked > 0, "the shaper must hold some walk at its leaf");
+                }
             }
         }
     }
