@@ -161,7 +161,7 @@ fn build_switch(discipline: Discipline, backend: PifoBackend) -> pifo_sim::Switc
 fn run_drop_based(discipline: Discipline, backend: PifoBackend, arr: &[Packet]) -> Record {
     let mut sw = build_switch(discipline, backend);
     let start = Instant::now();
-    let run = sw.run(arr, DrainMode::Batched);
+    let run = sw.run(arr, DrainMode::PerPacket);
     let elapsed_ns = start.elapsed().as_nanos();
     let handled = run.total_departures() as u64 + run.total_drops();
     assert_eq!(handled, arr.len() as u64, "every packet accounted");
@@ -183,7 +183,7 @@ fn run_lossless(backend: PifoBackend, waves: u64) -> (Record, LosslessRun) {
     let cfg = LosslessConfig::new(XOFF, XON).with_headroom(HEADROOM);
     let mut fabric = LosslessFabric::new(build_switch(Discipline::PfcLossless, backend), cfg);
     let start = Instant::now();
-    let run = fabric.run(hog_source(waves), DrainMode::Batched);
+    let run = fabric.run(hog_source(waves), DrainMode::PerPacket);
     let elapsed_ns = start.elapsed().as_nanos();
 
     // The zero-drop contract is a bench invariant, not just a column.

@@ -1,10 +1,10 @@
 //! Multi-core fabric drain sweep: a 16-port incast fabric with private
 //! per-port slabs (the embarrassingly-parallel configuration) drained
-//! sequentially (`PerPacket`, `Batched`) and with
-//! [`DrainMode::Parallel`] at 1, 2, 4, and 8 workers.
+//! sequentially (`PerPacket`) and with [`DrainMode::Parallel`] at 1, 2,
+//! 4, and 8 workers.
 //!
 //! Every parallel leg's per-port departure traces are cross-checked
-//! byte-identical to the batched sequential run before timing — the
+//! byte-identical to the sequential run before timing — the
 //! sweep measures a drain that is *provably* the same schedule, not a
 //! relaxed one. Results land in `BENCH_parallel.json` (override with
 //! `BENCH_PARALLEL_OUT`); `--smoke` / `BENCH_PARALLEL_SMOKE=1` shrinks
@@ -133,17 +133,10 @@ fn main() {
 
     let mut results: Vec<Record> = Vec::new();
 
-    let (per_packet, _) = run_mode(DrainMode::PerPacket, &arr);
-    println!(
-        "parallel_drain drain=per_packet          {:>12.0} pkts/s",
-        per_packet.pps()
-    );
+    let (per_packet, reference) = run_mode(DrainMode::PerPacket, &arr);
+    let baseline_pps = per_packet.pps();
+    println!("parallel_drain drain=per_packet          {baseline_pps:>12.0} pkts/s  (baseline)");
     results.push(per_packet);
-
-    let (batched, reference) = run_mode(DrainMode::Batched, &arr);
-    let baseline_pps = batched.pps();
-    println!("parallel_drain drain=batched             {baseline_pps:>12.0} pkts/s  (baseline)");
-    results.push(batched);
 
     let mut speedup_at_4 = 0.0f64;
     for workers in [1usize, 2, 4, 8] {
@@ -154,7 +147,7 @@ fn main() {
             speedup_at_4 = speedup;
         }
         println!(
-            "parallel_drain drain=parallel workers={workers:<2} {:>12.0} pkts/s  ({speedup:.2}x batched)",
+            "parallel_drain drain=parallel workers={workers:<2} {:>12.0} pkts/s  ({speedup:.2}x per-packet)",
             r.pps(),
         );
         results.push(r);
@@ -167,7 +160,7 @@ fn main() {
     if !smoke && cores >= 4 {
         assert!(
             speedup_at_4 >= 2.0,
-            "expected >= 2x batched throughput at 4 workers on {cores} cores, got {speedup_at_4:.2}x"
+            "expected >= 2x per-packet throughput at 4 workers on {cores} cores, got {speedup_at_4:.2}x"
         );
     }
 
@@ -189,7 +182,7 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"drain\": \"{}\", \"workers\": {workers}, \"packets\": {}, \
-             \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}, \"speedup_vs_batched\": {:.3}}}",
+             \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}, \"speedup_vs_per_packet\": {:.3}}}",
             r.drain,
             r.packets,
             r.elapsed_ns,

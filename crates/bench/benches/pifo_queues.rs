@@ -2,8 +2,8 @@
 //! (sorted-array reference, binary heap, FFS bucket calendar) vs the
 //! hardware-style block, across occupancies up to the Trident-scale
 //! 60 K elements of §5.1. The sweep runs each backend through the
-//! backend-erased [`PifoBackend::make`] path — the same engine the
-//! scheduling tree uses — so the numbers reflect what trees actually pay.
+//! [`PifoBackend::make_enum`] path — the same engine the scheduling tree
+//! uses — so the numbers reflect what trees actually pay.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pifo_core::prelude::*;
@@ -29,7 +29,7 @@ fn bench_push_pop(c: &mut Criterion) {
         for backend in PifoBackend::ALL {
             group.bench_with_input(BenchmarkId::new(backend.label(), n), &n, |b, &n| {
                 b.iter(|| {
-                    let mut q: BoxedPifo<u64> = backend.make();
+                    let mut q = backend.make_enum::<u64>();
                     let mut rng = Rng(42);
                     for i in 0..n as u64 {
                         q.push(Rank(rng.next() % 1_000_000), i);

@@ -12,12 +12,9 @@
 //!   thresholds (`alpha = 1`): the storm is fenced to a fraction of the
 //!   pool and victim drops return to zero.
 //!
-//! Every configuration runs per-packet and batched (the batched leg is
-//! cross-checked byte-identical first), so the table also shows the
-//! enqueue-side win of same-leaf run batching — incast delivers exactly
-//! those runs. Results land in `BENCH_pool.json` (override with
-//! `BENCH_POOL_OUT`); `--smoke` / `BENCH_POOL_SMOKE=1` shrinks the sweep
-//! for CI.
+//! Every configuration runs on every backend. Results land in
+//! `BENCH_pool.json` (override with `BENCH_POOL_OUT`); `--smoke` /
+//! `BENCH_POOL_SMOKE=1` shrinks the sweep for CI.
 
 use pifo_algos::Stfq;
 use pifo_core::prelude::*;
@@ -53,7 +50,6 @@ impl Config {
 struct Record {
     config: Config,
     backend: PifoBackend,
-    drain: DrainMode,
     packets: u64,
     hog_drops: u64,
     victim_drops: u64,
@@ -142,50 +138,16 @@ fn build_switch(config: Config, backend: PifoBackend) -> pifo_sim::Switch {
     sb.build(Box::new(classify))
 }
 
-fn run_config(
-    config: Config,
-    backend: PifoBackend,
-    drain: DrainMode,
-    arr: &[Packet],
-    verify: bool,
-) -> Record {
-    if verify {
-        let a = build_switch(config, backend).run(arr, DrainMode::PerPacket);
-        let b = build_switch(config, backend).run(arr, DrainMode::Batched);
-        for (port, (x, y)) in a.ports.iter().zip(&b.ports).enumerate() {
-            assert_eq!(
-                x.drops,
-                y.drops,
-                "{}/{backend} port {port} drops",
-                config.label()
-            );
-            assert_eq!(
-                x.departures.len(),
-                y.departures.len(),
-                "{}/{backend} port {port} count",
-                config.label()
-            );
-            for (dx, dy) in x.departures.iter().zip(&y.departures) {
-                assert_eq!(
-                    dx,
-                    dy,
-                    "{}/{backend} port {port}: batched trace diverges",
-                    config.label()
-                );
-            }
-        }
-    }
-
+fn run_config(config: Config, backend: PifoBackend, arr: &[Packet]) -> Record {
     let mut sw = build_switch(config, backend);
     let start = Instant::now();
-    let run = sw.run(arr, drain);
+    let run = sw.run(arr, DrainMode::PerPacket);
     let elapsed_ns = start.elapsed().as_nanos();
     let handled = run.total_departures() as u64 + run.total_drops();
     assert_eq!(handled, arr.len() as u64, "every packet accounted");
     Record {
         config,
         backend,
-        drain,
         packets: handled,
         hog_drops: run.ports[0].drops,
         victim_drops: run.ports[1..].iter().map(|p| p.drops).sum(),
@@ -209,22 +171,16 @@ fn main() {
     let mut results: Vec<Record> = Vec::new();
     for config in Config::ALL {
         for backend in PifoBackend::ALL {
-            for drain in [DrainMode::PerPacket, DrainMode::Batched] {
-                // Cross-check traces once per (config, backend), on the
-                // batched leg.
-                let verify = drain == DrainMode::Batched;
-                let r = run_config(config, backend, drain, &arr, verify);
-                println!(
-                    "shared_pool {:<15} backend={:<6} drain={:<10} {:>12.0} pkts/s  hog_drops={:<8} victim_drops={}",
-                    r.config.label(),
-                    r.backend.label(),
-                    r.drain.label(),
-                    r.pps(),
-                    r.hog_drops,
-                    r.victim_drops,
-                );
-                results.push(r);
-            }
+            let r = run_config(config, backend, &arr);
+            println!(
+                "shared_pool {:<15} backend={:<6} {:>12.0} pkts/s  hog_drops={:<8} victim_drops={}",
+                r.config.label(),
+                r.backend.label(),
+                r.pps(),
+                r.hog_drops,
+                r.victim_drops,
+            );
+            results.push(r);
         }
         // Admission behaviour is a correctness claim of the sweep, not
         // just a number: victims must drop under the naive cap and must
@@ -260,12 +216,11 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"config\": \"{}\", \"backend\": \"{}\", \"drain\": \"{}\", \
+            "    {{\"config\": \"{}\", \"backend\": \"{}\", \
              \"packets\": {}, \"hog_drops\": {}, \"victim_drops\": {}, \
              \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}}}",
             r.config.label(),
             r.backend.label(),
-            r.drain.label(),
             r.packets,
             r.hog_drops,
             r.victim_drops,

@@ -1,21 +1,11 @@
 //! Multi-port switch-fabric throughput: the shared-classifier → N-port →
 //! line-rate-drain pipeline of `pifo_sim::switch`, swept over ports ×
-//! PIFO backends × traffic patterns × drain mode, plus a standalone
-//! batched-vs-per-packet drain microbench on a standing backlog.
+//! PIFO backends × traffic patterns.
 //!
-//! Two result kinds land in `BENCH_switch.json` (override the path with
-//! `BENCH_SWITCH_OUT`):
-//!
-//! * `"switch"` — whole-fabric runs: one arrival stream per traffic
-//!   pattern (incast, Markov on/off, heavy-tailed flow workload; 1M+
-//!   packets each in full mode), classified across 1/4/16 ports, drained
-//!   per-packet vs batched. Every batched run is cross-checked
-//!   byte-identical against its per-packet twin before timing is
-//!   reported.
-//! * `"drain"` — the README headline: fill one port's tree to a standing
-//!   occupancy, then time *only* the drain, per-packet `dequeue` vs
-//!   `dequeue_upto` batches (the single-node fast path reaching
-//!   `BucketPifo::pop_batch`).
+//! Each whole-fabric run — one arrival stream per traffic pattern
+//! (incast, Markov on/off, heavy-tailed flow workload; 1M+ packets each
+//! in full mode), classified across 1/4/16 ports — lands as one row of
+//! `BENCH_switch.json` (override the path with `BENCH_SWITCH_OUT`).
 //!
 //! `--smoke` (or `BENCH_SWITCH_SMOKE=1`) shrinks the sweep for CI.
 
@@ -29,14 +19,11 @@ use pifo_sim::traffic::{
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One measured configuration (either kind).
+/// One measured fabric configuration.
 struct Record {
-    kind: &'static str,
     pattern: String,
     ports: usize,
     backend: PifoBackend,
-    drain: DrainMode,
-    occupancy: usize,
     packets: u64,
     elapsed_ns: u128,
 }
@@ -47,8 +34,7 @@ impl Record {
     }
 }
 
-/// A flat single-node STFQ scheduler — the common per-port program, and
-/// the shape that reaches `dequeue_upto`'s pop_batch fast path.
+/// A flat single-node STFQ scheduler — the common per-port program.
 fn port_tree(backend: PifoBackend, buffer: usize) -> ScheduleTree {
     let mut b = TreeBuilder::new();
     b.with_backend(backend);
@@ -112,149 +98,32 @@ fn heavytail_arrivals(target_pkts: usize) -> Vec<Packet> {
     pkts
 }
 
-/// Run one fabric configuration; `verify` additionally runs the
-/// per-packet twin and asserts byte-identical per-port traces first.
+/// Run one fabric configuration and time it.
 fn run_switch_config(
     pattern: &str,
     arrivals: &[Packet],
     ports: usize,
     backend: PifoBackend,
-    drain: DrainMode,
-    verify: bool,
 ) -> Record {
-    let build = |backend: PifoBackend| {
-        let mut sb = SwitchBuilder::new(10_000_000_000);
-        for _ in 0..ports {
-            sb.add_port(port_tree(backend, 60_000));
-        }
-        sb.with_burst(64);
-        let n = ports;
-        sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % n))
-    };
-
-    if verify {
-        let a = build(backend).run(arrivals, DrainMode::PerPacket);
-        let b = build(backend).run(arrivals, DrainMode::Batched);
-        assert_eq!(a.misrouted, b.misrouted);
-        for (port, (x, y)) in a.ports.iter().zip(&b.ports).enumerate() {
-            assert_eq!(x.drops, y.drops, "{pattern}/{backend} port {port} drops");
-            assert_eq!(
-                x.departures.len(),
-                y.departures.len(),
-                "{pattern}/{backend} port {port} count"
-            );
-            for (dx, dy) in x.departures.iter().zip(&y.departures) {
-                assert_eq!(
-                    dx, dy,
-                    "{pattern}/{backend} port {port}: batched trace diverges"
-                );
-            }
-        }
+    let mut sb = SwitchBuilder::new(10_000_000_000);
+    for _ in 0..ports {
+        sb.add_port(port_tree(backend, 60_000));
     }
+    sb.with_burst(64);
+    let mut sw = sb.build(Box::new(move |p: &Packet| p.flow.0 as usize % ports));
 
-    let mut sw = build(backend);
     let start = Instant::now();
-    let run = sw.run(arrivals, drain);
+    let run = sw.run(arrivals, DrainMode::PerPacket);
     let elapsed_ns = start.elapsed().as_nanos();
     let handled = run.total_departures() as u64 + run.total_drops();
     assert!(handled > 0, "{pattern}: fabric must move packets");
     Record {
-        kind: "switch",
         pattern: pattern.to_string(),
         ports,
         backend,
-        drain,
-        occupancy: 0,
         packets: handled,
         elapsed_ns,
     }
-}
-
-/// The drain microbench: fill a single-node tree to `occupancy`, then
-/// time only the drain (per-packet vs batches of 64).
-///
-/// Ranks are arrival timestamps (FIFO), i.e. dense integers — the bucket
-/// calendar's design point, where batch pops drain whole buckets in one
-/// `memmove` instead of one find-first-set round trip per element.
-///
-/// A single drain lasts only a few hundred µs, so one observation is at
-/// the mercy of frequency scaling and scheduler noise. The two modes are
-/// therefore sampled **interleaved** (per-packet, batched, per-packet,
-/// batched, …) for `DRAIN_REPS` rounds with the first discarded as
-/// warm-up, and each leg reports its **median** round — slow phases of
-/// the machine hit both legs equally and outlier rounds cannot skew the
-/// ratio.
-fn run_drain_pair(backend: PifoBackend, occupancy: usize) -> [Record; 2] {
-    const DRAIN_REPS: usize = 9; // 1 warm-up + 8 measured, alternating
-    let fill = || -> ScheduleTree {
-        let mut b = TreeBuilder::new();
-        b.with_backend(backend);
-        b.buffer_limit(occupancy + 1);
-        let root = b.add_root(
-            "fifo",
-            Box::new(FnTransaction::new("fifo", |ctx: &EnqCtx| {
-                Rank(ctx.now.as_nanos())
-            })),
-        );
-        let mut tree = b.build(Box::new(move |_| root)).expect("single-node tree");
-        for i in 0..occupancy as u64 {
-            tree.enqueue(
-                Packet::new(i, FlowId((i % 256) as u32), 1_000, Nanos(i)),
-                Nanos(i),
-            )
-            .expect("within buffer limit");
-        }
-        tree
-    };
-
-    let now = Nanos(occupancy as u64);
-    let mut out: Vec<Packet> = Vec::with_capacity(64);
-    let modes = [DrainMode::PerPacket, DrainMode::Batched];
-    let mut samples: [Vec<u128>; 2] = [Vec::new(), Vec::new()];
-    for rep in 0..DRAIN_REPS {
-        for (mi, mode) in modes.iter().enumerate() {
-            let mut tree = fill();
-            let start = Instant::now();
-            let mut drained = 0u64;
-            match mode {
-                DrainMode::PerPacket => {
-                    while let Some(_p) = tree.dequeue(now) {
-                        drained += 1;
-                    }
-                }
-                // A single tree has no port fan-out to parallelise, so
-                // the Parallel mode degenerates to the batched drain.
-                DrainMode::Batched | DrainMode::Parallel { .. } => loop {
-                    out.clear();
-                    let n = tree.dequeue_upto(now, 64, &mut out);
-                    if n == 0 {
-                        break;
-                    }
-                    drained += n as u64;
-                },
-            }
-            let elapsed_ns = start.elapsed().as_nanos();
-            assert_eq!(drained, occupancy as u64, "tree must drain fully");
-            if rep > 0 {
-                samples[mi].push(elapsed_ns);
-            }
-        }
-    }
-    let record = |mi: usize| {
-        let s = &mut samples[mi].clone();
-        s.sort_unstable();
-        Record {
-            kind: "drain",
-            pattern: "standing_backlog".to_string(),
-            ports: 1,
-            backend,
-            drain: modes[mi],
-            occupancy,
-            packets: occupancy as u64,
-            elapsed_ns: s[s.len() / 2],
-        }
-    };
-    [record(0), record(1)]
 }
 
 fn main() {
@@ -268,7 +137,7 @@ fn main() {
 
     let mut results: Vec<Record> = Vec::new();
 
-    // ---- Fabric sweep: pattern × ports × backend × drain mode ----------
+    // ---- Fabric sweep: pattern × ports × backend ------------------------
     for &pattern in patterns {
         let arrivals = match pattern {
             "incast" => incast_arrivals(target_pkts),
@@ -286,42 +155,14 @@ fn main() {
         println!("pattern {pattern:<10} {} arrival packets", arrivals.len());
         for &ports in port_counts {
             for backend in PifoBackend::ALL {
-                for drain in [DrainMode::PerPacket, DrainMode::Batched] {
-                    // Cross-check traces once per (pattern, ports, backend),
-                    // on the batched leg.
-                    let verify = drain == DrainMode::Batched;
-                    let r = run_switch_config(pattern, &arrivals, ports, backend, drain, verify);
-                    println!(
-                        "switch_fabric {pattern:<10} ports={ports:<3} backend={:<6} drain={:<10} {:>12.0} pkts/s",
-                        r.backend.label(),
-                        r.drain.label(),
-                        r.pps()
-                    );
-                    results.push(r);
-                }
-            }
-        }
-    }
-
-    // ---- Drain microbench: standing backlog, batched vs per-packet -----
-    let occupancies: &[usize] = if smoke { &[10_000] } else { &[10_000, 60_000] };
-    for &occ in occupancies {
-        for backend in PifoBackend::ALL {
-            let pair = run_drain_pair(backend, occ);
-            let speedup = pair[1].pps() / pair[0].pps();
-            for r in pair {
+                let r = run_switch_config(pattern, &arrivals, ports, backend);
                 println!(
-                    "switch_fabric drain      occ={occ:<6} backend={:<6} drain={:<10} {:>12.0} pkts/s",
+                    "switch_fabric {pattern:<10} ports={ports:<3} backend={:<6} {:>12.0} pkts/s",
                     r.backend.label(),
-                    r.drain.label(),
                     r.pps()
                 );
                 results.push(r);
             }
-            println!(
-                "switch_fabric drain      occ={occ:<6} backend={:<6} batched/per-packet = {speedup:.2}x",
-                backend.label(),
-            );
         }
     }
 
@@ -336,15 +177,11 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"kind\": \"{}\", \"pattern\": \"{}\", \"ports\": {}, \"backend\": \"{}\", \
-             \"drain\": \"{}\", \"occupancy\": {}, \"packets\": {}, \"elapsed_ns\": {}, \
-             \"pkts_per_sec\": {:.0}}}",
-            r.kind,
+            "    {{\"pattern\": \"{}\", \"ports\": {}, \"backend\": \"{}\", \
+             \"packets\": {}, \"elapsed_ns\": {}, \"pkts_per_sec\": {:.0}}}",
             r.pattern,
             r.ports,
             r.backend.label(),
-            r.drain.label(),
-            r.occupancy,
             r.packets,
             r.elapsed_ns,
             r.pps()

@@ -140,7 +140,7 @@ fn measure_all(
         for (slot, mode) in Mode::ALL.into_iter().enumerate() {
             let mut sw = build_switch(backend, mode);
             let start = Instant::now();
-            let run = sw.run(arr, DrainMode::Batched);
+            let run = sw.run(arr, DrainMode::PerPacket);
             let elapsed = start.elapsed().as_nanos();
             match &mut best[slot] {
                 Some((b, _, _)) => *b = (*b).min(elapsed),
@@ -259,7 +259,7 @@ fn main() {
     }
 
     // Determinism cross-check (one cell): the merged event stream is
-    // identical whether the fabric drains per-packet or batched.
+    // identical whether the fabric drains on one thread or in parallel.
     {
         let backend = PifoBackend::default();
         let snap_of = |mode: DrainMode| {
@@ -269,7 +269,7 @@ fn main() {
         };
         assert_eq!(
             snap_of(DrainMode::PerPacket),
-            snap_of(DrainMode::Batched),
+            snap_of(DrainMode::Parallel { workers: 2 }),
             "event stream must be drain-mode invariant"
         );
     }

@@ -462,7 +462,8 @@ pub fn minrate() -> String {
 /// (static, or Choudhury–Hahne dynamic \[14\]) in front of the same WFQ
 /// restore the weighted shares.
 pub fn buffers() -> String {
-    use pifo_sim::{ManagedScheduler, SharedBuffer, Threshold};
+    use pifo_core::pool::SharedBuffer;
+    use pifo_sim::ManagedScheduler;
 
     let end = Nanos::from_millis(10);
     let arrivals = cbr_arrivals(&[1, 2, 3], GBIT10, end);

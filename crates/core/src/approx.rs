@@ -20,7 +20,7 @@
 //!
 //! # The relaxed contract
 //!
-//! These engines implement [`PifoQueue`]/[`PifoInspect`] but **break
+//! These engines implement [`PifoQueue`] but **break
 //! invariant 1** of the contract on purpose: pops are *not* guaranteed to
 //! be in non-decreasing rank order. What still holds:
 //!
@@ -38,12 +38,8 @@
 //! [`metrics`](crate::metrics) module scores any pop trace against the
 //! sorted oracle (inversions, unpifoness, max rank regression), and the
 //! `approx_quality` bench maps the quality × throughput frontier.
-//!
-//! Batch operations use the sequential trait defaults, so the
-//! batch-equals-sequential property holds for these engines by
-//! construction.
 
-use crate::pifo::{PifoFull, PifoInspect, PifoQueue};
+use crate::pifo::{PifoFull, PifoQueue};
 use crate::rank::Rank;
 use std::collections::VecDeque;
 
@@ -187,34 +183,13 @@ impl<T> PifoQueue<T> for SpPifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for SpPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         Box::new(
             self.queues
                 .iter()
                 .flat_map(|q| q.iter().map(|(r, t)| (*r, t))),
         )
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.queues
-            .iter()
-            .flat_map(|q| q.iter())
-            .find(|(_, t)| pred(t))
-            .map(|(r, t)| (*r, t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        for q in &mut self.queues {
-            if let Some(idx) = q.iter().position(|(_, t)| pred(t)) {
-                let e = q.remove(idx).expect("index from position");
-                self.len -= 1;
-                return Some(e);
-            }
-        }
-        None
     }
 }
 
@@ -379,23 +354,9 @@ impl<T> PifoQueue<T> for Rifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for Rifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         Box::new(self.fifo.iter().map(|(r, t)| (*r, t)))
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.fifo
-            .iter()
-            .find(|(_, t)| pred(t))
-            .map(|(r, t)| (*r, t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        let idx = self.fifo.iter().position(|(_, t)| pred(t))?;
-        self.fifo.remove(idx)
     }
 }
 
@@ -502,23 +463,9 @@ impl<T> PifoQueue<T> for Aifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for Aifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         Box::new(self.fifo.iter().map(|(r, t)| (*r, t)))
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.fifo
-            .iter()
-            .find(|(_, t)| pred(t))
-            .map(|(r, t)| (*r, t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        let idx = self.fifo.iter().position(|(_, t)| pred(t))?;
-        self.fifo.remove(idx)
     }
 }
 
@@ -643,18 +590,5 @@ mod tests {
         let inspected: Vec<u64> = q.iter_in_order().map(|(_, v)| *v).collect();
         let drained: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
         assert_eq!(inspected, drained);
-    }
-
-    #[test]
-    fn pop_first_matching_preserves_len() {
-        let mut q = Aifo::new();
-        for r in [4u64, 8, 2] {
-            q.push(Rank(r), r);
-        }
-        let got = q.pop_first_matching(&mut |v| *v == 8).unwrap();
-        assert_eq!(got, (Rank(8), 8));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((Rank(4), 4)));
-        assert_eq!(q.pop(), Some((Rank(2), 2)));
     }
 }

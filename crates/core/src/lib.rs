@@ -13,14 +13,13 @@
 //!
 //! ## Layout
 //!
-//! * [`pifo`] — the PIFO contract ([`pifo::PifoQueue`] +
-//!   [`pifo::PifoInspect`]) and its interchangeable backends:
-//!   [`pifo::SortedArrayPifo`] (reference semantics), [`pifo::HeapPifo`]
-//!   (binary heap, the default) and [`pifo::BucketPifo`] (Eiffel-style
-//!   FFS bucket calendar). [`pifo::PifoBackend`] selects one at runtime
-//!   — boxed ([`pifo::BoxedPifo`]) or statically dispatched
-//!   ([`pifo::EnumPifo`]);
-//!   see the module docs for the "choosing a backend" table.
+//! * [`pifo`] — the PIFO contract ([`pifo::PifoQueue`]) and its
+//!   interchangeable backends: [`pifo::SortedArrayPifo`] (reference
+//!   semantics), [`pifo::HeapPifo`] (binary heap, the default) and
+//!   [`pifo::BucketPifo`] (Eiffel-style FFS bucket calendar).
+//!   [`pifo::PifoBackend`] selects one at runtime as a statically
+//!   dispatched [`pifo::EnumPifo`]; see the module docs for the
+//!   "choosing a backend" table.
 //! * [`approx`] — deliberately inexact engines behind the same contract:
 //!   [`approx::SpPifo`] (k strict-priority FIFOs, SP-PIFO bound
 //!   adaptation), [`approx::Rifo`] (windowed min/max admission FIFO),
@@ -34,12 +33,11 @@
 //!   [`telemetry::GaugeSeries`], and the JSON-exportable
 //!   [`telemetry::TelemetrySnapshot`].
 //! * [`packet`], [`rank`], [`time`] — the vocabulary types.
-//! * [`buffer`] — the shared packet-buffer slab (§4): packets live once,
-//!   PIFOs circulate 4-byte [`buffer::PktHandle`]s.
-//! * [`pool`] — the fabric-wide shared memory system (§5.1, §6.1): one
-//!   [`pool::SharedPacketPool`] slab behind per-port
+//! * [`pool`] — the fabric-wide shared memory system (§4, §5.1, §6.1):
+//!   one [`pool::SharedPacketPool`] slab behind per-port
 //!   [`pool::PoolHandle`]s, with static / Choudhury–Hahne dynamic
-//!   threshold admission deciding drops before any enqueue.
+//!   threshold admission deciding drops before any enqueue. Packets live
+//!   once in the slab; PIFOs circulate 4-byte [`pool::PktHandle`]s.
 //! * [`transaction`] — scheduling & shaping transaction traits (§2.1, §2.3).
 //! * [`tree`] — trees of transactions with suspend/resume shaping (§2.2–2.3).
 //!
@@ -71,7 +69,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod buffer;
 pub mod metrics;
 pub mod packet;
 pub mod pifo;
@@ -90,16 +87,14 @@ pub mod tree;
 /// Convenient glob-import of the types nearly every user needs.
 pub mod prelude {
     pub use crate::approx::{Aifo, Rifo, SpPifo};
-    pub use crate::buffer::{PacketBuffer, PktHandle};
     pub use crate::metrics::{InversionStats, InversionTracker};
     pub use crate::packet::{FlowId, FlowMap, Packet, PacketId};
     pub use crate::pifo::{
-        BoxedPifo, BucketPifo, EnumPifo, HeapPifo, PifoBackend, PifoEngine, PifoFull, PifoInspect,
-        PifoQueue, SortedArrayPifo,
+        BucketPifo, EnumPifo, HeapPifo, PifoBackend, PifoFull, PifoQueue, SortedArrayPifo,
     };
     pub use crate::pool::{
-        AdmissionPolicy, PoolError, PoolHandle, PoolStats, PortPoolStats, SharedPacketPool,
-        SharedPool, Threshold,
+        AdmissionPolicy, PktHandle, PoolError, PoolHandle, PoolStats, PortPoolStats,
+        SharedPacketPool, SharedPool, Threshold,
     };
     pub use crate::rank::{Rank, VT_SHIFT};
     pub use crate::telemetry::{

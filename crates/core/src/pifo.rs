@@ -11,25 +11,17 @@
 //! The PIFO abstraction is deliberately separated from its implementation:
 //! the paper's whole point is that *one* queueing discipline supports many
 //! scheduling algorithms, and symmetrically this crate lets *many* queue
-//! engines implement one discipline. Two traits capture the contract:
+//! engines implement one discipline. One trait, [`PifoQueue`], is the
+//! contract: the per-packet operations (`try_push`/`pop`/`peek`/`len`/
+//! `capacity`) plus [`PifoQueue::iter_in_order`], an ordered view used
+//! by the scheduling tree's introspection (`debug_pifo`) and the
+//! differential suites — not on the per-packet path, so engines may
+//! materialise it in O(n log n).
 //!
-//! * [`PifoQueue`] — the core operations every scheduler needs in the hot
-//!   path (`try_push`/`pop`/`peek`/`len`/`capacity`), plus the batched
-//!   variants [`PifoQueue::push_batch`]/[`PifoQueue::pop_batch`] —
-//!   byte-identical to their sequential expansion, with amortized
-//!   implementations where an engine can exploit the batch shape (the
-//!   bucket calendar drains whole buckets per bitmap step, the sorted
-//!   array bulk-moves its prefix).
-//! * [`PifoInspect`] — ordered inspection and targeted removal
-//!   (`iter_in_order`, `peek_first_matching`, `pop_first_matching`), used
-//!   by the scheduling tree's introspection, the hardware model's
-//!   logical-PIFO sharing (§5.2) and PFC masking (§6.2). These may be
-//!   slower than the core ops; they are not on the per-packet path.
-//!
-//! [`PifoEngine`] is the combination of both, and what
-//! [`PifoBackend::make`] hands out as a trait object so that consumers —
-//! the scheduling tree, the simulator, the benches — never name a concrete
-//! queue type.
+//! [`PifoBackend::make_enum`] hands out an [`EnumPifo`], a `match` over the
+//! six engines, so consumers — the scheduling tree, the simulator, the
+//! benches — never name a concrete queue type and still get static
+//! dispatch.
 //!
 //! # Choosing a backend
 //!
@@ -131,95 +123,11 @@ pub trait PifoQueue<T> {
         }
     }
 
-    /// Push a batch of `(rank, item)` pairs, returning the rejected
-    /// elements (in input order) when a capacity bound is hit.
-    ///
-    /// **Semantics are exactly sequential**: the batch behaves as one
-    /// [`try_push`](Self::try_push) per element, in input order — FIFO
-    /// tie-breaks, admission decisions and the rejected elements' fields
-    /// are byte-identical to the per-element path (enforced by the
-    /// cross-backend differential suite). Backends may amortize internal
-    /// work across the batch: [`BucketPifo`] resolves the capacity gate
-    /// once for the whole batch instead of once per element.
-    ///
-    /// An empty batch is a no-op and returns no rejects.
-    ///
-    /// ```
-    /// use pifo_core::prelude::*;
-    ///
-    /// let mut q = PifoBackend::Bucket.make_enum_bounded::<u32>(2);
-    /// let rejected = q.push_batch(vec![(Rank(3), 30), (Rank(1), 10), (Rank(2), 20)]);
-    /// // The first two fit; the third bounces back field-for-field.
-    /// assert_eq!(rejected.len(), 1);
-    /// assert_eq!((rejected[0].rank, rejected[0].item), (Rank(2), 20));
-    /// assert_eq!(q.pop(), Some((Rank(1), 10)));
-    /// ```
-    fn push_batch(&mut self, items: Vec<(Rank, T)>) -> Vec<PifoFull<T>> {
-        let mut rejected = Vec::new();
-        for (rank, item) in items {
-            if let Err(full) = self.try_push(rank, item) {
-                rejected.push(full);
-            }
-        }
-        rejected
-    }
-
-    /// Pop up to `max` head elements into `out` (appended in dequeue
-    /// order), returning how many were popped. Stops early when the queue
-    /// empties.
-    ///
-    /// Equivalent to `max` sequential [`pop`](Self::pop) calls; backends
-    /// may amortize — [`BucketPifo`] drains whole calendar buckets with
-    /// one find-first-set bitmap step per *bucket* instead of per
-    /// element, [`SortedArrayPifo`] drains its sorted prefix in one
-    /// `memmove`, and [`HeapPifo`] replaces sift-downs with one sort (or
-    /// a select + prefix sort + heap rebuild) when the batch takes a
-    /// large enough bite of the heap.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let before = out.len();
-        while out.len() - before < max {
-            match self.pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out.len() - before
-    }
-}
-
-/// Ordered inspection and targeted removal, on top of [`PifoQueue`].
-///
-/// These operations exist for the scheduling tree's introspection
-/// (`debug_pifo`), the hardware model's logical-PIFO sharing — a pop
-/// targets "the first element with a given logical PIFO ID" (§5.2) — and
-/// PFC masking (§6.2). They are **not** on the per-packet hot path, so
-/// backends may implement them in O(n log n); the trait is object-safe so
-/// the whole contract fits behind one `dyn` pointer (see [`PifoEngine`]).
-pub trait PifoInspect<T>: PifoQueue<T> {
     /// Iterate over `(rank, item)` in dequeue order without removing.
+    /// Not on the per-packet path: engines whose storage is not kept in
+    /// dequeue order (the heaps) sort a view of it first.
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_>;
-
-    /// Peek the first element matching `pred` (head-most in dequeue order).
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)>;
-
-    /// Remove and return the first element matching `pred` (head-most in
-    /// dequeue order). All other elements keep their relative order.
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)>;
 }
-
-/// The complete backend contract: core queue operations plus inspection.
-///
-/// Everything `ScheduleTree` and the hardware model need fits behind
-/// `Box<dyn PifoEngine<T>>`; blanket-implemented for any type providing
-/// both sub-traits.
-pub trait PifoEngine<T>: PifoInspect<T> {}
-
-impl<T, Q: PifoInspect<T> + ?Sized> PifoEngine<T> for Q {}
-
-/// A heap-allocated, backend-erased PIFO — what [`PifoBackend::make`]
-/// returns, for callers that need an open set of engines behind one
-/// pointer type. (`ScheduleTree` nodes store an [`EnumPifo`] instead.)
-pub type BoxedPifo<T> = Box<dyn PifoEngine<T>>;
 
 // ---------------------------------------------------------------------------
 // Backend selector
@@ -274,7 +182,7 @@ impl PifoBackend {
     ];
 
     /// Every backend, exact trio first (useful for bench sweeps and for
-    /// properties that hold per-backend, like batch-equals-sequential).
+    /// properties that hold per-backend, like capacity admission).
     /// Cross-backend trace comparisons should use [`EXACT`](Self::EXACT).
     pub const ALL: [PifoBackend; 6] = [
         PifoBackend::SortedArray,
@@ -312,40 +220,9 @@ impl PifoBackend {
         }
     }
 
-    /// Construct an unbounded queue of this backend.
-    pub fn make<T: 'static>(self) -> BoxedPifo<T> {
-        match self {
-            PifoBackend::SortedArray => Box::new(SortedArrayPifo::new()),
-            PifoBackend::Heap => Box::new(HeapPifo::new()),
-            PifoBackend::Bucket => Box::new(BucketPifo::new()),
-            PifoBackend::SpPifo { queues } => Box::new(crate::approx::SpPifo::new(queues as usize)),
-            PifoBackend::Rifo => Box::new(crate::approx::Rifo::new()),
-            PifoBackend::Aifo => Box::new(crate::approx::Aifo::new()),
-        }
-    }
-
-    /// Construct a queue of this backend that rejects pushes beyond
-    /// `capacity` elements.
-    pub fn make_bounded<T: 'static>(self, capacity: usize) -> BoxedPifo<T> {
-        match self {
-            PifoBackend::SortedArray => Box::new(SortedArrayPifo::with_capacity(capacity)),
-            PifoBackend::Heap => Box::new(HeapPifo::with_capacity(capacity)),
-            PifoBackend::Bucket => Box::new(BucketPifo::with_capacity(capacity)),
-            PifoBackend::SpPifo { queues } => Box::new(crate::approx::SpPifo::with_capacity(
-                queues as usize,
-                capacity,
-            )),
-            PifoBackend::Rifo => Box::new(crate::approx::Rifo::with_capacity(capacity)),
-            PifoBackend::Aifo => Box::new(crate::approx::Aifo::with_capacity(capacity)),
-        }
-    }
-
-    /// Construct an unbounded queue of this backend with **static**
-    /// dispatch: an [`EnumPifo`] instead of a boxed trait object. Hot
-    /// paths that own their queues (the scheduling tree's per-node PIFOs)
-    /// use this so push/pop monomorphize; [`make`](Self::make) remains the
-    /// object-safe choice for heterogeneous collections behind one
-    /// pointer type.
+    /// Construct an unbounded queue of this backend: an [`EnumPifo`],
+    /// statically dispatched, so push/pop monomorphize on every caller's
+    /// hot path (the scheduling tree's per-node PIFOs included).
     ///
     /// ```
     /// use pifo_core::prelude::*;
@@ -354,10 +231,8 @@ impl PifoBackend {
     /// assert_eq!(q.backend(), PifoBackend::Bucket);
     /// q.push(Rank(20), "late");
     /// q.push(Rank(10), "early");
-    /// // Batch pops reach the engine's amortized implementation.
-    /// let mut out = Vec::new();
-    /// assert_eq!(q.pop_batch(8, &mut out), 2);
-    /// assert_eq!(out, vec![(Rank(10), "early"), (Rank(20), "late")]);
+    /// assert_eq!(q.pop(), Some((Rank(10), "early")));
+    /// assert_eq!(q.pop(), Some((Rank(20), "late")));
     /// ```
     pub fn make_enum<T>(self) -> EnumPifo<T> {
         match self {
@@ -393,14 +268,13 @@ impl PifoBackend {
 // EnumPifo — static dispatch over the six engines
 // ---------------------------------------------------------------------------
 
-/// A closed sum of the six queue engines with `match` dispatch.
+/// A closed sum of the six queue engines with `match` dispatch — what
+/// [`PifoBackend::make_enum`] returns.
 ///
-/// Semantically identical to the corresponding [`BoxedPifo`] (both
-/// delegate to the same implementations), but the compiler sees concrete
-/// types through one `match`, so hot-path `push`/`pop`/`peek` inline and
-/// monomorphize instead of going through a vtable. The scheduling tree
-/// stores one of these per node; public APIs that need an open set of
-/// engines keep using [`BoxedPifo`].
+/// Every method delegates to the inhabited engine, so an `EnumPifo` is
+/// observably that engine; the compiler sees concrete types through one
+/// `match`, so hot-path `push`/`pop`/`peek` inline and monomorphize. The
+/// scheduling tree stores one of these per node.
 #[derive(Debug, Clone)]
 pub enum EnumPifo<T> {
     /// [`SortedArrayPifo`] — the O(n)-insert reference.
@@ -472,30 +346,8 @@ impl<T> PifoQueue<T> for EnumPifo<T> {
         enum_pifo_delegate!(self, q => q.capacity())
     }
 
-    // Explicit delegation (instead of the trait defaults) so the engines'
-    // amortized batch specializations are reached through the enum too.
-    #[inline]
-    fn push_batch(&mut self, items: Vec<(Rank, T)>) -> Vec<PifoFull<T>> {
-        enum_pifo_delegate!(self, q => q.push_batch(items))
-    }
-
-    #[inline]
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        enum_pifo_delegate!(self, q => q.pop_batch(max, out))
-    }
-}
-
-impl<T> PifoInspect<T> for EnumPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         enum_pifo_delegate!(self, q => q.iter_in_order())
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        enum_pifo_delegate!(self, q => q.peek_first_matching(pred))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        enum_pifo_delegate!(self, q => q.pop_first_matching(pred))
     }
 }
 
@@ -593,7 +445,7 @@ impl<T> SortedArrayPifo<T> {
 
     /// Iterate over `(rank, item)` in dequeue order without removing.
     /// (Also available backend-agnostically as
-    /// [`PifoInspect::iter_in_order`].)
+    /// [`PifoQueue::iter_in_order`].)
     pub fn iter(&self) -> impl Iterator<Item = (Rank, &T)> {
         self.items.iter().map(|(r, _, t)| (*r, t))
     }
@@ -634,30 +486,8 @@ impl<T> PifoQueue<T> for SortedArrayPifo<T> {
         self.capacity
     }
 
-    /// The sorted prefix *is* the batch: one bulk drain from the front
-    /// instead of `max` pop-front calls.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let n = max.min(self.items.len());
-        out.extend(self.items.drain(..n).map(|(r, _, t)| (r, t)));
-        n
-    }
-}
-
-impl<T> PifoInspect<T> for SortedArrayPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         Box::new(self.iter())
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.items
-            .iter()
-            .find(|(_, _, t)| pred(t))
-            .map(|(r, _, t)| (*r, t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        let idx = self.items.iter().position(|(_, _, t)| pred(t))?;
-        self.items.remove(idx).map(|(r, _, t)| (r, t))
     }
 }
 
@@ -690,6 +520,14 @@ impl<T> PartialOrd for HeapEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// A heap's entries as a freshly sorted vector of references (dequeue
+/// order) — the heaps' ordered view for [`PifoQueue::iter_in_order`].
+fn sorted_refs<T>(heap: &BinaryHeap<HeapEntry<T>>) -> Vec<&HeapEntry<T>> {
+    let mut v: Vec<&HeapEntry<T>> = heap.iter().collect();
+    v.sort_by_key(|e| (e.rank, e.seq));
+    v
 }
 
 /// Binary-heap PIFO with stable FIFO tie-breaking: `O(log n)` push/pop.
@@ -727,13 +565,6 @@ impl<T> HeapPifo<T> {
             seq: 0,
             capacity: Some(capacity),
         }
-    }
-
-    /// Entries as a freshly sorted vector of references (dequeue order).
-    fn sorted_refs(&self) -> Vec<&HeapEntry<T>> {
-        let mut v: Vec<&HeapEntry<T>> = self.heap.iter().collect();
-        v.sort_by_key(|e| (e.rank, e.seq));
-        v
     }
 }
 
@@ -773,71 +604,12 @@ impl<T> PifoQueue<T> for HeapPifo<T> {
         self.capacity
     }
 
-    /// Amortized batch pop. Sequential pops pay one cache-hostile
-    /// sift-down per element; a batch that takes a large bite of the
-    /// heap does better by leaving heap order entirely:
-    ///
-    /// * `max >= len` — **sorted drain**: take the backing vector, sort
-    ///   once by `(rank, seq)` (the exact pop order) and append — one
-    ///   cache-friendly sort instead of `len` sift-downs.
-    /// * `4 * max >= len` — **select + rebuild**: partition the `max`
-    ///   smallest entries to the front with `select_nth_unstable`
-    ///   (O(len) expected), sort only that prefix, and rebuild the heap
-    ///   from the remainder (`BinaryHeap::from`, O(len)).
-    /// * otherwise — per-element pops; for a small bite of a deep heap,
-    ///   `max log len` sift-downs beat an O(len) restructuring.
-    ///
-    /// The first two hand the vector back to the heap, so a drain round
-    /// that empties the queue does not cost the next push an allocation.
-    ///
-    /// All three produce byte-identical output — `(rank, seq)` is a
-    /// total order — enforced by the cross-backend differential suite.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let len = self.heap.len();
-        if max == 0 || len == 0 {
-            return 0;
-        }
-        if max.saturating_mul(4) >= len {
-            let take = max.min(len);
-            let mut v = std::mem::take(&mut self.heap).into_vec();
-            if take < len {
-                v.select_nth_unstable_by_key(take, |e| (e.rank, e.seq));
-            }
-            v[..take].sort_unstable_by_key(|e| (e.rank, e.seq));
-            out.extend(v.drain(..take).map(|e| (e.rank, e.item)));
-            self.heap = BinaryHeap::from(v);
-            return take;
-        }
-        let before = out.len();
-        while out.len() - before < max {
-            match self.pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out.len() - before
-    }
-}
-
-impl<T> PifoInspect<T> for HeapPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
-        Box::new(self.sorted_refs().into_iter().map(|e| (e.rank, &e.item)))
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.sorted_refs()
-            .into_iter()
-            .find(|e| pred(&e.item))
-            .map(|e| (e.rank, &e.item))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.sort_by_key(|e| (e.rank, e.seq));
-        let pos = entries.iter().position(|e| pred(&e.item));
-        let removed = pos.map(|p| entries.remove(p));
-        self.heap = BinaryHeap::from(entries);
-        removed.map(|e| (e.rank, e.item))
+        Box::new(
+            sorted_refs(&self.heap)
+                .into_iter()
+                .map(|e| (e.rank, &e.item)),
+        )
     }
 }
 
@@ -1043,13 +815,6 @@ impl<T> BucketPifo<T> {
             self.mark(off as usize);
         }
     }
-
-    /// Overflow entries as a freshly sorted vector of references.
-    fn overflow_sorted_refs(&self) -> Vec<&HeapEntry<T>> {
-        let mut v: Vec<&HeapEntry<T>> = self.overflow.iter().collect();
-        v.sort_by_key(|e| (e.rank, e.seq));
-        v
-    }
 }
 
 impl<T> PifoQueue<T> for BucketPifo<T> {
@@ -1084,56 +849,6 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
         Some((r, t))
     }
 
-    /// Amortized batch push: the capacity gate is resolved **once** for
-    /// the whole batch (sequential semantics admit exactly the first
-    /// `capacity - len` elements, since nothing pops mid-batch), so the
-    /// per-element path is just seq-stamp + calendar placement.
-    fn push_batch(&mut self, items: Vec<(Rank, T)>) -> Vec<PifoFull<T>> {
-        let headroom = self
-            .capacity
-            .map_or(usize::MAX, |cap| cap.saturating_sub(self.len));
-        let mut rejected = Vec::new();
-        for (i, (rank, item)) in items.into_iter().enumerate() {
-            if i >= headroom {
-                rejected.push(PifoFull {
-                    rank,
-                    item,
-                    capacity: self.capacity.expect("finite headroom implies a bound"),
-                });
-                continue;
-            }
-            let seq = self.seq;
-            self.seq += 1;
-            self.place(rank, seq, item);
-            self.len += 1;
-        }
-        rejected
-    }
-
-    /// Amortized batch pop: whole calendar buckets are drained with one
-    /// bulk `VecDeque::drain` each, consulting the two-level bitmap once
-    /// per *bucket* (and clearing its bit once, when it empties) instead
-    /// of running find-first-set + unmark for every element. Length
-    /// bookkeeping is settled once per batch.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Rank, T)>) -> usize {
-        let target = max.min(self.len);
-        out.reserve(target);
-        let mut taken = 0usize;
-        while taken < target {
-            if self.summary == 0 {
-                self.refill_from_overflow();
-            }
-            let idx = self.first_occupied().expect("taken < target <= len");
-            let bucket = &mut self.buckets[idx];
-            let take = bucket.len().min(target - taken);
-            out.extend(bucket.drain(..take).map(|(r, _, t)| (r, t)));
-            taken += take;
-            self.unmark_if_empty(idx);
-        }
-        self.len -= taken;
-        taken
-    }
-
     fn peek(&self) -> Option<(Rank, &T)> {
         match self.first_occupied() {
             Some(idx) => self.buckets[idx].front().map(|(r, _, t)| (*r, t)),
@@ -1149,48 +864,20 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
     fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-}
 
-impl<T> PifoInspect<T> for BucketPifo<T> {
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         // Calendar ranks all precede overflow ranks (horizon invariant),
         // so dequeue order is: buckets by index, then overflow sorted.
-        let over = self.overflow_sorted_refs();
         Box::new(
             self.buckets
                 .iter()
                 .flat_map(|b| b.iter().map(|(r, _, t)| (*r, t)))
-                .chain(over.into_iter().map(|e| (e.rank, &e.item))),
+                .chain(
+                    sorted_refs(&self.overflow)
+                        .into_iter()
+                        .map(|e| (e.rank, &e.item)),
+                ),
         )
-    }
-
-    fn peek_first_matching(&self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, &T)> {
-        self.iter_in_order().find(|(_, t)| pred(t))
-    }
-
-    fn pop_first_matching(&mut self, pred: &mut dyn FnMut(&T) -> bool) -> Option<(Rank, T)> {
-        // Scan the calendar in dequeue order first.
-        for idx in 0..NUM_BUCKETS {
-            if self.buckets[idx].is_empty() {
-                continue;
-            }
-            if let Some(pos) = self.buckets[idx].iter().position(|(_, _, t)| pred(t)) {
-                let (r, _, t) = self.buckets[idx].remove(pos).expect("position exists");
-                self.unmark_if_empty(idx);
-                self.len -= 1;
-                return Some((r, t));
-            }
-        }
-        // Then the overflow heap, in dequeue order.
-        let mut entries = std::mem::take(&mut self.overflow).into_vec();
-        entries.sort_by_key(|e| (e.rank, e.seq));
-        let pos = entries.iter().position(|e| pred(&e.item));
-        let removed = pos.map(|p| entries.remove(p));
-        self.overflow = BinaryHeap::from(entries);
-        removed.map(|e| {
-            self.len -= 1;
-            (e.rank, e.item)
-        })
     }
 }
 
@@ -1317,48 +1004,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_first_matching_respects_head_order() {
-        // Exercised through the backend-erased engine, as the hw model
-        // uses it.
-        for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<(&str, u32)> = backend.make();
-            q.push(Rank(1), ("a", 1));
-            q.push(Rank(2), ("b", 2));
-            q.push(Rank(3), ("a", 3));
-            // First "a" by dequeue order is the rank-1 one.
-            let (r, (tag, v)) = q.pop_first_matching(&mut |(t, _)| *t == "a").unwrap();
-            assert_eq!((r, tag, v), (Rank(1), "a", 1), "{backend}");
-            // Remaining order intact.
-            assert_eq!(q.pop().unwrap().1, ("b", 2), "{backend}");
-            assert_eq!(q.pop().unwrap().1, ("a", 3), "{backend}");
-            assert!(q.is_empty(), "{backend}");
-        }
-    }
-
-    #[test]
-    fn peek_first_matching_finds_headmost() {
-        for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<u32> = backend.make();
-            q.push(Rank(4), 40u32);
-            q.push(Rank(2), 21u32);
-            q.push(Rank(3), 31u32);
-            let (r, v) = q.peek_first_matching(&mut |v| *v % 2 == 1).unwrap();
-            assert_eq!((r, *v), (Rank(2), 21), "{backend}");
-            assert_eq!(q.len(), 3, "{backend}");
-        }
-    }
-
-    #[test]
     fn iter_in_order_matches_drain_order() {
         for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<u64> = backend.make();
+            let mut q = backend.make_enum::<u64>();
             // Spread ranks across buckets, within one bucket, and into the
             // bucket backend's overflow region.
             for (i, r) in [5u64, 5, 1 << 30, 3, 700, 5, 1 << 40, 0].iter().enumerate() {
                 q.push(Rank(*r), i as u64);
             }
             let via_iter: Vec<(Rank, u64)> = q.iter_in_order().map(|(r, v)| (r, *v)).collect();
-            let via_drain: Vec<(Rank, u64)> = drain(&mut *q);
+            let via_drain: Vec<(Rank, u64)> = drain(&mut q);
             assert_eq!(via_iter, via_drain, "{backend}");
         }
     }
@@ -1405,213 +1060,73 @@ mod tests {
         }
     }
 
-    /// The statically-dispatched enum and the boxed trait object are the
-    /// same engines: identical traces, inspection views and admission.
-    #[test]
-    fn enum_pifo_matches_boxed_engine() {
-        for backend in PifoBackend::ALL {
-            let mut e = backend.make_enum::<u32>();
-            let mut b: BoxedPifo<u32> = backend.make();
-            assert_eq!(e.backend(), backend);
-            for (i, r) in [5u64, 1, 1 << 40, 5, 0, 700].iter().enumerate() {
-                e.push(Rank(*r), i as u32);
-                b.push(Rank(*r), i as u32);
-            }
-            let ve: Vec<_> = e.iter_in_order().map(|(r, v)| (r, *v)).collect();
-            let vb: Vec<_> = b.iter_in_order().map(|(r, v)| (r, *v)).collect();
-            assert_eq!(ve, vb, "{backend} inspection diverges");
-            loop {
-                let (x, y) = (e.pop(), b.pop());
-                assert_eq!(x, y, "{backend} pop diverges");
-                if x.is_none() {
-                    break;
-                }
+    /// Fed the same pushes, an `EnumPifo` is observably the concrete
+    /// engine it wraps: identical ordered views and pop traces.
+    fn enum_matches_concrete<Q: PifoQueue<u32>>(backend: PifoBackend, mut c: Q) {
+        let mut e = backend.make_enum::<u32>();
+        assert_eq!(e.backend(), backend);
+        for (i, r) in [5u64, 1, 1 << 40, 5, 0, 700].iter().enumerate() {
+            e.push(Rank(*r), i as u32);
+            c.push(Rank(*r), i as u32);
+        }
+        let ve: Vec<_> = e.iter_in_order().map(|(r, v)| (r, *v)).collect();
+        let vc: Vec<_> = c.iter_in_order().map(|(r, v)| (r, *v)).collect();
+        assert_eq!(ve, vc, "{backend} inspection diverges");
+        loop {
+            let (x, y) = (e.pop(), c.pop());
+            assert_eq!(x, y, "{backend} pop diverges");
+            if x.is_none() {
+                break;
             }
         }
     }
 
     #[test]
-    fn enum_pifo_bounded_rejects_like_boxed() {
-        for backend in PifoBackend::ALL {
-            let mut e = backend.make_enum_bounded::<u8>(2);
-            let mut b: BoxedPifo<u8> = backend.make_bounded(2);
-            assert_eq!(e.capacity(), Some(2));
-            for r in 0..3u64 {
-                assert_eq!(
-                    e.try_push(Rank(r), r as u8),
-                    b.try_push(Rank(r), r as u8),
-                    "{backend} admission diverges"
-                );
-            }
-            assert_eq!(e.len(), b.len(), "{backend}");
-            if backend.is_exact() {
-                // Exact backends admit first-come: exactly the capacity.
-                // Approximate gates may refuse earlier; only the
-                // enum-matches-boxed property is universal.
-                assert_eq!(e.len(), 2, "{backend}");
-            }
-        }
+    fn enum_pifo_matches_concrete_engine() {
+        use crate::approx::{Aifo, Rifo, SpPifo, DEFAULT_SP_PIFO_QUEUES};
+        let k = DEFAULT_SP_PIFO_QUEUES;
+        enum_matches_concrete(PifoBackend::SortedArray, SortedArrayPifo::new());
+        enum_matches_concrete(PifoBackend::Heap, HeapPifo::new());
+        enum_matches_concrete(PifoBackend::Bucket, BucketPifo::new());
+        enum_matches_concrete(PifoBackend::SpPifo { queues: k }, SpPifo::new(k as usize));
+        enum_matches_concrete(PifoBackend::Rifo, Rifo::new());
+        enum_matches_concrete(PifoBackend::Aifo, Aifo::new());
     }
 
-    // ---- Batch-API edge cases --------------------------------------------
-
-    /// An empty batch is a no-op on every backend: no rejects, no pops,
-    /// no state change.
-    #[test]
-    fn empty_batches_are_noops() {
-        for backend in PifoBackend::ALL {
-            let mut q: BoxedPifo<u32> = backend.make_bounded(4);
-            q.push(Rank(1), 10);
-            assert!(q.push_batch(Vec::new()).is_empty(), "{backend}");
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(0, &mut out), 0, "{backend}");
-            assert!(out.is_empty(), "{backend}");
-            assert_eq!(q.len(), 1, "{backend}");
-        }
-    }
-
-    /// A batch that straddles the capacity bound admits exactly the
-    /// prefix that fits and reports every rejected element —
-    /// field-for-field unchanged, in input order — on every exact
-    /// backend. (Approximate gates legally refuse different elements;
-    /// their PifoFull round-trip is pinned by the approx property suite.)
-    #[test]
-    fn push_batch_straddling_capacity_reports_exact_rejects() {
-        for backend in PifoBackend::EXACT {
-            let mut q: BoxedPifo<(u64, &str)> = backend.make_bounded(3);
-            q.push(Rank(5), (5, "resident"));
-            // 4 more into 2 remaining slots: the last two must bounce,
-            // even though rank 0 would sit at the head.
-            let batch = vec![
-                (Rank(9), (9, "fits-a")),
-                (Rank(1), (1, "fits-b")),
-                (Rank(0), (0, "rejected-a")),
-                (Rank(7), (7, "rejected-b")),
-            ];
-            let rejected = q.push_batch(batch);
+    /// A bounded `EnumPifo` admits exactly what the bounded concrete
+    /// engine admits.
+    fn enum_rejects_like_concrete<Q: PifoQueue<u8>>(backend: PifoBackend, mut c: Q) {
+        let mut e = backend.make_enum_bounded::<u8>(2);
+        assert_eq!(e.capacity(), Some(2));
+        for r in 0..3u64 {
             assert_eq!(
-                rejected,
-                vec![
-                    PifoFull {
-                        rank: Rank(0),
-                        item: (0, "rejected-a"),
-                        capacity: 3
-                    },
-                    PifoFull {
-                        rank: Rank(7),
-                        item: (7, "rejected-b"),
-                        capacity: 3
-                    },
-                ],
-                "{backend}"
+                e.try_push(Rank(r), r as u8),
+                c.try_push(Rank(r), r as u8),
+                "{backend} admission diverges"
             );
-            assert_eq!(q.len(), 3, "{backend}");
-            let drained: Vec<&str> = std::iter::from_fn(|| q.pop())
-                .map(|(_, (_, s))| s)
-                .collect();
-            assert_eq!(drained, vec!["fits-b", "resident", "fits-a"], "{backend}");
+        }
+        assert_eq!(e.len(), c.len(), "{backend}");
+        if backend.is_exact() {
+            // Exact backends admit first-come: exactly the capacity.
+            // Approximate gates may refuse earlier; only the
+            // enum-matches-engine property is universal.
+            assert_eq!(e.len(), 2, "{backend}");
         }
     }
 
-    /// `pop_batch` crosses bucket, calendar-window and overflow-heap
-    /// boundaries in one call, and stopping mid-bucket leaves the
-    /// remainder intact.
     #[test]
-    fn pop_batch_crosses_structures_and_stops_mid_bucket() {
-        // Shift 0 → 4096-wide window; rank far beyond it goes to overflow.
-        let far = (NUM_BUCKETS as u64) * 7;
-        let mut q: BucketPifo<u32> = BucketPifo::with_shift(0);
-        for (i, r) in [3u64, 3, 3, 10, far, far + 1].iter().enumerate() {
-            q.push(Rank(*r), i as u32);
-        }
-        // Stop mid-bucket: two of the three rank-3 residents.
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(2, &mut out), 2);
-        assert_eq!(out, vec![(Rank(3), 0), (Rank(3), 1)]);
-        assert_eq!(q.len(), 4);
-        // One call drains the rest: tail of the bucket, the next bucket,
-        // then both overflow residents via a refill.
-        let mut rest = Vec::new();
-        assert_eq!(q.pop_batch(100, &mut rest), 4);
-        assert_eq!(
-            rest,
-            vec![
-                (Rank(3), 2),
-                (Rank(10), 3),
-                (Rank(far), 4),
-                (Rank(far + 1), 5)
-            ]
+    fn enum_pifo_bounded_rejects_like_concrete() {
+        use crate::approx::{Aifo, Rifo, SpPifo, DEFAULT_SP_PIFO_QUEUES};
+        let k = DEFAULT_SP_PIFO_QUEUES;
+        enum_rejects_like_concrete(PifoBackend::SortedArray, SortedArrayPifo::with_capacity(2));
+        enum_rejects_like_concrete(PifoBackend::Heap, HeapPifo::with_capacity(2));
+        enum_rejects_like_concrete(PifoBackend::Bucket, BucketPifo::with_capacity(2));
+        enum_rejects_like_concrete(
+            PifoBackend::SpPifo { queues: k },
+            SpPifo::with_capacity(k as usize, 2),
         );
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    /// Mixing batched and per-element calls keeps one coherent FIFO
-    /// sequence: a batch pushed after singles ties behind them. The
-    /// expected trace is rank-sorted, so this sweeps the exact trio.
-    #[test]
-    fn batch_and_single_ops_interleave_coherently() {
-        for backend in PifoBackend::EXACT {
-            let mut q: BoxedPifo<u32> = backend.make();
-            q.push(Rank(5), 0);
-            assert!(q.push_batch(vec![(Rank(5), 1), (Rank(2), 2)]).is_empty());
-            q.push(Rank(5), 3);
-            let mut out = Vec::new();
-            q.pop_batch(2, &mut out);
-            assert_eq!(out, vec![(Rank(2), 2), (Rank(5), 0)], "{backend}");
-            assert_eq!(q.pop(), Some((Rank(5), 1)), "{backend}");
-            assert_eq!(q.pop(), Some((Rank(5), 3)), "{backend}");
-        }
-    }
-
-    /// `HeapPifo::pop_batch` crosses all three regimes — sorted drain
-    /// (`max >= len`), select + rebuild (`4*max >= len`), per-element
-    /// fallback — and each one matches the sequential-pop oracle,
-    /// including FIFO ties and the state left behind for later pops.
-    #[test]
-    fn heap_pop_batch_regimes_match_sequential_pops() {
-        let ranks: Vec<u64> = (0..64u64).map(|i| (i * 37) % 16).collect();
-        // (max, len-at-call) pairs chosen to land in each regime.
-        for max in [1usize, 3, 9, 20, 63, 64, 100] {
-            let mut batched: HeapPifo<u64> = HeapPifo::new();
-            let mut reference: HeapPifo<u64> = HeapPifo::new();
-            for (i, r) in ranks.iter().enumerate() {
-                batched.push(Rank(*r), i as u64);
-                reference.push(Rank(*r), i as u64);
-            }
-            let mut via_batch = Vec::new();
-            let n = batched.pop_batch(max, &mut via_batch);
-            assert_eq!(n, max.min(ranks.len()), "max={max}");
-            let via_pops: Vec<(Rank, u64)> = (0..n).map(|_| reference.pop().unwrap()).collect();
-            assert_eq!(via_batch, via_pops, "max={max}: batch diverges");
-            // The remainders agree element for element too.
-            loop {
-                let (a, b) = (batched.pop(), reference.pop());
-                assert_eq!(a, b, "max={max}: remainder diverges");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Interleaving batch pops with fresh pushes keeps one coherent
-    /// FIFO-tie sequence across the heap's internal rebuilds.
-    #[test]
-    fn heap_pop_batch_then_push_keeps_tie_order() {
-        let mut q: HeapPifo<u32> = HeapPifo::new();
-        for i in 0..10u32 {
-            q.push(Rank(5), i);
-        }
-        let mut out = Vec::new();
-        q.pop_batch(4, &mut out); // select + rebuild regime
-        assert_eq!(
-            out.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-            [0, 1, 2, 3]
-        );
-        q.push(Rank(5), 100); // ties behind the survivors
-        let rest: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-        assert_eq!(rest, [4, 5, 6, 7, 8, 9, 100]);
+        enum_rejects_like_concrete(PifoBackend::Rifo, Rifo::with_capacity(2));
+        enum_rejects_like_concrete(PifoBackend::Aifo, Aifo::with_capacity(2));
     }
 
     // ---- BucketPifo-specific structure tests -----------------------------

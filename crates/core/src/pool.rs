@@ -61,13 +61,36 @@
 //! the visible [`SharedPacketPool::accounting_errors`] counter in release
 //! builds, instead of silently saturating.
 
-use crate::buffer::PktHandle;
 use crate::packet::{FlowId, FlowMap, Packet};
 use core::fmt;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+
+/// A 4-byte ticket naming one occupied slot of a [`SharedPacketPool`] —
+/// what the scheduling tree's PIFOs circulate instead of packets (§4,
+/// Fig 6: the packet is written once into the shared buffer, and PIFO
+/// entries carry a pointer to it).
+///
+/// Handles are only meaningful to the pool that issued them and only
+/// until the slot's last reference is released; the scheduling tree keeps
+/// this discipline internally and never exposes a dangling handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PktHandle(u32);
+
+impl PktHandle {
+    /// Raw slot index (for diagnostics).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for PktHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "h{}", self.0)
+    }
+}
 
 /// Per-entity admission threshold — the §6.1 counter comparison, shared
 /// by the pool's per-port policy and the simulator's per-flow
@@ -774,7 +797,7 @@ impl SharedPacketPool {
         if self.track_flows {
             *self.flow_shard(flow).entry(flow).or_insert(0) += 1;
         }
-        Ok(PktHandle::from_raw(idx))
+        Ok(PktHandle(idx))
     }
 
     fn flow_shard(&self, flow: FlowId) -> std::sync::MutexGuard<'_, FlowMap<usize>> {
@@ -920,23 +943,6 @@ impl SharedPacketPool {
             0
         } else {
             slot.refs.load(Ordering::Acquire) as usize
-        }
-    }
-
-    /// Pre-grow the slab so the next `additional` inserts allocate no
-    /// chunks mid-burst; a no-op once the working set has warmed up
-    /// (freed slots are always reused first).
-    pub fn reserve(&self, additional: usize) {
-        let target = self.next_slot.load(Ordering::Acquire) as u64 + additional as u64;
-        if target == 0 {
-            return;
-        }
-        let last = u32::try_from(target - 1).unwrap_or(u32::MAX - 1);
-        let (k_last, _) = chunk_of(last);
-        for k in 0..=k_last {
-            // Ensure via the first index of each chunk.
-            let first = ((1u64 << CHUNK0_BITS) << k) - (1 << CHUNK0_BITS);
-            self.ensure_chunk(first as u32);
         }
     }
 
@@ -1275,11 +1281,6 @@ impl PoolHandle {
     pub fn release(&self, handle: PktHandle) -> Option<Packet> {
         self.pool
             .release_with(handle, Some((self.port, &self.counters)))
-    }
-
-    /// Pre-grow the slab for `additional` imminent inserts.
-    pub fn reserve(&self, additional: usize) {
-        self.pool.reserve(additional);
     }
 
     /// Live packets across the whole pool (all ports).

@@ -31,10 +31,10 @@
 //!
 //! Telemetry observes; it never steers. Enabling any mode leaves
 //! departure traces bit-identical (asserted by the workspace tests and
-//! inside the overhead bench), and hook sites are placed at points whose
-//! order is identical between the per-packet and batched tree paths, so
-//! the event stream itself is byte-reproducible for a seeded run across
-//! `PerPacket`/`Batched`/`Parallel` drains.
+//! inside the overhead bench), and every drain mode runs the same
+//! per-packet tree calls in the same per-port order, so the event stream
+//! itself is byte-reproducible for a seeded run across `PerPacket` and
+//! `Parallel` drains.
 
 use crate::packet::FlowId;
 use crate::time::Nanos;

@@ -34,15 +34,6 @@
 //! [`ScheduleTree::shaping_inspections`] — and shaped trees pay O(log s)
 //! per parked entry instead of an O(nodes) scan per call.
 //!
-//! # Batched entry points
-//!
-//! Switch-style callers that handle whole arrival/departure bursts use
-//! [`ScheduleTree::enqueue_batch`] and [`ScheduleTree::dequeue_upto`]:
-//! byte-identical to per-packet `enqueue`/`dequeue` loops (differentially
-//! tested on every backend), but amortizing slab growth, the
-//! shaping-release pass, and — for single-node trees — the entire pop
-//! sequence through one [`PifoQueue::pop_batch`].
-//!
 //! # Invariants
 //!
 //! * Work-conserving subtrees: a node's scheduling-PIFO length equals the
@@ -56,11 +47,10 @@
 //!   shaped_refs_holding_packets()`, and the slab's free list is whole
 //!   again once the tree fully drains (no leaked slots).
 
-use crate::buffer::PktHandle;
 use crate::metrics::{InversionStats, InversionTracker};
 use crate::packet::{FlowId, Packet};
-use crate::pifo::{EnumPifo, PifoBackend, PifoInspect, PifoQueue};
-use crate::pool::{PoolHandle, SharedPacketPool};
+use crate::pifo::{EnumPifo, PifoBackend, PifoQueue};
+use crate::pool::{PktHandle, PoolHandle, SharedPacketPool};
 use crate::rank::Rank;
 use crate::telemetry::{drop_reason, EventKind, FlightRecorder, PathLog, PathRecorder, TraceEvent};
 use crate::time::Nanos;
@@ -512,8 +502,6 @@ impl TreeBuilder {
             dangling_shaped: 0,
             shaping_inspections: 0,
             has_shapers,
-            scratch: Vec::new(),
-            run_scratch: Vec::new(),
             tracker: self.track_inversions.then(InversionTracker::new),
             recorder: self
                 .ring_capacity
@@ -544,16 +532,8 @@ pub struct ScheduleTree {
     /// their packet already departed through an earlier reference.
     dangling_shaped: usize,
     shaping_inspections: u64,
-    /// True when any node carries a shaping transaction — fixed at build,
-    /// lets the batch paths document/skip release work for
-    /// work-conserving trees.
+    /// True when any node carries a shaping transaction — fixed at build.
     has_shapers: bool,
-    /// Reusable buffer for [`ScheduleTree::dequeue_upto`]'s single-node
-    /// fast path, so steady-state batch drains allocate nothing.
-    scratch: Vec<(Rank, Element)>,
-    /// Reusable buffer for [`ScheduleTree::enqueue_batch`]'s same-leaf
-    /// run accumulation.
-    run_scratch: Vec<(Rank, PktHandle)>,
     /// When enabled, every root-level dequeue rank is scored for
     /// inversions/unpifoness (O(1) per dequeue). `None` keeps the hot
     /// path tracker-free.
@@ -922,15 +902,6 @@ impl ScheduleTree {
     /// happen even while packets are buffered (non-work-conserving).
     pub fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
         self.release_due(now);
-        self.dequeue_walk(now)
-    }
-
-    /// The root-to-packet walk of [`dequeue`](Self::dequeue), without the
-    /// preceding shaping-release pass. Factored out so
-    /// [`dequeue_upto`](Self::dequeue_upto) can release once per batch:
-    /// a walk never parks new agenda entries, so at a fixed `now` one
-    /// release pass covers any number of subsequent walks.
-    fn dequeue_walk(&mut self, now: Nanos) -> Option<Packet> {
         let mut node = self.root;
         loop {
             let (rank, elem) = self.nodes[node.index()].sched_pifo.pop()?;
@@ -992,381 +963,6 @@ impl ScheduleTree {
                 }
             }
         }
-    }
-
-    /// Enqueue a whole arrival batch at wall-clock time `now`, returning
-    /// the per-packet errors (empty when every packet was admitted).
-    ///
-    /// **Byte-identical to the per-packet path**: the batch behaves
-    /// exactly as one [`enqueue`](Self::enqueue) call per packet, in
-    /// order — including the release of shaped elements that become due
-    /// *mid-batch* (a shaper may park an element due at `now` itself).
-    ///
-    /// What the batch amortizes: slab growth (one
-    /// [`SharedPacketPool::reserve`] for the whole batch), and on
-    /// **work-conserving** trees the batch is additionally *run-ranked*:
-    /// consecutive arrivals classified to the same leaf (exactly what
-    /// incast fan-in produces) are ranked in arrival order but pushed
-    /// with one [`PifoQueue::push_batch`] per tree level — one leaf
-    /// batch of packet handles, then one batch of child references per
-    /// ancestor — instead of one full leaf→root walk per packet. Each
-    /// *node* still observes the exact per-packet rank-call sequence,
-    /// and `push_batch` keeps FIFO tie order; what run-ranking changes
-    /// is the interleaving of rank calls *across* nodes (all leaf ranks
-    /// of a run, then each ancestor's). Byte-identity therefore
-    /// requires what every transaction in this workspace already
-    /// satisfies: a node's rank may depend on its own state and on
-    /// `(packet, now, flow)`, but **not** on mutable state shared with
-    /// another node's transaction. A tree whose transactions covertly
-    /// share state (e.g. two `FnTransaction`s over one
-    /// `Rc<RefCell<..>>`) must use per-packet [`enqueue`](Self::enqueue)
-    /// instead. Trees with shapers always take the per-packet path (a
-    /// mid-batch release must interleave exactly).
-    ///
-    /// ```
-    /// use pifo_core::prelude::*;
-    ///
-    /// let mut b = TreeBuilder::new();
-    /// let root = b.add_root("fifo", Box::new(FnTransaction::new("fifo", |ctx: &EnqCtx| {
-    ///     Rank(ctx.now.as_nanos())
-    /// })));
-    /// let mut tree = b.build(Box::new(move |_| root)).unwrap();
-    ///
-    /// let batch: Vec<Packet> = (0..3)
-    ///     .map(|i| Packet::new(i, FlowId(0), 100, Nanos(5)))
-    ///     .collect();
-    /// let errors = tree.enqueue_batch(batch, Nanos(5));
-    /// assert!(errors.is_empty());
-    /// assert_eq!(tree.len(), 3);
-    /// ```
-    pub fn enqueue_batch(
-        &mut self,
-        packets: impl IntoIterator<Item = Packet>,
-        now: Nanos,
-    ) -> Vec<TreeError> {
-        let packets = packets.into_iter();
-        self.pool.reserve(packets.size_hint().0);
-        let mut errors = Vec::new();
-        if self.has_shapers {
-            // Reference path: a shaped element parked by one packet can
-            // become due for the next at the same `now`; the per-packet
-            // loop keeps that interleaving byte-exact.
-            for p in packets {
-                if let Err(e) = self.enqueue(p, now) {
-                    errors.push(e);
-                }
-            }
-            return errors;
-        }
-        // Work-conserving fast path: rank in arrival order, but push each
-        // consecutive same-leaf run with one `push_batch` per tree level.
-        debug_assert_eq!(self.shaped, 0, "work-conserving trees never park");
-        let mut run_leaf = NodeId::INVALID;
-        for packet in packets {
-            let leaf = (self.classifier)(&packet);
-            if leaf.index() >= self.nodes.len() {
-                // Invalid packets touch no state, so the open run — if
-                // any — continues across them, exactly as sequentially.
-                self.emit(
-                    EventKind::Drop,
-                    now,
-                    leaf.0,
-                    packet.flow,
-                    packet.id.0,
-                    drop_reason::UNKNOWN_NODE,
-                );
-                errors.push(TreeError::UnknownNode(leaf));
-                continue;
-            }
-            if !self.nodes[leaf.index()].children.is_empty() {
-                self.emit(
-                    EventKind::Drop,
-                    now,
-                    leaf.0,
-                    packet.flow,
-                    packet.id.0,
-                    drop_reason::NOT_A_LEAF,
-                );
-                errors.push(TreeError::NotALeaf(leaf));
-                continue;
-            }
-            if leaf != run_leaf && !self.run_scratch.is_empty() {
-                self.flush_run(run_leaf, now);
-            }
-            run_leaf = leaf;
-            // Admission in arrival order: the pool's occupancy counters
-            // see every insert at the same point the sequential path
-            // would (pushes never change occupancy, so deferring them to
-            // the flush cannot change an admission decision).
-            let handle = match self.pool.try_insert(packet) {
-                Ok(h) => h,
-                Err(p) => {
-                    self.emit(
-                        EventKind::Drop,
-                        now,
-                        leaf.0,
-                        p.flow,
-                        p.id.0,
-                        drop_reason::BUFFER_FULL,
-                    );
-                    errors.push(TreeError::BufferFull(p));
-                    continue;
-                }
-            };
-            // Leaf rank now — transactions are stateful, so the rank-call
-            // order must be arrival order — but the push is deferred.
-            let (rank, flow) = {
-                let node = &mut self.nodes[leaf.index()];
-                let p = self.pool.get(handle);
-                let flow = flow_of(&node.flow_fn, p);
-                let rank = node.sched.rank(&EnqCtx {
-                    packet: p,
-                    now,
-                    flow,
-                });
-                (rank, flow)
-            };
-            if self.recorder.is_some() || self.paths.is_some() {
-                // The leaf depth the sequential path would have seen:
-                // the PIFO's current length plus this run's
-                // still-deferred pushes — keeps the batched event stream
-                // byte-identical to per-packet enqueues.
-                let depth = self.nodes[leaf.index()].sched_pifo.len() + self.run_scratch.len();
-                self.note_admission(handle, leaf, rank, flow, depth, now);
-            }
-            self.run_scratch.push((rank, handle));
-        }
-        if !self.run_scratch.is_empty() {
-            self.flush_run(run_leaf, now);
-        }
-        errors
-    }
-
-    /// Flush an accumulated same-leaf run (see
-    /// [`enqueue_batch`](Self::enqueue_batch)): one leaf `push_batch` of
-    /// the pre-computed `(rank, handle)` pairs, then — walking toward the
-    /// root — one per-packet rank pass and one `push_batch` of child
-    /// references per ancestor. Only reachable on work-conserving trees,
-    /// so no walk can suspend mid-run.
-    fn flush_run(&mut self, leaf: NodeId, now: Nanos) {
-        let run = std::mem::take(&mut self.run_scratch);
-        self.buffered += run.len();
-        if let [(rank, handle)] = run[..] {
-            // A run of one (arrivals alternating between leaves): the
-            // batch machinery would only add `Vec` traffic, so finish
-            // with plain pushes — allocation-free, like `enqueue`.
-            self.nodes[leaf.index()]
-                .sched_pifo
-                .push(rank, Element::Packet(handle));
-            if leaf == self.root {
-                if let Some(t) = &mut self.tracker {
-                    t.record_push(rank);
-                }
-            }
-            let mut node = leaf;
-            while let Some(parent) = self.nodes[node.index()].parent {
-                let rank = {
-                    let pnode = &mut self.nodes[parent.index()];
-                    pnode.sched.rank(&EnqCtx {
-                        packet: self.pool.get(handle),
-                        now,
-                        flow: node.as_flow(),
-                    })
-                };
-                if let Some(paths) = &mut self.paths {
-                    let depth = self.nodes[parent.index()].sched_pifo.len();
-                    paths.hop(handle.index(), parent.0, rank.0, depth as u32, now);
-                }
-                self.nodes[parent.index()]
-                    .sched_pifo
-                    .push(rank, Element::Ref(node));
-                if parent == self.root {
-                    if let Some(t) = &mut self.tracker {
-                        t.record_push(rank);
-                    }
-                }
-                node = parent;
-            }
-        } else {
-            let elems: Vec<(Rank, Element)> = run
-                .iter()
-                .map(|&(rank, h)| (rank, Element::Packet(h)))
-                .collect();
-            if leaf == self.root {
-                if let Some(t) = &mut self.tracker {
-                    for &(rank, _) in &elems {
-                        t.record_push(rank);
-                    }
-                }
-            }
-            let rejected = self.nodes[leaf.index()].sched_pifo.push_batch(elems);
-            debug_assert!(rejected.is_empty(), "node PIFOs are unbounded");
-            let mut node = leaf;
-            while let Some(parent) = self.nodes[node.index()].parent {
-                let mut elems: Vec<(Rank, Element)> = Vec::with_capacity(run.len());
-                {
-                    let pnode = &mut self.nodes[parent.index()];
-                    for &(_, h) in &run {
-                        let ctx = EnqCtx {
-                            packet: self.pool.get(h),
-                            now,
-                            flow: node.as_flow(),
-                        };
-                        elems.push((pnode.sched.rank(&ctx), Element::Ref(node)));
-                    }
-                }
-                if parent == self.root {
-                    if let Some(t) = &mut self.tracker {
-                        for &(rank, _) in &elems {
-                            t.record_push(rank);
-                        }
-                    }
-                }
-                if let Some(paths) = &mut self.paths {
-                    // Depth as the sequential path would have seen it:
-                    // the PIFO's length before this level's batch plus
-                    // the run entries conceptually pushed ahead of each.
-                    let base = self.nodes[parent.index()].sched_pifo.len();
-                    for (idx, (&(_, h), &(rank, _))) in run.iter().zip(elems.iter()).enumerate() {
-                        paths.hop(h.index(), parent.0, rank.0, (base + idx) as u32, now);
-                    }
-                }
-                let rejected = self.nodes[parent.index()].sched_pifo.push_batch(elems);
-                debug_assert!(rejected.is_empty(), "node PIFOs are unbounded");
-                node = parent;
-            }
-        }
-        // Hand the allocation back for the next run.
-        self.run_scratch = run;
-        self.run_scratch.clear();
-    }
-
-    /// Dequeue up to `max` packets at wall-clock time `now`, appending
-    /// them to `out` in departure order; returns how many were dequeued
-    /// (fewer than `max` when the tree empties or every remaining packet
-    /// is held back by a shaper).
-    ///
-    /// **Byte-identical to the per-packet path**: `dequeue_upto(now, n)`
-    /// returns exactly what `n` successive [`dequeue`](Self::dequeue)
-    /// calls at the same `now` would — shaped elements are released once
-    /// up front, which is equivalent because a dequeue walk never parks
-    /// new agenda entries and time does not advance inside the batch
-    /// (enforced by the cross-backend differential tests).
-    ///
-    /// What the batch amortizes: the shaping-release pass runs once
-    /// instead of once per packet, and a **single-node tree** (the common
-    /// flat per-port scheduler) takes the entire batch off its root PIFO
-    /// through one [`PifoQueue::pop_batch`] — on the
-    /// [bucket backend](crate::pifo::BucketPifo) that means one bitmap
-    /// step per calendar bucket rather than per packet.
-    ///
-    /// ```
-    /// use pifo_core::prelude::*;
-    ///
-    /// let mut b = TreeBuilder::new();
-    /// b.with_backend(PifoBackend::Bucket);
-    /// let root = b.add_root("prio", Box::new(FnTransaction::new("prio", |ctx: &EnqCtx| {
-    ///     Rank(ctx.packet.class as u64)
-    /// })));
-    /// let mut tree = b.build(Box::new(move |_| root)).unwrap();
-    /// for i in 0..4u64 {
-    ///     let p = Packet::new(i, FlowId(0), 100, Nanos(i)).with_class((3 - i as u8) % 4);
-    ///     tree.enqueue(p, Nanos(i)).unwrap();
-    /// }
-    ///
-    /// let mut out = Vec::new();
-    /// assert_eq!(tree.dequeue_upto(Nanos(10), 3, &mut out), 3);
-    /// let classes: Vec<u8> = out.iter().map(|p| p.class).collect();
-    /// assert_eq!(classes, vec![0, 1, 2], "highest priority first");
-    /// assert_eq!(tree.len(), 1);
-    /// ```
-    pub fn dequeue_upto(&mut self, now: Nanos, max: usize, out: &mut Vec<Packet>) -> usize {
-        self.release_due(now);
-        let before = out.len();
-        if self.nodes.len() == 1 {
-            // Fast path: the root is the only (leaf) node, so the batch
-            // is exactly the PIFO's head prefix. A single-node tree can
-            // hold no shaper (`ShaperOnRoot`), so every element is a
-            // sole-owner packet handle.
-            let Self {
-                nodes,
-                pool,
-                buffered,
-                scratch,
-                tracker,
-                recorder,
-                paths,
-                ..
-            } = self;
-            let mut batch = std::mem::take(scratch);
-            let node = &mut nodes[0];
-            node.sched_pifo.pop_batch(max, &mut batch);
-            *buffered -= batch.len();
-            out.reserve(batch.len());
-            if let Some(t) = tracker {
-                // Single-node trees pop root ranks directly: score the
-                // whole batch (same ranks the per-packet walk would see).
-                for (rank, _) in &batch {
-                    t.record_pop(*rank);
-                }
-            }
-            // Telemetry mirrors `dequeue_walk` per element: `remaining`
-            // counts down as if each pop were its own dequeue, so the
-            // batched event stream is byte-identical to per-packet.
-            let telemetry_on = recorder.is_some() || paths.is_some();
-            let port = pool.port() as u16;
-            let mut remaining = *buffered + batch.len();
-            for (rank, elem) in batch.drain(..) {
-                let Element::Packet(h) = elem else {
-                    unreachable!("single-node tree PIFOs hold only packets")
-                };
-                // Move the packet out first (sole holder — a single-node
-                // tree cannot park shaping refs), then feed `on_dequeue`
-                // from the moved copy: one slab access per packet instead
-                // of a borrow + a release.
-                let p = pool
-                    .release(h)
-                    .expect("single-node slots have exactly one holder");
-                let flow = flow_of(&node.flow_fn, &p);
-                node.sched.on_dequeue(rank, &DeqCtx { now, flow });
-                if telemetry_on {
-                    remaining -= 1;
-                    if let Some(r) = recorder.as_deref_mut() {
-                        r.record(TraceEvent {
-                            time: now,
-                            kind: EventKind::Dequeue,
-                            port,
-                            node: 0,
-                            flow,
-                            value: rank.0,
-                            aux: remaining as u32,
-                        });
-                        r.record(TraceEvent {
-                            time: now,
-                            kind: EventKind::PoolFree,
-                            port,
-                            node: 0,
-                            flow,
-                            value: h.index() as u64,
-                            aux: 0,
-                        });
-                    }
-                    if let Some(pr) = paths.as_deref_mut() {
-                        pr.finish(h.index(), now);
-                    }
-                }
-                out.push(p);
-            }
-            self.scratch = batch;
-            return out.len() - before;
-        }
-        while out.len() - before < max {
-            match self.dequeue_walk(now) {
-                Some(p) => out.push(p),
-                None => break,
-            }
-        }
-        out.len() - before
     }
 
     /// True when any node of this tree carries a shaping transaction
@@ -1469,9 +1065,8 @@ impl ScheduleTree {
         }
     }
 
-    /// Telemetry for one admitted packet, shared by the per-packet and
-    /// batched enqueue paths so both produce the identical stream:
-    /// `PoolAlloc` then `Enqueue`, plus the path record's leaf hop.
+    /// Telemetry for one admitted packet: `PoolAlloc` then `Enqueue`,
+    /// plus the path record's leaf hop.
     fn note_admission(
         &mut self,
         handle: PktHandle,
@@ -2041,103 +1636,6 @@ mod tests {
         assert_eq!(tree.shaped_refs_holding_packets(), 0);
         assert_eq!(tree.packet_buffer().live(), 0);
         tree.packet_buffer().assert_coherent();
-    }
-
-    /// `enqueue_batch` across the buffer limit admits the prefix that
-    /// fits and hands every rejected packet back through
-    /// `TreeError::BufferFull`, field-for-field unchanged, in order.
-    #[test]
-    fn enqueue_batch_partial_admission_returns_rejects_unchanged() {
-        let mut b = TreeBuilder::new();
-        let root = b.add_root("fifo", fifo_tx());
-        b.buffer_limit(2);
-        let mut tree = b.build(Box::new(move |_| root)).unwrap();
-
-        let decorated = |id: u64| {
-            pkt(id, 3, 5)
-                .with_class(2)
-                .with_slack(-4)
-                .with_deadline(Nanos(50))
-                .with_flow_size(9_000)
-                .with_remaining(1_000 + id)
-                .with_attained(8_000 - id)
-                .with_seq_in_flow(id)
-        };
-        let batch: Vec<Packet> = (0..4).map(decorated).collect();
-        let errors = tree.enqueue_batch(batch, Nanos(5));
-        assert_eq!(tree.len(), 2, "only the fitting prefix is admitted");
-        let rejected: Vec<Packet> = errors
-            .into_iter()
-            .map(|e| match e {
-                TreeError::BufferFull(p) => p,
-                other => panic!("expected BufferFull, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(rejected, vec![decorated(2), decorated(3)]);
-        // The admitted prefix drains normally.
-        assert_eq!(tree.dequeue(Nanos(6)).unwrap().id.0, 0);
-        assert_eq!(tree.dequeue(Nanos(6)).unwrap().id.0, 1);
-    }
-
-    /// Empty batches are no-ops on both batch entry points.
-    #[test]
-    fn empty_tree_batches_are_noops() {
-        let mut b = TreeBuilder::new();
-        let root = b.add_root("fifo", fifo_tx());
-        let mut tree = b.build(Box::new(move |_| root)).unwrap();
-        assert!(tree.enqueue_batch(Vec::new(), Nanos(0)).is_empty());
-        let mut out = Vec::new();
-        assert_eq!(tree.dequeue_upto(Nanos(0), 0, &mut out), 0);
-        assert_eq!(tree.dequeue_upto(Nanos(0), 16, &mut out), 0);
-        assert!(out.is_empty());
-        assert!(tree.is_empty());
-    }
-
-    /// The single-node `dequeue_upto` fast path honours a leaf flow
-    /// override and feeds `on_dequeue` exactly like the per-packet path.
-    #[test]
-    fn dequeue_upto_fast_path_matches_per_packet_with_flow_fn() {
-        use std::sync::{Arc, Mutex};
-
-        let build = |log: Arc<Mutex<Vec<(u64, u32)>>>| {
-            let mut b = TreeBuilder::new();
-            struct Logging(Arc<Mutex<Vec<(u64, u32)>>>);
-            impl SchedulingTransaction for Logging {
-                fn rank(&mut self, ctx: &EnqCtx<'_>) -> Rank {
-                    Rank(ctx.packet.class as u64)
-                }
-                fn on_dequeue(&mut self, rank: Rank, ctx: &DeqCtx) {
-                    self.0.lock().unwrap().push((rank.value(), ctx.flow.0));
-                }
-            }
-            let root = b.add_root("prio", Box::new(Logging(log)));
-            // Leaf flow override: everything collapses to flow 9.
-            b.set_flow_fn(root, Box::new(|_| FlowId(9)));
-            b.build(Box::new(move |_| root)).unwrap()
-        };
-
-        let batch_log = Arc::new(Mutex::new(Vec::new()));
-        let ref_log = Arc::new(Mutex::new(Vec::new()));
-        let mut batch_tree = build(batch_log.clone());
-        let mut ref_tree = build(ref_log.clone());
-        for i in 0..6u64 {
-            let p = pkt(i, i as u32, i).with_class((5 - i as u8) % 3);
-            batch_tree.enqueue(p.clone(), Nanos(i)).unwrap();
-            ref_tree.enqueue(p, Nanos(i)).unwrap();
-        }
-
-        let mut batched = Vec::new();
-        assert_eq!(batch_tree.dequeue_upto(Nanos(10), 4, &mut batched), 4);
-        let per_packet: Vec<Packet> = (0..4)
-            .map(|_| ref_tree.dequeue(Nanos(10)).unwrap())
-            .collect();
-        assert_eq!(batched, per_packet);
-        assert_eq!(
-            batch_log.lock().unwrap().as_slice(),
-            ref_log.lock().unwrap().as_slice()
-        );
-        assert!(batch_log.lock().unwrap().iter().all(|&(_, f)| f == 9));
-        assert_eq!(batch_tree.len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The exact trio's cross-backend identity lives in `proptests.rs`;
 //! this file pins what the *approximate* engines still guarantee
 //! (capacity accounting, `PifoFull` round-trips, FIFO-within-rank where
-//! applicable, batch-equals-sequential by construction) and that the
+//! applicable) and that the
 //! metrics layer itself is trustworthy (the O(n log n) inversion count
 //! against an O(n²) brute force, the streaming tracker against a
 //! recomputed oracle, and exact backends scoring zero on arbitrary
@@ -103,7 +103,7 @@ proptest! {
         cap in 1usize..24,
         ops in proptest::collection::vec(op_strategy(), 0..200),
     ) {
-        let mut q: BoxedPifo<u32> = backend.make_bounded(cap);
+        let mut q = backend.make_enum_bounded::<u32>(cap);
         prop_assert_eq!(q.capacity(), Some(cap));
         let mut expected_len = 0usize;
         for op in &ops {
@@ -149,7 +149,7 @@ proptest! {
             PifoBackend::Aifo,
             PifoBackend::SpPifo { queues: 1 },
         ] {
-            let mut q: BoxedPifo<usize> = backend.make();
+            let mut q = backend.make_enum::<usize>();
             for (i, &r) in ranks.iter().enumerate() {
                 q.push(Rank(r), i);
             }
@@ -263,7 +263,7 @@ proptest! {
         queues in 1u8..=12,
         ranks in proptest::collection::vec(any::<u64>(), 0..200),
     ) {
-        let mut q: BoxedPifo<usize> = PifoBackend::SpPifo { queues }.make();
+        let mut q = PifoBackend::SpPifo { queues }.make_enum::<usize>();
         for (i, &r) in ranks.iter().enumerate() {
             q.push(Rank(r), i);
         }
@@ -277,8 +277,7 @@ proptest! {
 }
 
 /// The tree-level tracker sees exactly the root ranks the departure
-/// schedule is made of — identical per-packet and batched, and zero for
-/// exact backends.
+/// schedule is made of, and zero for exact backends.
 #[test]
 fn tree_tracker_matches_offline_scoring() {
     let build = |backend: PifoBackend| {
@@ -295,33 +294,20 @@ fn tree_tracker_matches_offline_scoring() {
     // Zig-zag classes so approximate backends actually invert.
     let classes: Vec<u8> = (0..120u64).map(|i| ((i * 67) % 100) as u8).collect();
     for backend in PifoBackend::ALL {
-        let mut per_packet = build(backend);
-        let mut batched = build(backend);
+        let mut tree = build(backend);
         for (i, &c) in classes.iter().enumerate() {
             let p = Packet::new(i as u64, FlowId(0), 100, Nanos(0)).with_class(c);
-            per_packet.enqueue(p.clone(), Nanos(0)).unwrap();
-            batched.enqueue(p, Nanos(0)).unwrap();
+            tree.enqueue(p, Nanos(0)).unwrap();
         }
         let mut pops = Vec::new();
-        while let Some(p) = per_packet.dequeue(Nanos(1)) {
+        while let Some(p) = tree.dequeue(Nanos(1)) {
             pops.push(Rank(p.class as u64));
         }
-        let mut batch_out = Vec::new();
-        batched.dequeue_upto(Nanos(1), classes.len(), &mut batch_out);
-        assert_eq!(
-            batch_out.len(),
-            classes.len(),
-            "{backend} batch drained all"
-        );
+        assert_eq!(pops.len(), classes.len(), "{backend} drained all");
 
         let offline = inversion_stats_of(&pops);
-        let tracked = per_packet.inversion_stats().expect("tracking enabled");
+        let tracked = tree.inversion_stats().expect("tracking enabled");
         assert_eq!(tracked, offline, "{backend} tracker vs offline recompute");
-        let batch_tracked = batched.inversion_stats().expect("tracking enabled");
-        assert_eq!(
-            batch_tracked, tracked,
-            "{backend} batched drain scores like per-packet"
-        );
         if backend.is_exact() {
             assert_eq!(tracked.inversions, 0, "{backend} exact ⇒ zero inversions");
             assert_eq!(tracked.unpifoness, 0, "{backend}");

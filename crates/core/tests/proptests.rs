@@ -10,9 +10,9 @@
 //!
 //! The approximate backends (`sp-pifo` / `rifo` / `aifo`) are exempt
 //! from cross-backend trace identity by design — their properties
-//! (batch-equals-sequential, conservation, capacity accounting, and the
-//! inversion-metrics contract) are covered here by the `PifoBackend::ALL`
-//! sweeps and in `tests/approx_props.rs`.
+//! (conservation, capacity accounting, and the inversion-metrics
+//! contract) are covered here by the `PifoBackend::ALL` sweeps and in
+//! `tests/approx_props.rs`.
 
 use pifo_core::prelude::*;
 use proptest::prelude::*;
@@ -44,12 +44,12 @@ fn narrow_op_strategy() -> impl Strategy<Value = Op> {
 /// identical observable behaviour at each step: admission, pops, peeks,
 /// lengths, the `PifoFull` round-trip, and the ordered inspection view.
 fn assert_backends_agree(cap: Option<usize>, ops: Vec<Op>) {
-    let mut queues: Vec<(PifoBackend, BoxedPifo<u32>)> = PifoBackend::EXACT
+    let mut queues: Vec<(PifoBackend, EnumPifo<u32>)> = PifoBackend::EXACT
         .iter()
         .map(|&be| {
             let q = match cap {
-                Some(c) => be.make_bounded::<u32>(c),
-                None => be.make::<u32>(),
+                Some(c) => be.make_enum_bounded::<u32>(c),
+                None => be.make_enum::<u32>(),
             };
             (be, q)
         })
@@ -136,7 +136,7 @@ proptest! {
     #[test]
     fn drain_is_sorted_and_stable(entries in proptest::collection::vec((0u64..50, any::<u32>()), 0..300)) {
         for backend in PifoBackend::EXACT {
-            let mut q: BoxedPifo<(usize, u32)> = backend.make();
+            let mut q = backend.make_enum::<(usize, u32)>();
             for (i, (r, v)) in entries.iter().enumerate() {
                 q.push(Rank(*r), (i, *v));
             }
@@ -474,239 +474,6 @@ proptest! {
         }
         prop_assert_eq!(got, expected, "agenda order diverges from the legacy scan");
         prop_assert_eq!(tree.shaped_len(), 0);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batch APIs: byte-identical to their sequential expansion
-// ---------------------------------------------------------------------------
-
-/// One round of batched activity against a queue.
-#[derive(Debug, Clone)]
-enum BatchOp {
-    /// Push a whole batch of `(rank, value)` pairs at once.
-    PushBatch(Vec<(u64, u32)>),
-    /// Pop up to this many elements at once.
-    PopBatch(usize),
-}
-
-fn batch_op_strategy() -> impl Strategy<Value = BatchOp> {
-    prop_oneof![
-        3 => proptest::collection::vec((0u64..2_000_000, any::<u32>()), 0..24)
-            .prop_map(BatchOp::PushBatch),
-        2 => (0usize..24).prop_map(BatchOp::PopBatch),
-    ]
-}
-
-proptest! {
-    /// `push_batch`/`pop_batch` are byte-identical to their sequential
-    /// `try_push`/`pop` expansion on every backend — approximate ones
-    /// included — with the same admissions (rejects field-for-field, in
-    /// input order), same pops, same residual queue; the sorted-array
-    /// backend additionally pins the cross-backend sequential
-    /// reference. `cap == 0` plays the unbounded case.
-    #[test]
-    fn batch_apis_match_sequential(
-        cap in 0usize..32,
-        ops in proptest::collection::vec(batch_op_strategy(), 0..40),
-    ) {
-        let make = |be: PifoBackend| -> BoxedPifo<u32> {
-            if cap == 0 { be.make() } else { be.make_bounded(cap) }
-        };
-        let mut reference = make(PifoBackend::SortedArray);
-
-        for backend in PifoBackend::ALL {
-            let mut batched = make(backend);
-            let mut sequential = make(backend);
-
-            for op in &ops {
-                match op {
-                    BatchOp::PushBatch(items) => {
-                        let batch: Vec<(Rank, u32)> =
-                            items.iter().map(|&(r, v)| (Rank(r), v)).collect();
-                        let got = batched.push_batch(batch);
-                        let mut want = Vec::new();
-                        for &(r, v) in items {
-                            if let Err(full) = sequential.try_push(Rank(r), v) {
-                                want.push(full);
-                            }
-                        }
-                        // PifoFull is PartialEq over (rank, item, capacity):
-                        // field-for-field identical rejects, same order.
-                        prop_assert_eq!(&got, &want, "{} rejects diverge", backend);
-                    }
-                    BatchOp::PopBatch(max) => {
-                        let mut got = Vec::new();
-                        let n = batched.pop_batch(*max, &mut got);
-                        prop_assert_eq!(n, got.len(), "{} count mismatch", backend);
-                        let mut want = Vec::new();
-                        for _ in 0..*max {
-                            match sequential.pop() {
-                                Some(e) => want.push(e),
-                                None => break,
-                            }
-                        }
-                        prop_assert_eq!(&got, &want, "{} pops diverge", backend);
-                    }
-                }
-                prop_assert_eq!(batched.len(), sequential.len(), "{} len diverges", backend);
-            }
-
-            // Residual queues drain identically — and match the
-            // sorted-array sequential reference across backends.
-            let tail: Vec<(Rank, u32)> =
-                std::iter::from_fn(|| batched.pop()).collect();
-            let seq_tail: Vec<(Rank, u32)> =
-                std::iter::from_fn(|| sequential.pop()).collect();
-            prop_assert_eq!(&tail, &seq_tail, "{} residue diverges", backend);
-            if backend == PifoBackend::SortedArray {
-                // Replay the whole stream on the cross-backend reference
-                // once (sequentially) and pin the residue to it.
-                for op in &ops {
-                    match op {
-                        BatchOp::PushBatch(items) => {
-                            for &(r, v) in items {
-                                let _ = reference.try_push(Rank(r), v);
-                            }
-                        }
-                        BatchOp::PopBatch(max) => {
-                            for _ in 0..*max {
-                                if reference.pop().is_none() { break; }
-                            }
-                        }
-                    }
-                }
-                let ref_tail: Vec<(Rank, u32)> =
-                    std::iter::from_fn(|| reference.pop()).collect();
-                prop_assert_eq!(&tail, &ref_tail, "reference residue diverges");
-            }
-        }
-    }
-
-    /// `ScheduleTree::enqueue_batch` + `dequeue_upto` produce a departure
-    /// trace byte-identical to the per-packet `enqueue`/`dequeue` path —
-    /// on every backend, for a single-node tree (the `pop_batch` fast
-    /// path), a two-level **work-conserving** tree (the same-leaf
-    /// run-batched enqueue path, with runs splitting across leaf
-    /// changes), and a two-level *shaped* tree (where releases due
-    /// mid-batch must still interleave exactly as the sequential path).
-    #[test]
-    fn tree_batch_paths_match_per_packet(
-        rounds in proptest::collection::vec(
-            (
-                proptest::collection::vec((0u32..4, any::<u8>()), 0..12), // arrivals
-                0usize..12,                                              // dequeues
-                1u64..400,                                               // time step
-            ),
-            1..30,
-        ),
-        delays in proptest::collection::vec(0u64..300, 1..6),
-    ) {
-        use pifo_core::transaction::FnTransaction;
-
-        struct CyclicDelay { delays: Vec<u64>, i: usize }
-        impl ShapingTransaction for CyclicDelay {
-            fn send_time(&mut self, ctx: &EnqCtx<'_>) -> Nanos {
-                let d = self.delays[self.i % self.delays.len()];
-                self.i += 1;
-                Nanos(ctx.now.as_nanos() + d)
-            }
-        }
-
-        let by_class = || -> Box<dyn SchedulingTransaction> {
-            Box::new(FnTransaction::new("class", |ctx: &EnqCtx| Rank(ctx.packet.class as u64)))
-        };
-        let fifo = || -> Box<dyn SchedulingTransaction> {
-            Box::new(FnTransaction::new("fifo", |ctx: &EnqCtx| Rank(ctx.now.as_nanos())))
-        };
-
-        // shape 0: single node (exercises the dequeue batch fast path).
-        // shape 1: two-level work-conserving (exercises the run-batched
-        //          enqueue path across leaf changes).
-        // shape 2: two-level tree with cyclic-delay shapers.
-        let build = |backend: PifoBackend, shape: u8| -> ScheduleTree {
-            let mut b = TreeBuilder::new();
-            b.with_backend(backend);
-            if shape == 0 {
-                let root = b.add_root("prio", by_class());
-                b.build(Box::new(move |_| root)).unwrap()
-            } else {
-                let root = b.add_root("root", fifo());
-                let l = b.add_child(root, "L", by_class());
-                let r = b.add_child(root, "R", by_class());
-                if shape == 2 {
-                    b.set_shaper(l, Box::new(CyclicDelay { delays: delays.clone(), i: 0 }));
-                    b.set_shaper(r, Box::new(CyclicDelay { delays: delays.clone(), i: 0 }));
-                }
-                b.build(Box::new(move |p: &Packet| if p.flow.0 < 2 { l } else { r }))
-                    .unwrap()
-            }
-        };
-
-        for backend in PifoBackend::ALL {
-            for shape in 0..3u8 {
-                let shaped = shape == 2;
-                let mut batch_tree = build(backend, shape);
-                let mut ref_tree = build(backend, shape);
-                prop_assert_eq!(batch_tree.has_shapers(), shaped);
-
-                let mut now = 0u64;
-                let mut id = 0u64;
-                let mut batch_out: Vec<Packet> = Vec::new();
-                let mut ref_out: Vec<Packet> = Vec::new();
-                for (arrivals, deqs, dt) in &rounds {
-                    let pkts: Vec<Packet> = arrivals
-                        .iter()
-                        .map(|&(f, c)| {
-                            let p = Packet::new(id, FlowId(f), 100, Nanos(now)).with_class(c);
-                            id += 1;
-                            p
-                        })
-                        .collect();
-                    let errs = batch_tree.enqueue_batch(pkts.clone(), Nanos(now));
-                    prop_assert!(errs.is_empty(), "unbounded tree rejects nothing");
-                    for p in pkts {
-                        ref_tree.enqueue(p, Nanos(now)).unwrap();
-                    }
-
-                    batch_tree.dequeue_upto(Nanos(now), *deqs, &mut batch_out);
-                    for _ in 0..*deqs {
-                        match ref_tree.dequeue(Nanos(now)) {
-                            Some(p) => ref_out.push(p),
-                            None => break,
-                        }
-                    }
-                    now += dt;
-                }
-                // Final drain, hopping across shaping gaps in lock-step.
-                loop {
-                    let n = batch_tree.dequeue_upto(Nanos(now), usize::MAX, &mut batch_out);
-                    while let Some(p) = ref_tree.dequeue(Nanos(now)) {
-                        ref_out.push(p);
-                    }
-                    prop_assert_eq!(
-                        batch_tree.next_shaping_event(),
-                        ref_tree.next_shaping_event(),
-                        "[{}] shaping horizons diverge", backend
-                    );
-                    match batch_tree.next_shaping_event() {
-                        Some(t) => now = now.max(t.as_nanos()),
-                        None => break,
-                    }
-                    if n == 0 && batch_tree.is_empty() && batch_tree.shaped_len() == 0 {
-                        break;
-                    }
-                }
-                // Packet equality is full-struct: every field identical.
-                prop_assert_eq!(
-                    &batch_out, &ref_out,
-                    "[{}] shaped={} batched departure trace diverges", backend, shaped
-                );
-                prop_assert_eq!(batch_tree.len(), ref_tree.len());
-                prop_assert_eq!(batch_tree.packet_buffer().live(), 0);
-                batch_tree.packet_buffer().assert_coherent();
-            }
-        }
     }
 }
 

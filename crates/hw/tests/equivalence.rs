@@ -52,7 +52,7 @@ proptest! {
                 ..BlockConfig::default()
             };
             let mut block = PifoBlock::new(cfg).strict_monotonic(true);
-            let mut reference: BoxedPifo<(u32, u64)> = backend.make();
+            let mut reference = backend.make_enum::<(u32, u64)>();
             let l = LogicalPifoId(0);
             let mut next_rank = [0u64; 6];
             let mut meta = 0u64;
@@ -137,8 +137,10 @@ proptest! {
             ..BlockConfig::default()
         };
         let mut block = PifoBlock::new(cfg).strict_monotonic(true);
-        let mut refs: Vec<BoxedPifo<u64>> =
-            vec![PifoBackend::Heap.make(), PifoBackend::Bucket.make()];
+        let mut refs: Vec<EnumPifo<u64>> = vec![
+            PifoBackend::Heap.make_enum(),
+            PifoBackend::Bucket.make_enum(),
+        ];
         // Per-(lpifo, flow) monotone, globally unique ranks.
         let mut next_rank = [[0u64; 4]; 2];
         for (i, (f, l, d)) in pushes.iter().enumerate() {

@@ -6,11 +6,10 @@
 //! any of these counters exceeds a static or dynamic threshold, the
 //! packet is dropped."
 //!
-//! The threshold arithmetic and the counters-only tracker now live in
+//! The threshold arithmetic and the counters-only tracker live in
 //! `pifo-core`'s [`pool`](pifo_core::pool) subsystem — alongside the
 //! slab-owning [`pifo_core::pool::SharedPacketPool`] that applies the
-//! same §6.1 logic **per port** across a whole switch fabric — and are
-//! re-exported here unchanged:
+//! same §6.1 logic **per port** across a whole switch fabric:
 //!
 //! * [`Threshold::Static`] — a fixed per-flow cap;
 //! * [`Threshold::Dynamic`] — the Choudhury–Hahne scheme the paper cites
@@ -27,7 +26,7 @@
 use crate::scheduler::PortScheduler;
 use pifo_core::prelude::*;
 
-pub use pifo_core::pool::{SharedBuffer, Threshold};
+use pifo_core::pool::SharedBuffer;
 
 /// A [`PortScheduler`] with buffer-management admission control in front
 /// of it — the §6.1 composition: thresholds gate the enqueue, the

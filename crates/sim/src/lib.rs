@@ -3,8 +3,8 @@
 //! A deterministic discrete-event network-simulation substrate for the
 //! PIFO reproduction: traffic generators (CBR, Poisson, deterministic
 //! and Markov on/off bursts, incast, heavy-tailed flow workloads),
-//! output ports, the multi-port [`switch`] fabric with its batched
-//! line-rate drain loop, multi-hop paths, metric collectors, the
+//! output ports, the multi-port [`switch`] fabric with its line-rate
+//! drain loop, multi-hop paths, metric collectors, the
 //! fixed-function baseline schedulers the paper contrasts against (§1),
 //! a fluid GPS reference for fairness ground truth, and the pFabric
 //! reference queue used by the §3.5 inexpressibility demonstration.
@@ -12,7 +12,7 @@
 //! Everything is seeded and deterministic: identical inputs produce
 //! identical outputs, bit for bit — including the [`switch`] fabric's
 //! multi-core drain ([`DrainMode::Parallel`]), whose merged traces are
-//! differentially pinned against the sequential modes.
+//! differentially pinned against the sequential drain.
 //!
 //! Observability rides along without steering: build a fabric with
 //! [`SwitchBuilder::with_telemetry`] and every port tree records flight
@@ -28,7 +28,6 @@
 
 pub mod baselines;
 pub mod buffer;
-pub mod events;
 pub mod gps;
 pub mod lossless;
 pub mod metrics;
@@ -40,8 +39,7 @@ pub mod switch;
 pub mod traffic;
 
 pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo, StrictPrioritySched};
-pub use buffer::{ManagedScheduler, Red, RedScheduler, SharedBuffer, Threshold};
-pub use events::EventQueue;
+pub use buffer::{ManagedScheduler, Red, RedScheduler};
 pub use gps::FluidGps;
 pub use lossless::{
     FabricStall, FaultPlan, LosslessConfig, LosslessFabric, LosslessRun, PauseAction, PauseEvent,

@@ -42,12 +42,12 @@
 //! [`Switch`]-fabric round semantics (admit-by-arrival-instant, `burst`
 //! dequeues decided at the round time, back-to-back transmit). All
 //! decisions read tree/pool state that is identical across the exact
-//! engines and both round APIs, so departure traces *and* the
-//! pause/resume event log are bit-identical across backends and
-//! [`DrainMode`]s. `DrainMode::Parallel` maps onto the batched
+//! engines, so departure traces *and* the pause/resume event log are
+//! bit-identical across backends. Every [`DrainMode`] runs this one
 //! sequential order: a lossless fabric is globally coupled through the
 //! pause wire, the same serial dependency chain that already forces
-//! shared-pool fabrics onto the sequential path.
+//! shared-pool fabrics onto the sequential path, so
+//! `DrainMode::Parallel` has no independent ports to spread.
 //!
 //! # Faults and the watchdog
 //!
@@ -592,17 +592,15 @@ impl LosslessFabric {
     /// for packets — and every decision happens in one deterministic
     /// global `(time, kind, index)` event order: control-frame
     /// deliveries, then emissions, then scheduling rounds at equal
-    /// times, index-ordered within a kind. `mode` selects the tree API
-    /// used inside rounds ([`DrainMode::Parallel`] maps to the batched
+    /// times, index-ordered within a kind. Every drain mode runs that one
     /// sequential order — the pause wire couples every port, see the
-    /// module docs); traces and pause logs are identical in all modes.
+    /// module docs — so traces and pause logs are identical in both.
     pub fn run_with_faults(
         &mut self,
         sources: Vec<Box<dyn TrafficSource>>,
-        mode: DrainMode,
+        _mode: DrainMode,
         faults: &FaultPlan,
     ) -> LosslessRun {
-        let per_packet = matches!(mode, DrainMode::PerPacket);
         let n = self.switch.ports.len();
         let (xoff, xon) = (self.cfg.watermarks.xoff, self.cfg.watermarks.xon);
 
@@ -1007,17 +1005,11 @@ impl LosslessFabric {
                     // port decides nothing).
                     ports[i].round.clear();
                     if !dead(i) {
-                        if per_packet {
-                            for _ in 0..self.switch.burst {
-                                match self.switch.ports[i].dequeue(now) {
-                                    Some(p) => ports[i].round.push(p),
-                                    None => break,
-                                }
+                        for _ in 0..self.switch.burst {
+                            match self.switch.ports[i].dequeue(now) {
+                                Some(p) => ports[i].round.push(p),
+                                None => break,
                             }
-                        } else {
-                            let mut round = std::mem::take(&mut ports[i].round);
-                            self.switch.ports[i].dequeue_upto(now, self.switch.burst, &mut round);
-                            ports[i].round = round;
                         }
                     }
 
@@ -1043,16 +1035,18 @@ impl LosslessFabric {
                     } else {
                         // Transmit back-to-back at the port's (possibly
                         // fault-slowed) line rate.
+                        // Drained in place, so `round` keeps its capacity
+                        // and later rounds allocate nothing.
                         let mut t = now;
-                        let round = std::mem::take(&mut ports[i].round);
-                        for p in round {
+                        let port = &mut ports[i];
+                        for p in port.round.drain(..) {
                             let finish = t + tx_time(p.length as u64, rate[i]);
-                            let cs = ports[i]
+                            let cs = port
                                 .classes
                                 .get_mut(&p.class)
                                 .expect("departed packet was admitted");
                             cs.occ = cs.occ.saturating_sub(1);
-                            ports[i].trace.departures.push(Departure {
+                            port.trace.departures.push(Departure {
                                 wait: t.saturating_sub(p.arrival),
                                 start: t,
                                 finish,
@@ -1060,9 +1054,9 @@ impl LosslessFabric {
                             });
                             t = finish;
                         }
-                        ports[i].busy_until = t;
-                        ports[i].t = Some(t);
-                        ports[i].trace.absorb_paths(&mut self.switch.ports[i]);
+                        port.busy_until = t;
+                        port.t = Some(t);
+                        port.trace.absorb_paths(&mut self.switch.ports[i]);
                         // Progress frees pool space: wake parked ports
                         // whose skid heads may now be admissible.
                         for (j, other) in ports.iter_mut().enumerate() {
@@ -1236,7 +1230,7 @@ mod tests {
             Nanos::ZERO,
             Nanos(400_000),
         );
-        let run = fabric.run(vec![Box::new(src)], DrainMode::Batched);
+        let run = fabric.run(vec![Box::new(src)], DrainMode::PerPacket);
 
         assert!(run.stall.is_none(), "no stall: {:?}", run.stall);
         assert_eq!(run.total_drops(), 0, "lossless");
@@ -1276,14 +1270,11 @@ mod tests {
             fabric.run(sources, mode)
         };
         let a = mk_run(DrainMode::PerPacket);
-        let b = mk_run(DrainMode::Batched);
         let c = mk_run(DrainMode::Parallel { workers: 4 });
-        for (x, label) in [(&b, "batched"), (&c, "parallel")] {
-            assert_eq!(a.pause_events, x.pause_events, "{label} pause log");
-            for (pa, px) in a.run.ports.iter().zip(&x.run.ports) {
-                assert_eq!(pa.departures, px.departures, "{label} departures");
-                assert_eq!(pa.drops, px.drops, "{label} drops");
-            }
+        assert_eq!(a.pause_events, c.pause_events, "parallel pause log");
+        for (pa, pc) in a.run.ports.iter().zip(&c.run.ports) {
+            assert_eq!(pa.departures, pc.departures, "parallel departures");
+            assert_eq!(pa.drops, pc.drops, "parallel drops");
         }
         assert!(a.stall.is_none());
         assert_eq!(a.total_drops(), 0);
@@ -1308,8 +1299,11 @@ mod tests {
                 )) as Box<dyn TrafficSource>
             })
             .collect();
-        let run =
-            fabric.run_with_faults(sources, DrainMode::Batched, &FaultPlan::none().dead_port(0));
+        let run = fabric.run_with_faults(
+            sources,
+            DrainMode::PerPacket,
+            &FaultPlan::none().dead_port(0),
+        );
         let stall = run.stall.expect("dead port under load must stall");
         assert_eq!(stall.kind, StallKind::DeadPort { port: 0 });
         // Port 1 kept transmitting — the fault is contained.

@@ -14,28 +14,18 @@
 //!   configured link rate, in scheduling rounds of up to
 //!   [`SwitchBuilder::with_burst`] packets.
 //!
-//! # Scheduling rounds and the batched hot path
+//! # Scheduling rounds
 //!
 //! Ports make decisions at *round* granularity: at round time `t` the
-//! port admits everything that has arrived by `t` and then commits up to
-//! `burst` packets, all decided at `t`, transmitted back-to-back. The
-//! [`DrainMode`] chooses how each round talks to the tree:
-//!
-//! * [`DrainMode::PerPacket`] — one [`ScheduleTree::enqueue`] /
-//!   [`ScheduleTree::dequeue`] call per packet (the reference path);
-//! * [`DrainMode::Batched`] — [`ScheduleTree::enqueue_batch`] per
-//!   arrival instant and one [`ScheduleTree::dequeue_upto`] per round,
-//!   which reaches the engines' amortized
-//!   [`push_batch`](pifo_core::pifo::PifoQueue::push_batch)/
-//!   [`pop_batch`](pifo_core::pifo::PifoQueue::pop_batch)
-//!   implementations.
-//!
-//! Both modes make **exactly the same decisions**: the batched APIs are
-//! byte-identical to their sequential expansion at a fixed decision
-//! time, so per-port departure traces agree bit for bit — asserted for
-//! every backend by `batched_and_per_packet_traces_identical` below and
-//! by the `switch_fabric` bench's cross-check. The batch buys
-//! throughput, never different behaviour.
+//! port admits everything that has arrived by `t` — one
+//! [`ScheduleTree::enqueue`] per packet, at its own arrival instant —
+//! and then commits up to `burst` packets, one [`ScheduleTree::dequeue`]
+//! each, all decided at `t` and transmitted back-to-back. This is the
+//! paper's one mechanism — push in by rank, pop from the head, one
+//! packet per operation (§4.2–§4.3) — and the only path a round takes.
+//! [`DrainMode`] chooses only *where* rounds run: all on the caller's
+//! thread ([`DrainMode::PerPacket`]) or spread across worker threads
+//! ([`DrainMode::Parallel`]).
 //!
 //! # Packets stay put
 //!
@@ -69,7 +59,7 @@
 //! share nothing), so traces are unchanged; for shared-pool fabrics it
 //! is what makes cross-port admission coupling real and deterministic:
 //! identical inputs give bit-identical traces, on every backend, in
-//! every drain mode.
+//! both drain modes.
 //!
 //! # Threading model ([`DrainMode::Parallel`])
 //!
@@ -80,11 +70,10 @@
 //! worker pool: ports are claimed off a shared atomic counter (one port
 //! at a time up to 16 ports, chunks of 4 above that, so big fabrics
 //! amortize the claim and small ones still balance), and each claimed
-//! port runs its round loop to completion with the batched tree APIs.
-//! Independent ports observe nothing of each other, so each per-port
-//! trace — and therefore the merged `(time, port)`-ordered trace — is
-//! **bit-identical** to the sequential modes, regardless of worker
-//! count or claim interleaving.
+//! port runs its round loop to completion. Independent ports observe
+//! nothing of each other, so each per-port trace — and therefore the
+//! merged `(time, port)`-ordered trace — is **bit-identical** to the
+//! sequential drain, regardless of worker count or claim interleaving.
 //!
 //! Ports that *share* a pool are a different machine: every admission
 //! decision reads the global occupancy that every earlier-in-time
@@ -95,7 +84,7 @@
 //! hardware (one shared buffer, one clock domain, §5.1) never does.
 //! `Parallel` therefore detects shared-pool fabrics and executes their
 //! rounds on the caller's thread in the same global `(time, port)`
-//! order as the sequential modes — trace-identical by construction; the
+//! order as the sequential drain — trace-identical by construction; the
 //! atomic pool still buys the lock-free packet reads on the tree hot
 //! path, and multi-threaded pool *accounting* is exercised (and
 //! sanitized) by the pool's own stress tests.
@@ -112,22 +101,20 @@ use std::sync::Mutex;
 /// classifier) can cross thread boundaries.
 pub type PortClassifier = Box<dyn Fn(&Packet) -> usize + Send>;
 
-/// How a port's scheduling rounds talk to its tree (see the module docs;
-/// all modes produce byte-identical departure traces).
+/// Where a fabric's scheduling rounds run (see the module docs). Both
+/// modes run the same per-packet rounds and produce byte-identical
+/// departure traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainMode {
-    /// One `enqueue`/`dequeue` call per packet — the reference path.
+    /// Every round on the calling thread, in global `(time, port)` order.
     #[default]
     PerPacket,
-    /// `enqueue_batch` per arrival instant, `dequeue_upto` per round —
-    /// the amortized path.
-    Batched,
-    /// Drain independent ports concurrently on `workers` threads (the
-    /// batched APIs inside each round); shared-pool fabrics fall back to
-    /// the sequential global `(time, port)` round order on the calling
-    /// thread (see the module docs' threading model). `workers: 0`
-    /// means one worker per available CPU. Traces are bit-identical to
-    /// the sequential modes in every case.
+    /// Drain independent ports concurrently on `workers` threads;
+    /// shared-pool fabrics fall back to the sequential global
+    /// `(time, port)` round order on the calling thread (see the module
+    /// docs' threading model). `workers: 0` means one worker per
+    /// available CPU. Traces are bit-identical to `PerPacket` in every
+    /// case.
     Parallel {
         /// Worker threads to drain ports on (0 = available parallelism).
         workers: usize,
@@ -135,12 +122,10 @@ pub enum DrainMode {
 }
 
 impl DrainMode {
-    /// Short stable label for reports (`per_packet` / `batched` /
-    /// `parallel`).
+    /// Short stable label for reports (`per_packet` / `parallel`).
     pub fn label(self) -> &'static str {
         match self {
             DrainMode::PerPacket => "per_packet",
-            DrainMode::Batched => "batched",
             DrainMode::Parallel { .. } => "parallel",
         }
     }
@@ -167,7 +152,7 @@ impl DrainMode {
 /// let arrivals: Vec<Packet> = (0..4)
 ///     .map(|i| Packet::new(i, FlowId(i as u32), 1_000, Nanos(i)))
 ///     .collect();
-/// let run = switch.run(&arrivals, DrainMode::Batched);
+/// let run = switch.run(&arrivals, DrainMode::PerPacket);
 /// assert_eq!(run.total_departures(), 4);
 /// assert_eq!(run.ports[0].departures.len(), 2); // flows 0, 2
 /// assert_eq!(run.ports[1].departures.len(), 2); // flows 1, 3
@@ -300,9 +285,9 @@ impl SwitchBuilder {
         self
     }
 
-    /// Packets committed per scheduling round (default 32). Both drain
-    /// modes use the same round size — it defines the decision epochs,
-    /// while [`DrainMode`] only chooses the API used inside a round.
+    /// Packets committed per scheduling round (default 32). It defines
+    /// the decision epochs; [`DrainMode`] only chooses which thread runs
+    /// each port's rounds.
     ///
     /// # Panics
     ///
@@ -526,13 +511,10 @@ impl Switch {
             DrainMode::Parallel { workers } if self.ports_are_independent() => {
                 self.drain_parallel(&mut sims, workers);
             }
-            DrainMode::Parallel { .. } => {
-                // Shared-pool admission is a serial dependency chain
-                // through the pool's occupancy: commit the rounds in the
-                // sequential global order (batched tree APIs inside).
-                self.drain_global_order(&mut sims, DrainMode::Batched);
-            }
-            _ => self.drain_global_order(&mut sims, mode),
+            // Shared-pool admission is a serial dependency chain through
+            // the pool's occupancy: commit the rounds in the sequential
+            // global order.
+            _ => self.drain_global_order(&mut sims),
         }
 
         SwitchRun {
@@ -577,7 +559,7 @@ impl Switch {
 
     /// Global round interleaving: always advance the port whose next
     /// scheduling round is earliest (ties → lowest port index).
-    fn drain_global_order(&mut self, sims: &mut [PortSim], mode: DrainMode) {
+    fn drain_global_order(&mut self, sims: &mut [PortSim]) {
         loop {
             let mut best: Option<usize> = None;
             for (i, s) in sims.iter().enumerate() {
@@ -586,20 +568,14 @@ impl Switch {
                 }
             }
             let Some(i) = best else { break };
-            sims[i].step_round(
-                &mut self.ports[i],
-                self.rate_bps,
-                self.horizon,
-                self.burst,
-                mode,
-            );
+            sims[i].step_round(&mut self.ports[i], self.rate_bps, self.horizon, self.burst);
         }
     }
 
     /// Drain independent ports to completion on a worker pool. Workers
     /// claim ports off a shared counter — singly up to 16 ports, in
     /// chunks of 4 above that — and run each claimed port's round loop
-    /// with the batched tree APIs. Only sound for independent ports
+    /// to completion. Only sound for independent ports
     /// (checked by the caller): nothing a port does is observable by
     /// another, so every per-port trace is the same as sequentially.
     fn drain_parallel(&mut self, sims: &mut [PortSim], workers: usize) {
@@ -630,7 +606,7 @@ impl Switch {
                         let mut guard = job.lock().expect("port job poisoned");
                         let (sim, tree) = &mut *guard;
                         while !sim.done {
-                            sim.step_round(tree, rate_bps, horizon, burst, DrainMode::Batched);
+                            sim.step_round(tree, rate_bps, horizon, burst);
                         }
                     }
                 });
@@ -658,7 +634,7 @@ struct PortSim<'a> {
     /// Reused across rounds so the steady state allocates nothing.
     round: Vec<Packet>,
     /// Scheduling rounds executed so far (drives gauge sampling; counts
-    /// the same way in every drain mode, so sample instants agree).
+    /// the same way in both drain modes, so sample instants agree).
     rounds: u64,
     /// `Some` when telemetry gauges are being sampled.
     gauges: Option<PortGauges>,
@@ -735,66 +711,33 @@ impl<'a> PortSim<'a> {
     }
 
     /// Execute one scheduling round at `self.t`: admit everything
-    /// arrived by then (each packet at its own arrival instant, grouped
-    /// per instant so the batched mode hands the tree whole same-time
-    /// batches), commit up to `burst` packets decided at `t`, transmit
-    /// back-to-back; when idle, hop to the next arrival or shaping
-    /// release, or finish.
-    fn step_round(
-        &mut self,
-        tree: &mut ScheduleTree,
-        rate_bps: u64,
-        horizon: Nanos,
-        burst: usize,
-        mode: DrainMode,
-    ) {
+    /// arrived by then (each packet at its own arrival instant), commit
+    /// up to `burst` packets decided at `t`, transmit back-to-back; when
+    /// idle, hop to the next arrival or shaping release, or finish.
+    fn step_round(&mut self, tree: &mut ScheduleTree, rate_bps: u64, horizon: Nanos, burst: usize) {
         if self.t >= horizon {
             self.done = true;
             return;
         }
-        match mode {
-            DrainMode::PerPacket => {
-                while let Some(p) = self.head().filter(|p| p.arrival <= self.t) {
-                    self.next += 1;
-                    if tree.enqueue(p.clone(), p.arrival).is_err() {
-                        self.trace.drops += 1;
-                    }
-                }
-            }
-            DrainMode::Batched | DrainMode::Parallel { .. } => {
-                while let Some(at) = self.head().map(|p| p.arrival).filter(|&a| a <= self.t) {
-                    let arrivals = self.arrivals;
-                    let rest = &self.pending[self.next..];
-                    let same = rest
-                        .iter()
-                        .take_while(|&&i| arrivals[i as usize].arrival == at)
-                        .count();
-                    let batch = rest[..same].iter().map(|&i| arrivals[i as usize].clone());
-                    self.trace.drops += tree.enqueue_batch(batch, at).len() as u64;
-                    self.next += same;
-                }
+        while let Some(p) = self.head().filter(|p| p.arrival <= self.t) {
+            self.next += 1;
+            if tree.enqueue(p.clone(), p.arrival).is_err() {
+                self.trace.drops += 1;
             }
         }
 
         // One scheduling round, decided at `t`.
         self.round.clear();
-        match mode {
-            DrainMode::PerPacket => {
-                for _ in 0..burst {
-                    match tree.dequeue(self.t) {
-                        Some(p) => self.round.push(p),
-                        None => break,
-                    }
-                }
-            }
-            DrainMode::Batched | DrainMode::Parallel { .. } => {
-                tree.dequeue_upto(self.t, burst, &mut self.round);
+        for _ in 0..burst {
+            match tree.dequeue(self.t) {
+                Some(p) => self.round.push(p),
+                None => break,
             }
         }
 
         // Gauge sampling happens at a fixed point in the round — after
         // the dequeue decisions, before transmit — so the sampled values
-        // and instants are identical in every drain mode.
+        // and instants are identical in both drain modes.
         self.rounds += 1;
         if let Some(g) = &mut self.gauges {
             if self.rounds % g.every == 0 {
@@ -846,12 +789,8 @@ mod tests {
     use pifo_algos::{Stfq, TokenBucketFilter};
     use pifo_core::transaction::FnTransaction;
 
-    fn fifo_tree(backend: PifoBackend, limit: Option<usize>) -> ScheduleTree {
+    fn fifo_tree() -> ScheduleTree {
         let mut b = TreeBuilder::new();
-        b.with_backend(backend);
-        if let Some(l) = limit {
-            b.buffer_limit(l);
-        }
         let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
         b.build(Box::new(move |_| root)).unwrap()
     }
@@ -879,45 +818,6 @@ mod tests {
         let mut arr = merge(sources);
         renumber(&mut arr);
         arr
-    }
-
-    /// The acceptance-criterion cross-check: batched and per-packet
-    /// drains produce byte-identical per-port departure traces, on every
-    /// backend, under mixed CBR + incast load with drops in play.
-    #[test]
-    fn batched_and_per_packet_traces_identical() {
-        let end = Nanos::from_micros(400);
-        let arrivals = workload(12, end);
-        assert!(arrivals.len() > 1_000, "workload must be non-trivial");
-
-        for backend in PifoBackend::ALL {
-            let build = || {
-                let mut sb = SwitchBuilder::new(1_000_000_000);
-                for _ in 0..4 {
-                    // Tight buffers so admission rejects are on the
-                    // compared path too.
-                    sb.add_port(fifo_tree(backend, Some(64)));
-                }
-                sb.with_horizon(end).with_burst(8);
-                sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 4))
-            };
-            let per_packet = build().run(&arrivals, DrainMode::PerPacket);
-            let batched = build().run(&arrivals, DrainMode::Batched);
-
-            assert_eq!(per_packet.misrouted, batched.misrouted);
-            for (port, (a, b)) in per_packet.ports.iter().zip(&batched.ports).enumerate() {
-                assert_eq!(a.drops, b.drops, "[{backend}] port {port} drops diverge");
-                assert_eq!(
-                    a.departures.len(),
-                    b.departures.len(),
-                    "[{backend}] port {port} departure count diverges"
-                );
-                for (x, y) in a.departures.iter().zip(&b.departures) {
-                    assert_eq!(x, y, "[{backend}] port {port} departure diverges");
-                }
-            }
-            assert!(per_packet.total_departures() > 0);
-        }
     }
 
     /// Fabric-level inversion tracking: exact backends score zero on
@@ -952,7 +852,7 @@ mod tests {
             .collect();
 
         let mut untracked = build(PifoBackend::Rifo, false);
-        untracked.run(&arrivals, DrainMode::Batched);
+        untracked.run(&arrivals, DrainMode::PerPacket);
         assert_eq!(
             untracked.total_inversion_stats(),
             None,
@@ -961,7 +861,7 @@ mod tests {
 
         for backend in PifoBackend::EXACT {
             let mut sw = build(backend, true);
-            sw.run(&arrivals, DrainMode::Batched);
+            sw.run(&arrivals, DrainMode::PerPacket);
             let total = sw.total_inversion_stats().expect("tracking enabled");
             assert_eq!(total.dequeues, 64, "{backend}");
             assert_eq!(total.inversions, 0, "{backend} is exact");
@@ -969,7 +869,7 @@ mod tests {
         }
 
         let mut sw = build(PifoBackend::Rifo, true);
-        sw.run(&arrivals, DrainMode::Batched);
+        sw.run(&arrivals, DrainMode::PerPacket);
         let total = sw.total_inversion_stats().expect("tracking enabled");
         assert_eq!(total.dequeues, 64);
         assert!(total.inversions > 0, "FIFO under inverted load");
@@ -986,7 +886,7 @@ mod tests {
     fn ports_are_isolated() {
         let mut sb = SwitchBuilder::new(8_000_000_000);
         for _ in 0..3 {
-            sb.add_port(fifo_tree(PifoBackend::default(), None));
+            sb.add_port(fifo_tree());
         }
         let mut sw = sb.build(Box::new(|p: &Packet| p.flow.0 as usize));
         // Flood port 0; trickle port 2; nothing for port 1.
@@ -994,7 +894,7 @@ mod tests {
             .map(|i| Packet::new(i, FlowId(0), 1_000, Nanos(0)))
             .collect();
         arrivals.push(Packet::new(100, FlowId(2), 1_000, Nanos(5)));
-        let run = sw.run(&arrivals, DrainMode::Batched);
+        let run = sw.run(&arrivals, DrainMode::PerPacket);
         assert_eq!(run.ports[0].departures.len(), 100);
         assert_eq!(run.ports[1].departures.len(), 0);
         assert_eq!(run.ports[2].departures.len(), 1);
@@ -1007,7 +907,7 @@ mod tests {
     #[test]
     fn misroutes_are_counted() {
         let mut sb = SwitchBuilder::new(8_000_000_000);
-        sb.add_port(fifo_tree(PifoBackend::default(), None));
+        sb.add_port(fifo_tree());
         let mut sw = sb.build(Box::new(|p: &Packet| p.flow.0 as usize));
         let arrivals = vec![
             Packet::new(0, FlowId(0), 100, Nanos(0)),
@@ -1051,7 +951,7 @@ mod tests {
                 arrivals.push(Packet::new(400 + i, FlowId(1), 1_000, Nanos(100_000)));
             }
             arrivals.sort_by_key(|p| p.arrival);
-            sw.run(&arrivals, DrainMode::Batched)
+            sw.run(&arrivals, DrainMode::PerPacket)
         };
 
         let naive = run(AdmissionPolicy::Unlimited);
@@ -1096,7 +996,7 @@ mod tests {
         // Cross-backend trace identity is an exact-trio property: the
         // approximate backends legally reorder departures.
         for backend in PifoBackend::EXACT {
-            for mode in [DrainMode::PerPacket, DrainMode::Batched] {
+            for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }] {
                 let run = build(backend).run(&arrivals, mode);
                 for (port, (a, b)) in reference.ports.iter().zip(&run.ports).enumerate() {
                     assert_eq!(
@@ -1137,7 +1037,7 @@ mod tests {
         let arrivals: Vec<Packet> = (0..300)
             .map(|i| Packet::new(i, FlowId((i % 5) as u32), 1_000, Nanos(i / 5)))
             .collect();
-        let run = sw.run(&arrivals, DrainMode::Batched);
+        let run = sw.run(&arrivals, DrainMode::PerPacket);
 
         let stats = pool.stats();
         assert_eq!(stats.live, 0, "fabric drained: pool must be empty");
@@ -1184,7 +1084,7 @@ mod tests {
             .map(|i| Packet::new(i, FlowId(0), 1_000, Nanos(0)))
             .collect();
         let a = build().run(&arrivals, DrainMode::PerPacket);
-        let b = build().run(&arrivals, DrainMode::Batched);
+        let b = build().run(&arrivals, DrainMode::Parallel { workers: 2 });
         for run in [&a, &b] {
             assert_eq!(run.ports[0].departures.len(), 3);
             // Token bucket meters one packet per microsecond after the

@@ -1,5 +1,5 @@
 //! Differential pin: [`DrainMode::Parallel`] produces a **bit-identical
-//! merged departure trace** to the sequential drain modes — across every
+//! merged departure trace** to the sequential `PerPacket` drain — across every
 //! PIFO backend and three traffic shapes (synchronized incast, seeded
 //! Markov on/off bursts, heavy-tailed bounded-Pareto flows), for both
 //! private-slab fabrics (genuinely concurrent workers) and shared-pool
@@ -154,12 +154,6 @@ fn parallel_drain_matches_sequential_private_slabs() {
         for backend in PifoBackend::ALL {
             let reference = private_switch(backend).run(&arrivals, DrainMode::PerPacket);
             assert!(reference.total_departures() > 0);
-            let batched = private_switch(backend).run(&arrivals, DrainMode::Batched);
-            assert_identical(
-                &format!("{backend}/{pattern}/batched"),
-                &reference,
-                &batched,
-            );
             for workers in [1usize, 2, 4, 0] {
                 let parallel =
                     private_switch(backend).run(&arrivals, DrainMode::Parallel { workers });

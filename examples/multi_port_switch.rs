@@ -1,7 +1,7 @@
 //! Multi-port switch fabric: one shared classifier spraying mixed
 //! traffic — an incast storm, Markov on/off bursts and smooth CBR —
 //! across four egress ports, each scheduled by its own PIFO tree, then
-//! drained at line rate with the batched hot path.
+//! drained at line rate.
 //!
 //! ```sh
 //! cargo run --release --example multi_port_switch
@@ -68,8 +68,8 @@ fn main() {
         }
     };
 
-    // One fabric per backend; batched and per-packet drains agree bit
-    // for bit, so run the batched one and cross-check on the reference.
+    // One fabric per backend, drained on this thread; a parallel drain
+    // over worker threads must agree bit for bit.
     for backend in PifoBackend::ALL {
         let build = || {
             let mut sb = SwitchBuilder::new(10_000_000_000); // 10 Gb/s ports
@@ -80,7 +80,7 @@ fn main() {
             sb.build(Box::new(classify))
         };
         let t0 = std::time::Instant::now();
-        let run = build().run(&arrivals, DrainMode::Batched);
+        let run = build().run(&arrivals, DrainMode::PerPacket);
         let elapsed = t0.elapsed();
 
         println!(
@@ -104,8 +104,8 @@ fn main() {
                 format!("{} ns", max_wait.as_nanos()),
             );
         }
-        let reference = build().run(&arrivals, DrainMode::PerPacket);
-        let agree = reference.ports.iter().zip(&run.ports).all(|(a, b)| {
+        let parallel = build().run(&arrivals, DrainMode::Parallel { workers: 2 });
+        let agree = parallel.ports.iter().zip(&run.ports).all(|(a, b)| {
             a.departures.len() == b.departures.len()
                 && a.departures
                     .iter()
@@ -113,7 +113,7 @@ fn main() {
                     .all(|(x, y)| x.packet == y.packet && x.start == y.start)
         });
         println!(
-            "  batched == per-packet traces: {}\n",
+            "  parallel == per-packet traces: {}\n",
             if agree {
                 "yes (bit-identical)"
             } else {

@@ -10,10 +10,10 @@
 //! scheduler's weighted shares without retuning.
 
 use pifo_algos::{Stfq, WeightTable};
+use pifo_core::pool::SharedBuffer;
 use pifo_core::prelude::*;
 use pifo_sim::{
-    run_port, throughput, CbrSource, ManagedScheduler, PortConfig, SharedBuffer, Threshold,
-    TrafficSource, TreeScheduler,
+    run_port, throughput, CbrSource, ManagedScheduler, PortConfig, TrafficSource, TreeScheduler,
 };
 
 const LINK: u64 = 10_000_000_000;

@@ -1,11 +1,12 @@
-//! `Switch::run` allocates per run, not per packet or per scheduling
-//! round: the classifier demuxes by index, each port's departure trace
-//! is sized once, and path records are appended into logs that are
-//! reused. This test counts allocator calls over two run sizes and
-//! fails when their number scales with the packet count — the shape of
-//! regression (a `mem::take` per round, a packet clone per demux) that
-//! otherwise only shows up as `alloc.count_per_pkt` / `alloc.bytes_per_pkt`
-//! in a traced benchmark run.
+//! `Switch::run` and `LosslessFabric::run` allocate per run, not per
+//! packet or per scheduling round: the classifier demuxes by index, each
+//! port's departure trace is sized once or grows by doubling, round
+//! buffers are drained in place, and path records are appended into logs
+//! that are reused. This test counts allocator calls over two run sizes
+//! and fails when their number scales with the packet count — the shape
+//! of regression (a `mem::take` per round, a packet clone per demux)
+//! that otherwise only shows up as `alloc.count_per_pkt` /
+//! `alloc.bytes_per_pkt` in a traced benchmark run.
 //!
 //! An integration test is its own binary, so it can install its own
 //! `#[global_allocator]`. There is exactly one `#[test]` here: the
@@ -88,6 +89,66 @@ fn arrivals(n: u64) -> Vec<Packet> {
         .collect()
 }
 
+/// Four shared-pool STFQ ports under PFC whose thresholds a short
+/// backlog never reaches.
+fn lossless_fabric() -> LosslessFabric {
+    let mut sb = SwitchBuilder::new(RATE_BPS);
+    sb.with_shared_pool(
+        PORTS * 64,
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Static(64),
+            flow: Threshold::Unlimited,
+        },
+    );
+    for _ in 0..PORTS {
+        sb.add_shared_port(|h| {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+            b.build_in_pool(Box::new(move |_| root), h).expect("tree")
+        });
+    }
+    let cfg = LosslessConfig::new(32, 8).with_headroom(32);
+    LosslessFabric::new(
+        sb.build(Box::new(|p: &Packet| p.flow.0 as usize % PORTS)),
+        cfg,
+    )
+}
+
+/// `n` packets from 16 CBR flows, four per port: each flow sends one
+/// packet every 4 µs, staggered, so every port sees one per microsecond
+/// against an 800 ns service time — busy, never paused.
+fn lossless_sources(n: u64) -> Vec<Box<dyn TrafficSource>> {
+    const FLOWS: u64 = 16;
+    let per_flow = n / FLOWS;
+    (0..FLOWS)
+        .map(|f| {
+            let start = Nanos(f * 250);
+            let end = Nanos(start.as_nanos() + per_flow * 4_000);
+            Box::new(CbrSource::new(
+                FlowId(f as u32),
+                1_000,
+                2_000_000_000,
+                start,
+                end,
+            )) as Box<dyn TrafficSource>
+        })
+        .collect()
+}
+
+/// Allocator calls during one `LosslessFabric::run` of `n` packets.
+fn measure_lossless(n: u64) -> u64 {
+    let mut fabric = lossless_fabric();
+    let sources = lossless_sources(n);
+    CALLS.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let run = fabric.run(sources, DrainMode::PerPacket);
+    COUNTING.store(false, Relaxed);
+    assert!(run.stall.is_none(), "no stall: {:?}", run.stall);
+    assert_eq!(run.total_departures() as u64, n, "nothing dropped");
+    assert_eq!(run.count_events(PauseAction::Pause), 0, "never paused");
+    CALLS.load(Relaxed)
+}
+
 /// Allocator calls and bytes requested during one `Switch::run`.
 fn measure(n: u64, mode: DrainMode, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
     let arr = arrivals(n);
@@ -108,12 +169,7 @@ fn measure(n: u64, mode: DrainMode, telemetry: Option<TelemetryConfig>) -> (u64,
 #[test]
 fn run_allocations_do_not_scale_with_packets() {
     const N: u64 = 4_096;
-    let modes = [
-        DrainMode::PerPacket,
-        DrainMode::Batched,
-        DrainMode::Parallel { workers: 2 },
-    ];
-    for mode in modes {
+    for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }] {
         for telemetry in [None, Some(TelemetryConfig::with_paths())] {
             let label = format!(
                 "{} / {}",
@@ -143,4 +199,15 @@ fn run_allocations_do_not_scale_with_packets() {
             }
         }
     }
+
+    // The lossless fabric's own event loop, on a busy stream that never
+    // pauses: its scheduling rounds must reuse their buffers too.
+    let small = measure_lossless(N);
+    let big = measure_lossless(4 * N);
+    assert!(
+        big.saturating_sub(small) < 64,
+        "[lossless] {small} allocations for {N} packets, {big} for {}: \
+         something allocates per packet or per round",
+        4 * N
+    );
 }

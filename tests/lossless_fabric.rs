@@ -15,7 +15,7 @@
 //! * with a non-zero pause-wire delay, the in-flight packets land in the
 //!   headroom skid buffer — exercised, bounded, and still lossless;
 //! * departure traces **and the pause-event log** are bit-identical
-//!   across every exact PIFO backend and all three drain modes.
+//!   across every exact PIFO backend and both drain modes.
 
 use pifo::prelude::*;
 
@@ -134,7 +134,7 @@ fn assert_lossless(run: &LosslessRun, label: &str) {
 
 #[test]
 fn incast_storm_under_backpressure_drops_nothing() {
-    let run = run_on_die(PifoBackend::Bucket, DrainMode::Batched);
+    let run = run_on_die(PifoBackend::Bucket, DrainMode::PerPacket);
     assert_lossless(&run, "on-die");
 
     // The storm is real: the hog was paused, repeatedly, and the victim
@@ -201,7 +201,7 @@ fn wire_delay_fills_headroom_but_never_overflows() {
         .with_headroom(160)
         .with_wire_delay(Nanos(400));
     let mut fabric = build_fabric(PifoBackend::Bucket, 32, PORTS * 32, cfg);
-    let run = fabric.run(sources(), DrainMode::Batched);
+    let run = fabric.run(sources(), DrainMode::PerPacket);
 
     assert_lossless(&run, "wire-delay");
     assert!(
@@ -221,7 +221,7 @@ fn wire_delay_fills_headroom_but_never_overflows() {
 }
 
 /// Departure traces and the pause-event log are bit-identical across
-/// every exact backend and all three drain modes — backpressure does not
+/// every exact backend and both drain modes — backpressure does not
 /// cost the fabric its determinism.
 #[test]
 fn lossless_traces_identical_across_backends_and_drain_modes() {
@@ -230,11 +230,7 @@ fn lossless_traces_identical_across_backends_and_drain_modes() {
     assert!(reference.count_events(PauseAction::Pause) > 0);
 
     for backend in PifoBackend::EXACT {
-        for mode in [
-            DrainMode::PerPacket,
-            DrainMode::Batched,
-            DrainMode::Parallel { workers: 4 },
-        ] {
+        for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 4 }] {
             let run = run_on_die(backend, mode);
             let label = format!("{backend}/{}", mode.label());
             assert_lossless(&run, &label);
@@ -341,7 +337,7 @@ fn tied_emission_instants_admit_in_source_index_order() {
         })
         .collect();
     let mut fabric = calendar_fabric(PORTS, LosslessConfig::new(32, 8).with_headroom(32));
-    let run = fabric.run(sources, DrainMode::Batched);
+    let run = fabric.run(sources, DrainMode::PerPacket);
 
     assert_lossless(&run, "tied");
     assert!(
@@ -384,7 +380,7 @@ fn resume_gate_rekeys_and_visible_pause_blocks_the_next_packet() {
         // so its head-of-line stamp is always far behind the gate.
         let hog: Vec<(u32, u64)> = (0..12).map(|k| (0, k * 100)).collect();
         let sources = vec![script(&[(1, 750), (2, 760)]), script(&hog)];
-        let run = calendar_fabric(2, cfg).run(sources, DrainMode::Batched);
+        let run = calendar_fabric(2, cfg).run(sources, DrainMode::PerPacket);
         assert_lossless(&run, &label);
         assert_eq!(run.total_departures(), 14, "[{label}] everything delivered");
 
@@ -452,13 +448,13 @@ fn resume_gate_rekeys_and_visible_pause_blocks_the_next_packet() {
 #[test]
 fn idle_sources_leave_the_run_bit_identical() {
     let cfg = LosslessConfig::new(32, 8).with_headroom(32);
-    let reference = run_on_die(PifoBackend::Bucket, DrainMode::Batched);
+    let reference = run_on_die(PifoBackend::Bucket, DrainMode::PerPacket);
     let live = reference.sources.len();
     for idle in [1usize, 17, 300] {
         let mut with_idle = sources();
         with_idle.extend((0..idle).map(|_| script(&[])));
         let run = build_fabric(PifoBackend::Bucket, 64, PORTS * 64, cfg)
-            .run(with_idle, DrainMode::Batched);
+            .run(with_idle, DrainMode::PerPacket);
 
         assert_eq!(reference.pause_events, run.pause_events, "+{idle} idle");
         for (a, b) in reference.run.ports.iter().zip(&run.run.ports) {

@@ -95,7 +95,6 @@ fn fault_strategy() -> impl Strategy<Value = FaultPlan> {
 fn mode_strategy() -> impl Strategy<Value = DrainMode> {
     prop_oneof![
         Just(DrainMode::PerPacket),
-        Just(DrainMode::Batched),
         Just(DrainMode::Parallel { workers: 4 }),
     ]
 }
@@ -224,7 +223,7 @@ proptest! {
 #[test]
 fn dead_port_under_load_is_diagnosed_not_hung() {
     let plan = FaultPlan::none().dead_port(2);
-    let run = run_plan(PORTS, &plan, DrainMode::Batched);
+    let run = run_plan(PORTS, &plan, DrainMode::PerPacket);
     let stall = run.stall.expect("a dead port under load must stall");
     assert_eq!(stall.kind, StallKind::DeadPort { port: 2 });
     assert!(stall.paused_for >= config().max_pause);
@@ -241,7 +240,7 @@ fn dead_port_under_load_is_diagnosed_not_hung() {
 #[test]
 fn stuck_pool_is_diagnosed() {
     let plan = FaultPlan::none().stuck_pool(Nanos(10_000));
-    let run = run_plan(PORTS, &plan, DrainMode::Batched);
+    let run = run_plan(PORTS, &plan, DrainMode::PerPacket);
     let stall = run.stall.expect("a permanently stuck pool must stall");
     assert_eq!(stall.kind, StallKind::StuckPool);
 }
@@ -251,7 +250,7 @@ fn stuck_pool_is_diagnosed() {
 #[test]
 fn slow_drain_completes_without_stall() {
     let plan = FaultPlan::none().slow_port(0, 4);
-    let run = run_plan(PORTS, &plan, DrainMode::Batched);
+    let run = run_plan(PORTS, &plan, DrainMode::PerPacket);
     assert!(run.stall.is_none(), "slow drain stalled: {:?}", run.stall);
     assert_eq!(run.total_drops(), 0, "slow drain stays lossless");
     assert_eq!(

@@ -67,7 +67,7 @@ fn lossless_run() -> LosslessRun {
             Nanos(200_000),
         )),
     ];
-    fabric.run(sources, DrainMode::Batched)
+    fabric.run(sources, DrainMode::PerPacket)
 }
 
 enum ReplayEvent {

@@ -115,7 +115,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
     assert_eq!(arr.len() as u64, offered_hog + offered_victims);
 
     let backend = PifoBackend::Bucket;
-    let baseline = run_private(backend, DrainMode::Batched, &arr);
+    let baseline = run_private(backend, DrainMode::PerPacket, &arr);
     assert_eq!(
         baseline.ports[1..].iter().map(|p| p.drops).sum::<u64>(),
         0,
@@ -125,7 +125,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
     // --- Naive shared cap: the storm locks the victims out. ------------
     let (naive, naive_stats) = run_shared(
         backend,
-        DrainMode::Batched,
+        DrainMode::PerPacket,
         AdmissionPolicy::Unlimited,
         &arr,
     );
@@ -140,7 +140,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
     // --- Dynamic thresholds: victims fenced off from the storm. --------
     let (fenced, fenced_stats) = run_shared(
         backend,
-        DrainMode::Batched,
+        DrainMode::PerPacket,
         AdmissionPolicy::DynamicThreshold { num: 1, den: 1 },
         &arr,
     );
@@ -212,7 +212,7 @@ fn shared_pool_traces_bit_identical_across_backends_and_drain_modes() {
         "the scenario must keep admission pressure real"
     );
     for backend in PifoBackend::EXACT {
-        for mode in [DrainMode::PerPacket, DrainMode::Batched] {
+        for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 4 }] {
             let (run, _) = run_shared(backend, mode, policy, &arr);
             for (port, (a, b)) in reference.ports.iter().zip(&run.ports).enumerate() {
                 assert_eq!(

@@ -5,7 +5,7 @@
 //!    exact backend × every drain mode.
 //! 2. **Deterministic** — two identically-built runs produce
 //!    byte-identical event streams and snapshots, and the event stream
-//!    is invariant across `PerPacket`/`Batched`/`Parallel` drains.
+//!    is invariant across `PerPacket`/`Parallel` drains.
 //! 3. **Reconciles** — telemetry-derived waits equal the
 //!    departure-derived waits of [`waits_of`](pifo::sim::metrics), and
 //!    the same holds through `latency_stats` percentiles; every record's
@@ -109,19 +109,7 @@ fn build_shaped_hpfq_switch(telemetry: TelemetryConfig) -> Switch {
     sb.build(Box::new(|p: &Packet| p.flow.0 as usize % PORTS))
 }
 
-const MODES: [DrainMode; 3] = [
-    DrainMode::PerPacket,
-    DrainMode::Batched,
-    DrainMode::Parallel { workers: 2 },
-];
-
-fn mode_name(mode: DrainMode) -> &'static str {
-    match mode {
-        DrainMode::PerPacket => "per_packet",
-        DrainMode::Batched => "batched",
-        DrainMode::Parallel { .. } => "parallel",
-    }
-}
+const MODES: [DrainMode; 2] = [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }];
 
 proptest! {
     /// Contract 1 + 2 on the plain switch: telemetry-on departures are
@@ -152,7 +140,7 @@ proptest! {
                 // 1: observes, never steers.
                 for (a, b) in base.ports.iter().zip(&run.ports) {
                     prop_assert_eq!(&a.departures, &b.departures,
-                        "[{}/{}] telemetry changed departures", backend, mode_name(mode));
+                        "[{}/{}] telemetry changed departures", backend, mode.label());
                     prop_assert_eq!(&a.drops, &b.drops);
                 }
 
@@ -161,10 +149,10 @@ proptest! {
                 let run2 = sw2.run(&arr, mode);
                 let snap2 = sw2.telemetry_snapshot(&run2).expect("telemetry on");
                 if snap != snap2 {
-                    dump_snapshot(&format!("rerun-a-{}-{}", backend.label(), mode_name(mode)), &snap);
-                    dump_snapshot(&format!("rerun-b-{}-{}", backend.label(), mode_name(mode)), &snap2);
+                    dump_snapshot(&format!("rerun-a-{}-{}", backend.label(), mode.label()), &snap);
+                    dump_snapshot(&format!("rerun-b-{}-{}", backend.label(), mode.label()), &snap2);
                     prop_assert!(false, "[{}/{}] rerun produced a different snapshot",
-                        backend, mode_name(mode));
+                        backend, mode.label());
                 }
                 prop_assert_eq!(snap.to_json(), snap2.to_json(), "JSON export must be stable");
 
@@ -176,7 +164,7 @@ proptest! {
                     for (port, (a, b)) in run.ports.iter().zip(&other.ports).enumerate() {
                         prop_assert_eq!(&a.paths, &b.paths,
                             "[{}/{}] port {} path records differ from the rerun's or the \
-                             per-packet drain's", backend, mode_name(mode), port);
+                             per-packet drain's", backend, mode.label(), port);
                     }
                 }
 
@@ -186,10 +174,10 @@ proptest! {
                     Some(r) => {
                         if *r != snap {
                             dump_snapshot(&format!("mode-ref-{}", backend.label()), r);
-                            dump_snapshot(&format!("mode-got-{}-{}", backend.label(), mode_name(mode)), &snap);
+                            dump_snapshot(&format!("mode-got-{}-{}", backend.label(), mode.label()), &snap);
                             prop_assert!(false,
                                 "[{}/{}] event stream differs from the per-packet drain",
-                                backend, mode_name(mode));
+                                backend, mode.label());
                         }
                     }
                 }
@@ -256,7 +244,7 @@ proptest! {
                             .map(|h| NodeId::from_index(h.node as usize))
                             .collect();
                         prop_assert_eq!(&nodes, &walk,
-                            "[{}] hops follow parent links up to the root", mode_name(mode));
+                            "[{}] hops follow parent links up to the root", mode.label());
                         prop_assert_eq!(hops[0].entered, rec.enqueued);
                         prop_assert!(hops.windows(2).all(|w| w[0].entered <= w[1].entered),
                             "entry times never go back");
@@ -324,9 +312,9 @@ proptest! {
                 .collect()
         };
 
-        let base = build(false).run(sources(), DrainMode::Batched);
-        let a = build(true).run(sources(), DrainMode::Batched);
-        let b = build(true).run(sources(), DrainMode::Batched);
+        let base = build(false).run(sources(), DrainMode::PerPacket);
+        let a = build(true).run(sources(), DrainMode::PerPacket);
+        let b = build(true).run(sources(), DrainMode::PerPacket);
 
         // Observes, never steers — departures AND the pause log.
         for (x, y) in base.run.ports.iter().zip(&a.run.ports) {
@@ -383,7 +371,7 @@ fn lossless_snapshot_carries_pause_events() {
             )) as Box<dyn TrafficSource>
         })
         .collect();
-    let run = fabric.run(sources, DrainMode::Batched);
+    let run = fabric.run(sources, DrainMode::PerPacket);
     let snap = run.telemetry.as_ref().expect("telemetry on");
 
     assert!(

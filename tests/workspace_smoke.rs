@@ -124,14 +124,6 @@ fn umbrella_reexports_cover_every_subcrate() {
     assert_eq!(q.backend(), PifoBackend::Bucket);
     assert_eq!(q.pop(), Some((Rank(1), 10)));
 
-    // pifo::core — PacketBuffer/PktHandle round-trip through the prelude.
-    let mut slab = PacketBuffer::with_capacity(2);
-    let h: PktHandle = slab
-        .try_insert(Packet::new(9, FlowId(0), 64, Nanos(0)))
-        .unwrap();
-    assert_eq!(slab.get(h).id.0, 9);
-    assert_eq!(slab.release(h).expect("last ref moves out").id.0, 9);
-
     // pifo::domino — parse + analyze the paper's STFQ program.
     let prog = pifo::domino::parser::parse(pifo::domino::figures::STFQ_SRC).expect("STFQ parses");
     let report = pifo::domino::pipeline::analyze(&prog).expect("STFQ compiles to atoms");
