@@ -93,6 +93,15 @@ impl SchedulingTransaction for Stfq {
     fn name(&self) -> &str {
         "STFQ"
     }
+
+    /// Within one flow, ranks never decrease: the next start tag is
+    /// `start' = max(vt, finish) ≥ finish ≥ start`, because `finish =
+    /// start.saturating_add(service)` never falls below `start` (even
+    /// saturated), and nothing else writes `last_finish`. Virtual time
+    /// only moves the `max`, never below `finish`.
+    fn ranks_monotone_per_flow(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //!   [`pifo::BucketPifo`] (Eiffel-style FFS bucket calendar).
 //!   [`pifo::PifoBackend`] selects one at runtime as a statically
 //!   dispatched [`pifo::EnumPifo`]; see the module docs for the
-//!   "choosing a backend" table.
+//!   "choosing a backend" table. [`pifo::FlowPifo`] is Fig 12's
+//!   flow-head decomposition, which tree nodes with per-flow monotone
+//!   ranks run on the heap and bucket backends.
 //! * [`approx`] — deliberately inexact engines behind the same contract:
 //!   [`approx::SpPifo`] (k strict-priority FIFOs, SP-PIFO bound
 //!   adaptation), [`approx::Rifo`] (windowed min/max admission FIFO),
@@ -90,7 +92,7 @@ pub mod prelude {
     pub use crate::metrics::{InversionStats, InversionTracker};
     pub use crate::packet::{FlowId, FlowMap, Packet, PacketId};
     pub use crate::pifo::{
-        BucketPifo, EnumPifo, HeapPifo, PifoBackend, PifoFull, PifoQueue, SortedArrayPifo,
+        BucketPifo, EnumPifo, FlowPifo, HeapPifo, PifoBackend, PifoFull, PifoQueue, SortedArrayPifo,
     };
     pub use crate::pool::{
         AdmissionPolicy, PktHandle, PoolError, PoolHandle, PoolStats, PortPoolStats,

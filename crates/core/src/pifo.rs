@@ -27,9 +27,9 @@
 //!
 //! | Backend | `push` | `pop` | Notes |
 //! |---|---|---|---|
-//! | [`SortedArrayPifo`] | O(n) | O(1) | **The reference** every differential suite compares against; direct analogue of the flat sorted array §5.2 rejects for a 60 K-packet buffer. Best below ~1 K elements and for debugging; name it ([`PifoBackend::SortedArray`]) wherever a reference is meant. |
-//! | [`HeapPifo`] | O(log n) | O(log n) | **The default** ([`PifoBackend::default`]). Binary heap with explicit sequence numbers for FIFO ties; a packet's cost does not grow with the backlog. |
-//! | [`BucketPifo`] | O(1)* | O(1)* | Eiffel-style FFS bucket calendar (integer-rank buckets, two-level find-first-set bitmap, overflow heap). Fastest at Trident-scale occupancies when ranks spread across the bucket window; *amortised, degrades gracefully toward the heap when they do not. |
+//! | [`SortedArrayPifo`] | O(n) | O(1) | **The reference** every differential suite compares against; direct analogue of the flat sorted array §5.2 rejects for a 60 K-packet buffer. Best below ~1 K elements and for debugging; name it ([`PifoBackend::SortedArray`]) wherever a reference is meant. A tree runs it literally at every node. |
+//! | [`HeapPifo`] | O(log n) | O(log n) | **The default** ([`PifoBackend::default`]). Binary heap with explicit sequence numbers for FIFO ties; a packet's cost does not grow with the backlog. At a tree node whose transaction declares per-flow monotone ranks, the tree runs [`FlowPifo`] instead. |
+//! | [`BucketPifo`] | O(1)* | O(1)* | Eiffel-style FFS bucket calendar (integer-rank buckets, two-level find-first-set bitmap, overflow heap). Fastest at Trident-scale occupancies when ranks spread across the bucket window; *amortised, degrades gracefully toward the heap when they do not. Declared tree nodes run [`FlowPifo`], as for the heap. |
 //! | [`SpPifo`](crate::approx::SpPifo) | O(k) | O(k) | **Approximate.** k strict-priority FIFOs with SP-PIFO push-up/push-down bound adaptation; exact between rank bands, FIFO within one. |
 //! | [`Rifo`](crate::approx::Rifo) | O(1) | O(1) | **Approximate.** Single FIFO; rank-awareness only at admission (windowed min/max relative-rank gate when bounded). |
 //! | [`Aifo`](crate::approx::Aifo) | O(W) | O(1) | **Approximate.** Single FIFO with windowed-quantile admission against a small sliding rank sample. |
@@ -53,9 +53,26 @@
 //! invariant for cheaper operations; how far a run strayed from the
 //! ideal schedule is measured, not guessed (see the
 //! [`approx`](crate::approx) and [`metrics`](crate::metrics) modules).
+//!
+//! # Sorting flows, not packets
+//!
+//! [`FlowPifo`] is Fig 12's decomposition of one PIFO (§5.2): a small
+//! heap of per-flow heads over per-flow FIFOs. It is not a backend: its
+//! push takes a flow, and it is exact only when ranks never decrease
+//! within a flow. The scheduling tree runs it in place of the heap or
+//! the bucket calendar at every node whose transaction declares that
+//! ([`SchedulingTransaction::ranks_monotone_per_flow`](
+//! crate::transaction::SchedulingTransaction::ranks_monotone_per_flow),
+//! e.g. STFQ), so such a node sorts its active flows (its children, at
+//! an interior node) rather than every packet beneath it. It pops in
+//! exactly [`SortedArrayPifo`]'s order, which the `EXACT` differential
+//! suites check by running the reference at every node.
 
+use crate::packet::FlowId;
 use crate::rank::Rank;
 use core::fmt;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::str::FromStr;
@@ -139,10 +156,13 @@ pub trait PifoQueue<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PifoBackend {
     /// [`SortedArrayPifo`] — the O(n)-insert reference the differential
-    /// suites compare every other engine against.
+    /// suites compare every other engine against. A tree built on it
+    /// runs the literal sorted array at every node, declared or not, so
+    /// it is also the reference for [`FlowPifo`]'s decomposition.
     SortedArray,
     /// [`HeapPifo`] — O(log n) binary heap; the default, so that a
-    /// packet's cost does not grow with the backlog.
+    /// packet's cost does not grow with the backlog. Tree nodes with a
+    /// declared transaction run [`FlowPifo`] instead.
     #[default]
     Heap,
     /// [`BucketPifo`] — FFS bucket calendar, O(1) amortised.
@@ -881,6 +901,303 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// FlowPifo
+// ---------------------------------------------------------------------------
+
+/// End of a cell chain (no next cell, an empty free list), and the
+/// mark of an empty [`FlowIndex`] slot.
+const NIL: u32 = u32::MAX;
+
+/// One rank-store cell. While live it holds an element and links to the
+/// next element of the same flow; while free, `next` links the free list.
+#[derive(Debug, Clone)]
+struct FlowCell<T> {
+    rank: Rank,
+    /// The element's push sequence number, kept for when it becomes its
+    /// flow's head.
+    seq: u64,
+    next: u32,
+    item: Option<T>,
+}
+
+/// Fig 12's decomposition of one PIFO: a small heap of per-flow **heads**
+/// (the flow scheduler) over per-flow FIFOs (the rank store, §5.2).
+///
+/// Exact only under a precondition the caller declares: within one flow,
+/// ranks never decrease
+/// ([`SchedulingTransaction::ranks_monotone_per_flow`](
+/// crate::transaction::SchedulingTransaction::ranks_monotone_per_flow)).
+/// Then each flow's elements are already in `(rank, seq)` order, so the
+/// global minimum is the minimum over flow heads, and a pop sorts among
+/// the active flows instead of among every buffered element. [`push`](
+/// Self::push) asserts the precondition in every build. Strictly, only
+/// a flow's *queued* elements must be in rank order: a flow that drains
+/// leaves the table and may return at any rank.
+///
+/// Pops come out in exactly [`SortedArrayPifo`]'s `(rank, seq)` order,
+/// FIFO ties across flows included, because a head is keyed by its
+/// element's *original* push sequence number, not one taken when it
+/// became the head. (The hardware model's flow scheduler re-inserts
+/// heads in arrival order and is not exact on cross-flow ties.)
+///
+/// Storage is one arena of cells with a free list, so a push or pop
+/// allocates only when the arena or the flow table grows past its peak.
+/// A flow's table entry is removed when its FIFO empties: state is
+/// bounded by the *active* flows, not by every flow ever seen.
+///
+/// ```
+/// use pifo_core::pifo::FlowPifo;
+/// use pifo_core::prelude::*;
+///
+/// let mut q = FlowPifo::new();
+/// q.push(FlowId(1), Rank(10), "a1");
+/// q.push(FlowId(2), Rank(10), "b1");
+/// q.push(FlowId(1), Rank(20), "a2");
+/// q.push(FlowId(2), Rank(15), "b2");
+/// let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+/// assert_eq!(order, ["a1", "b1", "b2", "a2"]);
+/// assert_eq!(q.flows(), 0, "drained flows leave no table entries");
+/// ```
+#[derive(Debug, Clone)]
+pub struct FlowPifo<T> {
+    cells: Vec<FlowCell<T>>,
+    /// Head of the free-cell list.
+    free: u32,
+    /// Active flow → its tail cell.
+    tails: FlowIndex,
+    /// Min-heap of flow heads keyed `(rank, seq, head cell, flow)`; `seq`
+    /// is unique, so the trailing fields never decide the order.
+    heads: BinaryHeap<Reverse<(Rank, u64, u32, FlowId)>>,
+    seq: u64,
+    len: usize,
+}
+
+impl<T> Default for FlowPifo<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> FlowPifo<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        FlowPifo {
+            cells: Vec::new(),
+            free: NIL,
+            tails: FlowIndex::new(),
+            heads: BinaryHeap::new(),
+            seq: 0,
+            len: 0,
+        }
+    }
+
+    /// Push `item` with `rank` onto the tail of `flow`'s FIFO.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is below the rank of `flow`'s current tail: the
+    /// caller broke the per-flow monotone precondition this queue's
+    /// exactness rests on.
+    pub fn push(&mut self, flow: FlowId, rank: Rank, item: T) {
+        let seq = self.seq;
+        self.seq += 1;
+        let cell = FlowCell {
+            rank,
+            seq,
+            next: NIL,
+            item: Some(item),
+        };
+        match self.tails.find(flow) {
+            Ok(at) => {
+                let tail = self.tails.slots[at].1 as usize;
+                let tail_rank = self.cells[tail].rank;
+                assert!(
+                    tail_rank <= rank,
+                    "FlowPifo: flow {flow} pushed rank {rank} behind rank {tail_rank}; \
+                     its transaction declared per-flow monotone ranks"
+                );
+                let idx = self.alloc(cell);
+                self.cells[tail].next = idx;
+                self.tails.slots[at].1 = idx;
+            }
+            Err(at) => {
+                let idx = self.alloc(cell);
+                self.tails.insert(at, flow, idx);
+                self.heads.push(Reverse((rank, seq, idx, flow)));
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Pop the head: the lowest `(rank, push order)` across all flows.
+    pub fn pop(&mut self) -> Option<(Rank, T)> {
+        let mut top = self.heads.peek_mut()?;
+        let Reverse((rank, _, idx, flow)) = *top;
+        let cell = &mut self.cells[idx as usize];
+        let item = cell.item.take().expect("a flow head is a live cell");
+        let next = cell.next;
+        cell.next = self.free;
+        self.free = idx;
+        if next == NIL {
+            PeekMut::pop(top);
+            let at = self.tails.find(flow).expect("an active flow has a tail");
+            self.tails.remove_at(at);
+        } else {
+            // The flow's next element becomes its head under its own
+            // original sequence number, which keeps cross-flow ties FIFO.
+            let head = &self.cells[next as usize];
+            *top = Reverse((head.rank, head.seq, next, flow));
+        }
+        self.len -= 1;
+        Some((rank, item))
+    }
+
+    /// Inspect the head without removing it.
+    pub fn peek(&self) -> Option<(Rank, &T)> {
+        let Reverse((rank, _, idx, _)) = self.heads.peek()?;
+        let item = self.cells[*idx as usize].item.as_ref();
+        Some((*rank, item.expect("a flow head is a live cell")))
+    }
+
+    /// Number of buffered elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no element is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of flow-table entries: the flows with at least one element
+    /// buffered.
+    pub fn flows(&self) -> usize {
+        self.tails.len
+    }
+
+    /// Iterate over `(rank, item)` in dequeue order without removing.
+    /// Sorts a view of the rank store: for introspection, not the
+    /// per-packet path.
+    pub fn iter_in_order(&self) -> impl Iterator<Item = (Rank, &T)> {
+        let mut live: Vec<(Rank, u64, &T)> = self
+            .cells
+            .iter()
+            .filter_map(|c| c.item.as_ref().map(|item| (c.rank, c.seq, item)))
+            .collect();
+        live.sort_unstable_by_key(|&(rank, seq, _)| (rank, seq));
+        live.into_iter().map(|(rank, _, item)| (rank, item))
+    }
+
+    /// Take a cell from the free list, or grow the arena.
+    fn alloc(&mut self, cell: FlowCell<T>) -> u32 {
+        if self.free == NIL {
+            let idx = u32::try_from(self.cells.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("FlowPifo holds fewer than u32::MAX elements");
+            self.cells.push(cell);
+            idx
+        } else {
+            let idx = self.free;
+            let slot = &mut self.cells[idx as usize];
+            self.free = slot.next;
+            *slot = cell;
+            idx
+        }
+    }
+}
+
+/// The flow table behind [`FlowPifo`]: active flow → tail cell, in open
+/// addressing with linear probing, a multiplicative hash, load ≤ ½ and
+/// backward-shift deletion (no tombstones, so churning through flows
+/// never lengthens a probe).
+///
+/// Not a [`FlowMap`](crate::packet::FlowMap): where flows hold about
+/// one element each, every push inserts an entry and every pop removes
+/// one, and a `FlowMap` pair made each such packet measurably slower
+/// than the plain heap engine.
+#[derive(Debug, Clone)]
+struct FlowIndex {
+    /// `(flow, tail cell)`; a `NIL` cell marks an empty slot.
+    slots: Vec<(FlowId, u32)>,
+    /// `64 − log₂(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    len: usize,
+}
+
+impl FlowIndex {
+    const INITIAL_SLOTS: usize = 8;
+
+    fn new() -> Self {
+        FlowIndex {
+            slots: vec![(FlowId(0), NIL); Self::INITIAL_SLOTS],
+            shift: 64 - Self::INITIAL_SLOTS.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn home(&self, flow: FlowId) -> usize {
+        (u64::from(flow.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// `Ok(slot)` holding `flow`, or `Err(slot)` where it would go.
+    #[inline]
+    fn find(&self, flow: FlowId) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(flow);
+        loop {
+            let (f, cell) = self.slots[at];
+            if cell == NIL {
+                return Err(at);
+            }
+            if f == flow {
+                return Ok(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Insert the absent `flow` at `at`, the slot `find` returned.
+    fn insert(&mut self, mut at: usize, flow: FlowId, cell: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![(FlowId(0), NIL); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.shift -= 1;
+            for (f, c) in old.into_iter().filter(|&(_, c)| c != NIL) {
+                let to = self.find(f).expect_err("flows are unique");
+                self.slots[to] = (f, c);
+            }
+            at = self.find(flow).expect_err("inserting an absent flow");
+        }
+        self.slots[at] = (flow, cell);
+        self.len += 1;
+    }
+
+    /// Empty slot `hole`, moving back each later entry of its probe run
+    /// whose home lies at or before the hole, so no lookup meets a gap.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        self.slots[hole].1 = NIL;
+        self.len -= 1;
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let (flow, cell) = self.slots[at];
+            if cell == NIL {
+                return;
+            }
+            let from_home = at.wrapping_sub(self.home(flow)) & mask;
+            if from_home >= (at.wrapping_sub(hole) & mask) {
+                self.slots[hole] = (flow, cell);
+                self.slots[at].1 = NIL;
+                hole = at;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1127,6 +1444,72 @@ mod tests {
         );
         enum_rejects_like_concrete(PifoBackend::Rifo, Rifo::with_capacity(2));
         enum_rejects_like_concrete(PifoBackend::Aifo, Aifo::with_capacity(2));
+    }
+
+    /// Flow state is bounded by the active flows: 10⁵ distinct
+    /// one-packet flows, at most eight buffered at a time, never leave
+    /// more table entries than flows with a packet in the queue, and the
+    /// rank store and the flow table stay at their peak size.
+    #[test]
+    fn flow_pifo_table_tracks_active_flows_only() {
+        let mut q = FlowPifo::new();
+        let mut active = std::collections::VecDeque::new();
+        for f in 0..100_000u32 {
+            q.push(FlowId(f), Rank(u64::from(f) / 3), f);
+            active.push_back(f);
+            if active.len() > 8 {
+                let (_, v) = q.pop().expect("non-empty");
+                assert_eq!(Some(v), active.pop_front(), "one-packet flows pop FIFO");
+            }
+            assert_eq!(q.flows(), active.len());
+            assert_eq!(q.len(), active.len());
+        }
+        while q.pop().is_some() {}
+        assert_eq!(q.flows(), 0);
+        assert!(
+            q.cells.len() <= 9 && q.tails.slots.len() <= 4 * 9,
+            "storage grew past the peak"
+        );
+    }
+
+    /// The open-addressing flow table agrees with a `HashMap` through
+    /// inserts and backward-shift removals. The keys are 48 random ids,
+    /// not consecutive ones (which the multiplicative hash spreads
+    /// without a collision), so probe runs collide and wrap.
+    #[test]
+    fn flow_index_matches_hash_map_under_churn() {
+        let mut index = FlowIndex::new();
+        let mut model = std::collections::HashMap::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let keys: Vec<u32> = (0..48).map(|_| next() as u32).collect();
+        for step in 0..200_000u32 {
+            let x = next();
+            let flow = FlowId(keys[(x % 48) as usize]);
+            match index.find(flow) {
+                Ok(at) => {
+                    assert_eq!(Some(&index.slots[at].1), model.get(&flow));
+                    if x & (1 << 40) != 0 {
+                        index.remove_at(at);
+                        model.remove(&flow);
+                    }
+                }
+                Err(at) => {
+                    assert!(!model.contains_key(&flow), "{flow} lost at step {step}");
+                    index.insert(at, flow, step);
+                    model.insert(flow, step);
+                }
+            }
+            assert_eq!(index.len, model.len());
+        }
+        for (flow, cell) in &model {
+            assert_eq!(index.find(*flow).map(|at| index.slots[at].1), Ok(*cell));
+        }
     }
 
     // ---- BucketPifo-specific structure tests -----------------------------

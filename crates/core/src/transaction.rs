@@ -69,6 +69,40 @@ pub trait SchedulingTransaction: Send {
     fn name(&self) -> &str {
         "scheduling"
     }
+
+    /// True declares that, within one flow, the ranks this transaction
+    /// returns never decrease. The flow is [`EnqCtx::flow`]: the packet's
+    /// flow at a leaf, the child at an interior node.
+    ///
+    /// A tree node whose transaction declares, on the heap or bucket
+    /// engine, sorts only its flows' heads and keeps everything behind
+    /// them in per-flow FIFOs ([`FlowPifo`](crate::pifo::FlowPifo), Fig
+    /// 12's decomposition), which pops in exactly the reference order.
+    ///
+    /// **Proof obligation:** for every call sequence the tree can make
+    /// (`rank` interleaved with `on_dequeue`), two successive `rank`
+    /// calls for the same flow return `r₁ ≤ r₂`. A false declaration
+    /// cannot mis-order silently: the node's queue panics at any push
+    /// that ranks below an element of the same flow still queued.
+    ///
+    /// Only STFQ declares. Why each other transaction does not:
+    ///
+    /// * `Fifo` (rank = `now`) — monotone only under the tree's
+    ///   non-decreasing time contract, which callers may break.
+    /// * `StrictPriority` — the class is per packet, not per flow.
+    /// * `Srpt` — remaining bytes fall as a flow progresses.
+    /// * `Las`, `Sjf`, `Edf`, `Lstf` — the rank is a field the end host
+    ///   or an upstream hop sets per packet, and nothing orders it.
+    /// * `MinRateGuarantee` — the rank drops back to 0 once the flow's
+    ///   token bucket refills.
+    /// * `ScEdf` — a flow that goes idle restarts its busy period at
+    ///   `now`, so its next deadline can be earlier.
+    /// * `ClassPriority` — constant per child, so it would qualify; no
+    ///   measured workload runs it, and the choice waits for one.
+    /// * `DominoScheduling` — the program is opaque to the tree.
+    fn ranks_monotone_per_flow(&self) -> bool {
+        false
+    }
 }
 
 /// A shaping transaction: computes the wall-clock time at which the shaped

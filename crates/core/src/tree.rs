@@ -34,6 +34,21 @@
 //! [`ScheduleTree::shaping_inspections`] — and shaped trees pay O(log s)
 //! per parked entry instead of an O(nodes) scan per call.
 //!
+//! # Sorting flows, not packets
+//!
+//! An interior node holds one reference per packet beneath it, but its
+//! *flows* are only its children. Where a node's transaction declares
+//! per-flow monotone ranks
+//! ([`SchedulingTransaction::ranks_monotone_per_flow`], e.g. STFQ) and
+//! its backend is the heap or the bucket calendar, the node runs Fig
+//! 12's decomposition, [`FlowPifo`]: a heap of flow heads (its children,
+//! or its packets' flows at a leaf) over per-flow FIFOs. A pop then
+//! sorts among the node's active flows, not among every buffered
+//! element, and the order is exactly the sorted reference's. Every other
+//! node — the `SortedArray` reference, the approximate engines, and
+//! undeclared transactions such as SRPT, LSTF or EDF — runs the engine
+//! its backend names, as an [`EnumPifo`].
+//!
 //! # Invariants
 //!
 //! * Work-conserving subtrees: a node's scheduling-PIFO length equals the
@@ -46,10 +61,14 @@
 //! * Slab accounting: `packet_buffer().live() == len() +
 //!   shaped_refs_holding_packets()`, and the slab's free list is whole
 //!   again once the tree fully drains (no leaked slots).
+//! * A node sorts flow heads only if its transaction declared per-flow
+//!   monotone ranks; a push that breaks the declaration panics instead
+//!   of mis-ordering. Either way the node pops in the reference's
+//!   `(rank, push order)` order.
 
 use crate::metrics::{InversionStats, InversionTracker};
 use crate::packet::{FlowId, Packet};
-use crate::pifo::{EnumPifo, PifoBackend, PifoQueue};
+use crate::pifo::{EnumPifo, FlowPifo, PifoBackend, PifoQueue};
 use crate::pool::{PktHandle, PoolHandle, SharedPacketPool};
 use crate::rank::Rank;
 use crate::telemetry::{drop_reason, EventKind, FlightRecorder, PathLog, PathRecorder, TraceEvent};
@@ -222,10 +241,69 @@ struct Node {
     shaper: Option<Box<dyn ShapingTransaction>>,
     flow_fn: Option<FlowFn>,
     backend: PifoBackend,
-    /// Statically dispatched so hot-path push/pop monomorphize.
-    sched_pifo: EnumPifo<Element>,
+    sched_pifo: SchedPifo,
     /// Entries parked for this node on the tree-wide shaping agenda.
     shaping_len: usize,
+}
+
+/// A node's scheduling PIFO, statically dispatched so hot-path push/pop
+/// monomorphize: Fig 12's flow-head decomposition where the node's
+/// transaction declares per-flow monotone ranks and its backend is the
+/// heap or the bucket calendar; the backend's own engine otherwise.
+enum SchedPifo {
+    Engine(EnumPifo<Element>),
+    Flows(FlowPifo<Element>),
+}
+
+impl SchedPifo {
+    fn new(backend: PifoBackend, sched: &dyn SchedulingTransaction) -> Self {
+        let exact_fast = matches!(backend, PifoBackend::Heap | PifoBackend::Bucket);
+        if exact_fast && sched.ranks_monotone_per_flow() {
+            SchedPifo::Flows(FlowPifo::new())
+        } else {
+            SchedPifo::Engine(backend.make_enum())
+        }
+    }
+
+    /// Push an element of `flow` (the transaction's `EnqCtx::flow`).
+    #[inline]
+    fn push(&mut self, flow: FlowId, rank: Rank, elem: Element) {
+        match self {
+            SchedPifo::Engine(q) => q.push(rank, elem),
+            SchedPifo::Flows(q) => q.push(flow, rank, elem),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(Rank, Element)> {
+        match self {
+            SchedPifo::Engine(q) => q.pop(),
+            SchedPifo::Flows(q) => q.pop(),
+        }
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<(Rank, &Element)> {
+        match self {
+            SchedPifo::Engine(q) => q.peek(),
+            SchedPifo::Flows(q) => q.peek(),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            SchedPifo::Engine(q) => q.len(),
+            SchedPifo::Flows(q) => q.len(),
+        }
+    }
+
+    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &Element)> + '_> {
+        match self {
+            SchedPifo::Engine(q) => q.iter_in_order(),
+            SchedPifo::Flows(q) => Box::new(q.iter_in_order()),
+        }
+    }
 }
 
 /// Builder for [`ScheduleTree`].
@@ -480,11 +558,11 @@ impl TreeBuilder {
                     name: n.name,
                     parent: n.parent,
                     children: n.children,
+                    sched_pifo: SchedPifo::new(backend, n.sched.as_ref()),
                     sched: n.sched,
                     shaper: n.shaper,
                     flow_fn: n.flow_fn,
                     backend,
-                    sched_pifo: backend.make_enum(),
                     shaping_len: 0,
                 }
             })
@@ -614,7 +692,12 @@ impl ScheduleTree {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// The queue engine backing `node`'s PIFOs.
+    /// The backend selected for `node` (tree-wide or per-node override).
+    ///
+    /// What runs is that backend's engine, except at a heap or bucket
+    /// node whose transaction declares per-flow monotone ranks: that node
+    /// runs [`FlowPifo`], Fig 12's flow-head decomposition, which pops in
+    /// the same order (see the module docs).
     pub fn node_backend(&self, node: NodeId) -> PifoBackend {
         self.nodes[node.index()].backend
     }
@@ -731,7 +814,7 @@ impl ScheduleTree {
             };
             let rank = node.sched.rank(&ctx);
             let depth = node.sched_pifo.len();
-            node.sched_pifo.push(rank, Element::Packet(handle));
+            node.sched_pifo.push(flow, rank, Element::Packet(handle));
             (rank, flow, depth)
         };
         if self.recorder.is_some() || self.paths.is_some() {
@@ -838,7 +921,9 @@ impl ScheduleTree {
             };
             let rank = pnode.sched.rank(&ctx);
             let depth = pnode.sched_pifo.len();
-            pnode.sched_pifo.push(rank, Element::Ref(node));
+            pnode
+                .sched_pifo
+                .push(node.as_flow(), rank, Element::Ref(node));
             (rank, depth)
         };
         if let Some(paths) = &mut self.paths {
@@ -956,7 +1041,7 @@ impl ScheduleTree {
                         },
                     );
                     debug_assert!(
-                        !self.nodes[child.index()].sched_pifo.is_empty(),
+                        self.nodes[child.index()].sched_pifo.len() > 0,
                         "dequeued a reference to empty child {child} — tree invariant broken"
                     );
                     node = child;
@@ -1462,6 +1547,42 @@ mod tests {
         assert_eq!(tree.node_backend(leaf), PifoBackend::Bucket);
         tree.enqueue(pkt(0, 0, 0), Nanos(0)).unwrap();
         assert_eq!(tree.dequeue(Nanos(1)).unwrap().id.0, 0);
+    }
+
+    /// A node sorts flow heads exactly when its transaction declares
+    /// per-flow monotone ranks and its backend is the heap or the bucket
+    /// calendar. The sorted reference, the approximate engines and
+    /// undeclared transactions run the engine their backend names.
+    #[test]
+    fn declared_nodes_on_fast_exact_engines_sort_flows() {
+        struct Declared;
+        impl SchedulingTransaction for Declared {
+            fn rank(&mut self, ctx: &EnqCtx<'_>) -> Rank {
+                Rank(ctx.now.as_nanos())
+            }
+            fn ranks_monotone_per_flow(&self) -> bool {
+                true
+            }
+        }
+        for backend in PifoBackend::ALL {
+            let mut b = TreeBuilder::new();
+            b.with_backend(backend);
+            let root = b.add_root("declared", Box::new(Declared));
+            let leaf = b.add_child(root, "undeclared", fifo_tx());
+            let mut tree = b.build(Box::new(move |_| leaf)).unwrap();
+            let sorts_flows =
+                |n: NodeId| matches!(tree.nodes[n.index()].sched_pifo, SchedPifo::Flows(_));
+            let want = matches!(backend, PifoBackend::Heap | PifoBackend::Bucket);
+            assert_eq!(sorts_flows(root), want, "declared node on {backend}");
+            assert!(!sorts_flows(leaf), "undeclared node on {backend}");
+            match &tree.nodes[leaf.index()].sched_pifo {
+                SchedPifo::Engine(q) => assert_eq!(q.backend(), backend),
+                SchedPifo::Flows(_) => unreachable!(),
+            }
+            assert_eq!(tree.node_backend(root), backend);
+            tree.enqueue(pkt(0, 0, 0), Nanos(0)).unwrap();
+            assert_eq!(tree.dequeue(Nanos(1)).unwrap().id.0, 0);
+        }
     }
 
     #[test]

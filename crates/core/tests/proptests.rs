@@ -180,6 +180,86 @@ proptest! {
     }
 }
 
+/// An operation on a flow-decomposed PIFO. A push's rank is fixed when
+/// it runs, so that each flow's ranks stay non-decreasing: `step` above
+/// the flow's tail while it has elements buffered, `fresh` (anywhere in
+/// the band, below its earlier ranks included) once it has drained.
+#[derive(Debug, Clone)]
+enum FlowOp {
+    Push { flow: u32, step: u64, fresh: u64 },
+    Pop,
+}
+
+/// Small steps from a 16-wide band: cross-flow rank ties are common.
+fn flow_op_strategy() -> impl Strategy<Value = FlowOp> {
+    prop_oneof![
+        4 => (any::<u32>(), 0u64..3, 0u64..16)
+            .prop_map(|(flow, step, fresh)| FlowOp::Push { flow, step, fresh }),
+        3 => Just(FlowOp::Pop),
+    ]
+}
+
+proptest! {
+    /// `FlowPifo` is exact by construction: fed per-flow monotone ranks,
+    /// it pops, peeks and counts exactly like the sorted reference after
+    /// every op, FIFO ties across flows included, while flows drain and
+    /// return (reusing table slots and rank-store cells).
+    #[test]
+    fn flow_pifo_matches_sorted_reference(
+        flows in 1u32..65,
+        ops in proptest::collection::vec(flow_op_strategy(), 0..400),
+    ) {
+        let mut reference = SortedArrayPifo::new();
+        let mut q = FlowPifo::new();
+        // Per flow: (elements buffered, tail rank).
+        let mut tails = vec![(0usize, 0u64); flows as usize];
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                FlowOp::Push { flow, step, fresh } => {
+                    let f = flow % flows;
+                    let (n, tail) = &mut tails[f as usize];
+                    *tail = if *n == 0 { fresh } else { *tail + step };
+                    *n += 1;
+                    reference.push(Rank(*tail), (f, i));
+                    q.push(FlowId(f), Rank(*tail), (f, i));
+                }
+                FlowOp::Pop => {
+                    let want = reference.pop();
+                    if let Some((_, (f, _))) = want {
+                        tails[f as usize].0 -= 1;
+                    }
+                    prop_assert_eq!(q.pop(), want, "pop diverges after op {}", i);
+                }
+            }
+            prop_assert_eq!(q.peek(), reference.peek(), "peek diverges after op {}", i);
+            prop_assert_eq!(q.len(), reference.len(), "len diverges after op {}", i);
+            let active = tails.iter().filter(|(n, _)| *n > 0).count();
+            prop_assert_eq!(q.flows(), active, "table holds only active flows");
+        }
+        let view: Vec<_> = q.iter_in_order().collect();
+        let want_view: Vec<_> = reference.iter().collect();
+        prop_assert_eq!(view, want_view, "iter_in_order diverges");
+        loop {
+            let want = reference.pop();
+            prop_assert_eq!(q.pop(), want, "drain diverges");
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+/// A flow whose rank falls breaks the precondition `FlowPifo`'s
+/// exactness rests on; the push panics rather than mis-order.
+#[test]
+#[should_panic(expected = "behind rank")]
+fn flow_pifo_rejects_within_flow_rank_regression() {
+    let mut q = FlowPifo::new();
+    q.push(FlowId(1), Rank(7), 0u32);
+    q.push(FlowId(2), Rank(3), 1); // another flow may rank lower
+    q.push(FlowId(1), Rank(6), 2);
+}
+
 // Tree-level properties: for a work-conserving tree (no shapers), the
 // number of dequeued packets always equals the number enqueued, the tree
 // drains completely, and per-node PIFO occupancies match subtree packet

@@ -13,6 +13,15 @@
 //! insert/scan; the sizes involved (≤ 2048 entries, Table 2) make the
 //! linear scan an honest stand-in for the parallel comparators.
 //!
+//! **Ties.** Equal-rank heads pop in flow-scheduler *insertion* order.
+//! A flow's next element is inserted when it becomes the head, after its
+//! predecessor pops, so it queues behind every equal-rank head already
+//! present — even one pushed into the block later than it. That departs
+//! from a single PIFO's FIFO tie-break across flows. The software
+//! decomposition, `pifo_core::pifo::FlowPifo`, keys each head by its
+//! element's *original* push sequence number instead, which is why it
+//! pops in exactly the sorted reference's order.
+//!
 //! PFC pause masking (§6.2) is supported: paused flows are skipped by the
 //! pop's priority encoder and resume transparently.
 
@@ -70,7 +79,8 @@ impl FlowScheduler {
     }
 
     /// Insert a flow-head entry (parallel compare + priority encode +
-    /// shift, Fig 13 stage 1–2). Equal ranks keep insertion order.
+    /// shift, Fig 13 stage 1–2). Equal ranks keep insertion order (see
+    /// the module docs on ties).
     pub fn push(&mut self, e: FlowEntry) -> Result<(), HwError> {
         if self.entries.len() >= self.capacity {
             return Err(HwError::FlowSchedulerFull);

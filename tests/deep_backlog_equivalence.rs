@@ -185,18 +185,136 @@ fn hier5(level: u32, index: u32, flows: u32) -> Hierarchy {
     Hierarchy::class(&format!("l{level}n{index}"), children)
 }
 
+const HIER_FLOWS: u32 = 6_144;
+
+/// Heavy-tailed flows at four times the link rate over `HIER_FLOWS`
+/// flows: a full `HIER_BUFFER`-slot pool and tail drops.
+fn hier5_arrivals() -> Vec<Packet> {
+    let dist = SizeDistribution::bounded_pareto(1.2, 1_000, 1_000_000);
+    let (arrivals, _) = flow_workload(
+        HIER_FLOWS as usize,
+        1_600_000.0,
+        &dist,
+        4 * RATE_BPS,
+        1_500,
+        12,
+    );
+    arrivals
+}
+
+fn hier5_pool() -> PoolHandle {
+    SharedPacketPool::new(HIER_BUFFER, AdmissionPolicy::Unlimited)
+        .into_shared()
+        .register_port()
+}
+
 /// Every buffered packet holds one reference in the root PIFO, so a full
 /// `HIER_BUFFER`-slot pool is a root ≥ 10 000 deep.
 #[test]
 fn deep_hier5_port_agrees_across_engines() {
-    const FLOWS: u32 = 6_144;
-    let dist = SizeDistribution::bounded_pareto(1.2, 1_000, 1_000_000);
-    let (arrivals, _) = flow_workload(FLOWS as usize, 1_600_000.0, &dist, 4 * RATE_BPS, 1_500, 12);
-    let shape = hier5(0, 0, FLOWS);
+    let arrivals = hier5_arrivals();
+    let shape = hier5(0, 0, HIER_FLOWS);
     assert_eq!(shape.depth(), HIER_LEVELS as usize);
     assert_engines_agree(&arrivals, |engine| {
-        let pool = SharedPacketPool::new(HIER_BUFFER, AdmissionPolicy::Unlimited).into_shared();
-        let (tree, _) = shape.build_in_pool(engine.unwrap_or_default(), pool.register_port());
+        let (tree, _) = shape.build_in_pool(engine.unwrap_or_default(), hier5_pool());
         tree
     });
+}
+
+/// A transaction's undeclared twin: forwards `rank`, `on_dequeue` and
+/// `name` only, so `ranks_monotone_per_flow` keeps its default `false`
+/// and the node runs the packet-sorting engine its backend names.
+struct Undeclared<T>(T);
+
+impl<T: SchedulingTransaction> SchedulingTransaction for Undeclared<T> {
+    fn rank(&mut self, ctx: &EnqCtx<'_>) -> Rank {
+        self.0.rank(ctx)
+    }
+
+    fn on_dequeue(&mut self, rank: Rank, ctx: &DeqCtx) {
+        self.0.on_dequeue(rank, ctx)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// Add `h` under `parent` with the weights `Hierarchy::build` gives it,
+/// each node's `Stfq` passed through `wrap`; returns the node's id.
+fn add_stfq_subtree(
+    h: &Hierarchy,
+    parent: Option<NodeId>,
+    b: &mut TreeBuilder,
+    next_id: &mut u32,
+    wrap: fn(Stfq) -> Box<dyn SchedulingTransaction>,
+    leaf_of: &mut FlowMap<NodeId>,
+) -> NodeId {
+    fn size(h: &Hierarchy) -> u32 {
+        match h {
+            Hierarchy::Leaf { .. } => 1,
+            Hierarchy::Class { children, .. } => {
+                1 + children.iter().map(|(_, c)| size(c)).sum::<u32>()
+            }
+        }
+    }
+    let id = *next_id;
+    *next_id += 1;
+    let (name, table) = match h {
+        Hierarchy::Leaf { name, flows } => (name, WeightTable::from_pairs(flows.iter().copied())),
+        Hierarchy::Class { name, children } => {
+            let mut table = WeightTable::new();
+            let mut child = id + 1;
+            for (w, c) in children {
+                table.set(FlowId(child), *w);
+                child += size(c);
+            }
+            (name, table)
+        }
+    };
+    let tx = wrap(Stfq::new(table));
+    let node = match parent {
+        None => b.add_root(name, tx),
+        Some(p) => b.add_child(p, name, tx),
+    };
+    assert_eq!(node.index() as u32, id, "ids are dense in preorder");
+    match h {
+        Hierarchy::Leaf { flows, .. } => {
+            for (f, _) in flows {
+                leaf_of.insert(*f, node);
+            }
+        }
+        Hierarchy::Class { children, .. } => {
+            for (_, c) in children {
+                add_stfq_subtree(c, Some(node), b, next_id, wrap, leaf_of);
+            }
+        }
+    }
+    node
+}
+
+/// The flow-head decomposition against the heap engine, not only against
+/// the sorted reference: the hier5 STFQ tree on `Heap`, whose declared
+/// nodes sort flow heads, departs exactly like the same tree with every
+/// `Stfq` undeclared, whose nodes heap-sort every packet.
+#[test]
+fn deep_hier5_flow_heads_equal_packet_heap() {
+    let arrivals = hier5_arrivals();
+    let shape = hier5(0, 0, HIER_FLOWS);
+    let run = |wrap: fn(Stfq) -> Box<dyn SchedulingTransaction>| {
+        let mut b = TreeBuilder::new();
+        b.with_backend(PifoBackend::Heap);
+        let mut leaf_of = FlowMap::default();
+        add_stfq_subtree(&shape, None, &mut b, &mut 0, wrap, &mut leaf_of);
+        let classify = move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID);
+        let tree = b
+            .build_in_pool(Box::new(classify), hier5_pool())
+            .expect("valid");
+        port_trace(&arrivals, tree)
+    };
+    let flow_heads = run(|s| Box::new(s));
+    let packet_heap = run(|s| Box::new(Undeclared(s)));
+    assert!(packet_heap.1 > 0, "the workload must overrun the buffer");
+    assert_eq!(flow_heads.1, packet_heap.1, "drop count");
+    assert!(flow_heads.0 == packet_heap.0, "departures diverge");
 }

@@ -2,11 +2,14 @@
 //! software `ScheduleTree` (pifo-core) and by the compiled hardware mesh
 //! (pifo-compiler + pifo-hw) produces the same schedule.
 //!
-//! Exact element-for-element equality is asserted for transactions with
-//! unique ranks; for STFQ — where cross-flow rank ties are tie-broken
-//! differently by the flow-scheduler decomposition (see
-//! `pifo-hw/tests/equivalence.rs`) — we assert intra-flow FIFO order plus
-//! tightly matching per-flow service counts.
+//! Element-for-element equality is asserted for FIFO (unique ranks) and
+//! for the STFQ hierarchy on its 400-packet stream. The hardware flow
+//! scheduler breaks equal-rank heads by its own insertion order, not by
+//! original push order (see `pifo-hw`'s `flow_scheduler` and
+//! `pifo-hw/tests/equivalence.rs`), so STFQ equality is a property of
+//! this stream, not a guarantee; a stream that diverges on a cross-flow
+//! tie should assert intra-flow order instead. The shaped hierarchy
+//! asserts the same packet set and intra-flow order.
 
 use pifo_algos::{Stfq, WeightTable};
 use pifo_compiler::{compile, instantiate, TreeSpec};
@@ -150,10 +153,10 @@ fn stfq_nodes() -> Vec<Box<dyn SchedulingTransaction>> {
     ]
 }
 
-/// STFQ/HPFQ: intra-flow order identical; per-flow totals identical; and
-/// per-flow counts never drift more than a tie window apart at any prefix.
+/// STFQ/HPFQ on 400 packets over four flows: the tree and the mesh
+/// depart in the same order, element for element.
 #[test]
-fn stfq_hierarchy_tree_close_to_mesh() {
+fn stfq_hierarchy_tree_equals_mesh() {
     let packets = hpfq_packets(400);
 
     let tree = tree_order(
@@ -180,31 +183,7 @@ fn stfq_hierarchy_tree_close_to_mesh() {
         &packets,
     );
 
-    assert_eq!(tree.len(), mesh.len());
-    let flow_of: HashMap<u64, u32> = packets.iter().map(|p| (p.id.0, p.flow.0)).collect();
-
-    // Intra-flow subsequences identical (FIFO per flow on both sides).
-    for f in 0..4u32 {
-        let a: Vec<u64> = tree.iter().copied().filter(|id| flow_of[id] == f).collect();
-        let b: Vec<u64> = mesh.iter().copied().filter(|id| flow_of[id] == f).collect();
-        assert_eq!(a, b, "flow {f} must drain FIFO in both");
-    }
-
-    // Prefix counts stay within a small tie window.
-    let mut ca = [0i64; 4];
-    let mut cb = [0i64; 4];
-    for (x, y) in tree.iter().zip(mesh.iter()) {
-        ca[flow_of[x] as usize] += 1;
-        cb[flow_of[y] as usize] += 1;
-        for f in 0..4 {
-            assert!(
-                (ca[f] - cb[f]).abs() <= 4,
-                "flow {f} service drifted: tree {} vs mesh {}",
-                ca[f],
-                cb[f]
-            );
-        }
-    }
+    assert_eq!(tree, mesh, "STFQ hierarchy must match exactly");
 }
 
 /// Shaped hierarchy: the tree with a fixed-delay shaper and the mesh
