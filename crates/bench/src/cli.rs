@@ -1,14 +1,14 @@
 //! The one command-line parser every pifo-bench entry point shares.
 //!
-//! The `repro` binary and the Criterion-style bench mains all accept the
-//! same two knobs — a PIFO engine selector and a CI smoke switch — and
-//! routing them through this module keeps the accepted spellings and the
-//! error text identical everywhere. In particular there is exactly one
-//! place that knows how to turn a `--backend` value into a
-//! [`PifoBackend`]: the enum's `FromStr` impl via [`extract_backend`],
-//! so a new backend variant (or a parameterised one like `sp-pifo:4`)
-//! becomes available to every binary the moment the enum learns it — no
-//! per-binary match arms to drift out of sync.
+//! The `repro` binary takes a PIFO engine selector and its mode flags,
+//! and the three bench mains take a CI smoke switch; routing them through
+//! this module keeps the accepted spellings and the error text identical
+//! everywhere. In particular there is exactly one place that knows how
+//! to turn a `--backend` value into a [`PifoBackend`]: the enum's
+//! `FromStr` impl via [`extract_backend`], so a new backend variant (or a
+//! parameterised one like `sp-pifo:4`) becomes available to every binary
+//! the moment the enum learns it — no per-binary match arms to drift out
+//! of sync.
 
 use pifo_core::pifo::{PifoBackend, BACKEND_NAMES};
 

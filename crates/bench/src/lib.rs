@@ -1,6 +1,7 @@
 //! # pifo-bench
 //!
-//! Experiment drivers (`repro` binary) and Criterion benchmarks.
+//! Experiment drivers (`repro` binary) and three bench mains under
+//! `benches/` (`approx_quality`, `parallel_drain`, `tree_hotpath`).
 //!
 //! Every table and figure of the paper has a regenerator here — run
 //! `cargo run -p pifo-bench --bin repro --release -- list` for the

@@ -140,7 +140,7 @@ fn shared_switch(backend: PifoBackend) -> pifo_sim::Switch {
     sb.build(Box::new(|p: &Packet| p.flow.0 as usize % PORTS))
 }
 
-/// The acceptance criterion: for all 3 backends × 3 traffic patterns,
+/// The acceptance check: for all 3 backends × 3 traffic patterns,
 /// the parallel drain's merged trace is bit-identical to the sequential
 /// one, on private-slab fabrics (real worker concurrency) at workers ∈
 /// {1, 2, 4} and with the auto worker count.

@@ -217,7 +217,7 @@ proptest! {
     }
 }
 
-/// The acceptance-criterion scenario, pinned exactly: a dead port under
+/// The acceptance scenario, pinned exactly: a dead port under
 /// sustained load yields a typed `FabricStall` within the round budget —
 /// no hang, no panic — while the healthy ports keep transmitting.
 #[test]

@@ -10,7 +10,9 @@
 //!    departure-derived waits of [`waits_of`](pifo::sim::metrics), and
 //!    the same holds through `latency_stats` percentiles; every record's
 //!    hops retrace its leaf-to-root walk and their residences sum to its
-//!    wait.
+//!    wait; lifetime event counts match the trace (enqueues and pool
+//!    allocs = admitted, dequeues and pool frees = departed, drop events
+//!    = trace drops).
 //!
 //! The same properties are pinned on the lossless fabric, whose runs
 //! add synthesized pause/resume events and fabric gauges.
@@ -115,7 +117,8 @@ proptest! {
     /// Contract 1 + 2 on the plain switch: telemetry-on departures are
     /// bit-identical to telemetry-off in every exact backend × drain
     /// mode, identical builds give identical snapshots, and the event
-    /// stream is drain-mode invariant.
+    /// stream is drain-mode invariant; its event counts reconcile with
+    /// the trace (contract 3).
     #[test]
     fn switch_telemetry_observes_and_is_deterministic(
         flows in 1u32..24,
@@ -136,6 +139,21 @@ proptest! {
                 let mut sw = build_switch(ports, pool, backend, Some(cfg));
                 let run = sw.run(&arr, mode);
                 let snap = sw.telemetry_snapshot(&run).expect("telemetry on");
+
+                // 3: the lifetime event counts reconcile with the trace.
+                let departed = run.total_departures() as u64;
+                let drops = run.total_drops();
+                prop_assert_eq!(departed + drops, arr.len() as u64, "every packet accounted");
+                for (kind, want, what) in [
+                    (EventKind::Enqueue, departed, "enqueues = admitted"),
+                    (EventKind::PoolAlloc, departed, "allocs = admitted"),
+                    (EventKind::Dequeue, departed, "dequeues = departed"),
+                    (EventKind::PoolFree, departed, "frees = departed"),
+                    (EventKind::Drop, drops, "drop events = trace drops"),
+                ] {
+                    prop_assert_eq!(snap.count(kind), want,
+                        "[{}/{}] {}", backend, mode.label(), what);
+                }
 
                 // 1: observes, never steers.
                 for (a, b) in base.ports.iter().zip(&run.ports) {
