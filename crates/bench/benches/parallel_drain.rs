@@ -1,10 +1,12 @@
 //! Multi-core fabric drain sweep: a 16-port incast fabric with private
-//! per-port slabs (the embarrassingly-parallel configuration) drained
-//! sequentially (`PerPacket`) and with [`DrainMode::Parallel`] at 1, 2,
-//! 4, and 8 workers.
+//! per-port slabs — sixteen pools, so sixteen independent groups to deal
+//! to workers — drained by one worker (`PerPacket`) and with
+//! [`DrainMode::Parallel`] at 1, 2, 4, and 8 workers. Each worker runs
+//! its ports in `(time, port)` order on one pass over the arrivals, so
+//! the 1-worker leg is the `PerPacket` loop itself and reads ≈ 1.0×.
 //!
 //! Every parallel leg's per-port departure traces are cross-checked
-//! byte-identical to the sequential run before timing — the
+//! byte-identical to the one-worker run before timing — the
 //! sweep measures a drain that is *provably* the same schedule, not a
 //! relaxed one. Results land in `BENCH_parallel.json` (override with
 //! `BENCH_PARALLEL_OUT`); `--smoke` / `BENCH_PARALLEL_SMOKE=1` shrinks
@@ -12,7 +14,7 @@
 //!
 //! The JSON records `available_parallelism` so the numbers are
 //! interpretable: on a 1-core box the parallel legs can only tie the
-//! sequential drain (worker threads time-slice one core), so the ≥2×
+//! one-worker drain (worker threads time-slice one core), so the ≥2×
 //! speedup check is asserted only when ≥4 cores are actually available
 //! (and not in smoke mode, where the workload is too small to amortise
 //! thread startup).

@@ -1,7 +1,8 @@
 //! Fixed-function baseline schedulers — the "menu" a conventional switch
-//! offers (§1): FIFO, Deficit Round Robin \[34\], strict priorities, and a
-//! token-bucket-shaped FIFO. These are *not* built on PIFOs; they are the
-//! comparison points the paper's programmable scheduler replaces.
+//! offers (§1): FIFO, Deficit Round Robin \[34\], a token-bucket-shaped
+//! FIFO and Stochastic Fairness Queueing. These are *not* built on PIFOs;
+//! they are the comparison points the paper's programmable scheduler
+//! replaces (strict priority is one PIFO node, `pifo_algos::StrictPriority`).
 
 use crate::scheduler::PortScheduler;
 use pifo_core::prelude::*;
@@ -181,73 +182,6 @@ impl PortScheduler for DrrSched {
 }
 
 // ---------------------------------------------------------------------------
-// Strict priority bank
-// ---------------------------------------------------------------------------
-
-/// A bank of FIFO queues served in strict priority order of the packet's
-/// `class` field (0 = highest).
-#[derive(Debug)]
-pub struct StrictPrioritySched {
-    queues: Vec<VecDeque<Packet>>,
-    backlog: usize,
-    limit: usize,
-    drops: u64,
-}
-
-impl StrictPrioritySched {
-    /// `levels` priority classes sharing a buffer of `limit` packets.
-    pub fn new(levels: usize, limit: usize) -> Self {
-        assert!(levels > 0, "need at least one priority level");
-        StrictPrioritySched {
-            queues: (0..levels).map(|_| VecDeque::new()).collect(),
-            backlog: 0,
-            limit,
-            drops: 0,
-        }
-    }
-
-    /// Packets dropped so far (buffer full or class out of range).
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-}
-
-impl PortScheduler for StrictPrioritySched {
-    fn enqueue(&mut self, pkt: Packet, _now: Nanos) -> bool {
-        let class = pkt.class as usize;
-        if self.backlog >= self.limit || class >= self.queues.len() {
-            self.drops += 1;
-            return false;
-        }
-        self.queues[class].push_back(pkt);
-        self.backlog += 1;
-        true
-    }
-
-    fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
-        for q in &mut self.queues {
-            if let Some(p) = q.pop_front() {
-                self.backlog -= 1;
-                return Some(p);
-            }
-        }
-        None
-    }
-
-    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
-        None
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
-    }
-
-    fn name(&self) -> &str {
-        "StrictPriority"
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Token-bucket-shaped FIFO (classic "traffic shaping" menu item)
 // ---------------------------------------------------------------------------
 
@@ -410,23 +344,6 @@ mod tests {
         s.enqueue(pkt(1, 0, 100), Nanos(2));
         assert_eq!(s.dequeue(Nanos(3)).unwrap().id.0, 1);
         assert_eq!(s.backlog(), 0);
-    }
-
-    #[test]
-    fn strict_priority_orders_classes() {
-        let mut s = StrictPrioritySched::new(4, 100);
-        s.enqueue(pkt(0, 0, 100).with_class(3), Nanos(0));
-        s.enqueue(pkt(1, 0, 100).with_class(1), Nanos(0));
-        s.enqueue(pkt(2, 0, 100).with_class(2), Nanos(0));
-        let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(Nanos(1)).map(|p| p.id.0)).collect();
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn strict_priority_rejects_out_of_range_class() {
-        let mut s = StrictPrioritySched::new(2, 100);
-        assert!(!s.enqueue(pkt(0, 0, 100).with_class(5), Nanos(0)));
-        assert_eq!(s.drops(), 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! Everything is seeded and deterministic: identical inputs produce
 //! identical outputs, bit for bit — including the [`switch`] fabric's
-//! multi-core drain ([`DrainMode::Parallel`]), whose merged traces are
-//! differentially pinned against the sequential drain.
+//! multi-core drain ([`DrainMode::Parallel`], the default), whose merged
+//! traces are differentially pinned against the one-worker drain.
 //!
 //! Observability rides along without steering: build a fabric with
 //! [`SwitchBuilder::with_telemetry`] and every port tree records flight
@@ -38,7 +38,7 @@ pub mod scheduler;
 pub mod switch;
 pub mod traffic;
 
-pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo, StrictPrioritySched};
+pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo};
 pub use buffer::{ManagedScheduler, Red, RedScheduler};
 pub use gps::FluidGps;
 pub use lossless::{

@@ -45,8 +45,8 @@
 //! engines, so departure traces *and* the pause/resume event log are
 //! bit-identical across backends. Every [`DrainMode`] runs this one
 //! sequential order: a lossless fabric is globally coupled through the
-//! pause wire, the same serial dependency chain that already forces
-//! shared-pool fabrics onto the sequential path, so
+//! pause wire, the same serial dependency chain that already keeps the
+//! ports of one shared pool on one worker, so
 //! `DrainMode::Parallel` has no independent ports to spread.
 //!
 //! # Faults and the watchdog

@@ -23,9 +23,8 @@
 //! each, all decided at `t` and transmitted back-to-back. This is the
 //! paper's one mechanism — push in by rank, pop from the head, one
 //! packet per operation (§4.2–§4.3) — and the only path a round takes.
-//! [`DrainMode`] chooses only *where* rounds run: all on the caller's
-//! thread ([`DrainMode::PerPacket`]) or spread across worker threads
-//! ([`DrainMode::Parallel`]).
+//! [`DrainMode`] chooses only how many threads run rounds (see the
+//! threading model below).
 //!
 //! # Packets stay put
 //!
@@ -51,48 +50,43 @@
 //! memory every other port draws on. Ports with private slabs
 //! ([`SwitchBuilder::add_port`]) remain embarrassingly independent.
 //!
-//! Because ports contend for shared state, [`Switch::run`] executes
-//! scheduling rounds in **global `(time, port)` order** — the earliest
-//! pending round across the fabric runs first, ties broken by port
-//! index — rather than simulating each port to completion in turn.
-//! For private-slab fabrics the interleaving is unobservable (ports
-//! share nothing), so traces are unchanged; for shared-pool fabrics it
-//! is what makes cross-port admission coupling real and deterministic:
-//! identical inputs give bit-identical traces, on every backend, in
-//! both drain modes.
+//! Because ports contend for shared state, [`Switch::run`] runs the
+//! rounds of ports sharing a pool in **`(time, port)` order** — the
+//! earliest pending round first, ties broken by port index — rather
+//! than simulating each port to completion in turn. That is what makes
+//! cross-port admission coupling real and deterministic: identical
+//! inputs give bit-identical traces, on every backend, with any number
+//! of workers.
 //!
-//! # Threading model ([`DrainMode::Parallel`])
+//! # Threading model
 //!
-//! `ScheduleTree` is `Send` and the pool's accounting is atomic (see
-//! `pifo_core::pool`), so whole port state machines can migrate to
-//! worker threads. [`DrainMode::Parallel`] drains **independent** ports
-//! — private slabs, or a pool with exactly one registered port — on a
-//! worker pool: ports are claimed off a shared atomic counter (one port
-//! at a time up to 16 ports, chunks of 4 above that, so big fabrics
-//! amortize the claim and small ones still balance), and each claimed
-//! port runs its round loop to completion. Independent ports observe
-//! nothing of each other, so each per-port trace — and therefore the
-//! merged `(time, port)`-ordered trace — is **bit-identical** to the
-//! sequential drain, regardless of worker count or claim interleaving.
+//! The unit of parallelism is the **pool**. `ScheduleTree` is `Send`
+//! and the pool's accounting is atomic (see `pifo_core::pool`), so whole
+//! port state machines can migrate to worker threads. [`Switch::run`]
+//! groups ports by the pool their tree buffers in — pointer identity of
+//! [`ScheduleTree::packet_buffer`], so a private slab is a group of one
+//! and trees built on clones of one [`PoolHandle`] are one group — and
+//! deals the groups round-robin to `min(groups, workers)` workers. Each
+//! worker runs the `(time, port)`-ordered round loop over its own ports
+//! only, so it walks the arrival stream front to back once, however
+//! many ports it serves. Worker 0 is the caller's thread and the rest
+//! are scoped threads, so a one-worker drain spawns nothing.
 //!
-//! Ports that *share* a pool are a different machine: every admission
-//! decision reads the global occupancy that every earlier-in-time
-//! admission on any port wrote, so the decisions form one serial
-//! dependency chain through the pool — running them concurrently and
-//! committing in `(time, port)` order afterwards would require
-//! speculating admissions and rolling back occupancy, which the paper's
-//! hardware (one shared buffer, one clock domain, §5.1) never does.
-//! `Parallel` therefore detects shared-pool fabrics and executes their
-//! rounds on the caller's thread in the same global `(time, port)`
-//! order as the sequential drain — trace-identical by construction; the
-//! atomic pool still buys the lock-free packet reads on the tree hot
-//! path, and multi-threaded pool *accounting* is exercised (and
-//! sanitized) by the pool's own stress tests.
+//! Ports in distinct pools share no state, so each per-port trace — and
+//! therefore the merged `(time, port)`-ordered trace — is
+//! **bit-identical** to the one-worker drain, whatever the worker count
+//! or thread timing. Ports that *share* a pool always land on one
+//! worker: every admission decision reads the occupancy that every
+//! earlier-in-time admission on any of its ports wrote, so the decisions
+//! form one serial dependency chain through the pool. Running them
+//! concurrently would mean speculating admissions and rolling back
+//! occupancy, which the paper's hardware (one shared buffer, one clock
+//! domain, §5.1) never does. A fabric on one shared pool is one group
+//! and runs on the caller's thread. Trees must share state only through
+//! their pool: anything else two of them share is seen in thread order.
 
 use crate::port::Departure;
 use pifo_core::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Maps a packet to the egress port that must transmit it — the shared
 /// classification step in front of the fabric. Out-of-range ports count
@@ -101,24 +95,30 @@ use std::sync::Mutex;
 /// classifier) can cross thread boundaries.
 pub type PortClassifier = Box<dyn Fn(&Packet) -> usize + Send>;
 
-/// Where a fabric's scheduling rounds run (see the module docs). Both
-/// modes run the same per-packet rounds and produce byte-identical
-/// departure traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How many threads a fabric's scheduling rounds run on (see the module
+/// docs' threading model). Every mode runs the same per-packet rounds
+/// and produces byte-identical departure traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainMode {
-    /// Every round on the calling thread, in global `(time, port)` order.
-    #[default]
+    /// One worker: every round on the calling thread, in `(time, port)`
+    /// order.
     PerPacket,
-    /// Drain independent ports concurrently on `workers` threads;
-    /// shared-pool fabrics fall back to the sequential global
-    /// `(time, port)` round order on the calling thread (see the module
-    /// docs' threading model). `workers: 0` means one worker per
-    /// available CPU. Traces are bit-identical to `PerPacket` in every
-    /// case.
+    /// Ports grouped by the pool they buffer in, the groups dealt to up
+    /// to `workers` workers, the first of them the calling thread.
+    /// `workers: 0` means one worker per available CPU, the default.
+    /// A fabric on one shared pool is one group, so it drains on the
+    /// calling thread whatever `workers` says.
     Parallel {
         /// Worker threads to drain ports on (0 = available parallelism).
         workers: usize,
     },
+}
+
+impl Default for DrainMode {
+    /// `Parallel { workers: 0 }`: up to one worker per available CPU.
+    fn default() -> Self {
+        DrainMode::Parallel { workers: 0 }
+    }
 }
 
 impl DrainMode {
@@ -127,6 +127,17 @@ impl DrainMode {
         match self {
             DrainMode::PerPacket => "per_packet",
             DrainMode::Parallel { .. } => "parallel",
+        }
+    }
+
+    /// Workers this mode asks for, at least one.
+    fn workers(self) -> usize {
+        match self {
+            DrainMode::PerPacket => 1,
+            DrainMode::Parallel { workers: 0 } => {
+                std::thread::available_parallelism().map_or(1, |c| c.get())
+            }
+            DrainMode::Parallel { workers } => workers,
         }
     }
 }
@@ -462,14 +473,14 @@ impl Switch {
     /// Run `arrivals` (time-sorted) through the fabric with the given
     /// drain mode, returning the per-port departure traces.
     ///
-    /// Scheduling rounds execute in global `(time, port)` order — the
-    /// earliest pending round anywhere in the fabric runs next, ties
-    /// broken by port index — so ports sharing a packet pool observe
-    /// each other's occupancy exactly as of their own decision instants.
-    /// For private-slab ports the interleaving is unobservable, which is
-    /// what lets [`DrainMode::Parallel`] drain them on worker threads
-    /// (see the module docs' threading model). Determinism is total —
-    /// identical inputs give bit-identical traces, in every mode.
+    /// Scheduling rounds execute in `(time, port)` order — the earliest
+    /// pending round runs next, ties broken by port index — so ports
+    /// sharing a packet pool observe each other's occupancy exactly as
+    /// of their own decision instants. Ports in distinct pools cannot
+    /// observe each other at all, which is what lets the drain spread
+    /// pools over worker threads (see the module docs' threading model).
+    /// Determinism is total — identical inputs give bit-identical
+    /// traces, in every mode.
     ///
     /// # Panics
     ///
@@ -507,15 +518,7 @@ impl Switch {
             })
             .collect();
 
-        match mode {
-            DrainMode::Parallel { workers } if self.ports_are_independent() => {
-                self.drain_parallel(&mut sims, workers);
-            }
-            // Shared-pool admission is a serial dependency chain through
-            // the pool's occupancy: commit the rounds in the sequential
-            // global order.
-            _ => self.drain_global_order(&mut sims),
-        }
+        self.drain(&mut sims, mode.workers());
 
         SwitchRun {
             ports: sims.into_iter().map(PortSim::into_trace).collect(),
@@ -549,69 +552,61 @@ impl Switch {
         Some(snap)
     }
 
-    /// True when no two ports can observe each other through a shared
-    /// packet pool — every tree is the sole registered port of its pool.
-    fn ports_are_independent(&self) -> bool {
-        self.ports
+    /// Drain every port on up to `workers` threads, one pool per group,
+    /// as the module docs' threading model describes.
+    fn drain(&mut self, sims: &mut [PortSim], workers: usize) {
+        let mut pools: Vec<&SharedPacketPool> = Vec::new();
+        let group: Vec<usize> = self
+            .ports
             .iter()
-            .all(|t| t.packet_buffer().num_ports() <= 1)
-    }
-
-    /// Global round interleaving: always advance the port whose next
-    /// scheduling round is earliest (ties → lowest port index).
-    fn drain_global_order(&mut self, sims: &mut [PortSim]) {
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, s) in sims.iter().enumerate() {
-                if !s.done && best.map_or(true, |b| s.t < sims[b].t) {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            sims[i].step_round(&mut self.ports[i], self.rate_bps, self.horizon, self.burst);
-        }
-    }
-
-    /// Drain independent ports to completion on a worker pool. Workers
-    /// claim ports off a shared counter — singly up to 16 ports, in
-    /// chunks of 4 above that — and run each claimed port's round loop
-    /// to completion. Only sound for independent ports
-    /// (checked by the caller): nothing a port does is observable by
-    /// another, so every per-port trace is the same as sequentially.
-    fn drain_parallel(&mut self, sims: &mut [PortSim], workers: usize) {
-        let (rate_bps, horizon, burst) = (self.rate_bps, self.horizon, self.burst);
-        let n = sims.len();
-        let workers = match workers {
-            0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
-            w => w,
-        }
-        .min(n.max(1));
-        let chunk = if n > 16 { 4 } else { 1 };
-        let jobs: Vec<Mutex<(&mut PortSim, &mut ScheduleTree)>> = sims
-            .iter_mut()
-            .zip(self.ports.iter_mut())
-            .map(Mutex::new)
+            .map(|tree| {
+                let pool = tree.packet_buffer();
+                pools
+                    .iter()
+                    .position(|&p| std::ptr::eq(p, pool))
+                    .unwrap_or_else(|| {
+                        pools.push(pool);
+                        pools.len() - 1
+                    })
+            })
             .collect();
-        let next = AtomicUsize::new(0);
+        let workers = workers.clamp(1, pools.len());
+        let mut shards: Vec<Vec<(&mut PortSim, &mut ScheduleTree)>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        for ((sim, tree), g) in sims.iter_mut().zip(&mut self.ports).zip(group) {
+            shards[g % workers].push((sim, tree));
+        }
+        let (rate_bps, horizon, burst) = (self.rate_bps, self.horizon, self.burst);
+        let mut shards = shards.into_iter();
+        let mine = shards.next().expect("at least one worker");
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for job in &jobs[start..n.min(start + chunk)] {
-                        // Uncontended by construction: each job index is
-                        // claimed exactly once.
-                        let mut guard = job.lock().expect("port job poisoned");
-                        let (sim, tree) = &mut *guard;
-                        while !sim.done {
-                            sim.step_round(tree, rate_bps, horizon, burst);
-                        }
-                    }
-                });
+            for shard in shards {
+                s.spawn(move || drain_in_time_order(shard, rate_bps, horizon, burst));
             }
+            drain_in_time_order(mine, rate_bps, horizon, burst);
         });
+    }
+}
+
+/// Run `ports` to completion in `(time, port)` order: always advance the
+/// port whose next scheduling round is earliest, ties to the one listed
+/// first (the lowest port index).
+fn drain_in_time_order(
+    mut ports: Vec<(&mut PortSim, &mut ScheduleTree)>,
+    rate_bps: u64,
+    horizon: Nanos,
+    burst: usize,
+) {
+    loop {
+        let mut best: Option<(usize, Nanos)> = None;
+        for (i, (s, _)) in ports.iter().enumerate() {
+            if !s.done && best.map_or(true, |(_, t)| s.t < t) {
+                best = Some((i, s.t));
+            }
+        }
+        let Some((i, _)) = best else { break };
+        let (sim, tree) = &mut ports[i];
+        sim.step_round(tree, rate_bps, horizon, burst);
     }
 }
 
@@ -634,7 +629,7 @@ struct PortSim<'a> {
     /// Reused across rounds so the steady state allocates nothing.
     round: Vec<Packet>,
     /// Scheduling rounds executed so far (drives gauge sampling; counts
-    /// the same way in both drain modes, so sample instants agree).
+    /// the same way on any worker, so sample instants agree).
     rounds: u64,
     /// `Some` when telemetry gauges are being sampled.
     gauges: Option<PortGauges>,
@@ -737,7 +732,7 @@ impl<'a> PortSim<'a> {
 
         // Gauge sampling happens at a fixed point in the round — after
         // the dequeue decisions, before transmit — so the sampled values
-        // and instants are identical in both drain modes.
+        // and instants are identical whatever the worker count.
         self.rounds += 1;
         if let Some(g) = &mut self.gauges {
             if self.rounds % g.every == 0 {

@@ -1,13 +1,14 @@
-//! Differential pin: [`DrainMode::Parallel`] produces a **bit-identical
-//! merged departure trace** to the sequential `PerPacket` drain — across every
-//! PIFO backend and three traffic shapes (synchronized incast, seeded
-//! Markov on/off bursts, heavy-tailed bounded-Pareto flows), for both
-//! private-slab fabrics (genuinely concurrent workers) and shared-pool
-//! fabrics (the serial commit-order fallback), at several worker counts.
+//! Differential pin: the pool-grouped drain produces a **bit-identical
+//! merged departure trace** at every worker count — across every PIFO
+//! backend and three traffic shapes (synchronized incast, seeded Markov
+//! on/off bursts, heavy-tailed bounded-Pareto flows), for private-slab
+//! fabrics (one group per port, genuinely concurrent workers),
+//! shared-pool fabrics (one group, the caller's thread) and a mix of
+//! both. The reference is `DrainMode::PerPacket`, the one-worker drain.
 //!
 //! "Merged trace" is the fabric-level departure sequence committed in
-//! global `(start time, port, per-port order)` order — the order the
-//! sequential `Switch::run` produces rounds in. Comparing it (and not
+//! global `(start time, port, per-port order)` order — the order a
+//! one-worker `Switch::run` produces rounds in. Comparing it (and not
 //! just per-port traces) pins the cross-port interleaving, which is
 //! exactly what a buggy parallel drain would scramble.
 
@@ -167,9 +168,9 @@ fn parallel_drain_matches_sequential_private_slabs() {
     }
 }
 
-/// Shared-pool fabrics keep the guarantee through the serial
-/// commit-order fallback: admission coupling across ports is preserved
-/// exactly, so traces (and pool counters) match the sequential run.
+/// A fabric on one shared pool is one group, drained on the caller's
+/// thread whatever the worker count: admission coupling across ports is
+/// preserved exactly, so traces (and pool counters) match one worker's.
 #[test]
 fn parallel_drain_matches_sequential_shared_pool() {
     for (pattern, arrivals) in patterns() {
@@ -186,6 +187,107 @@ fn parallel_drain_matches_sequential_shared_pool() {
                 let pool = sw.shared_pool().expect("built with a shared pool");
                 assert_eq!(pool.stats().live, 0, "fabric drained clean");
                 pool.borrow().assert_coherent();
+            }
+        }
+    }
+}
+
+/// Two trees built on clones of one `PoolHandle` share one pool that
+/// registers a single port. They are one group: the drain keeps them on
+/// one worker and interleaves their rounds in `(time, port)` order, so
+/// each port's admissions see the other's occupancy as of that instant.
+#[test]
+fn cloned_pool_handles_drain_as_one_pool() {
+    let build = || {
+        let pool = SharedPacketPool::new(16, AdmissionPolicy::Unlimited).into_shared();
+        let handle = pool.register_port();
+        let mut sb = SwitchBuilder::new(1_000_000_000);
+        for _ in 0..2 {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+            sb.add_port(
+                b.build_in_pool(Box::new(move |_| root), handle.clone())
+                    .unwrap(),
+            );
+        }
+        sb.with_burst(8);
+        (sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 2)), pool)
+    };
+    // Two flows per port, one packet every 1 µs overall: each port is
+    // offered 4x its 8 µs-per-packet line rate, so the pool stays full.
+    let arrivals: Vec<Packet> = (0..400)
+        .map(|i| Packet::new(i, FlowId((i % 4) as u32), 1_000, Nanos(i * 1_000)))
+        .collect();
+    let reference = build().0.run(&arrivals, DrainMode::PerPacket);
+    assert!(
+        reference.ports.iter().all(|p| p.drops > 0),
+        "both ports must contend for the pool"
+    );
+    for workers in [1usize, 2, 0] {
+        let (mut sw, pool) = build();
+        let run = sw.run(&arrivals, DrainMode::Parallel { workers });
+        assert_identical(&format!("cloned-handle/w{workers}"), &reference, &run);
+        assert_eq!(pool.stats().live, 0, "fabric drained clean");
+        pool.borrow().assert_coherent();
+    }
+}
+
+/// Two shared pools of two ports each plus four private ports, laid out
+/// so no group is contiguous (A, p, B, p, A, p, B, p). Every worker
+/// count deals the six groups differently; each must reproduce the
+/// one-worker drain's traces and both pools' counters.
+#[test]
+fn mixed_pools_match_one_worker() {
+    const MIXED: usize = 8;
+    assert_eq!(DrainMode::default(), DrainMode::Parallel { workers: 0 });
+    let build = |backend: PifoBackend| {
+        let pools = [0, 1].map(|_| {
+            SharedPacketPool::new(64, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
+                .into_shared()
+        });
+        let mut sb = SwitchBuilder::new(1_000_000_000);
+        for port in 0..MIXED {
+            let mut b = TreeBuilder::new();
+            b.with_backend(backend);
+            let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+            let classify: Classifier = Box::new(move |_| root);
+            let tree = if port % 2 == 0 {
+                let pool = &pools[(port / 2) % 2];
+                b.build_in_pool(classify, pool.register_port()).unwrap()
+            } else {
+                b.buffer_limit(24);
+                b.build(classify).unwrap()
+            };
+            sb.add_port(tree);
+        }
+        sb.with_burst(8);
+        (
+            sb.build(Box::new(|p: &Packet| p.flow.0 as usize % MIXED)),
+            pools,
+        )
+    };
+    let modes = [1usize, 2, 3, 8, 0]
+        .map(|workers| DrainMode::Parallel { workers })
+        .into_iter()
+        .chain([DrainMode::default()]);
+    for (pattern, arrivals) in patterns() {
+        for backend in PifoBackend::ALL {
+            let (mut sw, pools) = build(backend);
+            let reference = sw.run(&arrivals, DrainMode::PerPacket);
+            assert!(
+                reference.total_drops() > 0,
+                "{pattern}: admission must reject"
+            );
+            let reference_pools = pools.map(|p| p.stats());
+            for mode in modes.clone() {
+                let label = format!("{backend}/{pattern}/mixed/{mode:?}");
+                let (mut sw, pools) = build(backend);
+                let run = sw.run(&arrivals, mode);
+                assert_identical(&label, &reference, &run);
+                for (pool, expected) in pools.iter().zip(&reference_pools) {
+                    assert_eq!(&pool.stats(), expected, "[{label}] pool counters diverge");
+                    pool.borrow().assert_coherent();
+                }
             }
         }
     }

@@ -68,8 +68,9 @@ fn main() {
         }
     };
 
-    // One fabric per backend, drained on this thread; a parallel drain
-    // over worker threads must agree bit for bit.
+    // One fabric per backend, drained by one worker on this thread. The
+    // default drain deals the four private-slab ports (each its own
+    // pool) to one worker per core, and must agree bit for bit.
     for backend in PifoBackend::ALL {
         let build = || {
             let mut sb = SwitchBuilder::new(10_000_000_000); // 10 Gb/s ports
@@ -104,7 +105,7 @@ fn main() {
                 format!("{} ns", max_wait.as_nanos()),
             );
         }
-        let parallel = build().run(&arrivals, DrainMode::Parallel { workers: 2 });
+        let parallel = build().run(&arrivals, DrainMode::default());
         let agree = parallel.ports.iter().zip(&run.ports).all(|(a, b)| {
             a.departures.len() == b.departures.len()
                 && a.departures
@@ -113,7 +114,7 @@ fn main() {
                     .all(|(x, y)| x.packet == y.packet && x.start == y.start)
         });
         println!(
-            "  parallel == per-packet traces: {}\n",
+            "  every-core == one-worker traces: {}\n",
             if agree {
                 "yes (bit-identical)"
             } else {

@@ -48,7 +48,7 @@ pub mod prelude {
         throughput, CbrSource, Departure, DrainMode, DrrSched, FabricStall, FaultPlan, FifoSched,
         FluidGps, Hop, IncastSource, LosslessConfig, LosslessFabric, LosslessRun,
         MarkovOnOffSource, PFabricQueue, PauseAction, PauseEvent, PoissonSource, PortConfig,
-        PortScheduler, SizeDistribution, SourcePauseStats, StallKind, StrictPrioritySched, Switch,
-        SwitchBuilder, SwitchRun, TrafficSource, TreeScheduler, Watermarks,
+        PortScheduler, SizeDistribution, SourcePauseStats, StallKind, Switch, SwitchBuilder,
+        SwitchRun, TrafficSource, TreeScheduler, Watermarks,
     };
 }
