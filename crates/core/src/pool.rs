@@ -419,8 +419,8 @@ pub struct SharedPacketPool {
     track_flows: bool,
     /// Live slots per flow, sharded by flow id (entries removed at zero,
     /// so each map stays bounded by the instantaneous flow fan-in).
-    /// Empty forever when `track_flows` is off — every slot carries its
-    /// flow tag, and [`Self::flow_occupancy`] recounts from those.
+    /// Empty forever when `track_flows` is off, and then
+    /// [`Self::flow_occupancy`] answers `None`.
     flows: [Mutex<FlowMap<usize>>; FLOW_SHARDS],
     /// Accounting violations detected in release builds (debug builds
     /// panic instead) — see [`Self::accounting_errors`].
@@ -686,7 +686,7 @@ impl SharedPacketPool {
         match flow {
             Some(flow) if self.track_flows => {
                 self.policy
-                    .admits_port_flow(used, self.flow_occupancy(flow), free)
+                    .admits_port_flow(used, self.tracked_flow_occupancy(flow), free)
             }
             // Port side only; for a policy without a flow side that *is*
             // the full verdict.
@@ -762,7 +762,7 @@ impl SharedPacketPool {
         // reservation — exactly the sequential decision.
         let used = counters.occupancy.load(Ordering::Acquire);
         let admitted = if self.track_flows {
-            let flow_used = self.flow_occupancy(packet.flow);
+            let flow_used = self.tracked_flow_occupancy(packet.flow);
             self.policy.admits_port_flow(used, flow_used, free)
         } else {
             self.policy.admits(used, free)
@@ -1001,25 +1001,18 @@ impl SharedPacketPool {
         self.port_counters(port).rejected.load(Ordering::Relaxed)
     }
 
-    /// Live slots currently holding packets of `flow`.
-    ///
-    /// O(1) from the flow table when the policy has a flow-side threshold
-    /// (the only case that asks per packet). Under every other policy the
-    /// table is not kept, and this recounts the occupied slots carrying
-    /// `flow`'s tag: O(slots), atomic loads only — a diagnostic, like
-    /// [`assert_coherent`](Self::assert_coherent), exact when the pool is
-    /// quiescent and advisory under concurrent mutation.
-    pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        if self.track_flows {
-            return self.flow_shard(flow).get(&flow).copied().unwrap_or(0);
-        }
-        (0..self.next_slot.load(Ordering::Acquire))
-            .map(|idx| self.slot(idx))
-            .filter(|slot| {
-                slot.gen.load(Ordering::Acquire) & 1 == 1
-                    && slot.flow_or_next_free.load(Ordering::Relaxed) == flow.0
-            })
-            .count()
+    /// Live slots currently holding packets of `flow`, O(1) from the flow
+    /// table — or `None` when the policy has no flow-side threshold
+    /// ([`AdmissionPolicy::uses_flow_state`]), because then nothing reads
+    /// per-flow occupancy and the pool keeps no flow table.
+    pub fn flow_occupancy(&self, flow: FlowId) -> Option<usize> {
+        self.track_flows.then(|| self.tracked_flow_occupancy(flow))
+    }
+
+    /// The flow table's count for `flow`; zero whenever `track_flows` is
+    /// off.
+    fn tracked_flow_occupancy(&self, flow: FlowId) -> usize {
+        self.flow_shard(flow).get(&flow).copied().unwrap_or(0)
     }
 
     /// Accounting violations detected so far (double releases and other
@@ -1508,22 +1501,32 @@ mod tests {
         b.try_insert(pkt(3, 2)).unwrap();
         assert_eq!(pool.borrow().port_occupancy(0), 2);
         assert_eq!(pool.borrow().port_occupancy(1), 1);
+        assert_eq!(
+            pool.borrow().flow_occupancy(FlowId(1)),
+            None,
+            "a port-only policy keeps no flow counts"
+        );
     }
 
     #[test]
     fn release_settles_the_inserting_ports_counters() {
-        let pool = SharedPacketPool::new(8, AdmissionPolicy::Unlimited).into_shared();
+        // A flow-side threshold, so the pool keeps flow counts too.
+        let policy = AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow: Threshold::Static(8),
+        };
+        let pool = SharedPacketPool::new(8, policy).into_shared();
         let a = pool.register_port();
         let b = pool.register_port();
         let ha = a.try_insert(pkt(0, 7)).unwrap();
         let _hb = b.try_insert(pkt(1, 7)).unwrap();
-        assert_eq!(pool.borrow().flow_occupancy(FlowId(7)), 2);
+        assert_eq!(pool.borrow().flow_occupancy(FlowId(7)), Some(2));
         // Releasing through *either* handle settles against port A — the
         // pool remembers which port owns the slot.
         b.release(ha).expect("sole reference");
         assert_eq!(pool.borrow().port_occupancy(0), 0);
         assert_eq!(pool.borrow().port_occupancy(1), 1);
-        assert_eq!(pool.borrow().flow_occupancy(FlowId(7)), 1);
+        assert_eq!(pool.borrow().flow_occupancy(FlowId(7)), Some(1));
         pool.borrow().assert_coherent();
     }
 
@@ -1799,7 +1802,7 @@ mod tests {
             }
             assert_eq!(buf.occupancy(), pool.live(), "step {i}: occupancy");
             assert_eq!(
-                buf.flow_occupancy(flow),
+                Some(buf.flow_occupancy(flow)),
                 pool.flow_occupancy(flow),
                 "step {i}: flow occupancy"
             );

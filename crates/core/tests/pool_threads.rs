@@ -12,8 +12,8 @@
 //!   updates was exact — `saturating_sub`-style clamping would pass a
 //!   `>= 0` check but fail the Σ reconciliation here. One churn runs
 //!   under per-flow caps, the only policy family that keeps the sharded
-//!   flow table, so the shards stay exercised by racing threads; the
-//!   others end by asking `flow_occupancy`, which recounts for them.
+//!   flow table, so the shards stay exercised by racing threads; under
+//!   the others `flow_occupancy` answers `None`.
 //! * **Model equivalence (proptest)** — `AdmissionPolicy` decisions
 //!   (including `DynamicThreshold`) are *identical* between the atomic
 //!   pool and a plain sequential counter model (the arithmetic the old
@@ -98,10 +98,8 @@ fn threaded_churn_keeps_accounting_exact() {
     assert_eq!(total, p.live(), "live == Σ port occupancy");
     assert_eq!(p.accounting_errors(), 0, "no silent underflows");
     p.assert_coherent();
-    // No flow-side threshold, so no flow table: the recount answers.
-    for f in 0..31 {
-        assert_eq!(p.flow_occupancy(FlowId(f)), 0, "flow {f} drained");
-    }
+    // No flow-side threshold, so no flow table and no flow answer.
+    assert_eq!(p.flow_occupancy(FlowId(0)), None);
     // Conservation of attempts: admitted + rejected == offered inserts.
     let offered = THREADS * (0..OPS).filter(|i| i % 7 <= 3).count() as u64;
     let stats = pool.stats();
@@ -130,7 +128,7 @@ fn capacity_is_never_exceeded_under_contention() {
                         port.release(held.remove(0));
                     }
                 }
-                // Leave one packet per thread resident for the recount.
+                // Leave one packet per thread resident for the check.
                 for h in held.drain(1..) {
                     port.release(h);
                 }
@@ -139,12 +137,12 @@ fn capacity_is_never_exceeded_under_contention() {
     });
     let p = pool.borrow();
     p.assert_coherent();
-    // `Unlimited` keeps no flow table; thread `t` used flow `t` only, so
-    // the recount finds exactly its one resident packet.
+    // Thread `t` inserted through port `t` only: exactly its one resident
+    // packet is counted there.
     for t in 0..4 {
-        assert_eq!(p.flow_occupancy(FlowId(t)), 1, "flow {t}");
+        assert_eq!(p.port_occupancy(t), 1, "port {t}");
     }
-    assert_eq!(p.flow_occupancy(FlowId(4)), 0, "a flow never inserted");
+    assert_eq!(p.live(), 4);
 }
 
 /// The same churn under per-flow caps — the policy family that keeps the
@@ -202,7 +200,7 @@ fn threaded_churn_with_flow_caps() {
     p.assert_coherent();
     for id in 0..FLOWS {
         let f = flow_of(id);
-        assert_eq!(p.flow_occupancy(FlowId(f)), 0, "flow {f} drained");
+        assert_eq!(p.flow_occupancy(FlowId(f)), Some(0), "flow {f} drained");
     }
     let rejected: u64 = pool.stats().ports.iter().map(|s| s.rejected).sum();
     assert!(
@@ -342,16 +340,22 @@ proptest! {
             for p in 0..4 {
                 prop_assert_eq!(pool.borrow().port_occupancy(p), model.ports[p]);
             }
+            // Flow counts exist exactly under a flow-side threshold.
             for f in 0..3u32 {
                 prop_assert_eq!(
                     pool.borrow().flow_occupancy(FlowId(f)),
-                    model.flows.get(&f).copied().unwrap_or(0),
+                    policy
+                        .uses_flow_state()
+                        .then(|| model.flows.get(&f).copied().unwrap_or(0)),
                     "flow {} occupancy diverges at op {}", f, i
                 );
             }
         }
         pool.borrow().assert_coherent();
-        // A flow never inserted reads 0 from the table and the recount.
-        prop_assert_eq!(pool.borrow().flow_occupancy(FlowId(u32::MAX)), 0);
+        // A flow never inserted reads 0 from the table.
+        prop_assert_eq!(
+            pool.borrow().flow_occupancy(FlowId(u32::MAX)),
+            policy.uses_flow_state().then_some(0)
+        );
     }
 }

@@ -62,23 +62,39 @@
 //! # The event calendar
 //!
 //! Choosing the next event costs O(log n) in the source count, not a
-//! scan of every source. Two ordered indexes carry the selection:
+//! scan of every source, and the per-event state is indexed by
+//! position, not kept in comparison-ordered maps:
 //!
-//! * the **emission calendar**, keyed `(max(arrival, gate), source)`,
-//!   holds exactly the unblocked sources with a pending packet; its
-//!   first entry is the next emission. A source's key can change at
-//!   four places only, and each re-keys it — the initial pull, its own
-//!   emission (the next packet is pulled), a pause delivery (it leaves)
-//!   and a resume delivery (it re-enters at `max(arrival, gate)`);
-//! * the **pause index**, keyed `(paused_since, port, class)`, holds
-//!   exactly the asserted switch-side pauses; its first entry is the
-//!   pause the watchdog measures. It changes where the pause signal
-//!   does, in the per-port watermark evaluation.
+//! * the **emission calendar** is a binary heap of `(max(arrival, gate),
+//!   source, stamp)` entries. A source owns one valid entry exactly while
+//!   it is unblocked with a pending packet, and the valid head is the
+//!   next emission. The emitting source is always that head and its next
+//!   key is never earlier, so its own emission re-keys the head in place,
+//!   or pops it when the source is exhausted or blocks on a pause it can
+//!   already see. A pause delivery bumps the stamp of every source it
+//!   blocks, which makes their entries stale; a resume delivery pushes a
+//!   fresh entry at `max(arrival, gate)`. Stale heads are discarded
+//!   before the head is read;
+//! * the **pause index** is a heap of `(paused_since, port, class)`
+//!   entries pushed where the watermark evaluation asserts a pause. An
+//!   entry is stale once its pair is no longer paused since that instant,
+//!   and is discarded the same way; the valid head is the pause the
+//!   watchdog measures;
+//! * **class state** is an array per port indexed by class. A class
+//!   exists on a port once it has carried a packet there, and only
+//!   existing classes are evaluated against the watermarks and the pool
+//!   probe. The source-visible pause is a flag on the same entry;
+//! * **round times** are a dense per-port due array (`Nanos::MAX` while a
+//!   port is parked or done), rewritten wherever a port's next round time
+//!   or horizon flag changes; the next round is its first minimum. Ports
+//!   parked on a gated skid head are woken by other ports' progress, a
+//!   scan that runs only while some skid buffer holds a packet.
 //!
 //! Tuple order *is* the event order: equal instants fall back to the
 //! lower source (or port) index, as the `(time, kind, index)` rule
-//! demands. Debug builds re-derive both heads before every event by the
-//! definitional scan over all sources and all `(port, class)` pairs and
+//! demands. Debug builds re-derive all three heads — next emission,
+//! oldest pause, next round — before every event by the definitional
+//! scan over all sources, all `(port, class)` pairs and all ports, and
 //! assert they agree, so every debug test run checks the calendar
 //! against its specification; release builds contain no such scan.
 
@@ -87,7 +103,9 @@ use crate::switch::{DrainMode, PortTrace, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
 use pifo_core::telemetry::NO_NODE;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -445,22 +463,31 @@ struct Frame {
     action: PauseAction,
 }
 
-/// Per-`(port, class)` pressure and pause state.
-#[derive(Debug, Default)]
+/// Per-`(port, class)` pressure and pause state, one entry per class
+/// number in [`PortState::classes`].
+#[derive(Debug, Default, Clone)]
 struct ClassState {
+    /// The class has carried a packet to this port. Only such classes
+    /// are evaluated for pause; the rest are placeholders below the
+    /// highest class seen.
+    seen: bool,
     /// Packets of this class resident in the port's tree.
     occ: usize,
     /// Packets of this class waiting in the port's skid buffer.
     skid: usize,
     /// Switch-side pause assertion time, when asserted.
     paused_since: Option<Nanos>,
+    /// A pause frame for this pair has reached the sources and its
+    /// resume has not.
+    visible: bool,
 }
 
 /// Per-port driver state (the tree itself stays in the switch, borrowed
 /// per round exactly like `Switch::run`).
 struct PortState {
     /// Decision time of the next scheduling round; `None` = parked
-    /// (woken by emissions or by other ports' progress).
+    /// (woken by emissions or by other ports' progress). Mirrored into
+    /// the due array by [`due_of`].
     t: Option<Nanos>,
     /// The transmitter is committed until this instant: arrivals may
     /// wake a parked or idle-hopping port but never rewind one
@@ -471,13 +498,24 @@ struct PortState {
     trace: PortTrace,
     /// The PFC skid buffer: packets held at ingress, FIFO.
     skid: VecDeque<Packet>,
-    /// Per-class pressure/pause state (BTreeMap for deterministic
-    /// iteration order).
-    classes: BTreeMap<u8, ClassState>,
+    /// Per-class pressure/pause state, indexed by class number.
+    classes: Vec<ClassState>,
     peak_skid: usize,
     paused_total: Nanos,
     /// Scratch for round dequeues.
     round: Vec<Packet>,
+}
+
+impl PortState {
+    /// Record that `class` has reached this port, growing the class
+    /// array to hold it.
+    fn mark_seen(&mut self, class: u8) {
+        let c = class as usize;
+        if c >= self.classes.len() {
+            self.classes.resize(c + 1, ClassState::default());
+        }
+        self.classes[c].seen = true;
+    }
 }
 
 /// Per-source driver state.
@@ -494,8 +532,14 @@ struct SourceState {
     /// Emissions may not precede this instant (set by resume delivery):
     /// packets stamped earlier are in-flight work released now.
     gate: Nanos,
+    /// The calendar entry carrying this stamp is the source's valid one;
+    /// a pause delivery bumps it to invalidate the entry in place.
+    stamp: u64,
     stats: SourcePauseStats,
 }
+
+/// An emission-calendar entry: `(instant, source, stamp)`, min first.
+type EmitEntry = Reverse<(Nanos, usize, u64)>;
 
 /// Packets currently resident across the fabric's buffers: the shared
 /// pool when one is attached, else the sum of the private slabs.
@@ -506,28 +550,43 @@ fn fabric_live(switch: &Switch) -> usize {
     }
 }
 
-/// The emission-calendar key of a source: its head packet's emission
-/// instant — the stamp, or the resume gate when that is later — then
-/// the source index. `None` while the source is blocked or exhausted,
-/// which is exactly when it is absent from the calendar.
-fn emit_key(si: usize, s: &SourceState) -> Option<(Nanos, usize)> {
+/// The emission instant of a source's head packet — its stamp, or the
+/// resume gate when that is later. `None` while the source is blocked
+/// or exhausted, which is exactly when it has no valid calendar entry.
+fn emit_at(s: &SourceState) -> Option<Nanos> {
     match &s.next {
-        Some(p) if !s.blocked => Some((p.arrival.max(s.gate), si)),
+        Some(p) if !s.blocked => Some(p.arrival.max(s.gate)),
         _ => None,
+    }
+}
+
+/// The calendar entry of source `si`, if it is eligible.
+fn emit_entry(si: usize, s: &SourceState) -> Option<EmitEntry> {
+    emit_at(s).map(|t| Reverse((t, si, s.stamp)))
+}
+
+/// A port's due-array entry: its next round time, or `Nanos::MAX` while
+/// it is parked or past the horizon.
+fn due_of(ps: &PortState) -> Nanos {
+    match ps.t {
+        Some(t) if !ps.done => t,
+        _ => Nanos::MAX,
     }
 }
 
 /// The debug oracle: the calendar heads must equal what the
 /// definitional scans — the earliest `max(arrival, gate)` over every
 /// unblocked source with a packet, the earliest `paused_since` over
-/// every `(port, class)` pair, lowest index first — would have chosen.
-/// Written out independently of [`emit_key`] on purpose.
+/// every `(port, class)` pair, the earliest round time over every port
+/// short of its horizon, lowest index first — would have chosen.
+/// Written out independently of [`emit_at`] and [`due_of`] on purpose.
 #[cfg(debug_assertions)]
 fn assert_calendar_heads(
     srcs: &[SourceState],
     ports: &[PortState],
     next_emit: Option<(Nanos, usize)>,
     oldest_pause: Option<(Nanos, usize, u8)>,
+    next_round: Option<(Nanos, usize)>,
 ) {
     let scanned_emit = srcs
         .iter()
@@ -545,12 +604,23 @@ fn assert_calendar_heads(
         .flat_map(|(i, ps)| {
             ps.classes
                 .iter()
-                .filter_map(move |(&class, cs)| cs.paused_since.map(|since| (since, i, class)))
+                .enumerate()
+                .filter_map(move |(class, cs)| cs.paused_since.map(|since| (since, i, class as u8)))
         })
         .min();
     assert_eq!(
         oldest_pause, scanned_pause,
         "pause index head disagrees with the scan over all (port, class) pairs"
+    );
+    let scanned_round = ports
+        .iter()
+        .enumerate()
+        .filter(|(_, ps)| !ps.done)
+        .filter_map(|(i, ps)| ps.t.map(|t| (t, i)))
+        .min();
+    assert_eq!(
+        next_round, scanned_round,
+        "due array head disagrees with the scan over all ports"
     );
 }
 
@@ -625,7 +695,7 @@ impl LosslessFabric {
                 done: false,
                 trace: PortTrace::default(),
                 skid: VecDeque::new(),
-                classes: BTreeMap::new(),
+                classes: Vec::new(),
                 peak_skid: 0,
                 paused_total: Nanos::ZERO,
                 round: Vec::with_capacity(self.switch.burst),
@@ -647,24 +717,28 @@ impl LosslessFabric {
                     blocked: false,
                     blocked_since: Nanos::ZERO,
                     gate: Nanos::ZERO,
+                    stamp: 0,
                     stats: SourcePauseStats::default(),
                 }
             })
             .collect();
 
         // The event calendar (see the module docs): unblocked sources
-        // with a pending packet by emission instant, and asserted pauses
-        // by assertion instant.
-        let mut emit_cal: BTreeSet<(Nanos, usize)> = srcs
+        // with a pending packet by emission instant, asserted pauses by
+        // assertion instant, and every port's next round time.
+        let mut emit_cal: BinaryHeap<EmitEntry> = srcs
             .iter()
             .enumerate()
-            .filter_map(|(si, s)| emit_key(si, s))
+            .filter_map(|(si, s)| emit_entry(si, s))
             .collect();
-        let mut paused: BTreeSet<(Nanos, usize, u8)> = BTreeSet::new();
+        let mut paused: BinaryHeap<Reverse<(Nanos, usize, u8)>> = BinaryHeap::new();
+        let mut paused_pairs = 0usize;
+        let mut due: Vec<Nanos> = vec![Nanos::MAX; n];
+        // Packets held in all skid buffers together.
+        let mut skid_total = 0usize;
 
-        let mut frames: BinaryHeap<std::cmp::Reverse<Frame>> = BinaryHeap::new();
+        let mut frames: BinaryHeap<Reverse<Frame>> = BinaryHeap::new();
         let mut frame_seq = 0u64;
-        let mut visible: BTreeSet<(usize, u8)> = BTreeSet::new();
         let mut pause_events: Vec<PauseEvent> = Vec::new();
         let mut misrouted = 0u64;
         let mut skid_overflow = 0u64;
@@ -693,19 +767,24 @@ impl LosslessFabric {
                 let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
                 let pool_ok = !stuck && self.switch.ports[i].pool_handle().would_admit();
                 let ps = &mut ports[i];
-                for (&class, cs) in ps.classes.iter_mut() {
+                for (class, cs) in ps.classes.iter_mut().enumerate() {
+                    if !cs.seen {
+                        continue;
+                    }
+                    let class = class as u8;
                     let pressure = cs.occ + cs.skid;
                     match cs.paused_since {
                         None if pressure >= xoff || !pool_ok => {
                             cs.paused_since = Some(now);
-                            paused.insert((now, i, class));
+                            paused.push(Reverse((now, i, class)));
+                            paused_pairs += 1;
                             pause_events.push(PauseEvent {
                                 time: now,
                                 port: i,
                                 class,
                                 action: PauseAction::Pause,
                             });
-                            frames.push(std::cmp::Reverse(Frame {
+                            frames.push(Reverse(Frame {
                                 deliver: now + self.cfg.wire_delay,
                                 seq: frame_seq,
                                 port: i,
@@ -715,8 +794,9 @@ impl LosslessFabric {
                             frame_seq += 1;
                         }
                         Some(since) if pressure <= xon && pool_ok => {
+                            // Its pause-index entry is stale from here.
                             cs.paused_since = None;
-                            paused.remove(&(since, i, class));
+                            paused_pairs -= 1;
                             ps.paused_total += now.saturating_sub(since);
                             pause_events.push(PauseEvent {
                                 time: now,
@@ -724,7 +804,7 @@ impl LosslessFabric {
                                 class,
                                 action: PauseAction::Resume,
                             });
-                            frames.push(std::cmp::Reverse(Frame {
+                            frames.push(Reverse(Frame {
                                 deliver: now + self.cfg.wire_delay + faults.resume_delay,
                                 seq: frame_seq,
                                 port: i,
@@ -742,21 +822,31 @@ impl LosslessFabric {
         loop {
             // --- choose the next event: (time, kind, index) order ----
             let next_control = frames.peek().map(|r| r.0.deliver);
-            let next_emit = emit_cal.first().copied();
-            let oldest_pause = paused.first().copied();
-            #[cfg(debug_assertions)]
-            assert_calendar_heads(&srcs, &ports, next_emit, oldest_pause);
-            let mut next_round: Option<(Nanos, usize)> = None;
-            for (i, ps) in ports.iter().enumerate() {
-                if ps.done {
-                    continue;
+            // Discard stale heads (see the module docs) before reading.
+            while let Some(&Reverse((_, si, stamp))) = emit_cal.peek() {
+                if srcs[si].stamp == stamp {
+                    break;
                 }
-                if let Some(t) = ps.t {
-                    if next_round.map_or(true, |(bt, _)| t < bt) {
-                        next_round = Some((t, i));
-                    }
+                emit_cal.pop();
+            }
+            let next_emit = emit_cal.peek().map(|&Reverse((t, si, _))| (t, si));
+            while let Some(&Reverse((since, i, class))) = paused.peek() {
+                if ports[i].classes[class as usize].paused_since == Some(since) {
+                    break;
+                }
+                paused.pop();
+            }
+            let oldest_pause = paused.peek().map(|r| r.0);
+            let mut next_round: Option<(Nanos, usize)> = None;
+            let mut best = Nanos::MAX;
+            for (i, &t) in due.iter().enumerate() {
+                if t < best {
+                    best = t;
+                    next_round = Some((t, i));
                 }
             }
+            #[cfg(debug_assertions)]
+            assert_calendar_heads(&srcs, &ports, next_emit, oldest_pause, next_round);
             // kind: 0 = control, 1 = emission, 2 = round.
             let mut pick: Option<(Nanos, u8)> = None;
             for (t, kind) in [
@@ -839,14 +929,16 @@ impl LosslessFabric {
                         action,
                         ..
                     } = frames.pop().expect("peeked control frame").0;
+                    // A frame only ever names a pair that paused, so the
+                    // class exists on the port.
+                    let cs = &mut ports[port].classes[class as usize];
                     match action {
                         PauseAction::Pause => {
-                            visible.insert((port, class));
-                            for (si, s) in srcs.iter_mut().enumerate() {
+                            cs.visible = true;
+                            for s in srcs.iter_mut() {
                                 if !s.blocked && s.target == Some((port, class)) {
-                                    if let Some(key) = emit_key(si, s) {
-                                        emit_cal.remove(&key);
-                                    }
+                                    // Its calendar entry is stale from here.
+                                    s.stamp += 1;
                                     s.blocked = true;
                                     s.blocked_since = now;
                                     s.stats.pauses += 1;
@@ -855,7 +947,7 @@ impl LosslessFabric {
                             }
                         }
                         PauseAction::Resume => {
-                            visible.remove(&(port, class));
+                            cs.visible = false;
                             for (si, s) in srcs.iter_mut().enumerate() {
                                 if s.blocked && s.target == Some((port, class)) {
                                     s.blocked = false;
@@ -867,7 +959,7 @@ impl LosslessFabric {
                                     s.gate = now;
                                     // Back on the calendar, no earlier
                                     // than the gate just set.
-                                    emit_cal.extend(emit_key(si, s));
+                                    emit_cal.extend(emit_entry(si, s));
                                 }
                             }
                         }
@@ -876,7 +968,7 @@ impl LosslessFabric {
 
                 // --- emission ----------------------------------------
                 1 => {
-                    let (_, si) = emit_cal.pop_first().expect("picked emission");
+                    let (_, si) = next_emit.expect("picked emission");
                     let s = &mut srcs[si];
                     let mut p = s.next.take().expect("eligible emission");
                     let target = s.target.take();
@@ -892,7 +984,7 @@ impl LosslessFabric {
                         Some((i, class)) => {
                             let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
                             let ps = &mut ports[i];
-                            ps.classes.entry(class).or_default();
+                            ps.mark_seen(class);
                             // Direct admission keeps arrival order: only
                             // when nothing is already held back may this
                             // packet bypass the skid queue.
@@ -901,10 +993,7 @@ impl LosslessFabric {
                                 && self.switch.ports[i].pool_handle().would_admit_flow(p.flow);
                             if gate_open {
                                 match self.switch.ports[i].enqueue(p, now) {
-                                    Ok(()) => {
-                                        let cs = ps.classes.get_mut(&class).expect("entry above");
-                                        cs.occ += 1;
-                                    }
+                                    Ok(()) => ps.classes[class as usize].occ += 1,
                                     Err(_) => {
                                         // would_admit_flow said yes and
                                         // nothing ran in between; a
@@ -914,9 +1003,9 @@ impl LosslessFabric {
                                     }
                                 }
                             } else if ps.skid.len() < self.cfg.headroom {
-                                let cs = ps.classes.get_mut(&class).expect("entry above");
-                                cs.skid += 1;
+                                ps.classes[class as usize].skid += 1;
                                 ps.skid.push_back(p);
+                                skid_total += 1;
                                 ps.peak_skid = ps.peak_skid.max(ps.skid.len());
                             } else {
                                 // Headroom overflow: the one loss mode.
@@ -929,6 +1018,7 @@ impl LosslessFabric {
                             let wake = now.max(ps.busy_until);
                             if !ps.done && ps.t.map_or(true, |t| t > wake) {
                                 ps.t = Some(wake);
+                                due[i] = wake;
                             }
                             eval_pause!(i, now);
                             // The pool peaks at admission instants (a
@@ -945,17 +1035,27 @@ impl LosslessFabric {
                         let port = (self.switch.classifier)(p);
                         (port < n).then_some((port, p.class))
                     });
-                    if let Some(t) = s.target {
-                        if visible.contains(&t) && !s.blocked {
+                    if let Some((port, class)) = s.target {
+                        let visible = ports[port]
+                            .classes
+                            .get(class as usize)
+                            .is_some_and(|cs| cs.visible);
+                        if visible && !s.blocked {
                             s.blocked = true;
                             s.blocked_since = now;
                             s.stats.pauses += 1;
                             s.src.pause(now);
                         }
                     }
-                    // Re-key: a source blocked by an already-visible
-                    // pause (or exhausted) stays off the calendar.
-                    emit_cal.extend(emit_key(si, s));
+                    // Re-key the head in place; a source blocked by an
+                    // already-visible pause (or exhausted) leaves.
+                    let mut head = emit_cal.peek_mut().expect("the emitter heads the calendar");
+                    match emit_at(s) {
+                        Some(t) => head.0 .0 = t,
+                        None => {
+                            PeekMut::pop(head);
+                        }
+                    }
                 }
 
                 // --- scheduling round --------------------------------
@@ -974,6 +1074,7 @@ impl LosslessFabric {
                     if now >= self.switch.horizon {
                         ports[i].done = true;
                         ports[i].t = None;
+                        due[i] = Nanos::MAX;
                         continue;
                     }
                     let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
@@ -990,13 +1091,14 @@ impl LosslessFabric {
                         {
                             break;
                         }
-                        let p = ports[i].skid.pop_front().expect("peeked front");
-                        let (class, at) = (p.class, p.arrival);
-                        let cs = ports[i].classes.get_mut(&class).expect("counted in");
-                        cs.skid -= 1;
+                        let ps = &mut ports[i];
+                        let p = ps.skid.pop_front().expect("peeked front");
+                        skid_total -= 1;
+                        let (class, at) = (p.class as usize, p.arrival);
+                        ps.classes[class].skid -= 1;
                         match self.switch.ports[i].enqueue(p, at) {
-                            Ok(()) => ports[i].classes.get_mut(&class).expect("entry").occ += 1,
-                            Err(_) => ports[i].trace.drops += 1,
+                            Ok(()) => ps.classes[class].occ += 1,
+                            Err(_) => ps.trace.drops += 1,
                         }
                     }
                     max_pool_live = max_pool_live.max(fabric_live(&self.switch));
@@ -1031,6 +1133,7 @@ impl LosslessFabric {
                             // hopped to; park and wait for pool space.
                             _ => None,
                         };
+                        due[i] = due_of(&ports[i]);
                         now
                     } else {
                         // Transmit back-to-back at the port's (possibly
@@ -1041,10 +1144,7 @@ impl LosslessFabric {
                         let port = &mut ports[i];
                         for p in port.round.drain(..) {
                             let finish = t + tx_time(p.length as u64, rate[i]);
-                            let cs = port
-                                .classes
-                                .get_mut(&p.class)
-                                .expect("departed packet was admitted");
+                            let cs = &mut port.classes[p.class as usize];
                             cs.occ = cs.occ.saturating_sub(1);
                             port.trace.departures.push(Departure {
                                 wait: t.saturating_sub(p.arrival),
@@ -1056,13 +1156,22 @@ impl LosslessFabric {
                         }
                         port.busy_until = t;
                         port.t = Some(t);
+                        due[i] = t;
                         port.trace.absorb_paths(&mut self.switch.ports[i]);
                         // Progress frees pool space: wake parked ports
-                        // whose skid heads may now be admissible.
-                        for (j, other) in ports.iter_mut().enumerate() {
-                            if j != i && !other.done && other.t.is_none() && !other.skid.is_empty()
-                            {
-                                other.t = Some(t.max(other.busy_until));
+                        // whose skid heads may now be admissible (none
+                        // can be parked on one while every skid is empty).
+                        if skid_total > 0 {
+                            for (j, other) in ports.iter_mut().enumerate() {
+                                if j != i
+                                    && !other.done
+                                    && other.t.is_none()
+                                    && !other.skid.is_empty()
+                                {
+                                    let wake = t.max(other.busy_until);
+                                    other.t = Some(wake);
+                                    due[j] = wake;
+                                }
                             }
                         }
                         t
@@ -1074,9 +1183,8 @@ impl LosslessFabric {
                     max_pool_live = max_pool_live.max(fabric_live(&self.switch));
                     if sample_every.is_some_and(|every| rounds % every == 0) {
                         g_pool.push(round_end, fabric_live(&self.switch) as u64);
-                        g_paused.push(round_end, paused.len() as u64);
-                        let skid: usize = ports.iter().map(|p| p.skid.len()).sum();
-                        g_skid.push(round_end, skid as u64);
+                        g_paused.push(round_end, paused_pairs as u64);
+                        g_skid.push(round_end, skid_total as u64);
                     }
                 }
             }
@@ -1089,13 +1197,13 @@ impl LosslessFabric {
         if stall.is_none() {
             let end = pause_events.last().map_or(Nanos::ZERO, |e| e.time);
             for (i, ps) in ports.iter_mut().enumerate() {
-                for (&class, cs) in ps.classes.iter_mut() {
+                for (class, cs) in ps.classes.iter_mut().enumerate() {
                     if let Some(since) = cs.paused_since.take() {
                         ps.paused_total += end.saturating_sub(since);
                         pause_events.push(PauseEvent {
                             time: end,
                             port: i,
-                            class,
+                            class: class as u8,
                             action: PauseAction::Resume,
                         });
                     }

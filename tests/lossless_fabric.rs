@@ -260,8 +260,8 @@ fn lossless_traces_identical_across_backends_and_drain_modes() {
 // The event calendar
 // ---------------------------------------------------------------------------
 //
-// The fabric picks its next emission from an ordered `(emission instant,
-// source index)` calendar. These tests pin the calendar's subtle rules by
+// The fabric picks its next emission from a `(emission instant, source
+// index)` calendar heap. These tests pin the calendar's subtle rules by
 // their observable outcome; in a debug build (what `cargo test` runs) the
 // fabric additionally asserts, before every event, that the calendar head
 // equals the definitional scan over all sources — so a mis-keyed calendar
@@ -476,4 +476,246 @@ fn idle_sources_leave_the_run_bit_identical() {
             "+{idle} idle: an idle source is never paused"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pause state per (port, class)
+// ---------------------------------------------------------------------------
+
+/// Pauses are kept per `(port, class)`: a hog on one class pauses that
+/// class only, a stuck pool pauses every class a port has carried — in
+/// class order, at one instant — and a class a port never carried is
+/// never paused there.
+#[test]
+fn pauses_are_per_port_and_class() {
+    const STUCK_AT: Nanos = Nanos(30_000);
+    let cfg = LosslessConfig::new(8, 2)
+        .with_headroom(16)
+        .with_max_pause(Nanos::from_micros(100));
+    let mut fabric = calendar_fabric(2, cfg);
+    let cbr = |flow: u32, class: u8, rate: u64, end: u64| {
+        Box::new(
+            CbrSource::new(FlowId(flow), 1_000, rate, Nanos::ZERO, Nanos(end)).with_class(class),
+        ) as Box<dyn TrafficSource>
+    };
+    let sources = vec![
+        // Source 0: a 2x-line-rate hog on (port 0, class 3), over before
+        // the pool sticks.
+        cbr(0, 3, 2 * RATE_BPS, 10_000),
+        // Source 1: a light class-0 stream on port 0.
+        cbr(2, 0, RATE_BPS / 5, 60_000),
+        // Source 2: a class-0 stream on port 1, which never sees class 3.
+        cbr(1, 0, RATE_BPS / 2, 60_000),
+    ];
+    let run = fabric.run_with_faults(
+        sources,
+        DrainMode::PerPacket,
+        &FaultPlan::none().stuck_pool(STUCK_AT),
+    );
+    assert_eq!(
+        run.stall.map(|s| s.kind),
+        Some(StallKind::StuckPool),
+        "a pool stuck for good ends the run"
+    );
+    assert_eq!(run.total_drops(), 0);
+
+    // Each pair's log alternates pause, resume, pause, ...
+    let pairs: [(usize, u8); 3] = [(0, 0), (0, 3), (1, 0)];
+    for (port, class) in pairs {
+        let actions: Vec<PauseAction> = run
+            .pause_events
+            .iter()
+            .filter(|e| (e.port, e.class) == (port, class))
+            .map(|e| e.action)
+            .collect();
+        assert!(!actions.is_empty(), "({port}, {class}) pauses");
+        for (k, a) in actions.iter().enumerate() {
+            let want = [PauseAction::Pause, PauseAction::Resume][k % 2];
+            assert_eq!(*a, want, "({port}, {class}) event {k}");
+        }
+    }
+    // Only pairs that carried a packet appear: class 3 never reached
+    // port 1, classes 1 and 2 never reached either port.
+    for e in &run.pause_events {
+        assert!(
+            pairs.contains(&(e.port, e.class)),
+            "pause state for an unseen pair: {e:?}"
+        );
+    }
+
+    // The hog paused class 3 alone; class 0 on the same port was never
+    // paused before the pool stuck, and its source kept emitting through
+    // the class-3 pause.
+    let first = run.pause_events[0];
+    assert_eq!(
+        (first.port, first.class, first.action),
+        (0, 3, PauseAction::Pause)
+    );
+    assert!(first.time < STUCK_AT);
+    let hog_resumed = run
+        .pause_events
+        .iter()
+        .find(|e| (e.port, e.class, e.action) == (0, 3, PauseAction::Resume))
+        .expect("the hog's pause resolves once it stops")
+        .time;
+    assert!(hog_resumed < STUCK_AT);
+    assert!(run
+        .pause_events
+        .iter()
+        .all(|e| (e.port, e.class) != (0, 0) || e.time >= STUCK_AT));
+    let class0_during_pause = run.run.ports[0]
+        .departures
+        .iter()
+        .filter(|d| d.packet.class == 0 && d.packet.arrival >= first.time)
+        .filter(|d| d.packet.arrival < hog_resumed)
+        .count();
+    assert!(
+        class0_during_pause > 0,
+        "class 0 kept emitting on port 0 while class 3 was paused"
+    );
+    assert_eq!(run.sources[1].pauses, 1, "paused once, by the stuck pool");
+    assert!(run.sources[0].pauses >= 1);
+
+    // At the stuck instant port 0 pauses both of its classes in one
+    // evaluation: same instant, class order.
+    let stuck: Vec<(Nanos, u8)> = run
+        .pause_events
+        .iter()
+        .filter(|e| e.port == 0 && e.action == PauseAction::Pause && e.time >= STUCK_AT)
+        .map(|e| (e.time, e.class))
+        .collect();
+    assert_eq!(stuck.len(), 2, "{stuck:?}");
+    assert_eq!(stuck[0].0, stuck[1].0, "one instant");
+    assert_eq!((stuck[0].1, stuck[1].1), (0, 3), "class order");
+    for w in run.pause_events.windows(2) {
+        if (w[0].time, w[0].port) == (w[1].time, w[1].port) {
+            assert!(
+                w[0].class < w[1].class,
+                "one port's events in class order: {w:?}"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A pinned storm
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// A small 16-port incast-plus-on/off storm with a real pause wire and
+/// late resume frames. Its departure digest and pause log are pinned, so
+/// any change to the event order — same-instant ties among gated
+/// releases included — fails here, in every build profile.
+#[test]
+fn storm_departures_and_pause_log_are_pinned() {
+    const END: Nanos = Nanos(300_000);
+    let cfg = LosslessConfig::new(32, 8)
+        .with_headroom(64)
+        .with_wire_delay(Nanos(300));
+    let mut fabric = build_fabric(PifoBackend::Heap, 32 + 64, PORTS * (32 + 64), cfg);
+    let mut sources: Vec<Box<dyn TrafficSource>> = (0..64u32)
+        .map(|f| {
+            // Flows 100.. spread over all sixteen ports, four per port.
+            Box::new(MarkovOnOffSource::new(
+                FlowId(100 + f),
+                1_000,
+                16.0,
+                RATE_BPS,
+                Nanos::from_micros(30),
+                END,
+                0x5EED + f as u64,
+            )) as Box<dyn TrafficSource>
+        })
+        .collect();
+    sources.push(Box::new(IncastSource::new(
+        FlowId(0),
+        64,
+        1_000,
+        8,
+        4 * RATE_BPS,
+        Nanos::from_micros(25),
+        END,
+    )));
+    let run = fabric.run_with_faults(
+        sources,
+        DrainMode::PerPacket,
+        &FaultPlan::none().delayed_resume(Nanos(500)),
+    );
+    assert_lossless(&run, "storm");
+
+    let mut departures = Fnv(0xcbf2_9ce4_8422_2325);
+    for (port, trace) in run.run.ports.iter().enumerate() {
+        departures.word(port as u64);
+        for d in &trace.departures {
+            for w in [
+                d.packet.id.0,
+                d.packet.flow.0 as u64,
+                d.packet.arrival.as_nanos(),
+                d.start.as_nanos(),
+                d.finish.as_nanos(),
+            ] {
+                departures.word(w);
+            }
+        }
+    }
+    let mut pauses = Fnv(0xcbf2_9ce4_8422_2325);
+    for e in &run.pause_events {
+        for w in [
+            e.time.as_nanos(),
+            e.port as u64,
+            e.class as u64,
+            (e.action == PauseAction::Resume) as u64,
+        ] {
+            pauses.word(w);
+        }
+    }
+
+    // The storm must exercise ties: distinct sources released at one
+    // resume gate share an emission instant.
+    let mut instants: Vec<(Nanos, FlowId)> = by_emission(&run)
+        .iter()
+        .filter(|p| p.flow.0 >= 100)
+        .map(|p| (p.arrival, p.flow))
+        .collect();
+    instants.sort();
+    let ties = instants
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+        .count();
+    assert!(
+        ties > 0,
+        "no two on/off sources ever emitted at one instant"
+    );
+
+    assert!(run.peak_skid[0] > 0, "the wire delay fills port 0's skid");
+
+    // Recorded on the ordered-set calendar this loop replaced.
+    let observed = (
+        run.total_departures(),
+        run.count_events(PauseAction::Pause),
+        run.rounds,
+        departures.0,
+        pauses.0,
+    );
+    assert_eq!(
+        observed,
+        (
+            5_522,
+            38,
+            1_142,
+            0x0625_EC6E_7D03_820D,
+            0x2A48_8AC2_6E69_900E
+        )
+    );
 }
