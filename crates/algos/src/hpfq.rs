@@ -362,8 +362,8 @@ mod tests {
         a.dequeue(Nanos(10)).expect("backlogged");
         b.enqueue(Packet::new(10, FlowId(0), 1_000, Nanos(10)), Nanos(10))
             .unwrap();
-        assert_eq!(pool.borrow().port_occupancy(0), 3);
-        assert_eq!(pool.borrow().port_occupancy(1), 1);
+        assert_eq!(pool.port_occupancy(0), 3);
+        assert_eq!(pool.port_occupancy(1), 1);
     }
 
     #[test]

@@ -462,9 +462,6 @@ pub fn minrate() -> String {
 /// (static, or Choudhury–Hahne dynamic \[14\]) in front of the same WFQ
 /// restore the weighted shares.
 pub fn buffers() -> String {
-    use pifo_core::pool::SharedBuffer;
-    use pifo_sim::ManagedScheduler;
-
     let end = Nanos::from_millis(10);
     let arrivals = cbr_arrivals(&[1, 2, 3], GBIT10, end);
     let weights = WeightTable::from_pairs([(FlowId(1), 1), (FlowId(2), 2), (FlowId(3), 4)]);
@@ -499,14 +496,26 @@ pub fn buffers() -> String {
             rate_mbps(&deps, 3, lo, hi)
         );
     }
+    // Per-flow thresholds: the same tree, built in a 256-slot pool that
+    // gates every enqueue on the packet's flow occupancy.
     for (name, threshold) in [
         ("static 85/flow", Threshold::Static(85)),
         ("dynamic alpha=1", Threshold::Dynamic { num: 1, den: 1 }),
     ] {
-        let mut sched = ManagedScheduler::new(
-            TreeScheduler::new("wfq", single_stfq_tree(weights.clone(), usize::MAX)),
-            SharedBuffer::new(256, threshold),
-        );
+        let pool = SharedPacketPool::new(
+            256,
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow: threshold,
+            },
+        )
+        .into_shared();
+        let mut b = super::tree_builder();
+        let root = b.add_root("wfq", Box::new(Stfq::new(weights.clone())));
+        let tree = b
+            .build_in_pool(Box::new(move |_| root), pool.register_port())
+            .expect("valid");
+        let mut sched = TreeScheduler::new("wfq", tree);
         let deps = run_port(&arrivals, &mut sched, &cfg);
         let _ = writeln!(
             s,
@@ -541,9 +550,19 @@ mod tests {
         assert!(out.contains("2-level PIFO tree"));
     }
 
+    /// The X5 table, pinned row for row: tail drop locks flow 1 in, and
+    /// either per-flow threshold restores the 1:2:4 shares.
     #[test]
     fn buffers_shows_lockout_and_fix() {
         let out = super::buffers();
-        assert!(out.contains("dynamic alpha=1"), "{out}");
+        for (policy, rates) in [
+            ("shared tail drop", [10_001, 0, 0]),
+            ("static 85/flow", [1_428, 2_858, 5_714]),
+            ("dynamic alpha=1", [1_428, 2_858, 5_714]),
+        ] {
+            let [f1, f2, f3] = rates;
+            let row = format!("{policy:<26} {f1:>10} {f2:>10} {f3:>10}");
+            assert!(out.lines().any(|l| l == row), "no row {row:?} in\n{out}");
+        }
     }
 }

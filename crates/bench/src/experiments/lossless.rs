@@ -4,8 +4,8 @@
 use pifo_algos::Stfq;
 use pifo_core::prelude::*;
 use pifo_sim::{
-    CbrSource, DrainMode, FaultPlan, IncastSource, LosslessConfig, LosslessFabric, PauseAction,
-    StallKind, Switch, SwitchBuilder, TrafficSource,
+    CbrSource, FaultPlan, IncastSource, LosslessConfig, LosslessFabric, PauseAction, StallKind,
+    Switch, SwitchBuilder, TrafficSource,
 };
 use std::fmt::Write as _;
 
@@ -88,7 +88,7 @@ pub fn pfc() -> String {
 
     // --- healthy run: the storm is paced, not dropped -------------------
     let mut fabric = LosslessFabric::new(build_switch(), cfg);
-    let run = fabric.run(sources(), DrainMode::PerPacket);
+    let run = fabric.run(sources(), FaultPlan::none());
     assert!(run.stall.is_none(), "healthy run stalled: {:?}", run.stall);
     assert_eq!(run.total_drops(), 0, "lossless contract");
     let _ = writeln!(s, "\nincast storm (16 senders, 8x drain rate) -> port 0:");
@@ -117,7 +117,7 @@ pub fn pfc() -> String {
     let cfg = cfg.with_max_pause(Nanos::from_micros(200));
     let mut fabric = LosslessFabric::new(build_switch(), cfg);
     let faults = FaultPlan::none().dead_port(0);
-    let run = fabric.run_with_faults(sources(), DrainMode::PerPacket, &faults);
+    let run = fabric.run(sources(), faults);
     let stall = run.stall.expect("a dead port under load must stall");
     assert!(matches!(stall.kind, StallKind::DeadPort { port: 0 }));
     let _ = writeln!(s, "\nfault injection: port 0 transmitter killed:");

@@ -6,7 +6,7 @@
 use pifo_algos::Stfq;
 use pifo_core::prelude::*;
 use pifo_core::telemetry::EventKind;
-use pifo_sim::{DrainMode, Switch, SwitchBuilder};
+use pifo_sim::{Switch, SwitchBuilder};
 use std::fmt::Write as _;
 
 const PORTS: usize = 4;
@@ -64,14 +64,14 @@ pub fn tour() -> String {
 
     // Reference run with telemetry off, to check the contract inline.
     let mut plain = build_switch(None);
-    let base = plain.run(&arrivals(), DrainMode::PerPacket);
+    let base = plain.run(&arrivals(), 1);
 
     // Sample gauges every 2 rounds — this demo run is only a few dozen
     // rounds long, so the default stride would miss it entirely.
     let mut cfg = TelemetryConfig::with_paths();
     cfg.sample_every = 2;
     let mut sw = build_switch(Some(cfg));
-    let run = sw.run(&arrivals(), DrainMode::PerPacket);
+    let run = sw.run(&arrivals(), 1);
     let snap = sw.telemetry_snapshot(&run).expect("telemetry enabled");
 
     for (a, b) in base.ports.iter().zip(&run.ports) {

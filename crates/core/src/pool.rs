@@ -14,8 +14,7 @@
 //!   admitted/rejected tallies, maintained O(1) on every insert/release,
 //!   and per-flow occupancy — a [`FlowMap`] table maintained O(1) when
 //!   the policy has a flow-side threshold (the only reader on the packet
-//!   path), and otherwise recounted on demand from the flow tag every
-//!   slot carries.
+//!   path), and not kept at all otherwise.
 //! * [`AdmissionPolicy`] decides drops *before* any slab insert:
 //!   [`AdmissionPolicy::Unlimited`] (global capacity only — the naive
 //!   shared buffer whose lockout pathology motivates §6.1),
@@ -24,13 +23,12 @@
 //!   port may hold at most `alpha ×` the *remaining free* space, which
 //!   tightens automatically under pressure and guarantees no port can
 //!   lock the others out).
-//! * [`PoolHandle`] is one port's capability into the pool: the
-//!   scheduling tree holds a handle instead of owning a slab, so N trees
-//!   genuinely compete for — and are protected within — one memory.
-//! * [`Threshold`] is the reusable per-entity threshold arithmetic,
-//!   promoted from `pifo-sim`'s buffer-management module (which now
-//!   re-exports it); [`SharedBuffer`] is the counters-only §6.1 tracker
-//!   used by the simulator's scheduler wrappers.
+//! * [`PoolHandle`] is one port's capability into the pool, and the only
+//!   way to insert, probe or release: the scheduling tree holds a handle
+//!   instead of owning a slab, so N trees genuinely compete for — and are
+//!   protected within — one memory.
+//! * [`Threshold`] is the per-entity threshold arithmetic, applied to
+//!   ports and (under [`AdmissionPolicy::PortFlow`]) to flows.
 //!
 //! # Threading model
 //!
@@ -93,8 +91,7 @@ impl fmt::Display for PktHandle {
 }
 
 /// Per-entity admission threshold — the §6.1 counter comparison, shared
-/// by the pool's per-port policy and the simulator's per-flow
-/// [`SharedBuffer`] tracker.
+/// by the pool's per-port and per-flow policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threshold {
     /// No threshold on this entity: only the other gates (global
@@ -169,12 +166,10 @@ pub enum AdmissionPolicy {
     /// various flows and ports" in one decision. A packet is admitted
     /// only if **both** thresholds pass: the port it targets and the flow
     /// it belongs to (a flow-side threshold is what makes the pool keep
-    /// its O(1) sharded flow table; under every other policy per-flow
-    /// occupancy is recounted from the slots on demand). This subsumes
-    /// the per-flow [`SharedBuffer`] tracker: `PortFlow { port: Unlimited,
-    /// flow: t }` is exactly a flow-threshold buffer, and mixed pairs
-    /// express lossless fabrics where a port watermark backs a per-flow
-    /// fairness cap.
+    /// its O(1) sharded flow table; under every other policy it keeps
+    /// none). `PortFlow { port: Unlimited, flow: t }` is a per-flow
+    /// threshold buffer, and mixed pairs express lossless fabrics where a
+    /// port watermark backs a per-flow fairness cap.
     PortFlow {
         /// Threshold applied to the target port's occupancy.
         port: Threshold,
@@ -190,7 +185,7 @@ impl AdmissionPolicy {
     /// For [`AdmissionPolicy::PortFlow`] this evaluates the **port side
     /// only** — the flow side needs a flow identity, which this signature
     /// does not carry. Use [`AdmissionPolicy::admits_port_flow`] (or
-    /// [`SharedPacketPool::would_admit_flow`]) for the full verdict.
+    /// [`PoolHandle::would_admit_flow`]) for the full verdict.
     pub fn admits(self, used: usize, free: usize) -> bool {
         match self {
             AdmissionPolicy::Unlimited => true,
@@ -292,7 +287,8 @@ struct PortCounters {
     rejected: AtomicU64,
 }
 
-/// A snapshot of one port's pool counters (see [`SharedPool::stats`]).
+/// A snapshot of one port's pool counters (see
+/// [`SharedPacketPool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortPoolStats {
     /// Live slots currently attributed to the port.
@@ -303,7 +299,7 @@ pub struct PortPoolStats {
     pub rejected: u64,
 }
 
-/// A snapshot of the whole pool (see [`SharedPool::stats`]).
+/// A snapshot of the whole pool (see [`SharedPacketPool::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
     /// Live packets across all ports.
@@ -382,17 +378,19 @@ fn chunk_of(idx: u32) -> (usize, usize) {
 
 /// The single shared packet slab plus its §6.1 admission counters.
 ///
-/// All mutation goes through the pool so the counters can never drift
-/// from the slab: `try_insert` gates on the [`AdmissionPolicy`] *before*
-/// any slab write (a reject hands the caller's packet back by move,
-/// unchanged), and `release` settles the port/flow counters — from the
-/// port and flow tags stamped in the slot — exactly when the slot's last
-/// reference drops. Every counter update is O(1) and atomic, so the pool
-/// may be driven from many threads at once (see the module docs for the
-/// threading model).
+/// All mutation goes through a port's [`PoolHandle`], so the counters
+/// can never drift from the slab: [`PoolHandle::try_insert`] gates on the
+/// [`AdmissionPolicy`] *before* any slab write (a reject hands the
+/// caller's packet back by move, unchanged), and [`PoolHandle::release`]
+/// settles the port/flow counters — from the port and flow tags stamped
+/// in the slot — exactly when the slot's last reference drops. Every
+/// counter update is O(1) and atomic, so the pool may be driven from many
+/// threads at once (see the module docs for the threading model). The
+/// pool itself offers only read-only introspection.
 ///
-/// Use [`SharedPacketPool::into_shared`] to start handing out per-port
-/// [`PoolHandle`]s.
+/// Use [`SharedPacketPool::into_shared`], then
+/// [`register_port`](Self::register_port), to hand out per-port
+/// handles.
 pub struct SharedPacketPool {
     /// Chunked slot storage: chunk `k` is a leaked `Box<[SlotCell]>` of
     /// `64 << k` slots, allocated on first use under [`Self::grow`] and
@@ -483,25 +481,6 @@ fn checked_dec(counter: &AtomicUsize, errors: &AtomicU64, what: &str) {
     }
 }
 
-/// Checked decrement of one entry in a flow-occupancy map, removing the
-/// entry at zero so idle flows cost nothing. Returns `false` on
-/// underflow (no entry, or an entry already at zero) and lets the
-/// caller apply its double-release policy — this is the single copy of
-/// the checked flow decrement, shared by [`SharedPacketPool::release`]
-/// and [`SharedBuffer::on_dequeue`].
-fn dec_flow_entry(map: &mut FlowMap<usize>, flow: FlowId) -> bool {
-    match map.get_mut(&flow) {
-        Some(c) if *c > 0 => {
-            *c -= 1;
-            if *c == 0 {
-                map.remove(&flow);
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
 impl SharedPacketPool {
     fn with_capacity_and_policy(capacity: Option<usize>, policy: AdmissionPolicy) -> Self {
         SharedPacketPool {
@@ -549,34 +528,39 @@ impl SharedPacketPool {
         Self::with_capacity_and_policy(None, AdmissionPolicy::Unlimited)
     }
 
-    /// Register a new port, returning its dense index (from 0).
+    /// Register a new port (dense indices from 0) and return its handle.
     ///
     /// # Panics
     ///
     /// Panics if the pool already has [`MAX_PORTS`] ports; use
     /// [`try_register_port`](Self::try_register_port) to handle the
     /// overflow as a typed error.
-    pub fn register_port(&self) -> usize {
+    pub fn register_port(self: &Arc<Self>) -> PoolHandle {
         self.try_register_port()
             .unwrap_or_else(|e| panic!("register_port: {e}"))
     }
 
-    /// Register a new port, returning its dense index — or
+    /// Register a new port and return its handle — or
     /// [`PoolError::TooManyPorts`] when the pool is at [`MAX_PORTS`]
     /// (port indices are stored per slot as `u32`; validation happens
     /// here, at registration, so no later cast can truncate).
-    pub fn try_register_port(&self) -> Result<usize, PoolError> {
+    pub fn try_register_port(self: &Arc<Self>) -> Result<PoolHandle, PoolError> {
         let mut ports = self.ports.write().expect("pool port table poisoned");
         if ports.len() >= MAX_PORTS {
             return Err(PoolError::TooManyPorts { limit: MAX_PORTS });
         }
-        ports.push(Arc::new(PortCounters::default()));
-        Ok(ports.len() - 1)
+        let counters = Arc::new(PortCounters::default());
+        ports.push(Arc::clone(&counters));
+        Ok(PoolHandle {
+            pool: Arc::clone(self),
+            counters,
+            port: (ports.len() - 1) as u32,
+        })
     }
 
     /// Wrap the pool for sharing across ports.
     pub fn into_shared(self) -> SharedPool {
-        SharedPool(Arc::new(self))
+        Arc::new(self)
     }
 
     fn port_counters(&self, port: usize) -> Arc<PortCounters> {
@@ -670,7 +654,7 @@ impl SharedPacketPool {
     /// would reach right now, without reserving anything or counting a
     /// reject: global capacity, then the port threshold, then — when a
     /// `flow` is named and the policy has a flow side — the flow
-    /// threshold. The one copy behind all four `would_admit*` probes.
+    /// threshold. The one copy behind both `would_admit*` probes.
     fn probe(&self, counters: &PortCounters, flow: Option<FlowId>) -> bool {
         let live = self.live.load(Ordering::Acquire);
         let free = match self.capacity {
@@ -694,37 +678,8 @@ impl SharedPacketPool {
         }
     }
 
-    /// Would a packet for `port` be admitted right now? (The same
-    /// decision [`try_insert`](Self::try_insert) makes, without counting
-    /// a reject. Under concurrent mutation this is advisory — another
-    /// thread may change the answer before you act on it.)
-    pub fn would_admit(&self, port: usize) -> bool {
-        self.probe(&self.port_counters(port), None)
-    }
-
-    /// Would a packet of `flow` for `port` be admitted right now? This is
-    /// the **full** [`try_insert`](Self::try_insert) verdict — global
-    /// capacity, port threshold, *and* flow threshold for a
-    /// [`AdmissionPolicy::PortFlow`] policy (for port-only policies it
-    /// equals [`would_admit`](Self::would_admit)). Same advisory caveat
-    /// under concurrent mutation; the lossless fabric calls it serially
-    /// in round order, where it is exact.
-    pub fn would_admit_flow(&self, port: usize, flow: FlowId) -> bool {
-        self.probe(&self.port_counters(port), Some(flow))
-    }
-
-    /// Insert `packet` on behalf of `port`, with one reference, returning
-    /// its handle — or the packet itself, unchanged, when the global
-    /// capacity or `port`'s admission threshold rejects it (the reject is
-    /// tallied against the port).
-    pub fn try_insert(&self, port: usize, packet: Packet) -> Result<PktHandle, Packet> {
-        let counters = self.port_counters(port);
-        self.try_insert_with(&counters, port as u32, packet)
-    }
-
-    /// The insert hot path, with the port's counters already resolved
-    /// (what [`PoolHandle::try_insert`] uses to skip the port-table
-    /// lock).
+    /// The insert path behind [`PoolHandle::try_insert`], with the port's
+    /// counters already resolved so it never touches the port-table lock.
     fn try_insert_with(
         &self,
         counters: &PortCounters,
@@ -806,14 +761,10 @@ impl SharedPacketPool {
             .expect("pool flow shard poisoned")
     }
 
-    /// Borrow the packet in `handle`'s slot (panics on a stale handle).
-    ///
-    /// The borrow is generation-checked: accessing a slot whose packet
-    /// was fully released panics. Callers must hold one of the slot's
-    /// references for the duration of the borrow (the scheduling tree's
-    /// standing discipline), which is what keeps the slot from being
-    /// freed or reused underneath the returned reference.
-    pub fn get(&self, handle: PktHandle) -> &Packet {
+    /// The slot read behind [`PoolHandle::get`]. The caller's reference
+    /// is what keeps the slot from being freed or reused underneath the
+    /// returned borrow.
+    fn get(&self, handle: PktHandle) -> &Packet {
         let idx = handle.index() as u32;
         assert!(
             handle.index() < self.next_slot.load(Ordering::Acquire) as usize,
@@ -831,13 +782,8 @@ impl SharedPacketPool {
         unsafe { (*slot.packet.get()).assume_init_ref() }
     }
 
-    /// Add one reference to `handle`'s slot (the §6.1 counters track
-    /// *slots*, so this changes no counter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is free.
-    pub fn retain(&self, handle: PktHandle) {
+    /// The reference bump behind [`PoolHandle::retain`].
+    fn retain(&self, handle: PktHandle) {
         let slot = self.slot(handle.index() as u32);
         assert_eq!(
             slot.gen.load(Ordering::Acquire) & 1,
@@ -847,28 +793,16 @@ impl SharedPacketPool {
         slot.refs.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Drop one reference to `handle`'s slot. When it was the last, the
-    /// packet moves out, the slot frees, and the owning port's and flow's
-    /// occupancy counters are decremented — in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is already free (a stale handle), and — in
-    /// debug builds — on any accounting underflow the release would
-    /// cause; release builds tally underflows in
-    /// [`accounting_errors`](Self::accounting_errors) instead.
-    pub fn release(&self, handle: PktHandle) -> Option<Packet> {
-        self.release_with(handle, None)
-    }
-
-    /// The release hot path. `cached` is the releasing [`PoolHandle`]'s
-    /// own `(port, counters)` pair: when the slot was inserted through
-    /// that port (always, for a tree) the occupancy settles on the
-    /// cached block and the port-table lock is never touched.
+    /// The release path behind [`PoolHandle::release`], given the
+    /// releasing handle's port and counter block: when the slot was
+    /// inserted through that port (always, for a tree) the occupancy
+    /// settles on the cached block and the port-table lock is never
+    /// touched.
     fn release_with(
         &self,
         handle: PktHandle,
-        cached: Option<(u32, &PortCounters)>,
+        own_port: u32,
+        own_counters: &PortCounters,
     ) -> Option<Packet> {
         let idx = handle.index() as u32;
         let slot = self.slot(idx);
@@ -910,22 +844,36 @@ impl SharedPacketPool {
         slot.gen.store(gen.wrapping_add(1), Ordering::Release);
         self.push_free(idx);
         checked_dec(&self.live, &self.accounting_errors, "pool live");
-        match cached {
-            Some((own, counters)) if own == port => checked_dec(
-                &counters.occupancy,
+        if port == own_port {
+            checked_dec(
+                &own_counters.occupancy,
                 &self.accounting_errors,
                 "port occupancy",
-            ),
-            _ => checked_dec(
-                &self.ports.read().expect("pool port table poisoned")[port as usize].occupancy,
+            );
+        } else {
+            let ports = self.ports.read().expect("pool port table poisoned");
+            checked_dec(
+                &ports[port as usize].occupancy,
                 &self.accounting_errors,
                 "port occupancy",
-            ),
+            );
         }
         if self.track_flows {
             let mut shard = self.flow_shard(flow);
-            if !dec_flow_entry(&mut shard, flow) {
-                drop(shard);
+            // Checked, and the entry goes at zero so idle flows cost
+            // nothing.
+            let settled = match shard.get_mut(&flow) {
+                Some(c) if *c > 0 => {
+                    *c -= 1;
+                    if *c == 0 {
+                        shard.remove(&flow);
+                    }
+                    true
+                }
+                _ => false,
+            };
+            drop(shard);
+            if !settled {
                 if cfg!(debug_assertions) {
                     panic!("pool accounting underflow: flow occupancy (double release)");
                 }
@@ -1021,6 +969,23 @@ impl SharedPacketPool {
     /// healthy pool reports 0 forever.
     pub fn accounting_errors(&self) -> u64 {
         self.accounting_errors.load(Ordering::Relaxed)
+    }
+
+    /// A copyable snapshot of the pool-wide and per-port counters.
+    pub fn stats(&self) -> PoolStats {
+        let ports = self.ports.read().expect("pool port table poisoned");
+        PoolStats {
+            live: self.live(),
+            capacity: self.capacity(),
+            ports: ports
+                .iter()
+                .map(|p| PortPoolStats {
+                    occupancy: p.occupancy.load(Ordering::Acquire),
+                    admitted: p.admitted.load(Ordering::Relaxed),
+                    rejected: p.rejected.load(Ordering::Relaxed),
+                })
+                .collect(),
+        }
     }
 
     /// Check counter/slab coherence: per-port occupancies sum to the
@@ -1128,8 +1093,8 @@ impl SharedPacketPool {
     }
 }
 
-/// A cloneable reference to one [`SharedPacketPool`], for registering
-/// ports and reading fabric-level statistics.
+/// A shared [`SharedPacketPool`], for registering ports and reading
+/// fabric-level statistics.
 ///
 /// ```
 /// use pifo_core::pool::{AdmissionPolicy, SharedPacketPool};
@@ -1141,57 +1106,7 @@ impl SharedPacketPool {
 /// assert_eq!((port_a.port(), port_b.port()), (0, 1));
 /// assert_eq!(pool.stats().capacity, Some(8));
 /// ```
-#[derive(Debug, Clone)]
-pub struct SharedPool(Arc<SharedPacketPool>);
-
-impl SharedPool {
-    /// Register a new port and return its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics past [`MAX_PORTS`]; see
-    /// [`try_register_port`](Self::try_register_port).
-    pub fn register_port(&self) -> PoolHandle {
-        self.try_register_port()
-            .unwrap_or_else(|e| panic!("register_port: {e}"))
-    }
-
-    /// Register a new port and return its handle, or a typed error when
-    /// the pool is at [`MAX_PORTS`].
-    pub fn try_register_port(&self) -> Result<PoolHandle, PoolError> {
-        let port = self.0.try_register_port()? as u32;
-        Ok(PoolHandle {
-            counters: self.0.port_counters(port as usize),
-            pool: Arc::clone(&self.0),
-            port,
-        })
-    }
-
-    /// Access the pool for inspection (occupancies, coherence checks).
-    /// Kept under the historical name from the `RefCell` era; the
-    /// returned reference is a plain borrow — nothing can panic.
-    #[allow(clippy::should_implement_trait)] // historical API name, not the Borrow trait
-    pub fn borrow(&self) -> &SharedPacketPool {
-        &self.0
-    }
-
-    /// A copyable snapshot of the pool-wide and per-port counters.
-    pub fn stats(&self) -> PoolStats {
-        let ports = self.0.ports.read().expect("pool port table poisoned");
-        PoolStats {
-            live: self.0.live(),
-            capacity: self.0.capacity(),
-            ports: ports
-                .iter()
-                .map(|p| PortPoolStats {
-                    occupancy: p.occupancy.load(Ordering::Acquire),
-                    admitted: p.admitted.load(Ordering::Relaxed),
-                    rejected: p.rejected.load(Ordering::Relaxed),
-                })
-                .collect(),
-        }
-    }
-}
+pub type SharedPool = Arc<SharedPacketPool>;
 
 /// One port's capability into a [`SharedPacketPool`] — what a
 /// `ScheduleTree` holds in place of a private slab.
@@ -1230,7 +1145,7 @@ impl PoolHandle {
 
     /// The shared pool this handle belongs to (for fabric-level stats).
     pub fn shared_pool(&self) -> SharedPool {
-        SharedPool(Arc::clone(&self.pool))
+        Arc::clone(&self.pool)
     }
 
     /// The pool itself (slab occupancy, coherence checks, counters).
@@ -1238,42 +1153,64 @@ impl PoolHandle {
         &self.pool
     }
 
-    /// Insert `packet` for this port (see
-    /// [`SharedPacketPool::try_insert`]).
+    /// Insert `packet` for this port, with one reference, returning its
+    /// handle — or the packet itself, unchanged, when the global capacity
+    /// or the policy's port (or flow) threshold rejects it. The reject is
+    /// tallied against this port.
     pub fn try_insert(&self, packet: Packet) -> Result<PktHandle, Packet> {
         self.pool.try_insert_with(&self.counters, self.port, packet)
     }
 
-    /// Would a packet for this port be admitted right now?
+    /// Would a packet for this port be admitted right now? The port side
+    /// of the [`try_insert`](Self::try_insert) verdict, without counting
+    /// a reject. Under concurrent mutation this is advisory — another
+    /// thread may change the answer before you act on it.
     pub fn would_admit(&self) -> bool {
         self.pool.probe(&self.counters, None)
     }
 
     /// Would a packet of `flow` for this port be admitted right now? The
-    /// full [`try_insert`](Self::try_insert) verdict, flow threshold
-    /// included (see [`SharedPacketPool::would_admit_flow`]) — the
-    /// probe the lossless fabric gates ingress on before committing a
-    /// packet to the tree.
+    /// full [`try_insert`](Self::try_insert) verdict — global capacity,
+    /// port threshold, *and* flow threshold for a
+    /// [`AdmissionPolicy::PortFlow`] policy (for port-only policies it
+    /// equals [`would_admit`](Self::would_admit)). The same advisory
+    /// caveat applies; the lossless fabric gates ingress on it serially
+    /// in round order, where it is exact.
     pub fn would_admit_flow(&self, flow: FlowId) -> bool {
         self.pool.probe(&self.counters, Some(flow))
     }
 
-    /// Borrow the packet in `handle`'s slot (generation-checked; see
-    /// [`SharedPacketPool::get`]).
+    /// Borrow the packet in `handle`'s slot. The borrow is
+    /// generation-checked: accessing a fully released slot panics.
+    /// Callers must hold one of the slot's references for the duration
+    /// of the borrow (the scheduling tree's standing discipline).
     pub fn get(&self, handle: PktHandle) -> &Packet {
         self.pool.get(handle)
     }
 
-    /// Add one reference to `handle`'s slot.
+    /// Add one reference to `handle`'s slot (the §6.1 counters track
+    /// *slots*, so this changes no counter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free.
     pub fn retain(&self, handle: PktHandle) {
         self.pool.retain(handle);
     }
 
-    /// Drop one reference to `handle`'s slot; the last release moves the
-    /// packet out and settles the counters.
+    /// Drop one reference to `handle`'s slot. When it was the last, the
+    /// packet moves out, the slot frees, and the inserting port's and
+    /// flow's occupancy counters are decremented — in O(1), whichever
+    /// port's handle releases it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is already free (a stale handle), and — in
+    /// debug builds — on any accounting underflow the release would
+    /// cause; release builds tally underflows in
+    /// [`SharedPacketPool::accounting_errors`] instead.
     pub fn release(&self, handle: PktHandle) -> Option<Packet> {
-        self.pool
-            .release_with(handle, Some((self.port, &self.counters)))
+        self.pool.release_with(handle, self.port, &self.counters)
     }
 
     /// Live packets across the whole pool (all ports).
@@ -1289,138 +1226,6 @@ impl PoolHandle {
     /// Packets ever rejected for this port.
     pub fn rejected(&self) -> u64 {
         self.counters.rejected.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SharedBuffer — the counters-only §6.1 tracker (promoted from pifo-sim)
-// ---------------------------------------------------------------------------
-
-/// Occupancy-tracking admission control over a shared buffer, counting
-/// **per flow** — the §6.1 mechanism in isolation, without a slab.
-///
-/// This is the counters-only tracker `pifo-sim`'s `ManagedScheduler`
-/// wraps around any port scheduler (the sim module re-exports it from
-/// here). The slab-owning [`SharedPacketPool`] applies the same
-/// [`Threshold`] arithmetic per port.
-///
-/// Like the pool, its accounting is **checked**: a dequeue that would
-/// drive a counter below zero (a double dequeue, or a dequeue of a
-/// packet that was never admitted) panics in debug builds and bumps
-/// [`accounting_errors`](Self::accounting_errors) in release builds —
-/// the old behaviour of silently saturating at zero masked exactly the
-/// bugs that corrupt dynamic-threshold decisions.
-#[derive(Debug)]
-pub struct SharedBuffer {
-    capacity: usize,
-    occupancy: usize,
-    per_flow: FlowMap<usize>,
-    /// The flow threshold, stored as the one shared policy type: a
-    /// counters-only buffer is a `PortFlow` with an unlimited port side,
-    /// so the verdict arithmetic lives in a single place
-    /// ([`AdmissionPolicy::admits_port_flow`]) rather than being
-    /// duplicated here.
-    policy: AdmissionPolicy,
-    drops: u64,
-    accounting_errors: u64,
-}
-
-impl SharedBuffer {
-    /// A buffer of `capacity` packets with the given per-flow threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is zero or a dynamic denominator is zero.
-    pub fn new(capacity: usize, threshold: Threshold) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        if let Threshold::Dynamic { den, .. } = threshold {
-            assert!(den > 0, "alpha denominator must be positive");
-        }
-        SharedBuffer {
-            capacity,
-            occupancy: 0,
-            per_flow: FlowMap::default(),
-            policy: AdmissionPolicy::PortFlow {
-                port: Threshold::Unlimited,
-                flow: threshold,
-            },
-            drops: 0,
-            accounting_errors: 0,
-        }
-    }
-
-    /// The buffer's admission policy (always a
-    /// [`AdmissionPolicy::PortFlow`] with an unlimited port side).
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Would a packet of `flow` be admitted right now?
-    pub fn would_admit(&self, flow: FlowId) -> bool {
-        if self.occupancy >= self.capacity {
-            return false;
-        }
-        let used = self.per_flow.get(&flow).copied().unwrap_or(0);
-        self.policy
-            .admits_port_flow(0, used, self.capacity - self.occupancy)
-    }
-
-    /// Record an admission.
-    pub fn on_enqueue(&mut self, flow: FlowId) {
-        self.occupancy += 1;
-        *self.per_flow.entry(flow).or_insert(0) += 1;
-    }
-
-    fn accounting_error(&mut self, what: &str) {
-        if cfg!(debug_assertions) {
-            panic!("shared-buffer accounting underflow: {what} (double dequeue)");
-        }
-        self.accounting_errors += 1;
-    }
-
-    /// Record a departure.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if the buffer (or the flow) has no
-    /// recorded occupancy to release — a double dequeue. Release builds
-    /// bump [`accounting_errors`](Self::accounting_errors) instead of
-    /// silently clamping at zero.
-    pub fn on_dequeue(&mut self, flow: FlowId) {
-        if self.occupancy == 0 {
-            self.accounting_error("buffer occupancy below zero");
-        } else {
-            self.occupancy -= 1;
-        }
-        if !dec_flow_entry(&mut self.per_flow, flow) {
-            self.accounting_error("flow occupancy below zero");
-        }
-    }
-
-    /// Record a drop.
-    pub fn on_drop(&mut self) {
-        self.drops += 1;
-    }
-
-    /// Packets currently buffered.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
-    /// Packets of `flow` currently buffered.
-    pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        self.per_flow.get(&flow).copied().unwrap_or(0)
-    }
-
-    /// Admission-control drops so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Accounting violations detected so far (release builds only; debug
-    /// builds panic at the violation site). A healthy buffer reports 0.
-    pub fn accounting_errors(&self) -> u64 {
-        self.accounting_errors
     }
 }
 
@@ -1447,45 +1252,79 @@ mod tests {
         assert_eq!(out.id.0, 0);
         assert_eq!(h.occupancy(), 1);
         assert!(h.would_admit());
-        h.shared_pool().borrow().assert_coherent();
+        h.shared_pool().assert_coherent();
     }
 
+    /// Alpha = 1 converges at half the capacity, whether the dynamic
+    /// threshold sits on the port side (one hog port) or on the flow
+    /// side (one hog flow); either way the other port or flow still gets
+    /// in.
     #[test]
     fn dynamic_threshold_caps_a_hog_but_admits_a_light_port() {
-        let pool = SharedPacketPool::new(8, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
-            .into_shared();
-        let hog = pool.register_port();
-        let light = pool.register_port();
-        // The hog fills until its occupancy reaches the shrinking free
-        // space: with alpha = 1 it converges at half the buffer.
-        let mut admitted = 0;
-        let mut id = 0;
-        while hog.would_admit() {
-            hog.try_insert(pkt(id, 1)).unwrap();
-            id += 1;
-            admitted += 1;
-            assert!(admitted <= 8, "must converge");
+        let port_side = AdmissionPolicy::DynamicThreshold { num: 1, den: 1 };
+        let flow_side = AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow: Threshold::Dynamic { num: 1, den: 1 },
+        };
+        for (policy, light_port) in [(port_side, true), (flow_side, false)] {
+            let pool = SharedPacketPool::new(8, policy).into_shared();
+            let hog = pool.register_port();
+            let light = if light_port {
+                pool.register_port()
+            } else {
+                hog.clone()
+            };
+            // The hog fills until its occupancy reaches the shrinking free
+            // space: with alpha = 1 it converges at half the buffer.
+            let mut admitted = 0;
+            let mut id = 0;
+            while hog.would_admit_flow(FlowId(1)) {
+                hog.try_insert(pkt(id, 1)).unwrap();
+                id += 1;
+                admitted += 1;
+                assert!(admitted <= 8, "{policy}: must converge");
+            }
+            assert_eq!(admitted, 4, "{policy}: alpha=1 -> at most half the buffer");
+            assert!(hog.try_insert(pkt(id, 1)).is_err(), "{policy}");
+            // Lockout prevented: the light port (or flow) still gets in.
+            assert!(light.would_admit_flow(FlowId(2)), "{policy}");
+            light.try_insert(pkt(id + 1, 2)).unwrap();
+            assert_eq!(pool.stats().live, 5, "{policy}");
+            pool.assert_coherent();
         }
-        assert_eq!(admitted, 4, "alpha=1 -> at most half the buffer");
-        // Lockout prevented: the light port still gets in.
-        assert!(light.would_admit());
-        light.try_insert(pkt(id, 2)).unwrap();
-        assert_eq!(pool.stats().live, 5);
-        pool.borrow().assert_coherent();
     }
 
+    /// Capacity is a hard limit whatever the thresholds say: with no
+    /// port threshold, or under a generous flow threshold, a hog can own
+    /// every slot, and only a release lets the victim back in.
     #[test]
     fn unlimited_policy_allows_full_lockout() {
-        let pool = SharedPacketPool::new(4, AdmissionPolicy::Unlimited).into_shared();
-        let hog = pool.register_port();
-        let victim = pool.register_port();
-        for id in 0..4 {
-            hog.try_insert(pkt(id, 1)).unwrap();
+        let generous_flow = AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow: Threshold::Static(100),
+        };
+        for policy in [AdmissionPolicy::Unlimited, generous_flow] {
+            let pool = SharedPacketPool::new(4, policy).into_shared();
+            let hog = pool.register_port();
+            let victim = pool.register_port();
+            let held: Vec<PktHandle> = (0..4)
+                .map(|id| hog.try_insert(pkt(id, 1)).unwrap())
+                .collect();
+            // The naive shared cap lets the hog own every slot.
+            assert!(
+                !victim.would_admit_flow(FlowId(2)),
+                "{policy}: victim locked out"
+            );
+            assert!(victim.try_insert(pkt(9, 2)).is_err(), "{policy}");
+            assert_eq!(victim.rejected(), 1, "{policy}");
+            hog.release(held[0]).expect("sole reference");
+            assert!(
+                victim.would_admit_flow(FlowId(2)),
+                "{policy}: a release reopens"
+            );
+            victim.try_insert(pkt(10, 2)).unwrap();
+            pool.assert_coherent();
         }
-        // The naive shared cap lets the hog own every slot.
-        assert!(!victim.would_admit(), "victim locked out");
-        assert!(victim.try_insert(pkt(9, 2)).is_err());
-        assert_eq!(victim.rejected(), 1);
     }
 
     #[test]
@@ -1499,10 +1338,10 @@ mod tests {
         assert!(a.try_insert(pkt(2, 1)).is_err(), "third on port A dropped");
         assert!(b.would_admit(), "port B unaffected");
         b.try_insert(pkt(3, 2)).unwrap();
-        assert_eq!(pool.borrow().port_occupancy(0), 2);
-        assert_eq!(pool.borrow().port_occupancy(1), 1);
+        assert_eq!(pool.port_occupancy(0), 2);
+        assert_eq!(pool.port_occupancy(1), 1);
         assert_eq!(
-            pool.borrow().flow_occupancy(FlowId(1)),
+            pool.flow_occupancy(FlowId(1)),
             None,
             "a port-only policy keeps no flow counts"
         );
@@ -1520,14 +1359,14 @@ mod tests {
         let b = pool.register_port();
         let ha = a.try_insert(pkt(0, 7)).unwrap();
         let _hb = b.try_insert(pkt(1, 7)).unwrap();
-        assert_eq!(pool.borrow().flow_occupancy(FlowId(7)), Some(2));
+        assert_eq!(pool.flow_occupancy(FlowId(7)), Some(2));
         // Releasing through *either* handle settles against port A — the
         // pool remembers which port owns the slot.
         b.release(ha).expect("sole reference");
-        assert_eq!(pool.borrow().port_occupancy(0), 0);
-        assert_eq!(pool.borrow().port_occupancy(1), 1);
-        assert_eq!(pool.borrow().flow_occupancy(FlowId(7)), Some(1));
-        pool.borrow().assert_coherent();
+        assert_eq!(pool.port_occupancy(0), 0);
+        assert_eq!(pool.port_occupancy(1), 1);
+        assert_eq!(pool.flow_occupancy(FlowId(7)), Some(1));
+        pool.assert_coherent();
     }
 
     #[test]
@@ -1542,24 +1381,31 @@ mod tests {
         assert_eq!(h.occupancy(), 0);
     }
 
+    /// Draining reopens the threshold (free space grows *and* own
+    /// occupancy shrinks), on the port side and on the flow side alike.
     #[test]
     fn freed_space_reopens_a_dynamic_threshold() {
-        let pool = SharedPacketPool::new(8, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
-            .into_shared();
-        let h = pool.register_port();
-        let mut handles = Vec::new();
-        let mut id = 0;
-        while h.would_admit() {
-            handles.push(h.try_insert(pkt(id, 1)).unwrap());
-            id += 1;
+        for policy in [
+            AdmissionPolicy::DynamicThreshold { num: 1, den: 1 },
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow: Threshold::Dynamic { num: 1, den: 1 },
+            },
+        ] {
+            let pool = SharedPacketPool::new(8, policy).into_shared();
+            let h = pool.register_port();
+            let mut handles = Vec::new();
+            let mut id = 0;
+            while h.would_admit_flow(FlowId(1)) {
+                handles.push(h.try_insert(pkt(id, 1)).unwrap());
+                id += 1;
+            }
+            assert!(h.try_insert(pkt(99, 1)).is_err(), "{policy}");
+            h.release(handles.pop().unwrap());
+            h.release(handles.pop().unwrap());
+            assert!(h.would_admit_flow(FlowId(1)), "{policy}");
+            h.try_insert(pkt(100, 1)).unwrap();
         }
-        assert!(h.try_insert(pkt(99, 1)).is_err());
-        // Draining reopens the threshold (free space grows *and* own
-        // occupancy shrinks).
-        h.release(handles.pop().unwrap());
-        h.release(handles.pop().unwrap());
-        assert!(h.would_admit());
-        h.try_insert(pkt(100, 1)).unwrap();
     }
 
     #[test]
@@ -1622,7 +1468,7 @@ mod tests {
         for _ in 0..MAX_PORTS {
             pool.try_register_port().expect("below the limit");
         }
-        assert_eq!(pool.borrow().num_ports(), MAX_PORTS);
+        assert_eq!(pool.num_ports(), MAX_PORTS);
         // The boundary: one more is a typed error, not a truncated index.
         assert_eq!(
             pool.try_register_port().unwrap_err(),
@@ -1644,79 +1490,6 @@ mod tests {
         let _ = SharedPacketPool::new(4, AdmissionPolicy::DynamicThreshold { num: 1, den: 0 });
     }
 
-    // ---- SharedBuffer (promoted from pifo-sim) ---------------------------
-
-    #[test]
-    fn shared_buffer_static_threshold_caps_each_flow() {
-        let mut b = SharedBuffer::new(100, Threshold::Static(2));
-        assert!(b.would_admit(FlowId(1)));
-        b.on_enqueue(FlowId(1));
-        b.on_enqueue(FlowId(1));
-        assert!(!b.would_admit(FlowId(1)), "third of flow 1 dropped");
-        assert!(b.would_admit(FlowId(2)), "other flows unaffected");
-        assert_eq!(b.flow_occupancy(FlowId(1)), 2);
-    }
-
-    #[test]
-    fn shared_buffer_dynamic_threshold_tightens_under_pressure() {
-        // alpha = 1: a flow may hold at most the current free space.
-        let mut b = SharedBuffer::new(8, Threshold::Dynamic { num: 1, den: 1 });
-        let mut admitted = 0;
-        while b.would_admit(FlowId(1)) {
-            b.on_enqueue(FlowId(1));
-            admitted += 1;
-            assert!(admitted <= 8, "must converge");
-        }
-        assert_eq!(admitted, 4, "alpha=1 -> at most half the buffer");
-        // A *different* flow still gets in: lockout prevented.
-        assert!(b.would_admit(FlowId(2)));
-    }
-
-    #[test]
-    fn shared_buffer_capacity_is_hard_limit() {
-        let mut b = SharedBuffer::new(4, Threshold::Static(100));
-        for f in 0..4u32 {
-            assert!(b.would_admit(FlowId(f)));
-            b.on_enqueue(FlowId(f));
-        }
-        assert!(!b.would_admit(FlowId(9)), "buffer full");
-        b.on_dequeue(FlowId(0));
-        assert!(b.would_admit(FlowId(9)));
-        assert_eq!(b.occupancy(), 3);
-    }
-
-    #[test]
-    fn shared_buffer_counts_drops() {
-        let mut b = SharedBuffer::new(4, Threshold::Static(1));
-        b.on_drop();
-        b.on_drop();
-        assert_eq!(b.drops(), 2);
-    }
-
-    /// The satellite regression: a double dequeue used to be silently
-    /// clamped by `saturating_sub`, leaving the §6.1 counters wrong but
-    /// plausible. It must now be *detected* — a panic in debug builds, a
-    /// visible `accounting_errors` bump in release builds.
-    #[test]
-    fn shared_buffer_double_dequeue_is_detected_not_clamped() {
-        let mut b = SharedBuffer::new(8, Threshold::Static(4));
-        b.on_enqueue(FlowId(1));
-        b.on_dequeue(FlowId(1));
-        if cfg!(debug_assertions) {
-            let err =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.on_dequeue(FlowId(1))));
-            assert!(err.is_err(), "debug builds panic on the double dequeue");
-        } else {
-            b.on_dequeue(FlowId(1));
-            assert_eq!(
-                b.accounting_errors(),
-                2,
-                "release builds record both underflows (buffer + flow)"
-            );
-            assert_eq!(b.occupancy(), 0, "counter did not wrap");
-        }
-    }
-
     #[test]
     fn port_flow_policy_gates_on_both_occupancies() {
         let pool = SharedPacketPool::new(
@@ -1725,88 +1498,36 @@ mod tests {
                 port: Threshold::Static(8),
                 flow: Threshold::Static(2),
             },
-        );
+        )
+        .into_shared();
         let port = pool.register_port();
         // Flow 1 is admitted twice, then capped — while flow 2 (same
         // port) is still admitted: the cap is per flow, not per port.
-        let a = pool.try_insert(port, pkt(0, 1)).expect("first of flow 1");
-        let _b = pool.try_insert(port, pkt(1, 1)).expect("second of flow 1");
-        assert!(!pool.would_admit_flow(port, FlowId(1)), "flow 1 at cap");
-        assert!(pool.would_admit_flow(port, FlowId(2)), "flow 2 unaffected");
-        assert!(pool.try_insert(port, pkt(2, 1)).is_err(), "flow 1 rejected");
-        let _c = pool.try_insert(port, pkt(3, 2)).expect("flow 2 admitted");
+        let a = port.try_insert(pkt(0, 1)).expect("first of flow 1");
+        let _b = port.try_insert(pkt(1, 1)).expect("second of flow 1");
+        assert!(!port.would_admit_flow(FlowId(1)), "flow 1 at cap");
+        assert!(port.would_admit_flow(FlowId(2)), "flow 2 unaffected");
+        assert!(port.try_insert(pkt(2, 1)).is_err(), "flow 1 rejected");
+        let _c = port.try_insert(pkt(3, 2)).expect("flow 2 admitted");
+        assert_eq!(port.rejected(), 1, "the flow-side reject is tallied");
         // Releasing a flow-1 packet reopens the flow threshold.
-        pool.release(a);
-        assert!(pool.would_admit_flow(port, FlowId(1)), "cap reopened");
+        port.release(a);
+        assert!(port.would_admit_flow(FlowId(1)), "cap reopened");
         // The port-only probe ignores the flow side by design.
-        assert!(pool.would_admit(port), "port side is under its threshold");
+        assert!(port.would_admit(), "port side is under its threshold");
     }
 
     #[test]
     fn would_admit_flow_matches_try_insert_for_port_only_policies() {
-        let pool = SharedPacketPool::new(2, AdmissionPolicy::Static { per_port: 2 });
+        let pool = SharedPacketPool::new(2, AdmissionPolicy::Static { per_port: 2 }).into_shared();
         let port = pool.register_port();
-        assert!(pool.would_admit_flow(port, FlowId(7)));
-        let _a = pool.try_insert(port, pkt(0, 7)).expect("admitted");
-        let _b = pool.try_insert(port, pkt(1, 7)).expect("admitted");
+        assert!(port.would_admit_flow(FlowId(7)));
+        let _a = port.try_insert(pkt(0, 7)).expect("admitted");
+        let _b = port.try_insert(pkt(1, 7)).expect("admitted");
         // Global capacity exhausted: both probes agree with try_insert.
-        assert!(!pool.would_admit_flow(port, FlowId(7)));
-        assert!(!pool.would_admit(port));
-        assert!(pool.try_insert(port, pkt(2, 7)).is_err());
-    }
-
-    #[test]
-    fn shared_buffer_verdicts_match_port_flow_pool() {
-        // The counters-only tracker and a one-port PortFlow pool with an
-        // unlimited port side must produce identical verdicts for any
-        // admit/dequeue history — the threshold arithmetic is one copy.
-        let threshold = Threshold::Dynamic { num: 1, den: 2 };
-        let mut buf = SharedBuffer::new(8, threshold);
-        let pool = SharedPacketPool::new(
-            8,
-            AdmissionPolicy::PortFlow {
-                port: Threshold::Unlimited,
-                flow: threshold,
-            },
-        );
-        let port = pool.register_port();
-        let mut held: Vec<(FlowId, PktHandle)> = Vec::new();
-        let seq: &[(u32, bool)] = &[
-            // (flow, enqueue? — else dequeue oldest of that flow)
-            (1, true),
-            (1, true),
-            (2, true),
-            (1, false),
-            (2, true),
-            (1, true),
-            (2, false),
-        ];
-        for (i, &(flow, enq)) in seq.iter().enumerate() {
-            let flow = FlowId(flow);
-            if enq {
-                let b_says = buf.would_admit(flow);
-                let p_says = pool.would_admit_flow(port, flow);
-                assert_eq!(b_says, p_says, "step {i}: verdicts diverge");
-                if b_says {
-                    buf.on_enqueue(flow);
-                    let h = pool
-                        .try_insert(port, pkt(i as u64, flow.0))
-                        .expect("agreed");
-                    held.push((flow, h));
-                }
-            } else {
-                let pos = held.iter().position(|(f, _)| *f == flow).expect("held");
-                let (_, h) = held.remove(pos);
-                buf.on_dequeue(flow);
-                pool.release(h);
-            }
-            assert_eq!(buf.occupancy(), pool.live(), "step {i}: occupancy");
-            assert_eq!(
-                Some(buf.flow_occupancy(flow)),
-                pool.flow_occupancy(flow),
-                "step {i}: flow occupancy"
-            );
-        }
+        assert!(!port.would_admit_flow(FlowId(7)));
+        assert!(!port.would_admit());
+        assert!(port.try_insert(pkt(2, 7)).is_err());
     }
 
     #[test]

@@ -328,8 +328,6 @@ pub struct TreeBuilder {
     buffer_limit: Option<usize>,
     backend: PifoBackend,
     track_inversions: bool,
-    ring_capacity: Option<usize>,
-    path_records: bool,
 }
 
 impl Default for TreeBuilder {
@@ -350,8 +348,6 @@ impl TreeBuilder {
             buffer_limit: None,
             backend: PifoBackend::default(),
             track_inversions: false,
-            ring_capacity: None,
-            path_records: false,
         }
     }
 
@@ -361,24 +357,6 @@ impl TreeBuilder {
     /// path carries no tracking cost at all.
     pub fn track_inversions(&mut self, enabled: bool) -> &mut Self {
         self.track_inversions = enabled;
-        self
-    }
-
-    /// Attach a [`FlightRecorder`] retaining the most recent `capacity`
-    /// trace events (enqueue/dequeue/drop/shaping/pool — see
-    /// [`EventKind`]) to the built tree. Off by default; when off every
-    /// hook site costs one `Option` null check and nothing else.
-    pub fn with_flight_recorder(&mut self, capacity: usize) -> &mut Self {
-        self.ring_capacity = Some(capacity);
-        self
-    }
-
-    /// Collect an INT-style [`PathRecord`](crate::telemetry::PathRecord)
-    /// per packet: the hops of its enqueue walk (node, rank, queue depth
-    /// seen) plus enqueue and departure instants. The most expensive
-    /// telemetry mode; off by default.
-    pub fn with_path_records(&mut self, enabled: bool) -> &mut Self {
-        self.path_records = enabled;
         self
     }
 
@@ -581,10 +559,8 @@ impl TreeBuilder {
             shaping_inspections: 0,
             has_shapers,
             tracker: self.track_inversions.then(InversionTracker::new),
-            recorder: self
-                .ring_capacity
-                .map(|cap| Box::new(FlightRecorder::new(cap))),
-            paths: self.path_records.then(|| Box::new(PathRecorder::new())),
+            recorder: None,
+            paths: None,
         })
     }
 }
@@ -1089,9 +1065,12 @@ impl ScheduleTree {
     }
 
     /// Switch on flight recording from this point with a ring retaining
-    /// `capacity` events (idempotent — an existing recorder keeps its
-    /// ring and counters). Usually set at build time via
-    /// [`TreeBuilder::with_flight_recorder`].
+    /// the most recent `capacity` trace events (enqueue/dequeue/drop/
+    /// shaping/pool — see [`EventKind`]). Idempotent: an existing
+    /// recorder keeps its ring and counters. Off by default; when off
+    /// every hook site costs one `Option` null check. A fabric switches
+    /// it on for every port through `pifo-sim`'s
+    /// `SwitchBuilder::with_telemetry`.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         if self.recorder.is_none() {
             self.recorder = Some(Box::new(FlightRecorder::new(capacity)));
@@ -1104,10 +1083,13 @@ impl ScheduleTree {
         self.recorder.as_deref()
     }
 
-    /// Switch on per-packet path records from this point (idempotent).
-    /// Packets already buffered get no record — only walks observed
-    /// from here on are digested. Usually set at build time via
-    /// [`TreeBuilder::with_path_records`].
+    /// Switch on an INT-style [`PathRecord`](crate::telemetry::PathRecord)
+    /// per packet from this point (idempotent): the hops of its enqueue
+    /// walk (node, rank, queue depth seen) plus enqueue and departure
+    /// instants. Packets already buffered get no record — only walks
+    /// observed from here on are digested. The most expensive telemetry
+    /// mode; off by default, and switched on for a fabric through
+    /// `SwitchBuilder::with_telemetry`.
     pub fn enable_path_records(&mut self) {
         if self.paths.is_none() {
             self.paths = Some(Box::new(PathRecorder::new()));

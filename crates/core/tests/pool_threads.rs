@@ -92,14 +92,13 @@ fn threaded_churn_keeps_accounting_exact() {
         handles[0].release(h);
     }
 
-    let p = pool.borrow();
-    assert_eq!(p.live(), 0, "every insert was matched by a release");
-    let total: usize = (0..p.num_ports()).map(|i| p.port_occupancy(i)).sum();
-    assert_eq!(total, p.live(), "live == Σ port occupancy");
-    assert_eq!(p.accounting_errors(), 0, "no silent underflows");
-    p.assert_coherent();
+    assert_eq!(pool.live(), 0, "every insert was matched by a release");
+    let total: usize = (0..pool.num_ports()).map(|i| pool.port_occupancy(i)).sum();
+    assert_eq!(total, pool.live(), "live == Σ port occupancy");
+    assert_eq!(pool.accounting_errors(), 0, "no silent underflows");
+    pool.assert_coherent();
     // No flow-side threshold, so no flow table and no flow answer.
-    assert_eq!(p.flow_occupancy(FlowId(0)), None);
+    assert_eq!(pool.flow_occupancy(FlowId(0)), None);
     // Conservation of attempts: admitted + rejected == offered inserts.
     let offered = THREADS * (0..OPS).filter(|i| i % 7 <= 3).count() as u64;
     let stats = pool.stats();
@@ -135,14 +134,13 @@ fn capacity_is_never_exceeded_under_contention() {
             });
         }
     });
-    let p = pool.borrow();
-    p.assert_coherent();
+    pool.assert_coherent();
     // Thread `t` inserted through port `t` only: exactly its one resident
     // packet is counted there.
     for t in 0..4 {
-        assert_eq!(p.port_occupancy(t), 1, "port {t}");
+        assert_eq!(pool.port_occupancy(t), 1, "port {t}");
     }
-    assert_eq!(p.live(), 4);
+    assert_eq!(pool.live(), 4);
 }
 
 /// The same churn under per-flow caps — the policy family that keeps the
@@ -194,13 +192,12 @@ fn threaded_churn_with_flow_caps() {
         }
     });
 
-    let p = pool.borrow();
-    assert_eq!(p.live(), 0, "every insert was matched by a release");
-    assert_eq!(p.accounting_errors(), 0, "no silent underflows");
-    p.assert_coherent();
+    assert_eq!(pool.live(), 0, "every insert was matched by a release");
+    assert_eq!(pool.accounting_errors(), 0, "no silent underflows");
+    pool.assert_coherent();
     for id in 0..FLOWS {
         let f = flow_of(id);
-        assert_eq!(p.flow_occupancy(FlowId(f)), Some(0), "flow {f} drained");
+        assert_eq!(pool.flow_occupancy(FlowId(f)), Some(0), "flow {f} drained");
     }
     let rejected: u64 = pool.stats().ports.iter().map(|s| s.rejected).sum();
     assert!(
@@ -336,14 +333,14 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(pool.borrow().live(), model.live);
+            prop_assert_eq!(pool.live(), model.live);
             for p in 0..4 {
-                prop_assert_eq!(pool.borrow().port_occupancy(p), model.ports[p]);
+                prop_assert_eq!(pool.port_occupancy(p), model.ports[p]);
             }
             // Flow counts exist exactly under a flow-side threshold.
             for f in 0..3u32 {
                 prop_assert_eq!(
-                    pool.borrow().flow_occupancy(FlowId(f)),
+                    pool.flow_occupancy(FlowId(f)),
                     policy
                         .uses_flow_state()
                         .then(|| model.flows.get(&f).copied().unwrap_or(0)),
@@ -351,10 +348,10 @@ proptest! {
                 );
             }
         }
-        pool.borrow().assert_coherent();
+        pool.assert_coherent();
         // A flow never inserted reads 0 from the table.
         prop_assert_eq!(
-            pool.borrow().flow_occupancy(FlowId(u32::MAX)),
+            pool.flow_occupancy(FlowId(u32::MAX)),
             policy.uses_flow_state().then_some(0)
         );
     }

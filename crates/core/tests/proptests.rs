@@ -657,7 +657,7 @@ proptest! {
             prop_assert_eq!(pool.stats().live, sum, "pool.live diverged after {:?}", op);
             for (i, t) in trees.iter().enumerate() {
                 prop_assert_eq!(
-                    pool.borrow().port_occupancy(i),
+                    pool.port_occupancy(i),
                     t.len() + t.shaped_refs_holding_packets(),
                     "port {} occupancy counter diverged", i
                 );
@@ -683,7 +683,7 @@ proptest! {
             }
         }
         prop_assert_eq!(pool.stats().live, 0, "drained fabric leaks pool slots");
-        pool.borrow().assert_coherent();
+        pool.assert_coherent();
         // Conservation per port: offered == admitted + rejected, and
         // everything admitted departed.
         let stats = pool.stats();

@@ -6,10 +6,12 @@
 //! any of these counters exceeds a static or dynamic threshold, the
 //! packet is dropped."
 //!
-//! The threshold arithmetic and the counters-only tracker live in
-//! `pifo-core`'s [`pool`](pifo_core::pool) subsystem — alongside the
-//! slab-owning [`pifo_core::pool::SharedPacketPool`] that applies the
-//! same §6.1 logic **per port** across a whole switch fabric:
+//! Those counters and thresholds live in one place: `pifo-core`'s
+//! [`SharedPacketPool`], whose [`AdmissionPolicy`] gates every insert on
+//! per-port and (with [`AdmissionPolicy::PortFlow`]) per-flow occupancy.
+//! A tree built with `TreeBuilder::build_in_pool` under
+//! `PortFlow { port: Unlimited, flow: t }` is a scheduler with per-flow
+//! thresholds in front of it:
 //!
 //! * [`Threshold::Static`] — a fixed per-flow cap;
 //! * [`Threshold::Dynamic`] — the Choudhury–Hahne scheme the paper cites
@@ -17,76 +19,13 @@
 //!   buffer, which automatically tightens under pressure and prevents a
 //!   single flow from locking everyone else out.
 //!
-//! This module keeps the simulator-side compositions: a
-//! [`ManagedScheduler`] wraps any [`PortScheduler`] behind a
-//! [`SharedBuffer`], and [`Red`] implements the other §6.1 option —
-//! Random Early Detection \[18\]: probabilistic drops driven by an EWMA
-//! of the queue length, seeded for deterministic simulation.
+//! This module holds the one §6.1 option the pool does not implement:
+//! [`Red`], Random Early Detection \[18\] — probabilistic drops driven by
+//! an EWMA of the queue length, seeded for deterministic simulation —
+//! and [`RedScheduler`], which puts it in front of any [`PortScheduler`].
 
 use crate::scheduler::PortScheduler;
 use pifo_core::prelude::*;
-
-use pifo_core::pool::SharedBuffer;
-
-/// A [`PortScheduler`] with buffer-management admission control in front
-/// of it — the §6.1 composition: thresholds gate the enqueue, the
-/// scheduler orders what was admitted.
-pub struct ManagedScheduler<S> {
-    inner: S,
-    buffer: SharedBuffer,
-}
-
-impl<S: PortScheduler> ManagedScheduler<S> {
-    /// Wrap `inner` behind `buffer`.
-    pub fn new(inner: S, buffer: SharedBuffer) -> Self {
-        ManagedScheduler { inner, buffer }
-    }
-
-    /// The buffer state (occupancies, drops).
-    pub fn buffer(&self) -> &SharedBuffer {
-        &self.buffer
-    }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: PortScheduler> PortScheduler for ManagedScheduler<S> {
-    fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
-        let flow = pkt.flow;
-        if !self.buffer.would_admit(flow) {
-            self.buffer.on_drop();
-            return false;
-        }
-        if self.inner.enqueue(pkt, now) {
-            self.buffer.on_enqueue(flow);
-            true
-        } else {
-            self.buffer.on_drop();
-            false
-        }
-    }
-
-    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
-        let p = self.inner.dequeue(now)?;
-        self.buffer.on_dequeue(p.flow);
-        Some(p)
-    }
-
-    fn next_ready(&self, now: Nanos) -> Option<Nanos> {
-        self.inner.next_ready(now)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.backlog()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // RED (Random Early Detection)
@@ -215,31 +154,45 @@ impl<S: PortScheduler> PortScheduler for RedScheduler<S> {
 mod tests {
     use super::*;
     use crate::baselines::FifoSched;
+    use crate::scheduler::TreeScheduler;
 
     fn pkt(id: u64, flow: u32) -> Packet {
         Packet::new(id, FlowId(flow), 1_000, Nanos(id))
     }
 
+    /// A FIFO tree behind per-flow `threshold`s in a `capacity`-packet
+    /// pool: the §6.1 composition, thresholds in front of the scheduler.
+    fn flow_threshold_fifo(capacity: usize, threshold: Threshold) -> TreeScheduler {
+        let pool = SharedPacketPool::new(
+            capacity,
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow: threshold,
+            },
+        )
+        .into_shared();
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("fifo", Box::new(pifo_algos::Fifo));
+        let tree = b
+            .build_in_pool(Box::new(move |_| root), pool.register_port())
+            .unwrap();
+        TreeScheduler::new("fifo", tree)
+    }
+
     #[test]
     fn static_threshold_caps_each_flow() {
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(100),
-            SharedBuffer::new(100, Threshold::Static(2)),
-        );
+        let mut s = flow_threshold_fifo(100, Threshold::Static(2));
         assert!(s.enqueue(pkt(0, 1), Nanos(0)));
         assert!(s.enqueue(pkt(1, 1), Nanos(0)));
         assert!(!s.enqueue(pkt(2, 1), Nanos(0)), "third of flow 1 dropped");
         assert!(s.enqueue(pkt(3, 2), Nanos(0)), "other flows unaffected");
-        assert_eq!(s.buffer().drops(), 1);
-        assert_eq!(s.buffer().flow_occupancy(FlowId(1)), 2);
+        assert_eq!(s.drops(), 1);
+        assert_eq!(s.tree().packet_buffer().flow_occupancy(FlowId(1)), Some(2));
     }
 
     #[test]
     fn dequeue_frees_headroom() {
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(100),
-            SharedBuffer::new(100, Threshold::Static(1)),
-        );
+        let mut s = flow_threshold_fifo(100, Threshold::Static(1));
         assert!(s.enqueue(pkt(0, 1), Nanos(0)));
         assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
         s.dequeue(Nanos(1)).expect("packet");
@@ -251,20 +204,30 @@ mod tests {
         // The classic tail-drop pathology: one flow owning the whole
         // buffer. With dynamic thresholds a second flow always finds
         // room.
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(1_000),
-            SharedBuffer::new(64, Threshold::Dynamic { num: 1, den: 1 }),
-        );
+        let mut s = flow_threshold_fifo(64, Threshold::Dynamic { num: 1, den: 1 });
         let mut id = 0;
         for _ in 0..200 {
             let _ = s.enqueue(pkt(id, 1), Nanos(id));
             id += 1;
         }
-        assert!(
-            s.buffer().flow_occupancy(FlowId(1)) <= 32,
-            "hog capped at half"
-        );
+        let hog = s.tree().packet_buffer().flow_occupancy(FlowId(1));
+        assert!(hog <= Some(32), "hog capped at half: {hog:?}");
         assert!(s.enqueue(pkt(id, 2), Nanos(id)), "victim admitted");
+    }
+
+    #[test]
+    fn inner_rejection_counts_as_drop() {
+        // The buffer is full even though the flow threshold would admit:
+        // capacity rejects, and the reject is one drop, counted once.
+        let mut s = flow_threshold_fifo(1, Threshold::Static(50));
+        assert!(s.enqueue(pkt(0, 1), Nanos(0)));
+        assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
+        assert_eq!(s.drops(), 1);
+        assert_eq!(
+            s.tree().packet_buffer().live(),
+            1,
+            "occupancy not double-counted"
+        );
     }
 
     #[test]
@@ -346,18 +309,5 @@ mod tests {
             "tail drop pins at the limit: {}",
             plain.backlog()
         );
-    }
-
-    #[test]
-    fn inner_rejection_counts_as_drop() {
-        // Inner scheduler full even though thresholds would admit.
-        let mut s = ManagedScheduler::new(
-            FifoSched::new(1),
-            SharedBuffer::new(100, Threshold::Static(50)),
-        );
-        assert!(s.enqueue(pkt(0, 1), Nanos(0)));
-        assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
-        assert_eq!(s.buffer().drops(), 1);
-        assert_eq!(s.buffer().occupancy(), 1, "occupancy not double-counted");
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Everything is seeded and deterministic: identical inputs produce
 //! identical outputs, bit for bit — including the [`switch`] fabric's
-//! multi-core drain ([`DrainMode::Parallel`], the default), whose merged
-//! traces are differentially pinned against the one-worker drain.
+//! multi-core drain ([`Switch::run`] on one worker per CPU by default),
+//! whose merged traces are differentially pinned against one worker.
 //!
 //! Observability rides along without steering: build a fabric with
 //! [`SwitchBuilder::with_telemetry`] and every port tree records flight
@@ -39,7 +39,7 @@ pub mod switch;
 pub mod traffic;
 
 pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo};
-pub use buffer::{ManagedScheduler, Red, RedScheduler};
+pub use buffer::{Red, RedScheduler};
 pub use gps::FluidGps;
 pub use lossless::{
     FabricStall, FaultPlan, LosslessConfig, LosslessFabric, LosslessRun, PauseAction, PauseEvent,
@@ -53,7 +53,7 @@ pub use pfabric_ref::PFabricQueue;
 pub use pipeline::{run_pipeline, Hop, PipelineResult};
 pub use port::{run_port, Departure, PortConfig};
 pub use scheduler::{PortScheduler, TreeScheduler};
-pub use switch::{DrainMode, PortClassifier, PortTrace, Switch, SwitchBuilder, SwitchRun};
+pub use switch::{PortClassifier, PortTrace, Switch, SwitchBuilder, SwitchRun};
 pub use traffic::{
     flow_workload, merge, renumber, CbrSource, FlowSpec, IncastSource, MarkovOnOffSource,
     OnOffSource, PoissonSource, SizeDistribution, TrafficSource,

@@ -43,11 +43,11 @@
 //! dequeues decided at the round time, back-to-back transmit). All
 //! decisions read tree/pool state that is identical across the exact
 //! engines, so departure traces *and* the pause/resume event log are
-//! bit-identical across backends. Every [`DrainMode`] runs this one
-//! sequential order: a lossless fabric is globally coupled through the
-//! pause wire, the same serial dependency chain that already keeps the
-//! ports of one shared pool on one worker, so
-//! `DrainMode::Parallel` has no independent ports to spread.
+//! bit-identical across backends. The loop runs on the calling thread
+//! and takes no worker count: a lossless fabric is globally coupled
+//! through the pause wire, the same serial dependency chain that keeps
+//! the ports of one shared pool on one worker in [`Switch::run`], so
+//! there are no independent ports to spread.
 //!
 //! # Faults and the watchdog
 //!
@@ -99,7 +99,7 @@
 //! against its specification; release builds contain no such scan.
 
 use crate::port::Departure;
-use crate::switch::{DrainMode, PortTrace, Switch, SwitchRun};
+use crate::switch::{PortTrace, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
 use pifo_core::telemetry::NO_NODE;
@@ -367,7 +367,7 @@ pub enum PauseAction {
 /// One switch-side pause-signal transition, logged at the instant the
 /// watermark decision was made (frames reach sources `wire_delay`
 /// later). The log is deterministic: identical runs produce identical
-/// event sequences, across backends and drain modes.
+/// event sequences, across backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PauseEvent {
     /// Decision instant.
@@ -545,7 +545,7 @@ type EmitEntry = Reverse<(Nanos, usize, u64)>;
 /// pool when one is attached, else the sum of the private slabs.
 fn fabric_live(switch: &Switch) -> usize {
     match &switch.pool {
-        Some(pool) => pool.borrow().live(),
+        Some(pool) => pool.live(),
         None => switch.ports.iter().map(|t| t.packet_buffer().live()).sum(),
     }
 }
@@ -651,26 +651,16 @@ impl LosslessFabric {
         &self.cfg
     }
 
-    /// Run `sources` through the fabric with no injected faults.
-    pub fn run(&mut self, sources: Vec<Box<dyn TrafficSource>>, mode: DrainMode) -> LosslessRun {
-        self.run_with_faults(sources, mode, &FaultPlan::none())
-    }
-
-    /// Run `sources` through the fabric under `faults`.
+    /// Run `sources` through the fabric under `faults`
+    /// ([`FaultPlan::default`] injects none).
     ///
     /// Sources are polled lazily — a paused source is simply not asked
     /// for packets — and every decision happens in one deterministic
     /// global `(time, kind, index)` event order: control-frame
     /// deliveries, then emissions, then scheduling rounds at equal
-    /// times, index-ordered within a kind. Every drain mode runs that one
-    /// sequential order — the pause wire couples every port, see the
-    /// module docs — so traces and pause logs are identical in both.
-    pub fn run_with_faults(
-        &mut self,
-        sources: Vec<Box<dyn TrafficSource>>,
-        _mode: DrainMode,
-        faults: &FaultPlan,
-    ) -> LosslessRun {
+    /// times, index-ordered within a kind. That order is sequential by
+    /// nature — the pause wire couples every port, see the module docs.
+    pub fn run(&mut self, sources: Vec<Box<dyn TrafficSource>>, faults: FaultPlan) -> LosslessRun {
         let n = self.switch.ports.len();
         let (xoff, xon) = (self.cfg.watermarks.xoff, self.cfg.watermarks.xon);
 
@@ -747,8 +737,7 @@ impl LosslessFabric {
         let mut next_id = 0u64;
         let mut stall: Option<FabricStall> = None;
         // Fabric-level gauge sampling rides the global round counter —
-        // identical round order in every mode keeps the series
-        // bit-reproducible.
+        // the one round order keeps the series bit-reproducible.
         let sample_every = self
             .switch
             .telemetry_config()
@@ -1338,7 +1327,7 @@ mod tests {
             Nanos::ZERO,
             Nanos(400_000),
         );
-        let run = fabric.run(vec![Box::new(src)], DrainMode::PerPacket);
+        let run = fabric.run(vec![Box::new(src)], FaultPlan::none());
 
         assert!(run.stall.is_none(), "no stall: {:?}", run.stall);
         assert_eq!(run.total_drops(), 0, "lossless");
@@ -1357,35 +1346,31 @@ mod tests {
         assert!(run.port_paused[0] > Nanos::ZERO);
     }
 
-    /// Pause events and traces are identical across drain modes.
+    /// Four sources sharing two ports at 1.5x line rate get paused, and
+    /// the fabric loses nothing and never stalls.
     #[test]
-    fn drain_modes_agree_on_traces_and_pause_log() {
-        let mk_run = |mode: DrainMode| {
-            let cfg = LosslessConfig::new(12, 4).with_headroom(32);
-            let switch = lossless_switch(2, 128, 12, 32);
-            let mut fabric = LosslessFabric::new(switch, cfg);
-            let sources: Vec<Box<dyn TrafficSource>> = (0..4)
-                .map(|f| {
-                    Box::new(CbrSource::new(
-                        FlowId(f),
-                        1_000,
-                        6_000_000_000,
-                        Nanos(f as u64 * 10),
-                        Nanos(200_000),
-                    )) as Box<dyn TrafficSource>
-                })
-                .collect();
-            fabric.run(sources, mode)
-        };
-        let a = mk_run(DrainMode::PerPacket);
-        let c = mk_run(DrainMode::Parallel { workers: 4 });
-        assert_eq!(a.pause_events, c.pause_events, "parallel pause log");
-        for (pa, pc) in a.run.ports.iter().zip(&c.run.ports) {
-            assert_eq!(pa.departures, pc.departures, "parallel departures");
-            assert_eq!(pa.drops, pc.drops, "parallel drops");
-        }
-        assert!(a.stall.is_none());
-        assert_eq!(a.total_drops(), 0);
+    fn shared_ports_pause_without_loss() {
+        let cfg = LosslessConfig::new(12, 4).with_headroom(32);
+        let switch = lossless_switch(2, 128, 12, 32);
+        let mut fabric = LosslessFabric::new(switch, cfg);
+        let sources: Vec<Box<dyn TrafficSource>> = (0..4)
+            .map(|f| {
+                Box::new(CbrSource::new(
+                    FlowId(f),
+                    1_000,
+                    6_000_000_000,
+                    Nanos(f as u64 * 10),
+                    Nanos(200_000),
+                )) as Box<dyn TrafficSource>
+            })
+            .collect();
+        let run = fabric.run(sources, FaultPlan::none());
+        assert!(run.stall.is_none());
+        assert_eq!(run.total_drops(), 0);
+        assert!(
+            run.count_events(PauseAction::Pause) > 0,
+            "1.5x overload must pause"
+        );
     }
 
     /// A dead port under load is diagnosed, not hung.
@@ -1407,11 +1392,7 @@ mod tests {
                 )) as Box<dyn TrafficSource>
             })
             .collect();
-        let run = fabric.run_with_faults(
-            sources,
-            DrainMode::PerPacket,
-            &FaultPlan::none().dead_port(0),
-        );
+        let run = fabric.run(sources, FaultPlan::none().dead_port(0));
         let stall = run.stall.expect("dead port under load must stall");
         assert_eq!(stall.kind, StallKind::DeadPort { port: 0 });
         // Port 1 kept transmitting — the fault is contained.

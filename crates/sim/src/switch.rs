@@ -23,8 +23,8 @@
 //! each, all decided at `t` and transmitted back-to-back. This is the
 //! paper's one mechanism — push in by rank, pop from the head, one
 //! packet per operation (§4.2–§4.3) — and the only path a round takes.
-//! [`DrainMode`] chooses only how many threads run rounds (see the
-//! threading model below).
+//! [`Switch::run`]'s worker count chooses only how many threads run
+//! rounds (see the threading model below).
 //!
 //! # Packets stay put
 //!
@@ -95,59 +95,12 @@ use pifo_core::prelude::*;
 /// classifier) can cross thread boundaries.
 pub type PortClassifier = Box<dyn Fn(&Packet) -> usize + Send>;
 
-/// How many threads a fabric's scheduling rounds run on (see the module
-/// docs' threading model). Every mode runs the same per-packet rounds
-/// and produces byte-identical departure traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainMode {
-    /// One worker: every round on the calling thread, in `(time, port)`
-    /// order.
-    PerPacket,
-    /// Ports grouped by the pool they buffer in, the groups dealt to up
-    /// to `workers` workers, the first of them the calling thread.
-    /// `workers: 0` means one worker per available CPU, the default.
-    /// A fabric on one shared pool is one group, so it drains on the
-    /// calling thread whatever `workers` says.
-    Parallel {
-        /// Worker threads to drain ports on (0 = available parallelism).
-        workers: usize,
-    },
-}
-
-impl Default for DrainMode {
-    /// `Parallel { workers: 0 }`: up to one worker per available CPU.
-    fn default() -> Self {
-        DrainMode::Parallel { workers: 0 }
-    }
-}
-
-impl DrainMode {
-    /// Short stable label for reports (`per_packet` / `parallel`).
-    pub fn label(self) -> &'static str {
-        match self {
-            DrainMode::PerPacket => "per_packet",
-            DrainMode::Parallel { .. } => "parallel",
-        }
-    }
-
-    /// Workers this mode asks for, at least one.
-    fn workers(self) -> usize {
-        match self {
-            DrainMode::PerPacket => 1,
-            DrainMode::Parallel { workers: 0 } => {
-                std::thread::available_parallelism().map_or(1, |c| c.get())
-            }
-            DrainMode::Parallel { workers } => workers,
-        }
-    }
-}
-
 /// Builder for [`Switch`]: add one scheduling tree per egress port, then
 /// [`build`](Self::build) with the shared classifier.
 ///
 /// ```
 /// use pifo_core::prelude::*;
-/// use pifo_sim::switch::{DrainMode, SwitchBuilder};
+/// use pifo_sim::switch::SwitchBuilder;
 ///
 /// // Two FIFO ports behind a flow-hash classifier.
 /// let mut sb = SwitchBuilder::new(8_000_000_000); // 8 Gb/s per port
@@ -163,7 +116,7 @@ impl DrainMode {
 /// let arrivals: Vec<Packet> = (0..4)
 ///     .map(|i| Packet::new(i, FlowId(i as u32), 1_000, Nanos(i)))
 ///     .collect();
-/// let run = switch.run(&arrivals, DrainMode::PerPacket);
+/// let run = switch.run(&arrivals, 1); // one worker: the calling thread
 /// assert_eq!(run.total_departures(), 4);
 /// assert_eq!(run.ports[0].departures.len(), 2); // flows 0, 2
 /// assert_eq!(run.ports[1].departures.len(), 2); // flows 1, 3
@@ -297,8 +250,8 @@ impl SwitchBuilder {
     }
 
     /// Packets committed per scheduling round (default 32). It defines
-    /// the decision epochs; [`DrainMode`] only chooses which thread runs
-    /// each port's rounds.
+    /// the decision epochs; [`Switch::run`]'s worker count only chooses
+    /// which thread runs each port's rounds.
     ///
     /// # Panics
     ///
@@ -470,8 +423,11 @@ impl Switch {
         total
     }
 
-    /// Run `arrivals` (time-sorted) through the fabric with the given
-    /// drain mode, returning the per-port departure traces.
+    /// Run `arrivals` (time-sorted) through the fabric on up to `workers`
+    /// threads, returning the per-port departure traces. `workers: 0`
+    /// means one worker per available CPU (what `Default::default()`
+    /// gives); the first worker is the calling thread, so one worker
+    /// spawns nothing.
     ///
     /// Scheduling rounds execute in `(time, port)` order — the earliest
     /// pending round runs next, ties broken by port index — so ports
@@ -480,13 +436,13 @@ impl Switch {
     /// observe each other at all, which is what lets the drain spread
     /// pools over worker threads (see the module docs' threading model).
     /// Determinism is total — identical inputs give bit-identical
-    /// traces, in every mode.
+    /// traces, whatever the worker count.
     ///
     /// # Panics
     ///
     /// Panics if `arrivals` is not sorted by arrival time, or holds more
     /// than `u32::MAX` packets.
-    pub fn run(&mut self, arrivals: &[Packet], mode: DrainMode) -> SwitchRun {
+    pub fn run(&mut self, arrivals: &[Packet], workers: usize) -> SwitchRun {
         assert!(
             arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "arrivals must be time-sorted"
@@ -518,7 +474,11 @@ impl Switch {
             })
             .collect();
 
-        self.drain(&mut sims, mode.workers());
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(1, |c| c.get()),
+            n => n,
+        };
+        self.drain(&mut sims, workers);
 
         SwitchRun {
             ports: sims.into_iter().map(PortSim::into_trace).collect(),
@@ -535,8 +495,8 @@ impl Switch {
     /// series into one [`TelemetrySnapshot`], events in canonical
     /// `(time, port)` order (stable, so each port's recording order is
     /// preserved within an instant) — byte-reproducible for a seeded
-    /// run in every drain mode. `None` unless the fabric was built with
-    /// [`SwitchBuilder::with_telemetry`].
+    /// run, whatever the worker count. `None` unless the fabric was built
+    /// with [`SwitchBuilder::with_telemetry`].
     pub fn telemetry_snapshot(&self, run: &SwitchRun) -> Option<TelemetrySnapshot> {
         self.telemetry?;
         let mut snap = TelemetrySnapshot::default();
@@ -847,7 +807,7 @@ mod tests {
             .collect();
 
         let mut untracked = build(PifoBackend::Rifo, false);
-        untracked.run(&arrivals, DrainMode::PerPacket);
+        untracked.run(&arrivals, 1);
         assert_eq!(
             untracked.total_inversion_stats(),
             None,
@@ -856,7 +816,7 @@ mod tests {
 
         for backend in PifoBackend::EXACT {
             let mut sw = build(backend, true);
-            sw.run(&arrivals, DrainMode::PerPacket);
+            sw.run(&arrivals, 1);
             let total = sw.total_inversion_stats().expect("tracking enabled");
             assert_eq!(total.dequeues, 64, "{backend}");
             assert_eq!(total.inversions, 0, "{backend} is exact");
@@ -864,7 +824,7 @@ mod tests {
         }
 
         let mut sw = build(PifoBackend::Rifo, true);
-        sw.run(&arrivals, DrainMode::PerPacket);
+        sw.run(&arrivals, 1);
         let total = sw.total_inversion_stats().expect("tracking enabled");
         assert_eq!(total.dequeues, 64);
         assert!(total.inversions > 0, "FIFO under inverted load");
@@ -889,7 +849,7 @@ mod tests {
             .map(|i| Packet::new(i, FlowId(0), 1_000, Nanos(0)))
             .collect();
         arrivals.push(Packet::new(100, FlowId(2), 1_000, Nanos(5)));
-        let run = sw.run(&arrivals, DrainMode::PerPacket);
+        let run = sw.run(&arrivals, 1);
         assert_eq!(run.ports[0].departures.len(), 100);
         assert_eq!(run.ports[1].departures.len(), 0);
         assert_eq!(run.ports[2].departures.len(), 1);
@@ -908,7 +868,7 @@ mod tests {
             Packet::new(0, FlowId(0), 100, Nanos(0)),
             Packet::new(1, FlowId(7), 100, Nanos(1)), // no port 7
         ];
-        let run = sw.run(&arrivals, DrainMode::PerPacket);
+        let run = sw.run(&arrivals, 1);
         assert_eq!(run.misrouted, 1);
         assert_eq!(run.total_departures(), 1);
     }
@@ -946,7 +906,7 @@ mod tests {
                 arrivals.push(Packet::new(400 + i, FlowId(1), 1_000, Nanos(100_000)));
             }
             arrivals.sort_by_key(|p| p.arrival);
-            sw.run(&arrivals, DrainMode::PerPacket)
+            sw.run(&arrivals, 1)
         };
 
         let naive = run(AdmissionPolicy::Unlimited);
@@ -972,7 +932,7 @@ mod tests {
     }
 
     /// Shared-pool fabrics keep the bit-identity guarantee: per-port
-    /// traces agree across drain modes and across backends.
+    /// traces agree across worker counts and across backends.
     #[test]
     fn shared_pool_traces_identical_across_modes_and_backends() {
         let end = Nanos::from_micros(200);
@@ -986,33 +946,25 @@ mod tests {
             sb.with_horizon(end).with_burst(8);
             sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 4))
         };
-        let reference = build(PifoBackend::SortedArray).run(&arrivals, DrainMode::PerPacket);
+        let reference = build(PifoBackend::SortedArray).run(&arrivals, 1);
         assert!(reference.total_drops() > 0, "pool pressure must be real");
         // Cross-backend trace identity is an exact-trio property: the
         // approximate backends legally reorder departures.
         for backend in PifoBackend::EXACT {
-            for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }] {
-                let run = build(backend).run(&arrivals, mode);
+            for workers in [1, 2] {
+                let run = build(backend).run(&arrivals, workers);
                 for (port, (a, b)) in reference.ports.iter().zip(&run.ports).enumerate() {
                     assert_eq!(
-                        a.drops,
-                        b.drops,
-                        "[{backend}/{}] port {port} drops diverge",
-                        mode.label()
+                        a.drops, b.drops,
+                        "[{backend}/{workers}] port {port} drops diverge"
                     );
                     assert_eq!(
                         a.departures.len(),
                         b.departures.len(),
-                        "[{backend}/{}] port {port} departure count diverges",
-                        mode.label()
+                        "[{backend}/{workers}] port {port} departure count diverges"
                     );
                     for (x, y) in a.departures.iter().zip(&b.departures) {
-                        assert_eq!(
-                            x,
-                            y,
-                            "[{backend}/{}] port {port} trace diverges",
-                            mode.label()
-                        );
+                        assert_eq!(x, y, "[{backend}/{workers}] port {port} trace diverges");
                     }
                 }
             }
@@ -1032,7 +984,7 @@ mod tests {
         let arrivals: Vec<Packet> = (0..300)
             .map(|i| Packet::new(i, FlowId((i % 5) as u32), 1_000, Nanos(i / 5)))
             .collect();
-        let run = sw.run(&arrivals, DrainMode::PerPacket);
+        let run = sw.run(&arrivals, 1);
 
         let stats = pool.stats();
         assert_eq!(stats.live, 0, "fabric drained: pool must be empty");
@@ -1047,11 +999,11 @@ mod tests {
                 "port {port}: everything admitted eventually departed"
             );
         }
-        pool.borrow().assert_coherent();
+        pool.assert_coherent();
     }
 
-    /// A shaped port sleeps across shaping gaps instead of spinning, and
-    /// both drain modes agree through the gap.
+    /// A shaped port sleeps across shaping gaps instead of spinning, on
+    /// one worker or two.
     #[test]
     fn shaped_port_hops_to_release_times() {
         let build = || {
@@ -1078,8 +1030,8 @@ mod tests {
         let arrivals: Vec<Packet> = (0..3)
             .map(|i| Packet::new(i, FlowId(0), 1_000, Nanos(0)))
             .collect();
-        let a = build().run(&arrivals, DrainMode::PerPacket);
-        let b = build().run(&arrivals, DrainMode::Parallel { workers: 2 });
+        let a = build().run(&arrivals, 1);
+        let b = build().run(&arrivals, 2);
         for run in [&a, &b] {
             assert_eq!(run.ports[0].departures.len(), 3);
             // Token bucket meters one packet per microsecond after the

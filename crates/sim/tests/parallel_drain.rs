@@ -4,7 +4,7 @@
 //! on/off bursts, heavy-tailed bounded-Pareto flows), for private-slab
 //! fabrics (one group per port, genuinely concurrent workers),
 //! shared-pool fabrics (one group, the caller's thread) and a mix of
-//! both. The reference is `DrainMode::PerPacket`, the one-worker drain.
+//! both. The reference is `Switch::run(.., 1)`, the one-worker drain.
 //!
 //! "Merged trace" is the fabric-level departure sequence committed in
 //! global `(start time, port, per-port order)` order — the order a
@@ -14,7 +14,7 @@
 
 use pifo_algos::Stfq;
 use pifo_core::prelude::*;
-use pifo_sim::switch::{DrainMode, SwitchBuilder, SwitchRun};
+use pifo_sim::switch::{SwitchBuilder, SwitchRun};
 use pifo_sim::traffic::{
     flow_workload, merge, renumber, IncastSource, MarkovOnOffSource, SizeDistribution,
     TrafficSource,
@@ -153,11 +153,10 @@ fn parallel_drain_matches_sequential_private_slabs() {
             "{pattern} workload must be non-trivial"
         );
         for backend in PifoBackend::ALL {
-            let reference = private_switch(backend).run(&arrivals, DrainMode::PerPacket);
+            let reference = private_switch(backend).run(&arrivals, 1);
             assert!(reference.total_departures() > 0);
             for workers in [1usize, 2, 4, 0] {
-                let parallel =
-                    private_switch(backend).run(&arrivals, DrainMode::Parallel { workers });
+                let parallel = private_switch(backend).run(&arrivals, workers);
                 assert_identical(
                     &format!("{backend}/{pattern}/parallel-w{workers}"),
                     &reference,
@@ -175,10 +174,10 @@ fn parallel_drain_matches_sequential_private_slabs() {
 fn parallel_drain_matches_sequential_shared_pool() {
     for (pattern, arrivals) in patterns() {
         for backend in PifoBackend::ALL {
-            let reference = shared_switch(backend).run(&arrivals, DrainMode::PerPacket);
+            let reference = shared_switch(backend).run(&arrivals, 1);
             for workers in [1usize, 4] {
                 let mut sw = shared_switch(backend);
-                let parallel = sw.run(&arrivals, DrainMode::Parallel { workers });
+                let parallel = sw.run(&arrivals, workers);
                 assert_identical(
                     &format!("{backend}/{pattern}/shared/parallel-w{workers}"),
                     &reference,
@@ -186,7 +185,7 @@ fn parallel_drain_matches_sequential_shared_pool() {
                 );
                 let pool = sw.shared_pool().expect("built with a shared pool");
                 assert_eq!(pool.stats().live, 0, "fabric drained clean");
-                pool.borrow().assert_coherent();
+                pool.assert_coherent();
             }
         }
     }
@@ -218,17 +217,17 @@ fn cloned_pool_handles_drain_as_one_pool() {
     let arrivals: Vec<Packet> = (0..400)
         .map(|i| Packet::new(i, FlowId((i % 4) as u32), 1_000, Nanos(i * 1_000)))
         .collect();
-    let reference = build().0.run(&arrivals, DrainMode::PerPacket);
+    let reference = build().0.run(&arrivals, 1);
     assert!(
         reference.ports.iter().all(|p| p.drops > 0),
         "both ports must contend for the pool"
     );
     for workers in [1usize, 2, 0] {
         let (mut sw, pool) = build();
-        let run = sw.run(&arrivals, DrainMode::Parallel { workers });
+        let run = sw.run(&arrivals, workers);
         assert_identical(&format!("cloned-handle/w{workers}"), &reference, &run);
         assert_eq!(pool.stats().live, 0, "fabric drained clean");
-        pool.borrow().assert_coherent();
+        pool.assert_coherent();
     }
 }
 
@@ -239,7 +238,6 @@ fn cloned_pool_handles_drain_as_one_pool() {
 #[test]
 fn mixed_pools_match_one_worker() {
     const MIXED: usize = 8;
-    assert_eq!(DrainMode::default(), DrainMode::Parallel { workers: 0 });
     let build = |backend: PifoBackend| {
         let pools = [0, 1].map(|_| {
             SharedPacketPool::new(64, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
@@ -266,27 +264,23 @@ fn mixed_pools_match_one_worker() {
             pools,
         )
     };
-    let modes = [1usize, 2, 3, 8, 0]
-        .map(|workers| DrainMode::Parallel { workers })
-        .into_iter()
-        .chain([DrainMode::default()]);
     for (pattern, arrivals) in patterns() {
         for backend in PifoBackend::ALL {
             let (mut sw, pools) = build(backend);
-            let reference = sw.run(&arrivals, DrainMode::PerPacket);
+            let reference = sw.run(&arrivals, 1);
             assert!(
                 reference.total_drops() > 0,
                 "{pattern}: admission must reject"
             );
             let reference_pools = pools.map(|p| p.stats());
-            for mode in modes.clone() {
-                let label = format!("{backend}/{pattern}/mixed/{mode:?}");
+            for workers in [1usize, 2, 3, 8, 0] {
+                let label = format!("{backend}/{pattern}/mixed/w{workers}");
                 let (mut sw, pools) = build(backend);
-                let run = sw.run(&arrivals, mode);
+                let run = sw.run(&arrivals, workers);
                 assert_identical(&label, &reference, &run);
                 for (pool, expected) in pools.iter().zip(&reference_pools) {
                     assert_eq!(&pool.stats(), expected, "[{label}] pool counters diverge");
-                    pool.borrow().assert_coherent();
+                    pool.assert_coherent();
                 }
             }
         }
@@ -298,8 +292,7 @@ fn mixed_pools_match_one_worker() {
 #[test]
 fn parallel_drain_conserves_packets() {
     let arrivals = incast_arrivals();
-    let run =
-        private_switch(PifoBackend::Bucket).run(&arrivals, DrainMode::Parallel { workers: 4 });
+    let run = private_switch(PifoBackend::Bucket).run(&arrivals, 4);
     assert_eq!(
         run.total_departures() as u64 + run.total_drops() + run.misrouted,
         arrivals.len() as u64,

@@ -81,7 +81,7 @@ fn main() {
             sb.build(Box::new(classify))
         };
         let t0 = std::time::Instant::now();
-        let run = build().run(&arrivals, DrainMode::PerPacket);
+        let run = build().run(&arrivals, 1);
         let elapsed = t0.elapsed();
 
         println!(
@@ -105,7 +105,7 @@ fn main() {
                 format!("{} ns", max_wait.as_nanos()),
             );
         }
-        let parallel = build().run(&arrivals, DrainMode::default());
+        let parallel = build().run(&arrivals, 0);
         let agree = parallel.ports.iter().zip(&run.ports).all(|(a, b)| {
             a.departures.len() == b.departures.len()
                 && a.departures

@@ -95,7 +95,7 @@ fn main() {
         let root = stfq_root(&mut b);
         sb.add_port(b.build(Box::new(move |_| root)).unwrap());
     }
-    let run = sb.build(Box::new(classify)).run(&arr, DrainMode::PerPacket);
+    let run = sb.build(Box::new(classify)).run(&arr, 1);
     report("private slabs", &run);
 
     // --- One pool, naive cap: the storm owns every slot. ----------------
@@ -108,7 +108,7 @@ fn main() {
             b.build_in_pool(Box::new(move |_| root), pool).unwrap()
         });
     }
-    let run = sb.build(Box::new(classify)).run(&arr, DrainMode::PerPacket);
+    let run = sb.build(Box::new(classify)).run(&arr, 1);
     report("shared pool, naive cap", &run);
     let naive_victim_drops: u64 = run.ports[1..].iter().map(|p| p.drops).sum();
 
@@ -122,7 +122,7 @@ fn main() {
             b.build_in_pool(Box::new(move |_| root), h).unwrap()
         });
     }
-    let run = sb.build(Box::new(classify)).run(&arr, DrainMode::PerPacket);
+    let run = sb.build(Box::new(classify)).run(&arr, 1);
     report("shared pool, dynamic alpha=1", &run);
 
     let stats = pool.stats();

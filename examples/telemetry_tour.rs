@@ -52,7 +52,7 @@ fn main() {
     cfg.sample_every = 2;
 
     let mut sw = build(Some(cfg));
-    let run = sw.run(&arrivals, DrainMode::PerPacket);
+    let run = sw.run(&arrivals, 1);
     let snap = sw.telemetry_snapshot(&run).expect("telemetry enabled");
 
     println!(
@@ -104,7 +104,7 @@ fn main() {
     }
 
     // The contract: telemetry observes, never steers.
-    let base = build(None).run(&arrivals, DrainMode::PerPacket);
+    let base = build(None).run(&arrivals, 1);
     for (a, b) in base.ports.iter().zip(&run.ports) {
         assert_eq!(a.departures, b.departures);
         assert_eq!(a.drops, b.drops);

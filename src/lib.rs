@@ -45,10 +45,10 @@ pub mod prelude {
     pub use pifo_core::prelude::*;
     pub use pifo_sim::{
         flow_workload, jain_index, latency_stats, merge, renumber, run_pipeline, run_port,
-        throughput, CbrSource, Departure, DrainMode, DrrSched, FabricStall, FaultPlan, FifoSched,
-        FluidGps, Hop, IncastSource, LosslessConfig, LosslessFabric, LosslessRun,
-        MarkovOnOffSource, PFabricQueue, PauseAction, PauseEvent, PoissonSource, PortConfig,
-        PortScheduler, SizeDistribution, SourcePauseStats, StallKind, Switch, SwitchBuilder,
-        SwitchRun, TrafficSource, TreeScheduler, Watermarks,
+        throughput, CbrSource, Departure, DrrSched, FabricStall, FaultPlan, FifoSched, FluidGps,
+        Hop, IncastSource, LosslessConfig, LosslessFabric, LosslessRun, MarkovOnOffSource,
+        PFabricQueue, PauseAction, PauseEvent, PoissonSource, PortConfig, PortScheduler,
+        SizeDistribution, SourcePauseStats, StallKind, Switch, SwitchBuilder, SwitchRun,
+        TrafficSource, TreeScheduler, Watermarks,
     };
 }

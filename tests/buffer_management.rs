@@ -10,11 +10,8 @@
 //! scheduler's weighted shares without retuning.
 
 use pifo_algos::{Stfq, WeightTable};
-use pifo_core::pool::SharedBuffer;
 use pifo_core::prelude::*;
-use pifo_sim::{
-    run_port, throughput, CbrSource, ManagedScheduler, PortConfig, TrafficSource, TreeScheduler,
-};
+use pifo_sim::{run_port, throughput, CbrSource, PortConfig, TrafficSource, TreeScheduler};
 
 const LINK: u64 = 10_000_000_000;
 
@@ -30,7 +27,13 @@ fn arrivals(end: Nanos) -> Vec<Packet> {
     pkts
 }
 
-fn stfq_tree() -> ScheduleTree {
+/// The same WFQ tree over a 256-packet buffer: plain tail drop inside
+/// the tree (`None`), or a pool whose per-flow `threshold` gates every
+/// enqueue in front of the scheduler.
+fn run(threshold: Option<Threshold>) -> [f64; 3] {
+    let end = Nanos::from_millis(10);
+    let pkts = arrivals(end);
+    let cfg = PortConfig::new(LINK).with_horizon(end);
     let mut b = TreeBuilder::new();
     let root = b.add_root(
         "wfq",
@@ -40,39 +43,23 @@ fn stfq_tree() -> ScheduleTree {
             (FlowId(3), 4),
         ]))),
     );
-    // The *scheduler* is unbounded; admission control happens in front.
-    b.build(Box::new(move |_| root)).expect("valid")
-}
-
-fn run(threshold: Option<Threshold>) -> [f64; 3] {
-    let end = Nanos::from_millis(10);
-    let pkts = arrivals(end);
-    let cfg = PortConfig::new(LINK).with_horizon(end);
-    let deps = match threshold {
+    let classify: Classifier = Box::new(move |_| root);
+    let tree = match threshold {
         None => {
-            // Plain shared tail drop: tiny buffer inside the tree.
-            let mut b = TreeBuilder::new();
-            let root = b.add_root(
-                "wfq",
-                Box::new(Stfq::new(WeightTable::from_pairs([
-                    (FlowId(1), 1),
-                    (FlowId(2), 2),
-                    (FlowId(3), 4),
-                ]))),
-            );
             b.buffer_limit(256);
-            let tree = b.build(Box::new(move |_| root)).expect("valid");
-            let mut sched = TreeScheduler::new("taildrop", tree);
-            run_port(&pkts, &mut sched, &cfg)
+            b.build(classify)
         }
         Some(t) => {
-            let mut sched = ManagedScheduler::new(
-                TreeScheduler::new("managed", stfq_tree()),
-                SharedBuffer::new(256, t),
-            );
-            run_port(&pkts, &mut sched, &cfg)
+            let policy = AdmissionPolicy::PortFlow {
+                port: Threshold::Unlimited,
+                flow: t,
+            };
+            let pool = SharedPacketPool::new(256, policy).into_shared();
+            b.build_in_pool(classify, pool.register_port())
         }
     };
+    let mut sched = TreeScheduler::new("wfq", tree.expect("valid"));
+    let deps = run_port(&pkts, &mut sched, &cfg);
     let (lo, hi) = (Nanos::from_millis(5), end);
     let rep = throughput(&deps, lo, hi);
     [

@@ -10,7 +10,7 @@
 //!
 //! An integration test is its own binary, so it can install its own
 //! `#[global_allocator]`. There is exactly one `#[test]` here: the
-//! counters are process-wide, so that `DrainMode::Parallel`'s worker
+//! counters are process-wide, so that a multi-worker drain's worker
 //! threads are counted too.
 
 use pifo::prelude::*;
@@ -141,7 +141,7 @@ fn measure_lossless(n: u64) -> u64 {
     let sources = lossless_sources(n);
     CALLS.store(0, Relaxed);
     COUNTING.store(true, Relaxed);
-    let run = fabric.run(sources, DrainMode::PerPacket);
+    let run = fabric.run(sources, FaultPlan::none());
     COUNTING.store(false, Relaxed);
     assert!(run.stall.is_none(), "no stall: {:?}", run.stall);
     assert_eq!(run.total_departures() as u64, n, "nothing dropped");
@@ -150,13 +150,13 @@ fn measure_lossless(n: u64) -> u64 {
 }
 
 /// Allocator calls and bytes requested during one `Switch::run`.
-fn measure(n: u64, mode: DrainMode, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
+fn measure(n: u64, workers: usize, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
     let arr = arrivals(n);
     let mut sw = build_switch(telemetry);
     CALLS.store(0, Relaxed);
     BYTES.store(0, Relaxed);
     COUNTING.store(true, Relaxed);
-    let run = sw.run(&arr, mode);
+    let run = sw.run(&arr, workers);
     COUNTING.store(false, Relaxed);
     assert_eq!(run.total_departures() as u64, n, "nothing dropped");
     if telemetry.is_some_and(|c| c.path_records) {
@@ -169,15 +169,14 @@ fn measure(n: u64, mode: DrainMode, telemetry: Option<TelemetryConfig>) -> (u64,
 #[test]
 fn run_allocations_do_not_scale_with_packets() {
     const N: u64 = 4_096;
-    for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }] {
+    for workers in [1, 2] {
         for telemetry in [None, Some(TelemetryConfig::with_paths())] {
             let label = format!(
-                "{} / {}",
-                mode.label(),
+                "{workers} worker(s) / {}",
                 if telemetry.is_some() { "paths" } else { "off" }
             );
-            let (small_calls, small_bytes) = measure(N, mode, telemetry);
-            let (big_calls, big_bytes) = measure(4 * N, mode, telemetry);
+            let (small_calls, small_bytes) = measure(N, workers, telemetry);
+            let (big_calls, big_bytes) = measure(4 * N, workers, telemetry);
             // Amortised `Vec` growth only: a few doublings per port for
             // the index lists and the gauge series.
             let grew = big_calls.saturating_sub(small_calls);

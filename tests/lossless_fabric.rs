@@ -15,7 +15,7 @@
 //! * with a non-zero pause-wire delay, the in-flight packets land in the
 //!   headroom skid buffer — exercised, bounded, and still lossless;
 //! * departure traces **and the pause-event log** are bit-identical
-//!   across every exact PIFO backend and both drain modes.
+//!   across every exact PIFO backend.
 
 use pifo::prelude::*;
 
@@ -108,10 +108,10 @@ fn fabric_of(
 /// The on-die configuration: pause frames propagate instantly, so the
 /// port threshold (xoff + headroom) gates direct admission and the skid
 /// buffer stays in reserve.
-fn run_on_die(backend: PifoBackend, mode: DrainMode) -> LosslessRun {
+fn run_on_die(backend: PifoBackend) -> LosslessRun {
     let cfg = LosslessConfig::new(32, 8).with_headroom(32);
     let mut fabric = build_fabric(backend, 64, PORTS * 64, cfg);
-    fabric.run(sources(), mode)
+    fabric.run(sources(), FaultPlan::none())
 }
 
 fn assert_lossless(run: &LosslessRun, label: &str) {
@@ -134,7 +134,7 @@ fn assert_lossless(run: &LosslessRun, label: &str) {
 
 #[test]
 fn incast_storm_under_backpressure_drops_nothing() {
-    let run = run_on_die(PifoBackend::Bucket, DrainMode::PerPacket);
+    let run = run_on_die(PifoBackend::Bucket);
     assert_lossless(&run, "on-die");
 
     // The storm is real: the hog was paused, repeatedly, and the victim
@@ -201,7 +201,7 @@ fn wire_delay_fills_headroom_but_never_overflows() {
         .with_headroom(160)
         .with_wire_delay(Nanos(400));
     let mut fabric = build_fabric(PifoBackend::Bucket, 32, PORTS * 32, cfg);
-    let run = fabric.run(sources(), DrainMode::PerPacket);
+    let run = fabric.run(sources(), FaultPlan::none());
 
     assert_lossless(&run, "wire-delay");
     assert!(
@@ -221,36 +221,34 @@ fn wire_delay_fills_headroom_but_never_overflows() {
 }
 
 /// Departure traces and the pause-event log are bit-identical across
-/// every exact backend and both drain modes — backpressure does not
-/// cost the fabric its determinism.
+/// every exact backend — backpressure does not cost the fabric its
+/// determinism.
 #[test]
 fn lossless_traces_identical_across_backends_and_drain_modes() {
-    let reference = run_on_die(PifoBackend::SortedArray, DrainMode::PerPacket);
+    let reference = run_on_die(PifoBackend::SortedArray);
     assert_lossless(&reference, "reference");
     assert!(reference.count_events(PauseAction::Pause) > 0);
 
     for backend in PifoBackend::EXACT {
-        for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 4 }] {
-            let run = run_on_die(backend, mode);
-            let label = format!("{backend}/{}", mode.label());
-            assert_lossless(&run, &label);
+        let run = run_on_die(backend);
+        let label = backend.to_string();
+        assert_lossless(&run, &label);
+        assert_eq!(
+            reference.pause_events, run.pause_events,
+            "[{label}] pause-event log diverges"
+        );
+        assert_eq!(
+            reference.rounds, run.rounds,
+            "[{label}] round count diverges"
+        );
+        for (port, (a, b)) in reference.run.ports.iter().zip(&run.run.ports).enumerate() {
             assert_eq!(
-                reference.pause_events, run.pause_events,
-                "[{label}] pause-event log diverges"
+                a.departures.len(),
+                b.departures.len(),
+                "[{label}] port {port} departure count diverges"
             );
-            assert_eq!(
-                reference.rounds, run.rounds,
-                "[{label}] round count diverges"
-            );
-            for (port, (a, b)) in reference.run.ports.iter().zip(&run.run.ports).enumerate() {
-                assert_eq!(
-                    a.departures.len(),
-                    b.departures.len(),
-                    "[{label}] port {port} departure count diverges"
-                );
-                for (x, y) in a.departures.iter().zip(&b.departures) {
-                    assert_eq!(x, y, "[{label}] port {port} trace diverges");
-                }
+            for (x, y) in a.departures.iter().zip(&b.departures) {
+                assert_eq!(x, y, "[{label}] port {port} trace diverges");
             }
         }
     }
@@ -337,7 +335,7 @@ fn tied_emission_instants_admit_in_source_index_order() {
         })
         .collect();
     let mut fabric = calendar_fabric(PORTS, LosslessConfig::new(32, 8).with_headroom(32));
-    let run = fabric.run(sources, DrainMode::PerPacket);
+    let run = fabric.run(sources, FaultPlan::none());
 
     assert_lossless(&run, "tied");
     assert!(
@@ -380,7 +378,7 @@ fn resume_gate_rekeys_and_visible_pause_blocks_the_next_packet() {
         // so its head-of-line stamp is always far behind the gate.
         let hog: Vec<(u32, u64)> = (0..12).map(|k| (0, k * 100)).collect();
         let sources = vec![script(&[(1, 750), (2, 760)]), script(&hog)];
-        let run = calendar_fabric(2, cfg).run(sources, DrainMode::PerPacket);
+        let run = calendar_fabric(2, cfg).run(sources, FaultPlan::none());
         assert_lossless(&run, &label);
         assert_eq!(run.total_departures(), 14, "[{label}] everything delivered");
 
@@ -448,13 +446,13 @@ fn resume_gate_rekeys_and_visible_pause_blocks_the_next_packet() {
 #[test]
 fn idle_sources_leave_the_run_bit_identical() {
     let cfg = LosslessConfig::new(32, 8).with_headroom(32);
-    let reference = run_on_die(PifoBackend::Bucket, DrainMode::PerPacket);
+    let reference = run_on_die(PifoBackend::Bucket);
     let live = reference.sources.len();
     for idle in [1usize, 17, 300] {
         let mut with_idle = sources();
         with_idle.extend((0..idle).map(|_| script(&[])));
         let run = build_fabric(PifoBackend::Bucket, 64, PORTS * 64, cfg)
-            .run(with_idle, DrainMode::PerPacket);
+            .run(with_idle, FaultPlan::none());
 
         assert_eq!(reference.pause_events, run.pause_events, "+{idle} idle");
         for (a, b) in reference.run.ports.iter().zip(&run.run.ports) {
@@ -507,11 +505,7 @@ fn pauses_are_per_port_and_class() {
         // Source 2: a class-0 stream on port 1, which never sees class 3.
         cbr(1, 0, RATE_BPS / 2, 60_000),
     ];
-    let run = fabric.run_with_faults(
-        sources,
-        DrainMode::PerPacket,
-        &FaultPlan::none().stuck_pool(STUCK_AT),
-    );
+    let run = fabric.run(sources, FaultPlan::none().stuck_pool(STUCK_AT));
     assert_eq!(
         run.stall.map(|s| s.kind),
         Some(StallKind::StuckPool),
@@ -647,11 +641,7 @@ fn storm_departures_and_pause_log_are_pinned() {
         Nanos::from_micros(25),
         END,
     )));
-    let run = fabric.run_with_faults(
-        sources,
-        DrainMode::PerPacket,
-        &FaultPlan::none().delayed_resume(Nanos(500)),
-    );
+    let run = fabric.run(sources, FaultPlan::none().delayed_resume(Nanos(500)));
     assert_lossless(&run, "storm");
 
     let mut departures = Fnv(0xcbf2_9ce4_8422_2325);

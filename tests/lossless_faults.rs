@@ -3,8 +3,8 @@
 //! and delayed resume frames either drains completely or terminates
 //! with a typed [`FabricStall`](pifo::prelude::FabricStall) inside the
 //! round budget — and the pause/resume bookkeeping reconciles either
-//! way. The property is checked over randomized fault plans and drain
-//! modes, with each plan run twice to pin determinism under faults, and
+//! way. The property is checked over randomized fault plans, with each
+//! plan run twice to pin determinism under faults, and
 //! again with the source count varied from 1 to 300 — all sources
 //! starting at one instant, so the fabric's event calendar is exercised
 //! with hundreds of tied keys under every fault class.
@@ -92,15 +92,8 @@ fn fault_strategy() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-fn mode_strategy() -> impl Strategy<Value = DrainMode> {
-    prop_oneof![
-        Just(DrainMode::PerPacket),
-        Just(DrainMode::Parallel { workers: 4 }),
-    ]
-}
-
-fn run_plan(n: usize, plan: &FaultPlan, mode: DrainMode) -> LosslessRun {
-    build_fabric().run_with_faults(sources(n), mode, plan)
+fn run_plan(n: usize, plan: &FaultPlan) -> LosslessRun {
+    build_fabric().run(sources(n), plan.clone())
 }
 
 /// Stall-or-drain: a run of `n` sources under `plan` came back inside
@@ -191,15 +184,15 @@ proptest! {
     /// The run function *returns* for every plan (a hang fails the test
     /// by timeout) and satisfies the stall-or-drain contract.
     #[test]
-    fn any_fault_plan_stalls_or_drains(plan in fault_strategy(), mode in mode_strategy()) {
-        assert_stalls_or_drains(&run_plan(PORTS, &plan, mode), PORTS, &plan);
+    fn any_fault_plan_stalls_or_drains(plan in fault_strategy()) {
+        assert_stalls_or_drains(&run_plan(PORTS, &plan), PORTS, &plan);
     }
 
-    /// Faulty runs are still deterministic: the same plan and mode give
-    /// the same stall, the same pause log, and the same traces.
+    /// Faulty runs are still deterministic: the same plan gives the same
+    /// stall, the same pause log, and the same traces.
     #[test]
-    fn faulty_runs_are_reproducible(plan in fault_strategy(), mode in mode_strategy()) {
-        assert_same_run(&run_plan(PORTS, &plan, mode), &run_plan(PORTS, &plan, mode));
+    fn faulty_runs_are_reproducible(plan in fault_strategy()) {
+        assert_same_run(&run_plan(PORTS, &plan), &run_plan(PORTS, &plan));
     }
 
     /// Both contracts with the source count varied: 1 to 300 sources
@@ -209,11 +202,10 @@ proptest! {
     fn any_source_count_stalls_or_drains_reproducibly(
         n in 1usize..=300,
         plan in fault_strategy(),
-        mode in mode_strategy(),
     ) {
-        let run = run_plan(n, &plan, mode);
+        let run = run_plan(n, &plan);
         assert_stalls_or_drains(&run, n, &plan);
-        assert_same_run(&run, &run_plan(n, &plan, mode));
+        assert_same_run(&run, &run_plan(n, &plan));
     }
 }
 
@@ -223,7 +215,7 @@ proptest! {
 #[test]
 fn dead_port_under_load_is_diagnosed_not_hung() {
     let plan = FaultPlan::none().dead_port(2);
-    let run = run_plan(PORTS, &plan, DrainMode::PerPacket);
+    let run = run_plan(PORTS, &plan);
     let stall = run.stall.expect("a dead port under load must stall");
     assert_eq!(stall.kind, StallKind::DeadPort { port: 2 });
     assert!(stall.paused_for >= config().max_pause);
@@ -240,7 +232,7 @@ fn dead_port_under_load_is_diagnosed_not_hung() {
 #[test]
 fn stuck_pool_is_diagnosed() {
     let plan = FaultPlan::none().stuck_pool(Nanos(10_000));
-    let run = run_plan(PORTS, &plan, DrainMode::PerPacket);
+    let run = run_plan(PORTS, &plan);
     let stall = run.stall.expect("a permanently stuck pool must stall");
     assert_eq!(stall.kind, StallKind::StuckPool);
 }
@@ -250,7 +242,7 @@ fn stuck_pool_is_diagnosed() {
 #[test]
 fn slow_drain_completes_without_stall() {
     let plan = FaultPlan::none().slow_port(0, 4);
-    let run = run_plan(PORTS, &plan, DrainMode::PerPacket);
+    let run = run_plan(PORTS, &plan);
     assert!(run.stall.is_none(), "slow drain stalled: {:?}", run.stall);
     assert_eq!(run.total_drops(), 0, "slow drain stays lossless");
     assert_eq!(

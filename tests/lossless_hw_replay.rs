@@ -67,7 +67,7 @@ fn lossless_run() -> LosslessRun {
             Nanos(200_000),
         )),
     ];
-    fabric.run(sources, DrainMode::PerPacket)
+    fabric.run(sources, FaultPlan::none())
 }
 
 enum ReplayEvent {

@@ -11,7 +11,7 @@
 //!   port's departure trace is **identical** to its private-slab
 //!   baseline — sharing one memory costs an unpressured port nothing;
 //! * the per-port traces of the shared-pool fabric are bit-identical
-//!   across all three PIFO backends and both drain modes;
+//!   across all three PIFO backends and across worker counts;
 //! * every offered packet is accounted (departed or dropped), and the
 //!   pool's per-port counters reconcile with the traces.
 
@@ -78,7 +78,7 @@ fn port_tree(backend: PifoBackend, pool: PoolHandle) -> ScheduleTree {
 
 /// The private-slab baseline: the hog port tail-drops against its own
 /// `POOL_CAPACITY`-deep buffer; victims have unbounded private slabs.
-fn run_private(backend: PifoBackend, mode: DrainMode, arr: &[Packet]) -> SwitchRun {
+fn run_private(backend: PifoBackend, workers: usize, arr: &[Packet]) -> SwitchRun {
     let mut sb = SwitchBuilder::new(10_000_000_000);
     for port in 0..PORTS {
         let mut b = TreeBuilder::new();
@@ -89,12 +89,12 @@ fn run_private(backend: PifoBackend, mode: DrainMode, arr: &[Packet]) -> SwitchR
         let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
         sb.add_port(b.build(Box::new(move |_| root)).expect("tree"));
     }
-    sb.build(Box::new(classify)).run(arr, mode)
+    sb.build(Box::new(classify)).run(arr, workers)
 }
 
 fn run_shared(
     backend: PifoBackend,
-    mode: DrainMode,
+    workers: usize,
     policy: AdmissionPolicy,
     arr: &[Packet],
 ) -> (SwitchRun, PoolStats) {
@@ -103,7 +103,7 @@ fn run_shared(
     for _ in 0..PORTS {
         sb.add_shared_port(|h| port_tree(backend, h));
     }
-    let run = sb.build(Box::new(classify)).run(arr, mode);
+    let run = sb.build(Box::new(classify)).run(arr, workers);
     (run, pool.stats())
 }
 
@@ -115,7 +115,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
     assert_eq!(arr.len() as u64, offered_hog + offered_victims);
 
     let backend = PifoBackend::Bucket;
-    let baseline = run_private(backend, DrainMode::PerPacket, &arr);
+    let baseline = run_private(backend, 1, &arr);
     assert_eq!(
         baseline.ports[1..].iter().map(|p| p.drops).sum::<u64>(),
         0,
@@ -123,12 +123,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
     );
 
     // --- Naive shared cap: the storm locks the victims out. ------------
-    let (naive, naive_stats) = run_shared(
-        backend,
-        DrainMode::PerPacket,
-        AdmissionPolicy::Unlimited,
-        &arr,
-    );
+    let (naive, naive_stats) = run_shared(backend, 1, AdmissionPolicy::Unlimited, &arr);
     for port in 1..PORTS {
         assert!(
             naive.ports[port].drops > 0,
@@ -140,7 +135,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
     // --- Dynamic thresholds: victims fenced off from the storm. --------
     let (fenced, fenced_stats) = run_shared(
         backend,
-        DrainMode::PerPacket,
+        1,
         AdmissionPolicy::DynamicThreshold { num: 1, den: 1 },
         &arr,
     );
@@ -198,7 +193,7 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
 }
 
 /// Per-port departure traces of the shared-pool fabric are bit-identical
-/// across every **exact** PIFO backend and both drain modes. (The
+/// across every **exact** PIFO backend and worker count. (The
 /// approximate backends legally reorder departures; their distance from
 /// the exact schedule is measured by the inversion-metrics layer, not
 /// pinned here.)
@@ -206,34 +201,26 @@ fn incast_on_a_shared_pool_is_fenced_by_dynamic_thresholds() {
 fn shared_pool_traces_bit_identical_across_backends_and_drain_modes() {
     let arr = arrivals();
     let policy = AdmissionPolicy::DynamicThreshold { num: 1, den: 1 };
-    let (reference, _) = run_shared(PifoBackend::SortedArray, DrainMode::PerPacket, policy, &arr);
+    let (reference, _) = run_shared(PifoBackend::SortedArray, 1, policy, &arr);
     assert!(
         reference.total_drops() > 0,
         "the scenario must keep admission pressure real"
     );
     for backend in PifoBackend::EXACT {
-        for mode in [DrainMode::PerPacket, DrainMode::Parallel { workers: 4 }] {
-            let (run, _) = run_shared(backend, mode, policy, &arr);
+        for workers in [1, 4] {
+            let (run, _) = run_shared(backend, workers, policy, &arr);
             for (port, (a, b)) in reference.ports.iter().zip(&run.ports).enumerate() {
                 assert_eq!(
-                    a.drops,
-                    b.drops,
-                    "[{backend}/{}] port {port} drops diverge",
-                    mode.label()
+                    a.drops, b.drops,
+                    "[{backend}/{workers}] port {port} drops diverge"
                 );
                 assert_eq!(
                     a.departures.len(),
                     b.departures.len(),
-                    "[{backend}/{}] port {port} departure count diverges",
-                    mode.label()
+                    "[{backend}/{workers}] port {port} departure count diverges"
                 );
                 for (x, y) in a.departures.iter().zip(&b.departures) {
-                    assert_eq!(
-                        x,
-                        y,
-                        "[{backend}/{}] port {port} trace diverges",
-                        mode.label()
-                    );
+                    assert_eq!(x, y, "[{backend}/{workers}] port {port} trace diverges");
                 }
             }
         }

@@ -2,10 +2,10 @@
 //!
 //! 1. **Observes, never steers** — enabling the flight recorder and
 //!    path records leaves departure traces bit-identical, across every
-//!    exact backend × every drain mode.
+//!    exact backend × one or two workers.
 //! 2. **Deterministic** — two identically-built runs produce
 //!    byte-identical event streams and snapshots, and the event stream
-//!    is invariant across `PerPacket`/`Parallel` drains.
+//!    is invariant across worker counts.
 //! 3. **Reconciles** — telemetry-derived waits equal the
 //!    departure-derived waits of [`waits_of`](pifo::sim::metrics), and
 //!    the same holds through `latency_stats` percentiles; every record's
@@ -111,13 +111,13 @@ fn build_shaped_hpfq_switch(telemetry: TelemetryConfig) -> Switch {
     sb.build(Box::new(|p: &Packet| p.flow.0 as usize % PORTS))
 }
 
-const MODES: [DrainMode; 2] = [DrainMode::PerPacket, DrainMode::Parallel { workers: 2 }];
+const WORKERS: [usize; 2] = [1, 2];
 
 proptest! {
     /// Contract 1 + 2 on the plain switch: telemetry-on departures are
-    /// bit-identical to telemetry-off in every exact backend × drain
-    /// mode, identical builds give identical snapshots, and the event
-    /// stream is drain-mode invariant; its event counts reconcile with
+    /// bit-identical to telemetry-off in every exact backend × worker
+    /// count, identical builds give identical snapshots, and the event
+    /// stream is worker-count invariant; its event counts reconcile with
     /// the trace (contract 3).
     #[test]
     fn switch_telemetry_observes_and_is_deterministic(
@@ -133,11 +133,11 @@ proptest! {
         for backend in PifoBackend::EXACT {
             let mut stream_ref: Option<TelemetrySnapshot> = None;
             let mut run_ref: Option<SwitchRun> = None;
-            for mode in MODES {
-                let base = build_switch(ports, pool, backend, None).run(&arr, mode);
+            for workers in WORKERS {
+                let base = build_switch(ports, pool, backend, None).run(&arr, workers);
 
                 let mut sw = build_switch(ports, pool, backend, Some(cfg));
-                let run = sw.run(&arr, mode);
+                let run = sw.run(&arr, workers);
                 let snap = sw.telemetry_snapshot(&run).expect("telemetry on");
 
                 // 3: the lifetime event counts reconcile with the trace.
@@ -152,50 +152,50 @@ proptest! {
                     (EventKind::Drop, drops, "drop events = trace drops"),
                 ] {
                     prop_assert_eq!(snap.count(kind), want,
-                        "[{}/{}] {}", backend, mode.label(), what);
+                        "[{}/{}] {}", backend, workers, what);
                 }
 
                 // 1: observes, never steers.
                 for (a, b) in base.ports.iter().zip(&run.ports) {
                     prop_assert_eq!(&a.departures, &b.departures,
-                        "[{}/{}] telemetry changed departures", backend, mode.label());
+                        "[{}/{}] telemetry changed departures", backend, workers);
                     prop_assert_eq!(&a.drops, &b.drops);
                 }
 
                 // 2a: identical build -> byte-identical snapshot.
                 let mut sw2 = build_switch(ports, pool, backend, Some(cfg));
-                let run2 = sw2.run(&arr, mode);
+                let run2 = sw2.run(&arr, workers);
                 let snap2 = sw2.telemetry_snapshot(&run2).expect("telemetry on");
                 if snap != snap2 {
-                    dump_snapshot(&format!("rerun-a-{}-{}", backend.label(), mode.label()), &snap);
-                    dump_snapshot(&format!("rerun-b-{}-{}", backend.label(), mode.label()), &snap2);
+                    dump_snapshot(&format!("rerun-a-{}-{}", backend.label(), workers), &snap);
+                    dump_snapshot(&format!("rerun-b-{}-{}", backend.label(), workers), &snap2);
                     prop_assert!(false, "[{}/{}] rerun produced a different snapshot",
-                        backend, mode.label());
+                        backend, workers);
                 }
                 prop_assert_eq!(snap.to_json(), snap2.to_json(), "JSON export must be stable");
 
                 // 2c: so are the path logs, records and hops, which the
                 // snapshot does not carry — across the rerun and, like
-                // the event stream, across drain modes.
+                // the event stream, across worker counts.
                 let first = run_ref.get_or_insert_with(|| run.clone());
                 for other in [&run2, &*first] {
                     for (port, (a, b)) in run.ports.iter().zip(&other.ports).enumerate() {
                         prop_assert_eq!(&a.paths, &b.paths,
                             "[{}/{}] port {} path records differ from the rerun's or the \
-                             per-packet drain's", backend, mode.label(), port);
+                             one-worker drain's", backend, workers, port);
                     }
                 }
 
-                // 2b: the event stream is drain-mode invariant.
+                // 2b: the event stream is worker-count invariant.
                 match &stream_ref {
                     None => stream_ref = Some(snap),
                     Some(r) => {
                         if *r != snap {
-                            dump_snapshot(&format!("mode-ref-{}", backend.label()), r);
-                            dump_snapshot(&format!("mode-got-{}-{}", backend.label(), mode.label()), &snap);
+                            dump_snapshot(&format!("workers-ref-{}", backend.label()), r);
+                            dump_snapshot(&format!("workers-got-{}-{}", backend.label(), workers), &snap);
                             prop_assert!(false,
-                                "[{}/{}] event stream differs from the per-packet drain",
-                                backend, mode.label());
+                                "[{}/{}] event stream differs from the one-worker drain",
+                                backend, workers);
                         }
                     }
                 }
@@ -205,7 +205,7 @@ proptest! {
 
     /// Contract 3: the telemetry layer's per-packet waits reconcile
     /// exactly with the departure-derived waits — record for record,
-    /// and through the `latency_stats` percentiles — in every drain mode,
+    /// and through the `latency_stats` percentiles — on one worker or two,
     /// on a flat tree and on a shaped two-level one; and each record's
     /// hops retrace the packet's walk.
     #[test]
@@ -216,14 +216,14 @@ proptest! {
     ) {
         let arr = arrivals(flows, waves, wave_pkts);
         let cfg = TelemetryConfig::with_paths();
-        for mode in MODES {
+        for workers in WORKERS {
             for shaped in [false, true] {
                 let mut sw = if shaped {
                     build_shaped_hpfq_switch(cfg)
                 } else {
                     build_switch(4, 256, PifoBackend::default(), Some(cfg))
                 };
-                let run = sw.run(&arr, mode);
+                let run = sw.run(&arr, workers);
                 if shaped {
                     prop_assert_eq!(run.total_departures(), arr.len(), "nothing dropped");
                 }
@@ -262,7 +262,7 @@ proptest! {
                             .map(|h| NodeId::from_index(h.node as usize))
                             .collect();
                         prop_assert_eq!(&nodes, &walk,
-                            "[{}] hops follow parent links up to the root", mode.label());
+                            "[{}] hops follow parent links up to the root", workers);
                         prop_assert_eq!(hops[0].entered, rec.enqueued);
                         prop_assert!(hops.windows(2).all(|w| w[0].entered <= w[1].entered),
                             "entry times never go back");
@@ -330,9 +330,9 @@ proptest! {
                 .collect()
         };
 
-        let base = build(false).run(sources(), DrainMode::PerPacket);
-        let a = build(true).run(sources(), DrainMode::PerPacket);
-        let b = build(true).run(sources(), DrainMode::PerPacket);
+        let base = build(false).run(sources(), FaultPlan::none());
+        let a = build(true).run(sources(), FaultPlan::none());
+        let b = build(true).run(sources(), FaultPlan::none());
 
         // Observes, never steers — departures AND the pause log.
         for (x, y) in base.run.ports.iter().zip(&a.run.ports) {
@@ -389,7 +389,7 @@ fn lossless_snapshot_carries_pause_events() {
             )) as Box<dyn TrafficSource>
         })
         .collect();
-    let run = fabric.run(sources, DrainMode::PerPacket);
+    let run = fabric.run(sources, FaultPlan::none());
     let snap = run.telemetry.as_ref().expect("telemetry on");
 
     assert!(
