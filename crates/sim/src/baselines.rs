@@ -1,8 +1,8 @@
 //! Fixed-function baseline schedulers — the "menu" a conventional switch
-//! offers (§1): FIFO, Deficit Round Robin \[34\], a token-bucket-shaped
-//! FIFO and Stochastic Fairness Queueing. These are *not* built on PIFOs;
-//! they are the comparison points the paper's programmable scheduler
-//! replaces (strict priority is one PIFO node, `pifo_algos::StrictPriority`).
+//! offers (§1): FIFO and Deficit Round Robin \[34\]. These are *not*
+//! built on PIFOs; they are the comparison points the paper's
+//! programmable scheduler replaces (strict priority is one PIFO node,
+//! `pifo_algos::StrictPriority`).
 
 use crate::scheduler::PortScheduler;
 use pifo_core::prelude::*;
@@ -181,96 +181,6 @@ impl PortScheduler for DrrSched {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Token-bucket-shaped FIFO (classic "traffic shaping" menu item)
-// ---------------------------------------------------------------------------
-
-/// A FIFO whose head is released by a token bucket: the fixed-function
-/// "traffic shaping" of conventional switches.
-#[derive(Debug)]
-pub struct ShapedFifo {
-    q: VecDeque<Packet>,
-    limit: usize,
-    drops: u64,
-    rate_bps: u64,
-    burst_nanobits: i128,
-    tokens: i128,
-    last_refill: Nanos,
-}
-
-impl ShapedFifo {
-    /// FIFO shaped to `rate_bps` with `burst_bytes` of burst, buffering up
-    /// to `limit` packets.
-    pub fn new(rate_bps: u64, burst_bytes: u64, limit: usize) -> Self {
-        assert!(rate_bps > 0, "rate must be positive");
-        let burst = burst_bytes as i128 * 8 * 1_000_000_000;
-        ShapedFifo {
-            q: VecDeque::new(),
-            limit,
-            drops: 0,
-            rate_bps,
-            burst_nanobits: burst,
-            tokens: burst,
-            last_refill: Nanos::ZERO,
-        }
-    }
-
-    fn refill(&mut self, now: Nanos) {
-        let dt = now.saturating_sub(self.last_refill).as_nanos() as i128;
-        self.tokens = (self.tokens + dt * self.rate_bps as i128).min(self.burst_nanobits);
-        self.last_refill = now;
-    }
-
-    fn head_cost(&self) -> Option<i128> {
-        self.q.front().map(|p| p.length as i128 * 8 * 1_000_000_000)
-    }
-
-    /// Packets dropped so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-}
-
-impl PortScheduler for ShapedFifo {
-    fn enqueue(&mut self, pkt: Packet, _now: Nanos) -> bool {
-        if self.q.len() >= self.limit {
-            self.drops += 1;
-            return false;
-        }
-        self.q.push_back(pkt);
-        true
-    }
-
-    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
-        self.refill(now);
-        let need = self.head_cost()?;
-        if need <= self.tokens {
-            self.tokens -= need;
-            self.q.pop_front()
-        } else {
-            None
-        }
-    }
-
-    fn next_ready(&self, now: Nanos) -> Option<Nanos> {
-        let need = self.head_cost()?;
-        let deficit = need - self.tokens;
-        if deficit <= 0 {
-            return Some(now);
-        }
-        let wait = (deficit + self.rate_bps as i128 - 1) / self.rate_bps as i128;
-        Some(Nanos(now.as_nanos() + wait as u64))
-    }
-
-    fn backlog(&self) -> usize {
-        self.q.len()
-    }
-
-    fn name(&self) -> &str {
-        "ShapedFIFO"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,181 +254,5 @@ mod tests {
         s.enqueue(pkt(1, 0, 100), Nanos(2));
         assert_eq!(s.dequeue(Nanos(3)).unwrap().id.0, 1);
         assert_eq!(s.backlog(), 0);
-    }
-
-    #[test]
-    fn shaped_fifo_gates_on_tokens() {
-        // 8 Gb/s = 1 B/ns, burst 1000 B.
-        let mut s = ShapedFifo::new(8_000_000_000, 1_000, 10);
-        s.enqueue(pkt(0, 0, 1_000), Nanos(0));
-        s.enqueue(pkt(1, 0, 1_000), Nanos(0));
-        assert!(s.dequeue(Nanos(0)).is_some(), "burst covers first packet");
-        assert!(s.dequeue(Nanos(0)).is_none(), "no tokens for second");
-        assert_eq!(s.next_ready(Nanos(0)), Some(Nanos(1_000)));
-        assert!(s.dequeue(Nanos(1_000)).is_some());
-    }
-
-    #[test]
-    fn shaped_fifo_next_ready_none_when_empty() {
-        let s = ShapedFifo::new(1_000_000, 1_000, 10);
-        assert_eq!(s.next_ready(Nanos(0)), None);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stochastic Fairness Queueing
-// ---------------------------------------------------------------------------
-
-/// Stochastic Fairness Queueing \[29\] — the third WFQ approximation §2.1
-/// names: flows hash into a fixed number of buckets served round-robin;
-/// fairness is probabilistic (hash collisions share a bucket).
-#[derive(Debug)]
-pub struct SfqSched {
-    buckets: Vec<VecDeque<Packet>>,
-    /// Round-robin cursor over buckets.
-    cursor: usize,
-    backlog: usize,
-    limit: usize,
-    drops: u64,
-    /// Salt for the flow hash (rotated periodically in real SFQ; fixed
-    /// here for determinism).
-    salt: u64,
-}
-
-impl SfqSched {
-    /// SFQ with `n_buckets` hash buckets and a shared `limit`.
-    pub fn new(n_buckets: usize, limit: usize, salt: u64) -> Self {
-        assert!(n_buckets > 0, "need at least one bucket");
-        SfqSched {
-            buckets: (0..n_buckets).map(|_| VecDeque::new()).collect(),
-            cursor: 0,
-            backlog: 0,
-            limit,
-            drops: 0,
-            salt,
-        }
-    }
-
-    fn bucket_of(&self, flow: FlowId) -> usize {
-        // SplitMix64-style scramble of (flow, salt).
-        let mut x = flow.0 as u64 ^ self.salt;
-        x = x.wrapping_add(0x9E3779B97F4A7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-        (x ^ (x >> 31)) as usize % self.buckets.len()
-    }
-
-    /// Packets dropped so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-}
-
-impl PortScheduler for SfqSched {
-    fn enqueue(&mut self, pkt: Packet, _now: Nanos) -> bool {
-        if self.backlog >= self.limit {
-            self.drops += 1;
-            return false;
-        }
-        let b = self.bucket_of(pkt.flow);
-        self.buckets[b].push_back(pkt);
-        self.backlog += 1;
-        true
-    }
-
-    fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
-        if self.backlog == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        for _ in 0..n {
-            let i = self.cursor;
-            self.cursor = (self.cursor + 1) % n;
-            if let Some(p) = self.buckets[i].pop_front() {
-                self.backlog -= 1;
-                return Some(p);
-            }
-        }
-        unreachable!("backlog > 0 but all buckets empty");
-    }
-
-    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
-        None
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
-    }
-
-    fn name(&self) -> &str {
-        "SFQ"
-    }
-}
-
-#[cfg(test)]
-mod sfq_tests {
-    use super::*;
-
-    fn pkt(id: u64, flow: u32) -> Packet {
-        Packet::new(id, FlowId(flow), 1_000, Nanos(id))
-    }
-
-    #[test]
-    fn distinct_buckets_share_round_robin() {
-        let mut s = SfqSched::new(64, 1_000, 7);
-        // Find two flows that do NOT collide.
-        let (f1, f2) = {
-            let mut a = 0u32;
-            let mut b = 1u32;
-            while s.bucket_of(FlowId(a)) == s.bucket_of(FlowId(b)) {
-                b += 1;
-                let _ = &mut a;
-            }
-            (a, b)
-        };
-        for i in 0..10 {
-            s.enqueue(pkt(i * 2, f1), Nanos(0));
-            s.enqueue(pkt(i * 2 + 1, f2), Nanos(0));
-        }
-        let mut count = [0u32; 2];
-        for _ in 0..10 {
-            let p = s.dequeue(Nanos(1)).unwrap();
-            count[if p.flow.0 == f1 { 0 } else { 1 }] += 1;
-        }
-        assert!((count[0] as i32 - count[1] as i32).abs() <= 1, "{count:?}");
-    }
-
-    #[test]
-    fn colliding_flows_share_one_bucket() {
-        // With a single bucket everything collides: SFQ degenerates to
-        // FIFO — the probabilistic caveat of the scheme.
-        let mut s = SfqSched::new(1, 100, 0);
-        s.enqueue(pkt(0, 1), Nanos(0));
-        s.enqueue(pkt(1, 2), Nanos(0));
-        s.enqueue(pkt(2, 1), Nanos(0));
-        let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(Nanos(1)).map(|p| p.id.0)).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn tail_drop_and_backlog() {
-        let mut s = SfqSched::new(4, 2, 1);
-        assert!(s.enqueue(pkt(0, 1), Nanos(0)));
-        assert!(s.enqueue(pkt(1, 2), Nanos(0)));
-        assert!(!s.enqueue(pkt(2, 3), Nanos(0)));
-        assert_eq!(s.drops(), 1);
-        assert_eq!(s.backlog(), 2);
-        assert_eq!(s.name(), "SFQ");
-    }
-
-    #[test]
-    fn hash_is_deterministic_per_salt() {
-        let a = SfqSched::new(64, 10, 42);
-        let b = SfqSched::new(64, 10, 42);
-        let c = SfqSched::new(64, 10, 43);
-        let same = (0..100u32).all(|f| a.bucket_of(FlowId(f)) == b.bucket_of(FlowId(f)));
-        assert!(same, "same salt, same mapping");
-        let differs = (0..100u32).any(|f| a.bucket_of(FlowId(f)) != c.bucket_of(FlowId(f)));
-        assert!(differs, "different salt perturbs the mapping");
     }
 }

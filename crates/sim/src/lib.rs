@@ -2,12 +2,13 @@
 //!
 //! A deterministic discrete-event network-simulation substrate for the
 //! PIFO reproduction: traffic generators (CBR, Poisson, deterministic
-//! and Markov on/off bursts, incast, heavy-tailed flow workloads),
-//! output ports, the multi-port [`switch`] fabric with its line-rate
-//! drain loop, multi-hop paths, metric collectors, the
-//! fixed-function baseline schedulers the paper contrasts against (§1),
-//! a fluid GPS reference for fairness ground truth, and the pFabric
-//! reference queue used by the §3.5 inexpressibility demonstration.
+//! and Markov on/off bursts, incast, heavy-tailed flow workloads), the
+//! one output-port loop ([`port`]) that [`run_port`], the [`switch`]
+//! fabric and the [`lossless`] fabric all drive, multi-hop paths, metric
+//! collectors, the fixed-function FIFO and DRR baselines the paper
+//! contrasts against (§1), a fluid GPS reference for fairness ground
+//! truth, and the pFabric reference queue used by the §3.5
+//! inexpressibility demonstration.
 //!
 //! Everything is seeded and deterministic: identical inputs produce
 //! identical outputs, bit for bit — including the [`switch`] fabric's
@@ -38,7 +39,7 @@ pub mod scheduler;
 pub mod switch;
 pub mod traffic;
 
-pub use baselines::{DrrSched, FifoSched, SfqSched, ShapedFifo};
+pub use baselines::{DrrSched, FifoSched};
 pub use buffer::{Red, RedScheduler};
 pub use gps::FluidGps;
 pub use lossless::{
@@ -46,8 +47,8 @@ pub use lossless::{
     SourcePauseStats, StallKind, Watermarks,
 };
 pub use metrics::{
-    flow_completions, jain_index, latency_stats, throughput, throughput_series, waits_of,
-    FlowCompletion, LatencyStats, ThroughputReport,
+    flow_completions, jain_index, latency_stats, throughput, waits_of, FlowCompletion,
+    LatencyStats, ThroughputReport,
 };
 pub use pfabric_ref::PFabricQueue;
 pub use pipeline::{run_pipeline, Hop, PipelineResult};

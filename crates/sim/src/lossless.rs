@@ -40,7 +40,8 @@
 //! rounds at equal instants, lowest index first within a kind — and
 //! rounds reuse the exact
 //! [`Switch`]-fabric round semantics (admit-by-arrival-instant, `burst`
-//! dequeues decided at the round time, back-to-back transmit). All
+//! dequeues decided at the round time, back-to-back transmit through
+//! [`crate::port`]'s one transmit accounting). All
 //! decisions read tree/pool state that is identical across the exact
 //! engines, so departure traces *and* the pause/resume event log are
 //! bit-identical across backends. The loop runs on the calling thread
@@ -98,7 +99,7 @@
 //! assert they agree, so every debug test run checks the calendar
 //! against its specification; release builds contain no such scan.
 
-use crate::port::Departure;
+use crate::port::transmit;
 use crate::switch::{PortTrace, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
@@ -502,8 +503,6 @@ struct PortState {
     classes: Vec<ClassState>,
     peak_skid: usize,
     paused_total: Nanos,
-    /// Scratch for round dequeues.
-    round: Vec<Packet>,
 }
 
 impl PortState {
@@ -688,7 +687,6 @@ impl LosslessFabric {
                 classes: Vec::new(),
                 peak_skid: 0,
                 paused_total: Nanos::ZERO,
-                round: Vec::with_capacity(self.switch.burst),
             })
             .collect();
 
@@ -1092,57 +1090,37 @@ impl LosslessFabric {
                     }
                     max_pool_live = max_pool_live.max(fabric_live(&self.switch));
 
-                    // One burst of dequeues decided at `now` (a dead
-                    // port decides nothing).
-                    ports[i].round.clear();
-                    if !dead(i) {
-                        for _ in 0..self.switch.burst {
-                            match self.switch.ports[i].dequeue(now) {
-                                Some(p) => ports[i].round.push(p),
-                                None => break,
-                            }
-                        }
+                    // Up to `burst` dequeues decided at `now` (a dead port
+                    // decides nothing), each leaving the tree for the
+                    // wire back-to-back at the port's (possibly
+                    // fault-slowed) line rate.
+                    let burst = if dead(i) { 0 } else { self.switch.burst };
+                    let (port, mut t, mut sent) = (&mut ports[i], now, 0);
+                    while sent < burst {
+                        let Some(p) = self.switch.ports[i].dequeue(now) else {
+                            break;
+                        };
+                        let cs = &mut port.classes[p.class as usize];
+                        cs.occ = cs.occ.saturating_sub(1);
+                        t = transmit(p, t, rate[i], &mut port.trace.departures);
+                        sent += 1;
                     }
 
-                    let round_end = if ports[i].round.is_empty() {
+                    let round_end = if sent == 0 {
                         // Idle: hop to the next local cause — a future
                         // skid arrival or a shaping release — or park
                         // until an emission or another port's progress
-                        // wakes us.
+                        // wakes us (a gated head, arrival <= now, cannot
+                        // be hopped to: it waits for pool space).
                         let next_skid = ports[i].skid.front().map(|p| p.arrival);
                         let next_ready = self.switch.ports[i].next_shaping_event();
-                        let next = match (next_skid, next_ready) {
-                            (Some(a), Some(r)) => Some(a.min(r)),
-                            (a, r) => a.or(r),
-                        };
+                        let next = [next_skid, next_ready].into_iter().flatten().min();
                         ports[i].busy_until = now;
-                        ports[i].t = match next {
-                            Some(t) if t > now => Some(t),
-                            // A gated head (arrival <= now) cannot be
-                            // hopped to; park and wait for pool space.
-                            _ => None,
-                        };
+                        ports[i].t = next.filter(|&t| t > now);
                         due[i] = due_of(&ports[i]);
                         now
                     } else {
-                        // Transmit back-to-back at the port's (possibly
-                        // fault-slowed) line rate.
-                        // Drained in place, so `round` keeps its capacity
-                        // and later rounds allocate nothing.
-                        let mut t = now;
                         let port = &mut ports[i];
-                        for p in port.round.drain(..) {
-                            let finish = t + tx_time(p.length as u64, rate[i]);
-                            let cs = &mut port.classes[p.class as usize];
-                            cs.occ = cs.occ.saturating_sub(1);
-                            port.trace.departures.push(Departure {
-                                wait: t.saturating_sub(p.arrival),
-                                start: t,
-                                finish,
-                                packet: p,
-                            });
-                            t = finish;
-                        }
                         port.busy_until = t;
                         port.t = Some(t);
                         due[i] = t;

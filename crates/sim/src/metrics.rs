@@ -49,24 +49,6 @@ pub fn throughput(departures: &[Departure], from: Nanos, to: Nanos) -> Throughpu
     }
 }
 
-/// Throughput time-series: per-flow rates in consecutive buckets of
-/// `bucket` length over `[0, horizon)`. Returns one report per bucket.
-pub fn throughput_series(
-    departures: &[Departure],
-    bucket: Nanos,
-    horizon: Nanos,
-) -> Vec<ThroughputReport> {
-    assert!(bucket > Nanos::ZERO, "bucket must be positive");
-    let n = horizon.as_nanos().div_ceil(bucket.as_nanos());
-    let mut out = Vec::with_capacity(n as usize);
-    for k in 0..n {
-        let from = Nanos(k * bucket.as_nanos());
-        let to = Nanos(((k + 1) * bucket.as_nanos()).min(horizon.as_nanos()));
-        out.push(throughput(departures, from, to));
-    }
-    out
-}
-
 /// Summary statistics over a set of latency (or any duration) samples.
 ///
 /// Percentiles use the **nearest-rank** convention: the p-th percentile
@@ -226,15 +208,6 @@ mod tests {
         // 1000 B in 1 us = 8 Gb/s.
         assert!((r.rate_bps(FlowId(1)) - 8e9).abs() < 1.0);
         assert!((r.share(FlowId(2)) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_buckets_cover_horizon() {
-        let deps = vec![dep(1, 100, 0, 0, 50), dep(1, 100, 0, 950, 1_050)];
-        let s = throughput_series(&deps, Nanos(500), Nanos(1_500));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s[0].bytes.get(&FlowId(1)), Some(&100));
-        assert_eq!(s[2].bytes.get(&FlowId(1)), Some(&100));
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! A single switch output port: the event loop that drives a
-//! [`PortScheduler`] against a link of fixed rate.
-//!
-//! The port is the boundary between *scheduling decisions* (the
-//! scheduler's job) and *transmission* (the link's): it enqueues arrivals
-//! at their arrival times, asks the scheduler for the next packet whenever
-//! the link is free, and accounts each transmission at the link rate.
+//! A single switch output port: the one scheduling round every
+//! transmitter in this crate runs, on a link of fixed rate. A round at
+//! decision time `t` admits every arrival due by `t` (each at its own
+//! arrival instant: transactions read `now`), decides up to `burst`
+//! dequeues at `t` and transmits them back to back; an idle round hops
+//! to the next arrival or [`PortScheduler::next_ready`]. [`run_port`]
+//! drives it at burst 1 over any scheduler, `Switch::run` over each
+//! port's tree, and the lossless fabric transmits through it.
 
 use crate::scheduler::PortScheduler;
+use crate::switch::PortTrace;
 use pifo_core::prelude::*;
 
 /// One transmitted packet with its port-level timing.
@@ -68,7 +70,8 @@ impl PortConfig {
 }
 
 /// Run `arrivals` (sorted by arrival time) through `sched` on a link
-/// described by `cfg`. Returns the departures in transmission order.
+/// described by `cfg`, one packet per round. Returns the departures in
+/// transmission order.
 ///
 /// # Panics
 ///
@@ -82,55 +85,123 @@ pub fn run_port(
         arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "arrivals must be time-sorted"
     );
-    let mut out = Vec::with_capacity(arrivals.len());
-    let mut i = 0;
-    // The next instant the link could begin a transmission.
-    let mut t = arrivals.first().map(|p| p.arrival).unwrap_or(Nanos::ZERO);
-
-    loop {
-        if t >= cfg.horizon {
-            break;
-        }
-        // Everything that has arrived by `t` enters the scheduler, at its
-        // own arrival time (transactions read `now`).
-        while i < arrivals.len() && arrivals[i].arrival <= t {
-            let p = arrivals[i].clone();
-            let at = p.arrival;
-            sched.enqueue(p, at);
-            i += 1;
-        }
-
-        match sched.dequeue(t) {
-            Some(mut p) => {
-                let finish = t + tx_time(p.length as u64, cfg.rate_bps);
-                let wait = t.saturating_sub(p.arrival);
-                if cfg.charge_lstf_slack {
-                    p.slack -= wait.as_nanos() as i64;
-                }
-                out.push(Departure {
-                    packet: p,
-                    start: t,
-                    finish,
-                    wait,
-                });
-                t = finish;
-            }
-            None => {
-                // Idle: jump to the next arrival or shaping release.
-                let next_arrival = arrivals.get(i).map(|p| p.arrival);
-                let next_ready = sched.next_ready(t);
-                let next = match (next_arrival, next_ready) {
-                    (Some(a), Some(r)) => a.min(r),
-                    (Some(a), None) => a,
-                    (None, Some(r)) => r,
-                    (None, None) => break, // drained
-                };
-                debug_assert!(next > t, "port must make progress (t={t}, next={next})");
-                t = next.max(Nanos(t.as_nanos() + 1));
-            }
+    let mut port = PortSim::new(arrivals, None);
+    while !port.done {
+        port.step_round(sched, cfg.rate_bps, cfg.horizon, 1);
+    }
+    let mut out = port.trace.departures;
+    if cfg.charge_lstf_slack {
+        // Exact after the run: no scheduler sees a departed packet.
+        for d in &mut out {
+            d.packet.slack -= d.wait.as_nanos() as i64;
         }
     }
     out
+}
+
+/// One port's progress through the round loop. The scheduler is lent
+/// per round, so a driver may keep it elsewhere (the switch keeps its
+/// trees in `Switch::ports`, so shared-pool borrows never overlap).
+pub(crate) struct PortSim<'a> {
+    /// The run's arrival stream; a packet is cloned once, at admission.
+    arrivals: &'a [Packet],
+    /// This port's share of `arrivals` by index, when the stream feeds
+    /// several ports (`None`: all of it). `next` of them are admitted.
+    pending: Option<Vec<u32>>,
+    next: usize,
+    /// Decision time of the next round.
+    pub(crate) t: Nanos,
+    /// Past the horizon, or drained with nothing left to wait for.
+    pub(crate) done: bool,
+    pub(crate) trace: PortTrace,
+}
+
+impl<'a> PortSim<'a> {
+    /// A port fed `pending`, its departure trace sized once.
+    pub(crate) fn new(arrivals: &'a [Packet], pending: Option<Vec<u32>>) -> Self {
+        let expect = pending.as_ref().map_or(arrivals.len(), Vec::len);
+        let mut port = PortSim {
+            arrivals,
+            pending,
+            next: 0,
+            t: Nanos::ZERO,
+            done: false,
+            trace: PortTrace {
+                departures: Vec::with_capacity(expect),
+                ..PortTrace::default()
+            },
+        };
+        if let Some(p) = port.head() {
+            port.t = p.arrival;
+        }
+        port
+    }
+
+    /// The next packet this port has yet to admit.
+    fn head(&self) -> Option<&'a Packet> {
+        let i = match &self.pending {
+            Some(pending) => *pending.get(self.next)? as usize,
+            None => self.next,
+        };
+        self.arrivals.get(i)
+    }
+
+    /// Run one round at `self.t`. Returns `false`, and marks the port
+    /// done, when `t` has reached `horizon` (no round starts there).
+    pub(crate) fn step_round<S: PortScheduler + ?Sized>(
+        &mut self,
+        sched: &mut S,
+        rate_bps: u64,
+        horizon: Nanos,
+        burst: usize,
+    ) -> bool {
+        if self.t >= horizon {
+            self.done = true;
+            return false;
+        }
+        while let Some(p) = self.head().filter(|p| p.arrival <= self.t) {
+            self.next += 1;
+            if !sched.enqueue(p.clone(), p.arrival) {
+                self.trace.drops += 1;
+            }
+        }
+        // Up to `burst` dequeues, all decided at `t`, each put on the
+        // wire as it leaves, back to back.
+        let decided = self.t;
+        let mut sent = 0;
+        while sent < burst {
+            let Some(p) = sched.dequeue(decided) else {
+                break;
+            };
+            self.t = transmit(p, self.t, rate_bps, &mut self.trace.departures);
+            sent += 1;
+        }
+        if sent > 0 {
+            return true;
+        }
+        // Idle: hop to the next arrival or shaping release (strictly
+        // later: the round released everything due at `t`).
+        let next_arrival = self.head().map(|p| p.arrival);
+        let next = [next_arrival, sched.next_ready(self.t)];
+        match next.into_iter().flatten().min() {
+            Some(next) => self.t = next.max(Nanos(self.t.as_nanos() + 1)),
+            None => self.done = true, // drained for good
+        }
+        true
+    }
+}
+
+/// Put `p` on the wire at `start` at `rate_bps`, appending its
+/// departure to `out`; returns the instant its last bit left.
+pub(crate) fn transmit(p: Packet, start: Nanos, rate_bps: u64, out: &mut Vec<Departure>) -> Nanos {
+    let finish = start + tx_time(p.length as u64, rate_bps);
+    out.push(Departure {
+        wait: start.saturating_sub(p.arrival),
+        start,
+        finish,
+        packet: p,
+    });
+    finish
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! The scheduler interface an output port drives, and the adapter that
-//! plugs a PIFO [`ScheduleTree`] into it.
+//! The scheduler interface an output port drives, implemented by every
+//! PIFO [`ScheduleTree`], and the adapter that gives a tree a label and
+//! a drop count.
 
 use pifo_core::prelude::*;
 
 /// What a switch output port needs from a packet scheduler.
 ///
-/// Implemented by the PIFO tree adapter ([`TreeScheduler`]) and by the
-/// fixed-function baselines in [`crate::baselines`] — the "menu" of
-/// algorithms the paper contrasts programmable scheduling against (§1).
+/// Implemented by [`ScheduleTree`] itself, by the labelled tree adapter
+/// ([`TreeScheduler`]) and by the fixed-function baselines in
+/// [`crate::baselines`] — the "menu" of algorithms the paper contrasts
+/// programmable scheduling against (§1).
 pub trait PortScheduler {
     /// Offer `pkt` to the scheduler at time `now`. Returns `false` when
     /// the packet was dropped (buffer full / unknown flow); the port
@@ -55,35 +57,45 @@ impl TreeScheduler {
     pub fn tree(&self) -> &ScheduleTree {
         &self.tree
     }
+}
 
-    /// Mutable access to the wrapped tree.
-    pub fn tree_mut(&mut self) -> &mut ScheduleTree {
-        &mut self.tree
+impl PortScheduler for ScheduleTree {
+    fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
+        ScheduleTree::enqueue(self, pkt, now).is_ok()
+    }
+
+    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        ScheduleTree::dequeue(self, now)
+    }
+
+    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
+        self.next_shaping_event()
+    }
+
+    fn backlog(&self) -> usize {
+        self.len()
+    }
+
+    fn name(&self) -> &str {
+        self.node_name(self.root())
     }
 }
 
 impl PortScheduler for TreeScheduler {
     fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
-        match self.tree.enqueue(pkt, now) {
-            Ok(()) => true,
-            Err(_) => {
-                self.drops += 1;
-                false
-            }
+        let admitted = PortScheduler::enqueue(&mut self.tree, pkt, now);
+        if !admitted {
+            self.drops += 1;
         }
+        admitted
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
         self.tree.dequeue(now)
     }
 
-    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
-        // If the root has work, "now"; otherwise the next shaping release.
-        if self.tree.peek().is_some() {
-            None // port only calls this after a failed dequeue
-        } else {
-            self.tree.next_shaping_event()
-        }
+    fn next_ready(&self, now: Nanos) -> Option<Nanos> {
+        self.tree.next_ready(now)
     }
 
     fn backlog(&self) -> usize {

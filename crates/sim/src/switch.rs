@@ -16,13 +16,14 @@
 //!
 //! # Scheduling rounds
 //!
-//! Ports make decisions at *round* granularity: at round time `t` the
-//! port admits everything that has arrived by `t` — one
-//! [`ScheduleTree::enqueue`] per packet, at its own arrival instant —
-//! and then commits up to `burst` packets, one [`ScheduleTree::dequeue`]
-//! each, all decided at `t` and transmitted back-to-back. This is the
-//! paper's one mechanism — push in by rank, pop from the head, one
-//! packet per operation (§4.2–§4.3) — and the only path a round takes.
+//! Ports make decisions at *round* granularity, in [`crate::port`]'s
+//! one round: at round time `t` the port admits everything that has
+//! arrived by `t` — one [`ScheduleTree::enqueue`] per packet, at its own
+//! arrival instant — then commits up to `burst` packets, one
+//! [`ScheduleTree::dequeue`] each, all decided at `t` and transmitted
+//! back-to-back. This is the paper's one mechanism — push in by rank,
+//! pop from the head, one packet per operation (§4.2–§4.3) — and the
+//! only path a round takes; the switch adds gauges and path records.
 //! [`Switch::run`]'s worker count chooses only how many threads run
 //! rounds (see the threading model below).
 //!
@@ -85,7 +86,7 @@
 //! and runs on the caller's thread. Trees must share state only through
 //! their pool: anything else two of them share is seen in thread order.
 
-use crate::port::Departure;
+use crate::port::{Departure, PortSim};
 use pifo_core::prelude::*;
 
 /// Maps a packet to the egress port that must transmit it — the shared
@@ -465,13 +466,11 @@ impl Switch {
         }
 
         let telemetry = self.telemetry;
-        let mut sims: Vec<PortSim> = per_port
+        let mut sims: Vec<SwitchPort> = per_port
             .into_iter()
             .zip(&self.ports)
             .enumerate()
-            .map(|(i, (pending, tree))| {
-                PortSim::new(arrivals, pending, tree, self.burst, i, telemetry)
-            })
+            .map(|(i, (pending, tree))| SwitchPort::new(arrivals, pending, tree, i, telemetry))
             .collect();
 
         let workers = match workers {
@@ -481,7 +480,7 @@ impl Switch {
         self.drain(&mut sims, workers);
 
         SwitchRun {
-            ports: sims.into_iter().map(PortSim::into_trace).collect(),
+            ports: sims.into_iter().map(SwitchPort::into_trace).collect(),
             misrouted,
         }
     }
@@ -514,7 +513,7 @@ impl Switch {
 
     /// Drain every port on up to `workers` threads, one pool per group,
     /// as the module docs' threading model describes.
-    fn drain(&mut self, sims: &mut [PortSim], workers: usize) {
+    fn drain(&mut self, sims: &mut [SwitchPort], workers: usize) {
         let mut pools: Vec<&SharedPacketPool> = Vec::new();
         let group: Vec<usize> = self
             .ports
@@ -531,7 +530,7 @@ impl Switch {
             })
             .collect();
         let workers = workers.clamp(1, pools.len());
-        let mut shards: Vec<Vec<(&mut PortSim, &mut ScheduleTree)>> =
+        let mut shards: Vec<Vec<(&mut SwitchPort, &mut ScheduleTree)>> =
             (0..workers).map(|_| Vec::new()).collect();
         for ((sim, tree), g) in sims.iter_mut().zip(&mut self.ports).zip(group) {
             shards[g % workers].push((sim, tree));
@@ -552,42 +551,28 @@ impl Switch {
 /// port whose next scheduling round is earliest, ties to the one listed
 /// first (the lowest port index).
 fn drain_in_time_order(
-    mut ports: Vec<(&mut PortSim, &mut ScheduleTree)>,
+    mut ports: Vec<(&mut SwitchPort, &mut ScheduleTree)>,
     rate_bps: u64,
     horizon: Nanos,
     burst: usize,
 ) {
     loop {
         let mut best: Option<(usize, Nanos)> = None;
-        for (i, (s, _)) in ports.iter().enumerate() {
-            if !s.done && best.map_or(true, |(_, t)| s.t < t) {
-                best = Some((i, s.t));
+        for (i, (p, _)) in ports.iter().enumerate() {
+            if !p.sim.done && best.map_or(true, |(_, t)| p.sim.t < t) {
+                best = Some((i, p.sim.t));
             }
         }
         let Some((i, _)) = best else { break };
-        let (sim, tree) = &mut ports[i];
-        sim.step_round(tree, rate_bps, horizon, burst);
+        let (port, tree) = &mut ports[i];
+        port.step(tree, rate_bps, horizon, burst);
     }
 }
 
-/// One port's progress through [`Switch::run`]: its pending classified
-/// arrivals, the time its next scheduling round is decided at, and the
-/// trace accumulated so far. The tree itself stays in `Switch::ports`
-/// (borrowed per round) so shared-pool borrows never overlap.
-struct PortSim<'a> {
-    /// The run's whole arrival stream, borrowed. A packet is cloned
-    /// exactly once, where it is handed to the tree.
-    arrivals: &'a [Packet],
-    /// This port's share of `arrivals`, as indices in arrival order;
-    /// `pending[next..]` has not been enqueued yet.
-    pending: Vec<u32>,
-    next: usize,
-    /// Decision time of the next scheduling round.
-    t: Nanos,
-    done: bool,
-    trace: PortTrace,
-    /// Reused across rounds so the steady state allocates nothing.
-    round: Vec<Packet>,
+/// One port of [`Switch::run`]: the shared round plus the tree-only
+/// work around it, gauge samples and path records.
+struct SwitchPort<'a> {
+    sim: PortSim<'a>,
     /// Scheduling rounds executed so far (drives gauge sampling; counts
     /// the same way on any worker, so sample instants agree).
     rounds: u64,
@@ -603,40 +588,23 @@ struct PortGauges {
     inversions: GaugeSeries,
 }
 
-impl<'a> PortSim<'a> {
+impl<'a> SwitchPort<'a> {
     fn new(
         arrivals: &'a [Packet],
         pending: Vec<u32>,
         tree: &ScheduleTree,
-        burst: usize,
         port: usize,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
-        let (t, done) = match pending.first() {
-            Some(&i) => (arrivals[i as usize].arrival, false),
-            None if tree.is_empty() && tree.shaped_len() == 0 => (Nanos::ZERO, true),
-            None => (Nanos::ZERO, false),
-        };
-        // Sized once: a port departs at most what arrives for it (plus
-        // whatever its tree already held, which grows the trace as usual).
         let expect = pending.len();
-        let trace = PortTrace {
-            departures: Vec::with_capacity(expect),
-            paths: if tree.path_records_enabled() {
-                PathLog::with_capacity(expect, expect)
-            } else {
-                PathLog::new()
-            },
-            ..PortTrace::default()
-        };
-        PortSim {
-            arrivals,
-            pending,
-            next: 0,
-            t,
-            done,
-            trace,
-            round: Vec::with_capacity(burst),
+        let idle = pending.is_empty() && tree.is_empty() && tree.shaped_len() == 0;
+        let mut sim = PortSim::new(arrivals, Some(pending));
+        sim.done = idle;
+        if tree.path_records_enabled() {
+            sim.trace.paths = PathLog::with_capacity(expect, expect);
+        }
+        SwitchPort {
+            sim,
             rounds: 0,
             gauges: telemetry.map(|c| PortGauges {
                 every: c.sample_every.max(1),
@@ -647,15 +615,9 @@ impl<'a> PortSim<'a> {
         }
     }
 
-    /// The next packet this port has yet to enqueue.
-    fn head(&self) -> Option<&'a Packet> {
-        let &i = self.pending.get(self.next)?;
-        Some(&self.arrivals[i as usize])
-    }
-
     /// The finished trace, with the sampled gauge series moved into it.
     fn into_trace(self) -> PortTrace {
-        let mut trace = self.trace;
+        let mut trace = self.sim.trace;
         if let Some(g) = self.gauges {
             trace.gauges = vec![g.depth, g.occupancy];
             if !g.inversions.points.is_empty() {
@@ -665,75 +627,26 @@ impl<'a> PortSim<'a> {
         trace
     }
 
-    /// Execute one scheduling round at `self.t`: admit everything
-    /// arrived by then (each packet at its own arrival instant), commit
-    /// up to `burst` packets decided at `t`, transmit back-to-back; when
-    /// idle, hop to the next arrival or shaping release, or finish.
-    fn step_round(&mut self, tree: &mut ScheduleTree, rate_bps: u64, horizon: Nanos, burst: usize) {
-        if self.t >= horizon {
-            self.done = true;
+    /// Run one round on `tree`, then sample and absorb its telemetry.
+    fn step(&mut self, tree: &mut ScheduleTree, rate_bps: u64, horizon: Nanos, burst: usize) {
+        let t = self.sim.t;
+        if !self.sim.step_round(tree, rate_bps, horizon, burst) {
             return;
         }
-        while let Some(p) = self.head().filter(|p| p.arrival <= self.t) {
-            self.next += 1;
-            if tree.enqueue(p.clone(), p.arrival).is_err() {
-                self.trace.drops += 1;
-            }
-        }
-
-        // One scheduling round, decided at `t`.
-        self.round.clear();
-        for _ in 0..burst {
-            match tree.dequeue(self.t) {
-                Some(p) => self.round.push(p),
-                None => break,
-            }
-        }
-
-        // Gauge sampling happens at a fixed point in the round — after
-        // the dequeue decisions, before transmit — so the sampled values
-        // and instants are identical whatever the worker count.
+        // Sampled after the round: transmission leaves the tree alone,
+        // so the values are those at the decision instant `t`, whatever
+        // the worker count.
         self.rounds += 1;
         if let Some(g) = &mut self.gauges {
             if self.rounds % g.every == 0 {
-                g.depth.push(self.t, tree.len() as u64);
-                g.occupancy.push(self.t, tree.packet_buffer().live() as u64);
+                g.depth.push(t, tree.len() as u64);
+                g.occupancy.push(t, tree.packet_buffer().live() as u64);
                 if let Some(s) = tree.inversion_stats() {
-                    g.inversions.push(self.t, s.inversions);
+                    g.inversions.push(t, s.inversions);
                 }
             }
         }
-
-        if self.round.is_empty() {
-            // Idle: hop to the next arrival or shaping release. The
-            // round already released everything due at `t`, so any
-            // pending shaping event is strictly in the future.
-            let next_arrival = self.head().map(|p| p.arrival);
-            let next_ready = tree.next_shaping_event();
-            let next = match (next_arrival, next_ready) {
-                (Some(a), Some(r)) => a.min(r),
-                (Some(a), None) => a,
-                (None, Some(r)) => r,
-                (None, None) => {
-                    self.done = true; // drained for good
-                    return;
-                }
-            };
-            self.t = next.max(Nanos(self.t.as_nanos() + 1));
-        } else {
-            // Transmit the round back-to-back at line rate.
-            for p in self.round.drain(..) {
-                let finish = self.t + tx_time(p.length as u64, rate_bps);
-                self.trace.departures.push(Departure {
-                    wait: self.t.saturating_sub(p.arrival),
-                    start: self.t,
-                    finish,
-                    packet: p,
-                });
-                self.t = finish;
-            }
-            self.trace.absorb_paths(tree);
-        }
+        self.sim.trace.absorb_paths(tree);
     }
 }
 

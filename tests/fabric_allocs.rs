@@ -1,12 +1,14 @@
-//! `Switch::run` and `LosslessFabric::run` allocate per run, not per
-//! packet or per scheduling round: the classifier demuxes by index, each
-//! port's departure trace is sized once or grows by doubling, round
-//! buffers are drained in place, and path records are appended into logs
-//! that are reused. This test counts allocator calls over two run sizes
-//! and fails when their number scales with the packet count — the shape
-//! of regression (a `mem::take` per round, a packet clone per demux)
-//! that otherwise only shows up as `alloc.count_per_pkt` /
-//! `alloc.bytes_per_pkt` in a traced benchmark run.
+//! `Switch::run`, `LosslessFabric::run` and `run_port` allocate per run,
+//! not per packet or per scheduling round: the classifier demuxes by
+//! index (and `run_port`, whose stream is all one port's, builds no index
+//! list), each port's departure trace is sized once or grows by doubling,
+//! a round transmits each packet as it leaves its tree, and path records
+//! are appended into logs that are reused. This test counts allocator
+//! calls over two run sizes and fails when their number scales with the
+//! packet count — the shape of regression (a `mem::take` per round, a
+//! packet clone per demux) that otherwise only shows up as
+//! `alloc.count_per_pkt` / `alloc.bytes_per_pkt` in a traced benchmark
+//! run.
 //!
 //! An integration test is its own binary, so it can install its own
 //! `#[global_allocator]`. There is exactly one `#[test]` here: the
@@ -149,6 +151,24 @@ fn measure_lossless(n: u64) -> u64 {
     CALLS.load(Relaxed)
 }
 
+/// Allocator calls and bytes requested during one `run_port` of the
+/// whole stream through one single-node STFQ tree at four ports' line
+/// rate: a 200 ns service time against one packet per 250 ns.
+fn measure_port(n: u64) -> (u64, u64) {
+    let arr = arrivals(n);
+    let mut b = TreeBuilder::new();
+    let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+    let mut sched = TreeScheduler::new("stfq", b.build(Box::new(move |_| root)).expect("tree"));
+    let cfg = PortConfig::new(PORTS as u64 * RATE_BPS);
+    CALLS.store(0, Relaxed);
+    BYTES.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let departures = run_port(&arr, &mut sched, &cfg);
+    COUNTING.store(false, Relaxed);
+    assert_eq!(departures.len() as u64, n, "nothing dropped");
+    (CALLS.load(Relaxed), BYTES.load(Relaxed))
+}
+
 /// Allocator calls and bytes requested during one `Switch::run`.
 fn measure(n: u64, workers: usize, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
     let arr = arrivals(n);
@@ -198,6 +218,24 @@ fn run_allocations_do_not_scale_with_packets() {
             }
         }
     }
+
+    // The one-port loop: the same allocations at any length, and each
+    // extra packet costs exactly its `Departure` (a per-arrival index
+    // list would add four bytes).
+    let (small_calls, small_bytes) = measure_port(N);
+    let (big_calls, big_bytes) = measure_port(4 * N);
+    assert!(
+        big_calls.saturating_sub(small_calls) < 64,
+        "[run_port] {small_calls} allocations for {N} packets, {big_calls} for {}: \
+         something allocates per packet or per round",
+        4 * N
+    );
+    let per_pkt = big_bytes.saturating_sub(small_bytes) / (3 * N);
+    let bound = std::mem::size_of::<Departure>() as u64;
+    assert!(
+        per_pkt <= bound,
+        "[run_port] {per_pkt} B allocated per extra packet, expected at most {bound}"
+    );
 
     // The lossless fabric's own event loop, on a busy stream that never
     // pauses: its scheduling rounds must reuse their buffers too.
