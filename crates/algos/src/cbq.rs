@@ -54,58 +54,29 @@ pub struct CbqClass {
     pub flows: Vec<(FlowId, u64)>,
 }
 
-/// Build a CBQ tree from class descriptions with the default PIFO
-/// backend. Returns the tree and the flow→leaf map.
+/// The CBQ tree for `classes`: a [`ClassPriority`] root over one STFQ
+/// leaf per class, the flow→leaf [`Classifier`] (unlisted flows go to
+/// [`NodeId::INVALID`]), and the flow→leaf map. The caller picks the
+/// engine and the back-end.
 ///
 /// # Panics
 ///
 /// Panics if `classes` is empty or a flow appears in two classes.
-pub fn build_cbq(classes: &[CbqClass]) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-    build_cbq_with_backend(classes, PifoBackend::default())
-}
-
-/// [`build_cbq`] with every node's PIFOs backed by the given engine.
-pub fn build_cbq_with_backend(
-    classes: &[CbqClass],
-    backend: PifoBackend,
-) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-    let (b, classifier, map) = cbq_builder_parts(classes, backend);
-    let tree = b.build(classifier).expect("valid CBQ tree");
-    (tree, map)
-}
-
-/// [`build_cbq`] buffering in one port of a fabric-wide shared packet
-/// pool (§5.1) instead of a private slab: admission is decided by the
-/// pool's capacity and [`AdmissionPolicy`].
-pub fn build_cbq_in_pool(
-    classes: &[CbqClass],
-    backend: PifoBackend,
-    pool: PoolHandle,
-) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-    let (b, classifier, map) = cbq_builder_parts(classes, backend);
-    let tree = b.build_in_pool(classifier, pool).expect("valid CBQ tree");
-    (tree, map)
-}
-
-fn cbq_builder_parts(
-    classes: &[CbqClass],
-    backend: PifoBackend,
-) -> (TreeBuilder, Classifier, HashMap<FlowId, NodeId>) {
+pub fn cbq_tree(classes: &[CbqClass]) -> (TreeBuilder, Classifier, HashMap<FlowId, NodeId>) {
     assert!(!classes.is_empty(), "CBQ needs at least one class");
     let mut prio_of_child = HashMap::new();
-    let mut leaf_of: HashMap<FlowId, NodeId> = HashMap::new();
+    let mut map: HashMap<FlowId, NodeId> = HashMap::new();
     for (i, class) in classes.iter().enumerate() {
         // Root = node 0; class i = node i+1 (dense preorder assignment).
         let child = NodeId::from_index(i + 1);
         prio_of_child.insert(child.as_flow(), class.priority);
         for (f, _) in &class.flows {
-            let prev = leaf_of.insert(*f, child);
+            let prev = map.insert(*f, child);
             assert!(prev.is_none(), "flow {f} appears in two CBQ classes");
         }
     }
 
     let mut b = TreeBuilder::new();
-    b.with_backend(backend);
     let root = b.add_root("CBQ_Root", Box::new(ClassPriority::new(prio_of_child)));
     for class in classes {
         let table = WeightTable::from_pairs(class.flows.iter().copied());
@@ -114,7 +85,6 @@ fn cbq_builder_parts(
 
     // The caller gets the map; the classifier, which probes once per
     // packet, captures it re-keyed as a `FlowMap`.
-    let map = leaf_of;
     let leaf_of: FlowMap<NodeId> = map.iter().map(|(&f, &n)| (f, n)).collect();
     let classifier: Classifier =
         Box::new(move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID));
@@ -124,6 +94,11 @@ fn cbq_builder_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn build(classes: &[CbqClass]) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
+        let (b, classifier, map) = cbq_tree(classes);
+        (b.build(classifier).expect("valid CBQ tree"), map)
+    }
 
     fn classes() -> Vec<CbqClass> {
         vec![
@@ -142,7 +117,7 @@ mod tests {
 
     #[test]
     fn higher_priority_class_drains_first() {
-        let (mut tree, _) = build_cbq(&classes());
+        let (mut tree, _) = build(&classes());
         // Bulk backlog first, then a voice packet arrives late.
         for i in 0..5 {
             tree.enqueue(Packet::new(i, FlowId(1), 1_000, Nanos(i)), Nanos(i))
@@ -156,7 +131,7 @@ mod tests {
 
     #[test]
     fn within_class_fair_queueing() {
-        let (mut tree, _) = build_cbq(&classes());
+        let (mut tree, _) = build(&classes());
         let mut id = 0;
         for _ in 0..40 {
             for f in [1u32, 2u32] {
@@ -179,7 +154,7 @@ mod tests {
 
     #[test]
     fn structure_and_leaf_map() {
-        let (tree, leaf_of) = build_cbq(&classes());
+        let (tree, leaf_of) = build(&classes());
         assert_eq!(tree.node_count(), 3);
         assert_eq!(tree.node_name(tree.root()), "CBQ_Root");
         assert_eq!(leaf_of[&FlowId(1)], leaf_of[&FlowId(2)]);
@@ -191,6 +166,6 @@ mod tests {
     fn duplicate_flow_rejected() {
         let mut cs = classes();
         cs[1].flows.push((FlowId(0), 1));
-        let _ = build_cbq(&cs);
+        let _ = cbq_tree(&cs);
     }
 }

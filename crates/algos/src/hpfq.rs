@@ -7,7 +7,8 @@
 //! WFQ among their flows.
 //!
 //! [`Hierarchy`] is a declarative description of such a tree;
-//! [`Hierarchy::build`] turns it into a runnable [`ScheduleTree`]. The
+//! [`Hierarchy::tree`] turns it into the [`TreeBuilder`] description that
+//! builds a runnable [`ScheduleTree`] or compiles onto the mesh. The
 //! paper's headline configuration — a 5-level hierarchy with programmable
 //! scheduling at each level (§1) — is a five-deep [`Hierarchy`].
 
@@ -62,144 +63,76 @@ impl Hierarchy {
         }
     }
 
-    /// Build the runnable tree with the default PIFO backend. Every flow
-    /// must appear in exactly one leaf; packets from unknown flows are
-    /// rejected at `enqueue`.
+    /// The tree this hierarchy describes: a [`TreeBuilder`] running STFQ
+    /// at every node, the flow→leaf [`Classifier`], and the flow→leaf
+    /// map (useful for tests and for wiring shapers onto specific
+    /// classes afterwards). The caller picks the engine
+    /// ([`TreeBuilder::with_backend`]) and the back-end: `build`,
+    /// `build_in_pool`, or `pifo-compiler`'s mesh.
     ///
-    /// Returns the tree and the flow→leaf map (useful for tests and for
-    /// wiring shapers onto specific classes by name afterwards).
-    pub fn build(&self) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-        self.build_with_backend(PifoBackend::default())
-    }
-
-    /// [`build`](Self::build), with every node's PIFOs backed by the given
-    /// queue engine.
-    pub fn build_with_backend(
-        &self,
-        backend: PifoBackend,
-    ) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-        let (b, classifier, map) = self.builder_parts(backend);
-        let tree = b
-            .build(classifier)
-            .expect("hierarchy produces a valid tree");
-        (tree, map)
-    }
-
-    /// [`build_with_backend`](Self::build_with_backend), buffering in one
-    /// port of a fabric-wide shared packet pool (§5.1) instead of a
-    /// private slab: admission is decided by the pool's capacity and
-    /// [`AdmissionPolicy`], shared with
-    /// every other tree built into the same pool.
-    pub fn build_in_pool(
-        &self,
-        backend: PifoBackend,
-        pool: PoolHandle,
-    ) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-        let (b, classifier, map) = self.builder_parts(backend);
-        let tree = b
-            .build_in_pool(classifier, pool)
-            .expect("hierarchy produces a valid tree");
-        (tree, map)
-    }
-
-    /// The common construction: a populated builder, the flow→leaf
-    /// classifier, and the flow→leaf map.
-    fn builder_parts(
-        &self,
-        backend: PifoBackend,
-    ) -> (TreeBuilder, Classifier, HashMap<FlowId, NodeId>) {
-        let mut b = TreeBuilder::new();
-        b.with_backend(backend);
-        let mut leaf_of: HashMap<FlowId, NodeId> = HashMap::new();
-
-        // Recursive construction. The parent's STFQ weight table is keyed
-        // by child NodeId-as-flow, so children register their weights with
-        // the parent *after* getting their ids — we therefore construct
-        // each node's transaction with the weights of its children, which
-        // requires ids before transactions. Trick: ids are assigned
-        // densely in add order, so do a first pass assigning ids, then a
-        // second pass creating nodes. Simpler: build child subtrees first
-        // into a flat spec list. Here we exploit determinism: create the
-        // node with an empty weight table, collect (child_id, weight), and
-        // since `TreeBuilder` owns the transaction we pre-compute weights
-        // by a dry-run id assignment.
-        //
-        // Dry run: compute the id each node will get (preorder).
-        fn assign_ids(h: &Hierarchy, next: &mut u32, out: &mut Vec<u32>) {
-            let my = *next;
-            *next += 1;
-            out.push(my);
-            if let Hierarchy::Class { children, .. } = h {
-                for (_, c) in children {
-                    assign_ids(c, next, out);
+    /// Every flow must appear in exactly one leaf; the classifier sends
+    /// other flows to [`NodeId::INVALID`], which both back-ends reject at
+    /// enqueue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flow appears in two leaves.
+    pub fn tree(&self) -> (TreeBuilder, Classifier, HashMap<FlowId, NodeId>) {
+        // Ids are dense preorder, so a parent knows each child's id (its
+        // flow id at the parent) before the child exists.
+        fn size(h: &Hierarchy) -> u32 {
+            match h {
+                Hierarchy::Leaf { .. } => 1,
+                Hierarchy::Class { children, .. } => {
+                    1 + children.iter().map(|(_, c)| size(c)).sum::<u32>()
                 }
             }
         }
-        let mut ids = Vec::new();
-        let mut next = 0;
-        assign_ids(self, &mut next, &mut ids);
-
-        // Real construction pass.
-        fn build_node(
+        fn add(
             h: &Hierarchy,
             parent: Option<NodeId>,
             b: &mut TreeBuilder,
-            next: &mut u32,
             leaf_of: &mut HashMap<FlowId, NodeId>,
-        ) -> NodeId {
-            let my_id = *next;
-            *next += 1;
-            match h {
+        ) {
+            let (name, table) = match h {
                 Hierarchy::Leaf { name, flows } => {
-                    let table = WeightTable::from_pairs(flows.iter().copied());
-                    let tx = Box::new(Stfq::new(table));
-                    let id = match parent {
-                        None => b.add_root(name, tx),
-                        Some(p) => b.add_child(p, name, tx),
-                    };
-                    debug_assert_eq!(id.index() as u32, my_id);
-                    for (f, _) in flows {
-                        let prev = leaf_of.insert(*f, id);
-                        assert!(prev.is_none(), "flow {f} appears in two leaves");
-                    }
-                    id
+                    (name, WeightTable::from_pairs(flows.iter().copied()))
                 }
                 Hierarchy::Class { name, children } => {
-                    // Children ids follow in preorder; compute each child's
-                    // subtree size to know its id before building it.
-                    fn size(h: &Hierarchy) -> u32 {
-                        match h {
-                            Hierarchy::Leaf { .. } => 1,
-                            Hierarchy::Class { children, .. } => {
-                                1 + children.iter().map(|(_, c)| size(c)).sum::<u32>()
-                            }
-                        }
-                    }
                     let mut table = WeightTable::new();
-                    let mut child_id = my_id + 1;
+                    let mut child_id = b.nodes().len() as u32 + 1;
                     for (w, c) in children {
                         table.set(FlowId(child_id), *w);
                         child_id += size(c);
                     }
-                    let tx = Box::new(Stfq::new(table));
-                    let id = match parent {
-                        None => b.add_root(name, tx),
-                        Some(p) => b.add_child(p, name, tx),
-                    };
-                    debug_assert_eq!(id.index() as u32, my_id);
-                    for (_, c) in children {
-                        build_node(c, Some(id), b, next, leaf_of);
+                    (name, table)
+                }
+            };
+            let tx = Box::new(Stfq::new(table));
+            let id = match parent {
+                None => b.add_root(name, tx),
+                Some(p) => b.add_child(p, name, tx),
+            };
+            match h {
+                Hierarchy::Leaf { flows, .. } => {
+                    for (f, _) in flows {
+                        let prev = leaf_of.insert(*f, id);
+                        assert!(prev.is_none(), "flow {f} appears in two leaves");
                     }
-                    id
+                }
+                Hierarchy::Class { children, .. } => {
+                    for (_, c) in children {
+                        add(c, Some(id), b, leaf_of);
+                    }
                 }
             }
         }
-        let mut next = 0;
-        build_node(self, None, &mut b, &mut next, &mut leaf_of);
+        let mut b = TreeBuilder::new();
+        let mut map = HashMap::new();
+        add(self, None, &mut b, &mut map);
 
         // The caller gets the map; the classifier, which probes once
         // per packet, captures it re-keyed as a `FlowMap`.
-        let map = leaf_of;
         let leaf_of: FlowMap<NodeId> = map.iter().map(|(&f, &n)| (f, n)).collect();
         let classifier: Classifier =
             Box::new(move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID));
@@ -209,26 +142,9 @@ impl Hierarchy {
 
 /// The exact HPFQ example of Fig 3: Root splits 1:9 between Left and
 /// Right; Left splits 3:7 between flows A and B; Right splits 4:6 between
-/// C and D. Flow ids: A=0, B=1, C=2, D=3.
-pub fn fig3_hpfq() -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-    fig3_hpfq_with_backend(PifoBackend::default())
-}
-
-/// [`fig3_hpfq`] with every node's PIFOs backed by the given engine.
-pub fn fig3_hpfq_with_backend(backend: PifoBackend) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-    fig3_hierarchy().build_with_backend(backend)
-}
-
-/// [`fig3_hpfq`] buffering in one port of a fabric-wide shared packet
-/// pool (see [`Hierarchy::build_in_pool`]).
-pub fn fig3_hpfq_in_pool(
-    backend: PifoBackend,
-    pool: PoolHandle,
-) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
-    fig3_hierarchy().build_in_pool(backend, pool)
-}
-
-fn fig3_hierarchy() -> Hierarchy {
+/// C and D. Flow ids: A=0, B=1, C=2, D=3. Fig 4 is this tree with a
+/// shaper set on `WFQ_Right` (the leaf of flow C).
+pub fn fig3_hpfq() -> (TreeBuilder, Classifier, HashMap<FlowId, NodeId>) {
     Hierarchy::class(
         "WFQ_Root",
         vec![
@@ -242,15 +158,22 @@ fn fig3_hierarchy() -> Hierarchy {
             ),
         ],
     )
+    .tree()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn build(
+        (b, classifier, map): (TreeBuilder, Classifier, HashMap<FlowId, NodeId>),
+    ) -> (ScheduleTree, HashMap<FlowId, NodeId>) {
+        (b.build(classifier).expect("valid tree"), map)
+    }
+
     #[test]
     fn fig3_structure() {
-        let (tree, leaf_of) = fig3_hpfq();
+        let (tree, leaf_of) = build(fig3_hpfq());
         assert_eq!(tree.node_count(), 3);
         let root = tree.root();
         assert_eq!(tree.children(root).len(), 2);
@@ -267,7 +190,7 @@ mod tests {
 
     #[test]
     fn depth_counts_levels() {
-        let (t, _) = fig3_hpfq();
+        let (t, _) = build(fig3_hpfq());
         assert_eq!(t.node_count(), 3);
         let h = Hierarchy::class(
             "a",
@@ -309,7 +232,7 @@ mod tests {
             ],
         );
         assert_eq!(h.depth(), 5);
-        let (mut tree, _) = h.build();
+        let (mut tree, _) = build(h.tree());
         for i in 0..30 {
             tree.enqueue(
                 Packet::new(i, FlowId((i % 3) as u32), 1_000, Nanos(i)),
@@ -334,7 +257,7 @@ mod tests {
                 (1, Hierarchy::leaf("y", vec![(FlowId(0), 1)])),
             ],
         );
-        let _ = h.build();
+        let _ = h.tree();
     }
 
     /// Two hierarchies built into one shared pool compete for the same
@@ -344,8 +267,13 @@ mod tests {
     fn hierarchies_in_one_pool_share_admission() {
         use pifo_core::pool::{AdmissionPolicy, SharedPacketPool};
         let pool = SharedPacketPool::new(4, AdmissionPolicy::Unlimited).into_shared();
-        let (mut a, _) = fig3_hpfq_in_pool(PifoBackend::default(), pool.register_port());
-        let (mut b, _) = fig3_hpfq_in_pool(PifoBackend::Bucket, pool.register_port());
+        let in_pool = |backend| {
+            let (mut b, classifier, _) = fig3_hpfq();
+            b.with_backend(backend);
+            b.build_in_pool(classifier, pool.register_port()).unwrap()
+        };
+        let mut a = in_pool(PifoBackend::default());
+        let mut b = in_pool(PifoBackend::Bucket);
         for i in 0..4 {
             a.enqueue(
                 Packet::new(i, FlowId((i % 4) as u32), 1_000, Nanos(i)),
@@ -368,7 +296,7 @@ mod tests {
 
     #[test]
     fn unknown_flow_rejected_at_enqueue() {
-        let (mut tree, _) = fig3_hpfq();
+        let (mut tree, _) = build(fig3_hpfq());
         let err = tree
             .enqueue(Packet::new(0, FlowId(55), 100, Nanos(0)), Nanos(0))
             .unwrap_err();
@@ -379,7 +307,7 @@ mod tests {
     /// leaf-level 4:6 within a window.
     #[test]
     fn two_level_shares_roughly_hold_by_count() {
-        let (mut tree, _) = fig3_hpfq();
+        let (mut tree, _) = build(fig3_hpfq());
         // Backlog all four flows with equal-size packets.
         let mut id = 0;
         for _ in 0..100 {

@@ -10,11 +10,18 @@
 //! | Token Bucket Filter | Fig 4c | [`tbf::TokenBucketFilter`] |
 //! | LSTF | Fig 6 | [`lstf::Lstf`] |
 //! | Stop-and-Go | Fig 7 | [`stop_and_go::StopAndGo`] |
-//! | Min-rate guarantees | Fig 8 | [`min_rate::MinRateGuarantee`], [`min_rate::build_min_rate_tree`] |
+//! | Min-rate guarantees | Fig 8 | [`min_rate::MinRateGuarantee`], [`min_rate::min_rate_tree`] |
 //! | FIFO, strict priority, SJF, SRPT, LAS, EDF | §3.4 | [`prio`] |
 //! | SC-EDF | §3.4 | [`sced::ScEdf`] |
 //! | RCSD (Jitter-EDD, HRR) | §3.4 | [`rcsd`] |
-//! | CBQ | §3.4 | [`cbq::build_cbq`] |
+//! | CBQ | §3.4 | [`cbq::cbq_tree`] |
+//!
+//! The four tree constructors ([`Hierarchy::tree`], [`fig3_hpfq`],
+//! [`cbq_tree`], [`min_rate_tree`]) return a description — a
+//! [`TreeBuilder`](pifo_core::tree::TreeBuilder) and its classifier —
+//! and leave the engine and the back-end to the caller: `build` or
+//! `build_in_pool` for a software tree, `pifo-compiler`'s `compile` for
+//! the hardware mesh.
 
 #![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -32,13 +39,10 @@ pub mod stop_and_go;
 pub mod tbf;
 pub mod weights;
 
-pub use cbq::{build_cbq, build_cbq_in_pool, build_cbq_with_backend, CbqClass, ClassPriority};
-pub use hpfq::{fig3_hpfq, fig3_hpfq_in_pool, fig3_hpfq_with_backend, Hierarchy};
+pub use cbq::{cbq_tree, CbqClass, ClassPriority};
+pub use hpfq::{fig3_hpfq, Hierarchy};
 pub use lstf::{charge_wait, Lstf};
-pub use min_rate::{
-    build_min_rate_tree, build_min_rate_tree_in_pool, build_min_rate_tree_with_backend,
-    MinRateGuarantee,
-};
+pub use min_rate::{min_rate_tree, MinRateGuarantee};
 pub use prio::{Edf, Fifo, Las, Sjf, Srpt, StrictPriority};
 pub use rcsd::{HierarchicalRoundRobin, JitterEdd};
 pub use sced::{CurveSegment, ScEdf, ServiceCurve};

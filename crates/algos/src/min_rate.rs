@@ -21,7 +21,7 @@
 //! §3.3 explains why collapsing this into a single PIFO is wrong: rank
 //! changes would reorder packets *within* a flow. The two-level tree
 //! attaches the priority to the flow's next transmission opportunity
-//! instead; [`build_min_rate_tree`] constructs it. The single-level
+//! instead; [`min_rate_tree`] describes it. The single-level
 //! (incorrect) variant is exposed as [`MinRateGuarantee`] applied directly
 //! so the reordering pathology can be demonstrated (see `repro minrate`).
 
@@ -105,62 +105,21 @@ impl SchedulingTransaction for MinRateGuarantee {
     }
 }
 
-/// Build the correct two-level min-rate tree of §3.3: one FIFO leaf per
-/// flow, the Fig 8 transaction at the root. The classifier maps each
-/// listed flow to its leaf; packets from unlisted flows are rejected by
-/// `enqueue` with [`TreeError::UnknownNode`].
+/// The correct two-level min-rate tree of §3.3: one FIFO leaf per flow,
+/// the Fig 8 transaction at the root, and the classifier mapping each
+/// listed flow to its leaf. Packets from unlisted flows go to
+/// [`NodeId::INVALID`], which both back-ends reject at enqueue. The
+/// caller picks the engine and the back-end.
 ///
 /// # Panics
 ///
 /// Panics if `flows` is empty.
-pub fn build_min_rate_tree(
+pub fn min_rate_tree(
     flows: &[(FlowId, u64)], // (flow, guaranteed rate in bits/s)
     burst_bytes: u64,
-) -> ScheduleTree {
-    build_min_rate_tree_with_backend(flows, burst_bytes, PifoBackend::default())
-}
-
-/// [`build_min_rate_tree`] with every node's PIFOs backed by the given
-/// engine.
-///
-/// # Panics
-///
-/// Panics if `flows` is empty.
-pub fn build_min_rate_tree_with_backend(
-    flows: &[(FlowId, u64)], // (flow, guaranteed rate in bits/s)
-    burst_bytes: u64,
-    backend: PifoBackend,
-) -> ScheduleTree {
-    let (b, classifier) = min_rate_builder_parts(flows, burst_bytes, backend);
-    b.build(classifier).expect("valid tree")
-}
-
-/// [`build_min_rate_tree`] buffering in one port of a fabric-wide shared
-/// packet pool (§5.1) instead of a private slab: admission is decided by
-/// the pool's capacity and
-/// [`AdmissionPolicy`].
-///
-/// # Panics
-///
-/// Panics if `flows` is empty.
-pub fn build_min_rate_tree_in_pool(
-    flows: &[(FlowId, u64)], // (flow, guaranteed rate in bits/s)
-    burst_bytes: u64,
-    backend: PifoBackend,
-    pool: PoolHandle,
-) -> ScheduleTree {
-    let (b, classifier) = min_rate_builder_parts(flows, burst_bytes, backend);
-    b.build_in_pool(classifier, pool).expect("valid tree")
-}
-
-fn min_rate_builder_parts(
-    flows: &[(FlowId, u64)],
-    burst_bytes: u64,
-    backend: PifoBackend,
 ) -> (TreeBuilder, Classifier) {
     assert!(!flows.is_empty(), "need at least one flow");
     let mut b = TreeBuilder::new();
-    b.with_backend(backend);
     let mut root_tx = MinRateGuarantee::new(0, burst_bytes);
 
     // The root sees child nodes as flows. Node ids are assigned densely
@@ -179,20 +138,19 @@ fn min_rate_builder_parts(
         debug_assert_eq!(leaf_of[flow], leaf);
     }
 
-    let classifier: Classifier = Box::new(move |p: &Packet| {
-        leaf_of
-            .get(&p.flow)
-            .copied()
-            // Route unknown flows to the sentinel node: enqueue reports
-            // UnknownNode instead of silently misclassifying.
-            .unwrap_or(NodeId::INVALID)
-    });
+    let classifier: Classifier =
+        Box::new(move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID));
     (b, classifier)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn build(flows: &[(FlowId, u64)], burst_bytes: u64) -> ScheduleTree {
+        let (b, classifier) = min_rate_tree(flows, burst_bytes);
+        b.build(classifier).expect("valid tree")
+    }
 
     #[test]
     fn under_rate_is_priority_zero() {
@@ -230,7 +188,7 @@ mod tests {
     #[test]
     fn two_level_tree_prioritises_under_min_flow() {
         // Flow 1 guaranteed a high rate (always under min); flow 2 hogs.
-        let mut tree = build_min_rate_tree(&[(FlowId(1), 80_000_000_000), (FlowId(2), 8)], 1_500);
+        let mut tree = build(&[(FlowId(1), 80_000_000_000), (FlowId(2), 8)], 1_500);
         // Hog floods first; guaranteed flow then sends one packet.
         for i in 0..5 {
             tree.enqueue(Packet::new(i, FlowId(2), 1_000, Nanos(i)), Nanos(i))
@@ -256,7 +214,7 @@ mod tests {
     fn two_level_tree_preserves_intra_flow_order() {
         // §3.3: the 2-level construction must never reorder a flow's own
         // packets, even as the flow crosses the min-rate boundary.
-        let mut tree = build_min_rate_tree(&[(FlowId(1), 8_000)], 1_500);
+        let mut tree = build(&[(FlowId(1), 8_000)], 1_500);
         for i in 0..20 {
             tree.enqueue(
                 Packet::new(i, FlowId(1), 1_000, Nanos(i)).with_seq_in_flow(i),
@@ -274,7 +232,7 @@ mod tests {
 
     #[test]
     fn unknown_flow_is_rejected_not_misrouted() {
-        let mut tree = build_min_rate_tree(&[(FlowId(1), 8_000)], 1_500);
+        let mut tree = build(&[(FlowId(1), 8_000)], 1_500);
         let err = tree
             .enqueue(Packet::new(0, FlowId(77), 100, Nanos(0)), Nanos(0))
             .unwrap_err();

@@ -18,7 +18,7 @@
 //! so CI can archive a per-PR perf trajectory. `--smoke` (or
 //! `BENCH_TREE_SMOKE=1`) skips the largest occupancy for fast CI runs.
 
-use pifo_algos::{fig3_hpfq_with_backend, Hierarchy, Stfq, TokenBucketFilter, WeightTable};
+use pifo_algos::{fig3_hpfq, Hierarchy, TokenBucketFilter};
 use pifo_core::prelude::*;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -41,9 +41,14 @@ impl Measurement {
     }
 }
 
+fn build(mut b: TreeBuilder, classifier: Classifier, backend: PifoBackend) -> ScheduleTree {
+    b.with_backend(backend);
+    b.build(classifier).expect("valid tree")
+}
+
 fn fig3(backend: PifoBackend) -> (ScheduleTree, u32) {
-    let (tree, _) = fig3_hpfq_with_backend(backend);
-    (tree, 4)
+    let (b, classifier, _) = fig3_hpfq();
+    (build(b, classifier, backend), 4)
 }
 
 fn wide_256(backend: PifoBackend) -> (ScheduleTree, u32) {
@@ -56,8 +61,8 @@ fn wide_256(backend: PifoBackend) -> (ScheduleTree, u32) {
             )
         })
         .collect();
-    let (tree, _) = Hierarchy::class("root", children).build_with_backend(backend);
-    (tree, LEAVES)
+    let (b, classifier, _) = Hierarchy::class("root", children).tree();
+    (build(b, classifier, backend), LEAVES)
 }
 
 /// Fig 3's hierarchy with an 8 Gb/s one-packet-burst token bucket on each
@@ -65,49 +70,14 @@ fn wide_256(backend: PifoBackend) -> (ScheduleTree, u32) {
 /// tokens, arrivals come every 10 ns), so suspended references accumulate
 /// and the release machinery carries real load.
 fn shaped_tbf(backend: PifoBackend) -> (ScheduleTree, u32) {
-    let mut b = TreeBuilder::new();
-    b.with_backend(backend);
-    // Child ids are assigned densely: left = n1, right = n2.
-    let root = b.add_root(
-        "WFQ_Root",
-        Box::new(Stfq::new(WeightTable::from_pairs([
-            (FlowId(1), 1),
-            (FlowId(2), 9),
-        ]))),
-    );
-    let left = b.add_child(
-        root,
-        "WFQ_Left",
-        Box::new(Stfq::new(WeightTable::from_pairs([
-            (FlowId(0), 3),
-            (FlowId(1), 7),
-        ]))),
-    );
-    let right = b.add_child(
-        root,
-        "WFQ_Right",
-        Box::new(Stfq::new(WeightTable::from_pairs([
-            (FlowId(2), 4),
-            (FlowId(3), 6),
-        ]))),
-    );
-    b.set_shaper(left, Box::new(TokenBucketFilter::new(8_000_000_000, 1_000)));
-    b.set_shaper(
-        right,
-        Box::new(TokenBucketFilter::new(8_000_000_000, 1_000)),
-    );
-    let tree = b
-        .build(Box::new(
-            move |p: &Packet| {
-                if p.flow.0 < 2 {
-                    left
-                } else {
-                    right
-                }
-            },
-        ))
-        .expect("valid shaped tree");
-    (tree, 4)
+    let (mut b, classifier, leaf_of) = fig3_hpfq();
+    for flow in [FlowId(0), FlowId(2)] {
+        b.set_shaper(
+            leaf_of[&flow],
+            Box::new(TokenBucketFilter::new(8_000_000_000, 1_000)),
+        );
+    }
+    (build(b, classifier, backend), 4)
 }
 
 /// Fill to `occupancy`, churn `churn` enqueue+dequeue pairs at that

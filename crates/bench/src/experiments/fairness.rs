@@ -4,8 +4,7 @@
 //! simulated 10 Gbit/s output port with deterministic CBR workloads.
 
 use pifo_algos::{
-    build_min_rate_tree_with_backend, fig3_hpfq_with_backend, MinRateGuarantee, Stfq,
-    TokenBucketFilter, WeightTable,
+    fig3_hpfq, min_rate_tree, MinRateGuarantee, Stfq, TokenBucketFilter, WeightTable,
 };
 use pifo_core::prelude::*;
 use pifo_sim::{
@@ -206,8 +205,9 @@ pub fn hpfq() -> String {
     let cfg = PortConfig::new(GBIT10).with_horizon(end);
 
     // HPFQ per Fig 3.
-    let (tree, _) = fig3_hpfq_with_backend(super::backend());
-    let mut hpfq = TreeScheduler::new("HPFQ", tree);
+    let (mut b, classifier, _) = fig3_hpfq();
+    b.with_backend(super::backend());
+    let mut hpfq = TreeScheduler::new("HPFQ", b.build(classifier).expect("valid tree"));
     let deps_h = run_port(&arrivals, &mut hpfq, &cfg);
 
     // Flat WFQ with the composite weights 3:7:36:54 (same static shares).
@@ -289,37 +289,14 @@ pub fn shaping() -> String {
     for offered in [20_000_000u64, 100_000_000, 1_000_000_000] {
         // Build the Fig 4 tree fresh per load level: Fig 3's hierarchy
         // with a TBF shaper attached to the Right class.
-        let mut b = super::tree_builder();
-        let root = b.add_root(
-            "WFQ_Root",
-            Box::new(Stfq::new(WeightTable::from_pairs([
-                (FlowId(1), 1), // child node ids: Left=1, Right=2
-                (FlowId(2), 9),
-            ]))),
+        let (mut b, classifier, leaf_of) = fig3_hpfq();
+        b.with_backend(super::backend());
+        b.set_shaper(
+            leaf_of[&FlowId(2)],
+            Box::new(TokenBucketFilter::new(10_000_000, 15_000)),
         );
-        let left = b.add_child(
-            root,
-            "WFQ_Left",
-            Box::new(Stfq::new(WeightTable::from_pairs([
-                (FlowId(0), 3),
-                (FlowId(1), 7),
-            ]))),
-        );
-        let right = b.add_child(
-            root,
-            "WFQ_Right",
-            Box::new(Stfq::new(WeightTable::from_pairs([
-                (FlowId(2), 4),
-                (FlowId(3), 6),
-            ]))),
-        );
-        b.set_shaper(right, Box::new(TokenBucketFilter::new(10_000_000, 15_000)));
         b.buffer_limit(200_000);
-        let tree = b
-            .build(Box::new(
-                move |p: &Packet| if p.flow.0 < 2 { left } else { right },
-            ))
-            .expect("valid tree");
+        let tree = b.build(classifier).expect("valid tree");
 
         // Left flows offer 5 Gb/s each; Right flows offer `offered`/2 each.
         let sources: Vec<Box<dyn TrafficSource>> = vec![
@@ -394,11 +371,9 @@ pub fn minrate() -> String {
     let cfg = PortConfig::new(link).with_horizon(end);
 
     // Correct 2-level tree (guarantee 2 Mb/s to flow 1, none to the hog).
-    let tree = build_min_rate_tree_with_backend(
-        &[(FlowId(1), 2_000_000), (FlowId(2), 1)],
-        3_000,
-        super::backend(),
-    );
+    let (mut b, classifier) = min_rate_tree(&[(FlowId(1), 2_000_000), (FlowId(2), 1)], 3_000);
+    b.with_backend(super::backend());
+    let tree = b.build(classifier).expect("valid tree");
     let mut twolevel = TreeScheduler::new("min-rate-2level", tree);
     let deps_2 = run_port(&arrivals, &mut twolevel, &cfg);
 

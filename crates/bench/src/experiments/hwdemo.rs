@@ -1,7 +1,7 @@
 //! F2 / F12 / X2 / X3: hardware-model demonstrations.
 
-use pifo_algos::Stfq;
-use pifo_compiler::{compile, instantiate, TreeSpec};
+use pifo_algos::Hierarchy;
+use pifo_compiler::{compile, layout};
 use pifo_core::prelude::*;
 use pifo_core::transaction::FnTransaction;
 use pifo_hw::{BlockConfig, LogicalPifoId, PifoBlock, PipelinedFlowScheduler};
@@ -177,23 +177,13 @@ pub fn conflicts() -> String {
     }
 
     let build = |overclock: Option<u64>| -> pifo_hw::Mesh {
-        let spec = TreeSpec::new(vec![
-            ("root", None, false),
-            ("shaped_leaf", Some(0), true),
-            ("busy_leaf", Some(0), false),
-        ]);
-        let layout = compile(&spec).expect("valid");
-        let sched: Vec<Box<dyn SchedulingTransaction>> = vec![fifo_tx(), fifo_tx(), fifo_tx()];
-        let shape: Vec<Option<Box<dyn ShapingTransaction>>> =
-            vec![None, Some(Box::new(Delay(10))), None];
-        let mesh = instantiate(
-            &layout,
-            sched,
-            shape,
-            Box::new(|p: &Packet| if p.flow.0 == 0 { 1usize } else { 2usize }),
-            BlockConfig::default(),
-            1,
-        );
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("root", fifo_tx());
+        let shaped = b.add_child(root, "shaped_leaf", fifo_tx());
+        let busy = b.add_child(root, "busy_leaf", fifo_tx());
+        b.set_shaper(shaped, Box::new(Delay(10)));
+        let classifier = Box::new(move |p: &Packet| if p.flow.0 == 0 { shaped } else { busy });
+        let mesh = compile(b, classifier, BlockConfig::default(), 1).expect("fits");
         match overclock {
             Some(k) => mesh.with_overclock_every(k),
             None => mesh,
@@ -243,33 +233,27 @@ pub fn conflicts() -> String {
     s
 }
 
+/// The §1 headline shape: a chain of five WFQ levels, `WFQ_L1` to
+/// `WFQ_L5`, each interior level seeing one child, the leaf scheduling
+/// flows `0..flows` at equal weight.
+pub(crate) fn five_levels(flows: u32) -> Hierarchy {
+    (1..5).rev().fold(
+        Hierarchy::leaf("WFQ_L5", (0..flows).map(|f| (FlowId(f), 1)).collect()),
+        |child, l| Hierarchy::class(&format!("WFQ_L{l}"), vec![(1, child)]),
+    )
+}
+
 /// X3 — the headline: a 5-level hierarchy, programmable at every level,
 /// running on a 5-block mesh at Trident scale.
 pub fn fivelevel() -> String {
-    let spec = TreeSpec::linear(5);
-    let layout = compile(&spec).expect("valid");
-    let n = layout.placements.len();
-
-    // STFQ at every level. Interior nodes see one child (linear chain);
-    // the leaf schedules 1 000 flows.
-    let sched: Vec<Box<dyn SchedulingTransaction>> = (0..n)
-        .map(|_| Box::new(Stfq::unweighted()) as Box<dyn SchedulingTransaction>)
-        .collect();
-    let shape: Vec<Option<Box<dyn ShapingTransaction>>> = (0..n).map(|_| None).collect();
-    let leaf = n - 1;
-    let mut mesh = instantiate(
-        &layout,
-        sched,
-        shape,
-        Box::new(move |_| leaf),
-        BlockConfig::default(),
-        1,
-    );
-
     // 60 K packets across 1 K flows; enqueue one per cycle, transmit
     // every 5 cycles (a 100 Gb/s port at 64 B packets, §5.2).
     let n_pkts = 60_000u64;
     let n_flows = 1_000u32;
+    let (tree, classifier, _) = five_levels(n_flows).tree();
+    let placed = layout(&tree).expect("fits");
+    let mut mesh = compile(tree, classifier, BlockConfig::default(), 1).expect("fits");
+
     let mut sent = 0u64;
     let mut got = 0u64;
     let mut cycle = 0u64;
@@ -308,7 +292,7 @@ pub fn fivelevel() -> String {
         s,
         "X3 (Sec 1): 5-level programmable hierarchy on a 5-block mesh"
     );
-    s.push_str(&layout.render());
+    s.push_str(&placed.render());
     let _ = writeln!(
         s,
         "packets: {sent} in / {got} out across {n_flows} flows, {cycle} cycles, {enq_retries} enqueue retries"

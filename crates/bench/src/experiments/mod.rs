@@ -1,8 +1,8 @@
 //! Experiment registry: one function per paper table/figure.
 //!
 //! Experiments that build scheduling trees do so through
-//! [`tree_builder`] (or the `*_with_backend` constructors of
-//! `pifo-algos`), so the whole suite can be re-run on any PIFO queue
+//! [`tree_builder`] (or set [`backend`] on a `pifo-algos` description's
+//! builder), so the whole suite can be re-run on any PIFO queue
 //! engine: the `repro` binary's `--backend` flag (any name in
 //! [`BACKEND_NAMES`](pifo_core::pifo::BACKEND_NAMES), parsed by
 //! `pifo_bench::cli`) calls [`set_backend`] before dispatching. For the

@@ -1,7 +1,8 @@
 //! # pifo-compiler
 //!
-//! Compiles a scheduling tree — nodes with scheduling (and optionally
-//! shaping) transactions — onto a PIFO mesh (§4.3):
+//! Lowers a scheduling tree — the [`TreeBuilder`] description that
+//! `pifo-core` builds into a software [`ScheduleTree`] — onto a PIFO mesh
+//! (§4.3):
 //!
 //! 1. every tree *level* is assigned to its own PIFO block (each packet
 //!    needs at most one enqueue and one dequeue per level per cycle, and
@@ -13,9 +14,9 @@
 //!    dequeue-child, or enqueue-into-parent;
 //! 4. the full-mesh wiring is priced in bits (§5.4).
 //!
-//! [`compile`] is purely structural (drives the golden tests against
-//! Figs 10b/11b); [`instantiate`] binds transactions and returns a
-//! runnable [`pifo_hw::Mesh`].
+//! [`layout`] is purely structural (drives the golden tests against
+//! Figs 10b/11b); [`compile`] moves the description's transactions into
+//! place and returns a runnable [`pifo_hw::Mesh`].
 
 #![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -25,77 +26,10 @@ use pifo_core::prelude::*;
 use pifo_hw::{BlockConfig, BlockId, LogicalPifoId, Mesh, NodePlacement};
 use std::fmt::Write as _;
 
-/// One node of the abstract tree handed to the compiler.
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// Display name (e.g. `WFQ_Root`).
-    pub name: String,
-    /// Parent index (`None` for the root).
-    pub parent: Option<usize>,
-    /// Whether a shaping transaction is attached.
-    pub shaped: bool,
-}
-
-/// The abstract tree.
-#[derive(Debug, Clone)]
-pub struct TreeSpec {
-    /// Nodes in any order; exactly one must be parentless.
-    pub nodes: Vec<NodeSpec>,
-}
-
-impl TreeSpec {
-    /// Build from `(name, parent, shaped)` tuples.
-    pub fn new(nodes: Vec<(&str, Option<usize>, bool)>) -> Self {
-        TreeSpec {
-            nodes: nodes
-                .into_iter()
-                .map(|(n, p, s)| NodeSpec {
-                    name: n.to_string(),
-                    parent: p,
-                    shaped: s,
-                })
-                .collect(),
-        }
-    }
-
-    /// The Fig 3 HPFQ tree.
-    pub fn hpfq() -> Self {
-        TreeSpec::new(vec![
-            ("WFQ_Root", None, false),
-            ("WFQ_Left", Some(0), false),
-            ("WFQ_Right", Some(0), false),
-        ])
-    }
-
-    /// The Fig 4 Hierarchies-with-Shaping tree (TBF on Right).
-    pub fn hierarchies_with_shaping() -> Self {
-        TreeSpec::new(vec![
-            ("WFQ_Root", None, false),
-            ("WFQ_Left", Some(0), false),
-            ("WFQ_Right", Some(0), true),
-        ])
-    }
-
-    /// A linear hierarchy of `depth` levels, WFQ at each — the paper's
-    /// headline 5-level configuration when `depth = 5` (§1).
-    pub fn linear(depth: usize) -> Self {
-        assert!(depth >= 1, "need at least one level");
-        let mut nodes = Vec::with_capacity(depth);
-        for i in 0..depth {
-            nodes.push(NodeSpec {
-                name: format!("WFQ_L{}", i + 1),
-                parent: if i == 0 { None } else { Some(i - 1) },
-                shaped: false,
-            });
-        }
-        TreeSpec { nodes }
-    }
-}
-
 /// Where the compiler placed things, plus the derived tables.
 #[derive(Debug, Clone)]
 pub struct MeshLayout {
-    /// Per-node placements (indexes match the input spec).
+    /// Per-node placements (indexes match the description's node ids).
     pub placements: Vec<NodePlacement>,
     /// Total blocks allocated.
     pub n_blocks: usize,
@@ -108,98 +42,103 @@ pub struct MeshLayout {
 /// Errors the compiler reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
-    /// No root / several roots / bad parent index.
-    MalformedTree(String),
-    /// A shaping transaction on the root has no parent to release to.
-    ShaperOnRoot,
+    /// The description is not a runnable tree (see
+    /// [`TreeBuilder::validate`]).
+    Tree(TreeError),
+    /// The node maps packets to flows with a leaf flow function (Fig 14
+    /// aggregation), which only the software tree runs: a mesh leaf
+    /// schedules by `packet.flow`.
+    FlowFn(NodeId),
+    /// The tree needs more of a mesh resource than there is.
+    DoesNotFit {
+        /// The resource: blocks, logical PIFOs in one block, or flow ids
+        /// in one block.
+        what: &'static str,
+        /// How many the tree needs.
+        needed: usize,
+        /// How many the mesh has.
+        limit: usize,
+    },
 }
 
 impl core::fmt::Display for CompileError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CompileError::MalformedTree(m) => write!(f, "malformed tree: {m}"),
-            CompileError::ShaperOnRoot => write!(f, "shaping transaction on the root"),
+            CompileError::Tree(e) => write!(f, "not a tree: {e}"),
+            CompileError::FlowFn(n) => {
+                write!(f, "leaf {n} has a flow function, which the mesh cannot run")
+            }
+            CompileError::DoesNotFit {
+                what,
+                needed,
+                limit,
+            } => write!(f, "tree needs {needed} {what}, the mesh has {limit}"),
         }
     }
 }
 
 impl std::error::Error for CompileError {}
 
-/// Compile a tree spec to a mesh layout (§4.3).
-pub fn compile(spec: &TreeSpec) -> Result<MeshLayout, CompileError> {
-    if spec.nodes.is_empty() {
-        return Err(CompileError::MalformedTree("no nodes".into()));
-    }
-    let n = spec.nodes.len();
-    let mut root = None;
-    for (i, node) in spec.nodes.iter().enumerate() {
-        match node.parent {
-            None => {
-                if root.replace(i).is_some() {
-                    return Err(CompileError::MalformedTree("multiple roots".into()));
-                }
-                if node.shaped {
-                    return Err(CompileError::ShaperOnRoot);
-                }
-            }
-            Some(p) if p >= n => {
-                return Err(CompileError::MalformedTree(format!(
-                    "node {} has out-of-range parent {p}",
-                    node.name
-                )))
-            }
-            _ => {}
-        }
-    }
-    let root = root.ok_or_else(|| CompileError::MalformedTree("no root".into()))?;
+/// One block per level plus one per shaping PIFO must fit a [`BlockId`].
+const MAX_BLOCKS: usize = u8::MAX as usize + 1;
 
-    // Levels (with cycle detection).
-    let mut level = vec![usize::MAX; n];
-    #[allow(clippy::needless_range_loop)] // `i` doubles as the walk start and the `level` index
-    for i in 0..n {
-        let mut cur = i;
-        let mut depth = 0usize;
-        while let Some(p) = spec.nodes[cur].parent {
-            depth += 1;
-            cur = p;
-            if depth > n {
-                return Err(CompileError::MalformedTree("parent cycle".into()));
-            }
-        }
-        if cur != root {
-            return Err(CompileError::MalformedTree(format!(
-                "node {} not connected to the root",
-                spec.nodes[i].name
-            )));
-        }
-        level[i] = depth;
-    }
-    let n_levels = level.iter().copied().max().expect("non-empty") + 1;
-
-    // Level -> block; sequential lpifo ids within each block.
-    let mut next_lpifo = vec![0u16; n_levels];
-    let mut placements: Vec<NodePlacement> = Vec::with_capacity(n);
-    for (i, node) in spec.nodes.iter().enumerate() {
-        let b = BlockId(level[i] as u8);
-        let l = LogicalPifoId(next_lpifo[level[i]]);
-        next_lpifo[level[i]] += 1;
-        placements.push(NodePlacement {
-            name: node.name.clone(),
-            parent: node.parent,
-            block: b,
-            lpifo: l,
-            shaping: None, // filled below
+fn fits(what: &'static str, needed: usize, limit: usize) -> Result<(), CompileError> {
+    if needed > limit {
+        return Err(CompileError::DoesNotFit {
+            what,
+            needed,
+            limit,
         });
     }
-    // Dedicated block per shaping PIFO (Fig 11).
-    let mut n_blocks = n_levels;
-    for (i, node) in spec.nodes.iter().enumerate() {
-        if node.shaped {
-            placements[i].shaping = Some((BlockId(n_blocks as u8), LogicalPifoId(0)));
-            n_blocks += 1;
+    Ok(())
+}
+
+/// Lay a tree description out on a mesh (§4.3): the structural pass
+/// behind [`compile`], and the Figs 10b/11b goldens.
+pub fn layout(tree: &TreeBuilder) -> Result<MeshLayout, CompileError> {
+    tree.validate().map_err(CompileError::Tree)?;
+    let nodes = tree.nodes();
+
+    // Parents precede children, so one pass assigns every level and the
+    // next free logical PIFO in that level's block.
+    let mut level = Vec::with_capacity(nodes.len());
+    let mut width: Vec<usize> = Vec::new();
+    let mut placements: Vec<NodePlacement> = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        let l = node.parent.map_or(0, |p| level[p.index()] + 1);
+        level.push(l);
+        if width.len() == l {
+            width.push(0);
+        }
+        let lpifo = u16::try_from(width[l]).map_err(|_| CompileError::DoesNotFit {
+            what: "logical PIFOs in one block",
+            needed: width[l] + 1,
+            limit: u16::MAX as usize + 1,
+        })?;
+        width[l] += 1;
+        placements.push(NodePlacement {
+            name: node.name.clone(),
+            parent: node.parent.map(NodeId::index),
+            block: BlockId(0), // numbered below, once the block count fits
+            lpifo: LogicalPifoId(lpifo),
+            shaping: None,
+        });
+    }
+    let n_levels = width.len();
+    let n_shaped = nodes.iter().filter(|n| n.shaper.is_some()).count();
+    let n_blocks = n_levels + n_shaped;
+    fits("blocks", n_blocks, MAX_BLOCKS)?;
+
+    // Level -> block; a dedicated block per shaping PIFO (Fig 11).
+    let block = |b: usize| BlockId(u8::try_from(b).expect("block count fits"));
+    let mut next_shaping = n_levels;
+    for ((p, node), &l) in placements.iter_mut().zip(nodes).zip(&level) {
+        p.block = block(l);
+        if node.shaper.is_some() {
+            p.shaping = Some((block(next_shaping), LogicalPifoId(0)));
+            next_shaping += 1;
         }
     }
-
     // Lookup tables (Fig 9): what happens after a dequeue at each block.
     let mut lookup_tables: Vec<Vec<String>> = vec![Vec::new(); n_blocks];
     for (i, p) in placements.iter().enumerate() {
@@ -289,61 +228,93 @@ impl MeshLayout {
     }
 }
 
-/// Bind transactions to a compiled layout and build a runnable mesh.
-///
-/// `sched[i]`/`shape[i]` correspond to `spec.nodes[i]`; `classifier` maps
-/// packets to leaf node indices; each block gets `block_cfg`.
-///
-/// # Panics
-///
-/// Panics if a shaped node lacks a shaping transaction (or vice versa) —
-/// the 1-to-1 relationship of §3.5 is structural.
-pub fn instantiate(
-    layout: &MeshLayout,
-    sched: Vec<Box<dyn SchedulingTransaction>>,
-    shape: Vec<Option<Box<dyn ShapingTransaction>>>,
-    classifier: Box<dyn Fn(&Packet) -> usize>,
+/// Compile a tree description to a runnable mesh: [`layout`], then move
+/// each node's transactions into place. Every block gets `block_cfg`;
+/// `cycle_ns` is the clock period (1 ns at 1 GHz). `classifier` is the
+/// one the software tree takes: a packet it sends to no leaf is
+/// [`pifo_hw::HwError::UnknownNode`] at enqueue.
+pub fn compile(
+    tree: TreeBuilder,
+    classifier: Classifier,
     block_cfg: BlockConfig,
     cycle_ns: u64,
-) -> Mesh {
-    assert_eq!(
-        layout.placements.len(),
-        sched.len(),
-        "one sched tx per node"
-    );
-    assert_eq!(
-        layout.placements.len(),
-        shape.len(),
-        "one shape slot per node"
-    );
-    for (i, p) in layout.placements.iter().enumerate() {
-        assert_eq!(
-            p.shaping.is_some(),
-            shape[i].is_some(),
-            "shaping placement/transaction mismatch at {}",
-            p.name
-        );
+) -> Result<Mesh, CompileError> {
+    let layout = layout(&tree)?;
+    if let Some(i) = tree.nodes().iter().position(|n| n.flow_fn.is_some()) {
+        return Err(CompileError::FlowFn(NodeId::from_index(i)));
     }
-    let cfgs = (0..layout.n_blocks).map(|_| block_cfg.clone()).collect();
-    Mesh::new(
+    let widest = layout
+        .placements
+        .iter()
+        .map(|p| p.lpifo.0 as usize + 1)
+        .max();
+    fits(
+        "logical PIFOs in one block",
+        widest.unwrap_or(0),
+        block_cfg.n_logical_pifos,
+    )?;
+    // A child's node id is its flow id in the parent's block.
+    fits(
+        "flow ids in one block",
+        layout.placements.len(),
+        block_cfg.n_flows,
+    )?;
+    let nodes = tree.into_nodes().map_err(CompileError::Tree)?;
+    let cfgs = vec![block_cfg; layout.n_blocks];
+    Ok(Mesh::new(
         cfgs,
-        layout.placements.clone(),
-        sched,
-        shape,
+        layout.placements,
+        nodes,
         classifier,
         cycle_ns,
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn fifo() -> Box<dyn SchedulingTransaction> {
+        Box::new(FnTransaction::new("fifo", |ctx: &EnqCtx<'_>| {
+            Rank(ctx.now.as_nanos())
+        }))
+    }
+
+    struct Hold;
+    impl ShapingTransaction for Hold {
+        fn send_time(&mut self, ctx: &EnqCtx<'_>) -> Nanos {
+            ctx.now
+        }
+    }
+
+    /// Fig 3's shape: a root over two leaves, Right optionally shaped
+    /// (Fig 4).
+    fn hpfq(shaped: bool) -> TreeBuilder {
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("WFQ_Root", fifo());
+        b.add_child(root, "WFQ_Left", fifo());
+        let right = b.add_child(root, "WFQ_Right", fifo());
+        if shaped {
+            b.set_shaper(right, Box::new(Hold));
+        }
+        b
+    }
+
+    /// A chain of `depth` levels, one node each.
+    fn linear(depth: usize) -> TreeBuilder {
+        let mut b = TreeBuilder::new();
+        let mut node = b.add_root("WFQ_L1", fifo());
+        for i in 1..depth {
+            node = b.add_child(node, &format!("WFQ_L{}", i + 1), fifo());
+        }
+        b
+    }
+
     /// Fig 10b: HPFQ compiles to two blocks — WFQ_Root alone, WFQ_Left
     /// and WFQ_Right sharing the second.
     #[test]
     fn hpfq_matches_fig_10b() {
-        let layout = compile(&TreeSpec::hpfq()).unwrap();
+        let layout = layout(&hpfq(false)).unwrap();
         assert_eq!(layout.n_blocks, 2);
         assert_eq!(layout.n_level_blocks, 2);
         assert_eq!(layout.placements[0].block, BlockId(0));
@@ -359,7 +330,7 @@ mod tests {
     /// Fig 11b: shaping adds a dedicated third block for TBF_Right.
     #[test]
     fn shaping_matches_fig_11b() {
-        let layout = compile(&TreeSpec::hierarchies_with_shaping()).unwrap();
+        let layout = layout(&hpfq(true)).unwrap();
         assert_eq!(layout.n_blocks, 3);
         assert_eq!(layout.n_level_blocks, 2);
         let right = &layout.placements[2];
@@ -376,7 +347,7 @@ mod tests {
     /// five").
     #[test]
     fn five_level_tree_uses_five_blocks() {
-        let layout = compile(&TreeSpec::linear(5)).unwrap();
+        let layout = layout(&linear(5)).unwrap();
         assert_eq!(layout.n_blocks, 5);
         for (i, p) in layout.placements.iter().enumerate() {
             assert_eq!(p.block, BlockId(i as u8), "level i -> block i");
@@ -387,56 +358,116 @@ mod tests {
     fn wire_bits_match_section_5_4() {
         let cfg = BlockConfig::default();
         assert_eq!(MeshLayout::wire_set_bits(&cfg), 106);
-        let layout = compile(&TreeSpec::linear(5)).unwrap();
+        let layout = layout(&linear(5)).unwrap();
         assert_eq!(layout.total_wiring_bits(&cfg), 20 * 106); // = 2120
     }
 
     #[test]
-    fn malformed_trees_rejected() {
-        assert!(matches!(
-            compile(&TreeSpec { nodes: vec![] }),
-            Err(CompileError::MalformedTree(_))
-        ));
-        // Two roots.
-        assert!(compile(&TreeSpec::new(vec![("a", None, false), ("b", None, false)])).is_err());
-        // Parent out of range.
-        assert!(compile(&TreeSpec::new(vec![
-            ("a", None, false),
-            ("b", Some(9), false)
-        ]))
-        .is_err());
-        // Shaper on root.
-        assert!(matches!(
-            compile(&TreeSpec::new(vec![("a", None, true)])),
-            Err(CompileError::ShaperOnRoot)
-        ));
-    }
-
-    #[test]
-    fn cycle_detected() {
-        // 1 -> 2 -> 1 cycle plus a proper root.
-        let spec = TreeSpec::new(vec![
-            ("root", None, false),
-            ("a", Some(2), false),
-            ("b", Some(1), false),
-        ]);
-        assert!(matches!(
-            compile(&spec),
-            Err(CompileError::MalformedTree(_))
-        ));
-    }
-
-    #[test]
     fn siblings_share_block_distinct_lpifos() {
-        let spec = TreeSpec::new(vec![
-            ("root", None, false),
-            ("a", Some(0), false),
-            ("b", Some(0), false),
-            ("c", Some(0), false),
-        ]);
-        let layout = compile(&spec).unwrap();
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("root", fifo());
+        for name in ["a", "b", "c"] {
+            b.add_child(root, name, fifo());
+        }
+        let layout = layout(&b).unwrap();
         assert_eq!(layout.n_blocks, 2);
         let lpifos: Vec<u16> = layout.placements[1..].iter().map(|p| p.lpifo.0).collect();
         assert_eq!(lpifos, vec![0, 1, 2]);
+    }
+
+    /// What the description cannot run on the mesh is a typed error: an
+    /// empty tree, a shaper on the root, and a leaf flow function (Fig 14
+    /// aggregation runs in software only).
+    #[test]
+    fn invalid_descriptions_are_typed_errors() {
+        let cfg = BlockConfig::default;
+        let to_leaf = || -> Classifier { Box::new(|_| NodeId::from_index(1)) };
+        let empty = TreeBuilder::new();
+        assert_eq!(
+            layout(&empty).unwrap_err(),
+            CompileError::Tree(TreeError::Empty)
+        );
+        assert_eq!(
+            compile(empty, to_leaf(), cfg(), 1).err(),
+            Some(CompileError::Tree(TreeError::Empty))
+        );
+        let mut rooted = TreeBuilder::new();
+        let root = rooted.add_root("root", fifo());
+        rooted.set_shaper(root, Box::new(Hold));
+        assert_eq!(
+            layout(&rooted).unwrap_err(),
+            CompileError::Tree(TreeError::ShaperOnRoot)
+        );
+        let mut aggregated = hpfq(false);
+        aggregated.set_flow_fn(NodeId::from_index(2), Box::new(|_| FlowId(0)));
+        assert!(layout(&aggregated).is_ok(), "the layout is structural");
+        assert_eq!(
+            compile(aggregated, to_leaf(), cfg(), 1).err(),
+            Some(CompileError::FlowFn(NodeId::from_index(2)))
+        );
+    }
+
+    /// A tree too big for the mesh is `DoesNotFit`, never an aliased
+    /// block or a panic at the first enqueue: 300 shaped leaves need 302
+    /// blocks (a `BlockId` names 256); a 9-wide level needs 9 logical
+    /// PIFOs in one block; 9 nodes need 9 flow ids per block.
+    #[test]
+    fn oversized_trees_do_not_fit() {
+        let shaped_leaves = |n: usize| {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root("root", fifo());
+            for i in 0..n {
+                let leaf = b.add_child(root, &format!("leaf{i}"), fifo());
+                b.set_shaper(leaf, Box::new(Hold));
+            }
+            b
+        };
+        let big = shaped_leaves(300);
+        let expect = CompileError::DoesNotFit {
+            what: "blocks",
+            needed: 302,
+            limit: 256,
+        };
+        assert_eq!(layout(&big).unwrap_err(), expect);
+        let to_leaf: Classifier = Box::new(|_| NodeId::from_index(1));
+        assert_eq!(
+            compile(big, to_leaf, BlockConfig::default(), 1).err(),
+            Some(expect)
+        );
+        assert_eq!(layout(&shaped_leaves(254)).unwrap().n_blocks, 256);
+
+        let wide = |n: usize| {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root("root", fifo());
+            for i in 0..n {
+                b.add_child(root, &format!("leaf{i}"), fifo());
+            }
+            b
+        };
+        let tiny = BlockConfig {
+            n_logical_pifos: 8,
+            n_flows: 16,
+            ..BlockConfig::tiny()
+        };
+        let to_leaf = || -> Classifier { Box::new(|_| NodeId::from_index(1)) };
+        assert_eq!(
+            compile(wide(9), to_leaf(), tiny.clone(), 1).err(),
+            Some(CompileError::DoesNotFit {
+                what: "logical PIFOs in one block",
+                needed: 9,
+                limit: 8,
+            })
+        );
+        assert!(compile(wide(8), to_leaf(), tiny.clone(), 1).is_ok());
+        let few_flows = BlockConfig { n_flows: 8, ..tiny };
+        assert_eq!(
+            compile(linear(9), to_leaf(), few_flows.clone(), 1).err(),
+            Some(CompileError::DoesNotFit {
+                what: "flow ids in one block",
+                needed: 9,
+                limit: 8,
+            })
+        );
+        assert!(compile(linear(8), to_leaf(), few_flows, 1).is_ok());
     }
 }

@@ -108,6 +108,6 @@ pub mod prelude {
         DeqCtx, EnqCtx, FnTransaction, SchedulingTransaction, ShapingTransaction,
     };
     pub use crate::tree::{
-        Classifier, Element, FlowFn, NodeId, ScheduleTree, TreeBuilder, TreeError,
+        Classifier, Element, FlowFn, NodeId, ScheduleTree, TreeBuilder, TreeError, TreeNode,
     };
 }

@@ -41,7 +41,7 @@
 //! `sorted` ≈ 0.2 M pkts/s, `heap` ≈ 2.0 M; `BENCH_tree.json`). The
 //! bucket calendar is faster still on a single deep queue but costs a
 //! 4 096-bucket calendar per tree node, so it stays opt-in
-//! (`with_backend` / `set_node_backend`).
+//! (`TreeBuilder::with_backend`, for the whole tree).
 //!
 //! The first three — [`PifoBackend::EXACT`] — are **exactly** equivalent
 //! observationally: same dequeue order, same FIFO tie-breaks, same

@@ -183,8 +183,6 @@ struct AgendaEntry {
 pub enum TreeError {
     /// The tree has no nodes.
     Empty,
-    /// More than one root was defined.
-    MultipleRoots,
     /// A shaper was attached to the root (there is no parent to release to).
     ShaperOnRoot,
     /// The classifier returned a non-leaf node for a packet.
@@ -199,7 +197,6 @@ impl fmt::Display for TreeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TreeError::Empty => write!(f, "tree has no nodes"),
-            TreeError::MultipleRoots => write!(f, "tree has multiple roots"),
             TreeError::ShaperOnRoot => write!(f, "shaping transaction attached to the root"),
             TreeError::NotALeaf(n) => write!(f, "classifier routed a packet to non-leaf {n}"),
             TreeError::BufferFull(p) => write!(f, "buffer full, dropped {}", p.id),
@@ -220,17 +217,22 @@ pub type FlowFn = Box<dyn Fn(&Packet) -> FlowId + Send>;
 /// (Fig 3b's `p.class == Left` etc.). `Send` like [`FlowFn`].
 pub type Classifier = Box<dyn Fn(&Packet) -> NodeId + Send>;
 
-/// A node as accumulated by the builder: no queues yet — the backend
-/// choice is resolved when [`TreeBuilder::build`] instantiates them.
-struct BuilderNode {
-    name: String,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    sched: Box<dyn SchedulingTransaction>,
-    shaper: Option<Box<dyn ShapingTransaction>>,
-    flow_fn: Option<FlowFn>,
-    /// Per-node backend override; `None` inherits the tree-wide choice.
-    backend: Option<PifoBackend>,
+/// One node of a tree description: its name, its parent (`None` for the
+/// root), its scheduling transaction and optional shaping transaction
+/// (§2.2–§2.3), and an optional leaf flow function. Plain data — children
+/// are derived from the parents when the description is built, and the
+/// PIFO engine is the builder's, not the node's.
+pub struct TreeNode {
+    /// Display name (e.g. `WFQ_Root`).
+    pub name: String,
+    /// Parent node; every parent precedes its children.
+    pub parent: Option<NodeId>,
+    /// The node's scheduling transaction.
+    pub sched: Box<dyn SchedulingTransaction>,
+    /// The node's shaping transaction, if any (never on the root).
+    pub shaper: Option<Box<dyn ShapingTransaction>>,
+    /// How packets map to flows at this leaf; `None` means `packet.flow`.
+    pub flow_fn: Option<FlowFn>,
 }
 
 struct Node {
@@ -323,8 +325,7 @@ impl SchedPifo {
 /// assert_eq!(tree.node_backend(root), PifoBackend::Bucket);
 /// ```
 pub struct TreeBuilder {
-    nodes: Vec<BuilderNode>,
-    root: Option<NodeId>,
+    nodes: Vec<TreeNode>,
     buffer_limit: Option<usize>,
     backend: PifoBackend,
     track_inversions: bool,
@@ -344,7 +345,6 @@ impl TreeBuilder {
     pub fn new() -> Self {
         TreeBuilder {
             nodes: Vec::new(),
-            root: None,
             buffer_limit: None,
             backend: PifoBackend::default(),
             track_inversions: false,
@@ -360,24 +360,11 @@ impl TreeBuilder {
         self
     }
 
-    /// Select the queue engine backing every node's scheduling and shaping
-    /// PIFO. May be called before or after nodes are added — the choice is
-    /// applied when [`build`](Self::build) instantiates the queues. Nodes
-    /// with a [`set_node_backend`](Self::set_node_backend) override keep
-    /// their own engine.
+    /// Select the queue engine backing every node's scheduling PIFO. May
+    /// be called before or after nodes are added — the choice is applied
+    /// when [`build`](Self::build) instantiates the queues.
     pub fn with_backend(&mut self, backend: PifoBackend) -> &mut Self {
         self.backend = backend;
-        self
-    }
-
-    /// Override the queue engine for one node (e.g. a bucket calendar at a
-    /// 60 K-deep leaf while small interior nodes keep the default heap).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a node of this builder.
-    pub fn set_node_backend(&mut self, node: NodeId, backend: PifoBackend) -> &mut Self {
-        self.nodes[node.index()].backend = Some(backend);
         self
     }
 
@@ -404,19 +391,8 @@ impl TreeBuilder {
     ///
     /// Panics if a root already exists (programming error in tree setup).
     pub fn add_root(&mut self, name: &str, sched: Box<dyn SchedulingTransaction>) -> NodeId {
-        assert!(self.root.is_none(), "tree already has a root");
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(BuilderNode {
-            name: name.to_string(),
-            parent: None,
-            children: Vec::new(),
-            sched,
-            shaper: None,
-            flow_fn: None,
-            backend: None,
-        });
-        self.root = Some(id);
-        id
+        assert!(self.nodes.is_empty(), "tree already has a root");
+        self.push(name, None, sched)
     }
 
     /// Add a child of `parent` with its scheduling transaction.
@@ -434,17 +410,23 @@ impl TreeBuilder {
             (parent.index()) < self.nodes.len(),
             "unknown parent {parent}"
         );
+        self.push(name, Some(parent), sched)
+    }
+
+    fn push(
+        &mut self,
+        name: &str,
+        parent: Option<NodeId>,
+        sched: Box<dyn SchedulingTransaction>,
+    ) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(BuilderNode {
+        self.nodes.push(TreeNode {
             name: name.to_string(),
-            parent: Some(parent),
-            children: Vec::new(),
+            parent,
             sched,
             shaper: None,
             flow_fn: None,
-            backend: None,
         });
-        self.nodes[parent.index()].children.push(id);
         id
     }
 
@@ -458,6 +440,31 @@ impl TreeBuilder {
     /// `Left` distinguishing flows A and B).
     pub fn set_flow_fn(&mut self, node: NodeId, f: FlowFn) {
         self.nodes[node.index()].flow_fn = Some(f);
+    }
+
+    /// The description so far, root first; every parent precedes its
+    /// children. This is what `pifo-compiler` lays out on the mesh.
+    pub fn nodes(&self) -> &[TreeNode] {
+        &self.nodes
+    }
+
+    /// Check that the description is a tree both back-ends can run: it
+    /// has a root, and the root has no shaper (there is no parent to
+    /// release to). [`build`](Self::build) and
+    /// [`into_nodes`](Self::into_nodes) run this check.
+    pub fn validate(&self) -> Result<(), TreeError> {
+        match self.nodes.first() {
+            None => Err(TreeError::Empty),
+            Some(root) if root.shaper.is_some() => Err(TreeError::ShaperOnRoot),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Take the validated description apart into its nodes, for a
+    /// back-end other than [`ScheduleTree`] (the compiled PIFO mesh).
+    pub fn into_nodes(self) -> Result<Vec<TreeNode>, TreeError> {
+        self.validate()?;
+        Ok(self.nodes)
     }
 
     /// Finish construction. `classifier` maps each packet to its leaf.
@@ -522,33 +529,33 @@ impl TreeBuilder {
     }
 
     fn finish(self, classifier: Classifier, pool: PoolHandle) -> Result<ScheduleTree, TreeError> {
-        let root = self.root.ok_or(TreeError::Empty)?;
-        if self.nodes[root.index()].shaper.is_some() {
-            return Err(TreeError::ShaperOnRoot);
+        let (backend, track_inversions) = (self.backend, self.track_inversions);
+        let described = self.into_nodes()?;
+        let mut children = vec![Vec::new(); described.len()];
+        for (i, n) in described.iter().enumerate() {
+            if let Some(p) = n.parent {
+                children[p.index()].push(NodeId::from_index(i));
+            }
         }
-        let default_backend = self.backend;
-        let nodes: Vec<Node> = self
-            .nodes
+        let nodes: Vec<Node> = described
             .into_iter()
-            .map(|n| {
-                let backend = n.backend.unwrap_or(default_backend);
-                Node {
-                    name: n.name,
-                    parent: n.parent,
-                    children: n.children,
-                    sched_pifo: SchedPifo::new(backend, n.sched.as_ref()),
-                    sched: n.sched,
-                    shaper: n.shaper,
-                    flow_fn: n.flow_fn,
-                    backend,
-                    shaping_len: 0,
-                }
+            .zip(children)
+            .map(|(n, children)| Node {
+                name: n.name,
+                parent: n.parent,
+                children,
+                sched_pifo: SchedPifo::new(backend, n.sched.as_ref()),
+                sched: n.sched,
+                shaper: n.shaper,
+                flow_fn: n.flow_fn,
+                backend,
+                shaping_len: 0,
             })
             .collect();
         let has_shapers = nodes.iter().any(|n: &Node| n.shaper.is_some());
         Ok(ScheduleTree {
             nodes,
-            root,
+            root: NodeId(0),
             classifier,
             pool,
             agenda: BinaryHeap::new(),
@@ -558,7 +565,7 @@ impl TreeBuilder {
             dangling_shaped: 0,
             shaping_inspections: 0,
             has_shapers,
-            tracker: self.track_inversions.then(InversionTracker::new),
+            tracker: track_inversions.then(InversionTracker::new),
             recorder: None,
             paths: None,
         })
@@ -668,7 +675,7 @@ impl ScheduleTree {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// The backend selected for `node` (tree-wide or per-node override).
+    /// The backend selected for `node` (the builder's tree-wide choice).
     ///
     /// What runs is that backend's engine, except at a heap or bucket
     /// node whose transaction declares per-flow monotone ranks: that node
@@ -1321,7 +1328,8 @@ mod tests {
         assert_eq!(err, TreeError::NotALeaf(root));
     }
 
-    /// Root shapers are rejected at build time.
+    /// Root shapers and empty trees are rejected at build time, and by
+    /// `into_nodes`, which hands the description to other back-ends.
     #[test]
     fn no_shaper_on_root() {
         struct NullShaper;
@@ -1330,11 +1338,26 @@ mod tests {
                 ctx.now
             }
         }
-        let mut b = TreeBuilder::new();
-        let root = b.add_root("root", fifo_tx());
-        b.set_shaper(root, Box::new(NullShaper));
-        let err = b.build(Box::new(move |_| root)).unwrap_err();
+        let shaped_root = || {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root("root", fifo_tx());
+            b.set_shaper(root, Box::new(NullShaper));
+            b
+        };
+        let err = shaped_root().build(Box::new(|_| NodeId(0))).unwrap_err();
         assert_eq!(err, TreeError::ShaperOnRoot);
+        assert_eq!(
+            shaped_root().into_nodes().err(),
+            Some(TreeError::ShaperOnRoot)
+        );
+        let err = TreeBuilder::new()
+            .build(Box::new(|_| NodeId(0)))
+            .unwrap_err();
+        assert_eq!(err, TreeError::Empty);
+        assert_eq!(
+            TreeBuilder::new().into_nodes().err(),
+            Some(TreeError::Empty)
+        );
     }
 
     /// Buffer limit drops and reports the packet.
@@ -1514,21 +1537,6 @@ mod tests {
         for backend in [PifoBackend::Heap, PifoBackend::Bucket] {
             assert_eq!(run(backend), reference, "{backend} diverges from reference");
         }
-    }
-
-    /// Per-node overrides beat the tree-wide default.
-    #[test]
-    fn per_node_backend_override() {
-        let mut b = TreeBuilder::new();
-        b.with_backend(PifoBackend::Heap);
-        let root = b.add_root("root", fifo_tx());
-        let leaf = b.add_child(root, "leaf", fifo_tx());
-        b.set_node_backend(leaf, PifoBackend::Bucket);
-        let mut tree = b.build(Box::new(move |_| leaf)).unwrap();
-        assert_eq!(tree.node_backend(root), PifoBackend::Heap);
-        assert_eq!(tree.node_backend(leaf), PifoBackend::Bucket);
-        tree.enqueue(pkt(0, 0, 0), Nanos(0)).unwrap();
-        assert_eq!(tree.dequeue(Nanos(1)).unwrap().id.0, 0);
     }
 
     /// A node sorts flow heads exactly when its transaction declares

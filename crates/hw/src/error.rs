@@ -2,6 +2,7 @@
 
 use crate::config::{BlockId, LogicalPifoId};
 use core::fmt;
+use pifo_core::tree::NodeId;
 
 /// Failure modes of block/mesh operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +23,11 @@ pub enum HwError {
     DequeuePortBusy(BlockId),
     /// The same logical PIFO was dequeued less than 3 cycles ago (§5.2).
     LpifoDequeueTooSoon(LogicalPifoId),
+    /// The classifier sent a packet to no node of the mesh (e.g.
+    /// [`NodeId::INVALID`] for an unknown flow).
+    UnknownNode(NodeId),
+    /// The classifier sent a packet to an interior node.
+    NotALeaf(NodeId),
 }
 
 impl fmt::Display for HwError {
@@ -37,6 +43,8 @@ impl fmt::Display for HwError {
             HwError::LpifoDequeueTooSoon(l) => {
                 write!(f, "logical PIFO {l} dequeued less than 3 cycles ago")
             }
+            HwError::UnknownNode(n) => write!(f, "classifier routed a packet to unknown node {n}"),
+            HwError::NotALeaf(n) => write!(f, "classifier routed a packet to non-leaf {n}"),
         }
     }
 }

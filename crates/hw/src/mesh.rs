@@ -97,7 +97,7 @@ pub struct Mesh {
     nodes: Vec<NodePlacement>,
     sched_tx: Vec<Box<dyn SchedulingTransaction>>,
     shape_tx: Vec<Option<Box<dyn ShapingTransaction>>>,
-    classifier: Box<dyn Fn(&Packet) -> usize>,
+    classifier: Classifier,
     root: usize,
     packets: HashMap<u32, Packet>,
     next_slot: u32,
@@ -114,27 +114,40 @@ pub struct Mesh {
 impl Mesh {
     /// Assemble a mesh.
     ///
-    /// `nodes[i]` is placed per `placements[i]` and runs `sched_tx[i]`
-    /// (plus `shape_tx[i]` if shaping). `classifier` maps packets to leaf
-    /// node indices. `cycle_ns` is the clock period (1 ns at 1 GHz).
+    /// `tree[i]`, a node of a tree description, is placed per
+    /// `nodes[i]` and runs its transactions there. `classifier` maps
+    /// packets to leaves, as it does for the software tree. `cycle_ns` is
+    /// the clock period (1 ns at 1 GHz). `pifo-compiler`'s `compile`
+    /// derives the placements from the description.
     ///
     /// # Panics
     ///
     /// Panics on structurally invalid placements: unknown parents, a
-    /// shaper on the root, duplicate (block, lpifo) assignments, or a
+    /// shaper on the root, duplicate (block, lpifo) assignments, a
     /// parent sharing a block with its child (which could never meet the
-    /// one-enqueue-per-cycle budget on the enqueue path, §4.2).
+    /// one-enqueue-per-cycle budget on the enqueue path, §4.2), a shaper
+    /// without a shaping placement, or a leaf flow function (the mesh
+    /// schedules a leaf by `packet.flow`).
     pub fn new(
         block_cfgs: Vec<BlockConfig>,
         nodes: Vec<NodePlacement>,
-        sched_tx: Vec<Box<dyn SchedulingTransaction>>,
-        shape_tx: Vec<Option<Box<dyn ShapingTransaction>>>,
-        classifier: Box<dyn Fn(&Packet) -> usize>,
+        tree: Vec<TreeNode>,
+        classifier: Classifier,
         cycle_ns: u64,
     ) -> Self {
-        assert_eq!(nodes.len(), sched_tx.len(), "one transaction per node");
-        assert_eq!(nodes.len(), shape_tx.len(), "one shaper slot per node");
+        assert_eq!(nodes.len(), tree.len(), "one placement per node");
         assert!(!nodes.is_empty(), "mesh needs nodes");
+        let (sched_tx, shape_tx): (Vec<_>, Vec<_>) = tree
+            .into_iter()
+            .map(|n| {
+                assert!(
+                    n.flow_fn.is_none(),
+                    "{}: leaf flow functions are software-only",
+                    n.name
+                );
+                (n.sched, n.shaper)
+            })
+            .unzip();
         let mut root = None;
         let mut seen: HashMap<(BlockId, LogicalPifoId), &str> = HashMap::new();
         for (i, n) in nodes.iter().enumerate() {
@@ -299,11 +312,17 @@ impl Mesh {
     /// Enqueue `pkt`, executing one transaction per level (§2.2). Claims
     /// one enqueue port per block on the path (guaranteed class). Returns
     /// `Err` if any port on the path is already used this cycle — the
-    /// caller retries next cycle, as the ingress pipeline would.
+    /// caller retries next cycle, as the ingress pipeline would — or if
+    /// the classifier sends the packet to no leaf.
     pub fn enqueue_packet(&mut self, pkt: Packet) -> Result<(), HwError> {
-        let leaf = (self.classifier)(&pkt);
-        assert!(leaf < self.nodes.len(), "classifier out of range");
-        assert!(self.is_leaf(leaf), "classifier must return a leaf");
+        let id = (self.classifier)(&pkt);
+        let leaf = id.index();
+        if leaf >= self.nodes.len() {
+            return Err(HwError::UnknownNode(id));
+        }
+        if !self.is_leaf(leaf) {
+            return Err(HwError::NotALeaf(id));
+        }
 
         // Phase 1: the static block path — each node up to and including
         // the first shaper, or the root.
@@ -500,23 +519,18 @@ mod tests {
                 shaping: None,
             },
         ];
-        let sched: Vec<Box<dyn SchedulingTransaction>> =
-            vec![Box::new(FifoTx), Box::new(FifoTx), Box::new(FifoTx)];
-        let shape: Vec<Option<Box<dyn ShapingTransaction>>> = vec![
-            None,
-            if shaped {
-                Some(Box::new(DelayShaper(10)))
-            } else {
-                None
-            },
-            None,
-        ];
+        let mut tree = TreeBuilder::new();
+        let root = tree.add_root("root", Box::new(FifoTx));
+        let leaf = tree.add_child(root, "leaf", Box::new(FifoTx));
+        let leaf2 = tree.add_child(root, "leaf2", Box::new(FifoTx));
+        if shaped {
+            tree.set_shaper(leaf, Box::new(DelayShaper(10)));
+        }
         Mesh::new(
             (0..4).map(|_| BlockConfig::tiny()).collect(),
             nodes,
-            sched,
-            shape,
-            Box::new(|p: &Packet| if p.flow.0 == 0 { 1usize } else { 2usize }),
+            tree.into_nodes().unwrap(),
+            Box::new(move |p: &Packet| if p.flow.0 == 0 { leaf } else { leaf2 }),
             1,
         )
     }
@@ -634,14 +648,29 @@ mod tests {
                 shaping: None,
             },
         ];
+        let mut tree = TreeBuilder::new();
+        let root = tree.add_root("root", Box::new(FifoTx));
+        let leaf = tree.add_child(root, "leaf", Box::new(FifoTx));
         let _ = Mesh::new(
             vec![BlockConfig::tiny()],
             nodes,
-            vec![Box::new(FifoTx), Box::new(FifoTx)],
-            vec![None, None],
-            Box::new(|_| 1usize),
+            tree.into_nodes().unwrap(),
+            Box::new(move |_| leaf),
             1,
         );
+    }
+
+    /// A packet the classifier sends to an interior node or past the
+    /// last node is an error, not a panic, and leaves the mesh untouched.
+    #[test]
+    fn misrouted_packets_are_errors() {
+        let mut m = two_level_mesh(false);
+        m.classifier = Box::new(|p: &Packet| NodeId::from_index(p.flow.0 as usize));
+        let root = NodeId::from_index(0);
+        assert_eq!(m.enqueue_packet(pkt(1, 0)), Err(HwError::NotALeaf(root)));
+        let past = NodeId::from_index(3);
+        assert_eq!(m.enqueue_packet(pkt(2, 3)), Err(HwError::UnknownNode(past)));
+        assert_eq!(m.stats().packets_enqueued, 0);
     }
 
     #[test]

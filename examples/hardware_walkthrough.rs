@@ -5,7 +5,7 @@
 //! cargo run --example hardware_walkthrough
 //! ```
 
-use pifo::compiler::{compile, instantiate, TreeSpec};
+use pifo::compiler::{compile, layout};
 use pifo::hw::{BlockConfig, LogicalPifoId, PifoBlock};
 use pifo::prelude::*;
 
@@ -55,22 +55,15 @@ fn main() {
 
     // --- A compiled mesh (Figs 9-11) ---------------------------------
     println!("== compiling HPFQ onto a mesh (Fig 10b) ==");
-    let layout = compile(&TreeSpec::hpfq()).expect("compiles");
-    print!("{}", layout.render());
-
-    let sched: Vec<Box<dyn SchedulingTransaction>> = vec![
-        Box::new(Stfq::unweighted()),
-        Box::new(Stfq::unweighted()),
-        Box::new(Stfq::unweighted()),
-    ];
-    let mut mesh = instantiate(
-        &layout,
-        sched,
-        vec![None, None, None],
-        Box::new(|p: &Packet| if p.flow.0 % 2 == 0 { 1usize } else { 2 }),
-        BlockConfig::default(),
-        1,
-    );
+    // One description: the same `TreeBuilder` would `build()` a software
+    // tree; here it is laid out and compiled onto PIFO blocks.
+    let mut tree = TreeBuilder::new();
+    let root = tree.add_root("WFQ_Root", Box::new(Stfq::unweighted()));
+    let left = tree.add_child(root, "WFQ_Left", Box::new(Stfq::unweighted()));
+    let right = tree.add_child(root, "WFQ_Right", Box::new(Stfq::unweighted()));
+    print!("{}", layout(&tree).expect("fits").render());
+    let classifier = Box::new(move |p: &Packet| if p.flow.0 % 2 == 0 { left } else { right });
+    let mut mesh = compile(tree, classifier, BlockConfig::default(), 1).expect("fits");
 
     println!("\n== running 8 packets through the mesh, cycle by cycle ==");
     for i in 0..8u64 {

@@ -38,9 +38,9 @@ pub use pifo_synth as synth;
 /// Everything most programs need, in one import.
 pub mod prelude {
     pub use pifo_algos::{
-        build_cbq, build_min_rate_tree, charge_wait, fig3_hpfq, CbqClass, Edf, Fifo, Hierarchy,
-        Las, Lstf, MinRateGuarantee, ScEdf, ServiceCurve, Sjf, Srpt, Stfq, StopAndGo,
-        StrictPriority, TokenBucketFilter, WeightTable,
+        cbq_tree, charge_wait, fig3_hpfq, min_rate_tree, CbqClass, Edf, Fifo, Hierarchy, Las, Lstf,
+        MinRateGuarantee, ScEdf, ServiceCurve, Sjf, Srpt, Stfq, StopAndGo, StrictPriority,
+        TokenBucketFilter, WeightTable,
     };
     pub use pifo_core::prelude::*;
     pub use pifo_sim::{

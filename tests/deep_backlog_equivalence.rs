@@ -216,17 +216,18 @@ fn deep_hier5_port_agrees_across_engines() {
     let shape = hier5(0, 0, HIER_FLOWS);
     assert_eq!(shape.depth(), HIER_LEVELS as usize);
     assert_engines_agree(&arrivals, |engine| {
-        let (tree, _) = shape.build_in_pool(engine.unwrap_or_default(), hier5_pool());
-        tree
+        let (mut b, classifier, _) = shape.tree();
+        b.with_backend(engine.unwrap_or_default());
+        b.build_in_pool(classifier, hier5_pool()).expect("valid")
     });
 }
 
 /// A transaction's undeclared twin: forwards `rank`, `on_dequeue` and
 /// `name` only, so `ranks_monotone_per_flow` keeps its default `false`
 /// and the node runs the packet-sorting engine its backend names.
-struct Undeclared<T>(T);
+struct Undeclared(Box<dyn SchedulingTransaction>);
 
-impl<T: SchedulingTransaction> SchedulingTransaction for Undeclared<T> {
+impl SchedulingTransaction for Undeclared {
     fn rank(&mut self, ctx: &EnqCtx<'_>) -> Rank {
         self.0.rank(ctx)
     }
@@ -240,59 +241,6 @@ impl<T: SchedulingTransaction> SchedulingTransaction for Undeclared<T> {
     }
 }
 
-/// Add `h` under `parent` with the weights `Hierarchy::build` gives it,
-/// each node's `Stfq` passed through `wrap`; returns the node's id.
-fn add_stfq_subtree(
-    h: &Hierarchy,
-    parent: Option<NodeId>,
-    b: &mut TreeBuilder,
-    next_id: &mut u32,
-    wrap: fn(Stfq) -> Box<dyn SchedulingTransaction>,
-    leaf_of: &mut FlowMap<NodeId>,
-) -> NodeId {
-    fn size(h: &Hierarchy) -> u32 {
-        match h {
-            Hierarchy::Leaf { .. } => 1,
-            Hierarchy::Class { children, .. } => {
-                1 + children.iter().map(|(_, c)| size(c)).sum::<u32>()
-            }
-        }
-    }
-    let id = *next_id;
-    *next_id += 1;
-    let (name, table) = match h {
-        Hierarchy::Leaf { name, flows } => (name, WeightTable::from_pairs(flows.iter().copied())),
-        Hierarchy::Class { name, children } => {
-            let mut table = WeightTable::new();
-            let mut child = id + 1;
-            for (w, c) in children {
-                table.set(FlowId(child), *w);
-                child += size(c);
-            }
-            (name, table)
-        }
-    };
-    let tx = wrap(Stfq::new(table));
-    let node = match parent {
-        None => b.add_root(name, tx),
-        Some(p) => b.add_child(p, name, tx),
-    };
-    assert_eq!(node.index() as u32, id, "ids are dense in preorder");
-    match h {
-        Hierarchy::Leaf { flows, .. } => {
-            for (f, _) in flows {
-                leaf_of.insert(*f, node);
-            }
-        }
-        Hierarchy::Class { children, .. } => {
-            for (_, c) in children {
-                add_stfq_subtree(c, Some(node), b, next_id, wrap, leaf_of);
-            }
-        }
-    }
-    node
-}
-
 /// The flow-head decomposition against the heap engine, not only against
 /// the sorted reference: the hier5 STFQ tree on `Heap`, whose declared
 /// nodes sort flow heads, departs exactly like the same tree with every
@@ -301,18 +249,22 @@ fn add_stfq_subtree(
 fn deep_hier5_flow_heads_equal_packet_heap() {
     let arrivals = hier5_arrivals();
     let shape = hier5(0, 0, HIER_FLOWS);
-    let run = |wrap: fn(Stfq) -> Box<dyn SchedulingTransaction>| {
+    let run = |wrap: fn(Box<dyn SchedulingTransaction>) -> Box<dyn SchedulingTransaction>| {
+        // The description's nodes, re-added with each transaction wrapped.
+        let (described, classifier, _) = shape.tree();
         let mut b = TreeBuilder::new();
         b.with_backend(PifoBackend::Heap);
-        let mut leaf_of = FlowMap::default();
-        add_stfq_subtree(&shape, None, &mut b, &mut 0, wrap, &mut leaf_of);
-        let classify = move |p: &Packet| leaf_of.get(&p.flow).copied().unwrap_or(NodeId::INVALID);
-        let tree = b
-            .build_in_pool(Box::new(classify), hier5_pool())
-            .expect("valid");
+        for n in described.into_nodes().expect("valid") {
+            let tx = wrap(n.sched);
+            match n.parent {
+                None => b.add_root(&n.name, tx),
+                Some(p) => b.add_child(p, &n.name, tx),
+            };
+        }
+        let tree = b.build_in_pool(classifier, hier5_pool()).expect("valid");
         port_trace(&arrivals, tree)
     };
-    let flow_heads = run(|s| Box::new(s));
+    let flow_heads = run(|s| s);
     let packet_heap = run(|s| Box::new(Undeclared(s)));
     assert!(packet_heap.1 > 0, "the workload must overrun the buffer");
     assert_eq!(flow_heads.1, packet_heap.1, "drop count");

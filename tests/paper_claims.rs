@@ -2,9 +2,30 @@
 //! public API — machine-checked versions of the paper-vs-measured
 //! record printed by `repro all`.
 
-use pifo_compiler::{compile, MeshLayout, TreeSpec};
+use pifo_algos::{fig3_hpfq, Hierarchy, TokenBucketFilter};
+use pifo_compiler::{layout, MeshLayout};
+use pifo_core::prelude::*;
 use pifo_hw::BlockConfig;
 use pifo_synth::{AreaModel, TimingModel};
+
+/// Fig 4: Fig 3's HPFQ with a token bucket on Right.
+fn fig4() -> TreeBuilder {
+    let (mut tree, _, leaf_of) = fig3_hpfq();
+    tree.set_shaper(
+        leaf_of[&FlowId(2)],
+        Box::new(TokenBucketFilter::new(10_000_000, 15_000)),
+    );
+    tree
+}
+
+/// §1's headline: five WFQ levels in a chain.
+fn five_levels() -> TreeBuilder {
+    let leaf = Hierarchy::leaf("L5", vec![(FlowId(0), 1)]);
+    let chain = (1..5).rev().fold(leaf, |c, l| {
+        Hierarchy::class(&format!("L{l}"), vec![(1, c)])
+    });
+    chain.tree().0
+}
 
 /// §1 / §5.3: "<4% chip area overhead relative to a shared-memory
 /// switch" for the full 5-block mesh including rank-computation atoms.
@@ -60,10 +81,10 @@ fn trident_requirements_fit() {
 fn wiring_bits() {
     let cfg = BlockConfig::default();
     assert_eq!(MeshLayout::wire_set_bits(&cfg), 106);
-    let five = compile(&TreeSpec::linear(5)).expect("compiles");
+    let five = layout(&five_levels()).expect("compiles");
     assert_eq!(five.total_wiring_bits(&cfg), 2_120);
     // A 3-block mesh (Fig 11) needs 3*2 = 6 sets.
-    let three = compile(&TreeSpec::hierarchies_with_shaping()).expect("compiles");
+    let three = layout(&fig4()).expect("compiles");
     assert_eq!(three.total_wiring_bits(&cfg), 6 * 106);
 }
 
@@ -71,13 +92,9 @@ fn wiring_bits() {
 /// (e.g., less than five)" — all the paper's example programs fit 5.
 #[test]
 fn papers_examples_fit_five_blocks() {
-    for spec in [
-        TreeSpec::hpfq(),
-        TreeSpec::hierarchies_with_shaping(),
-        TreeSpec::linear(5),
-    ] {
-        let layout = compile(&spec).expect("compiles");
-        assert!(layout.n_blocks <= 5, "{} blocks", layout.n_blocks);
+    for tree in [fig3_hpfq().0, fig4(), five_levels()] {
+        let placed = layout(&tree).expect("compiles");
+        assert!(placed.n_blocks <= 5, "{} blocks", placed.n_blocks);
     }
 }
 

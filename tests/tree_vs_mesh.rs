@@ -1,21 +1,25 @@
-//! Cross-crate equivalence: the same scheduling program executed by the
-//! software `ScheduleTree` (pifo-core) and by the compiled hardware mesh
-//! (pifo-compiler + pifo-hw) produces the same schedule.
+//! Cross-crate equivalence: one tree description — a `TreeBuilder` and
+//! its classifier — run by the software `ScheduleTree` (`build`) and by
+//! the compiled hardware mesh (`pifo_compiler::compile`) produces the
+//! same schedule. Each test writes its tree once, as a function, and
+//! hands one copy to each back-end.
 //!
 //! Element-for-element equality is asserted for FIFO (unique ranks) and
-//! for the STFQ hierarchy on its 400-packet stream. The hardware flow
-//! scheduler breaks equal-rank heads by its own insertion order, not by
-//! original push order (see `pifo-hw`'s `flow_scheduler` and
-//! `pifo-hw/tests/equivalence.rs`), so STFQ equality is a property of
-//! this stream, not a guarantee; a stream that diverges on a cross-flow
-//! tie should assert intra-flow order instead. The shaped hierarchy
-//! asserts the same packet set and intra-flow order.
+//! for the STFQ hierarchies (Fig 3, CBQ, five levels) on their
+//! 300–400-packet streams. The hardware flow scheduler breaks equal-rank
+//! heads by its own insertion order, not by original push order (see
+//! `pifo-hw`'s `flow_scheduler` and `pifo-hw/tests/equivalence.rs`), so
+//! STFQ equality is a property of these streams, not a guarantee; a
+//! stream that diverges on a cross-flow tie should assert intra-flow
+//! order instead. The shaped hierarchy and min-rate (whose root ranks
+//! are only 0 or 1, so cross-flow ties are the rule) assert the same
+//! packet set and intra-flow order.
 
-use pifo_algos::{Stfq, WeightTable};
-use pifo_compiler::{compile, instantiate, TreeSpec};
+use pifo_algos::{cbq_tree, fig3_hpfq, min_rate_tree, CbqClass, Hierarchy};
+use pifo_compiler::compile;
 use pifo_core::prelude::*;
 use pifo_core::transaction::FnTransaction;
-use pifo_hw::BlockConfig;
+use pifo_hw::{BlockConfig, HwError};
 use std::collections::HashMap;
 
 fn fifo_tx() -> Box<dyn SchedulingTransaction> {
@@ -24,24 +28,10 @@ fn fifo_tx() -> Box<dyn SchedulingTransaction> {
     }))
 }
 
-/// Drive packets through a compiled 2-level mesh, one enqueue per cycle,
-/// then drain with 3-cycle transmit spacing.
-fn mesh_order(
-    spec: &TreeSpec,
-    sched: Vec<Box<dyn SchedulingTransaction>>,
-    classify: impl Fn(&Packet) -> usize + 'static,
-    packets: &[Packet],
-) -> Vec<u64> {
-    let layout = compile(spec).expect("compiles");
-    let shape = (0..layout.placements.len()).map(|_| None).collect();
-    let mut mesh = instantiate(
-        &layout,
-        sched,
-        shape,
-        Box::new(classify),
-        BlockConfig::default(),
-        1,
-    );
+/// Drive packets through the compiled mesh, one enqueue per cycle, then
+/// drain with 3-cycle transmit spacing.
+fn mesh_order((tree, classifier): (TreeBuilder, Classifier), packets: &[Packet]) -> Vec<u64> {
+    let mut mesh = compile(tree, classifier, BlockConfig::default(), 1).expect("fits");
     for p in packets {
         let mut q = p.clone();
         q.arrival = mesh.now();
@@ -61,23 +51,16 @@ fn mesh_order(
             }
             _ => {
                 idle += 1;
-                assert!(idle < 100, "mesh wedged with {} delivered", order.len());
+                assert!(idle < 200, "mesh wedged with {} delivered", order.len());
             }
         }
     }
     order
 }
 
-/// Drive the same packets through a ScheduleTree built with the same
-/// shape and transactions.
-fn tree_order(
-    build: impl FnOnce(&mut TreeBuilder) -> (NodeId, NodeId, NodeId),
-    classify: impl Fn(&Packet) -> NodeId + Send + 'static,
-    packets: &[Packet],
-) -> Vec<u64> {
-    let mut b = TreeBuilder::new();
-    let _ = build(&mut b);
-    let mut tree = b.build(Box::new(classify)).expect("valid");
+/// Drive the same packets, at the same instants, through the built tree.
+fn tree_order((tree, classifier): (TreeBuilder, Classifier), packets: &[Packet]) -> Vec<u64> {
+    let mut tree = tree.build(classifier).expect("valid");
     for (i, p) in packets.iter().enumerate() {
         let mut q = p.clone();
         q.arrival = Nanos(i as u64);
@@ -86,6 +69,43 @@ fn tree_order(
     std::iter::from_fn(|| tree.dequeue(Nanos(1 << 40)))
         .map(|p| p.id.0)
         .collect()
+}
+
+/// Both back-ends run one description over `packets`.
+fn both(
+    describe: impl Fn() -> (TreeBuilder, Classifier),
+    packets: &[Packet],
+) -> (Vec<u64>, Vec<u64>) {
+    (
+        tree_order(describe(), packets),
+        mesh_order(describe(), packets),
+    )
+}
+
+/// Drop the flow→leaf map of an `algos` description.
+fn described<M>((tree, classifier, _): (TreeBuilder, Classifier, M)) -> (TreeBuilder, Classifier) {
+    (tree, classifier)
+}
+
+/// Same packets delivered, and each flow's packets in the same order.
+fn assert_same_flow_orders(tree: &[u64], mesh: &[u64], packets: &[Packet]) {
+    assert_eq!(tree.len(), mesh.len());
+    let mut a = tree.to_vec();
+    let mut b = mesh.to_vec();
+    a.sort_unstable();
+    b.sort_unstable();
+    assert_eq!(a, b, "same packet sets delivered");
+    let flow_of: HashMap<u64, u32> = packets.iter().map(|p| (p.id.0, p.flow.0)).collect();
+    for f in 0..4u32 {
+        let of_flow = |order: &[u64]| -> Vec<u64> {
+            order
+                .iter()
+                .copied()
+                .filter(|id| flow_of[id] == f)
+                .collect()
+        };
+        assert_eq!(of_flow(tree), of_flow(mesh), "flow {f} intra-flow order");
+    }
 }
 
 fn hpfq_packets(n: u64) -> Vec<Packet> {
@@ -101,89 +121,98 @@ fn hpfq_packets(n: u64) -> Vec<Packet> {
         .collect()
 }
 
+/// A root over two leaves, flows 0–1 left and 2–3 right, FIFO at every
+/// node; `delay` shapes the right leaf.
+fn fifo_hierarchy(delay: Option<u64>) -> (TreeBuilder, Classifier) {
+    struct Delay(u64);
+    impl ShapingTransaction for Delay {
+        fn send_time(&mut self, ctx: &EnqCtx<'_>) -> Nanos {
+            Nanos(ctx.now.as_nanos() + self.0)
+        }
+    }
+    let mut b = TreeBuilder::new();
+    let root = b.add_root("root", fifo_tx());
+    let left = b.add_child(root, "left", fifo_tx());
+    let right = b.add_child(root, "right", fifo_tx());
+    if let Some(d) = delay {
+        b.set_shaper(right, Box::new(Delay(d)));
+    }
+    let classifier = Box::new(move |p: &Packet| if p.flow.0 < 2 { left } else { right });
+    (b, classifier)
+}
+
 /// FIFO at every node: ranks are unique (one enqueue per cycle), so the
 /// tree and the mesh must agree element for element.
 #[test]
 fn fifo_hierarchy_tree_equals_mesh() {
-    let packets = hpfq_packets(200);
-
-    let tree = tree_order(
-        |b| {
-            let root = b.add_root("root", fifo_tx());
-            let left = b.add_child(root, "left", fifo_tx());
-            let right = b.add_child(root, "right", fifo_tx());
-            (root, left, right)
-        },
-        |p: &Packet| {
-            if p.flow.0 < 2 {
-                NodeId::from_index(1)
-            } else {
-                NodeId::from_index(2)
-            }
-        },
-        &packets,
-    );
-
-    let mesh = mesh_order(
-        &TreeSpec::hpfq(),
-        vec![fifo_tx(), fifo_tx(), fifo_tx()],
-        |p: &Packet| if p.flow.0 < 2 { 1usize } else { 2 },
-        &packets,
-    );
-
+    let (tree, mesh) = both(|| fifo_hierarchy(None), &hpfq_packets(200));
     assert_eq!(tree, mesh, "FIFO hierarchy must match exactly");
 }
 
-fn stfq_nodes() -> Vec<Box<dyn SchedulingTransaction>> {
-    // Node ids: root=0, left=1, right=2 in both worlds; the root's
-    // child-flows are therefore FlowId(1) and FlowId(2).
-    vec![
-        Box::new(Stfq::new(WeightTable::from_pairs([
-            (FlowId(1), 1),
-            (FlowId(2), 9),
-        ]))),
-        Box::new(Stfq::new(WeightTable::from_pairs([
-            (FlowId(0), 3),
-            (FlowId(1), 7),
-        ]))),
-        Box::new(Stfq::new(WeightTable::from_pairs([
-            (FlowId(2), 4),
-            (FlowId(3), 6),
-        ]))),
-    ]
-}
-
-/// STFQ/HPFQ on 400 packets over four flows: the tree and the mesh
-/// depart in the same order, element for element.
+/// STFQ/HPFQ (Fig 3) on 400 packets over four flows: the tree and the
+/// mesh depart in the same order, element for element.
 #[test]
 fn stfq_hierarchy_tree_equals_mesh() {
-    let packets = hpfq_packets(400);
-
-    let tree = tree_order(
-        |b| {
-            let mut it = stfq_nodes().into_iter();
-            let root = b.add_root("WFQ_Root", it.next().expect("root"));
-            let left = b.add_child(root, "WFQ_Left", it.next().expect("left"));
-            let right = b.add_child(root, "WFQ_Right", it.next().expect("right"));
-            (root, left, right)
-        },
-        |p: &Packet| {
-            if p.flow.0 < 2 {
-                NodeId::from_index(1)
-            } else {
-                NodeId::from_index(2)
-            }
-        },
-        &packets,
-    );
-    let mesh = mesh_order(
-        &TreeSpec::hpfq(),
-        stfq_nodes(),
-        |p: &Packet| if p.flow.0 < 2 { 1usize } else { 2 },
-        &packets,
-    );
-
+    let (tree, mesh) = both(|| described(fig3_hpfq()), &hpfq_packets(400));
     assert_eq!(tree, mesh, "STFQ hierarchy must match exactly");
+}
+
+/// CBQ: class priority at the root, STFQ within each class.
+#[test]
+fn cbq_tree_equals_mesh() {
+    let classes = [
+        CbqClass {
+            name: "voice".into(),
+            priority: 0,
+            flows: vec![(FlowId(0), 1)],
+        },
+        CbqClass {
+            name: "bulk".into(),
+            priority: 1,
+            flows: vec![(FlowId(1), 1), (FlowId(2), 3)],
+        },
+        CbqClass {
+            name: "scavenger".into(),
+            priority: 2,
+            flows: vec![(FlowId(3), 1)],
+        },
+    ];
+    let (tree, mesh) = both(|| described(cbq_tree(&classes)), &hpfq_packets(300));
+    assert_eq!(tree, mesh, "CBQ must match exactly");
+}
+
+/// The paper's headline depth: five levels of weighted STFQ.
+#[test]
+fn five_level_hierarchy_tree_equals_mesh() {
+    let leaf = |name: &str, flows: &[(u32, u64)]| {
+        Hierarchy::leaf(name, flows.iter().map(|&(f, w)| (FlowId(f), w)).collect())
+    };
+    let l4 = Hierarchy::class(
+        "L4",
+        vec![(1, leaf("L5a", &[(0, 1)])), (2, leaf("L5b", &[(1, 1)]))],
+    );
+    let l3 = Hierarchy::class("L3", vec![(1, l4)]);
+    let l2 = Hierarchy::class("L2a", vec![(1, l3)]);
+    let h = Hierarchy::class("L1", vec![(1, l2), (3, leaf("L2b", &[(2, 1), (3, 2)]))]);
+    assert_eq!(h.depth(), 5);
+    let (tree, mesh) = both(|| described(h.tree()), &hpfq_packets(400));
+    assert_eq!(tree, mesh, "5-level hierarchy must match exactly");
+}
+
+/// Min-rate (Fig 8): the same packets, each flow in its own order. Root
+/// ranks are 0 or 1, so cross-flow ties break differently in the
+/// hardware flow scheduler.
+#[test]
+fn min_rate_tree_and_mesh_keep_flow_order() {
+    let packets = hpfq_packets(300);
+    let flows = [
+        (FlowId(0), 80_000_000_000),
+        (FlowId(1), 8_000_000_000),
+        (FlowId(2), 800_000_000),
+        (FlowId(3), 8),
+    ];
+    let (tree, mesh) = both(|| min_rate_tree(&flows, 3_000), &packets);
+    assert_same_flow_orders(&tree, &mesh, &packets);
 }
 
 /// Shaped hierarchy: the tree with a fixed-delay shaper and the mesh
@@ -191,92 +220,27 @@ fn stfq_hierarchy_tree_equals_mesh() {
 /// same visibility semantics.
 #[test]
 fn shaped_hierarchy_tree_equals_mesh() {
-    struct Delay(u64);
-    impl ShapingTransaction for Delay {
-        fn send_time(&mut self, ctx: &EnqCtx<'_>) -> Nanos {
-            Nanos(ctx.now.as_nanos() + self.0)
-        }
-    }
-
     let packets = hpfq_packets(60);
+    let (tree, mesh) = both(|| fifo_hierarchy(Some(50)), &packets);
+    assert_same_flow_orders(&tree, &mesh, &packets);
+}
 
-    // Tree.
-    let mut b = TreeBuilder::new();
-    let root = b.add_root("root", fifo_tx());
-    let left = b.add_child(root, "left", fifo_tx());
-    let right = b.add_child(root, "right", fifo_tx());
-    b.set_shaper(right, Box::new(Delay(50)));
-    let mut tree = b
-        .build(Box::new(
-            move |p: &Packet| if p.flow.0 < 2 { left } else { right },
-        ))
-        .expect("valid");
-    for (i, p) in packets.iter().enumerate() {
-        let mut q = p.clone();
-        q.arrival = Nanos(i as u64);
-        tree.enqueue(q, Nanos(i as u64)).expect("enqueue");
-    }
-    let tree_out: Vec<u64> = std::iter::from_fn(|| tree.dequeue(Nanos(1 << 40)))
-        .map(|p| p.id.0)
-        .collect();
-
-    // Mesh.
-    let layout = compile(&TreeSpec::hierarchies_with_shaping()).expect("compiles");
-    let shape: Vec<Option<Box<dyn ShapingTransaction>>> =
-        vec![None, None, Some(Box::new(Delay(50)))];
-    // Note: in the spec, node 2 (WFQ_Right) is the shaped one; swap the
-    // classifier accordingly (flows 2,3 -> node 2).
-    let mut mesh = instantiate(
-        &layout,
-        vec![fifo_tx(), fifo_tx(), fifo_tx()],
-        shape,
-        Box::new(|p: &Packet| if p.flow.0 < 2 { 1usize } else { 2 }),
-        BlockConfig::default(),
-        1,
+/// A packet of a flow no leaf lists is an error on both back-ends, and a
+/// panic on neither.
+#[test]
+fn stray_packet_is_an_error_on_both_back_ends() {
+    let stray = Packet::new(0, FlowId(55), 100, Nanos(0));
+    let (tree, classifier) = described(fig3_hpfq());
+    let mut tree = tree.build(classifier).expect("valid");
+    assert_eq!(
+        tree.enqueue(stray.clone(), Nanos(0)),
+        Err(TreeError::UnknownNode(NodeId::INVALID))
     );
-    for p in &packets {
-        let mut q = p.clone();
-        q.arrival = mesh.now();
-        mesh.enqueue_packet(q).expect("ports free");
-        mesh.tick();
-    }
-    let mut mesh_out = Vec::new();
-    let mut idle = 0;
-    while mesh_out.len() < packets.len() {
-        mesh.tick();
-        mesh.tick();
-        mesh.tick();
-        match mesh.transmit() {
-            Ok(Some(p)) => {
-                mesh_out.push(p.id.0);
-                idle = 0;
-            }
-            _ => {
-                idle += 1;
-                assert!(idle < 200, "mesh wedged at {}", mesh_out.len());
-            }
-        }
-    }
-
-    // Both deliver everything, intra-flow FIFO, and the same packet sets.
-    assert_eq!(tree_out.len(), mesh_out.len());
-    let mut a = tree_out.clone();
-    let mut b2 = mesh_out.clone();
-    a.sort_unstable();
-    b2.sort_unstable();
-    assert_eq!(a, b2, "same packet sets delivered");
-    let flow_of: HashMap<u64, u32> = packets.iter().map(|p| (p.id.0, p.flow.0)).collect();
-    for f in 0..4u32 {
-        let x: Vec<u64> = tree_out
-            .iter()
-            .copied()
-            .filter(|id| flow_of[id] == f)
-            .collect();
-        let y: Vec<u64> = mesh_out
-            .iter()
-            .copied()
-            .filter(|id| flow_of[id] == f)
-            .collect();
-        assert_eq!(x, y, "flow {f} intra-flow order");
-    }
+    let (tree, classifier) = described(fig3_hpfq());
+    let mut mesh = compile(tree, classifier, BlockConfig::default(), 1).expect("fits");
+    assert_eq!(
+        mesh.enqueue_packet(stray),
+        Err(HwError::UnknownNode(NodeId::INVALID))
+    );
+    assert_eq!(mesh.buffered(), 0);
 }

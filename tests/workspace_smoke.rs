@@ -28,7 +28,8 @@ fn hpfq_two_level_work_conservation_and_flow_fifo() {
             ),
         ],
     );
-    let (mut tree, leaf_of) = h.build();
+    let (b, classifier, leaf_of) = h.tree();
+    let mut tree = b.build(classifier).expect("valid tree");
     assert_eq!(leaf_of.len(), 4, "all four flows mapped to leaves");
 
     // Mixed trace: four flows interleaved, varying sizes, strictly
@@ -96,7 +97,8 @@ fn hpfq_two_level_work_conservation_and_flow_fifo() {
 fn umbrella_reexports_cover_every_subcrate() {
     // pifo::core / pifo::algos — Fig 3's HPFQ instance runs, zero-copy
     // through the shared packet-buffer slab.
-    let (mut tree, _) = pifo::algos::fig3_hpfq();
+    let (b, classifier, _) = pifo::algos::fig3_hpfq();
+    let mut tree = b.build(classifier).expect("valid tree");
     tree.enqueue(Packet::new(0, FlowId(0), 100, Nanos(0)), Nanos(0))
         .expect("fig3 tree accepts flow 0");
     assert_eq!(
@@ -139,9 +141,11 @@ fn umbrella_reexports_cover_every_subcrate() {
         .expect("block dequeue");
     assert_eq!((rank, flow, meta), (Rank(5), FlowId(1), 42));
 
-    // pifo::compiler — compile a tiny two-level tree spec onto a mesh.
-    let spec = pifo::compiler::TreeSpec::new(vec![("root", None, false), ("leaf", Some(0), false)]);
-    let layout = pifo::compiler::compile(&spec).expect("two-node tree compiles");
+    // pifo::compiler — lay a tiny two-level tree out on a mesh.
+    let mut b = TreeBuilder::new();
+    let root = b.add_root("root", Box::new(Fifo));
+    b.add_child(root, "leaf", Box::new(Fifo));
+    let layout = pifo::compiler::layout(&b).expect("two-node tree compiles");
     assert!(layout.n_blocks >= 1, "layout allocates at least one block");
 
     // pifo::synth — Table 1 renders non-empty.
