@@ -50,12 +50,6 @@ impl TokenBucketFilter {
         }
     }
 
-    /// Current token level in (possibly negative) bytes ×1e9×8 precision;
-    /// exposed for tests.
-    pub fn tokens_nanobits(&self) -> i128 {
-        self.tokens
-    }
-
     /// The configured rate in bits/second.
     pub fn rate_bps(&self) -> u64 {
         self.rate_bps

@@ -74,10 +74,11 @@ pub mod approx;
 pub mod metrics;
 pub mod packet;
 pub mod pifo;
-// The shared pool's lock-free slab is the one place `unsafe` is earned:
-// slot cells hold `UnsafeCell<MaybeUninit<Packet>>` behind a documented
-// lifecycle protocol (see the safety comments in `pool`). Everything
-// else in the crate stays safe Rust.
+// The shared pool's slab is the one place `unsafe` is earned: slot cells
+// hold `UnsafeCell<MaybeUninit<Packet>>`, written under the pool's
+// writers' lock and read without it behind a documented lifecycle
+// protocol (see the safety comments in `pool`). Everything else in the
+// crate stays safe Rust.
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod rank;

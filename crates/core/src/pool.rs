@@ -8,9 +8,9 @@
 //!
 //! This module is that memory system in software:
 //!
-//! * [`SharedPacketPool`] owns the single packet slab (a chunked,
-//!   lock-free slot store with a tagged free list and per-slot generation
-//!   counters) **plus** the §6.1 counters: per-port occupancy and
+//! * [`SharedPacketPool`] owns the single packet slab (a chunked slot
+//!   store with a free list and per-slot generation counters) **plus**
+//!   the §6.1 counters: per-port occupancy and
 //!   admitted/rejected tallies, maintained O(1) on every insert/release,
 //!   and per-flow occupancy — a [`FlowMap`] table maintained O(1) when
 //!   the policy has a flow-side threshold (the only reader on the packet
@@ -32,27 +32,35 @@
 //!
 //! # Threading model
 //!
-//! The pool is `Arc`-shared and safe to use from many threads at once:
-//! occupancy and admitted/rejected counters are atomics, the free list is
-//! a tagged (ABA-safe) Treiber stack, and slot lifecycle is tracked by a
-//! per-slot generation counter (even = free, odd = occupied) so stale
-//! handles are detected on access. A `ScheduleTree` therefore reads
-//! packet fields straight from the slab — no `RefCell` borrow per access
-//! — and whole trees (each holding a [`PoolHandle`]) can migrate to
-//! worker threads for the parallel fabric drain.
+//! The pool is `Arc`-shared and safe to use from many threads, split by
+//! who touches what:
 //!
-//! Two disciplines make this sound, both unchanged from the
-//! single-threaded slab this design replaces:
+//! * **Writers take one lock.** A `Mutex` guards the ledger: the free
+//!   list, the slot high-water mark, the registered ports' counter
+//!   blocks and the per-flow table. [`PoolHandle::try_insert`] decides
+//!   the §6.1 verdict, claims a slot and bumps the counters in one
+//!   critical section; the last [`PoolHandle::release`] of a slot frees
+//!   it and settles the counters in another. Every fabric drains a pool
+//!   from one thread (`pifo-sim`'s `Switch::run` deals all ports of a
+//!   pool to one worker, and the lossless fabric runs on the caller's
+//!   thread), so the lock is uncontended.
+//! * **Readers take none.** Slab chunks are published once through
+//!   [`OnceLock`], each slot carries an atomic generation (even = free,
+//!   odd = occupied, so stale handles are detected on access) and
+//!   reference count, and the live count and each port's occupancy are
+//!   atomics written only under the lock. [`PoolHandle::get`],
+//!   [`PoolHandle::retain`], the port-only [`PoolHandle::would_admit`]
+//!   probe and the occupancy gauges therefore never lock, and a
+//!   `ScheduleTree` reads packet fields straight from the slab at every
+//!   level of its walk.
 //!
-//! * a handle may only be dereferenced by a caller that holds (at least)
-//!   one of the slot's references — the scheduling tree maintains this
-//!   internally and never exposes a dangling handle;
-//! * **admission decisions** under concurrency are linearizable but not
-//!   externally ordered: two ports racing `try_insert` may observe
-//!   either interleaving. The fabric keeps its departure traces
-//!   deterministic by making shared-pool admission decisions in the
-//!   global `(time, port)` round order (see `pifo-sim`'s `Switch::run`);
-//!   the atomics make the *accounting* exact under any interleaving.
+//! A handle may only be dereferenced by a caller that holds (at least)
+//! one of the slot's references — the scheduling tree maintains this
+//! internally and never exposes a dangling handle. Admission decisions
+//! from several threads are serialized by the lock but not externally
+//! ordered; the fabric keeps its departure traces deterministic by making
+//! shared-pool admission decisions in the global `(time, port)` round
+//! order (see `pifo-sim`'s `Switch::run`).
 //!
 //! Accounting is **checked**: decrementing an occupancy counter that is
 //! already zero (a double release) panics in debug builds and increments
@@ -63,8 +71,8 @@ use crate::packet::{FlowId, FlowMap, Packet};
 use core::fmt;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A 4-byte ticket naming one occupied slot of a [`SharedPacketPool`] —
 /// what the scheduling tree's PIFOs circulate instead of packets (§4,
@@ -166,7 +174,7 @@ pub enum AdmissionPolicy {
     /// various flows and ports" in one decision. A packet is admitted
     /// only if **both** thresholds pass: the port it targets and the flow
     /// it belongs to (a flow-side threshold is what makes the pool keep
-    /// its O(1) sharded flow table; under every other policy it keeps
+    /// its O(1) flow table; under every other policy it keeps
     /// none). `PortFlow { port: Unlimited, flow: t }` is a per-flow
     /// threshold buffer, and mixed pairs express lossless fabrics where a
     /// port watermark backs a per-flow fairness cap.
@@ -275,8 +283,9 @@ impl fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// §6.1 counters for one port of the pool (all atomics — updated
-/// lock-free from any thread).
+/// §6.1 counters for one port of the pool: atomics so gauges and
+/// port-only probes read them without a lock, written only under the
+/// pool's ledger lock.
 #[derive(Debug, Default)]
 struct PortCounters {
     /// Live slots currently attributed to this port.
@@ -311,11 +320,8 @@ pub struct PoolStats {
 }
 
 // ---------------------------------------------------------------------------
-// The lock-free slot store
+// The slot store
 // ---------------------------------------------------------------------------
-
-/// Sentinel terminating the free list.
-const FREE_END: u32 = u32::MAX;
 
 /// log2 of the first chunk's slot count.
 const CHUNK0_BITS: u32 = 6;
@@ -324,35 +330,33 @@ const CHUNK0_BITS: u32 = 6;
 /// handle space.
 const NUM_CHUNKS: usize = 26;
 
-/// Number of flow-occupancy shards (power of two).
-const FLOW_SHARDS: usize = 16;
-
 /// One slot of the slab. The packet bytes live in an [`UnsafeCell`];
 /// exclusive access is guaranteed by the slot lifecycle: a slot is
-/// written only by the thread that just popped it off the free list (or
-/// claimed it fresh), and moved out only by the thread that dropped its
-/// last reference.
+/// written only by the insert that took it off the free list (or claimed
+/// it fresh) under the ledger lock, and moved out only by the release
+/// that dropped its last reference.
 struct SlotCell {
-    /// Lifecycle generation: even = free, odd = occupied. Incremented on
-    /// every transition, so access to a freed slot is detected (and, in
-    /// debug builds, a reused slot trips the coherence checks).
+    /// Lifecycle generation: even = free, odd = occupied. Incremented
+    /// under the ledger lock on every transition, so access to a freed or
+    /// never-claimed slot is detected.
     gen: AtomicU32,
     /// Reference count; 0 for free slots.
     refs: AtomicU32,
-    /// The port the §6.1 counters attribute this slot to.
+    /// The port the §6.1 counters attribute this slot to. (The flow they
+    /// attribute it to is the resident packet's own `flow`.)
     port: AtomicU32,
-    /// One word, two lives, so the flow tag costs the slot no bytes.
-    /// Occupied: the flow the §6.1 counters attribute this slot to (the
-    /// resident packet's flow id, stamped at insert). Free: the intrusive
-    /// free-list link. `gen`'s parity says which; a reader racing the
-    /// transition is either a diagnostic or `pop_free`, whose tagged CAS
-    /// discards what it read.
-    flow_or_next_free: AtomicU32,
     packet: UnsafeCell<MaybeUninit<Packet>>,
 }
 
-// Four header words and the packet: the flow tag added none.
-const _: () = assert!(std::mem::size_of::<SlotCell>() == 16 + std::mem::size_of::<Packet>());
+// SAFETY: every field but `packet` is an atomic. `packet` is written only
+// by the insert that claimed the free slot under the ledger lock, before
+// the `Release` store of an odd `gen` publishes it; it is read in place
+// only by callers holding a reference, after an `Acquire` load of that
+// odd `gen`; and it is moved out only by the release that took `refs`
+// from 1 to 0, so no reader remains. The slot returns to the free list —
+// where the next insert can claim it — only under the lock, after the
+// move, so the lock orders the move before the next write.
+unsafe impl Sync for SlotCell {}
 
 impl SlotCell {
     fn new_free() -> SlotCell {
@@ -360,7 +364,6 @@ impl SlotCell {
             gen: AtomicU32::new(0),
             refs: AtomicU32::new(0),
             port: AtomicU32::new(0),
-            flow_or_next_free: AtomicU32::new(FREE_END),
             packet: UnsafeCell::new(MaybeUninit::uninit()),
         }
     }
@@ -376,64 +379,64 @@ fn chunk_of(idx: u32) -> (usize, usize) {
     (k, (idx as u64 - base) as usize)
 }
 
+/// Everything the pool's writers change, behind its one lock.
+#[derive(Default)]
+struct Ledger {
+    /// Freed slot indices, reused most recently freed first.
+    free: Vec<u32>,
+    /// Slots ever claimed: the slab's high-water mark.
+    claimed: u32,
+    /// Registered ports' counter blocks, by port index (each
+    /// [`PoolHandle`] shares its own port's block).
+    ports: Vec<Arc<PortCounters>>,
+    /// Live slots per flow (entries removed at zero, so the table stays
+    /// bounded by the instantaneous flow fan-in). Empty forever when the
+    /// pool's `track_flows` is off, and then
+    /// [`SharedPacketPool::flow_occupancy`] answers `None`.
+    flows: FlowMap<usize>,
+}
+
+impl Ledger {
+    fn flow_count(&self, flow: FlowId) -> usize {
+        self.flows.get(&flow).copied().unwrap_or(0)
+    }
+}
+
 /// The single shared packet slab plus its §6.1 admission counters.
 ///
 /// All mutation goes through a port's [`PoolHandle`], so the counters
 /// can never drift from the slab: [`PoolHandle::try_insert`] gates on the
 /// [`AdmissionPolicy`] *before* any slab write (a reject hands the
 /// caller's packet back by move, unchanged), and [`PoolHandle::release`]
-/// settles the port/flow counters — from the port and flow tags stamped
-/// in the slot — exactly when the slot's last reference drops. Every
-/// counter update is O(1) and atomic, so the pool may be driven from many
-/// threads at once (see the module docs for the threading model). The
-/// pool itself offers only read-only introspection.
+/// settles the port/flow counters — from the port tag stamped in the slot
+/// and the packet's flow — exactly when the slot's last reference drops.
+/// Each of the two is one O(1) critical section under the pool's one
+/// lock, so the pool may be driven from many threads at once (see the
+/// module docs for the threading model). The pool itself offers only
+/// read-only introspection.
 ///
 /// Use [`SharedPacketPool::into_shared`], then
 /// [`register_port`](Self::register_port), to hand out per-port
 /// handles.
 pub struct SharedPacketPool {
-    /// Chunked slot storage: chunk `k` is a leaked `Box<[SlotCell]>` of
-    /// `64 << k` slots, allocated on first use under [`Self::grow`] and
-    /// freed in `Drop`. Published with `Release` so slot claimers see
-    /// initialized cells.
-    chunks: [AtomicPtr<SlotCell>; NUM_CHUNKS],
-    /// Serializes chunk allocation (not slot claiming).
-    grow: Mutex<()>,
-    /// Slots ever claimed; indices below this are valid chunk storage.
-    next_slot: AtomicU32,
-    /// Tagged Treiber-stack head: `(aba_tag << 32) | slot_index`.
-    free_head: AtomicU64,
-    /// Live packets (occupied slots).
+    /// Chunked slot storage: chunk `k` holds `64 << k` slots, allocated
+    /// by the first insert that claims an index in it and published to
+    /// lock-free readers by its [`OnceLock`].
+    chunks: [OnceLock<Box<[SlotCell]>>; NUM_CHUNKS],
+    /// The writers' state: free list, high-water mark, ports, flows.
+    ledger: Mutex<Ledger>,
+    /// Live packets (occupied slots). Written only under `ledger`.
     live: AtomicUsize,
     capacity: Option<usize>,
     policy: AdmissionPolicy,
-    /// Registered ports. The `RwLock` guards registration (rare, setup
-    /// time); hot-path reads take the uncontended read lock, and
-    /// [`PoolHandle`]s bypass it entirely for their own port.
-    ports: RwLock<Vec<Arc<PortCounters>>>,
     /// `policy.uses_flow_state()`, decided once: only a policy with a
     /// flow-side threshold reads per-flow occupancy on the packet path,
-    /// so only then is the table below maintained.
+    /// so only then is the ledger's flow table maintained.
     track_flows: bool,
-    /// Live slots per flow, sharded by flow id (entries removed at zero,
-    /// so each map stays bounded by the instantaneous flow fan-in).
-    /// Empty forever when `track_flows` is off, and then
-    /// [`Self::flow_occupancy`] answers `None`.
-    flows: [Mutex<FlowMap<usize>>; FLOW_SHARDS],
     /// Accounting violations detected in release builds (debug builds
     /// panic instead) — see [`Self::accounting_errors`].
     accounting_errors: AtomicU64,
 }
-
-// SAFETY: the raw chunk pointers are owned by the pool (allocated under
-// `grow`, freed only in `Drop`) and the `UnsafeCell` packet slots are
-// accessed exclusively through the slot lifecycle protocol documented on
-// `SlotCell` — insert writes only to a slot it just claimed, release
-// moves out only on the last reference, and readers must hold a
-// reference (the same discipline the single-threaded slab required).
-unsafe impl Send for SharedPacketPool {}
-// SAFETY: see above; all shared mutation goes through atomics or locks.
-unsafe impl Sync for SharedPacketPool {}
 
 impl fmt::Debug for SharedPacketPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -447,53 +450,36 @@ impl fmt::Debug for SharedPacketPool {
     }
 }
 
-impl Drop for SharedPacketPool {
-    fn drop(&mut self) {
-        for (k, chunk) in self.chunks.iter().enumerate() {
-            let ptr = chunk.load(Ordering::Acquire);
-            if !ptr.is_null() {
-                let len = (1usize << CHUNK0_BITS) << k;
-                // SAFETY: the pointer came from `Box::into_raw` on a
-                // boxed slice of exactly `len` cells, and is freed only
-                // here. `Packet` has no `Drop`, so reconstructing the
-                // box (whatever the occupancy) frees everything.
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)));
-                }
-            }
-        }
+/// Decrement an occupancy counter, refusing to go below zero. Callers
+/// hold the ledger lock, the counter's only writer, so a load and a store
+/// are exact.
+fn checked_dec(counter: &AtomicUsize, errors: &AtomicU64, what: &str) {
+    match counter.load(Ordering::Relaxed).checked_sub(1) {
+        Some(v) => counter.store(v, Ordering::Release),
+        None => underflow(errors, what),
     }
 }
 
-/// Decrement an occupancy counter, refusing to go below zero: a double
-/// release panics in debug builds and bumps `errors` in release builds
-/// (the §6.1 counters must never silently saturate — a dynamic threshold
-/// computed from a clamped counter admits traffic it should drop).
-fn checked_dec(counter: &AtomicUsize, errors: &AtomicU64, what: &str) {
-    if counter
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-        .is_err()
-    {
-        if cfg!(debug_assertions) {
-            panic!("pool accounting underflow: {what} decremented below zero (double release)");
-        }
-        errors.fetch_add(1, Ordering::Relaxed);
+/// A counter would go below zero: a double release panics in debug
+/// builds and bumps `errors` in release builds (the §6.1 counters must
+/// never silently saturate — a dynamic threshold computed from a clamped
+/// counter admits traffic it should drop).
+fn underflow(errors: &AtomicU64, what: &str) {
+    if cfg!(debug_assertions) {
+        panic!("pool accounting underflow: {what} decremented below zero (double release)");
     }
+    errors.fetch_add(1, Ordering::Relaxed);
 }
 
 impl SharedPacketPool {
     fn with_capacity_and_policy(capacity: Option<usize>, policy: AdmissionPolicy) -> Self {
         SharedPacketPool {
-            chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            grow: Mutex::new(()),
-            next_slot: AtomicU32::new(0),
-            free_head: AtomicU64::new(FREE_END as u64),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            ledger: Mutex::default(),
             live: AtomicUsize::new(0),
             capacity,
             policy,
-            ports: RwLock::new(Vec::new()),
             track_flows: policy.uses_flow_state(),
-            flows: std::array::from_fn(|_| Mutex::new(FlowMap::default())),
             accounting_errors: AtomicU64::new(0),
         }
     }
@@ -545,16 +531,16 @@ impl SharedPacketPool {
     /// (port indices are stored per slot as `u32`; validation happens
     /// here, at registration, so no later cast can truncate).
     pub fn try_register_port(self: &Arc<Self>) -> Result<PoolHandle, PoolError> {
-        let mut ports = self.ports.write().expect("pool port table poisoned");
-        if ports.len() >= MAX_PORTS {
+        let mut ledger = self.ledger();
+        if ledger.ports.len() >= MAX_PORTS {
             return Err(PoolError::TooManyPorts { limit: MAX_PORTS });
         }
         let counters = Arc::new(PortCounters::default());
-        ports.push(Arc::clone(&counters));
+        ledger.ports.push(Arc::clone(&counters));
         Ok(PoolHandle {
             pool: Arc::clone(self),
             counters,
-            port: (ports.len() - 1) as u32,
+            port: (ledger.ports.len() - 1) as u32,
         })
     }
 
@@ -563,219 +549,129 @@ impl SharedPacketPool {
         Arc::new(self)
     }
 
-    fn port_counters(&self, port: usize) -> Arc<PortCounters> {
-        Arc::clone(&self.ports.read().expect("pool port table poisoned")[port])
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger
+            .lock()
+            .expect("pool ledger poisoned by a panicking writer")
     }
 
-    /// The slot for a claimed index. Callers must pass `idx <
-    /// next_slot` (handles only name claimed slots).
+    /// The slot at `idx`, or `None` when its chunk was never allocated.
     #[inline]
-    fn slot(&self, idx: u32) -> &SlotCell {
-        debug_assert!(idx < self.next_slot.load(Ordering::Acquire));
+    fn slot(&self, idx: u32) -> Option<&SlotCell> {
         let (k, off) = chunk_of(idx);
-        let ptr = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!ptr.is_null(), "claimed slot in unallocated chunk");
-        // SAFETY: chunk `k` was allocated with `64 << k` cells before any
-        // index inside it was published (see `ensure_chunk`), and chunks
-        // are never freed while the pool is alive.
-        unsafe { &*ptr.add(off) }
+        self.chunks[k].get().map(|chunk| &chunk[off])
     }
 
-    /// Make sure the chunk holding `idx` is allocated.
-    fn ensure_chunk(&self, idx: u32) {
-        let (k, _) = chunk_of(idx);
-        if !self.chunks[k].load(Ordering::Acquire).is_null() {
-            return;
-        }
-        let _g = self.grow.lock().expect("pool grow lock poisoned");
-        if !self.chunks[k].load(Ordering::Acquire).is_null() {
-            return; // lost the race; the winner allocated it
-        }
-        let len = (1usize << CHUNK0_BITS) << k;
-        let chunk: Box<[SlotCell]> = (0..len).map(|_| SlotCell::new_free()).collect();
-        self.chunks[k].store(Box::into_raw(chunk) as *mut SlotCell, Ordering::Release);
-    }
-
-    /// Pop a freed slot index, if any.
-    fn pop_free(&self) -> Option<u32> {
-        let mut head = self.free_head.load(Ordering::Acquire);
-        loop {
-            let idx = head as u32;
-            if idx == FREE_END {
-                return None;
-            }
-            let tag = head >> 32;
-            // Reading a stale link (or, if the slot was claimed since, its
-            // flow tag) is benign: the tagged CAS below fails if anyone
-            // else touched the head since.
-            let next = self.slot(idx).flow_or_next_free.load(Ordering::Acquire);
-            let new = ((tag + 1) << 32) | next as u64;
-            match self.free_head.compare_exchange_weak(
-                head,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(idx),
-                Err(h) => head = h,
-            }
+    /// The occupied slot `handle` names; a freed or never-claimed one
+    /// panics with `what`.
+    #[inline]
+    fn occupied(&self, handle: PktHandle, what: &str) -> &SlotCell {
+        match self.slot(handle.0) {
+            Some(slot) if slot.gen.load(Ordering::Acquire) & 1 == 1 => slot,
+            _ => panic!("{what} {handle}"),
         }
     }
 
-    /// Push a freed slot index onto the free list.
-    fn push_free(&self, idx: u32) {
-        let slot = self.slot(idx);
-        let mut head = self.free_head.load(Ordering::Acquire);
-        loop {
-            slot.flow_or_next_free.store(head as u32, Ordering::Release);
-            let tag = head >> 32;
-            let new = ((tag + 1) << 32) | idx as u64;
-            match self.free_head.compare_exchange_weak(
-                head,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(h) => head = h,
-            }
-        }
+    /// Take the most recently freed slot, or claim a fresh one (growing
+    /// the slab by a chunk when the index starts one).
+    fn claim(&self, ledger: &mut Ledger) -> (u32, &SlotCell) {
+        let idx = ledger.free.pop().unwrap_or_else(|| {
+            let idx = ledger.claimed;
+            assert!(idx != u32::MAX, "packet pool exceeds u32 slots");
+            ledger.claimed += 1;
+            idx
+        });
+        let (k, off) = chunk_of(idx);
+        let chunk = self.chunks[k].get_or_init(|| {
+            (0..(1usize << CHUNK0_BITS) << k)
+                .map(|_| SlotCell::new_free())
+                .collect()
+        });
+        (idx, &chunk[off])
     }
 
-    /// Claim a never-used slot index, growing the slab.
-    fn fresh_slot(&self) -> u32 {
-        let idx = self.next_slot.fetch_add(1, Ordering::AcqRel);
-        assert!(idx != u32::MAX, "packet pool exceeds u32 slots");
-        self.ensure_chunk(idx);
-        idx
-    }
-
-    /// The admission verdict [`try_insert_with`](Self::try_insert_with)
-    /// would reach right now, without reserving anything or counting a
-    /// reject: global capacity, then the port threshold, then — when a
-    /// `flow` is named and the policy has a flow side — the flow
-    /// threshold. The one copy behind both `would_admit*` probes.
-    fn probe(&self, counters: &PortCounters, flow: Option<FlowId>) -> bool {
+    /// The §6.1 verdict for a port holding `counters.occupancy` packets:
+    /// global capacity, then the port threshold, then — when the flow's
+    /// occupancy is given — the flow threshold. The one copy behind
+    /// `try_insert` and both `would_admit*` probes.
+    fn admits(&self, counters: &PortCounters, flow_used: Option<usize>) -> bool {
         let live = self.live.load(Ordering::Acquire);
         let free = match self.capacity {
-            Some(cap) => {
-                if live >= cap {
-                    return false;
-                }
-                cap - live
-            }
+            Some(cap) if live >= cap => return false,
+            Some(cap) => cap - live,
             None => usize::MAX,
         };
         let used = counters.occupancy.load(Ordering::Acquire);
-        match flow {
-            Some(flow) if self.track_flows => {
-                self.policy
-                    .admits_port_flow(used, self.tracked_flow_occupancy(flow), free)
-            }
+        match flow_used {
+            Some(flow_used) => self.policy.admits_port_flow(used, flow_used, free),
             // Port side only; for a policy without a flow side that *is*
             // the full verdict.
-            _ => self.policy.admits(used, free),
+            None => self.policy.admits(used, free),
         }
     }
 
-    /// The insert path behind [`PoolHandle::try_insert`], with the port's
-    /// counters already resolved so it never touches the port-table lock.
+    /// The verdict [`try_insert_with`](Self::try_insert_with) would reach
+    /// right now, without counting a reject. Only a named `flow` under a
+    /// flow-side threshold reads the flow table, so only it locks.
+    fn probe(&self, counters: &PortCounters, flow: Option<FlowId>) -> bool {
+        match flow {
+            Some(flow) if self.track_flows => {
+                let ledger = self.ledger();
+                self.admits(counters, Some(ledger.flow_count(flow)))
+            }
+            _ => self.admits(counters, None),
+        }
+    }
+
+    /// The insert path behind [`PoolHandle::try_insert`]: verdict, slot
+    /// claim and counter updates in one critical section. The lock holder
+    /// is the counters' only writer, so each bump is a load and a store,
+    /// not a read-modify-write.
     fn try_insert_with(
         &self,
         counters: &PortCounters,
         port: u32,
         packet: Packet,
     ) -> Result<PktHandle, Packet> {
-        // Phase 1: reserve global capacity, so `live <= capacity` holds
-        // at every instant even under concurrent inserts.
-        let free = match self.capacity {
-            Some(cap) => {
-                match self
-                    .live
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                        if l < cap {
-                            Some(l + 1)
-                        } else {
-                            None
-                        }
-                    }) {
-                    // The §6.1 free space as of the decision instant.
-                    Ok(prev) => cap - prev,
-                    Err(_) => {
-                        counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(packet);
-                    }
-                }
-            }
-            None => {
-                self.live.fetch_add(1, Ordering::AcqRel);
-                usize::MAX
-            }
-        };
-        // Phase 2: the per-port (and, for a `PortFlow` policy, per-flow)
-        // threshold (§5.1/§6.1), against the free space observed at
-        // reservation — exactly the sequential decision.
-        let used = counters.occupancy.load(Ordering::Acquire);
-        let admitted = if self.track_flows {
-            let flow_used = self.tracked_flow_occupancy(packet.flow);
-            self.policy.admits_port_flow(used, flow_used, free)
-        } else {
-            self.policy.admits(used, free)
-        };
-        if !admitted {
-            checked_dec(&self.live, &self.accounting_errors, "pool live");
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
+        let mut ledger = self.ledger();
+        let flow = packet.flow;
+        let flow_used = self.track_flows.then(|| ledger.flow_count(flow));
+        if !self.admits(counters, flow_used) {
+            let rejected = counters.rejected.load(Ordering::Relaxed);
+            counters.rejected.store(rejected + 1, Ordering::Relaxed);
             return Err(packet);
         }
-        // Phase 3: claim a slot and publish the packet.
-        let flow = packet.flow;
-        let idx = self.pop_free().unwrap_or_else(|| self.fresh_slot());
-        let slot = self.slot(idx);
+        let (idx, slot) = self.claim(&mut ledger);
         let gen = slot.gen.load(Ordering::Acquire);
         debug_assert_eq!(gen & 1, 0, "claimed occupied slot");
         debug_assert_eq!(slot.refs.load(Ordering::Acquire), 0);
-        // SAFETY: the slot was just popped off the free list (or claimed
-        // fresh), so this thread has exclusive access until the `gen`
-        // store below publishes it.
+        // SAFETY: the slot is free and was claimed under the lock this
+        // thread holds, so no other thread writes it and no reference
+        // reads it until the `gen` store below publishes it.
         unsafe { (*slot.packet.get()).write(packet) };
         slot.port.store(port, Ordering::Relaxed);
-        slot.flow_or_next_free.store(flow.0, Ordering::Relaxed);
         slot.refs.store(1, Ordering::Relaxed);
-        // even -> odd: occupied. A plain store, not an RMW: only the
-        // slot's exclusive owner ever writes `gen`, so the value loaded
-        // above is still current. The `Release` pairs with the `Acquire`
+        // even -> odd: occupied. The `Release` pairs with the `Acquire`
         // loads of `gen` in `get`/`retain`/`release_with`, publishing the
-        // packet bytes and the tags written above.
+        // packet bytes and the port tag written above.
         slot.gen.store(gen.wrapping_add(1), Ordering::Release);
-        counters.occupancy.fetch_add(1, Ordering::AcqRel);
-        counters.admitted.fetch_add(1, Ordering::Relaxed);
+        let live = self.live.load(Ordering::Relaxed);
+        self.live.store(live + 1, Ordering::Release);
+        let used = counters.occupancy.load(Ordering::Relaxed);
+        counters.occupancy.store(used + 1, Ordering::Release);
+        let admitted = counters.admitted.load(Ordering::Relaxed);
+        counters.admitted.store(admitted + 1, Ordering::Relaxed);
         if self.track_flows {
-            *self.flow_shard(flow).entry(flow).or_insert(0) += 1;
+            *ledger.flows.entry(flow).or_insert(0) += 1;
         }
         Ok(PktHandle(idx))
-    }
-
-    fn flow_shard(&self, flow: FlowId) -> std::sync::MutexGuard<'_, FlowMap<usize>> {
-        self.flows[flow.0 as usize & (FLOW_SHARDS - 1)]
-            .lock()
-            .expect("pool flow shard poisoned")
     }
 
     /// The slot read behind [`PoolHandle::get`]. The caller's reference
     /// is what keeps the slot from being freed or reused underneath the
     /// returned borrow.
     fn get(&self, handle: PktHandle) -> &Packet {
-        let idx = handle.index() as u32;
-        assert!(
-            handle.index() < self.next_slot.load(Ordering::Acquire) as usize,
-            "stale packet handle {handle} (never claimed)"
-        );
-        let slot = self.slot(idx);
-        assert_eq!(
-            slot.gen.load(Ordering::Acquire) & 1,
-            1,
-            "stale packet handle {handle}"
-        );
+        let slot = self.occupied(handle, "stale packet handle");
         // SAFETY: the slot is occupied and the caller holds a reference,
         // so no thread can free (and therefore rewrite) it while the
         // returned borrow lives.
@@ -784,40 +680,29 @@ impl SharedPacketPool {
 
     /// The reference bump behind [`PoolHandle::retain`].
     fn retain(&self, handle: PktHandle) {
-        let slot = self.slot(handle.index() as u32);
-        assert_eq!(
-            slot.gen.load(Ordering::Acquire) & 1,
-            1,
-            "retain of stale packet handle {handle}"
-        );
+        let slot = self.occupied(handle, "retain of stale packet handle");
         slot.refs.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The release path behind [`PoolHandle::release`], given the
     /// releasing handle's port and counter block: when the slot was
     /// inserted through that port (always, for a tree) the occupancy
-    /// settles on the cached block and the port-table lock is never
-    /// touched.
+    /// settles on the cached block without a port-table lookup.
     fn release_with(
         &self,
         handle: PktHandle,
         own_port: u32,
         own_counters: &PortCounters,
     ) -> Option<Packet> {
-        let idx = handle.index() as u32;
-        let slot = self.slot(idx);
-        assert_eq!(
-            slot.gen.load(Ordering::Acquire) & 1,
-            1,
-            "release of stale packet handle {handle}"
-        );
+        let slot = self.occupied(handle, "release of stale packet handle");
         // Checked decrement: a reference count already at zero means a
         // double release raced the slot's teardown.
-        let prev = match slot
+        match slot
             .refs
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| r.checked_sub(1))
         {
-            Ok(prev) => prev,
+            Ok(1) => {}
+            Ok(_) => return None, // other holders remain
             Err(_) => {
                 if cfg!(debug_assertions) {
                     panic!("double release of packet handle {handle}");
@@ -825,59 +710,35 @@ impl SharedPacketPool {
                 self.accounting_errors.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
-        };
-        if prev > 1 {
-            return None; // other holders remain
         }
-        // Last reference: move the packet out, free the slot, settle the
-        // counters against the inserting port and flow — both read from
-        // the slot's tags while it is still ours.
-        let port = slot.port.load(Ordering::Relaxed);
-        let flow = FlowId(slot.flow_or_next_free.load(Ordering::Relaxed));
-        // SAFETY: we observed the count go 1 -> 0, so this thread is the
-        // sole owner of the slot until `push_free` republishes it.
+        // SAFETY: we observed the count go 1 -> 0, so no reference
+        // remains and this thread is the slot's sole owner until the
+        // ledger takes it back below.
         let packet = unsafe { (*slot.packet.get()).assume_init_read() };
-        // odd -> even: free. Sole owner, so a load and a `Release` store
-        // (pairing with the `Acquire` loads that reject stale handles)
-        // replace the RMW, as at insert.
+        let port = slot.port.load(Ordering::Relaxed);
+        let mut ledger = self.ledger();
+        // odd -> even: free. The `Release` pairs with the `Acquire` loads
+        // that reject stale handles.
         let gen = slot.gen.load(Ordering::Relaxed);
         slot.gen.store(gen.wrapping_add(1), Ordering::Release);
-        self.push_free(idx);
-        checked_dec(&self.live, &self.accounting_errors, "pool live");
-        if port == own_port {
-            checked_dec(
-                &own_counters.occupancy,
-                &self.accounting_errors,
-                "port occupancy",
-            );
+        ledger.free.push(handle.0);
+        let errors = &self.accounting_errors;
+        checked_dec(&self.live, errors, "pool live");
+        let occupancy = if port == own_port {
+            &own_counters.occupancy
         } else {
-            let ports = self.ports.read().expect("pool port table poisoned");
-            checked_dec(
-                &ports[port as usize].occupancy,
-                &self.accounting_errors,
-                "port occupancy",
-            );
-        }
+            &ledger.ports[port as usize].occupancy
+        };
+        checked_dec(occupancy, errors, "port occupancy");
         if self.track_flows {
-            let mut shard = self.flow_shard(flow);
             // Checked, and the entry goes at zero so idle flows cost
             // nothing.
-            let settled = match shard.get_mut(&flow) {
-                Some(c) if *c > 0 => {
-                    *c -= 1;
-                    if *c == 0 {
-                        shard.remove(&flow);
-                    }
-                    true
+            match ledger.flows.get_mut(&packet.flow) {
+                Some(c) if *c > 1 => *c -= 1,
+                Some(_) => {
+                    ledger.flows.remove(&packet.flow);
                 }
-                _ => false,
-            };
-            drop(shard);
-            if !settled {
-                if cfg!(debug_assertions) {
-                    panic!("pool accounting underflow: flow occupancy (double release)");
-                }
-                self.accounting_errors.fetch_add(1, Ordering::Relaxed);
+                None => underflow(errors, "flow occupancy"),
             }
         }
         Some(packet)
@@ -886,11 +747,11 @@ impl SharedPacketPool {
     /// Number of references currently held on `handle`'s slot (0 for a
     /// free slot). For tests and diagnostics.
     pub fn ref_count(&self, handle: PktHandle) -> usize {
-        let slot = self.slot(handle.index() as u32);
-        if slot.gen.load(Ordering::Acquire) & 1 == 0 {
-            0
-        } else {
-            slot.refs.load(Ordering::Acquire) as usize
+        match self.slot(handle.0) {
+            Some(slot) if slot.gen.load(Ordering::Acquire) & 1 == 1 => {
+                slot.refs.load(Ordering::Acquire) as usize
+            }
+            _ => 0,
         }
     }
 
@@ -926,27 +787,27 @@ impl SharedPacketPool {
 
     /// Number of registered ports.
     pub fn num_ports(&self) -> usize {
-        self.ports.read().expect("pool port table poisoned").len()
+        self.ledger().ports.len()
     }
 
     /// Total slots ever claimed (high-water mark of the working set).
     pub fn slot_count(&self) -> usize {
-        self.next_slot.load(Ordering::Acquire) as usize
+        self.ledger().claimed as usize
     }
 
     /// Live slots currently attributed to `port`.
     pub fn port_occupancy(&self, port: usize) -> usize {
-        self.port_counters(port).occupancy.load(Ordering::Acquire)
+        self.ledger().ports[port].occupancy.load(Ordering::Acquire)
     }
 
     /// Packets ever admitted for `port`.
     pub fn port_admitted(&self, port: usize) -> u64 {
-        self.port_counters(port).admitted.load(Ordering::Relaxed)
+        self.ledger().ports[port].admitted.load(Ordering::Relaxed)
     }
 
     /// Packets ever rejected for `port` (threshold or capacity).
     pub fn port_rejected(&self, port: usize) -> u64 {
-        self.port_counters(port).rejected.load(Ordering::Relaxed)
+        self.ledger().ports[port].rejected.load(Ordering::Relaxed)
     }
 
     /// Live slots currently holding packets of `flow`, O(1) from the flow
@@ -954,13 +815,7 @@ impl SharedPacketPool {
     /// ([`AdmissionPolicy::uses_flow_state`]), because then nothing reads
     /// per-flow occupancy and the pool keeps no flow table.
     pub fn flow_occupancy(&self, flow: FlowId) -> Option<usize> {
-        self.track_flows.then(|| self.tracked_flow_occupancy(flow))
-    }
-
-    /// The flow table's count for `flow`; zero whenever `track_flows` is
-    /// off.
-    fn tracked_flow_occupancy(&self, flow: FlowId) -> usize {
-        self.flow_shard(flow).get(&flow).copied().unwrap_or(0)
+        self.track_flows.then(|| self.ledger().flow_count(flow))
     }
 
     /// Accounting violations detected so far (double releases and other
@@ -973,11 +828,12 @@ impl SharedPacketPool {
 
     /// A copyable snapshot of the pool-wide and per-port counters.
     pub fn stats(&self) -> PoolStats {
-        let ports = self.ports.read().expect("pool port table poisoned");
+        let ledger = self.ledger();
         PoolStats {
             live: self.live(),
             capacity: self.capacity(),
-            ports: ports
+            ports: ledger
+                .ports
                 .iter()
                 .map(|p| PortPoolStats {
                     occupancy: p.occupancy.load(Ordering::Acquire),
@@ -989,98 +845,83 @@ impl SharedPacketPool {
     }
 
     /// Check counter/slab coherence: per-port occupancies sum to the
-    /// slab's live count, the free list visits exactly the free slots, no
+    /// slab's live count, the free list holds exactly the free slots, no
     /// accounting errors were recorded, and the flow table agrees with
-    /// the slots' flow tags — entry for entry (and in total) when the
-    /// policy keeps it, empty when it does not.
-    /// O(slots); for tests, and **quiescent only** — concurrent mutation
-    /// during the walk yields false positives.
+    /// the resident packets' flows — entry for entry (and in total) when
+    /// the policy keeps it, empty when it does not.
+    /// O(slots); for tests, and **quiescent only** — the walk reads
+    /// resident packets, so no reference may be released during it.
     ///
     /// # Panics
     ///
     /// Panics with a description of the first violation found.
     pub fn assert_coherent(&self) {
-        let claimed = self.next_slot.load(Ordering::Acquire);
+        let ledger = self.ledger();
+        let claimed = ledger.claimed;
+        // The free list must hold every free slot, and only those, once.
+        let mut on_free_list = vec![false; claimed as usize];
+        for &idx in &ledger.free {
+            assert!(idx < claimed, "free list points out of range");
+            let seen = std::mem::replace(&mut on_free_list[idx as usize], true);
+            assert!(!seen, "free list holds slot {idx} twice");
+        }
         let mut occupied = 0usize;
-        let mut tagged: FlowMap<usize> = FlowMap::default();
+        let mut by_flow_tag: FlowMap<usize> = FlowMap::default();
         for idx in 0..claimed {
-            let slot = self.slot(idx);
-            if slot.gen.load(Ordering::Acquire) & 1 == 1 {
+            let slot = self
+                .slot(idx)
+                .expect("claimed slot in an unallocated chunk");
+            let is_free = slot.gen.load(Ordering::Acquire) & 1 == 0;
+            assert_eq!(
+                on_free_list[idx as usize], is_free,
+                "slot {idx}: on the free list iff free"
+            );
+            if is_free {
+                assert_eq!(
+                    slot.refs.load(Ordering::Acquire),
+                    0,
+                    "free slot {idx} holds references"
+                );
+            } else {
                 occupied += 1;
-                *tagged
-                    .entry(FlowId(slot.flow_or_next_free.load(Ordering::Relaxed)))
+                *by_flow_tag
+                    .entry(self.get(PktHandle(idx)).flow)
                     .or_insert(0) += 1;
                 assert!(
                     slot.refs.load(Ordering::Acquire) > 0,
                     "occupied slot {idx} has zero references"
                 );
                 assert!(
-                    (slot.port.load(Ordering::Relaxed) as usize) < self.num_ports().max(1),
+                    (slot.port.load(Ordering::Relaxed) as usize) < ledger.ports.len().max(1),
                     "occupied slot {idx} attributed to unregistered port"
-                );
-            } else {
-                assert_eq!(
-                    slot.refs.load(Ordering::Acquire),
-                    0,
-                    "free slot {idx} holds references"
                 );
             }
         }
         assert_eq!(self.live(), occupied, "live counter diverged from slots");
-        // Walk the free list: it must visit every free slot exactly once.
-        let mut seen = vec![false; claimed as usize];
-        let mut cursor = self.free_head.load(Ordering::Acquire) as u32;
-        let mut free_len = 0usize;
-        while cursor != FREE_END {
-            let idx = cursor as usize;
-            assert!(idx < claimed as usize, "free list points out of range");
-            assert!(!seen[idx], "free list cycles through slot {idx}");
-            seen[idx] = true;
-            free_len += 1;
-            let slot = self.slot(cursor);
-            assert_eq!(
-                slot.gen.load(Ordering::Acquire) & 1,
-                0,
-                "free list visits occupied slot {idx}"
-            );
-            cursor = slot.flow_or_next_free.load(Ordering::Acquire);
-        }
-        assert_eq!(
-            free_len + occupied,
-            claimed as usize,
-            "free list misses some free slots"
-        );
-        let by_port: usize = {
-            let ports = self.ports.read().expect("pool port table poisoned");
-            ports
-                .iter()
-                .map(|p| p.occupancy.load(Ordering::Acquire))
-                .sum()
-        };
+        let by_port: usize = ledger
+            .ports
+            .iter()
+            .map(|p| p.occupancy.load(Ordering::Acquire))
+            .sum();
         assert_eq!(
             by_port,
             self.live(),
             "per-port occupancies diverged from the slab"
         );
-        let mut by_flow = 0usize;
-        for shard in &self.flows {
-            let shard = shard.lock().expect("pool flow shard poisoned");
-            assert!(
-                self.track_flows || shard.is_empty(),
-                "flow table populated under a policy that never reads it"
+        assert!(
+            self.track_flows || ledger.flows.is_empty(),
+            "flow table populated under a policy that never reads it"
+        );
+        for (flow, &count) in &ledger.flows {
+            assert_eq!(
+                Some(&count),
+                by_flow_tag.get(flow),
+                "flow table entry for {flow} diverged from the resident packets"
             );
-            for (flow, &count) in shard.iter() {
-                assert_eq!(
-                    Some(&count),
-                    tagged.get(flow),
-                    "flow table entry for {flow} diverged from the slot tags"
-                );
-                by_flow += count;
-            }
         }
         if self.track_flows {
             assert_eq!(
-                by_flow,
+                ledger.flows.values().sum::<usize>(),
                 self.live(),
                 "per-flow occupancies diverged from the slab"
             );
@@ -1113,10 +954,10 @@ pub type SharedPool = Arc<SharedPacketPool>;
 ///
 /// All slab traffic flows through the handle, which supplies the port
 /// identity for the §6.1 counters (and caches the port's counter block,
-/// so the hot path never touches the port-table lock). Handles may be
-/// cloned (e.g. to probe occupancy from outside the tree); the clone
-/// refers to the same port. Handles are `Send` — a tree and its handle
-/// can migrate to a worker thread together.
+/// so the hot path never looks the port up). Handles may be cloned (e.g.
+/// to probe occupancy from outside the tree); the clone refers to the
+/// same port. Handles are `Send` — a tree and its handle can migrate to a
+/// worker thread together.
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
     pool: Arc<SharedPacketPool>,
@@ -1447,6 +1288,45 @@ mod tests {
         let a = h.try_insert(pkt(0, 1)).unwrap();
         h.release(a);
         let _ = h.get(a);
+    }
+
+    /// A handle whose index was never claimed reads as stale through the
+    /// chunk lookup — past the high-water mark inside an allocated chunk
+    /// (index 1) or inside a chunk never allocated (64 starts chunk 1) —
+    /// and never reaches uninitialised packet bytes.
+    #[test]
+    fn never_claimed_handles_panic_as_stale() {
+        let h = PoolHandle::sole_owner(None);
+        let _a = h.try_insert(pkt(0, 1)).unwrap();
+        for idx in [1, 64] {
+            let never = PktHandle(idx);
+            assert_eq!(h.pool().ref_count(never), 0);
+            let reads: [&dyn Fn(); 3] = [
+                &|| {
+                    let _ = h.get(never);
+                },
+                &|| h.retain(never),
+                &|| {
+                    let _ = h.release(never);
+                },
+            ];
+            for read in reads {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
+                    .expect_err("a never-claimed handle must panic");
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains("stale packet handle"), "h{idx}: {msg}");
+            }
+        }
+        h.pool().assert_coherent();
+    }
+
+    /// The property the pool's threading model rests on, stated by the
+    /// compiler rather than by hand.
+    #[test]
+    fn pool_and_handle_are_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<SharedPacketPool>();
+        send_sync::<PoolHandle>();
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //! # Determinism contract
 //!
 //! Telemetry observes; it never steers. Enabling any mode leaves
-//! departure traces bit-identical (asserted by the workspace tests and
-//! inside the overhead bench), and every drain mode runs the same
-//! per-packet tree calls in the same per-port order, so the event stream
-//! itself is byte-reproducible for a seeded run across `PerPacket` and
-//! `Parallel` drains.
+//! departure traces bit-identical (asserted in
+//! `tests/telemetry_determinism.rs`), and every worker count of
+//! `Switch::run` runs the same per-packet tree calls in the same per-port
+//! order, so the event stream itself is byte-reproducible for a seeded
+//! run at any worker count.
 
 use crate::packet::FlowId;
 use crate::time::Nanos;
@@ -273,23 +273,6 @@ impl FlightRecorder {
     /// Retained events, oldest first, as an owned vector.
     pub fn to_vec(&self) -> Vec<TraceEvent> {
         self.iter().copied().collect()
-    }
-
-    /// Render the retained events as a JSON array (one object per event,
-    /// same field layout as [`TelemetrySnapshot::to_json`]) — the format
-    /// of the failure-diagnostics dumps CI archives.
-    pub fn dump_json(&self) -> String {
-        let mut s = String::from("[\n");
-        let mut first = true;
-        for ev in self.iter() {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            write_event_json(&mut s, ev);
-        }
-        s.push_str("\n]\n");
-        s
     }
 }
 

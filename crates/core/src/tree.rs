@@ -244,8 +244,6 @@ struct Node {
     flow_fn: Option<FlowFn>,
     backend: PifoBackend,
     sched_pifo: SchedPifo,
-    /// Entries parked for this node on the tree-wide shaping agenda.
-    shaping_len: usize,
 }
 
 /// A node's scheduling PIFO, statically dispatched so hot-path push/pop
@@ -549,7 +547,6 @@ impl TreeBuilder {
                 shaper: n.shaper,
                 flow_fn: n.flow_fn,
                 backend,
-                shaping_len: 0,
             })
             .collect();
         let has_shapers = nodes.iter().any(|n: &Node| n.shaper.is_some());
@@ -670,11 +667,6 @@ impl ScheduleTree {
         self.nodes.len()
     }
 
-    /// All node ids, root first (construction order).
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
-    }
-
     /// The backend selected for `node` (the builder's tree-wide choice).
     ///
     /// What runs is that backend's engine, except at a heap or bucket
@@ -688,12 +680,6 @@ impl ScheduleTree {
     /// Scheduling-PIFO occupancy of `node` (for tests and introspection).
     pub fn sched_pifo_len(&self, node: NodeId) -> usize {
         self.nodes[node.index()].sched_pifo.len()
-    }
-
-    /// Shaping occupancy of `node`: entries parked on the tree-wide
-    /// agenda waiting on this node's shaping transaction.
-    pub fn shaping_pifo_len(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].shaping_len
     }
 
     /// Read-only view of the packet-pool slab this tree buffers into
@@ -850,7 +836,6 @@ impl ScheduleTree {
             }));
             self.agenda_seq += 1;
             self.shaped += 1;
-            self.nodes[node.index()].shaping_len += 1;
             if self.recorder.is_some() {
                 let flow = self.pool.get(handle).flow;
                 self.emit(
@@ -940,7 +925,6 @@ impl ScheduleTree {
             }
             let Reverse(e) = self.agenda.pop().expect("peeked entry vanished");
             self.shaped -= 1;
-            self.nodes[e.node as usize].shaping_len -= 1;
             if self.recorder.is_some() {
                 let flow = self.pool.get(e.handle).flow;
                 self.emit(

@@ -1,4 +1,4 @@
-//! The atomic pool under real threads, and against its sequential model.
+//! The pool under real threads, and against its sequential model.
 //!
 //! Two halves:
 //!
@@ -11,14 +11,16 @@
 //!   counters are only correct if every one of the millions of racing
 //!   updates was exact — `saturating_sub`-style clamping would pass a
 //!   `>= 0` check but fail the Σ reconciliation here. One churn runs
-//!   under per-flow caps, the only policy family that keeps the sharded
-//!   flow table, so the shards stay exercised by racing threads; under
-//!   the others `flow_occupancy` answers `None`.
+//!   under per-flow caps, the only policy family that keeps the flow
+//!   table, so the table stays exercised by racing threads; under the
+//!   others `flow_occupancy` answers `None`. Together they are the
+//!   oracle for the pool's one writers' lock and its lock-free reads.
 //! * **Model equivalence (proptest)** — `AdmissionPolicy` decisions
-//!   (including `DynamicThreshold`) are *identical* between the atomic
+//!   (including `DynamicThreshold`) are *identical* between the shared
 //!   pool and a plain sequential counter model (the arithmetic the old
 //!   `RefCell` pool implemented) on any same-thread operation sequence:
-//!   going atomic changed the memory system, not one admission verdict.
+//!   making the pool `Sync` changed the memory system, not one admission
+//!   verdict.
 
 use pifo_core::pool::{AdmissionPolicy, SharedPacketPool, Threshold};
 use pifo_core::prelude::*;
@@ -144,8 +146,8 @@ fn capacity_is_never_exceeded_under_contention() {
 }
 
 /// The same churn under per-flow caps — the policy family that keeps the
-/// sharded flow table — so racing threads hit the shards on every insert
-/// and release, with flows shared across threads and across shards.
+/// flow table — so racing threads hit the table on every insert and
+/// release, with flows shared across threads.
 #[test]
 fn threaded_churn_with_flow_caps() {
     const THREADS: u64 = 4;
@@ -164,7 +166,7 @@ fn threaded_churn_with_flow_caps() {
     )
     .into_shared();
     let handles: Vec<_> = (0..THREADS).map(|_| pool.register_port()).collect();
-    // Even flows 32 apart (one shard), odd flows 2 apart (four shards).
+    // Even flows 32 apart, odd flows 2 apart: strided ids in one table.
     let flow_of = |id: u64| ((id % FLOWS) * if id % 2 == 0 { 16 } else { 1 }) as u32;
 
     std::thread::scope(|s| {

@@ -108,6 +108,13 @@ impl PacketView {
 #[derive(Debug, Clone)]
 pub struct Interp {
     program: Program,
+    vars: Vars,
+}
+
+/// The mutable half of an [`Interp`], kept apart from the program so a
+/// run borrows the program's statements instead of cloning them.
+#[derive(Debug, Clone)]
+struct Vars {
     state: HashMap<String, i64>,
     maps: HashMap<String, HashMap<i64, i64>>,
     params: HashMap<String, i64>,
@@ -133,9 +140,11 @@ impl Interp {
             .collect();
         Interp {
             program,
-            state,
-            maps,
-            params,
+            vars: Vars {
+                state,
+                maps,
+                params,
+            },
         }
     }
 
@@ -146,10 +155,10 @@ impl Interp {
     /// Panics if the program declares no such parameter.
     pub fn set_param(&mut self, name: &str, v: i64) {
         assert!(
-            self.params.contains_key(name),
+            self.vars.params.contains_key(name),
             "program declares no param '{name}'"
         );
-        self.params.insert(name.to_string(), v);
+        self.vars.params.insert(name.to_string(), v);
     }
 
     /// Override a state variable's current value (used to seed state that
@@ -160,15 +169,15 @@ impl Interp {
     /// Panics if the program declares no such state variable.
     pub fn set_state(&mut self, name: &str, v: i64) {
         assert!(
-            self.state.contains_key(name),
+            self.vars.state.contains_key(name),
             "program declares no state '{name}'"
         );
-        self.state.insert(name.to_string(), v);
+        self.vars.state.insert(name.to_string(), v);
     }
 
     /// Current value of a state scalar.
     pub fn state_value(&self, name: &str) -> Option<i64> {
-        self.state.get(name).copied()
+        self.vars.state.get(name).copied()
     }
 
     /// The program.
@@ -178,8 +187,7 @@ impl Interp {
 
     /// Execute the per-packet body, mutating `pkt` and the state.
     pub fn run(&mut self, pkt: &mut PacketView) -> Result<(), RuntimeError> {
-        let body = self.program.body.clone();
-        self.exec_block(&body, pkt, None)
+        self.vars.exec_block(&self.program.body, pkt, None)
     }
 
     /// Execute the `@dequeue` hook (if any) with the departing element's
@@ -188,11 +196,13 @@ impl Interp {
         if self.program.dequeue_body.is_empty() {
             return Ok(());
         }
-        let body = self.program.dequeue_body.clone();
         let mut dummy = PacketView::synthetic(0, 0);
-        self.exec_block(&body, &mut dummy, Some(rank))
+        self.vars
+            .exec_block(&self.program.dequeue_body, &mut dummy, Some(rank))
     }
+}
 
+impl Vars {
     fn exec_block(
         &mut self,
         stmts: &[Stmt],

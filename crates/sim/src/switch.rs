@@ -62,7 +62,7 @@
 //! # Threading model
 //!
 //! The unit of parallelism is the **pool**. `ScheduleTree` is `Send`
-//! and the pool's accounting is atomic (see `pifo_core::pool`), so whole
+//! and the pool is `Sync` (see `pifo_core::pool`), so whole
 //! port state machines can migrate to worker threads. [`Switch::run`]
 //! groups ports by the pool their tree buffers in — pointer identity of
 //! [`ScheduleTree::packet_buffer`], so a private slab is a group of one

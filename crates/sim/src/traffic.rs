@@ -613,19 +613,6 @@ impl SizeDistribution {
         SizeDistribution::new(points)
     }
 
-    /// A data-mining-like distribution: even heavier tail, most flows tiny.
-    pub fn data_mining() -> Self {
-        SizeDistribution::new(vec![
-            (100, 0.50),
-            (1_000, 0.60),
-            (10_000, 0.70),
-            (100_000, 0.80),
-            (1_000_000, 0.90),
-            (10_000_000, 0.95),
-            (100_000_000, 1.00),
-        ])
-    }
-
     /// Sample a size using inverse-transform over the piecewise CDF.
     pub fn sample(&self, rng: &mut StdRng) -> u64 {
         let u: f64 = rng.gen_range(0.0..1.0);
