@@ -116,9 +116,21 @@ impl fmt::Display for Nanos {
 /// Panics if `rate_bps` is zero.
 pub fn tx_time(bytes: u64, rate_bps: u64) -> Nanos {
     assert!(rate_bps > 0, "link rate must be positive");
-    let bits = (bytes as u128) * 8 * 1_000_000_000;
-    let rate = rate_bps as u128;
-    Nanos(bits.div_ceil(rate) as u64)
+    // Every transmit calls this: stay off 128-bit division unless the
+    // bit-nanosecond product overflows `u64` (over ~2.3 GB).
+    match bytes.checked_mul(BIT_NANOS_PER_BYTE) {
+        Some(bits) => Nanos(bits.div_ceil(rate_bps)),
+        None => Nanos(tx_time_wide(bytes, rate_bps)),
+    }
+}
+
+/// Bits per byte × nanoseconds per second.
+const BIT_NANOS_PER_BYTE: u64 = 8 * 1_000_000_000;
+
+/// [`tx_time`] in 128-bit arithmetic, for byte counts whose product with
+/// [`BIT_NANOS_PER_BYTE`] overflows `u64`.
+fn tx_time_wide(bytes: u64, rate_bps: u64) -> u64 {
+    ((bytes as u128) * BIT_NANOS_PER_BYTE as u128).div_ceil(rate_bps as u128) as u64
 }
 
 /// Number of whole bytes a link of `rate_bps` bits/second can serve in the
@@ -163,6 +175,23 @@ mod tests {
         // 1 byte at 3 bits/ns-equivalent rates must round up, never down.
         let t = tx_time(1, 3_000_000_000);
         assert_eq!(t, Nanos(3)); // 8 bits / 3 bits-per-ns = 2.67 -> 3
+    }
+
+    #[test]
+    fn tx_time_matches_the_wide_formula() {
+        // Both sides of the u64 overflow boundary, and the extremes.
+        let edge = u64::MAX / BIT_NANOS_PER_BYTE;
+        assert!(edge.checked_mul(BIT_NANOS_PER_BYTE).is_some());
+        assert!((edge + 1).checked_mul(BIT_NANOS_PER_BYTE).is_none());
+        for bytes in [0, 1, u32::MAX as u64, edge - 1, edge, edge + 1, u64::MAX] {
+            for rate in [1, 3, 10_000_000_000, u64::MAX] {
+                assert_eq!(
+                    tx_time(bytes, rate).as_nanos(),
+                    tx_time_wide(bytes, rate),
+                    "{bytes} B at {rate} b/s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,29 @@
 //! Deterministic, seeded traffic generation.
 //!
-//! Sources produce finite packet streams (each [`Packet`] carries its
-//! arrival time); [`merge`] interleaves several sources into one
-//! time-sorted arrival list for a port. All randomness comes from a seeded
+//! Sources produce finite packet streams, each in non-decreasing arrival
+//! order (each [`Packet`] carries its arrival time); [`merge`] interleaves
+//! several sources into one time-sorted arrival list for a port, the
+//! lower source index first at a shared instant. Since every input is
+//! already in order, the generators merge their inputs' heads instead of
+//! sorting the whole stream. All randomness comes from a seeded
 //! [`rand::rngs::StdRng`], keeping every experiment reproducible.
 
 use pifo_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// A finite stream of packets, already stamped with arrival times.
+///
+/// The stream is time-sorted: each packet arrives no earlier than the one
+/// before it, and packets sharing an instant keep their emission order
+/// downstream. [`merge`] and the lossless fabric rely on this contract;
+/// `merge` panics on a source that breaks it.
 pub trait TrafficSource {
-    /// The next packet, or `None` when the source is exhausted.
+    /// The next packet, or `None` when the source is exhausted. It
+    /// arrives no earlier than the packet returned before it.
     fn next_packet(&mut self) -> Option<Packet>;
 
     /// PFC-style pause notification: the fabric asked this source to stop
@@ -30,18 +42,47 @@ pub trait TrafficSource {
     fn resume(&mut self, _now: Nanos) {}
 }
 
-/// Merge sources into one arrival-time-sorted vector.
+/// Merge time-sorted sources into one arrival-time-sorted vector.
 ///
-/// Ties keep source order (stable), so experiments are deterministic.
+/// At a shared instant the lower source index comes first, and each
+/// source's packets keep their emission order: the result equals a
+/// stable sort of the sources' concatenated streams, so experiments are
+/// deterministic. The merge is lazy. It keeps one head per source in a
+/// calendar keyed by `(arrival, source index)`, so it needs no memory
+/// beyond its output and those heads.
+///
+/// # Panics
+///
+/// Panics if a source emits a packet earlier than its previous one: the
+/// sources must be time-sorted (the [`TrafficSource`] contract).
 pub fn merge(mut sources: Vec<Box<dyn TrafficSource>>) -> Vec<Packet> {
-    let mut all: Vec<Packet> = Vec::new();
-    for s in sources.iter_mut() {
-        while let Some(p) = s.next_packet() {
-            all.push(p);
+    let mut heads: Vec<Option<Packet>> = sources.iter_mut().map(|s| s.next_packet()).collect();
+    let mut calendar: BinaryHeap<Reverse<(Nanos, usize)>> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, head)| Some(Reverse((head.as_ref()?.arrival, i))))
+        .collect();
+    let mut out = Vec::new();
+    while let Some(mut top) = calendar.peek_mut() {
+        let Reverse((at, i)) = *top;
+        let next = sources[i].next_packet();
+        // Re-key the emitter in place; an exhausted source leaves.
+        match &next {
+            Some(p) => {
+                assert!(
+                    p.arrival >= at,
+                    "traffic source {i} emitted {} after {at}: sources must be time-sorted",
+                    p.arrival
+                );
+                top.0 .0 = p.arrival;
+            }
+            None => {
+                PeekMut::pop(top);
+            }
         }
+        out.push(std::mem::replace(&mut heads[i], next).expect("a calendar entry has a head"));
     }
-    all.sort_by_key(|p| p.arrival);
-    all
+    out
 }
 
 /// Re-number packet ids to be globally unique after merging (sources
@@ -290,8 +331,8 @@ impl TrafficSource for OnOffSource {
 ///
 /// Each epoch, every sender emits `pkts_per_sender` back-to-back packets
 /// at its access line rate, and all `fanin` senders start simultaneously
-/// (their packets tie instant-for-instant; [`merge`]'s stable sort keeps
-/// per-sender order). Senders are flows `base_flow .. base_flow + fanin`.
+/// (their packets tie instant-for-instant, emitted in sender order, which
+/// [`merge`] keeps). Senders are flows `base_flow .. base_flow + fanin`.
 #[derive(Debug)]
 pub struct IncastSource {
     base_flow: u32,
@@ -323,8 +364,8 @@ impl IncastSource {
     /// Panics if any sizing parameter is zero, or if a sender's burst
     /// does not fit inside `period` — overlapping epochs would make the
     /// emitted stream non-monotonic in time (and the exhaustion check
-    /// would silently drop the overlapped tail), breaking the documented
-    /// time-sorted contract.
+    /// would silently drop the overlapped tail), breaking the
+    /// [`TrafficSource`] time-sorted contract.
     pub fn new(
         base_flow: FlowId,
         fanin: u32,
@@ -653,7 +694,12 @@ pub struct FlowSpec {
 /// back-to-back at `access_rate_bps` in `mtu`-byte packets.
 ///
 /// Packets carry `flow_size` and `remaining` so SJF/SRPT/LAS transactions
-/// work out of the box. Returns the packets (time-sorted) and the specs.
+/// work out of the box. Returns the packets and the specs. The packets
+/// are time-sorted and numbered in that order; at a shared instant the
+/// lower flow index comes first, the order a stable sort of the flows'
+/// concatenated packets gives. Every spec is drawn before any packet is
+/// built; the flows' packets are then merged by instant, lazily, into an
+/// output sized exactly.
 pub fn flow_workload(
     n_flows: usize,
     flows_per_sec: f64,
@@ -666,41 +712,51 @@ pub fn flow_workload(
     let mut rng = StdRng::seed_from_u64(seed);
     let mean_gap_ns = 1e9 / flows_per_sec;
     let mut t = 0u64;
-    let mut specs = Vec::with_capacity(n_flows);
-    let mut packets = Vec::new();
-    let gap = tx_time(mtu as u64, access_rate_bps);
+    let specs: Vec<FlowSpec> = (0..n_flows)
+        .map(|i| {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            t += (-u.ln() * mean_gap_ns).round() as u64;
+            FlowSpec {
+                flow: FlowId(i as u32),
+                start: Nanos(t),
+                size: dist.sample(&mut rng),
+            }
+        })
+        .collect();
 
-    for i in 0..n_flows {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t += (-u.ln() * mean_gap_ns).round() as u64;
-        let size = dist.sample(&mut rng);
-        let flow = FlowId(i as u32);
-        specs.push(FlowSpec {
-            flow,
-            start: Nanos(t),
-            size,
-        });
-        let mut remaining = size;
-        let mut pt = Nanos(t);
-        let mut seq = 0u64;
-        let mut attained = 0u64;
-        while remaining > 0 {
-            let len = remaining.min(mtu as u64) as u32;
-            packets.push(
-                Packet::new(0, flow, len, pt)
-                    .with_flow_size(size)
-                    .with_remaining(remaining)
-                    .with_attained(attained)
-                    .with_seq_in_flow(seq),
-            );
-            attained += len as u64;
-            remaining -= len as u64;
-            seq += 1;
-            pt += gap;
+    let mtu = mtu as u64;
+    let gap = tx_time(mtu, access_rate_bps);
+    let total: u64 = specs.iter().map(|s| s.size.div_ceil(mtu)).sum();
+    let mut packets = Vec::with_capacity(usize::try_from(total).expect("packet count fits usize"));
+    // A flow's cursor is its next packet's instant (the calendar key) and
+    // the bytes it has sent. Every packet but a flow's last is `mtu`
+    // bytes, so the bytes sent also give the next `seq_in_flow`.
+    let mut sent = vec![0u64; n_flows];
+    let mut calendar: BinaryHeap<Reverse<(Nanos, usize)>> = specs
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.size > 0)
+        .map(|(i, s)| Reverse((s.start, i)))
+        .collect();
+    while let Some(mut top) = calendar.peek_mut() {
+        let Reverse((at, i)) = *top;
+        let FlowSpec { flow, size, .. } = specs[i];
+        let remaining = size - sent[i];
+        let len = remaining.min(mtu);
+        packets.push(
+            Packet::new(packets.len() as u64, flow, len as u32, at)
+                .with_flow_size(size)
+                .with_remaining(remaining)
+                .with_attained(sent[i])
+                .with_seq_in_flow(sent[i] / mtu),
+        );
+        sent[i] += len;
+        if sent[i] < size {
+            top.0 .0 = at + gap;
+        } else {
+            PeekMut::pop(top);
         }
     }
-    packets.sort_by_key(|p| p.arrival);
-    renumber(&mut packets);
     (packets, specs)
 }
 

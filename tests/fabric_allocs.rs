@@ -10,6 +10,10 @@
 //! `alloc.count_per_pkt` / `alloc.bytes_per_pkt` in a traced benchmark
 //! run.
 //!
+//! The same allocator also tracks the live heap's peak, which pins
+//! `merge`'s memory: a lazy merge of time-sorted sources holds its output
+//! and one head per source, and no sort scratch.
+//!
 //! An integration test is its own binary, so it can install its own
 //! `#[global_allocator]`. There is exactly one `#[test]` here: the
 //! counters are process-wide, so that a multi-worker drain's worker
@@ -24,12 +28,22 @@ struct CountingAlloc;
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the highest that count has
+/// reached since a measurement last reset it.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 fn on_alloc(size: usize) {
     if COUNTING.load(Relaxed) {
         CALLS.fetch_add(1, Relaxed);
         BYTES.fetch_add(size as u64, Relaxed);
     }
+    let live = LIVE.fetch_add(size as u64, Relaxed) + size as u64;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+fn on_dealloc(size: usize) {
+    LIVE.fetch_sub(size as u64, Relaxed);
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -43,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        on_dealloc(layout.size());
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -54,6 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        on_dealloc(layout.size());
         on_alloc(new_size);
         // SAFETY: `ptr` came from `System` through this allocator, and
         // the caller upholds `GlobalAlloc::realloc`'s contract.
@@ -151,6 +167,20 @@ fn measure_lossless(n: u64) -> u64 {
     CALLS.load(Relaxed)
 }
 
+/// The live heap's peak above its starting level during one `merge` of
+/// `n` packets from `lossless_sources`, with the source count and the
+/// merged vector's capacity.
+fn measure_merge(n: u64) -> (u64, usize, usize) {
+    let sources = lossless_sources(n);
+    let k = sources.len();
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let merged = merge(sources);
+    let peak = PEAK.load(Relaxed) - base;
+    assert_eq!(merged.len() as u64, n, "every packet merged");
+    (peak, k, merged.capacity())
+}
+
 /// Allocator calls and bytes requested during one `run_port` of the
 /// whole stream through one single-node STFQ tree at four ports' line
 /// rate: a 200 ns service time against one packet per 250 ns.
@@ -235,6 +265,17 @@ fn run_allocations_do_not_scale_with_packets() {
     assert!(
         per_pkt <= bound,
         "[run_port] {per_pkt} B allocated per extra packet, expected at most {bound}"
+    );
+
+    // The merge holds its output and one head per source: a sort's
+    // scratch (a stable sort takes at least half the input) would show.
+    let (peak, sources, capacity) = measure_merge(4 * N);
+    let bound = capacity * std::mem::size_of::<Packet>() + sources * 256;
+    assert!(
+        peak <= bound as u64,
+        "[merge] live heap peaked {peak} B above its start merging {} packets from \
+         {sources} sources, expected at most {bound} (output capacity {capacity})",
+        4 * N
     );
 
     // The lossless fabric's own event loop, on a busy stream that never
