@@ -15,10 +15,12 @@
 //! * [`PathLog`] / [`PathRecorder`] — INT-style per-packet digests: an
 //!   opt-in mode where each packet accumulates a bounded list of
 //!   [`PathHop`]s (node, rank, queue depth seen at enqueue, entry time)
-//!   plus its enqueue/departure instants. A finished digest is appended
-//!   once, as a 40-byte [`PathRecord`] header over a hop arena that
-//!   holds only the hops its walk took, and surfaced after departure for
-//!   post-hoc joins against the departure trace.
+//!   plus its enqueue/departure instants. A finished digest is written
+//!   once, when its packet departs, straight into the caller's
+//!   [`PathLog`] — a 40-byte [`PathRecord`] header over a hop arena that
+//!   holds only the hops its walk took — for post-hoc joins against the
+//!   departure trace. A fabric hands each port's log to its tree for the
+//!   length of a run and takes it back at the end.
 //! * [`GaugeSeries`] — named time series of sampled counters (per-port
 //!   queue depth, pool occupancy, free-list length, paused-class count,
 //!   inversion counters), assembled by the simulation layer.
@@ -446,18 +448,6 @@ impl PathLog {
         &mut self.records
     }
 
-    /// Move every record of `other` to the end of this log, rebasing
-    /// each onto this log's hop arena. `other` is left empty with its
-    /// capacity intact.
-    pub fn append(&mut self, other: &mut PathLog) {
-        let base = self.hops.len() as u64;
-        self.hops.append(&mut other.hops);
-        self.records.extend(other.records.drain(..).map(|mut r| {
-            r.first_hop += base;
-            r
-        }));
-    }
-
     fn entry<'a>(&'a self, record: &'a PathRecord) -> PathRef<'a> {
         let first = record.first_hop as usize;
         PathRef {
@@ -477,8 +467,8 @@ struct InFlight {
 }
 
 /// Accumulates [`PathRecord`]s for in-flight packets, keyed by their
-/// packet-pool slot, and appends each to a [`PathLog`] when it finishes,
-/// so completed records come out in departure order.
+/// packet-pool slot, and appends each to the caller's [`PathLog`] when it
+/// finishes, so a log holds its records in departure order.
 ///
 /// `hop` and `finish` are no-ops for slots with no record in flight, so
 /// hook sites never need to know whether a given walk belongs to a
@@ -487,7 +477,6 @@ struct InFlight {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PathRecorder {
     inflight: Vec<InFlight>,
-    completed: PathLog,
 }
 
 impl PathRecorder {
@@ -537,13 +526,12 @@ impl PathRecorder {
     }
 
     /// Close slot `slot`'s record at `departed` and append it, with the
-    /// hops it took, to the completed log (no-op when untracked).
-    pub fn finish(&mut self, slot: usize, departed: Nanos) {
+    /// hops it took, to `log` (no-op when untracked).
+    pub fn finish(&mut self, slot: usize, departed: Nanos, log: &mut PathLog) {
         let Some(s) = self.inflight.get_mut(slot).filter(|s| s.live) else {
             return;
         };
         s.live = false;
-        let log = &mut self.completed;
         log.records.push(PathRecord {
             departed,
             first_hop: log.hops.len() as u64,
@@ -551,18 +539,6 @@ impl PathRecorder {
         });
         log.hops
             .extend_from_slice(&s.hops[..s.head.hop_count as usize]);
-    }
-
-    /// Move every completed record, in departure order, to the end of
-    /// `out`. The recorder keeps its own log's capacity, so steady-state
-    /// draining allocates nothing here.
-    pub fn drain_into(&mut self, out: &mut PathLog) {
-        out.append(&mut self.completed);
-    }
-
-    /// Completed records waiting to be drained.
-    pub fn completed_len(&self) -> usize {
-        self.completed.len()
     }
 }
 
@@ -599,17 +575,13 @@ impl GaugeSeries {
     }
 }
 
-/// How much telemetry a run collects. Passed to the simulation layer
-/// (e.g. `SwitchBuilder::with_telemetry` in `pifo-sim`).
+/// How much telemetry a run collects: a [`FlightRecorder`] of
+/// [`RING_CAPACITY`](Self::RING_CAPACITY) events per tree always, path
+/// records and the gauge stride as set here. Passed to the simulation
+/// layer (e.g. `SwitchBuilder::with_telemetry` in `pifo-sim`), which
+/// turns it on for each tree with `ScheduleTree::enable_telemetry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Flight-recorder ring capacity per tree (rounded up to a power of
-    /// two). Sized so a diagnostic window survives while the ring's
-    /// working set stays cache-resident: at one enqueue + one dequeue +
-    /// two pool events per packet, 256 retains the last ~64 packets per
-    /// port in 8 KiB. Larger rings keep more history but cost
-    /// throughput — the hot loop streams writes over the whole ring.
-    pub ring_capacity: usize,
     /// Also collect per-packet [`PathRecord`]s (the most expensive mode).
     pub path_records: bool,
     /// Sample gauges every this many scheduling rounds.
@@ -619,7 +591,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            ring_capacity: 256,
             path_records: false,
             sample_every: 16,
         }
@@ -627,6 +598,14 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
+    /// Flight-recorder ring capacity per tree. Sized so a diagnostic
+    /// window survives while the ring's working set stays cache-resident:
+    /// at one enqueue + one dequeue + two pool events per packet, 256
+    /// retains the last ~64 packets per port in 8 KiB. Larger rings keep
+    /// more history but cost throughput — the hot loop streams writes
+    /// over the whole ring.
+    pub const RING_CAPACITY: usize = 256;
+
     /// Default config plus per-packet path records.
     pub fn with_paths() -> Self {
         TelemetryConfig {
@@ -757,12 +736,6 @@ mod tests {
         assert_eq!(FlightRecorder::new(4096).capacity(), 4096);
     }
 
-    fn drained(pr: &mut PathRecorder) -> PathLog {
-        let mut log = PathLog::new();
-        pr.drain_into(&mut log);
-        log
-    }
-
     #[test]
     fn multi_hop_record_round_trips_leaf_first() {
         let mut pr = PathRecorder::new();
@@ -770,12 +743,8 @@ mod tests {
         pr.hop(3, 7, 100, 2, Nanos(10));
         pr.hop(3, 4, 200, 1, Nanos(25));
         pr.hop(3, 0, 300, 0, Nanos(40));
-        assert_eq!(pr.completed_len(), 0);
-        pr.finish(3, Nanos(50));
-        assert_eq!(pr.completed_len(), 1);
-
-        let log = drained(&mut pr);
-        assert_eq!(pr.completed_len(), 0, "drained records leave the recorder");
+        let mut log = PathLog::new();
+        pr.finish(3, Nanos(50), &mut log);
         assert_eq!(log.len(), 1);
         assert!(log.get(1).is_none());
         let r = log.get(0).expect("one record");
@@ -800,19 +769,18 @@ mod tests {
     /// A ninth hop sets `truncated` and keeps the first eight.
     #[test]
     fn path_recorder_tracks_hops_and_truncates() {
-        let mut pr = PathRecorder::new();
+        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
         pr.begin(0, 1, FlowId(0), 0, Nanos(0));
         for i in 0..MAX_PATH_HOPS as u32 {
             pr.hop(0, i, i as u64, i, Nanos(0));
         }
-        pr.finish(0, Nanos(1));
+        pr.finish(0, Nanos(1), &mut log);
         pr.begin(0, 2, FlowId(0), 0, Nanos(1));
         for i in 0..=MAX_PATH_HOPS as u32 {
             pr.hop(0, 100 + i, i as u64, i, Nanos(1));
         }
-        pr.finish(0, Nanos(2));
+        pr.finish(0, Nanos(2), &mut log);
 
-        let log = drained(&mut pr);
         let exact = log.get(0).expect("eight-hop record");
         assert_eq!(exact.hops().len(), MAX_PATH_HOPS);
         assert!(!exact.truncated, "eight hops fit");
@@ -827,21 +795,20 @@ mod tests {
     /// later reports hops for a record that is already closed.
     #[test]
     fn hop_and_finish_on_unknown_or_finished_slots_are_no_ops() {
-        let mut pr = PathRecorder::new();
+        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
         pr.hop(99, 0, 0, 0, Nanos(10));
-        pr.finish(99, Nanos(50));
-        assert_eq!(pr.completed_len(), 0, "never-begun slots are ignored");
+        pr.finish(99, Nanos(50), &mut log);
+        assert!(log.is_empty(), "never-begun slots are ignored");
 
         pr.begin(2, 7, FlowId(0), 0, Nanos(10));
         pr.hop(2, 1, 1, 0, Nanos(10));
-        pr.finish(2, Nanos(20));
+        pr.finish(2, Nanos(20), &mut log);
         pr.hop(2, 0, 9, 9, Nanos(30));
-        pr.finish(2, Nanos(40));
+        pr.finish(2, Nanos(40), &mut log);
         // In range but never begun: storage exists, no record is live.
         pr.hop(1, 0, 0, 0, Nanos(30));
-        pr.finish(1, Nanos(40));
+        pr.finish(1, Nanos(40), &mut log);
 
-        let log = drained(&mut pr);
         assert_eq!(log.len(), 1);
         let r = log.get(0).expect("the one finished record");
         assert_eq!(r.departed, Nanos(20), "the late finish changed nothing");
@@ -850,20 +817,19 @@ mod tests {
 
     #[test]
     fn reused_slot_starts_from_zero_hops() {
-        let mut pr = PathRecorder::new();
+        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
         pr.begin(0, 1, FlowId(1), 0, Nanos(0));
         for i in 0..=MAX_PATH_HOPS as u32 {
             pr.hop(0, 50 + i, 5, 5, Nanos(0));
         }
-        pr.finish(0, Nanos(5));
+        pr.finish(0, Nanos(5), &mut log);
         // Same slot, next occupant: one hop, then none at all.
         pr.begin(0, 2, FlowId(2), 0, Nanos(6));
         pr.hop(0, 9, 1, 0, Nanos(6));
-        pr.finish(0, Nanos(7));
+        pr.finish(0, Nanos(7), &mut log);
         pr.begin(0, 3, FlowId(3), 0, Nanos(8));
-        pr.finish(0, Nanos(9));
+        pr.finish(0, Nanos(9), &mut log);
 
-        let log = drained(&mut pr);
         let second = log.get(1).expect("second occupant");
         assert_eq!(second.packet, 2);
         assert!(
@@ -875,38 +841,6 @@ mod tests {
         let third = log.get(2).expect("third occupant");
         assert_eq!(third.packet, 3);
         assert!(third.hops().is_empty());
-    }
-
-    #[test]
-    fn successive_drains_rebase_first_hop() {
-        let mut pr = PathRecorder::new();
-        let mut log = PathLog::new();
-        for round in 0..3u64 {
-            // Each round completes two records with `round + 1` and one
-            // hop respectively, tagged by node so a mix-up shows.
-            pr.begin(0, round * 2, FlowId(0), 0, Nanos(round));
-            for h in 0..=round {
-                pr.hop(0, (round * 10 + h) as u32, h, 0, Nanos(round));
-            }
-            pr.begin(1, round * 2 + 1, FlowId(0), 0, Nanos(round));
-            pr.hop(1, (round * 10 + 9) as u32, 0, 0, Nanos(round));
-            pr.finish(0, Nanos(round + 1));
-            pr.finish(1, Nanos(round + 1));
-            pr.drain_into(&mut log);
-        }
-        assert_eq!(log.len(), 6);
-        assert_eq!(log.iter().len(), 6);
-        for (i, r) in log.iter().enumerate() {
-            let round = i as u64 / 2;
-            assert_eq!(r.packet, i as u64);
-            let nodes: Vec<u64> = r.hops().iter().map(|h| h.node as u64).collect();
-            let want: Vec<u64> = if i % 2 == 0 {
-                (0..=round).map(|h| round * 10 + h).collect()
-            } else {
-                vec![round * 10 + 9]
-            };
-            assert_eq!(nodes, want, "record {i} indexes its own hops");
-        }
     }
 
     #[test]

@@ -71,7 +71,9 @@ use crate::packet::{FlowId, Packet};
 use crate::pifo::{EnumPifo, FlowPifo, PifoBackend, PifoQueue};
 use crate::pool::{PktHandle, PoolHandle, SharedPacketPool};
 use crate::rank::Rank;
-use crate::telemetry::{drop_reason, EventKind, FlightRecorder, PathLog, PathRecorder, TraceEvent};
+use crate::telemetry::{
+    drop_reason, EventKind, FlightRecorder, PathLog, PathRecorder, TelemetryConfig, TraceEvent,
+};
 use crate::time::Nanos;
 use crate::transaction::{DeqCtx, EnqCtx, SchedulingTransaction, ShapingTransaction};
 use core::fmt;
@@ -242,7 +244,6 @@ struct Node {
     sched: Box<dyn SchedulingTransaction>,
     shaper: Option<Box<dyn ShapingTransaction>>,
     flow_fn: Option<FlowFn>,
-    backend: PifoBackend,
     sched_pifo: SchedPifo,
 }
 
@@ -546,12 +547,11 @@ impl TreeBuilder {
                 sched: n.sched,
                 shaper: n.shaper,
                 flow_fn: n.flow_fn,
-                backend,
             })
             .collect();
-        let has_shapers = nodes.iter().any(|n: &Node| n.shaper.is_some());
         Ok(ScheduleTree {
             nodes,
+            backend,
             root: NodeId(0),
             classifier,
             pool,
@@ -561,10 +561,10 @@ impl TreeBuilder {
             shaped: 0,
             dangling_shaped: 0,
             shaping_inspections: 0,
-            has_shapers,
             tracker: track_inversions.then(InversionTracker::new),
             recorder: None,
             paths: None,
+            path_log: PathLog::new(),
         })
     }
 }
@@ -573,6 +573,8 @@ impl TreeBuilder {
 /// programming model of §2 in one object.
 pub struct ScheduleTree {
     nodes: Vec<Node>,
+    /// The builder's engine choice, the same for every node.
+    backend: PifoBackend,
     root: NodeId,
     classifier: Classifier,
     /// This tree's port into its packet pool — a sole-owner pool for
@@ -590,8 +592,6 @@ pub struct ScheduleTree {
     /// their packet already departed through an earlier reference.
     dangling_shaped: usize,
     shaping_inspections: u64,
-    /// True when any node carries a shaping transaction — fixed at build.
-    has_shapers: bool,
     /// When enabled, every root-level dequeue rank is scored for
     /// inversions/unpifoness (O(1) per dequeue). `None` keeps the hot
     /// path tracker-free.
@@ -600,8 +600,13 @@ pub struct ScheduleTree {
     /// hook site at a single null check.
     recorder: Option<Box<FlightRecorder>>,
     /// Per-packet path records keyed by pool slot; `None` keeps the hot
-    /// path digest-free.
+    /// path digest-free. Never on without `recorder` (see
+    /// [`enable_telemetry`](Self::enable_telemetry)), so hook sites gate
+    /// both on `recorder` alone.
     paths: Option<Box<PathRecorder>>,
+    /// Where finished path records go: the log a fabric hands in for
+    /// the length of a run (see [`replace_path_log`](Self::replace_path_log)).
+    path_log: PathLog,
 }
 
 impl fmt::Debug for ScheduleTree {
@@ -674,7 +679,8 @@ impl ScheduleTree {
     /// runs [`FlowPifo`], Fig 12's flow-head decomposition, which pops in
     /// the same order (see the module docs).
     pub fn node_backend(&self, node: NodeId) -> PifoBackend {
-        self.nodes[node.index()].backend
+        assert!(node.index() < self.nodes.len(), "unknown node {node}");
+        self.backend
     }
 
     /// Scheduling-PIFO occupancy of `node` (for tests and introspection).
@@ -786,7 +792,7 @@ impl ScheduleTree {
             node.sched_pifo.push(flow, rank, Element::Packet(handle));
             (rank, flow, depth)
         };
-        if self.recorder.is_some() || self.paths.is_some() {
+        if self.recorder.is_some() {
             self.note_admission(handle, leaf, leaf_rank, leaf_flow, leaf_depth, now);
         }
         if leaf == self.root {
@@ -909,10 +915,9 @@ impl ScheduleTree {
 
     /// Release every shaped element whose wall-clock time has arrived,
     /// resuming the suspended walks in release-time order (ties broken by
-    /// node index, then FIFO — the agenda's `(release, node, seq)` order,
-    /// identical to the historical per-node-scan order). A resumed walk
-    /// may suspend again at a higher shaper; if that release time has also
-    /// passed it is processed in the same call.
+    /// node index, then FIFO — the agenda's `(release, node, seq)` order).
+    /// A resumed walk may suspend again at a higher shaper; if that
+    /// release time has also passed it is processed in the same call.
     ///
     /// Work-conserving trees exit in O(1) on `shaped == 0` without
     /// touching the agenda; shaped trees pay O(log s) per released entry.
@@ -976,11 +981,11 @@ impl ScheduleTree {
                         .sched
                         .on_dequeue(rank, &DeqCtx { now, flow });
                     self.buffered -= 1;
-                    if self.recorder.is_some() || self.paths.is_some() {
+                    if self.recorder.is_some() {
                         let remaining = self.buffered as u32;
                         self.emit(EventKind::Dequeue, now, node.0, flow, rank.0, remaining);
                         if let Some(paths) = &mut self.paths {
-                            paths.finish(h.index(), now);
+                            paths.finish(h.index(), now, &mut self.path_log);
                         }
                     }
                     // Common case: the leaf element is the last holder and
@@ -1017,14 +1022,6 @@ impl ScheduleTree {
         }
     }
 
-    /// True when any node of this tree carries a shaping transaction
-    /// (fixed at build time). Work-conserving trees (`false`) never touch
-    /// the shaping agenda — see
-    /// [`shaping_inspections`](Self::shaping_inspections).
-    pub fn has_shapers(&self) -> bool {
-        self.has_shapers
-    }
-
     /// Switch on per-dequeue rank-inversion tracking from this point
     /// (idempotent — an already-running tracker keeps its counters).
     /// Usually set at build time via [`TreeBuilder::track_inversions`].
@@ -1055,16 +1052,24 @@ impl ScheduleTree {
         }
     }
 
-    /// Switch on flight recording from this point with a ring retaining
-    /// the most recent `capacity` trace events (enqueue/dequeue/drop/
-    /// shaping/pool — see [`EventKind`]). Idempotent: an existing
-    /// recorder keeps its ring and counters. Off by default; when off
-    /// every hook site costs one `Option` null check. A fabric switches
-    /// it on for every port through `pifo-sim`'s
-    /// `SwitchBuilder::with_telemetry`.
-    pub fn enable_flight_recorder(&mut self, capacity: usize) {
+    /// Switch on telemetry from this point: a flight recorder retaining
+    /// the most recent [`TelemetryConfig::RING_CAPACITY`] trace events
+    /// (enqueue/dequeue/drop/shaping/pool — see [`EventKind`]) and, when
+    /// `cfg.path_records` is set, an INT-style
+    /// [`PathRecord`](crate::telemetry::PathRecord) per packet: the hops
+    /// of its enqueue walk (node, rank, queue depth seen) plus enqueue
+    /// and departure instants. Idempotent: a running recorder keeps its
+    /// ring and counters, and packets already buffered get no record.
+    /// Off by default; when off every hook site costs one `Option` null
+    /// check. A fabric switches it on for every port through
+    /// `pifo-sim`'s `SwitchBuilder::with_telemetry`.
+    pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
         if self.recorder.is_none() {
-            self.recorder = Some(Box::new(FlightRecorder::new(capacity)));
+            let ring = FlightRecorder::new(TelemetryConfig::RING_CAPACITY);
+            self.recorder = Some(Box::new(ring));
+        }
+        if cfg.path_records && self.paths.is_none() {
+            self.paths = Some(Box::new(PathRecorder::new()));
         }
     }
 
@@ -1074,36 +1079,17 @@ impl ScheduleTree {
         self.recorder.as_deref()
     }
 
-    /// Switch on an INT-style [`PathRecord`](crate::telemetry::PathRecord)
-    /// per packet from this point (idempotent): the hops of its enqueue
-    /// walk (node, rank, queue depth seen) plus enqueue and departure
-    /// instants. Packets already buffered get no record — only walks
-    /// observed from here on are digested. The most expensive telemetry
-    /// mode; off by default, and switched on for a fabric through
-    /// `SwitchBuilder::with_telemetry`.
-    pub fn enable_path_records(&mut self) {
-        if self.paths.is_none() {
-            self.paths = Some(Box::new(PathRecorder::new()));
-        }
-    }
-
-    /// True when per-packet path records are being collected.
-    pub fn path_records_enabled(&self) -> bool {
-        self.paths.is_some()
-    }
-
-    /// Move every completed path record, in departure order, to the end
-    /// of `out` (nothing when path records are disabled). A record is
-    /// written once, when its packet is dequeued, into a log this tree
-    /// keeps and reuses; draining copies it on to `out` and allocates
-    /// nothing here. The `departed` stamp is the tree dequeue instant;
-    /// drivers that model transmission (e.g. `pifo-sim`'s switch)
-    /// overwrite it with the transmit start so the record's wait
-    /// reconciles exactly with the departure trace.
-    pub fn drain_path_records(&mut self, out: &mut PathLog) {
-        if let Some(p) = &mut self.paths {
-            p.drain_into(out);
-        }
+    /// Hand the tree the log its finished path records are appended to,
+    /// returning the log it held until now. Each record is written once,
+    /// into this log, when its packet is dequeued; nothing is written
+    /// when path records are off. A fabric hands in a port's log at the
+    /// start of a run and takes it back (with an empty one) at the end.
+    /// The `departed` stamp is the tree dequeue instant; fabrics that
+    /// model transmission (e.g. `pifo-sim`'s switch) overwrite it with
+    /// the transmit start so the record's wait reconciles exactly with
+    /// the departure trace.
+    pub fn replace_path_log(&mut self, log: PathLog) -> PathLog {
+        std::mem::replace(&mut self.path_log, log)
     }
 
     /// Record one event when the flight recorder is enabled — the single

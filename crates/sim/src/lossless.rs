@@ -676,6 +676,11 @@ impl LosslessFabric {
             })
             .collect();
         let dead = |i: usize| faults.dead_ports.contains(&i);
+        // Live sources give no per-port count up front, so each tree is
+        // handed an empty path log, taken back into its trace at the end.
+        for tree in &mut self.switch.ports {
+            tree.replace_path_log(PathLog::new());
+        }
 
         let mut ports: Vec<PortState> = (0..n)
             .map(|_| PortState {
@@ -1124,7 +1129,6 @@ impl LosslessFabric {
                         port.busy_until = t;
                         port.t = Some(t);
                         due[i] = t;
-                        port.trace.absorb_paths(&mut self.switch.ports[i]);
                         // Progress frees pool space: wake parked ports
                         // whose skid heads may now be admissible (none
                         // can be parked on one while every skid is empty).
@@ -1187,34 +1191,34 @@ impl LosslessFabric {
             }
         }
 
-        let telemetry = self.switch.telemetry_config().map(|_| {
-            let mut snap = TelemetrySnapshot::default();
-            for tree in &self.switch.ports {
-                if let Some(r) = tree.flight_recorder() {
-                    snap.absorb_recorder(r);
-                }
-            }
+        let run = SwitchRun {
+            ports: ports
+                .iter_mut()
+                .zip(&mut self.switch.ports)
+                .map(|(p, tree)| {
+                    p.trace.take_paths(tree);
+                    std::mem::take(&mut p.trace)
+                })
+                .collect(),
+            misrouted,
+        };
+        let telemetry = self.switch.telemetry_snapshot(&run).map(|mut snap| {
             // Pause/resume transitions and the stall verdict are driver
             // state, not tree state: synthesize their trace events here,
             // off the hot path.
-            for e in &pause_events {
-                let kind = match e.action {
+            let pauses = pause_events.iter().map(|e| TraceEvent {
+                time: e.time,
+                kind: match e.action {
                     PauseAction::Pause => EventKind::Pause,
                     PauseAction::Resume => EventKind::Resume,
-                };
-                snap.counts[kind as usize] += 1;
-                snap.events_recorded += 1;
-                snap.events.push(TraceEvent {
-                    time: e.time,
-                    kind,
-                    port: e.port as u16,
-                    node: NO_NODE,
-                    flow: FlowId(0),
-                    value: e.class as u64,
-                    aux: 0,
-                });
-            }
-            if let Some(s) = &stall {
+                },
+                port: e.port as u16,
+                node: NO_NODE,
+                flow: FlowId(0),
+                value: e.class as u64,
+                aux: 0,
+            });
+            let fault = stall.as_ref().map(|s| {
                 let (code, port) = match s.kind {
                     StallKind::DeadPort { port } => (0u64, port as u16),
                     StallKind::StuckPool => (1, 0),
@@ -1222,9 +1226,7 @@ impl LosslessFabric {
                     StallKind::RoundBudget { .. } => (3, 0),
                     StallKind::CircularWait => (4, 0),
                 };
-                snap.counts[EventKind::Fault as usize] += 1;
-                snap.events_recorded += 1;
-                snap.events.push(TraceEvent {
+                TraceEvent {
                     time: s.at,
                     kind: EventKind::Fault,
                     port,
@@ -1232,23 +1234,22 @@ impl LosslessFabric {
                     flow: FlowId(0),
                     value: code,
                     aux: u32::try_from(s.paused_for.as_nanos()).unwrap_or(u32::MAX),
-                });
+                }
+            });
+            for ev in pauses.chain(fault) {
+                snap.counts[ev.kind as usize] += 1;
+                snap.events_recorded += 1;
+                snap.events.push(ev);
             }
+            // Stable: at one `(time, port)` the trees' events stay ahead
+            // of the fabric's, in recording order.
             snap.sort_events();
-            snap.gauges.push(g_pool);
-            snap.gauges.push(g_paused);
-            snap.gauges.push(g_skid);
+            snap.gauges.extend([g_pool, g_paused, g_skid]);
             snap
         });
 
         LosslessRun {
-            run: SwitchRun {
-                ports: ports
-                    .iter_mut()
-                    .map(|p| std::mem::take(&mut p.trace))
-                    .collect(),
-                misrouted,
-            },
+            run,
             pause_events,
             stall,
             sources: srcs.iter().map(|s| s.stats).collect(),

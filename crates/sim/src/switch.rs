@@ -23,7 +23,7 @@
 //! [`ScheduleTree::dequeue`] each, all decided at `t` and transmitted
 //! back-to-back. This is the paper's one mechanism — push in by rank,
 //! pop from the head, one packet per operation (§4.2–§4.3) — and the
-//! only path a round takes; the switch adds gauges and path records.
+//! only path a round takes; the switch adds only gauge samples to it.
 //! [`Switch::run`]'s worker count chooses only how many threads run
 //! rounds (see the threading model below).
 //!
@@ -36,8 +36,10 @@
 //! lists, so an arrival is cloned exactly once — at the tree enqueue
 //! call that buffers it — and moves out of the buffer into its
 //! [`Departure`]. Each port's departure trace is allocated once, at the
-//! port's arrival count, and a path record is appended to
-//! [`PortTrace::paths`] once, when its packet departs.
+//! port's arrival count, and so is its path log: the run hands the log
+//! to the port's tree, the tree writes each record into it once, when
+//! its packet departs, and the run takes it back into
+//! [`PortTrace::paths`] at the end.
 //!
 //! # One buffer for all ports
 //!
@@ -165,14 +167,14 @@ impl SwitchBuilder {
     }
 
     /// Collect telemetry during runs: every port tree gets a
-    /// [`FlightRecorder`] ring of `cfg.ring_capacity` trace events (plus
-    /// per-packet [`PathRecord`]s when `cfg.path_records` is set), and
-    /// each port samples its gauge series — queue depth, pool occupancy,
-    /// cumulative inversions when tracking — every `cfg.sample_every`
-    /// scheduling rounds. Read the merged result after a run with
-    /// [`Switch::telemetry_snapshot`]; per-port path records land on
-    /// [`PortTrace::paths`]. Off by default — disabled telemetry costs
-    /// one null check per tree operation. Telemetry observes only:
+    /// [`FlightRecorder`] ring of [`TelemetryConfig::RING_CAPACITY`] trace
+    /// events (plus per-packet [`PathRecord`]s when `cfg.path_records` is
+    /// set), and each port samples its gauge series — queue depth, pool
+    /// occupancy, cumulative inversions when tracking — every
+    /// `cfg.sample_every` scheduling rounds. Read the merged result after
+    /// a run with [`Switch::telemetry_snapshot`]; per-port path records
+    /// land on [`PortTrace::paths`]. Off by default — disabled telemetry
+    /// costs one null check per tree operation. Telemetry observes only:
     /// departure traces are bit-identical with it on or off.
     pub fn with_telemetry(&mut self, cfg: TelemetryConfig) -> &mut Self {
         self.telemetry = Some(cfg);
@@ -276,12 +278,9 @@ impl SwitchBuilder {
                 tree.enable_inversion_tracking();
             }
         }
-        if let Some(cfg) = self.telemetry {
+        if let Some(cfg) = &self.telemetry {
             for tree in &mut ports {
-                tree.enable_flight_recorder(cfg.ring_capacity);
-                if cfg.path_records {
-                    tree.enable_path_records();
-                }
+                tree.enable_telemetry(cfg);
             }
         }
         Switch {
@@ -339,19 +338,14 @@ pub struct SwitchRun {
 }
 
 impl PortTrace {
-    /// Append the path records `tree` completed since the last call —
-    /// one per packet it dequeued this round, in dequeue order, which is
-    /// exactly the departures just pushed — and finalize each `departed`
-    /// to its packet's transmit start so telemetry waits reconcile with
-    /// `Departure::wait`. Does nothing when the tree records no paths.
-    pub(crate) fn absorb_paths(&mut self, tree: &mut ScheduleTree) {
-        let before = self.paths.len();
-        tree.drain_path_records(&mut self.paths);
-        let base = self.departures.len() - (self.paths.len() - before);
-        for (r, d) in self.paths.records_mut()[before..]
-            .iter_mut()
-            .zip(&self.departures[base..])
-        {
+    /// Take back the path log `tree` was handed for the run — one record
+    /// per packet it dequeued, in dequeue order, which is the order of
+    /// [`departures`](Self::departures) — and finalize each `departed` to
+    /// its packet's transmit start so telemetry waits reconcile with
+    /// `Departure::wait`.
+    pub(crate) fn take_paths(&mut self, tree: &mut ScheduleTree) {
+        self.paths = tree.replace_path_log(PathLog::new());
+        for (r, d) in self.paths.records_mut().iter_mut().zip(&self.departures) {
             r.departed = d.start;
         }
     }
@@ -468,7 +462,7 @@ impl Switch {
         let telemetry = self.telemetry;
         let mut sims: Vec<SwitchPort> = per_port
             .into_iter()
-            .zip(&self.ports)
+            .zip(&mut self.ports)
             .enumerate()
             .map(|(i, (pending, tree))| SwitchPort::new(arrivals, pending, tree, i, telemetry))
             .collect();
@@ -549,7 +543,8 @@ impl Switch {
 
 /// Run `ports` to completion in `(time, port)` order: always advance the
 /// port whose next scheduling round is earliest, ties to the one listed
-/// first (the lowest port index).
+/// first (the lowest port index). Then take back each tree's path log,
+/// on this worker, so the closing pass over the logs runs in parallel.
 fn drain_in_time_order(
     mut ports: Vec<(&mut SwitchPort, &mut ScheduleTree)>,
     rate_bps: u64,
@@ -567,10 +562,13 @@ fn drain_in_time_order(
         let (port, tree) = &mut ports[i];
         port.step(tree, rate_bps, horizon, burst);
     }
+    for (port, tree) in ports {
+        port.sim.trace.take_paths(tree);
+    }
 }
 
-/// One port of [`Switch::run`]: the shared round plus the tree-only
-/// work around it, gauge samples and path records.
+/// One port of [`Switch::run`]: the shared round plus the gauge samples
+/// taken around it.
 struct SwitchPort<'a> {
     sim: PortSim<'a>,
     /// Scheduling rounds executed so far (drives gauge sampling; counts
@@ -589,10 +587,12 @@ struct PortGauges {
 }
 
 impl<'a> SwitchPort<'a> {
+    /// A port fed `pending`, whose `tree` is handed a path log sized to
+    /// the port's arrival count when the run records paths.
     fn new(
         arrivals: &'a [Packet],
         pending: Vec<u32>,
-        tree: &ScheduleTree,
+        tree: &mut ScheduleTree,
         port: usize,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
@@ -600,9 +600,11 @@ impl<'a> SwitchPort<'a> {
         let idle = pending.is_empty() && tree.is_empty() && tree.shaped_len() == 0;
         let mut sim = PortSim::new(arrivals, Some(pending));
         sim.done = idle;
-        if tree.path_records_enabled() {
-            sim.trace.paths = PathLog::with_capacity(expect, expect);
-        }
+        tree.replace_path_log(if telemetry.is_some_and(|c| c.path_records) {
+            PathLog::with_capacity(expect, expect)
+        } else {
+            PathLog::new()
+        });
         SwitchPort {
             sim,
             rounds: 0,
@@ -627,7 +629,7 @@ impl<'a> SwitchPort<'a> {
         trace
     }
 
-    /// Run one round on `tree`, then sample and absorb its telemetry.
+    /// Run one round on `tree`, then sample its gauges.
     fn step(&mut self, tree: &mut ScheduleTree, rate_bps: u64, horizon: Nanos, burst: usize) {
         let t = self.sim.t;
         if !self.sim.step_round(tree, rate_bps, horizon, burst) {
@@ -646,7 +648,6 @@ impl<'a> SwitchPort<'a> {
                 }
             }
         }
-        self.sim.trace.absorb_paths(tree);
     }
 }
 

@@ -93,6 +93,30 @@ pub fn renumber(packets: &mut [Packet]) {
     }
 }
 
+/// The pause state every clock-driven source shares: while paused it
+/// emits nothing, and on resume its clock moves on by the time it spent
+/// paused, so the stream restarts at its configured rate instead of
+/// bursting a backlog.
+#[derive(Debug, Default)]
+struct PauseClock {
+    paused_at: Option<Nanos>,
+}
+
+impl PauseClock {
+    /// Pause at `now`; a second pause before the resume changes nothing.
+    fn pause(&mut self, now: Nanos) {
+        self.paused_at.get_or_insert(now);
+    }
+
+    /// Resume at `now`, shifting `clock` by the paused duration (no-op
+    /// without a pending pause).
+    fn resume(&mut self, now: Nanos, clock: &mut Nanos) {
+        if let Some(t0) = self.paused_at.take() {
+            *clock += now.saturating_sub(t0);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // CBR
 // ---------------------------------------------------------------------------
@@ -108,7 +132,7 @@ pub struct CbrSource {
     next_id: u64,
     seq: u64,
     class: u8,
-    paused_at: Option<Nanos>,
+    paused: PauseClock,
 }
 
 impl CbrSource {
@@ -133,7 +157,7 @@ impl CbrSource {
             next_id: 0,
             seq: 0,
             class: 0,
-            paused_at: None,
+            paused: PauseClock::default(),
         }
     }
 
@@ -159,17 +183,11 @@ impl TrafficSource for CbrSource {
     }
 
     fn pause(&mut self, now: Nanos) {
-        if self.paused_at.is_none() {
-            self.paused_at = Some(now);
-        }
+        self.paused.pause(now);
     }
 
     fn resume(&mut self, now: Nanos) {
-        if let Some(t0) = self.paused_at.take() {
-            // Shift the emission clock by the paused duration: the
-            // stream restarts at its configured rate, it does not burst.
-            self.next_time += now.saturating_sub(t0);
-        }
+        self.paused.resume(now, &mut self.next_time);
     }
 }
 
@@ -250,7 +268,7 @@ pub struct OnOffSource {
     end: Nanos,
     next_id: u64,
     seq: u64,
-    paused_at: Option<Nanos>,
+    paused: PauseClock,
 }
 
 impl OnOffSource {
@@ -283,7 +301,7 @@ impl OnOffSource {
             end,
             next_id: 0,
             seq: 0,
-            paused_at: None,
+            paused: PauseClock::default(),
         }
     }
 }
@@ -308,15 +326,11 @@ impl TrafficSource for OnOffSource {
     }
 
     fn pause(&mut self, now: Nanos) {
-        if self.paused_at.is_none() {
-            self.paused_at = Some(now);
-        }
+        self.paused.pause(now);
     }
 
     fn resume(&mut self, now: Nanos) {
-        if let Some(t0) = self.paused_at.take() {
-            self.next_time += now.saturating_sub(t0);
-        }
+        self.paused.resume(now, &mut self.next_time);
     }
 }
 
@@ -351,7 +365,7 @@ pub struct IncastSource {
     /// times are computed from the epoch grid rather than carried in a
     /// clock, so the shift is additive).
     offset: Nanos,
-    paused_at: Option<Nanos>,
+    paused: PauseClock,
 }
 
 impl IncastSource {
@@ -399,7 +413,7 @@ impl IncastSource {
             sender: 0,
             next_id: 0,
             offset: Nanos::ZERO,
-            paused_at: None,
+            paused: PauseClock::default(),
         }
     }
 }
@@ -437,15 +451,11 @@ impl TrafficSource for IncastSource {
     }
 
     fn pause(&mut self, now: Nanos) {
-        if self.paused_at.is_none() {
-            self.paused_at = Some(now);
-        }
+        self.paused.pause(now);
     }
 
     fn resume(&mut self, now: Nanos) {
-        if let Some(t0) = self.paused_at.take() {
-            self.offset += now.saturating_sub(t0);
-        }
+        self.paused.resume(now, &mut self.offset);
     }
 }
 
@@ -471,7 +481,7 @@ pub struct MarkovOnOffSource {
     end: Nanos,
     next_id: u64,
     seq: u64,
-    paused_at: Option<Nanos>,
+    paused: PauseClock,
 }
 
 impl MarkovOnOffSource {
@@ -507,7 +517,7 @@ impl MarkovOnOffSource {
             end,
             next_id: 0,
             seq: 0,
-            paused_at: None,
+            paused: PauseClock::default(),
         };
         src.remaining_in_burst = src.sample_burst();
         src
@@ -547,15 +557,11 @@ impl TrafficSource for MarkovOnOffSource {
     }
 
     fn pause(&mut self, now: Nanos) {
-        if self.paused_at.is_none() {
-            self.paused_at = Some(now);
-        }
+        self.paused.pause(now);
     }
 
     fn resume(&mut self, now: Nanos) {
-        if let Some(t0) = self.paused_at.take() {
-            self.next_time += now.saturating_sub(t0);
-        }
+        self.paused.resume(now, &mut self.next_time);
     }
 }
 
@@ -917,31 +923,59 @@ mod tests {
         assert_eq!(f10, vec![0, 1, 2, 3, 4, 5]);
     }
 
+    /// Every clock-driven source, paused for 2.5 µs after its second
+    /// packet, emits the rest of its unpaused stream shifted by exactly
+    /// that long: no backlog burst, a second pause does not shift twice,
+    /// and a resume without a pause is a no-op.
     #[test]
-    fn pause_shifts_the_cbr_clock_without_bursting() {
-        // 1000 B at 8 Mb/s: 1 ms per packet. Pause for 2.5 ms after the
-        // second packet: the stream resumes on a shifted grid, never
-        // emitting a backlog burst, and pause is idempotent.
-        let mut s = CbrSource::new(
-            FlowId(1),
-            1_000,
-            8_000_000,
-            Nanos::ZERO,
-            Nanos::from_millis(10),
-        );
-        let a = s.next_packet().unwrap();
-        let b = s.next_packet().unwrap();
-        assert_eq!((a.arrival.0, b.arrival.0), (0, 1_000_000));
-        s.pause(Nanos::from_millis(2));
-        s.pause(Nanos::from_millis(3)); // second pause: no double shift
-        s.resume(Nanos(4_500_000));
-        let c = s.next_packet().unwrap();
-        assert_eq!(c.arrival, Nanos(4_500_000), "clock shifted by the pause");
-        let d = s.next_packet().unwrap();
-        assert_eq!(d.arrival, Nanos(5_500_000), "rate preserved after resume");
-        // A resume without a pause is a no-op.
-        s.resume(Nanos::from_millis(9));
-        assert_eq!(s.next_packet().unwrap().arrival, Nanos(6_500_000));
+    fn pause_shifts_every_clock_without_bursting() {
+        const RATE: u64 = 8_000_000_000;
+        const F: FlowId = FlowId(1);
+        const END: Nanos = Nanos::MAX;
+        type Make = fn() -> Box<dyn TrafficSource>;
+        let sources: [(&str, Make); 4] = [
+            ("cbr", || {
+                Box::new(CbrSource::new(F, 1_000, RATE, Nanos::ZERO, END))
+            }),
+            ("on/off", || {
+                Box::new(OnOffSource::new(F, 1_000, 3, RATE, Nanos(10_000), END))
+            }),
+            ("incast", || {
+                Box::new(IncastSource::new(F, 2, 1_000, 2, RATE, Nanos(50_000), END))
+            }),
+            ("markov", || {
+                Box::new(MarkovOnOffSource::new(
+                    F,
+                    1_000,
+                    4.0,
+                    RATE,
+                    Nanos(20_000),
+                    END,
+                    7,
+                ))
+            }),
+        ];
+        const SHIFT: u64 = 2_500;
+        let arrivals = |s: &mut dyn TrafficSource, n: usize| -> Vec<u64> {
+            (0..n).map(|_| s.next_packet().unwrap().arrival.0).collect()
+        };
+        for (name, make) in sources {
+            let plain = arrivals(&mut *make(), 20);
+            let mut s = make();
+            let mut got = arrivals(&mut *s, 2);
+            s.pause(Nanos(plain[1]));
+            s.pause(Nanos(plain[1] + 1_000)); // second pause: no double shift
+            s.resume(Nanos(plain[1] + SHIFT));
+            got.extend(arrivals(&mut *s, 9));
+            s.resume(Nanos(plain[1] + 100_000)); // no pause pending: no shift
+            got.extend(arrivals(&mut *s, 9));
+            let want: Vec<u64> = plain
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| if i < 2 { t } else { t + SHIFT })
+                .collect();
+            assert_eq!(got, want, "{name}: the clock shifts by the pause, once");
+        }
     }
 
     #[test]
