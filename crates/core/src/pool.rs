@@ -48,19 +48,19 @@
 //!   [`OnceLock`], each slot carries an atomic generation (even = free,
 //!   odd = occupied, so stale handles are detected on access) and
 //!   reference count, and the live count and each port's occupancy are
-//!   atomics written only under the lock. [`PoolHandle::get`],
+//!   atomics written only under the lock. The crate-private slot read,
 //!   [`PoolHandle::retain`], the port-only [`PoolHandle::would_admit`]
 //!   probe and the occupancy gauges therefore never lock, and a
 //!   `ScheduleTree` reads packet fields straight from the slab at every
 //!   level of its walk.
 //!
-//! A handle may only be dereferenced by a caller that holds (at least)
-//! one of the slot's references — the scheduling tree maintains this
-//! internally and never exposes a dangling handle. Admission decisions
-//! from several threads are serialized by the lock but not externally
-//! ordered; the fabric keeps its departure traces deterministic by making
-//! shared-pool admission decisions in the global `(time, port)` round
-//! order (see `pifo-sim`'s `Switch::run`).
+//! A handle may only be dereferenced inside this crate, by a caller that
+//! holds (at least) one of the slot's references — the scheduling tree
+//! maintains this internally and never exposes a dangling handle.
+//! Admission decisions from several threads are serialized by the lock
+//! but not externally ordered; the fabric keeps its departure traces
+//! deterministic by making shared-pool admission decisions in the global
+//! `(time, port)` round order (see `pifo-sim`'s `Switch::run`).
 //!
 //! Accounting is **checked**: decrementing an occupancy counter that is
 //! already zero (a double release) panics in debug builds and increments
@@ -958,6 +958,26 @@ pub type SharedPool = Arc<SharedPacketPool>;
 /// to probe occupancy from outside the tree); the clone refers to the
 /// same port. Handles are `Send` — a tree and its handle can migrate to a
 /// worker thread together.
+///
+/// Borrowing a resident packet is crate-private: a borrow is sound only
+/// while its holder keeps a reference to the slot, which the scheduling
+/// tree does and nothing outside this crate could be held to. So safe
+/// code cannot keep a borrow across the slot's release and read the
+/// next packet through it:
+///
+/// ```compile_fail
+/// use pifo_core::pool::{AdmissionPolicy, SharedPacketPool};
+/// use pifo_core::prelude::*;
+///
+/// let pool = SharedPacketPool::new(1, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
+///     .into_shared();
+/// let h = pool.register_port();
+/// let a = h.try_insert(Packet::new(1, FlowId(0), 100, Nanos(0))).unwrap();
+/// let first = h.get(a); // error: `get` is private
+/// h.release(a);
+/// h.try_insert(Packet::new(2, FlowId(0), 100, Nanos(0))).unwrap();
+/// assert_eq!(first.id.0, 1);
+/// ```
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
     pool: Arc<SharedPacketPool>,
@@ -1024,8 +1044,9 @@ impl PoolHandle {
     /// Borrow the packet in `handle`'s slot. The borrow is
     /// generation-checked: accessing a fully released slot panics.
     /// Callers must hold one of the slot's references for the duration
-    /// of the borrow (the scheduling tree's standing discipline).
-    pub fn get(&self, handle: PktHandle) -> &Packet {
+    /// of the borrow (the scheduling tree's standing discipline), which
+    /// is why only this crate may call it.
+    pub(crate) fn get(&self, handle: PktHandle) -> &Packet {
         self.pool.get(handle)
     }
 

@@ -422,6 +422,18 @@ impl PathLog {
         }
     }
 
+    /// Reserve room for `records` more records and `hops` more hops,
+    /// allocating exactly that, or report that the allocator refused (the
+    /// log stays usable and grows as it fills).
+    pub fn try_reserve_exact(
+        &mut self,
+        records: usize,
+        hops: usize,
+    ) -> Result<(), std::collections::TryReserveError> {
+        self.records.try_reserve_exact(records)?;
+        self.hops.try_reserve_exact(hops)
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -659,6 +659,10 @@ impl LosslessFabric {
     /// deliveries, then emissions, then scheduling rounds at equal
     /// times, index-ordered within a kind. That order is sequential by
     /// nature — the pause wire couples every port, see the module docs.
+    ///
+    /// Each port's departure trace is allocated once, sized from what
+    /// its sources can still send ([`TrafficSource::size_hint`]); a
+    /// source without a bound makes its port's trace grow as it fills.
     pub fn run(&mut self, sources: Vec<Box<dyn TrafficSource>>, faults: FaultPlan) -> LosslessRun {
         let n = self.switch.ports.len();
         let (xoff, xon) = (self.cfg.watermarks.xoff, self.cfg.watermarks.xon);
@@ -676,11 +680,6 @@ impl LosslessFabric {
             })
             .collect();
         let dead = |i: usize| faults.dead_ports.contains(&i);
-        // Live sources give no per-port count up front, so each tree is
-        // handed an empty path log, taken back into its trace at the end.
-        for tree in &mut self.switch.ports {
-            tree.replace_path_log(PathLog::new());
-        }
 
         let mut ports: Vec<PortState> = (0..n)
             .map(|_| PortState {
@@ -715,6 +714,31 @@ impl LosslessFabric {
                 }
             })
             .collect();
+
+        // Size each port's trace, and the path log its tree is handed for
+        // the run, once: a port sends at most its sources' held heads
+        // plus what those sources can still emit. A port with a source of
+        // unknown bound, or whose reservation the allocator refuses,
+        // grows them as it fills instead.
+        let mut bound: Vec<Option<usize>> = vec![Some(0); n];
+        for s in &mut srcs {
+            if let Some((port, _)) = s.target {
+                bound[port] = bound[port]
+                    .zip(s.src.size_hint())
+                    .and_then(|(b, left)| b.checked_add(left)?.checked_add(1));
+            }
+        }
+        let paths = self.switch.telemetry.is_some_and(|c| c.path_records);
+        for ((ps, tree), bound) in ports.iter_mut().zip(&mut self.switch.ports).zip(bound) {
+            let mut log = PathLog::new();
+            if let Some(b) = bound {
+                let _ = ps.trace.departures.try_reserve_exact(b);
+                if paths {
+                    let _ = log.try_reserve_exact(b, b);
+                }
+            }
+            tree.replace_path_log(log);
+        }
 
         // The event calendar (see the module docs): unblocked sources
         // with a pending packet by emission instant, asserted pauses by

@@ -439,19 +439,19 @@ impl Switch {
     /// than `u32::MAX` packets.
     pub fn run(&mut self, arrivals: &[Packet], workers: usize) -> SwitchRun {
         assert!(
-            arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "arrivals must be time-sorted"
-        );
-        assert!(
             u32::try_from(arrivals.len()).is_ok(),
             "a run indexes its arrivals with 32 bits"
         );
         // Shared classification: split the arrival stream per port by
-        // index, preserving arrival order. The packets stay where they
-        // are until a port enqueues them.
+        // index, preserving arrival order, and check that order in the
+        // same pass. The packets stay where they are until a port
+        // enqueues them.
         let mut per_port: Vec<Vec<u32>> = vec![Vec::new(); self.ports.len()];
         let mut misrouted = 0u64;
+        let mut last = Nanos::ZERO;
         for (i, p) in arrivals.iter().enumerate() {
+            assert!(p.arrival >= last, "arrivals must be time-sorted");
+            last = p.arrival;
             let port = (self.classifier)(p);
             match per_port.get_mut(port) {
                 Some(q) => q.push(i as u32),
@@ -785,6 +785,23 @@ mod tests {
         let run = sw.run(&arrivals, 1);
         assert_eq!(run.misrouted, 1);
         assert_eq!(run.total_departures(), 1);
+    }
+
+    /// A stream that steps back in time is refused before any port runs,
+    /// wherever the step is.
+    #[test]
+    #[should_panic(expected = "arrivals must be time-sorted")]
+    fn unsorted_arrivals_rejected() {
+        let mut sb = SwitchBuilder::new(8_000_000_000);
+        sb.add_port(fifo_tree());
+        sb.add_port(fifo_tree());
+        let mut sw = sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 2));
+        let arrivals: Vec<Packet> = [0, 10, 20, 15]
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| Packet::new(i as u64, FlowId(i as u32), 100, Nanos(t)))
+            .collect();
+        let _ = sw.run(&arrivals, 1);
     }
 
     /// Build a flat STFQ port tree inside a shared pool.

@@ -26,6 +26,22 @@ pub trait TrafficSource {
     /// arrives no earlier than the packet returned before it.
     fn next_packet(&mut self) -> Option<Packet>;
 
+    /// An upper bound on the packets this source will still emit — how
+    /// many more times [`next_packet`](Self::next_packet) returns `Some`
+    /// — that holds under any pause/resume schedule; `None` (the
+    /// default) when unknown. The lossless fabric sizes each port's
+    /// departure trace from these bounds, and grows the trace instead
+    /// where one is unknown.
+    ///
+    /// The built-in sources return the exact length of their remaining
+    /// unpaused stream, and it falls by one per packet. That is a bound
+    /// for any pause schedule: the clock-driven sources stop at a fixed
+    /// `end` and a pause only shifts their clock later, and
+    /// [`PoissonSource`] ignores pauses.
+    fn size_hint(&mut self) -> Option<usize> {
+        None
+    }
+
     /// PFC-style pause notification: the fabric asked this source to stop
     /// transmitting at `now` (§6.2). The default is a no-op — an
     /// oblivious source keeps its precomputed schedule, and the lossless
@@ -97,7 +113,7 @@ pub fn renumber(packets: &mut [Packet]) {
 /// emits nothing, and on resume its clock moves on by the time it spent
 /// paused, so the stream restarts at its configured rate instead of
 /// bursting a backlog.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct PauseClock {
     paused_at: Option<Nanos>,
 }
@@ -115,6 +131,35 @@ impl PauseClock {
             *clock += now.saturating_sub(t0);
         }
     }
+}
+
+/// Packets a clock-driven schedule emits before `end`: bursts of `burst`
+/// packets `gap` apart, one burst starting every `period` from `start`.
+/// Needs `(burst - 1) * gap <= period`, so every burst but the last is
+/// whole. `None` when the schedule never reaches `end` (a zero period)
+/// or the count overflows `usize`.
+fn grid_len(start: Nanos, burst: u64, gap: Nanos, period: Nanos, end: Nanos) -> Option<usize> {
+    if start >= end {
+        return Some(0);
+    }
+    if period == Nanos::ZERO {
+        return None;
+    }
+    let span = u128::from((end - start).as_nanos());
+    let (period, gap, burst) = (
+        u128::from(period.as_nanos()),
+        u128::from(gap.as_nanos()),
+        u128::from(burst),
+    );
+    let bursts = span.div_ceil(period);
+    // The last burst has this long before `end`.
+    let last = span - (bursts - 1) * period;
+    let tail = if gap == 0 {
+        burst
+    } else {
+        last.div_ceil(gap).min(burst)
+    };
+    usize::try_from((bursts - 1) * burst + tail).ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -182,6 +227,10 @@ impl TrafficSource for CbrSource {
         Some(p)
     }
 
+    fn size_hint(&mut self) -> Option<usize> {
+        grid_len(self.next_time, 1, Nanos::ZERO, self.interval, self.end)
+    }
+
     fn pause(&mut self, now: Nanos) {
         self.paused.pause(now);
     }
@@ -196,7 +245,7 @@ impl TrafficSource for CbrSource {
 // ---------------------------------------------------------------------------
 
 /// Poisson arrivals: exponentially distributed gaps at a mean packet rate.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PoissonSource {
     flow: FlowId,
     pkt_len: u32,
@@ -206,6 +255,9 @@ pub struct PoissonSource {
     rng: StdRng,
     next_id: u64,
     seq: u64,
+    /// Packets still to come, counted by a replay on the first
+    /// [`size_hint`](TrafficSource::size_hint).
+    left: Option<usize>,
 }
 
 impl PoissonSource {
@@ -229,6 +281,7 @@ impl PoissonSource {
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
             seq: 0,
+            left: None,
         }
     }
 }
@@ -240,14 +293,31 @@ impl TrafficSource for PoissonSource {
         let gap = (-u.ln() * self.mean_gap_ns).round() as u64;
         let t = Nanos(self.next_time.as_nanos() + gap);
         if t >= self.end {
+            // Exhausted for good: a later, shorter gap must not revive it.
+            self.next_time = self.end;
             return None;
         }
         self.next_time = t;
         let p = Packet::new(self.next_id, self.flow, self.pkt_len, t).with_seq_in_flow(self.seq);
         self.next_id += 1;
         self.seq += 1;
+        if let Some(left) = &mut self.left {
+            *left -= 1;
+        }
         Some(p)
     }
+
+    fn size_hint(&mut self) -> Option<usize> {
+        if self.left.is_none() {
+            self.left = Some(replay_len(self.clone()));
+        }
+        self.left
+    }
+}
+
+/// The length of `src`'s remaining stream, drawn on a copy of it.
+fn replay_len(mut src: impl TrafficSource) -> usize {
+    std::iter::from_fn(|| src.next_packet()).count()
 }
 
 // ---------------------------------------------------------------------------
@@ -323,6 +393,27 @@ impl TrafficSource for OnOffSource {
             self.next_time += self.line_gap;
         }
         Some(p)
+    }
+
+    fn size_hint(&mut self) -> Option<usize> {
+        if self.next_time >= self.end {
+            return Some(0);
+        }
+        // Count from the current burst's start, then leave out the
+        // `in_burst` packets it has already sent.
+        let gap = self.line_gap.as_nanos();
+        let burst_start = self.next_time - Nanos(u64::from(self.in_burst) * gap);
+        let period = (u64::from(self.burst_pkts) - 1)
+            .saturating_mul(gap)
+            .saturating_add(self.idle_gap.as_nanos());
+        let from_start = grid_len(
+            burst_start,
+            u64::from(self.burst_pkts),
+            self.line_gap,
+            Nanos(period),
+            self.end,
+        )?;
+        Some(from_start - self.in_burst as usize)
     }
 
     fn pause(&mut self, now: Nanos) {
@@ -416,17 +507,23 @@ impl IncastSource {
             paused: PauseClock::default(),
         }
     }
+
+    /// The instant the current epoch's first wave goes out.
+    fn epoch_start(&self) -> Nanos {
+        self.offset + Nanos(self.epoch * self.period.as_nanos())
+    }
+
+    /// The instant of the next wave: packet `k` of every sender.
+    fn next_wave(&self) -> Nanos {
+        self.epoch_start() + Nanos(self.k as u64 * self.line_gap.as_nanos())
+    }
 }
 
 impl TrafficSource for IncastSource {
     fn next_packet(&mut self) -> Option<Packet> {
         // Emission order (epoch, k, sender) is time-sorted: within an
         // epoch, packet k of *every* sender shares one arrival instant.
-        let t = Nanos(
-            self.offset.as_nanos()
-                + self.epoch * self.period.as_nanos()
-                + self.k as u64 * self.line_gap.as_nanos(),
-        );
+        let t = self.next_wave();
         if t >= self.end {
             return None;
         }
@@ -450,6 +547,22 @@ impl TrafficSource for IncastSource {
         Some(p)
     }
 
+    fn size_hint(&mut self) -> Option<usize> {
+        if self.next_wave() >= self.end {
+            return Some(0);
+        }
+        // Whole waves (one packet per sender at one instant) from the
+        // current epoch's first, less the waves and senders already sent.
+        let waves = grid_len(
+            self.epoch_start(),
+            u64::from(self.pkts_per_sender),
+            self.line_gap,
+            self.period,
+            self.end,
+        )? - self.k as usize;
+        (waves.checked_mul(self.fanin as usize)?).checked_sub(self.sender as usize)
+    }
+
     fn pause(&mut self, now: Nanos) {
         self.paused.pause(now);
     }
@@ -468,7 +581,7 @@ impl TrafficSource for IncastSource {
 /// Exp(mean_idle) — the seeded, heavy-burst traffic that batching
 /// schedulers (Eiffel, NSDI'19) are built for, where the deterministic
 /// [`OnOffSource`] is too regular to expose queue-depth excursions.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MarkovOnOffSource {
     flow: FlowId,
     pkt_len: u32,
@@ -482,6 +595,9 @@ pub struct MarkovOnOffSource {
     next_id: u64,
     seq: u64,
     paused: PauseClock,
+    /// Packets still to come, counted by a replay on the first
+    /// [`size_hint`](TrafficSource::size_hint).
+    left: Option<usize>,
 }
 
 impl MarkovOnOffSource {
@@ -518,6 +634,7 @@ impl MarkovOnOffSource {
             next_id: 0,
             seq: 0,
             paused: PauseClock::default(),
+            left: None,
         };
         src.remaining_in_burst = src.sample_burst();
         src
@@ -553,7 +670,17 @@ impl TrafficSource for MarkovOnOffSource {
         } else {
             self.next_time += self.line_gap;
         }
+        if let Some(left) = &mut self.left {
+            *left -= 1;
+        }
         Some(p)
+    }
+
+    fn size_hint(&mut self) -> Option<usize> {
+        if self.left.is_none() {
+            self.left = Some(replay_len(self.clone()));
+        }
+        self.left
     }
 
     fn pause(&mut self, now: Nanos) {
@@ -818,6 +945,18 @@ mod tests {
         let mut s = PoissonSource::new(FlowId(0), 100, 1e6, Nanos::from_millis(100), 7);
         let n = std::iter::from_fn(|| s.next_packet()).count();
         assert!((90_000..110_000).contains(&n), "got {n}");
+    }
+
+    /// Once exhausted, a Poisson source stays exhausted: a later, shorter
+    /// gap must not land before `end` again (its bound counts down to
+    /// zero at the first `None`).
+    #[test]
+    fn poisson_stays_exhausted() {
+        let mut s = PoissonSource::new(FlowId(0), 100, 1e6, Nanos::from_micros(50), 3);
+        let n = std::iter::from_fn(|| s.next_packet()).count();
+        assert!(n > 0);
+        assert!((0..10_000).all(|_| s.next_packet().is_none()));
+        assert_eq!(s.size_hint(), Some(0));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! `Switch::run`, `LosslessFabric::run` and `run_port` allocate per run,
 //! not per packet or per scheduling round: the classifier demuxes by
 //! index (and `run_port`, whose stream is all one port's, builds no index
-//! list), each port's departure trace is sized once or grows by doubling,
-//! a round transmits each packet as it leaves its tree, and path records
-//! are appended into logs that are reused. This test counts allocator
-//! calls over two run sizes and fails when their number scales with the
-//! packet count — the shape of regression (a `mem::take` per round, a
-//! packet clone per demux) that otherwise only shows up as
+//! list), each port's departure trace is sized once (from its arrival
+//! count, or from the lossless fabric's source bounds) or grows by
+//! doubling, a round transmits each packet as it leaves its tree, and
+//! path records are appended into logs that are reused. This test counts
+//! allocator calls over two run sizes and fails when their number scales
+//! with the packet count — the shape of regression (a `mem::take` per
+//! round, a packet clone per demux) that otherwise only shows up as
 //! `alloc.count_per_pkt` / `alloc.bytes_per_pkt` in a traced benchmark
-//! run.
+//! run. The lossless and `run_port` legs also bound the bytes each extra
+//! packet costs.
 //!
 //! The same allocator also tracks the live heap's peak, which pins
 //! `merge`'s memory: a lazy merge of time-sorted sources holds its output
@@ -153,18 +155,20 @@ fn lossless_sources(n: u64) -> Vec<Box<dyn TrafficSource>> {
         .collect()
 }
 
-/// Allocator calls during one `LosslessFabric::run` of `n` packets.
-fn measure_lossless(n: u64) -> u64 {
+/// Allocator calls and bytes requested during one `LosslessFabric::run`
+/// of `n` packets.
+fn measure_lossless(n: u64) -> (u64, u64) {
     let mut fabric = lossless_fabric();
     let sources = lossless_sources(n);
     CALLS.store(0, Relaxed);
+    BYTES.store(0, Relaxed);
     COUNTING.store(true, Relaxed);
     let run = fabric.run(sources, FaultPlan::none());
     COUNTING.store(false, Relaxed);
     assert!(run.stall.is_none(), "no stall: {:?}", run.stall);
     assert_eq!(run.total_departures() as u64, n, "nothing dropped");
     assert_eq!(run.count_events(PauseAction::Pause), 0, "never paused");
-    CALLS.load(Relaxed)
+    (CALLS.load(Relaxed), BYTES.load(Relaxed))
 }
 
 /// The live heap's peak above its starting level during one `merge` of
@@ -279,13 +283,22 @@ fn run_allocations_do_not_scale_with_packets() {
     );
 
     // The lossless fabric's own event loop, on a busy stream that never
-    // pauses: its scheduling rounds must reuse their buffers too.
-    let small = measure_lossless(N);
-    let big = measure_lossless(4 * N);
+    // pauses: its scheduling rounds must reuse their buffers too. Each
+    // port's trace is sized once from its sources' bounds, so each extra
+    // packet costs exactly its `Departure`; growing the trace by
+    // doubling would request two to four times that.
+    let (small_calls, small_bytes) = measure_lossless(N);
+    let (big_calls, big_bytes) = measure_lossless(4 * N);
     assert!(
-        big.saturating_sub(small) < 64,
-        "[lossless] {small} allocations for {N} packets, {big} for {}: \
+        big_calls.saturating_sub(small_calls) < 64,
+        "[lossless] {small_calls} allocations for {N} packets, {big_calls} for {}: \
          something allocates per packet or per round",
         4 * N
+    );
+    let per_pkt = big_bytes.saturating_sub(small_bytes) / (3 * N);
+    let bound = std::mem::size_of::<Departure>() as u64;
+    assert!(
+        per_pkt <= bound,
+        "[lossless] {per_pkt} B allocated per extra packet, expected at most {bound}"
     );
 }
