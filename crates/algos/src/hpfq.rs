@@ -266,7 +266,9 @@ mod tests {
     #[test]
     fn hierarchies_in_one_pool_share_admission() {
         use pifo_core::pool::{AdmissionPolicy, SharedPacketPool};
-        let pool = SharedPacketPool::new(4, AdmissionPolicy::Unlimited).into_shared();
+        let pool = SharedPacketPool::new(4, AdmissionPolicy::Unlimited)
+            .unwrap()
+            .into_shared();
         let in_pool = |backend| {
             let (mut b, classifier, _) = fig3_hpfq();
             b.with_backend(backend);
@@ -285,11 +287,12 @@ mod tests {
             .enqueue(Packet::new(9, FlowId(0), 1_000, Nanos(9)), Nanos(9))
             .unwrap_err();
         assert!(matches!(err, TreeError::BufferFull(_)));
-        assert_eq!(pool.stats().live, 4);
+        assert_eq!(pool.pool().live(), 4);
         // Draining the sibling reopens admission.
         a.dequeue(Nanos(10)).expect("backlogged");
         b.enqueue(Packet::new(10, FlowId(0), 1_000, Nanos(10)), Nanos(10))
             .unwrap();
+        let pool = pool.pool();
         assert_eq!(pool.port_occupancy(0), 3);
         assert_eq!(pool.port_occupancy(1), 1);
     }

@@ -484,6 +484,7 @@ pub fn buffers() -> String {
                 flow: threshold,
             },
         )
+        .expect("valid")
         .into_shared();
         let mut b = super::tree_builder();
         let root = b.add_root("wfq", Box::new(Stfq::new(weights.clone())));

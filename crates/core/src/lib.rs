@@ -66,7 +66,7 @@
 //! assert_eq!(tree.dequeue(Nanos(2)).unwrap().id.0, 1);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(missing_docs)]
 
@@ -74,12 +74,6 @@ pub mod approx;
 pub mod metrics;
 pub mod packet;
 pub mod pifo;
-// The shared pool's slab is the one place `unsafe` is earned: slot cells
-// hold `UnsafeCell<MaybeUninit<Packet>>`, written under the pool's
-// writers' lock and read without it behind a documented lifecycle
-// protocol (see the safety comments in `pool`). Everything else in the
-// crate stays safe Rust.
-#[allow(unsafe_code)]
 pub mod pool;
 pub mod rank;
 pub mod telemetry;
@@ -96,8 +90,8 @@ pub mod prelude {
         BucketPifo, EnumPifo, FlowPifo, HeapPifo, PifoBackend, PifoFull, PifoQueue, SortedArrayPifo,
     };
     pub use crate::pool::{
-        AdmissionPolicy, PktHandle, PoolError, PoolHandle, PoolStats, PortPoolStats,
-        SharedPacketPool, SharedPool, Threshold,
+        AdmissionPolicy, LentPool, PktHandle, PoolError, PoolGuard, PoolHandle, PoolStats,
+        PortPoolStats, SharedPacketPool, SharedPool, Threshold, TreePool,
     };
     pub use crate::rank::{Rank, VT_SHIFT};
     pub use crate::telemetry::{

@@ -8,13 +8,11 @@
 //!
 //! This module is that memory system in software:
 //!
-//! * [`SharedPacketPool`] owns the single packet slab (a chunked slot
-//!   store with a free list and per-slot generation counters) **plus**
-//!   the §6.1 counters: per-port occupancy and
-//!   admitted/rejected tallies, maintained O(1) on every insert/release,
-//!   and per-flow occupancy — a [`FlowMap`] table maintained O(1) when
-//!   the policy has a flow-side threshold (the only reader on the packet
-//!   path), and not kept at all otherwise.
+//! * [`SharedPacketPool`] is the single packet slab (a `Vec` of slots
+//!   with a LIFO free list) **plus** the §6.1 counters, maintained O(1)
+//!   on every insert/release: per-port occupancy and admitted/rejected
+//!   tallies, and — only under a policy with a flow-side threshold —
+//!   per-flow occupancy in a [`FlowMap`].
 //! * [`AdmissionPolicy`] decides drops *before* any slab insert:
 //!   [`AdmissionPolicy::Unlimited`] (global capacity only — the naive
 //!   shared buffer whose lockout pathology motivates §6.1),
@@ -23,44 +21,33 @@
 //!   port may hold at most `alpha ×` the *remaining free* space, which
 //!   tightens automatically under pressure and guarantees no port can
 //!   lock the others out).
-//! * [`PoolHandle`] is one port's capability into the pool, and the only
-//!   way to insert, probe or release: the scheduling tree holds a handle
-//!   instead of owning a slab, so N trees genuinely compete for — and are
-//!   protected within — one memory.
+//! * [`SharedPool`] is a pool shared by several trees, and
+//!   [`PoolHandle`] is one port's capability into it: a scheduling tree
+//!   built in a shared pool holds a handle, so N trees genuinely compete
+//!   for — and are protected within — one memory.
 //! * [`Threshold`] is the per-entity threshold arithmetic, applied to
 //!   ports and (under [`AdmissionPolicy::PortFlow`]) to flows.
 //!
-//! # Threading model
+//! # Ownership
 //!
-//! The pool is `Arc`-shared and safe to use from many threads, split by
-//! who touches what:
+//! The pool is plain data: inserts, retains and releases take
+//! `&mut self`, and a borrowed packet holds the pool, so the borrow
+//! checker keeps its slot from being released underneath it. Every
+//! fabric drains a pool from one thread, so nothing here is atomic:
 //!
-//! * **Writers take one lock.** A `Mutex` guards the ledger: the free
-//!   list, the slot high-water mark, the registered ports' counter
-//!   blocks and the per-flow table. [`PoolHandle::try_insert`] decides
-//!   the §6.1 verdict, claims a slot and bumps the counters in one
-//!   critical section; the last [`PoolHandle::release`] of a slot frees
-//!   it and settles the counters in another. Every fabric drains a pool
-//!   from one thread (`pifo-sim`'s `Switch::run` deals all ports of a
-//!   pool to one worker, and the lossless fabric runs on the caller's
-//!   thread), so the lock is uncontended.
-//! * **Readers take none.** Slab chunks are published once through
-//!   [`OnceLock`], each slot carries an atomic generation (even = free,
-//!   odd = occupied, so stale handles are detected on access) and
-//!   reference count, and the live count and each port's occupancy are
-//!   atomics written only under the lock. The crate-private slot read,
-//!   [`PoolHandle::retain`], the port-only [`PoolHandle::would_admit`]
-//!   probe and the occupancy gauges therefore never lock, and a
-//!   `ScheduleTree` reads packet fields straight from the slab at every
-//!   level of its walk.
-//!
-//! A handle may only be dereferenced inside this crate, by a caller that
-//! holds (at least) one of the slot's references — the scheduling tree
-//! maintains this internally and never exposes a dangling handle.
-//! Admission decisions from several threads are serialized by the lock
-//! but not externally ordered; the fabric keeps its departure traces
-//! deterministic by making shared-pool admission decisions in the global
-//! `(time, port)` round order (see `pifo-sim`'s `Switch::run`).
+//! * A tree built with `TreeBuilder::build` **owns** its pool and reaches
+//!   it without a lock.
+//! * A shared pool is one `Arc<Mutex<SharedPacketPool>>` behind its
+//!   [`PoolHandle`]s. The code that drains it (`pifo-sim`'s `Switch::run`
+//!   workers and `LosslessFabric::run`) locks it **once per run** with
+//!   [`SharedPool::lend`] and lends `&mut` pool to every tree operation
+//!   and admission probe, in the global `(time, port)` round order that
+//!   keeps traces deterministic. A direct call through a handle, or on a
+//!   shared-pool tree, locks once for that call, so handles are
+//!   `Send + Sync`.
+//! * A direct call on a pool the calling thread already holds — lent to a
+//!   drain, or read through a [`PoolGuard`] — would wait on itself; it
+//!   panics instead, naming the port.
 //!
 //! Accounting is **checked**: decrementing an occupancy counter that is
 //! already zero (a double release) panics in debug builds and increments
@@ -69,10 +56,9 @@
 
 use crate::packet::{FlowId, FlowMap, Packet};
 use core::fmt;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// A 4-byte ticket naming one occupied slot of a [`SharedPacketPool`] —
 /// what the scheduling tree's PIFOs circulate instead of packets (§4,
@@ -150,7 +136,7 @@ pub enum AdmissionPolicy {
     /// No per-port threshold: only the pool's global capacity gates
     /// admission. One incast port can occupy the entire buffer and lock
     /// every other port out — the tail-drop pathology §6.1's thresholds
-    /// exist to prevent. Also the right policy for a sole-owner pool.
+    /// exist to prevent. Also the right policy for a pool one tree owns.
     #[default]
     Unlimited,
     /// A fixed per-port cap: a port holding `per_port` packets is
@@ -193,7 +179,7 @@ impl AdmissionPolicy {
     /// For [`AdmissionPolicy::PortFlow`] this evaluates the **port side
     /// only** — the flow side needs a flow identity, which this signature
     /// does not carry. Use [`AdmissionPolicy::admits_port_flow`] (or
-    /// [`PoolHandle::would_admit_flow`]) for the full verdict.
+    /// [`SharedPacketPool::would_admit_flow`]) for the full verdict.
     pub fn admits(self, used: usize, free: usize) -> bool {
         match self {
             AdmissionPolicy::Unlimited => true,
@@ -264,11 +250,15 @@ pub const MAX_PORTS: usize = 65_536;
 /// Errors surfaced by pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolError {
-    /// `register_port` would exceed [`MAX_PORTS`].
+    /// Registering one more port would exceed [`MAX_PORTS`].
     TooManyPorts {
         /// The configured limit ([`MAX_PORTS`]).
         limit: usize,
     },
+    /// [`SharedPacketPool::new`] was asked for a pool of no packets.
+    ZeroCapacity,
+    /// A dynamic threshold's alpha has a zero denominator.
+    ZeroDenominator,
 }
 
 impl fmt::Display for PoolError {
@@ -277,28 +267,17 @@ impl fmt::Display for PoolError {
             PoolError::TooManyPorts { limit } => {
                 write!(f, "pool already has {limit} ports (the maximum)")
             }
+            PoolError::ZeroCapacity => write!(f, "pool capacity must be positive"),
+            PoolError::ZeroDenominator => write!(f, "alpha denominator must be positive"),
         }
     }
 }
 
 impl std::error::Error for PoolError {}
 
-/// §6.1 counters for one port of the pool: atomics so gauges and
-/// port-only probes read them without a lock, written only under the
-/// pool's ledger lock.
-#[derive(Debug, Default)]
-struct PortCounters {
-    /// Live slots currently attributed to this port.
-    occupancy: AtomicUsize,
-    /// Packets ever admitted for this port.
-    admitted: AtomicU64,
-    /// Packets ever rejected (policy or capacity) for this port.
-    rejected: AtomicU64,
-}
-
-/// A snapshot of one port's pool counters (see
-/// [`SharedPacketPool::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One port's §6.1 counters (the pool keeps one per registered port;
+/// [`SharedPacketPool::stats`] copies them out).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PortPoolStats {
     /// Live slots currently attributed to the port.
     pub occupancy: usize,
@@ -319,289 +298,164 @@ pub struct PoolStats {
     pub ports: Vec<PortPoolStats>,
 }
 
-// ---------------------------------------------------------------------------
-// The slot store
-// ---------------------------------------------------------------------------
-
-/// log2 of the first chunk's slot count.
-const CHUNK0_BITS: u32 = 6;
-
-/// Chunk `k` holds `64 << k` slots; 26 chunks cover the whole `u32`
-/// handle space.
-const NUM_CHUNKS: usize = 26;
-
-/// One slot of the slab. The packet bytes live in an [`UnsafeCell`];
-/// exclusive access is guaranteed by the slot lifecycle: a slot is
-/// written only by the insert that took it off the free list (or claimed
-/// it fresh) under the ledger lock, and moved out only by the release
-/// that dropped its last reference.
-struct SlotCell {
-    /// Lifecycle generation: even = free, odd = occupied. Incremented
-    /// under the ledger lock on every transition, so access to a freed or
-    /// never-claimed slot is detected.
-    gen: AtomicU32,
-    /// Reference count; 0 for free slots.
-    refs: AtomicU32,
+/// One slot of the slab: occupied exactly when it holds a packet.
+struct Slot {
+    /// References held on the slot; 0 for a free slot.
+    refs: u32,
     /// The port the §6.1 counters attribute this slot to. (The flow they
     /// attribute it to is the resident packet's own `flow`.)
-    port: AtomicU32,
-    packet: UnsafeCell<MaybeUninit<Packet>>,
-}
-
-// SAFETY: every field but `packet` is an atomic. `packet` is written only
-// by the insert that claimed the free slot under the ledger lock, before
-// the `Release` store of an odd `gen` publishes it; it is read in place
-// only by callers holding a reference, after an `Acquire` load of that
-// odd `gen`; and it is moved out only by the release that took `refs`
-// from 1 to 0, so no reader remains. The slot returns to the free list —
-// where the next insert can claim it — only under the lock, after the
-// move, so the lock orders the move before the next write.
-unsafe impl Sync for SlotCell {}
-
-impl SlotCell {
-    fn new_free() -> SlotCell {
-        SlotCell {
-            gen: AtomicU32::new(0),
-            refs: AtomicU32::new(0),
-            port: AtomicU32::new(0),
-            packet: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
-}
-
-/// Map a slot index to its (chunk, offset) pair. Chunk `k` covers
-/// indices `[64·(2^k − 1), 64·(2^(k+1) − 1))`.
-#[inline]
-fn chunk_of(idx: u32) -> (usize, usize) {
-    let shifted = (idx as u64) + (1 << CHUNK0_BITS);
-    let k = (63 - shifted.leading_zeros() - CHUNK0_BITS) as usize;
-    let base = ((1u64 << CHUNK0_BITS) << k) - (1 << CHUNK0_BITS);
-    (k, (idx as u64 - base) as usize)
-}
-
-/// Everything the pool's writers change, behind its one lock.
-#[derive(Default)]
-struct Ledger {
-    /// Freed slot indices, reused most recently freed first.
-    free: Vec<u32>,
-    /// Slots ever claimed: the slab's high-water mark.
-    claimed: u32,
-    /// Registered ports' counter blocks, by port index (each
-    /// [`PoolHandle`] shares its own port's block).
-    ports: Vec<Arc<PortCounters>>,
-    /// Live slots per flow (entries removed at zero, so the table stays
-    /// bounded by the instantaneous flow fan-in). Empty forever when the
-    /// pool's `track_flows` is off, and then
-    /// [`SharedPacketPool::flow_occupancy`] answers `None`.
-    flows: FlowMap<usize>,
-}
-
-impl Ledger {
-    fn flow_count(&self, flow: FlowId) -> usize {
-        self.flows.get(&flow).copied().unwrap_or(0)
-    }
+    port: u32,
+    packet: Option<Packet>,
 }
 
 /// The single shared packet slab plus its §6.1 admission counters.
 ///
-/// All mutation goes through a port's [`PoolHandle`], so the counters
-/// can never drift from the slab: [`PoolHandle::try_insert`] gates on the
+/// Every insert goes through [`try_insert`](Self::try_insert), so the
+/// counters can never drift from the slab: it gates on the
 /// [`AdmissionPolicy`] *before* any slab write (a reject hands the
-/// caller's packet back by move, unchanged), and [`PoolHandle::release`]
-/// settles the port/flow counters — from the port tag stamped in the slot
-/// and the packet's flow — exactly when the slot's last reference drops.
-/// Each of the two is one O(1) critical section under the pool's one
-/// lock, so the pool may be driven from many threads at once (see the
-/// module docs for the threading model). The pool itself offers only
-/// read-only introspection.
+/// caller's packet back by move, unchanged), and
+/// [`release`](Self::release) settles the port/flow counters — from the
+/// port tag stamped in the slot and the packet's flow — exactly when the
+/// slot's last reference drops. Both are O(1).
 ///
-/// Use [`SharedPacketPool::into_shared`], then
-/// [`register_port`](Self::register_port), to hand out per-port
-/// handles.
+/// A tree that owns its pool drives it directly; share one between trees
+/// with [`into_shared`](Self::into_shared), then hand each tree a port
+/// with [`SharedPool::register_port`] (see the module docs).
 pub struct SharedPacketPool {
-    /// Chunked slot storage: chunk `k` holds `64 << k` slots, allocated
-    /// by the first insert that claims an index in it and published to
-    /// lock-free readers by its [`OnceLock`].
-    chunks: [OnceLock<Box<[SlotCell]>>; NUM_CHUNKS],
-    /// The writers' state: free list, high-water mark, ports, flows.
-    ledger: Mutex<Ledger>,
-    /// Live packets (occupied slots). Written only under `ledger`.
-    live: AtomicUsize,
+    /// The slab; a [`PktHandle`] is an index into it.
+    slots: Vec<Slot>,
+    /// Freed slot indices, reused most recently freed first.
+    free: Vec<u32>,
+    /// The registered ports' counters, by port index.
+    ports: Vec<PortPoolStats>,
+    /// Live slots per flow (entries removed at zero, so the table stays
+    /// bounded by the instantaneous flow fan-in). Empty forever when
+    /// `track_flows` is off, and then [`Self::flow_occupancy`] answers
+    /// `None`.
+    flows: FlowMap<usize>,
+    /// Live packets (occupied slots).
+    live: usize,
     capacity: Option<usize>,
     policy: AdmissionPolicy,
     /// `policy.uses_flow_state()`, decided once: only a policy with a
     /// flow-side threshold reads per-flow occupancy on the packet path,
-    /// so only then is the ledger's flow table maintained.
+    /// so only then is the flow table maintained.
     track_flows: bool,
     /// Accounting violations detected in release builds (debug builds
     /// panic instead) — see [`Self::accounting_errors`].
-    accounting_errors: AtomicU64,
+    accounting_errors: u64,
 }
 
 impl fmt::Debug for SharedPacketPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedPacketPool")
-            .field("live", &self.live())
+            .field("live", &self.live)
             .field("capacity", &self.capacity)
             .field("policy", &self.policy)
-            .field("ports", &self.num_ports())
-            .field("slots", &self.slot_count())
+            .field("ports", &self.ports.len())
+            .field("slots", &self.slots.len())
             .finish()
     }
 }
 
-/// Decrement an occupancy counter, refusing to go below zero. Callers
-/// hold the ledger lock, the counter's only writer, so a load and a store
-/// are exact.
-fn checked_dec(counter: &AtomicUsize, errors: &AtomicU64, what: &str) {
-    match counter.load(Ordering::Relaxed).checked_sub(1) {
-        Some(v) => counter.store(v, Ordering::Release),
+/// Decrement an occupancy counter, refusing to go below zero: a double
+/// release panics in debug builds and bumps `errors` in release builds
+/// (the §6.1 counters must never silently saturate — a dynamic threshold
+/// computed from a clamped counter admits traffic it should drop).
+fn checked_dec(counter: &mut usize, errors: &mut u64, what: &str) {
+    match counter.checked_sub(1) {
+        Some(v) => *counter = v,
         None => underflow(errors, what),
     }
 }
 
-/// A counter would go below zero: a double release panics in debug
-/// builds and bumps `errors` in release builds (the §6.1 counters must
-/// never silently saturate — a dynamic threshold computed from a clamped
-/// counter admits traffic it should drop).
-fn underflow(errors: &AtomicU64, what: &str) {
+fn underflow(errors: &mut u64, what: &str) {
     if cfg!(debug_assertions) {
         panic!("pool accounting underflow: {what} decremented below zero (double release)");
     }
-    errors.fetch_add(1, Ordering::Relaxed);
+    *errors += 1;
 }
 
 impl SharedPacketPool {
     fn with_capacity_and_policy(capacity: Option<usize>, policy: AdmissionPolicy) -> Self {
         SharedPacketPool {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-            ledger: Mutex::default(),
-            live: AtomicUsize::new(0),
+            slots: Vec::new(),
+            free: Vec::new(),
+            ports: Vec::new(),
+            flows: FlowMap::default(),
+            live: 0,
             capacity,
             policy,
             track_flows: policy.uses_flow_state(),
-            accounting_errors: AtomicU64::new(0),
+            accounting_errors: 0,
         }
     }
 
-    /// A pool of `capacity` packets under `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is zero or a dynamic denominator is zero.
-    pub fn new(capacity: usize, policy: AdmissionPolicy) -> Self {
-        assert!(capacity > 0, "pool capacity must be positive");
-        match policy {
-            AdmissionPolicy::DynamicThreshold { den, .. } => {
-                assert!(den > 0, "alpha denominator must be positive");
-            }
-            AdmissionPolicy::PortFlow { port, flow } => {
-                for t in [port, flow] {
-                    if let Threshold::Dynamic { den, .. } = t {
-                        assert!(den > 0, "alpha denominator must be positive");
-                    }
-                }
-            }
-            _ => {}
+    /// A pool of `capacity` packets under `policy`, or
+    /// [`PoolError::ZeroCapacity`] / [`PoolError::ZeroDenominator`] when
+    /// the capacity or a dynamic threshold's alpha denominator is zero.
+    pub fn new(capacity: usize, policy: AdmissionPolicy) -> Result<Self, PoolError> {
+        if capacity == 0 {
+            return Err(PoolError::ZeroCapacity);
         }
-        Self::with_capacity_and_policy(Some(capacity), policy)
+        let zero_den = |t: Threshold| matches!(t, Threshold::Dynamic { den: 0, .. });
+        let zero = match policy {
+            AdmissionPolicy::DynamicThreshold { den, .. } => den == 0,
+            AdmissionPolicy::PortFlow { port, flow } => zero_den(port) || zero_den(flow),
+            _ => false,
+        };
+        if zero {
+            return Err(PoolError::ZeroDenominator);
+        }
+        Ok(Self::with_capacity_and_policy(Some(capacity), policy))
     }
 
-    /// An unbounded pool with no per-port threshold — the sole-owner
-    /// configuration `TreeBuilder::build` uses when no buffer limit is
-    /// set.
+    /// An unbounded pool with no per-port threshold — the configuration
+    /// `TreeBuilder::build` gives a tree when no buffer limit is set.
     pub fn unbounded() -> Self {
         Self::with_capacity_and_policy(None, AdmissionPolicy::Unlimited)
     }
 
-    /// Register a new port (dense indices from 0) and return its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool already has [`MAX_PORTS`] ports; use
-    /// [`try_register_port`](Self::try_register_port) to handle the
-    /// overflow as a typed error.
-    pub fn register_port(self: &Arc<Self>) -> PoolHandle {
-        self.try_register_port()
-            .unwrap_or_else(|e| panic!("register_port: {e}"))
-    }
-
-    /// Register a new port and return its handle — or
-    /// [`PoolError::TooManyPorts`] when the pool is at [`MAX_PORTS`]
+    /// Register a new port (dense indices from 0) and return its index —
+    /// or [`PoolError::TooManyPorts`] when the pool is at [`MAX_PORTS`]
     /// (port indices are stored per slot as `u32`; validation happens
     /// here, at registration, so no later cast can truncate).
-    pub fn try_register_port(self: &Arc<Self>) -> Result<PoolHandle, PoolError> {
-        let mut ledger = self.ledger();
-        if ledger.ports.len() >= MAX_PORTS {
+    pub fn try_register_port(&mut self) -> Result<usize, PoolError> {
+        if self.ports.len() >= MAX_PORTS {
             return Err(PoolError::TooManyPorts { limit: MAX_PORTS });
         }
-        let counters = Arc::new(PortCounters::default());
-        ledger.ports.push(Arc::clone(&counters));
-        Ok(PoolHandle {
-            pool: Arc::clone(self),
-            counters,
-            port: (ledger.ports.len() - 1) as u32,
-        })
+        self.ports.push(PortPoolStats::default());
+        Ok(self.ports.len() - 1)
     }
 
-    /// Wrap the pool for sharing across ports.
+    /// Share the pool between trees (see [`SharedPool`]).
     pub fn into_shared(self) -> SharedPool {
-        Arc::new(self)
-    }
-
-    fn ledger(&self) -> MutexGuard<'_, Ledger> {
-        self.ledger
-            .lock()
-            .expect("pool ledger poisoned by a panicking writer")
-    }
-
-    /// The slot at `idx`, or `None` when its chunk was never allocated.
-    #[inline]
-    fn slot(&self, idx: u32) -> Option<&SlotCell> {
-        let (k, off) = chunk_of(idx);
-        self.chunks[k].get().map(|chunk| &chunk[off])
+        SharedPool(Arc::new(Mutex::new(self)))
     }
 
     /// The occupied slot `handle` names; a freed or never-claimed one
     /// panics with `what`.
-    #[inline]
-    fn occupied(&self, handle: PktHandle, what: &str) -> &SlotCell {
-        match self.slot(handle.0) {
-            Some(slot) if slot.gen.load(Ordering::Acquire) & 1 == 1 => slot,
+    fn occupied(&mut self, handle: PktHandle, what: &str) -> &mut Slot {
+        match self.slots.get_mut(handle.index()) {
+            Some(slot) if slot.packet.is_some() => slot,
             _ => panic!("{what} {handle}"),
         }
     }
 
-    /// Take the most recently freed slot, or claim a fresh one (growing
-    /// the slab by a chunk when the index starts one).
-    fn claim(&self, ledger: &mut Ledger) -> (u32, &SlotCell) {
-        let idx = ledger.free.pop().unwrap_or_else(|| {
-            let idx = ledger.claimed;
-            assert!(idx != u32::MAX, "packet pool exceeds u32 slots");
-            ledger.claimed += 1;
-            idx
-        });
-        let (k, off) = chunk_of(idx);
-        let chunk = self.chunks[k].get_or_init(|| {
-            (0..(1usize << CHUNK0_BITS) << k)
-                .map(|_| SlotCell::new_free())
-                .collect()
-        });
-        (idx, &chunk[off])
+    fn flow_count(&self, flow: FlowId) -> usize {
+        self.flows.get(&flow).copied().unwrap_or(0)
     }
 
-    /// The §6.1 verdict for a port holding `counters.occupancy` packets:
-    /// global capacity, then the port threshold, then — when the flow's
-    /// occupancy is given — the flow threshold. The one copy behind
-    /// `try_insert` and both `would_admit*` probes.
-    fn admits(&self, counters: &PortCounters, flow_used: Option<usize>) -> bool {
-        let live = self.live.load(Ordering::Acquire);
+    /// The §6.1 verdict for `port`: global capacity, then the port
+    /// threshold, then — when the flow's occupancy is given — the flow
+    /// threshold. The one copy behind `try_insert` and both probes.
+    fn admits(&self, port: usize, flow_used: Option<usize>) -> bool {
         let free = match self.capacity {
-            Some(cap) if live >= cap => return false,
-            Some(cap) => cap - live,
+            Some(cap) if self.live >= cap => return false,
+            Some(cap) => cap - self.live,
             None => usize::MAX,
         };
-        let used = counters.occupancy.load(Ordering::Acquire);
+        let used = self.ports[port].occupancy;
         match flow_used {
             Some(flow_used) => self.policy.admits_port_flow(used, flow_used, free),
             // Port side only; for a policy without a flow side that *is*
@@ -610,133 +464,122 @@ impl SharedPacketPool {
         }
     }
 
-    /// The verdict [`try_insert_with`](Self::try_insert_with) would reach
-    /// right now, without counting a reject. Only a named `flow` under a
-    /// flow-side threshold reads the flow table, so only it locks.
-    fn probe(&self, counters: &PortCounters, flow: Option<FlowId>) -> bool {
-        match flow {
-            Some(flow) if self.track_flows => {
-                let ledger = self.ledger();
-                self.admits(counters, Some(ledger.flow_count(flow)))
-            }
-            _ => self.admits(counters, None),
-        }
+    /// Would a packet for `port` be admitted right now? The port side of
+    /// the [`try_insert`](Self::try_insert) verdict, without counting a
+    /// reject.
+    pub fn would_admit(&self, port: usize) -> bool {
+        self.admits(port, None)
     }
 
-    /// The insert path behind [`PoolHandle::try_insert`]: verdict, slot
-    /// claim and counter updates in one critical section. The lock holder
-    /// is the counters' only writer, so each bump is a load and a store,
-    /// not a read-modify-write.
-    fn try_insert_with(
-        &self,
-        counters: &PortCounters,
-        port: u32,
-        packet: Packet,
-    ) -> Result<PktHandle, Packet> {
-        let mut ledger = self.ledger();
+    /// Would a packet of `flow` for `port` be admitted right now? The
+    /// full [`try_insert`](Self::try_insert) verdict — global capacity,
+    /// port threshold, *and* flow threshold for a
+    /// [`AdmissionPolicy::PortFlow`] policy (for port-only policies it
+    /// equals [`would_admit`](Self::would_admit)).
+    pub fn would_admit_flow(&self, port: usize, flow: FlowId) -> bool {
+        self.admits(port, self.track_flows.then(|| self.flow_count(flow)))
+    }
+
+    /// Insert `packet` for `port`, with one reference, returning its
+    /// handle — or the packet itself, unchanged, when the global capacity
+    /// or the policy's port (or flow) threshold rejects it. The reject is
+    /// tallied against `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` was never registered.
+    pub fn try_insert(&mut self, port: usize, packet: Packet) -> Result<PktHandle, Packet> {
         let flow = packet.flow;
-        let flow_used = self.track_flows.then(|| ledger.flow_count(flow));
-        if !self.admits(counters, flow_used) {
-            let rejected = counters.rejected.load(Ordering::Relaxed);
-            counters.rejected.store(rejected + 1, Ordering::Relaxed);
+        let flow_used = self.track_flows.then(|| self.flow_count(flow));
+        if !self.admits(port, flow_used) {
+            self.ports[port].rejected += 1;
             return Err(packet);
         }
-        let (idx, slot) = self.claim(&mut ledger);
-        let gen = slot.gen.load(Ordering::Acquire);
-        debug_assert_eq!(gen & 1, 0, "claimed occupied slot");
-        debug_assert_eq!(slot.refs.load(Ordering::Acquire), 0);
-        // SAFETY: the slot is free and was claimed under the lock this
-        // thread holds, so no other thread writes it and no reference
-        // reads it until the `gen` store below publishes it.
-        unsafe { (*slot.packet.get()).write(packet) };
-        slot.port.store(port, Ordering::Relaxed);
-        slot.refs.store(1, Ordering::Relaxed);
-        // even -> odd: occupied. The `Release` pairs with the `Acquire`
-        // loads of `gen` in `get`/`retain`/`release_with`, publishing the
-        // packet bytes and the port tag written above.
-        slot.gen.store(gen.wrapping_add(1), Ordering::Release);
-        let live = self.live.load(Ordering::Relaxed);
-        self.live.store(live + 1, Ordering::Release);
-        let used = counters.occupancy.load(Ordering::Relaxed);
-        counters.occupancy.store(used + 1, Ordering::Release);
-        let admitted = counters.admitted.load(Ordering::Relaxed);
-        counters.admitted.store(admitted + 1, Ordering::Relaxed);
+        let slot = Slot {
+            refs: 1,
+            port: port as u32,
+            packet: Some(packet),
+        };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx as usize] = slot;
+                idx
+            }
+            None => {
+                let idx = self.slots.len();
+                assert!(idx < u32::MAX as usize, "packet pool exceeds u32 slots");
+                self.slots.push(slot);
+                idx as u32
+            }
+        };
+        self.live += 1;
+        let counters = &mut self.ports[port];
+        counters.occupancy += 1;
+        counters.admitted += 1;
         if self.track_flows {
-            *ledger.flows.entry(flow).or_insert(0) += 1;
+            *self.flows.entry(flow).or_insert(0) += 1;
         }
         Ok(PktHandle(idx))
     }
 
-    /// The slot read behind [`PoolHandle::get`]. The caller's reference
-    /// is what keeps the slot from being freed or reused underneath the
-    /// returned borrow.
-    fn get(&self, handle: PktHandle) -> &Packet {
-        let slot = self.occupied(handle, "stale packet handle");
-        // SAFETY: the slot is occupied and the caller holds a reference,
-        // so no thread can free (and therefore rewrite) it while the
-        // returned borrow lives.
-        unsafe { (*slot.packet.get()).assume_init_ref() }
-    }
-
-    /// The reference bump behind [`PoolHandle::retain`].
-    fn retain(&self, handle: PktHandle) {
-        let slot = self.occupied(handle, "retain of stale packet handle");
-        slot.refs.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The release path behind [`PoolHandle::release`], given the
-    /// releasing handle's port and counter block: when the slot was
-    /// inserted through that port (always, for a tree) the occupancy
-    /// settles on the cached block without a port-table lookup.
-    fn release_with(
-        &self,
-        handle: PktHandle,
-        own_port: u32,
-        own_counters: &PortCounters,
-    ) -> Option<Packet> {
-        let slot = self.occupied(handle, "release of stale packet handle");
-        // Checked decrement: a reference count already at zero means a
-        // double release raced the slot's teardown.
-        match slot
-            .refs
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| r.checked_sub(1))
-        {
-            Ok(1) => {}
-            Ok(_) => return None, // other holders remain
-            Err(_) => {
-                if cfg!(debug_assertions) {
-                    panic!("double release of packet handle {handle}");
-                }
-                self.accounting_errors.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+    /// Borrow the packet in `handle`'s slot (see [`PoolHandle`] for why
+    /// the borrow is sound).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free (a stale handle).
+    pub fn get(&self, handle: PktHandle) -> &Packet {
+        match self.slots.get(handle.index()) {
+            Some(Slot {
+                packet: Some(packet),
+                ..
+            }) => packet,
+            _ => panic!("stale packet handle {handle}"),
         }
-        // SAFETY: we observed the count go 1 -> 0, so no reference
-        // remains and this thread is the slot's sole owner until the
-        // ledger takes it back below.
-        let packet = unsafe { (*slot.packet.get()).assume_init_read() };
-        let port = slot.port.load(Ordering::Relaxed);
-        let mut ledger = self.ledger();
-        // odd -> even: free. The `Release` pairs with the `Acquire` loads
-        // that reject stale handles.
-        let gen = slot.gen.load(Ordering::Relaxed);
-        slot.gen.store(gen.wrapping_add(1), Ordering::Release);
-        ledger.free.push(handle.0);
-        let errors = &self.accounting_errors;
-        checked_dec(&self.live, errors, "pool live");
-        let occupancy = if port == own_port {
-            &own_counters.occupancy
-        } else {
-            &ledger.ports[port as usize].occupancy
-        };
-        checked_dec(occupancy, errors, "port occupancy");
+    }
+
+    /// Add one reference to `handle`'s slot (the §6.1 counters track
+    /// *slots*, so this changes no counter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free.
+    pub fn retain(&mut self, handle: PktHandle) {
+        self.occupied(handle, "retain of stale packet handle").refs += 1;
+    }
+
+    /// Drop one reference to `handle`'s slot. When it was the last, the
+    /// packet moves out, the slot frees, and the inserting port's and
+    /// flow's occupancy counters are decremented — in O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is already free (a stale handle), and — in
+    /// debug builds — on any accounting underflow the release would
+    /// cause; release builds tally underflows in
+    /// [`accounting_errors`](Self::accounting_errors) instead.
+    pub fn release(&mut self, handle: PktHandle) -> Option<Packet> {
+        let slot = self.occupied(handle, "release of stale packet handle");
+        slot.refs -= 1;
+        if slot.refs > 0 {
+            return None; // other holders remain
+        }
+        let port = slot.port as usize;
+        let packet = slot
+            .packet
+            .take()
+            .expect("an occupied slot holds its packet");
+        self.free.push(handle.0);
+        let errors = &mut self.accounting_errors;
+        checked_dec(&mut self.live, errors, "pool live");
+        checked_dec(&mut self.ports[port].occupancy, errors, "port occupancy");
         if self.track_flows {
             // Checked, and the entry goes at zero so idle flows cost
             // nothing.
-            match ledger.flows.get_mut(&packet.flow) {
+            match self.flows.get_mut(&packet.flow) {
                 Some(c) if *c > 1 => *c -= 1,
                 Some(_) => {
-                    ledger.flows.remove(&packet.flow);
+                    self.flows.remove(&packet.flow);
                 }
                 None => underflow(errors, "flow occupancy"),
             }
@@ -747,67 +590,40 @@ impl SharedPacketPool {
     /// Number of references currently held on `handle`'s slot (0 for a
     /// free slot). For tests and diagnostics.
     pub fn ref_count(&self, handle: PktHandle) -> usize {
-        match self.slot(handle.0) {
-            Some(slot) if slot.gen.load(Ordering::Acquire) & 1 == 1 => {
-                slot.refs.load(Ordering::Acquire) as usize
-            }
+        match self.slots.get(handle.index()) {
+            Some(slot) if slot.packet.is_some() => slot.refs as usize,
             _ => 0,
         }
     }
 
     /// Live packets across all ports.
     pub fn live(&self) -> usize {
-        self.live.load(Ordering::Acquire)
-    }
-
-    /// True when no packet is resident.
-    pub fn is_empty(&self) -> bool {
-        self.live() == 0
-    }
-
-    /// The global capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Unoccupied slots under the global capacity (`usize::MAX` when
-    /// unbounded) — the `free_space` the dynamic threshold compares
-    /// against.
-    pub fn free_space(&self) -> usize {
-        match self.capacity {
-            Some(cap) => cap.saturating_sub(self.live()),
-            None => usize::MAX,
-        }
-    }
-
-    /// The admission policy in force.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
+        self.live
     }
 
     /// Number of registered ports.
     pub fn num_ports(&self) -> usize {
-        self.ledger().ports.len()
+        self.ports.len()
     }
 
     /// Total slots ever claimed (high-water mark of the working set).
     pub fn slot_count(&self) -> usize {
-        self.ledger().claimed as usize
+        self.slots.len()
     }
 
     /// Live slots currently attributed to `port`.
     pub fn port_occupancy(&self, port: usize) -> usize {
-        self.ledger().ports[port].occupancy.load(Ordering::Acquire)
+        self.ports[port].occupancy
     }
 
     /// Packets ever admitted for `port`.
     pub fn port_admitted(&self, port: usize) -> u64 {
-        self.ledger().ports[port].admitted.load(Ordering::Relaxed)
+        self.ports[port].admitted
     }
 
     /// Packets ever rejected for `port` (threshold or capacity).
     pub fn port_rejected(&self, port: usize) -> u64 {
-        self.ledger().ports[port].rejected.load(Ordering::Relaxed)
+        self.ports[port].rejected
     }
 
     /// Live slots currently holding packets of `flow`, O(1) from the flow
@@ -815,7 +631,7 @@ impl SharedPacketPool {
     /// ([`AdmissionPolicy::uses_flow_state`]), because then nothing reads
     /// per-flow occupancy and the pool keeps no flow table.
     pub fn flow_occupancy(&self, flow: FlowId) -> Option<usize> {
-        self.track_flows.then(|| self.ledger().flow_count(flow))
+        self.track_flows.then(|| self.flow_count(flow))
     }
 
     /// Accounting violations detected so far (double releases and other
@@ -823,24 +639,15 @@ impl SharedPacketPool {
     /// instead, so this is only ever non-zero in release builds; a
     /// healthy pool reports 0 forever.
     pub fn accounting_errors(&self) -> u64 {
-        self.accounting_errors.load(Ordering::Relaxed)
+        self.accounting_errors
     }
 
     /// A copyable snapshot of the pool-wide and per-port counters.
     pub fn stats(&self) -> PoolStats {
-        let ledger = self.ledger();
         PoolStats {
-            live: self.live(),
-            capacity: self.capacity(),
-            ports: ledger
-                .ports
-                .iter()
-                .map(|p| PortPoolStats {
-                    occupancy: p.occupancy.load(Ordering::Acquire),
-                    admitted: p.admitted.load(Ordering::Relaxed),
-                    rejected: p.rejected.load(Ordering::Relaxed),
-                })
-                .collect(),
+            live: self.live,
+            capacity: self.capacity,
+            ports: self.ports.clone(),
         }
     }
 
@@ -848,71 +655,52 @@ impl SharedPacketPool {
     /// slab's live count, the free list holds exactly the free slots, no
     /// accounting errors were recorded, and the flow table agrees with
     /// the resident packets' flows — entry for entry (and in total) when
-    /// the policy keeps it, empty when it does not.
-    /// O(slots); for tests, and **quiescent only** — the walk reads
-    /// resident packets, so no reference may be released during it.
+    /// the policy keeps it, empty when it does not. O(slots); for tests.
     ///
     /// # Panics
     ///
     /// Panics with a description of the first violation found.
     pub fn assert_coherent(&self) {
-        let ledger = self.ledger();
-        let claimed = ledger.claimed;
+        let claimed = self.slots.len();
         // The free list must hold every free slot, and only those, once.
-        let mut on_free_list = vec![false; claimed as usize];
-        for &idx in &ledger.free {
-            assert!(idx < claimed, "free list points out of range");
+        let mut on_free_list = vec![false; claimed];
+        for &idx in &self.free {
+            assert!((idx as usize) < claimed, "free list points out of range");
             let seen = std::mem::replace(&mut on_free_list[idx as usize], true);
             assert!(!seen, "free list holds slot {idx} twice");
         }
         let mut occupied = 0usize;
         let mut by_flow_tag: FlowMap<usize> = FlowMap::default();
-        for idx in 0..claimed {
-            let slot = self
-                .slot(idx)
-                .expect("claimed slot in an unallocated chunk");
-            let is_free = slot.gen.load(Ordering::Acquire) & 1 == 0;
+        for (idx, slot) in self.slots.iter().enumerate() {
             assert_eq!(
-                on_free_list[idx as usize], is_free,
+                on_free_list[idx],
+                slot.packet.is_none(),
                 "slot {idx}: on the free list iff free"
             );
-            if is_free {
-                assert_eq!(
-                    slot.refs.load(Ordering::Acquire),
-                    0,
-                    "free slot {idx} holds references"
-                );
-            } else {
-                occupied += 1;
-                *by_flow_tag
-                    .entry(self.get(PktHandle(idx)).flow)
-                    .or_insert(0) += 1;
-                assert!(
-                    slot.refs.load(Ordering::Acquire) > 0,
-                    "occupied slot {idx} has zero references"
-                );
-                assert!(
-                    (slot.port.load(Ordering::Relaxed) as usize) < ledger.ports.len().max(1),
-                    "occupied slot {idx} attributed to unregistered port"
-                );
+            match &slot.packet {
+                None => assert_eq!(slot.refs, 0, "free slot {idx} holds references"),
+                Some(packet) => {
+                    occupied += 1;
+                    *by_flow_tag.entry(packet.flow).or_insert(0) += 1;
+                    assert!(slot.refs > 0, "occupied slot {idx} has zero references");
+                    assert!(
+                        (slot.port as usize) < self.ports.len().max(1),
+                        "occupied slot {idx} attributed to unregistered port"
+                    );
+                }
             }
         }
-        assert_eq!(self.live(), occupied, "live counter diverged from slots");
-        let by_port: usize = ledger
-            .ports
-            .iter()
-            .map(|p| p.occupancy.load(Ordering::Acquire))
-            .sum();
+        assert_eq!(self.live, occupied, "live counter diverged from slots");
+        let by_port: usize = self.ports.iter().map(|p| p.occupancy).sum();
         assert_eq!(
-            by_port,
-            self.live(),
+            by_port, self.live,
             "per-port occupancies diverged from the slab"
         );
         assert!(
-            self.track_flows || ledger.flows.is_empty(),
+            self.track_flows || self.flows.is_empty(),
             "flow table populated under a policy that never reads it"
         );
-        for (flow, &count) in &ledger.flows {
+        for (flow, &count) in &self.flows {
             assert_eq!(
                 Some(&count),
                 by_flow_tag.get(flow),
@@ -921,175 +709,310 @@ impl SharedPacketPool {
         }
         if self.track_flows {
             assert_eq!(
-                ledger.flows.values().sum::<usize>(),
-                self.live(),
+                self.flows.values().sum::<usize>(),
+                self.live,
                 "per-flow occupancies diverged from the slab"
             );
         }
-        assert_eq!(
-            self.accounting_errors(),
-            0,
-            "pool recorded accounting errors"
-        );
+        assert_eq!(self.accounting_errors, 0, "pool recorded accounting errors");
     }
 }
 
-/// A shared [`SharedPacketPool`], for registering ports and reading
-/// fabric-level statistics.
+thread_local! {
+    /// The shared pools this thread holds — lent to a drain, or read
+    /// through a [`PoolGuard`] — by address: a direct call that finds one
+    /// of them locked would wait on itself.
+    static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A [`SharedPacketPool`] shared by several trees: register their ports
+/// on it, lend it to the code that drains them, read its statistics.
 ///
 /// ```
 /// use pifo_core::pool::{AdmissionPolicy, SharedPacketPool};
 ///
-/// let pool = SharedPacketPool::new(8, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
+/// let pool = SharedPacketPool::new(8, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })?
 ///     .into_shared();
 /// let port_a = pool.register_port();
 /// let port_b = pool.register_port();
 /// assert_eq!((port_a.port(), port_b.port()), (0, 1));
-/// assert_eq!(pool.stats().capacity, Some(8));
+/// assert_eq!(pool.pool().stats().capacity, Some(8));
+/// # Ok::<(), pifo_core::pool::PoolError>(())
 /// ```
-pub type SharedPool = Arc<SharedPacketPool>;
+#[derive(Debug, Clone)]
+pub struct SharedPool(Arc<Mutex<SharedPacketPool>>);
 
-/// One port's capability into a [`SharedPacketPool`] — what a
-/// `ScheduleTree` holds in place of a private slab.
+impl SharedPool {
+    /// Register a new port (dense indices from 0) and return its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool already has [`MAX_PORTS`] ports
+    /// ([`SharedPacketPool::try_register_port`] reports it as an error).
+    pub fn register_port(&self) -> PoolHandle {
+        let port = self.lock(None).try_register_port();
+        PoolHandle {
+            shared: self.clone(),
+            port: port.unwrap_or_else(|e| panic!("register_port: {e}")) as u32,
+        }
+    }
+
+    /// The pool, locked for as long as the guard lives (statistics,
+    /// coherence checks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this thread already holds the pool.
+    pub fn pool(&self) -> PoolGuard<'_> {
+        PoolGuard(Guard::Held(self.hold(None)))
+    }
+
+    /// Lend the pool to the code that drains it: one lock for the whole
+    /// run, and `&mut` pool for every tree operation and probe in it
+    /// (`ScheduleTree::enqueue_lent`, [`SharedPacketPool::would_admit`]).
+    /// Until the loan drops, a direct call on this thread through a
+    /// handle, or on a tree built in the pool, panics naming its port; a
+    /// call from another thread waits for the loan to end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this thread already holds the pool.
+    pub fn lend(&self) -> LentPool<'_> {
+        self.hold(None)
+    }
+
+    /// Lock the pool and mark it held by this thread until the loan
+    /// drops.
+    fn hold(&self, port: Option<u32>) -> LentPool<'_> {
+        let pool = self.lock(port);
+        HELD.with(|held| held.borrow_mut().push(self.key()));
+        LentPool { shared: self, pool }
+    }
+
+    /// Do the two name the same pool?
+    pub fn same_pool(&self, other: &SharedPool) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    fn key(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
+    }
+
+    /// Lock the pool for one call made for `port` (or for the pool as a
+    /// whole): panic, rather than wait on itself, when this thread holds
+    /// the pool already.
+    fn lock(&self, port: Option<u32>) -> MutexGuard<'_, SharedPacketPool> {
+        const POISONED: &str = "shared pool poisoned by a panicking caller";
+        match self.0.try_lock() {
+            Ok(pool) => pool,
+            Err(TryLockError::WouldBlock) => {
+                if HELD.with(|held| held.borrow().contains(&self.key())) {
+                    let whose = port.map_or("the shared pool".to_string(), |p| {
+                        format!("port {p}'s shared pool")
+                    });
+                    panic!(
+                        "{whose} is held by this thread (lent to a drain, or read through \
+                         `pool()`), and a direct call would wait on itself"
+                    );
+                }
+                self.0.lock().expect(POISONED)
+            }
+            Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
+        }
+    }
+}
+
+/// A shared pool lent to the code that drains it for a whole run (see
+/// [`SharedPool::lend`]): `&mut` access with no further locking. The
+/// pool returns to its handles when the loan drops. (A [`PoolGuard`] of
+/// a shared pool holds one too, read-only.)
+pub struct LentPool<'a> {
+    shared: &'a SharedPool,
+    pool: MutexGuard<'a, SharedPacketPool>,
+}
+
+impl Deref for LentPool<'_> {
+    type Target = SharedPacketPool;
+    fn deref(&self) -> &SharedPacketPool {
+        &self.pool
+    }
+}
+
+impl DerefMut for LentPool<'_> {
+    fn deref_mut(&mut self) -> &mut SharedPacketPool {
+        &mut self.pool
+    }
+}
+
+impl Drop for LentPool<'_> {
+    fn drop(&mut self) {
+        let key = self.shared.key();
+        // `try_with`: during thread teardown there is nothing to unmark.
+        let _ = HELD.try_with(|held| {
+            let mut held = held.borrow_mut();
+            if let Some(i) = held.iter().position(|&k| k == key) {
+                held.swap_remove(i);
+            }
+        });
+    }
+}
+
+/// Read access to a pool (see [`PoolHandle::pool`],
+/// [`TreePool::pool`]): borrowed from the tree that owns it, or locked
+/// for as long as the guard lives.
+pub struct PoolGuard<'a>(Guard<'a>);
+
+enum Guard<'a> {
+    Owned(&'a SharedPacketPool),
+    Held(LentPool<'a>),
+}
+
+impl Deref for PoolGuard<'_> {
+    type Target = SharedPacketPool;
+    fn deref(&self) -> &SharedPacketPool {
+        match &self.0 {
+            Guard::Owned(pool) => pool,
+            Guard::Held(pool) => pool,
+        }
+    }
+}
+
+/// One port's capability into a [`SharedPool`] — what a `ScheduleTree`
+/// built in a shared pool holds. Every call locks the pool once, so a
+/// handle is `Send + Sync`; a clone refers to the same port. Admission
+/// probes and everything else go to the pool itself, with
+/// [`port`](Self::port): [`pool`](Self::pool), or the drain's loan.
 ///
-/// All slab traffic flows through the handle, which supplies the port
-/// identity for the §6.1 counters (and caches the port's counter block,
-/// so the hot path never looks the port up). Handles may be cloned (e.g.
-/// to probe occupancy from outside the tree); the clone refers to the
-/// same port. Handles are `Send` — a tree and its handle can migrate to a
-/// worker thread together.
-///
-/// Borrowing a resident packet is crate-private: a borrow is sound only
-/// while its holder keeps a reference to the slot, which the scheduling
-/// tree does and nothing outside this crate could be held to. So safe
-/// code cannot keep a borrow across the slot's release and read the
-/// next packet through it:
+/// Reading a resident packet needs the pool itself
+/// ([`SharedPacketPool::get`]), and the borrow holds the pool: the slot
+/// cannot be released — its packet moved out or replaced — while the
+/// borrow lives, as the compiler checks:
 ///
 /// ```compile_fail
 /// use pifo_core::pool::{AdmissionPolicy, SharedPacketPool};
 /// use pifo_core::prelude::*;
 ///
-/// let pool = SharedPacketPool::new(1, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
-///     .into_shared();
-/// let h = pool.register_port();
-/// let a = h.try_insert(Packet::new(1, FlowId(0), 100, Nanos(0))).unwrap();
-/// let first = h.get(a); // error: `get` is private
-/// h.release(a);
-/// h.try_insert(Packet::new(2, FlowId(0), 100, Nanos(0))).unwrap();
+/// let mut pool = SharedPacketPool::new(1, AdmissionPolicy::Unlimited).unwrap();
+/// let port = pool.try_register_port().unwrap();
+/// let a = pool.try_insert(port, Packet::new(1, FlowId(0), 100, Nanos(0))).unwrap();
+/// let first = pool.get(a);
+/// pool.release(a); // error: `pool` is still borrowed by `first`
 /// assert_eq!(first.id.0, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
-    pool: Arc<SharedPacketPool>,
-    /// This port's counter block (the same `Arc` the pool's table
-    /// holds).
-    counters: Arc<PortCounters>,
+    shared: SharedPool,
     port: u32,
 }
 
 impl PoolHandle {
-    /// A handle to a fresh single-port pool — the private-slab
-    /// configuration: `capacity` is the only admission gate, exactly like
-    /// the per-tree slab it replaced.
-    pub fn sole_owner(capacity: Option<usize>) -> PoolHandle {
-        let pool = match capacity {
-            Some(cap) => SharedPacketPool::new(cap, AdmissionPolicy::Unlimited),
-            None => SharedPacketPool::unbounded(),
-        };
-        pool.into_shared().register_port()
-    }
-
     /// This handle's port index within the pool.
     pub fn port(&self) -> usize {
         self.port as usize
     }
 
-    /// The shared pool this handle belongs to (for fabric-level stats).
-    pub fn shared_pool(&self) -> SharedPool {
-        Arc::clone(&self.pool)
+    /// The pool itself (slab occupancy, coherence checks, counters),
+    /// locked for as long as the guard lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the port, if this thread already holds the pool.
+    pub fn pool(&self) -> PoolGuard<'_> {
+        PoolGuard(Guard::Held(self.shared.hold(Some(self.port))))
     }
 
-    /// The pool itself (slab occupancy, coherence checks, counters).
-    pub fn pool(&self) -> &SharedPacketPool {
-        &self.pool
+    fn lock(&self) -> MutexGuard<'_, SharedPacketPool> {
+        self.shared.lock(Some(self.port))
     }
 
-    /// Insert `packet` for this port, with one reference, returning its
-    /// handle — or the packet itself, unchanged, when the global capacity
-    /// or the policy's port (or flow) threshold rejects it. The reject is
-    /// tallied against this port.
+    /// [`SharedPacketPool::try_insert`] for this port.
     pub fn try_insert(&self, packet: Packet) -> Result<PktHandle, Packet> {
-        self.pool.try_insert_with(&self.counters, self.port, packet)
+        self.lock().try_insert(self.port(), packet)
     }
 
-    /// Would a packet for this port be admitted right now? The port side
-    /// of the [`try_insert`](Self::try_insert) verdict, without counting
-    /// a reject. Under concurrent mutation this is advisory — another
-    /// thread may change the answer before you act on it.
-    pub fn would_admit(&self) -> bool {
-        self.pool.probe(&self.counters, None)
-    }
-
-    /// Would a packet of `flow` for this port be admitted right now? The
-    /// full [`try_insert`](Self::try_insert) verdict — global capacity,
-    /// port threshold, *and* flow threshold for a
-    /// [`AdmissionPolicy::PortFlow`] policy (for port-only policies it
-    /// equals [`would_admit`](Self::would_admit)). The same advisory
-    /// caveat applies; the lossless fabric gates ingress on it serially
-    /// in round order, where it is exact.
-    pub fn would_admit_flow(&self, flow: FlowId) -> bool {
-        self.pool.probe(&self.counters, Some(flow))
-    }
-
-    /// Borrow the packet in `handle`'s slot. The borrow is
-    /// generation-checked: accessing a fully released slot panics.
-    /// Callers must hold one of the slot's references for the duration
-    /// of the borrow (the scheduling tree's standing discipline), which
-    /// is why only this crate may call it.
-    pub(crate) fn get(&self, handle: PktHandle) -> &Packet {
-        self.pool.get(handle)
-    }
-
-    /// Add one reference to `handle`'s slot (the §6.1 counters track
-    /// *slots*, so this changes no counter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is free.
+    /// [`SharedPacketPool::retain`].
     pub fn retain(&self, handle: PktHandle) {
-        self.pool.retain(handle);
+        self.lock().retain(handle);
     }
 
-    /// Drop one reference to `handle`'s slot. When it was the last, the
-    /// packet moves out, the slot frees, and the inserting port's and
-    /// flow's occupancy counters are decremented — in O(1), whichever
-    /// port's handle releases it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is already free (a stale handle), and — in
-    /// debug builds — on any accounting underflow the release would
-    /// cause; release builds tally underflows in
-    /// [`SharedPacketPool::accounting_errors`] instead.
+    /// [`SharedPacketPool::release`]: the counters settle against the
+    /// port that inserted the slot, whichever port's handle releases it.
     pub fn release(&self, handle: PktHandle) -> Option<Packet> {
-        self.pool.release_with(handle, self.port, &self.counters)
+        self.lock().release(handle)
     }
 
     /// Live packets across the whole pool (all ports).
     pub fn pool_live(&self) -> usize {
-        self.pool.live()
-    }
-
-    /// Live slots currently attributed to this port.
-    pub fn occupancy(&self) -> usize {
-        self.counters.occupancy.load(Ordering::Acquire)
-    }
-
-    /// Packets ever rejected for this port.
-    pub fn rejected(&self) -> u64 {
-        self.counters.rejected.load(Ordering::Relaxed)
+        self.lock().live()
     }
 }
+
+/// How a scheduling tree reaches its pool (`ScheduleTree::pool_handle`).
+#[derive(Debug)]
+pub enum TreePool {
+    /// A single-port pool of the tree's own (`TreeBuilder::build`),
+    /// reached without a lock; the tree is its port 0.
+    Owned(Box<SharedPacketPool>),
+    /// A port of a shared pool (`TreeBuilder::build_in_pool`).
+    Shared(PoolHandle),
+}
+
+impl TreePool {
+    /// The tree's port index within its pool.
+    pub fn port(&self) -> usize {
+        match self {
+            TreePool::Owned(_) => 0,
+            TreePool::Shared(handle) => handle.port(),
+        }
+    }
+
+    /// The pool (slab occupancy, coherence checks, counters). For a
+    /// shared pool this locks it for as long as the guard lives, and
+    /// panics, naming the port, if this thread already holds it.
+    pub fn pool(&self) -> PoolGuard<'_> {
+        match self {
+            TreePool::Owned(pool) => PoolGuard(Guard::Owned(pool)),
+            TreePool::Shared(handle) => handle.pool(),
+        }
+    }
+
+    /// The shared pool, unless the tree owns its pool.
+    pub fn shared(&self) -> Option<&SharedPool> {
+        match self {
+            TreePool::Owned(_) => None,
+            TreePool::Shared(handle) => Some(&handle.shared),
+        }
+    }
+
+    /// Run `f` on the pool for one tree operation: the shared pool the
+    /// caller holds `lent`, else an owned pool directly, or a shared one
+    /// under its per-call lock.
+    pub(crate) fn with<R>(
+        &mut self,
+        lent: Option<&mut LentPool<'_>>,
+        f: impl FnOnce(&mut SharedPacketPool) -> R,
+    ) -> R {
+        match (self, lent) {
+            (TreePool::Shared(h), Some(lent)) if h.shared.same_pool(lent.shared) => f(lent),
+            (pool, Some(_)) => panic!(
+                "port {}: lent a pool this tree does not buffer in",
+                pool.port()
+            ),
+            (TreePool::Owned(pool), None) => f(pool),
+            (TreePool::Shared(h), None) => f(&mut h.lock()),
+        }
+    }
+}
+
+// The threading contract, checked by the compiler: a tree (with the pool
+// it owns, or its handle) moves to a worker thread whole, and a handle
+// may be shared between threads.
+const _: () = {
+    const fn send<T: Send>() {}
+    const fn send_sync<T: Send + Sync>() {}
+    send::<crate::tree::ScheduleTree>();
+    send_sync::<PoolHandle>();
+};
 
 #[cfg(test)]
 mod tests {
@@ -1100,21 +1023,38 @@ mod tests {
         Packet::new(id, FlowId(flow), 1_000, Nanos(id))
     }
 
+    /// A pool of `ports` registered ports.
+    fn pool(capacity: usize, policy: AdmissionPolicy, ports: usize) -> SharedPacketPool {
+        let mut pool = SharedPacketPool::new(capacity, policy).unwrap();
+        for _ in 0..ports {
+            pool.try_register_port().unwrap();
+        }
+        pool
+    }
+
+    fn unbounded() -> SharedPacketPool {
+        let mut pool = SharedPacketPool::unbounded();
+        pool.try_register_port().unwrap();
+        pool
+    }
+
+    /// A single-port pool — what a tree built with `TreeBuilder::build`
+    /// owns — gates on its capacity alone, like a private slab.
     #[test]
     fn sole_owner_pool_matches_private_slab_semantics() {
-        let h = PoolHandle::sole_owner(Some(2));
-        let a = h.try_insert(pkt(0, 1)).unwrap();
-        let _b = h.try_insert(pkt(1, 2)).unwrap();
+        let mut p = pool(2, AdmissionPolicy::Unlimited, 1);
+        let a = p.try_insert(0, pkt(0, 1)).unwrap();
+        let _b = p.try_insert(0, pkt(1, 2)).unwrap();
         // At capacity: the rejected packet comes back unchanged, by move.
-        let back = h.try_insert(pkt(2, 3)).unwrap_err();
+        let back = p.try_insert(0, pkt(2, 3)).unwrap_err();
         assert_eq!(back.id.0, 2);
-        assert_eq!(h.rejected(), 1);
-        assert_eq!(h.occupancy(), 2);
-        let out = h.release(a).expect("sole reference");
+        assert_eq!(p.port_rejected(0), 1);
+        assert_eq!(p.port_occupancy(0), 2);
+        let out = p.release(a).expect("sole reference");
         assert_eq!(out.id.0, 0);
-        assert_eq!(h.occupancy(), 1);
-        assert!(h.would_admit());
-        h.shared_pool().assert_coherent();
+        assert_eq!(p.port_occupancy(0), 1);
+        assert!(p.would_admit(0));
+        p.assert_coherent();
     }
 
     /// Alpha = 1 converges at half the capacity, whether the dynamic
@@ -1128,31 +1068,26 @@ mod tests {
             port: Threshold::Unlimited,
             flow: Threshold::Dynamic { num: 1, den: 1 },
         };
-        for (policy, light_port) in [(port_side, true), (flow_side, false)] {
-            let pool = SharedPacketPool::new(8, policy).into_shared();
-            let hog = pool.register_port();
-            let light = if light_port {
-                pool.register_port()
-            } else {
-                hog.clone()
-            };
+        for (policy, light) in [(port_side, 1), (flow_side, 0)] {
+            let mut p = pool(8, policy, 2);
+            let hog = 0;
             // The hog fills until its occupancy reaches the shrinking free
             // space: with alpha = 1 it converges at half the buffer.
             let mut admitted = 0;
             let mut id = 0;
-            while hog.would_admit_flow(FlowId(1)) {
-                hog.try_insert(pkt(id, 1)).unwrap();
+            while p.would_admit_flow(hog, FlowId(1)) {
+                p.try_insert(hog, pkt(id, 1)).unwrap();
                 id += 1;
                 admitted += 1;
                 assert!(admitted <= 8, "{policy}: must converge");
             }
             assert_eq!(admitted, 4, "{policy}: alpha=1 -> at most half the buffer");
-            assert!(hog.try_insert(pkt(id, 1)).is_err(), "{policy}");
+            assert!(p.try_insert(hog, pkt(id, 1)).is_err(), "{policy}");
             // Lockout prevented: the light port (or flow) still gets in.
-            assert!(light.would_admit_flow(FlowId(2)), "{policy}");
-            light.try_insert(pkt(id + 1, 2)).unwrap();
-            assert_eq!(pool.stats().live, 5, "{policy}");
-            pool.assert_coherent();
+            assert!(p.would_admit_flow(light, FlowId(2)), "{policy}");
+            p.try_insert(light, pkt(id + 1, 2)).unwrap();
+            assert_eq!(p.stats().live, 5, "{policy}");
+            p.assert_coherent();
         }
     }
 
@@ -1166,44 +1101,43 @@ mod tests {
             flow: Threshold::Static(100),
         };
         for policy in [AdmissionPolicy::Unlimited, generous_flow] {
-            let pool = SharedPacketPool::new(4, policy).into_shared();
-            let hog = pool.register_port();
-            let victim = pool.register_port();
+            let mut p = pool(4, policy, 2);
+            let (hog, victim) = (0, 1);
             let held: Vec<PktHandle> = (0..4)
-                .map(|id| hog.try_insert(pkt(id, 1)).unwrap())
+                .map(|id| p.try_insert(hog, pkt(id, 1)).unwrap())
                 .collect();
             // The naive shared cap lets the hog own every slot.
             assert!(
-                !victim.would_admit_flow(FlowId(2)),
+                !p.would_admit_flow(victim, FlowId(2)),
                 "{policy}: victim locked out"
             );
-            assert!(victim.try_insert(pkt(9, 2)).is_err(), "{policy}");
-            assert_eq!(victim.rejected(), 1, "{policy}");
-            hog.release(held[0]).expect("sole reference");
+            assert!(p.try_insert(victim, pkt(9, 2)).is_err(), "{policy}");
+            assert_eq!(p.port_rejected(victim), 1, "{policy}");
+            p.release(held[0]).expect("sole reference");
             assert!(
-                victim.would_admit_flow(FlowId(2)),
+                p.would_admit_flow(victim, FlowId(2)),
                 "{policy}: a release reopens"
             );
-            victim.try_insert(pkt(10, 2)).unwrap();
-            pool.assert_coherent();
+            p.try_insert(victim, pkt(10, 2)).unwrap();
+            p.assert_coherent();
         }
     }
 
     #[test]
     fn static_policy_caps_each_port_independently() {
-        let pool =
-            SharedPacketPool::new(100, AdmissionPolicy::Static { per_port: 2 }).into_shared();
-        let a = pool.register_port();
-        let b = pool.register_port();
-        a.try_insert(pkt(0, 1)).unwrap();
-        a.try_insert(pkt(1, 1)).unwrap();
-        assert!(a.try_insert(pkt(2, 1)).is_err(), "third on port A dropped");
-        assert!(b.would_admit(), "port B unaffected");
-        b.try_insert(pkt(3, 2)).unwrap();
-        assert_eq!(pool.port_occupancy(0), 2);
-        assert_eq!(pool.port_occupancy(1), 1);
+        let mut p = pool(100, AdmissionPolicy::Static { per_port: 2 }, 2);
+        p.try_insert(0, pkt(0, 1)).unwrap();
+        p.try_insert(0, pkt(1, 1)).unwrap();
+        assert!(
+            p.try_insert(0, pkt(2, 1)).is_err(),
+            "third on port A dropped"
+        );
+        assert!(p.would_admit(1), "port B unaffected");
+        p.try_insert(1, pkt(3, 2)).unwrap();
+        assert_eq!(p.port_occupancy(0), 2);
+        assert_eq!(p.port_occupancy(1), 1);
         assert_eq!(
-            pool.flow_occupancy(FlowId(1)),
+            p.flow_occupancy(FlowId(1)),
             None,
             "a port-only policy keeps no flow counts"
         );
@@ -1216,31 +1150,34 @@ mod tests {
             port: Threshold::Unlimited,
             flow: Threshold::Static(8),
         };
-        let pool = SharedPacketPool::new(8, policy).into_shared();
-        let a = pool.register_port();
-        let b = pool.register_port();
+        let shared = SharedPacketPool::new(8, policy).unwrap().into_shared();
+        let a = shared.register_port();
+        let b = shared.register_port();
         let ha = a.try_insert(pkt(0, 7)).unwrap();
         let _hb = b.try_insert(pkt(1, 7)).unwrap();
-        assert_eq!(pool.flow_occupancy(FlowId(7)), Some(2));
+        assert_eq!(shared.pool().flow_occupancy(FlowId(7)), Some(2));
         // Releasing through *either* handle settles against port A — the
         // pool remembers which port owns the slot.
         b.release(ha).expect("sole reference");
-        assert_eq!(pool.port_occupancy(0), 0);
-        assert_eq!(pool.port_occupancy(1), 1);
-        assert_eq!(pool.flow_occupancy(FlowId(7)), Some(1));
-        pool.assert_coherent();
+        let p = shared.pool();
+        assert_eq!(p.port_occupancy(0), 0);
+        assert_eq!(p.port_occupancy(1), 1);
+        assert_eq!(p.flow_occupancy(FlowId(7)), Some(1));
+        p.assert_coherent();
     }
 
     #[test]
     fn retained_slot_counts_until_last_release() {
-        let h = PoolHandle::sole_owner(Some(4));
-        let a = h.try_insert(pkt(0, 1)).unwrap();
-        h.retain(a);
-        assert!(h.release(a).is_none(), "one holder remains");
-        assert_eq!(h.occupancy(), 1, "slot still counted");
-        let p = h.release(a).expect("last reference");
-        assert_eq!(p.id.0, 0);
-        assert_eq!(h.occupancy(), 0);
+        let mut p = pool(4, AdmissionPolicy::Unlimited, 1);
+        let a = p.try_insert(0, pkt(0, 1)).unwrap();
+        p.retain(a);
+        assert_eq!(p.ref_count(a), 2);
+        assert!(p.release(a).is_none(), "one holder remains");
+        assert_eq!(p.port_occupancy(0), 1, "slot still counted");
+        let out = p.release(a).expect("last reference");
+        assert_eq!(out.id.0, 0);
+        assert_eq!(p.port_occupancy(0), 0);
+        assert_eq!(p.ref_count(a), 0);
     }
 
     /// Draining reopens the threshold (free space grows *and* own
@@ -1254,181 +1191,199 @@ mod tests {
                 flow: Threshold::Dynamic { num: 1, den: 1 },
             },
         ] {
-            let pool = SharedPacketPool::new(8, policy).into_shared();
-            let h = pool.register_port();
+            let mut p = pool(8, policy, 1);
             let mut handles = Vec::new();
             let mut id = 0;
-            while h.would_admit_flow(FlowId(1)) {
-                handles.push(h.try_insert(pkt(id, 1)).unwrap());
+            while p.would_admit_flow(0, FlowId(1)) {
+                handles.push(p.try_insert(0, pkt(id, 1)).unwrap());
                 id += 1;
             }
-            assert!(h.try_insert(pkt(99, 1)).is_err(), "{policy}");
-            h.release(handles.pop().unwrap());
-            h.release(handles.pop().unwrap());
-            assert!(h.would_admit_flow(FlowId(1)), "{policy}");
-            h.try_insert(pkt(100, 1)).unwrap();
+            assert!(p.try_insert(0, pkt(99, 1)).is_err(), "{policy}");
+            p.release(handles.pop().unwrap());
+            p.release(handles.pop().unwrap());
+            assert!(p.would_admit_flow(0, FlowId(1)), "{policy}");
+            p.try_insert(0, pkt(100, 1)).unwrap();
         }
     }
 
     #[test]
     fn slots_are_reused_after_release() {
-        let h = PoolHandle::sole_owner(None);
-        let a = h.try_insert(pkt(0, 1)).unwrap();
-        let _b = h.try_insert(pkt(1, 1)).unwrap();
-        h.release(a);
-        let c = h.try_insert(pkt(2, 1)).unwrap();
+        let mut p = unbounded();
+        let a = p.try_insert(0, pkt(0, 1)).unwrap();
+        let _b = p.try_insert(0, pkt(1, 1)).unwrap();
+        p.release(a);
+        let c = p.try_insert(0, pkt(2, 1)).unwrap();
         assert_eq!(c.index(), a.index(), "freed slot is reused first");
-        assert_eq!(h.pool().slot_count(), 2, "no growth while free slots exist");
-        h.pool().assert_coherent();
+        assert_eq!(p.slot_count(), 2, "no growth while free slots exist");
+        p.assert_coherent();
     }
 
     #[test]
-    fn slab_grows_across_chunk_boundaries() {
-        // Chunk 0 holds 64 slots; pushing past it exercises chunk
-        // allocation and the index → (chunk, offset) mapping.
-        let h = PoolHandle::sole_owner(None);
+    fn slab_grows_and_frees_in_claim_order() {
+        let mut p = unbounded();
         let handles: Vec<_> = (0..200)
-            .map(|i| h.try_insert(pkt(i, (i % 7) as u32)).unwrap())
+            .map(|i| p.try_insert(0, pkt(i, (i % 7) as u32)).unwrap())
             .collect();
-        assert_eq!(h.pool_live(), 200);
+        assert_eq!(p.live(), 200);
         for (i, &hd) in handles.iter().enumerate() {
-            assert_eq!(h.get(hd).id.0, i as u64);
+            assert_eq!(hd.index(), i, "fresh slots are claimed in order");
+            assert_eq!(p.get(hd).id.0, i as u64);
         }
-        h.pool().assert_coherent();
+        p.assert_coherent();
         for hd in handles {
-            h.release(hd);
+            p.release(hd);
         }
-        assert_eq!(h.pool_live(), 0);
-        h.pool().assert_coherent();
+        assert_eq!(p.live(), 0);
+        p.assert_coherent();
+        // The free list is LIFO: the last slot freed is the next claimed.
+        assert_eq!(p.try_insert(0, pkt(200, 0)).unwrap().index(), 199);
     }
 
     #[test]
     #[should_panic(expected = "stale packet handle")]
     fn stale_handle_panics() {
-        let h = PoolHandle::sole_owner(None);
-        let a = h.try_insert(pkt(0, 1)).unwrap();
-        h.release(a);
-        let _ = h.get(a);
+        let mut p = unbounded();
+        let a = p.try_insert(0, pkt(0, 1)).unwrap();
+        p.release(a);
+        let _ = p.get(a);
     }
 
-    /// A handle whose index was never claimed reads as stale through the
-    /// chunk lookup — past the high-water mark inside an allocated chunk
-    /// (index 1) or inside a chunk never allocated (64 starts chunk 1) —
-    /// and never reaches uninitialised packet bytes.
+    /// A handle whose index was never claimed — inside the slab's
+    /// allocation or past it — reads as stale on every path, and the
+    /// panic leaves the pool untouched.
     #[test]
     fn never_claimed_handles_panic_as_stale() {
-        let h = PoolHandle::sole_owner(None);
-        let _a = h.try_insert(pkt(0, 1)).unwrap();
-        for idx in [1, 64] {
-            let never = PktHandle(idx);
-            assert_eq!(h.pool().ref_count(never), 0);
-            let reads: [&dyn Fn(); 3] = [
-                &|| {
-                    let _ = h.get(never);
-                },
-                &|| h.retain(never),
-                &|| {
-                    let _ = h.release(never);
-                },
-            ];
-            for read in reads {
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
-                    .expect_err("a never-claimed handle must panic");
+        let mut p = pool(4, AdmissionPolicy::Unlimited, 1);
+        let a = p.try_insert(0, pkt(0, 1)).unwrap();
+        for stale in [PktHandle(1), PktHandle(64)] {
+            assert_eq!(p.ref_count(stale), 0);
+            for op in 0..3 {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
+                    0 => {
+                        let _ = p.get(stale);
+                    }
+                    1 => p.retain(stale),
+                    _ => {
+                        let _ = p.release(stale);
+                    }
+                }))
+                .expect_err("a stale handle must panic");
                 let msg = err.downcast_ref::<String>().expect("formatted panic");
-                assert!(msg.contains("stale packet handle"), "h{idx}: {msg}");
+                assert!(msg.contains("stale packet handle"), "{stale}: {msg}");
             }
         }
-        h.pool().assert_coherent();
-    }
-
-    /// The property the pool's threading model rests on, stated by the
-    /// compiler rather than by hand.
-    #[test]
-    fn pool_and_handle_are_send_and_sync() {
-        fn send_sync<T: Send + Sync>() {}
-        send_sync::<SharedPacketPool>();
-        send_sync::<PoolHandle>();
+        assert_eq!(p.port_occupancy(0), 1, "counters unaffected");
+        assert_eq!(p.get(a).id.0, 0);
+        p.assert_coherent();
     }
 
     #[test]
     fn double_release_of_freed_slot_is_detected() {
         // First release frees the slot; the second must be detected as a
         // stale handle, not silently clamp any counter.
-        let h = PoolHandle::sole_owner(Some(4));
-        let a = h.try_insert(pkt(0, 1)).unwrap();
-        h.release(a).expect("sole reference");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.release(a)));
+        let mut p = pool(4, AdmissionPolicy::Unlimited, 1);
+        let a = p.try_insert(0, pkt(0, 1)).unwrap();
+        p.release(a).expect("sole reference");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.release(a)));
         assert!(err.is_err(), "double release must not be silent");
-        assert_eq!(h.occupancy(), 0, "counters unaffected by the bad release");
-        h.pool().assert_coherent();
+        assert_eq!(
+            p.port_occupancy(0),
+            0,
+            "counters unaffected by the bad release"
+        );
+        p.assert_coherent();
     }
 
     #[test]
     fn port_registration_has_a_typed_overflow_error() {
-        let pool = SharedPacketPool::new(4, AdmissionPolicy::Unlimited).into_shared();
+        let mut p = SharedPacketPool::new(4, AdmissionPolicy::Unlimited).unwrap();
         for _ in 0..MAX_PORTS {
-            pool.try_register_port().expect("below the limit");
+            p.try_register_port().expect("below the limit");
         }
-        assert_eq!(pool.num_ports(), MAX_PORTS);
+        assert_eq!(p.num_ports(), MAX_PORTS);
         // The boundary: one more is a typed error, not a truncated index.
         assert_eq!(
-            pool.try_register_port().unwrap_err(),
+            p.try_register_port().unwrap_err(),
             PoolError::TooManyPorts { limit: MAX_PORTS }
         );
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.register_port()));
-        assert!(err.is_err(), "the panicking variant reports it too");
+        // A shared pool's `register_port` panics with it instead.
+        let shared = p.into_shared();
+        let err = std::panic::catch_unwind(|| shared.register_port()).expect_err("at the limit");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("65536 ports"), "{msg}");
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_pool_rejected() {
-        let _ = SharedPacketPool::new(0, AdmissionPolicy::Unlimited);
+        assert_eq!(
+            SharedPacketPool::new(0, AdmissionPolicy::Unlimited).unwrap_err(),
+            PoolError::ZeroCapacity
+        );
+        assert_eq!(
+            PoolError::ZeroCapacity.to_string(),
+            "pool capacity must be positive"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "denominator must be positive")]
     fn zero_alpha_denominator_rejected() {
-        let _ = SharedPacketPool::new(4, AdmissionPolicy::DynamicThreshold { num: 1, den: 0 });
+        let dynamic = Threshold::Dynamic { num: 1, den: 0 };
+        for policy in [
+            AdmissionPolicy::DynamicThreshold { num: 1, den: 0 },
+            AdmissionPolicy::PortFlow {
+                port: dynamic,
+                flow: Threshold::Unlimited,
+            },
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Static(4),
+                flow: dynamic,
+            },
+        ] {
+            assert_eq!(
+                SharedPacketPool::new(4, policy).unwrap_err(),
+                PoolError::ZeroDenominator,
+                "{policy}"
+            );
+        }
+        assert_eq!(
+            PoolError::ZeroDenominator.to_string(),
+            "alpha denominator must be positive"
+        );
     }
 
     #[test]
     fn port_flow_policy_gates_on_both_occupancies() {
-        let pool = SharedPacketPool::new(
-            16,
-            AdmissionPolicy::PortFlow {
-                port: Threshold::Static(8),
-                flow: Threshold::Static(2),
-            },
-        )
-        .into_shared();
-        let port = pool.register_port();
+        let policy = AdmissionPolicy::PortFlow {
+            port: Threshold::Static(8),
+            flow: Threshold::Static(2),
+        };
+        let mut p = pool(16, policy, 1);
         // Flow 1 is admitted twice, then capped — while flow 2 (same
         // port) is still admitted: the cap is per flow, not per port.
-        let a = port.try_insert(pkt(0, 1)).expect("first of flow 1");
-        let _b = port.try_insert(pkt(1, 1)).expect("second of flow 1");
-        assert!(!port.would_admit_flow(FlowId(1)), "flow 1 at cap");
-        assert!(port.would_admit_flow(FlowId(2)), "flow 2 unaffected");
-        assert!(port.try_insert(pkt(2, 1)).is_err(), "flow 1 rejected");
-        let _c = port.try_insert(pkt(3, 2)).expect("flow 2 admitted");
-        assert_eq!(port.rejected(), 1, "the flow-side reject is tallied");
+        let a = p.try_insert(0, pkt(0, 1)).expect("first of flow 1");
+        let _b = p.try_insert(0, pkt(1, 1)).expect("second of flow 1");
+        assert!(!p.would_admit_flow(0, FlowId(1)), "flow 1 at cap");
+        assert!(p.would_admit_flow(0, FlowId(2)), "flow 2 unaffected");
+        assert!(p.try_insert(0, pkt(2, 1)).is_err(), "flow 1 rejected");
+        let _c = p.try_insert(0, pkt(3, 2)).expect("flow 2 admitted");
+        assert_eq!(p.port_rejected(0), 1, "the flow-side reject is tallied");
         // Releasing a flow-1 packet reopens the flow threshold.
-        port.release(a);
-        assert!(port.would_admit_flow(FlowId(1)), "cap reopened");
+        p.release(a);
+        assert!(p.would_admit_flow(0, FlowId(1)), "cap reopened");
         // The port-only probe ignores the flow side by design.
-        assert!(port.would_admit(), "port side is under its threshold");
+        assert!(p.would_admit(0), "port side is under its threshold");
     }
 
     #[test]
     fn would_admit_flow_matches_try_insert_for_port_only_policies() {
-        let pool = SharedPacketPool::new(2, AdmissionPolicy::Static { per_port: 2 }).into_shared();
-        let port = pool.register_port();
-        assert!(port.would_admit_flow(FlowId(7)));
-        let _a = port.try_insert(pkt(0, 7)).expect("admitted");
-        let _b = port.try_insert(pkt(1, 7)).expect("admitted");
+        let mut p = pool(2, AdmissionPolicy::Static { per_port: 2 }, 1);
+        assert!(p.would_admit_flow(0, FlowId(7)));
+        let _a = p.try_insert(0, pkt(0, 7)).expect("admitted");
+        let _b = p.try_insert(0, pkt(1, 7)).expect("admitted");
         // Global capacity exhausted: both probes agree with try_insert.
-        assert!(!port.would_admit_flow(FlowId(7)));
-        assert!(!port.would_admit());
-        assert!(port.try_insert(pkt(2, 7)).is_err());
+        assert!(!p.would_admit_flow(0, FlowId(7)));
+        assert!(!p.would_admit(0));
+        assert!(p.try_insert(0, pkt(2, 7)).is_err());
     }
 
     #[test]

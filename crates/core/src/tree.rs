@@ -24,9 +24,9 @@
 //! reference-counted handle to the same slot (the hardware equivalently
 //! carries element metadata, §4.2), so the whole enqueue→dequeue walk is
 //! allocation-free and copies each packet exactly once, on admission.
-//! Packet-field reads go straight to the slab's generation-checked slots
-//! (lock-free — no interior-mutability borrow per access), and whole
-//! trees are `Send`: a fabric can drain its ports on worker threads.
+//! Packet-field reads go straight to the slab, which the tree owns or
+//! its drain lends it `&mut` (see [`crate::pool`]), and whole trees are
+//! `Send`: a fabric can drain its ports on worker threads.
 //!
 //! Shaping releases are driven by a single tree-wide min-ordered *agenda*
 //! (`(release_time, node, seq)` heap): work-conserving trees pay an O(1)
@@ -58,7 +58,7 @@
 //!   is a bug in this module, not in user code).
 //! * All shaped elements whose release time has passed are released before
 //!   any enqueue/dequeue at a later wall-clock time is processed.
-//! * Slab accounting: `packet_buffer().live() == len() +
+//! * Slab accounting: the tree's port occupancy `== len() +
 //!   shaped_refs_holding_packets()`, and the slab's free list is whole
 //!   again once the tree fully drains (no leaked slots).
 //! * A node sorts flow heads only if its transaction declared per-flow
@@ -69,7 +69,7 @@
 use crate::metrics::{InversionStats, InversionTracker};
 use crate::packet::{FlowId, Packet};
 use crate::pifo::{EnumPifo, FlowPifo, PifoBackend, PifoQueue};
-use crate::pool::{PktHandle, PoolHandle, SharedPacketPool};
+use crate::pool::{AdmissionPolicy, LentPool, PktHandle, PoolHandle, SharedPacketPool, TreePool};
 use crate::rank::Rank;
 use crate::telemetry::{
     drop_reason, EventKind, FlightRecorder, PathLog, PathRecorder, TelemetryConfig, TraceEvent,
@@ -470,22 +470,30 @@ impl TreeBuilder {
     /// The selected PIFO backend(s) are instantiated here, so the
     /// resulting tree never names a concrete queue type.
     ///
-    /// The tree gets a **sole-owner** packet pool: a fresh single-port
-    /// [`SharedPacketPool`] whose only
-    /// admission gate is the builder's [`buffer_limit`](
-    /// Self::buffer_limit) — exactly the private per-tree slab semantics
-    /// this constructor has always had. Use
+    /// The tree **owns** its packet pool: a fresh single-port
+    /// [`SharedPacketPool`] whose only admission gate is the builder's
+    /// [`buffer_limit`](Self::buffer_limit), reached without a lock. Use
     /// [`build_in_pool`](Self::build_in_pool) to share one pool (and its
     /// §6.1 admission thresholds) across many trees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer limit is zero.
     pub fn build(self, classifier: Classifier) -> Result<ScheduleTree, TreeError> {
-        let pool = PoolHandle::sole_owner(self.buffer_limit);
-        self.finish(classifier, pool)
+        let mut pool = match self.buffer_limit {
+            Some(cap) => SharedPacketPool::new(cap, AdmissionPolicy::Unlimited)
+                .unwrap_or_else(|e| panic!("buffer_limit: {e}")),
+            None => SharedPacketPool::unbounded(),
+        };
+        pool.try_register_port()
+            .expect("a fresh pool has room for port 0");
+        self.finish(classifier, TreePool::Owned(Box::new(pool)))
     }
 
     /// Finish construction against a port handle of a shared packet pool
     /// (§5.1's one-buffer-for-all-ports memory system): the tree buffers
     /// every packet in the pool's slab, and the pool's
-    /// [`AdmissionPolicy`](crate::pool::AdmissionPolicy) — not a private
+    /// [`AdmissionPolicy`] — not a private
     /// capacity — decides [`TreeError::BufferFull`] rejects.
     ///
     /// # Panics
@@ -499,6 +507,7 @@ impl TreeBuilder {
     /// use pifo_core::prelude::*;
     ///
     /// let pool = SharedPacketPool::new(4, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
+    ///     .unwrap()
     ///     .into_shared();
     /// let mut trees: Vec<ScheduleTree> = (0..2)
     ///     .map(|_| {
@@ -512,7 +521,7 @@ impl TreeBuilder {
     ///
     /// trees[0].enqueue(Packet::new(0, FlowId(1), 100, Nanos(0)), Nanos(0)).unwrap();
     /// trees[1].enqueue(Packet::new(1, FlowId(2), 100, Nanos(0)), Nanos(0)).unwrap();
-    /// assert_eq!(pool.stats().live, 2, "both trees buffer in one slab");
+    /// assert_eq!(pool.pool().live(), 2, "both trees buffer in one slab");
     /// ```
     pub fn build_in_pool(
         self,
@@ -521,13 +530,13 @@ impl TreeBuilder {
     ) -> Result<ScheduleTree, TreeError> {
         assert!(
             self.buffer_limit.is_none(),
-            "buffer_limit is a sole-owner setting; a pooled tree's admission \
+            "buffer_limit sets a tree's own pool; a pooled tree's admission \
              is governed by the shared pool's capacity and policy"
         );
-        self.finish(classifier, pool)
+        self.finish(classifier, TreePool::Shared(pool))
     }
 
-    fn finish(self, classifier: Classifier, pool: PoolHandle) -> Result<ScheduleTree, TreeError> {
+    fn finish(self, classifier: Classifier, pool: TreePool) -> Result<ScheduleTree, TreeError> {
         let (backend, track_inversions) = (self.backend, self.track_inversions);
         let described = self.into_nodes()?;
         let mut children = vec![Vec::new(); described.len()];
@@ -549,12 +558,12 @@ impl TreeBuilder {
                 flow_fn: n.flow_fn,
             })
             .collect();
-        Ok(ScheduleTree {
+        let state = TreeState {
             nodes,
             backend,
             root: NodeId(0),
             classifier,
-            pool,
+            port: pool.port() as u16,
             agenda: BinaryHeap::new(),
             agenda_seq: 0,
             buffered: 0,
@@ -565,23 +574,32 @@ impl TreeBuilder {
             recorder: None,
             paths: None,
             path_log: PathLog::new(),
-        })
+        };
+        Ok(ScheduleTree { state, pool })
     }
 }
 
 /// A runnable tree of scheduling and shaping transactions — the complete
 /// programming model of §2 in one object.
 pub struct ScheduleTree {
+    state: TreeState,
+    /// The pool this tree buffers in: its own for trees built with
+    /// [`TreeBuilder::build`] (whose capacity is the builder's
+    /// `buffer_limit`), or one port of a fabric-wide shared pool for
+    /// [`TreeBuilder::build_in_pool`].
+    pool: TreePool,
+}
+
+/// Everything of a tree but its pool, so a tree operation can borrow the
+/// two apart: the pool the tree owns, or the one its drain lends it.
+struct TreeState {
     nodes: Vec<Node>,
     /// The builder's engine choice, the same for every node.
     backend: PifoBackend,
     root: NodeId,
     classifier: Classifier,
-    /// This tree's port into its packet pool — a sole-owner pool for
-    /// trees built with [`TreeBuilder::build`] (whose capacity is the
-    /// builder's `buffer_limit`), or one port of a fabric-wide shared
-    /// pool for [`TreeBuilder::build_in_pool`].
-    pool: PoolHandle,
+    /// This tree's port in its pool (trace events name it).
+    port: u16,
     /// Tree-wide shaping agenda: every parked walk, globally min-ordered
     /// by `(release, node, seq)`.
     agenda: BinaryHeap<Reverse<AgendaEntry>>,
@@ -601,21 +619,22 @@ pub struct ScheduleTree {
     recorder: Option<Box<FlightRecorder>>,
     /// Per-packet path records keyed by pool slot; `None` keeps the hot
     /// path digest-free. Never on without `recorder` (see
-    /// [`enable_telemetry`](Self::enable_telemetry)), so hook sites gate
-    /// both on `recorder` alone.
+    /// [`ScheduleTree::enable_telemetry`]), so hook sites gate both on
+    /// `recorder` alone.
     paths: Option<Box<PathRecorder>>,
     /// Where finished path records go: the log a fabric hands in for
-    /// the length of a run (see [`replace_path_log`](Self::replace_path_log)).
+    /// the length of a run (see [`ScheduleTree::replace_path_log`]).
     path_log: PathLog,
 }
 
 impl fmt::Debug for ScheduleTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &self.state;
         f.debug_struct("ScheduleTree")
-            .field("nodes", &self.nodes.len())
-            .field("root", &self.root)
-            .field("buffered", &self.buffered)
-            .field("shaped", &self.shaped)
+            .field("nodes", &s.nodes.len())
+            .field("root", &s.root)
+            .field("buffered", &s.buffered)
+            .field("shaped", &s.shaped)
             .finish()
     }
 }
@@ -634,42 +653,42 @@ fn flow_of(flow_fn: &Option<FlowFn>, packet: &Packet) -> FlowId {
 impl ScheduleTree {
     /// The root node.
     pub fn root(&self) -> NodeId {
-        self.root
+        self.state.root
     }
 
     /// Number of packets currently buffered (across all leaves).
     pub fn len(&self) -> usize {
-        self.buffered
+        self.state.buffered
     }
 
     /// True when no packet is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buffered == 0
+        self.state.buffered == 0
     }
 
     /// Number of elements currently held back by shaping transactions.
     pub fn shaped_len(&self) -> usize {
-        self.shaped
+        self.state.shaped
     }
 
     /// Name given to `node` at construction.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.index()].name
+        &self.state.nodes[node.index()].name
     }
 
     /// Children of `node`, in insertion order.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.nodes[node.index()].children
+        &self.state.nodes[node.index()].children
     }
 
     /// Parent of `node` (`None` for the root).
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.index()].parent
+        self.state.nodes[node.index()].parent
     }
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.state.nodes.len()
     }
 
     /// The backend selected for `node` (the builder's tree-wide choice).
@@ -679,28 +698,20 @@ impl ScheduleTree {
     /// runs [`FlowPifo`], Fig 12's flow-head decomposition, which pops in
     /// the same order (see the module docs).
     pub fn node_backend(&self, node: NodeId) -> PifoBackend {
-        assert!(node.index() < self.nodes.len(), "unknown node {node}");
-        self.backend
+        assert!(node.index() < self.state.nodes.len(), "unknown node {node}");
+        self.state.backend
     }
 
     /// Scheduling-PIFO occupancy of `node` (for tests and introspection).
     pub fn sched_pifo_len(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].sched_pifo.len()
+        self.state.nodes[node.index()].sched_pifo.len()
     }
 
-    /// Read-only view of the packet-pool slab this tree buffers into
-    /// (occupancy, capacity, coherence checks — see [`SharedPacketPool`]).
-    ///
-    /// For a pooled tree this is the **shared** slab, so `live()` counts
-    /// every port's packets; use [`pool_handle`](Self::pool_handle) for
-    /// this tree's own occupancy.
-    pub fn packet_buffer(&self) -> &SharedPacketPool {
-        self.pool.pool()
-    }
-
-    /// This tree's port handle into its packet pool (port index,
-    /// per-port occupancy and reject counters, the shared pool itself).
-    pub fn pool_handle(&self) -> &PoolHandle {
+    /// How this tree reaches its packet pool: its port index, and through
+    /// [`TreePool::pool`] the pool itself (occupancy, capacity, per-port
+    /// counters, coherence checks — see [`SharedPacketPool`]). For a
+    /// shared pool `live()` counts every port's packets.
+    pub fn pool_handle(&self) -> &TreePool {
         &self.pool
     }
 
@@ -708,10 +719,11 @@ impl ScheduleTree {
     /// slot: their packet already departed through an earlier reference
     /// to the same leaf, but its header fields are still needed by
     /// ancestor transactions at release time. Together with [`len`](
-    /// Self::len) this accounts for every live slab slot:
-    /// `packet_buffer().live() == len() + shaped_refs_holding_packets()`.
+    /// Self::len) this accounts for every slab slot the tree holds:
+    /// `pool_handle().pool().port_occupancy(port) == len() +
+    /// shaped_refs_holding_packets()`.
     pub fn shaped_refs_holding_packets(&self) -> usize {
-        self.dangling_shaped
+        self.state.dangling_shaped
     }
 
     /// Number of times [`release_due`](Self::release_due) actually
@@ -719,7 +731,7 @@ impl ScheduleTree {
     /// parks an element) stay at 0 forever — the dequeue hot path
     /// performs zero shaping inspections.
     pub fn shaping_inspections(&self) -> u64 {
-        self.shaping_inspections
+        self.state.shaping_inspections
     }
 
     /// Enqueue `packet` at wall-clock time `now`.
@@ -734,8 +746,200 @@ impl ScheduleTree {
     /// non-decreasing `now` values (a switch experiences time forward).
     /// Going backwards does not corrupt the structure, but shaped
     /// elements already released by a later-timed call stay released.
+    ///
+    /// A tree in a shared pool locks it for the call; while this thread
+    /// has lent that pool to a drain, use
+    /// [`enqueue_lent`](Self::enqueue_lent) (this call panics).
     pub fn enqueue(&mut self, packet: Packet, now: Nanos) -> Result<(), TreeError> {
+        self.enqueue_lent(None, packet, now)
+    }
+
+    /// [`enqueue`](Self::enqueue), given the shared pool the caller
+    /// drains (`lent`, see [`SharedPool::lend`](crate::pool::SharedPool::lend))
+    /// so the call does not lock; `None` reaches the pool as `enqueue`
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lent` is not the pool this tree buffers in.
+    pub fn enqueue_lent(
+        &mut self,
+        lent: Option<&mut LentPool<'_>>,
+        packet: Packet,
+        now: Nanos,
+    ) -> Result<(), TreeError> {
+        let state = &mut self.state;
+        self.pool
+            .with(lent, |pool| state.enqueue(pool, packet, now))
+    }
+
+    /// Release every shaped element whose wall-clock time has arrived,
+    /// resuming the suspended walks in release-time order (ties broken by
+    /// node index, then FIFO — the agenda's `(release, node, seq)` order).
+    /// A resumed walk may suspend again at a higher shaper; if that
+    /// release time has also passed it is processed in the same call.
+    ///
+    /// Work-conserving trees exit in O(1) on `shaped == 0` without
+    /// touching the agenda; shaped trees pay O(log s) per released entry.
+    pub fn release_due(&mut self, now: Nanos) {
+        if self.state.shaped > 0 {
+            let state = &mut self.state;
+            self.pool.with(None, |pool| state.release_due(pool, now));
+        }
+    }
+
+    /// The earliest pending shaping release time, if any. A simulator
+    /// should call [`release_due`](Self::release_due) (or any
+    /// enqueue/dequeue) at or after this instant. O(1) via the agenda.
+    pub fn next_shaping_event(&self) -> Option<Nanos> {
+        self.state.agenda.peek().map(|Reverse(e)| Nanos(e.release))
+    }
+
+    /// Dequeue the next packet at wall-clock time `now`: walk from the root
+    /// popping one element per level until a packet is reached (Fig 2).
+    ///
+    /// Returns `None` if the root PIFO is empty — which, with shapers, can
+    /// happen even while packets are buffered (non-work-conserving). The
+    /// same locking as [`enqueue`](Self::enqueue) applies.
+    pub fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        self.dequeue_lent(None, now)
+    }
+
+    /// [`dequeue`](Self::dequeue), given the shared pool the caller drains
+    /// (as for [`enqueue_lent`](Self::enqueue_lent)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lent` is not the pool this tree buffers in.
+    pub fn dequeue_lent(&mut self, lent: Option<&mut LentPool<'_>>, now: Nanos) -> Option<Packet> {
+        let state = &mut self.state;
+        self.pool.with(lent, |pool| state.dequeue(pool, now))
+    }
+
+    /// Switch on per-dequeue rank-inversion tracking from this point
+    /// (idempotent — an already-running tracker keeps its counters).
+    /// Usually set at build time via [`TreeBuilder::track_inversions`].
+    /// Packets already queued when tracking starts are counted as
+    /// dequeues but not scored (their root ranks were never observed).
+    pub fn enable_inversion_tracking(&mut self) {
+        self.state.tracker.get_or_insert_with(InversionTracker::new);
+    }
+
+    /// Inversion counters accumulated over every dequeue since tracking
+    /// began; `None` when tracking is off. An exact backend always
+    /// reports zero inversions here — the root PIFO pops in rank order
+    /// by contract — so a non-zero count is the measured cost of an
+    /// approximate backend at the root.
+    pub fn inversion_stats(&self) -> Option<InversionStats> {
+        self.state.tracker.as_ref().map(|t| t.stats())
+    }
+
+    /// Zero the inversion counters, keeping tracking enabled (the
+    /// tracker's view of what is currently queued is preserved, so
+    /// future dequeues keep scoring correctly). No-op when tracking is
+    /// off.
+    pub fn reset_inversion_stats(&mut self) {
+        if let Some(t) = &mut self.state.tracker {
+            t.reset();
+        }
+    }
+
+    /// Switch on telemetry from this point: a flight recorder retaining
+    /// the most recent [`TelemetryConfig::RING_CAPACITY`] trace events
+    /// (enqueue/dequeue/drop/shaping/pool — see [`EventKind`]) and, when
+    /// `cfg.path_records` is set, an INT-style
+    /// [`PathRecord`](crate::telemetry::PathRecord) per packet: the hops
+    /// of its enqueue walk (node, rank, queue depth seen) plus enqueue
+    /// and departure instants. Idempotent: a running recorder keeps its
+    /// ring and counters, and packets already buffered get no record.
+    /// Off by default; when off every hook site costs one `Option` null
+    /// check. A fabric switches it on for every port through
+    /// `pifo-sim`'s `SwitchBuilder::with_telemetry`.
+    pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
+        let s = &mut self.state;
+        if s.recorder.is_none() {
+            let ring = FlightRecorder::new(TelemetryConfig::RING_CAPACITY);
+            s.recorder = Some(Box::new(ring));
+        }
+        if cfg.path_records && s.paths.is_none() {
+            s.paths = Some(Box::new(PathRecorder::new()));
+        }
+    }
+
+    /// The flight recorder, when enabled (its events, lifetime counts
+    /// and JSON dump — see [`FlightRecorder`]).
+    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
+        self.state.recorder.as_deref()
+    }
+
+    /// Hand the tree the log its finished path records are appended to,
+    /// returning the log it held until now. Each record is written once,
+    /// into this log, when its packet is dequeued; nothing is written
+    /// when path records are off. A fabric hands in a port's log at the
+    /// start of a run and takes it back (with an empty one) at the end.
+    /// The `departed` stamp is the tree dequeue instant; fabrics that
+    /// model transmission (e.g. `pifo-sim`'s switch) overwrite it with
+    /// the transmit start so the record's wait reconciles exactly with
+    /// the departure trace.
+    pub fn replace_path_log(&mut self, log: PathLog) -> PathLog {
+        std::mem::replace(&mut self.state.path_log, log)
+    }
+
+    /// A copy of the packet that `dequeue` would return *right now*,
+    /// without changing any state.
+    ///
+    /// **No time passes**: due-but-unreleased shaped elements are *not*
+    /// released first, so with shapers `peek()` can disagree with
+    /// [`dequeue`](Self::dequeue) at a later `now` — `dequeue(now)`
+    /// releases everything due at `now` before walking. Use
+    /// [`peek_at`](Self::peek_at) to preview what `dequeue(now)` would
+    /// return.
+    pub fn peek(&self) -> Option<Packet> {
+        let mut node = self.state.root;
+        let handle = loop {
+            let (_, elem) = self.state.nodes[node.index()].sched_pifo.peek()?;
+            match elem {
+                Element::Packet(h) => break *h,
+                Element::Ref(child) => node = *child,
+            }
+        };
+        Some(self.pool.pool().get(handle).clone())
+    }
+
+    /// A copy of the packet [`dequeue`](Self::dequeue)`(now)` would
+    /// return: releases every shaped element due at `now` first (which is
+    /// why this takes `&mut self`), then walks the root path without
+    /// popping. The same non-decreasing time contract as
+    /// `enqueue`/`dequeue` applies.
+    pub fn peek_at(&mut self, now: Nanos) -> Option<Packet> {
         self.release_due(now);
+        self.peek()
+    }
+
+    /// Render the instantaneous scheduling order of a node's PIFO as a
+    /// debug string, e.g. `"[L@3, R@5, L@7]"` — used by the Fig 2 tests.
+    pub fn debug_pifo(&self, node: NodeId) -> String {
+        let pool = self.pool.pool();
+        let items: Vec<String> = self.state.nodes[node.index()]
+            .sched_pifo
+            .iter_in_order()
+            .map(|(r, e)| match e {
+                Element::Packet(h) => format!("{}@{}", pool.get(*h).id, r),
+                Element::Ref(c) => format!("{}@{}", self.node_name(*c), r),
+            })
+            .collect();
+        format!("[{}]", items.join(", "))
+    }
+}
+
+impl TreeState {
+    fn enqueue(
+        &mut self,
+        pool: &mut SharedPacketPool,
+        packet: Packet,
+        now: Nanos,
+    ) -> Result<(), TreeError> {
+        self.release_due(pool, now);
         let leaf = (self.classifier)(&packet);
         if leaf.index() >= self.nodes.len() {
             self.emit(
@@ -762,7 +966,7 @@ impl ScheduleTree {
         // Admission is the pool insert itself, before any other state
         // changes: a policy or capacity reject hands the caller's packet
         // back unchanged (moved, never cloned).
-        let handle = match self.pool.try_insert(packet) {
+        let handle = match pool.try_insert(self.port as usize, packet) {
             Ok(h) => h,
             Err(packet) => {
                 self.emit(
@@ -778,9 +982,9 @@ impl ScheduleTree {
         };
 
         // Leaf: the element is a handle to the buffered packet.
-        let (leaf_rank, leaf_flow, leaf_depth) = {
+        let (leaf_rank, leaf_flow, leaf_depth, id) = {
             let node = &mut self.nodes[leaf.index()];
-            let p = self.pool.get(handle);
+            let p = pool.get(handle);
             let flow = flow_of(&node.flow_fn, p);
             let ctx = EnqCtx {
                 packet: p,
@@ -790,10 +994,10 @@ impl ScheduleTree {
             let rank = node.sched.rank(&ctx);
             let depth = node.sched_pifo.len();
             node.sched_pifo.push(flow, rank, Element::Packet(handle));
-            (rank, flow, depth)
+            (rank, flow, depth, p.id.0)
         };
         if self.recorder.is_some() {
-            self.note_admission(handle, leaf, leaf_rank, leaf_flow, leaf_depth, now);
+            self.note_admission(handle, id, leaf, leaf_rank, leaf_flow, leaf_depth, now);
         }
         if leaf == self.root {
             // Single-node tree: the leaf PIFO *is* the departure
@@ -804,7 +1008,7 @@ impl ScheduleTree {
         }
         self.buffered += 1;
 
-        self.after_insert(leaf, handle, now, false);
+        self.after_insert(pool, leaf, handle, now, false);
         Ok(())
     }
 
@@ -815,12 +1019,19 @@ impl ScheduleTree {
     /// `owns_ref` is true when this walk is a shaping *resumption* and
     /// therefore carries the popped agenda entry's buffer reference; a
     /// fresh enqueue walk does not (the leaf element holds the packet).
-    fn after_insert(&mut self, node: NodeId, handle: PktHandle, now: Nanos, owns_ref: bool) {
+    fn after_insert(
+        &mut self,
+        pool: &mut SharedPacketPool,
+        node: NodeId,
+        handle: PktHandle,
+        now: Nanos,
+        owns_ref: bool,
+    ) {
         if self.nodes[node.index()].shaper.is_some() {
             let release;
             {
                 let n = &mut self.nodes[node.index()];
-                let p = self.pool.get(handle);
+                let p = pool.get(handle);
                 let flow = flow_of(&n.flow_fn, p);
                 let ctx = EnqCtx {
                     packet: p,
@@ -832,7 +1043,7 @@ impl ScheduleTree {
             if !owns_ref {
                 // The parked entry keeps the packet's fields alive even if
                 // the packet departs through an earlier reference first.
-                self.pool.retain(handle);
+                pool.retain(handle);
             }
             self.agenda.push(Reverse(AgendaEntry {
                 release: release.as_nanos(),
@@ -843,7 +1054,7 @@ impl ScheduleTree {
             self.agenda_seq += 1;
             self.shaped += 1;
             if self.recorder.is_some() {
-                let flow = self.pool.get(handle).flow;
+                let flow = pool.get(handle).flow;
                 self.emit(
                     EventKind::ShapingPark,
                     now,
@@ -855,29 +1066,31 @@ impl ScheduleTree {
             }
             return; // Suspended: the parent sees nothing until release.
         }
-        self.push_ref_to_parent(node, handle, now, owns_ref);
+        self.push_ref_to_parent(pool, node, handle, now, owns_ref);
     }
 
     /// Push `Ref(node)` into `node`'s parent scheduling PIFO, executing the
     /// parent's scheduling transaction, then continue upward.
-    fn push_ref_to_parent(&mut self, node: NodeId, handle: PktHandle, now: Nanos, owns_ref: bool) {
+    fn push_ref_to_parent(
+        &mut self,
+        pool: &mut SharedPacketPool,
+        node: NodeId,
+        handle: PktHandle,
+        now: Nanos,
+        owns_ref: bool,
+    ) {
         let Some(parent) = self.nodes[node.index()].parent else {
             // Reached the root: walk complete. A resumption drops the
             // agenda entry's buffer reference; if the packet already
             // departed, that frees the slot.
             if owns_ref {
-                let flow = if self.recorder.is_some() {
-                    self.pool.get(handle).flow
-                } else {
-                    FlowId(0)
-                };
-                if self.pool.release(handle).is_some() {
+                if let Some(p) = pool.release(handle) {
                     self.dangling_shaped -= 1;
                     self.emit(
                         EventKind::PoolFree,
                         now,
                         node.0,
-                        flow,
+                        p.flow,
                         handle.index() as u64,
                         0,
                     );
@@ -887,7 +1100,7 @@ impl ScheduleTree {
         };
         let (rank, depth) = {
             let pnode = &mut self.nodes[parent.index()];
-            let p = self.pool.get(handle);
+            let p = pool.get(handle);
             let ctx = EnqCtx {
                 packet: p,
                 now,
@@ -910,18 +1123,11 @@ impl ScheduleTree {
                 t.record_push(rank);
             }
         }
-        self.after_insert(parent, handle, now, owns_ref);
+        self.after_insert(pool, parent, handle, now, owns_ref);
     }
 
-    /// Release every shaped element whose wall-clock time has arrived,
-    /// resuming the suspended walks in release-time order (ties broken by
-    /// node index, then FIFO — the agenda's `(release, node, seq)` order).
-    /// A resumed walk may suspend again at a higher shaper; if that
-    /// release time has also passed it is processed in the same call.
-    ///
-    /// Work-conserving trees exit in O(1) on `shaped == 0` without
-    /// touching the agenda; shaped trees pay O(log s) per released entry.
-    pub fn release_due(&mut self, now: Nanos) {
+    /// See [`ScheduleTree::release_due`].
+    fn release_due(&mut self, pool: &mut SharedPacketPool, now: Nanos) {
         while self.shaped > 0 {
             self.shaping_inspections += 1;
             match self.agenda.peek() {
@@ -931,7 +1137,7 @@ impl ScheduleTree {
             let Reverse(e) = self.agenda.pop().expect("peeked entry vanished");
             self.shaped -= 1;
             if self.recorder.is_some() {
-                let flow = self.pool.get(e.handle).flow;
+                let flow = pool.get(e.handle).flow;
                 self.emit(
                     EventKind::ShapingRelease,
                     now,
@@ -941,24 +1147,13 @@ impl ScheduleTree {
                     e.handle.index() as u32,
                 );
             }
-            self.push_ref_to_parent(NodeId(e.node), e.handle, now, true);
+            self.push_ref_to_parent(pool, NodeId(e.node), e.handle, now, true);
         }
     }
 
-    /// The earliest pending shaping release time, if any. A simulator
-    /// should call [`release_due`](Self::release_due) (or any
-    /// enqueue/dequeue) at or after this instant. O(1) via the agenda.
-    pub fn next_shaping_event(&self) -> Option<Nanos> {
-        self.agenda.peek().map(|Reverse(e)| Nanos(e.release))
-    }
-
-    /// Dequeue the next packet at wall-clock time `now`: walk from the root
-    /// popping one element per level until a packet is reached (Fig 2).
-    ///
-    /// Returns `None` if the root PIFO is empty — which, with shapers, can
-    /// happen even while packets are buffered (non-work-conserving).
-    pub fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
-        self.release_due(now);
+    /// See [`ScheduleTree::dequeue`].
+    fn dequeue(&mut self, pool: &mut SharedPacketPool, now: Nanos) -> Option<Packet> {
+        self.release_due(pool, now);
         let mut node = self.root;
         loop {
             let (rank, elem) = self.nodes[node.index()].sched_pifo.pop()?;
@@ -975,7 +1170,7 @@ impl ScheduleTree {
                 Element::Packet(h) => {
                     let flow = {
                         let n = &self.nodes[node.index()];
-                        flow_of(&n.flow_fn, self.pool.get(h))
+                        flow_of(&n.flow_fn, pool.get(h))
                     };
                     self.nodes[node.index()]
                         .sched
@@ -993,14 +1188,14 @@ impl ScheduleTree {
                     // case: a parked shaping entry still needs the fields
                     // (this packet overtook its own suspended reference),
                     // so the slot stays live until that entry resumes.
-                    return Some(match self.pool.release(h) {
+                    return Some(match pool.release(h) {
                         Some(p) => {
                             self.emit(EventKind::PoolFree, now, node.0, flow, h.index() as u64, 0);
                             p
                         }
                         None => {
                             self.dangling_shaped += 1;
-                            self.pool.get(h).clone()
+                            pool.get(h).clone()
                         }
                     });
                 }
@@ -1022,76 +1217,6 @@ impl ScheduleTree {
         }
     }
 
-    /// Switch on per-dequeue rank-inversion tracking from this point
-    /// (idempotent — an already-running tracker keeps its counters).
-    /// Usually set at build time via [`TreeBuilder::track_inversions`].
-    /// Packets already queued when tracking starts are counted as
-    /// dequeues but not scored (their root ranks were never observed).
-    pub fn enable_inversion_tracking(&mut self) {
-        if self.tracker.is_none() {
-            self.tracker = Some(InversionTracker::new());
-        }
-    }
-
-    /// Inversion counters accumulated over every dequeue since tracking
-    /// began; `None` when tracking is off. An exact backend always
-    /// reports zero inversions here — the root PIFO pops in rank order
-    /// by contract — so a non-zero count is the measured cost of an
-    /// approximate backend at the root.
-    pub fn inversion_stats(&self) -> Option<InversionStats> {
-        self.tracker.as_ref().map(|t| t.stats())
-    }
-
-    /// Zero the inversion counters, keeping tracking enabled (the
-    /// tracker's view of what is currently queued is preserved, so
-    /// future dequeues keep scoring correctly). No-op when tracking is
-    /// off.
-    pub fn reset_inversion_stats(&mut self) {
-        if let Some(t) = &mut self.tracker {
-            t.reset();
-        }
-    }
-
-    /// Switch on telemetry from this point: a flight recorder retaining
-    /// the most recent [`TelemetryConfig::RING_CAPACITY`] trace events
-    /// (enqueue/dequeue/drop/shaping/pool — see [`EventKind`]) and, when
-    /// `cfg.path_records` is set, an INT-style
-    /// [`PathRecord`](crate::telemetry::PathRecord) per packet: the hops
-    /// of its enqueue walk (node, rank, queue depth seen) plus enqueue
-    /// and departure instants. Idempotent: a running recorder keeps its
-    /// ring and counters, and packets already buffered get no record.
-    /// Off by default; when off every hook site costs one `Option` null
-    /// check. A fabric switches it on for every port through
-    /// `pifo-sim`'s `SwitchBuilder::with_telemetry`.
-    pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
-        if self.recorder.is_none() {
-            let ring = FlightRecorder::new(TelemetryConfig::RING_CAPACITY);
-            self.recorder = Some(Box::new(ring));
-        }
-        if cfg.path_records && self.paths.is_none() {
-            self.paths = Some(Box::new(PathRecorder::new()));
-        }
-    }
-
-    /// The flight recorder, when enabled (its events, lifetime counts
-    /// and JSON dump — see [`FlightRecorder`]).
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref()
-    }
-
-    /// Hand the tree the log its finished path records are appended to,
-    /// returning the log it held until now. Each record is written once,
-    /// into this log, when its packet is dequeued; nothing is written
-    /// when path records are off. A fabric hands in a port's log at the
-    /// start of a run and takes it back (with an empty one) at the end.
-    /// The `departed` stamp is the tree dequeue instant; fabrics that
-    /// model transmission (e.g. `pifo-sim`'s switch) overwrite it with
-    /// the transmit start so the record's wait reconciles exactly with
-    /// the departure trace.
-    pub fn replace_path_log(&mut self, log: PathLog) -> PathLog {
-        std::mem::replace(&mut self.path_log, log)
-    }
-
     /// Record one event when the flight recorder is enabled — the single
     /// `Option`-gated funnel every tree hook goes through.
     #[inline]
@@ -1100,7 +1225,7 @@ impl ScheduleTree {
             r.record(TraceEvent {
                 time: now,
                 kind,
-                port: self.pool.port() as u16,
+                port: self.port,
                 node,
                 flow,
                 value,
@@ -1111,9 +1236,11 @@ impl ScheduleTree {
 
     /// Telemetry for one admitted packet: `PoolAlloc` then `Enqueue`,
     /// plus the path record's leaf hop.
+    #[allow(clippy::too_many_arguments)]
     fn note_admission(
         &mut self,
         handle: PktHandle,
+        id: u64,
         leaf: NodeId,
         rank: Rank,
         flow: FlowId,
@@ -1124,57 +1251,9 @@ impl ScheduleTree {
         self.emit(EventKind::PoolAlloc, now, leaf.0, flow, slot as u64, 0);
         self.emit(EventKind::Enqueue, now, leaf.0, flow, rank.0, depth as u32);
         if let Some(paths) = &mut self.paths {
-            let id = self.pool.get(handle).id.0;
-            let port = self.pool.port() as u16;
-            paths.begin(slot, id, flow, port, now);
+            paths.begin(slot, id, flow, self.port, now);
             paths.hop(slot, leaf.0, rank.0, depth as u32, now);
         }
-    }
-
-    /// Peek the packet that `dequeue` would return *right now*, without
-    /// mutating any state. The returned reference borrows the packet in
-    /// place in the pool's slab.
-    ///
-    /// **No time passes**: due-but-unreleased shaped elements are *not*
-    /// released first, so with shapers `peek()` can disagree with
-    /// [`dequeue`](Self::dequeue) at a later `now` — `dequeue(now)`
-    /// releases everything due at `now` before walking. Use
-    /// [`peek_at`](Self::peek_at) to preview what `dequeue(now)` would
-    /// return.
-    pub fn peek(&self) -> Option<&Packet> {
-        let mut node = self.root;
-        let handle = loop {
-            let (_, elem) = self.nodes[node.index()].sched_pifo.peek()?;
-            match elem {
-                Element::Packet(h) => break *h,
-                Element::Ref(child) => node = *child,
-            }
-        };
-        Some(self.pool.get(handle))
-    }
-
-    /// Peek the packet that [`dequeue`](Self::dequeue)`(now)` would
-    /// return: releases every shaped element due at `now` first (which is
-    /// why this takes `&mut self`), then walks the root path without
-    /// popping. The same non-decreasing time contract as
-    /// `enqueue`/`dequeue` applies.
-    pub fn peek_at(&mut self, now: Nanos) -> Option<&Packet> {
-        self.release_due(now);
-        self.peek()
-    }
-
-    /// Render the instantaneous scheduling order of a node's PIFO as a
-    /// debug string, e.g. `"[L@3, R@5, L@7]"` — used by the Fig 2 tests.
-    pub fn debug_pifo(&self, node: NodeId) -> String {
-        let items: Vec<String> = self.nodes[node.index()]
-            .sched_pifo
-            .iter_in_order()
-            .map(|(r, e)| match e {
-                Element::Packet(h) => format!("{}@{}", self.pool.get(*h).id, r),
-                Element::Ref(c) => format!("{}@{}", self.node_name(*c), r),
-            })
-            .collect();
-        format!("[{}]", items.join(", "))
     }
 }
 
@@ -1531,11 +1610,11 @@ mod tests {
             let leaf = b.add_child(root, "undeclared", fifo_tx());
             let mut tree = b.build(Box::new(move |_| leaf)).unwrap();
             let sorts_flows =
-                |n: NodeId| matches!(tree.nodes[n.index()].sched_pifo, SchedPifo::Flows(_));
+                |n: NodeId| matches!(tree.state.nodes[n.index()].sched_pifo, SchedPifo::Flows(_));
             let want = matches!(backend, PifoBackend::Heap | PifoBackend::Bucket);
             assert_eq!(sorts_flows(root), want, "declared node on {backend}");
             assert!(!sorts_flows(leaf), "undeclared node on {backend}");
-            match &tree.nodes[leaf.index()].sched_pifo {
+            match &tree.state.nodes[leaf.index()].sched_pifo {
                 SchedPifo::Engine(q) => assert_eq!(q.backend(), backend),
                 SchedPifo::Flows(_) => unreachable!(),
             }
@@ -1664,7 +1743,7 @@ mod tests {
             Err(TreeError::BufferFull(p)) => assert_eq!(p, original),
             other => panic!("expected BufferFull, got {other:?}"),
         }
-        assert_eq!(tree.packet_buffer().live(), 1, "no slab slot consumed");
+        assert_eq!(tree.pool_handle().pool().live(), 1, "no slab slot consumed");
     }
 
     /// A packet can overtake its own parked shaping entry: an earlier
@@ -1707,7 +1786,7 @@ mod tests {
             1,
             "P1's parked entry is now the sole owner of its slot"
         );
-        assert_eq!(tree.packet_buffer().live(), 2, "P0 buffered + P1 held");
+        assert_eq!(tree.pool_handle().pool().live(), 2, "P0 buffered + P1 held");
 
         // t=100: P1's entry resumes, frees its slot, and its reference
         // retrieves P0.
@@ -1715,8 +1794,8 @@ mod tests {
         assert_eq!(p.id.0, 0);
         assert!(tree.is_empty());
         assert_eq!(tree.shaped_refs_holding_packets(), 0);
-        assert_eq!(tree.packet_buffer().live(), 0);
-        tree.packet_buffer().assert_coherent();
+        assert_eq!(tree.pool_handle().pool().live(), 0);
+        tree.pool_handle().pool().assert_coherent();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The pool under real threads, and against its sequential model.
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! * **Threaded stress** — N threads hammer one `SharedPacketPool` with
 //!   insert/retain/release churn, including cross-thread releases
@@ -14,13 +14,15 @@
 //!   under per-flow caps, the only policy family that keeps the flow
 //!   table, so the table stays exercised by racing threads; under the
 //!   others `flow_occupancy` answers `None`. Together they are the
-//!   oracle for the pool's one writers' lock and its lock-free reads.
+//!   oracle for the handles' per-call lock: a shared pool's handles are
+//!   `Send + Sync`, each call locking the pool once.
+//! * **A lent pool** — while a drain holds the pool, a direct call on
+//!   its thread panics naming the port; another thread's call waits.
 //! * **Model equivalence (proptest)** — `AdmissionPolicy` decisions
 //!   (including `DynamicThreshold`) are *identical* between the shared
 //!   pool and a plain sequential counter model (the arithmetic the old
-//!   `RefCell` pool implemented) on any same-thread operation sequence:
-//!   making the pool `Sync` changed the memory system, not one admission
-//!   verdict.
+//!   `RefCell` pool implemented) on any same-thread operation sequence,
+//!   driven through per-port handles.
 
 use pifo_core::pool::{AdmissionPolicy, SharedPacketPool, Threshold};
 use pifo_core::prelude::*;
@@ -39,6 +41,7 @@ fn threaded_churn_keeps_accounting_exact() {
     const OPS: u64 = 20_000;
 
     let pool = SharedPacketPool::new(256, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
+        .unwrap()
         .into_shared();
     let handles: Vec<_> = (0..THREADS).map(|_| pool.register_port()).collect();
     // The migration lane: slots inserted by one thread, freed by another.
@@ -94,6 +97,7 @@ fn threaded_churn_keeps_accounting_exact() {
         handles[0].release(h);
     }
 
+    let pool = pool.pool();
     assert_eq!(pool.live(), 0, "every insert was matched by a release");
     let total: usize = (0..pool.num_ports()).map(|i| pool.port_occupancy(i)).sum();
     assert_eq!(total, pool.live(), "live == Σ port occupancy");
@@ -110,10 +114,13 @@ fn threaded_churn_keeps_accounting_exact() {
 }
 
 /// Concurrent inserts never exceed the global capacity, even at the
-/// moment of maximum contention (capacity reservation is atomic).
+/// moment of maximum contention (each verdict and its slot claim are one
+/// locked call).
 #[test]
 fn capacity_is_never_exceeded_under_contention() {
-    let pool = SharedPacketPool::new(64, AdmissionPolicy::Unlimited).into_shared();
+    let pool = SharedPacketPool::new(64, AdmissionPolicy::Unlimited)
+        .unwrap()
+        .into_shared();
     let ports: Vec<_> = (0..4).map(|_| pool.register_port()).collect();
     std::thread::scope(|s| {
         for (tid, port) in ports.iter().enumerate() {
@@ -136,6 +143,7 @@ fn capacity_is_never_exceeded_under_contention() {
             });
         }
     });
+    let pool = pool.pool();
     pool.assert_coherent();
     // Thread `t` inserted through port `t` only: exactly its one resident
     // packet is counted there.
@@ -164,6 +172,7 @@ fn threaded_churn_with_flow_caps() {
             flow: Threshold::Static(FLOW_CAP),
         },
     )
+    .unwrap()
     .into_shared();
     let handles: Vec<_> = (0..THREADS).map(|_| pool.register_port()).collect();
     // Even flows 32 apart, odd flows 2 apart: strided ids in one table.
@@ -194,6 +203,7 @@ fn threaded_churn_with_flow_caps() {
         }
     });
 
+    let pool = pool.pool();
     assert_eq!(pool.live(), 0, "every insert was matched by a release");
     assert_eq!(pool.accounting_errors(), 0, "no silent underflows");
     pool.assert_coherent();
@@ -208,8 +218,62 @@ fn threaded_churn_with_flow_caps() {
     );
 }
 
+/// While a drain holds a shared pool, a direct call on the same thread —
+/// through a handle or on a tree built in the pool — panics naming its
+/// port instead of waiting on itself, and a call from another thread
+/// waits for the loan to end. Once the loan drops, direct calls work
+/// again: the panics poisoned nothing.
+#[test]
+fn a_lent_pool_fails_loudly_and_never_hangs() {
+    let shared = SharedPacketPool::new(8, AdmissionPolicy::Unlimited)
+        .unwrap()
+        .into_shared();
+    let _port0 = shared.register_port();
+    let handle = shared.register_port();
+    let mut b = TreeBuilder::new();
+    let fifo = FnTransaction::new("fifo", |ctx: &EnqCtx| Rank(ctx.now.as_nanos()));
+    let root = b.add_root("fifo", Box::new(fifo));
+    let mut tree = b
+        .build_in_pool(Box::new(move |_| root), handle.clone())
+        .unwrap();
+
+    let mut lent = shared.lend();
+    tree.enqueue_lent(Some(&mut lent), pkt(0, 1), Nanos(0))
+        .unwrap();
+    for call in 0..5 {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match call {
+            0 => drop(tree.enqueue(pkt(1, 1), Nanos(1))),
+            1 => drop(tree.dequeue(Nanos(1))),
+            2 => drop(tree.pool_handle().pool()),
+            3 => drop(handle.try_insert(pkt(2, 1))),
+            _ => drop(handle.pool()),
+        }))
+        .expect_err("a direct call on a lent pool must panic");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("port 1's shared pool is held"), "{msg}");
+    }
+    assert_eq!(lent.live(), 1, "the failed calls changed nothing");
+    std::thread::scope(|s| {
+        let (done, finished) = std::sync::mpsc::channel();
+        let other = handle.clone();
+        s.spawn(move || done.send(other.try_insert(pkt(3, 1)).is_ok()));
+        assert!(finished.try_recv().is_err(), "no call completes while lent");
+        drop(lent);
+        assert!(
+            finished.recv().unwrap(),
+            "the other thread's call went through"
+        );
+    });
+
+    assert_eq!(tree.dequeue(Nanos(2)).expect("queued").id.0, 0);
+    tree.enqueue(pkt(4, 1), Nanos(4)).unwrap();
+    let pool = handle.pool();
+    assert_eq!(pool.live(), 2);
+    pool.assert_coherent();
+}
+
 /// The sequential reference model of the pool's admission arithmetic —
-/// exactly what the pre-atomic (`RefCell`) implementation computed.
+/// the plain counter arithmetic the pool must reproduce.
 struct SeqModel {
     cap: usize,
     policy: AdmissionPolicy,
@@ -282,7 +346,7 @@ fn policy_strategy() -> impl Strategy<Value = AdmissionPolicy> {
 }
 
 proptest! {
-    /// Every admission verdict of the atomic pool equals the sequential
+    /// Every admission verdict of the pool equals the sequential
     /// model's, op for op, and the counters agree after every step.
     #[test]
     fn atomic_pool_decisions_match_sequential_model(
@@ -290,7 +354,8 @@ proptest! {
         policy in policy_strategy(),
         ops in proptest::collection::vec(pool_op(), 1..250),
     ) {
-        let pool = SharedPacketPool::new(cap, policy).into_shared();
+        let pool = SharedPacketPool::new(cap, policy).unwrap()
+        .into_shared();
         let ports: Vec<_> = (0..4).map(|_| pool.register_port()).collect();
         let mut model = SeqModel {
             cap, policy, live: 0, ports: vec![0; 4], flows: HashMap::new(),
@@ -304,7 +369,7 @@ proptest! {
                     // The full (port × flow) probe is the try_insert
                     // verdict, op for op.
                     prop_assert_eq!(
-                        ports[port].would_admit_flow(FlowId(flow)),
+                        ports[port].pool().would_admit_flow(port, FlowId(flow)),
                         model_says,
                         "would_admit_flow diverges at op {}", i
                     );
@@ -312,7 +377,7 @@ proptest! {
                     // (it skips the flow threshold), never less.
                     if model_says {
                         prop_assert!(
-                            ports[port].would_admit(),
+                            ports[port].pool().would_admit(port),
                             "would_admit stricter than the full verdict (op {})", i
                         );
                     }
@@ -335,14 +400,14 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(pool.live(), model.live);
+            prop_assert_eq!(pool.pool().live(), model.live);
             for p in 0..4 {
-                prop_assert_eq!(pool.port_occupancy(p), model.ports[p]);
+                prop_assert_eq!(pool.pool().port_occupancy(p), model.ports[p]);
             }
             // Flow counts exist exactly under a flow-side threshold.
             for f in 0..3u32 {
                 prop_assert_eq!(
-                    pool.flow_occupancy(FlowId(f)),
+                    pool.pool().flow_occupancy(FlowId(f)),
                     policy
                         .uses_flow_state()
                         .then(|| model.flows.get(&f).copied().unwrap_or(0)),
@@ -350,10 +415,10 @@ proptest! {
                 );
             }
         }
-        pool.assert_coherent();
+        pool.pool().assert_coherent();
         // A flow never inserted reads 0 from the table.
         prop_assert_eq!(
-            pool.flow_occupancy(FlowId(u32::MAX)),
+            pool.pool().flow_occupancy(FlowId(u32::MAX)),
             policy.uses_flow_state().then_some(0)
         );
     }

@@ -439,7 +439,7 @@ proptest! {
                     }
                 }
                 prop_assert_eq!(
-                    tree.packet_buffer().live(),
+                    tree.pool_handle().pool().live(),
                     tree.len() + tree.shaped_refs_holding_packets(),
                     "slab accounting diverges on {} after {:?}", backend, op
                 );
@@ -458,10 +458,10 @@ proptest! {
             }
             prop_assert_eq!(tree.len(), 0, "{} drains", backend);
             prop_assert_eq!(tree.shaped_len(), 0, "{} releases all", backend);
-            prop_assert_eq!(tree.packet_buffer().live(), 0, "{} leaks slots", backend);
+            prop_assert_eq!(tree.pool_handle().pool().live(), 0, "{} leaks slots", backend);
             prop_assert_eq!(tree.shaped_refs_holding_packets(), 0, "{}", backend);
             // Free list whole again: every slot reachable exactly once.
-            tree.packet_buffer().assert_coherent();
+            tree.pool_handle().pool().assert_coherent();
         }
     }
 
@@ -599,7 +599,7 @@ proptest! {
         } else {
             AdmissionPolicy::Unlimited
         };
-        let pool = SharedPacketPool::new(capacity, policy).into_shared();
+        let pool = SharedPacketPool::new(capacity, policy).unwrap().into_shared();
 
         // Port 0: flat FIFO. Port 1: two work-conserving leaves.
         // Port 2: two *shaped* leaves (parks dangling refs).
@@ -654,15 +654,15 @@ proptest! {
                 .iter()
                 .map(|t| t.len() + t.shaped_refs_holding_packets())
                 .sum();
-            prop_assert_eq!(pool.stats().live, sum, "pool.live diverged after {:?}", op);
+            prop_assert_eq!(pool.pool().live(), sum, "pool.live diverged after {:?}", op);
             for (i, t) in trees.iter().enumerate() {
                 prop_assert_eq!(
-                    pool.port_occupancy(i),
+                    pool.pool().port_occupancy(i),
                     t.len() + t.shaped_refs_holding_packets(),
                     "port {} occupancy counter diverged", i
                 );
             }
-            prop_assert!(pool.stats().live <= capacity, "capacity breached");
+            prop_assert!(pool.pool().live() <= capacity, "capacity breached");
         }
 
         // Drain every port, hopping across shaping gaps.
@@ -682,7 +682,8 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(pool.stats().live, 0, "drained fabric leaks pool slots");
+        let pool = pool.pool();
+        prop_assert_eq!(pool.live(), 0, "drained fabric leaks pool slots");
         pool.assert_coherent();
         // Conservation per port: offered == admitted + rejected, and
         // everything admitted departed.

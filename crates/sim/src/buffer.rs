@@ -170,6 +170,7 @@ mod tests {
                 flow: threshold,
             },
         )
+        .unwrap()
         .into_shared();
         let mut b = TreeBuilder::new();
         let root = b.add_root("fifo", Box::new(pifo_algos::Fifo));
@@ -187,7 +188,10 @@ mod tests {
         assert!(!s.enqueue(pkt(2, 1), Nanos(0)), "third of flow 1 dropped");
         assert!(s.enqueue(pkt(3, 2), Nanos(0)), "other flows unaffected");
         assert_eq!(s.drops(), 1);
-        assert_eq!(s.tree().packet_buffer().flow_occupancy(FlowId(1)), Some(2));
+        assert_eq!(
+            s.tree().pool_handle().pool().flow_occupancy(FlowId(1)),
+            Some(2)
+        );
     }
 
     #[test]
@@ -210,7 +214,7 @@ mod tests {
             let _ = s.enqueue(pkt(id, 1), Nanos(id));
             id += 1;
         }
-        let hog = s.tree().packet_buffer().flow_occupancy(FlowId(1));
+        let hog = s.tree().pool_handle().pool().flow_occupancy(FlowId(1));
         assert!(hog <= Some(32), "hog capped at half: {hog:?}");
         assert!(s.enqueue(pkt(id, 2), Nanos(id)), "victim admitted");
     }
@@ -224,7 +228,7 @@ mod tests {
         assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
         assert_eq!(s.drops(), 1);
         assert_eq!(
-            s.tree().packet_buffer().live(),
+            s.tree().pool_handle().pool().live(),
             1,
             "occupancy not double-counted"
         );

@@ -15,7 +15,7 @@
 //! Per `(port, class)` pair the fabric keeps a two-watermark hysteresis
 //! ([`Watermarks`]): when the pair's buffered pressure (packets resident
 //! in the port tree plus packets held at ingress) reaches `xoff` — or
-//! the pool-side [`PoolHandle::would_admit`] probe goes false — a
+//! the pool-side [`SharedPacketPool::would_admit`] probe goes false — a
 //! **pause** is asserted; once pressure falls back to `xon` *and* the
 //! pool admits again, a **resume** follows. `xon < xoff` keeps the
 //! signal from chattering. Pause/resume control frames reach the
@@ -28,7 +28,7 @@
 //! their timestamps and the fabric simply holds their packets back.
 //!
 //! Ingress admission into a port tree is gated on the **full port ×
-//! flow verdict** ([`PoolHandle::would_admit_flow`]): a packet whose
+//! flow verdict** ([`SharedPacketPool::would_admit_flow`]): a packet whose
 //! flow or port threshold would reject it waits in the skid buffer
 //! instead of being dropped, and the resulting pressure is what trips
 //! the pause watermark — drops become backpressure.
@@ -44,8 +44,9 @@
 //! [`crate::port`]'s one transmit accounting). All
 //! decisions read tree/pool state that is identical across the exact
 //! engines, so departure traces *and* the pause/resume event log are
-//! bit-identical across backends. The loop runs on the calling thread
-//! and takes no worker count: a lossless fabric is globally coupled
+//! bit-identical across backends. The loop runs on the calling thread,
+//! with every shared pool lent to it for the run, and takes no worker
+//! count: a lossless fabric is globally coupled
 //! through the pause wire, the same serial dependency chain that keeps
 //! the ports of one shared pool on one worker in [`Switch::run`], so
 //! there are no independent ports to spread.
@@ -100,6 +101,7 @@
 //! against its specification; release builds contain no such scan.
 
 use crate::port::transmit;
+use crate::scheduler::{shared_pools, LentTree, PortScheduler};
 use crate::switch::{PortTrace, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
@@ -540,13 +542,13 @@ struct SourceState {
 /// An emission-calendar entry: `(instant, source, stamp)`, min first.
 type EmitEntry = Reverse<(Nanos, usize, u64)>;
 
-/// Packets currently resident across the fabric's buffers: the shared
-/// pool when one is attached, else the sum of the private slabs.
-fn fabric_live(switch: &Switch) -> usize {
-    match &switch.pool {
-        Some(pool) => pool.live(),
-        None => switch.ports.iter().map(|t| t.packet_buffer().live()).sum(),
-    }
+/// Packets currently resident across the fabric's buffers: every shared
+/// pool the run holds, plus the pools the `owned` trees own.
+fn fabric_live(switch: &Switch, lent: &[LentPool], owned: &[usize]) -> usize {
+    let owned = owned
+        .iter()
+        .map(|&i| switch.ports[i].pool_handle().pool().live());
+    owned.sum::<usize>() + lent.iter().map(|p| p.live()).sum::<usize>()
 }
 
 /// The emission instant of a source's head packet — its stamp, or the
@@ -740,6 +742,21 @@ impl LosslessFabric {
             tree.replace_path_log(log);
         }
 
+        // Every shared pool the ports buffer in, lent for the whole run:
+        // `port!(i)` is port `i`'s tree with its pool in hand.
+        let (shared, pool_of) = shared_pools(&self.switch.ports);
+        let mut lent: Vec<LentPool> = shared.iter().map(SharedPool::lend).collect();
+        let owned: Vec<usize> = (0..n).filter(|&i| pool_of[i].is_none()).collect();
+        macro_rules! port {
+            ($i:expr) => {{
+                let i: usize = $i;
+                LentTree {
+                    tree: &mut self.switch.ports[i],
+                    pool: pool_of[i].map(|g| &mut lent[g]),
+                }
+            }};
+        }
+
         // The event calendar (see the module docs): unblocked sources
         // with a pending packet by emission instant, asserted pauses by
         // assertion instant, and every port's next round time.
@@ -781,7 +798,7 @@ impl LosslessFabric {
                 let i: usize = $i;
                 let now: Nanos = $now;
                 let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
-                let pool_ok = !stuck && self.switch.ports[i].pool_handle().would_admit();
+                let pool_ok = !stuck && port!(i).would_admit(None);
                 let ps = &mut ports[i];
                 for (class, cs) in ps.classes.iter_mut().enumerate() {
                     if !cs.seen {
@@ -1004,19 +1021,17 @@ impl LosslessFabric {
                             // Direct admission keeps arrival order: only
                             // when nothing is already held back may this
                             // packet bypass the skid queue.
-                            let gate_open = !stuck
-                                && ps.skid.is_empty()
-                                && self.switch.ports[i].pool_handle().would_admit_flow(p.flow);
+                            let gate_open =
+                                !stuck && ps.skid.is_empty() && port!(i).would_admit(Some(p.flow));
                             if gate_open {
-                                match self.switch.ports[i].enqueue(p, now) {
-                                    Ok(()) => ps.classes[class as usize].occ += 1,
-                                    Err(_) => {
-                                        // would_admit_flow said yes and
-                                        // nothing ran in between; a
-                                        // reject here is a tree-level
-                                        // refusal (unknown flow etc.).
-                                        ps.trace.drops += 1;
-                                    }
+                                if port!(i).enqueue(p, now) {
+                                    ps.classes[class as usize].occ += 1;
+                                } else {
+                                    // would_admit_flow said yes and
+                                    // nothing ran in between; a reject
+                                    // here is a tree-level refusal
+                                    // (unknown flow etc.).
+                                    ps.trace.drops += 1;
                                 }
                             } else if ps.skid.len() < self.cfg.headroom {
                                 ps.classes[class as usize].skid += 1;
@@ -1040,7 +1055,8 @@ impl LosslessFabric {
                             // The pool peaks at admission instants (a
                             // round's burst may drain it before the
                             // round-end sample).
-                            max_pool_live = max_pool_live.max(fabric_live(&self.switch));
+                            max_pool_live =
+                                max_pool_live.max(fabric_live(&self.switch, &lent, &owned));
                         }
                     }
 
@@ -1099,12 +1115,7 @@ impl LosslessFabric {
                     // its own arrival instant — stop at the first the
                     // pool still refuses (head-of-line, not reorder).
                     while let Some(front) = ports[i].skid.front() {
-                        if front.arrival > now
-                            || stuck
-                            || !self.switch.ports[i]
-                                .pool_handle()
-                                .would_admit_flow(front.flow)
-                        {
+                        if front.arrival > now || stuck || !port!(i).would_admit(Some(front.flow)) {
                             break;
                         }
                         let ps = &mut ports[i];
@@ -1112,21 +1123,23 @@ impl LosslessFabric {
                         skid_total -= 1;
                         let (class, at) = (p.class as usize, p.arrival);
                         ps.classes[class].skid -= 1;
-                        match self.switch.ports[i].enqueue(p, at) {
-                            Ok(()) => ps.classes[class].occ += 1,
-                            Err(_) => ps.trace.drops += 1,
+                        if port!(i).enqueue(p, at) {
+                            ps.classes[class].occ += 1;
+                        } else {
+                            ps.trace.drops += 1;
                         }
                     }
-                    max_pool_live = max_pool_live.max(fabric_live(&self.switch));
+                    max_pool_live = max_pool_live.max(fabric_live(&self.switch, &lent, &owned));
 
                     // Up to `burst` dequeues decided at `now` (a dead port
                     // decides nothing), each leaving the tree for the
                     // wire back-to-back at the port's (possibly
                     // fault-slowed) line rate.
                     let burst = if dead(i) { 0 } else { self.switch.burst };
-                    let (port, mut t, mut sent) = (&mut ports[i], now, 0);
+                    let (port, mut tree) = (&mut ports[i], port!(i));
+                    let (mut t, mut sent) = (now, 0);
                     while sent < burst {
-                        let Some(p) = self.switch.ports[i].dequeue(now) else {
+                        let Some(p) = tree.dequeue(now) else {
                             break;
                         };
                         let cs = &mut port.classes[p.class as usize];
@@ -1175,9 +1188,9 @@ impl LosslessFabric {
                     // round's effect is complete: the last transmit
                     // finish, or the decision time of an idle round.
                     eval_pause!(i, round_end);
-                    max_pool_live = max_pool_live.max(fabric_live(&self.switch));
+                    max_pool_live = max_pool_live.max(fabric_live(&self.switch, &lent, &owned));
                     if sample_every.is_some_and(|every| rounds % every == 0) {
-                        g_pool.push(round_end, fabric_live(&self.switch) as u64);
+                        g_pool.push(round_end, fabric_live(&self.switch, &lent, &owned) as u64);
                         g_paused.push(round_end, paused_pairs as u64);
                         g_skid.push(round_end, skid_total as u64);
                     }

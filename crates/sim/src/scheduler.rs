@@ -81,6 +81,81 @@ impl PortScheduler for ScheduleTree {
     }
 }
 
+/// A port's tree with the shared pool its drain holds (`None` for a
+/// tree that owns its pool): what `Switch::run` and the lossless fabric
+/// hand each operation, so no tree operation locks.
+pub(crate) struct LentTree<'a, 'p> {
+    pub(crate) tree: &'a mut ScheduleTree,
+    pub(crate) pool: Option<&'a mut LentPool<'p>>,
+}
+
+impl LentTree<'_, '_> {
+    /// The pool the tree buffers in.
+    pub(crate) fn pool(&self) -> &SharedPacketPool {
+        match (&self.pool, self.tree.pool_handle()) {
+            (Some(pool), _) => pool,
+            (None, TreePool::Owned(pool)) => pool,
+            (None, TreePool::Shared(h)) => {
+                panic!("port {}: drained without its shared pool", h.port())
+            }
+        }
+    }
+
+    /// The pool's admission verdict for this tree's port: the port side
+    /// alone, or the full verdict for a packet of `flow`.
+    pub(crate) fn would_admit(&self, flow: Option<FlowId>) -> bool {
+        let (pool, port) = (self.pool(), self.tree.pool_handle().port());
+        match flow {
+            Some(flow) => pool.would_admit_flow(port, flow),
+            None => pool.would_admit(port),
+        }
+    }
+}
+
+impl PortScheduler for LentTree<'_, '_> {
+    fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
+        let pool = self.pool.as_deref_mut();
+        self.tree.enqueue_lent(pool, pkt, now).is_ok()
+    }
+
+    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        self.tree.dequeue_lent(self.pool.as_deref_mut(), now)
+    }
+
+    fn next_ready(&self, _now: Nanos) -> Option<Nanos> {
+        self.tree.next_shaping_event()
+    }
+
+    fn backlog(&self) -> usize {
+        self.tree.len()
+    }
+
+    fn name(&self) -> &str {
+        self.tree.node_name(self.tree.root())
+    }
+}
+
+/// The distinct shared pools `trees` buffer in, in order of first use,
+/// and each tree's index among them (`None`: the tree owns its pool) —
+/// what a drain lends once for its run.
+pub(crate) fn shared_pools<'t>(
+    trees: impl IntoIterator<Item = &'t ScheduleTree>,
+) -> (Vec<SharedPool>, Vec<Option<usize>>) {
+    let mut pools: Vec<SharedPool> = Vec::new();
+    let of_tree = trees
+        .into_iter()
+        .map(|tree| {
+            let shared = tree.pool_handle().shared()?;
+            let at = pools.iter().position(|p| p.same_pool(shared));
+            Some(at.unwrap_or_else(|| {
+                pools.push(shared.clone());
+                pools.len() - 1
+            }))
+        })
+        .collect();
+    (pools, of_tree)
+}
+
 impl PortScheduler for TreeScheduler {
     fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
         let admitted = PortScheduler::enqueue(&mut self.tree, pkt, now);

@@ -63,17 +63,18 @@
 //!
 //! # Threading model
 //!
-//! The unit of parallelism is the **pool**. `ScheduleTree` is `Send`
-//! and the pool is `Sync` (see `pifo_core::pool`), so whole
-//! port state machines can migrate to worker threads. [`Switch::run`]
-//! groups ports by the pool their tree buffers in — pointer identity of
-//! [`ScheduleTree::packet_buffer`], so a private slab is a group of one
-//! and trees built on clones of one [`PoolHandle`] are one group — and
-//! deals the groups round-robin to `min(groups, workers)` workers. Each
-//! worker runs the `(time, port)`-ordered round loop over its own ports
-//! only, so it walks the arrival stream front to back once, however
-//! many ports it serves. Worker 0 is the caller's thread and the rest
-//! are scoped threads, so a one-worker drain spawns nothing.
+//! The unit of parallelism is the **pool**. A `ScheduleTree` is `Send`
+//! with the pool it owns or its handle into a shared one (see
+//! `pifo_core::pool`), so whole port state machines can migrate to
+//! worker threads. [`Switch::run`] groups ports by the pool their tree
+//! buffers in — a tree owning its pool is a group of one, and trees on
+//! one shared pool (or on clones of one [`PoolHandle`]) are one group —
+//! and deals the groups round-robin to `min(groups, workers)` workers.
+//! Each worker lends itself every shared pool of its groups once, for the
+//! whole run, and runs the `(time, port)`-ordered round loop over its own
+//! ports only, so it walks the arrival stream front to back once and no
+//! tree operation locks. Worker 0 is the caller's thread and the rest are
+//! scoped threads, so a one-worker drain spawns nothing.
 //!
 //! Ports in distinct pools share no state, so each per-port trace — and
 //! therefore the merged `(time, port)`-ordered trace — is
@@ -81,14 +82,14 @@
 //! or thread timing. Ports that *share* a pool always land on one
 //! worker: every admission decision reads the occupancy that every
 //! earlier-in-time admission on any of its ports wrote, so the decisions
-//! form one serial dependency chain through the pool. Running them
-//! concurrently would mean speculating admissions and rolling back
-//! occupancy, which the paper's hardware (one shared buffer, one clock
-//! domain, §5.1) never does. A fabric on one shared pool is one group
-//! and runs on the caller's thread. Trees must share state only through
-//! their pool: anything else two of them share is seen in thread order.
+//! form one serial dependency chain through the pool — the paper's one
+//! shared buffer in one clock domain (§5.1). A fabric on one shared pool
+//! is one group and runs on the caller's thread. Trees must share state
+//! only through their pool: anything else two of them share is seen in
+//! thread order.
 
 use crate::port::{Departure, PortSim};
+use crate::scheduler::{shared_pools, LentTree};
 use pifo_core::prelude::*;
 
 /// Maps a packet to the egress port that must transmit it — the shared
@@ -197,21 +198,24 @@ impl SwitchBuilder {
     /// all ports): `capacity` packets, admission decided per port by
     /// `policy` (§6.1). Returns the [`SharedPool`] so the caller can
     /// read occupancies and per-port admitted/rejected counters after a
-    /// run; the switch keeps its own reference (see
-    /// [`Switch::shared_pool`]).
+    /// run (as can any port's `pool_handle().pool()`).
     ///
     /// Call before [`add_shared_port`](Self::add_shared_port).
     ///
     /// # Panics
     ///
     /// Panics if a shared pool was already attached — a second pool
-    /// would silently split the fabric's "shared" memory in two.
+    /// would silently split the fabric's "shared" memory in two — or if
+    /// `SharedPacketPool::new` refuses the capacity or policy (with the
+    /// [`PoolError`]'s message).
     pub fn with_shared_pool(&mut self, capacity: usize, policy: AdmissionPolicy) -> SharedPool {
         assert!(
             self.pool.is_none(),
             "the fabric already has a shared pool; one switch shares one memory"
         );
-        let pool = SharedPacketPool::new(capacity, policy).into_shared();
+        let pool = SharedPacketPool::new(capacity, policy)
+            .unwrap_or_else(|e| panic!("with_shared_pool: {e}"))
+            .into_shared();
         self.pool = Some(pool.clone());
         pool
     }
@@ -289,7 +293,6 @@ impl SwitchBuilder {
             rate_bps: self.rate_bps,
             horizon: self.horizon,
             burst: self.burst,
-            pool: self.pool,
             telemetry: self.telemetry,
         }
     }
@@ -303,7 +306,6 @@ pub struct Switch {
     pub(crate) rate_bps: u64,
     pub(crate) horizon: Nanos,
     pub(crate) burst: usize,
-    pub(crate) pool: Option<SharedPool>,
     pub(crate) telemetry: Option<TelemetryConfig>,
 }
 
@@ -386,12 +388,6 @@ impl Switch {
     /// Panics if `i` is out of range.
     pub fn port(&self, i: usize) -> &ScheduleTree {
         &self.ports[i]
-    }
-
-    /// The fabric-wide shared packet pool, when one was attached with
-    /// [`SwitchBuilder::with_shared_pool`].
-    pub fn shared_pool(&self) -> Option<&SharedPool> {
-        self.pool.as_ref()
     }
 
     /// Port `i`'s rank-inversion counters; `None` unless the fabric was
@@ -508,22 +504,19 @@ impl Switch {
     /// Drain every port on up to `workers` threads, one pool per group,
     /// as the module docs' threading model describes.
     fn drain(&mut self, sims: &mut [SwitchPort], workers: usize) {
-        let mut pools: Vec<&SharedPacketPool> = Vec::new();
-        let group: Vec<usize> = self
-            .ports
+        // One group per shared pool, then one per tree owning its pool.
+        let (shared, pool_of) = shared_pools(&self.ports);
+        let mut groups = shared.len();
+        let group: Vec<usize> = pool_of
             .iter()
-            .map(|tree| {
-                let pool = tree.packet_buffer();
-                pools
-                    .iter()
-                    .position(|&p| std::ptr::eq(p, pool))
-                    .unwrap_or_else(|| {
-                        pools.push(pool);
-                        pools.len() - 1
-                    })
+            .map(|g| {
+                g.unwrap_or_else(|| {
+                    groups += 1;
+                    groups - 1
+                })
             })
             .collect();
-        let workers = workers.clamp(1, pools.len());
+        let workers = workers.clamp(1, groups);
         let mut shards: Vec<Vec<(&mut SwitchPort, &mut ScheduleTree)>> =
             (0..workers).map(|_| Vec::new()).collect();
         for ((sim, tree), g) in sims.iter_mut().zip(&mut self.ports).zip(group) {
@@ -543,14 +536,17 @@ impl Switch {
 
 /// Run `ports` to completion in `(time, port)` order: always advance the
 /// port whose next scheduling round is earliest, ties to the one listed
-/// first (the lowest port index). Then take back each tree's path log,
-/// on this worker, so the closing pass over the logs runs in parallel.
+/// first (the lowest port index), with every shared pool of these ports
+/// lent for the whole run. Then take back each tree's path log, on this
+/// worker, so the closing pass over the logs runs in parallel.
 fn drain_in_time_order(
     mut ports: Vec<(&mut SwitchPort, &mut ScheduleTree)>,
     rate_bps: u64,
     horizon: Nanos,
     burst: usize,
 ) {
+    let (shared, pool_of) = shared_pools(ports.iter().map(|(_, tree)| &**tree));
+    let mut lent: Vec<LentPool> = shared.iter().map(SharedPool::lend).collect();
     loop {
         let mut best: Option<(usize, Nanos)> = None;
         for (i, (p, _)) in ports.iter().enumerate() {
@@ -560,7 +556,8 @@ fn drain_in_time_order(
         }
         let Some((i, _)) = best else { break };
         let (port, tree) = &mut ports[i];
-        port.step(tree, rate_bps, horizon, burst);
+        let pool = pool_of[i].map(|g| &mut lent[g]);
+        port.step(LentTree { tree, pool }, rate_bps, horizon, burst);
     }
     for (port, tree) in ports {
         port.sim.trace.take_paths(tree);
@@ -630,9 +627,9 @@ impl<'a> SwitchPort<'a> {
     }
 
     /// Run one round on `tree`, then sample its gauges.
-    fn step(&mut self, tree: &mut ScheduleTree, rate_bps: u64, horizon: Nanos, burst: usize) {
+    fn step(&mut self, mut tree: LentTree, rate_bps: u64, horizon: Nanos, burst: usize) {
         let t = self.sim.t;
-        if !self.sim.step_round(tree, rate_bps, horizon, burst) {
+        if !self.sim.step_round(&mut tree, rate_bps, horizon, burst) {
             return;
         }
         // Sampled after the round: transmission leaves the tree alone,
@@ -641,9 +638,9 @@ impl<'a> SwitchPort<'a> {
         self.rounds += 1;
         if let Some(g) = &mut self.gauges {
             if self.rounds % g.every == 0 {
-                g.depth.push(t, tree.len() as u64);
-                g.occupancy.push(t, tree.packet_buffer().live() as u64);
-                if let Some(s) = tree.inversion_stats() {
+                g.depth.push(t, tree.tree.len() as u64);
+                g.occupancy.push(t, tree.pool().live() as u64);
+                if let Some(s) = tree.tree.inversion_stats() {
                     g.inversions.push(t, s.inversions);
                 }
             }
@@ -917,6 +914,7 @@ mod tests {
             .collect();
         let run = sw.run(&arrivals, 1);
 
+        let pool = pool.pool();
         let stats = pool.stats();
         assert_eq!(stats.live, 0, "fabric drained: pool must be empty");
         for (port, trace) in run.ports.iter().enumerate() {

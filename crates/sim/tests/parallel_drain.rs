@@ -183,8 +183,8 @@ fn parallel_drain_matches_sequential_shared_pool() {
                     &reference,
                     &parallel,
                 );
-                let pool = sw.shared_pool().expect("built with a shared pool");
-                assert_eq!(pool.stats().live, 0, "fabric drained clean");
+                let pool = sw.port(0).pool_handle().pool();
+                assert_eq!(pool.live(), 0, "fabric drained clean");
                 pool.assert_coherent();
             }
         }
@@ -198,7 +198,9 @@ fn parallel_drain_matches_sequential_shared_pool() {
 #[test]
 fn cloned_pool_handles_drain_as_one_pool() {
     let build = || {
-        let pool = SharedPacketPool::new(16, AdmissionPolicy::Unlimited).into_shared();
+        let pool = SharedPacketPool::new(16, AdmissionPolicy::Unlimited)
+            .unwrap()
+            .into_shared();
         let handle = pool.register_port();
         let mut sb = SwitchBuilder::new(1_000_000_000);
         for _ in 0..2 {
@@ -226,7 +228,8 @@ fn cloned_pool_handles_drain_as_one_pool() {
         let (mut sw, pool) = build();
         let run = sw.run(&arrivals, workers);
         assert_identical(&format!("cloned-handle/w{workers}"), &reference, &run);
-        assert_eq!(pool.stats().live, 0, "fabric drained clean");
+        let pool = pool.pool();
+        assert_eq!(pool.live(), 0, "fabric drained clean");
         pool.assert_coherent();
     }
 }
@@ -241,6 +244,7 @@ fn mixed_pools_match_one_worker() {
     let build = |backend: PifoBackend| {
         let pools = [0, 1].map(|_| {
             SharedPacketPool::new(64, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
+                .unwrap()
                 .into_shared()
         });
         let mut sb = SwitchBuilder::new(1_000_000_000);
@@ -272,13 +276,14 @@ fn mixed_pools_match_one_worker() {
                 reference.total_drops() > 0,
                 "{pattern}: admission must reject"
             );
-            let reference_pools = pools.map(|p| p.stats());
+            let reference_pools = pools.map(|p| p.pool().stats());
             for workers in [1usize, 2, 3, 8, 0] {
                 let label = format!("{backend}/{pattern}/mixed/w{workers}");
                 let (mut sw, pools) = build(backend);
                 let run = sw.run(&arrivals, workers);
                 assert_identical(&label, &reference, &run);
                 for (pool, expected) in pools.iter().zip(&reference_pools) {
+                    let pool = pool.pool();
                     assert_eq!(&pool.stats(), expected, "[{label}] pool counters diverge");
                     pool.assert_coherent();
                 }

@@ -125,7 +125,7 @@ fn main() {
     let run = sb.build(Box::new(classify)).run(&arr, 1);
     report("shared pool, dynamic alpha=1", &run);
 
-    let stats = pool.stats();
+    let stats = pool.pool().stats();
     println!(
         "\npool after the run: {} live / {:?} capacity; per-port rejects: {:?}",
         stats.live,

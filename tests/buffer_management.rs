@@ -54,7 +54,7 @@ fn run(threshold: Option<Threshold>) -> [f64; 3] {
                 port: Threshold::Unlimited,
                 flow: t,
             };
-            let pool = SharedPacketPool::new(256, policy).into_shared();
+            let pool = SharedPacketPool::new(256, policy).unwrap().into_shared();
             b.build_in_pool(classify, pool.register_port())
         }
     };

@@ -204,6 +204,7 @@ fn hier5_arrivals() -> Vec<Packet> {
 
 fn hier5_pool() -> PoolHandle {
     SharedPacketPool::new(HIER_BUFFER, AdmissionPolicy::Unlimited)
+        .unwrap()
         .into_shared()
         .register_port()
 }

@@ -104,7 +104,8 @@ fn run_shared(
         sb.add_shared_port(|h| port_tree(backend, h));
     }
     let run = sb.build(Box::new(classify)).run(arr, workers);
-    (run, pool.stats())
+    let stats = pool.pool().stats();
+    (run, stats)
 }
 
 #[test]
@@ -225,4 +226,92 @@ fn shared_pool_traces_bit_identical_across_backends_and_drain_modes() {
             }
         }
     }
+}
+
+/// The admission-safe windows a parallel drain of one shared pool would
+/// need, counted on this storm. Cut time into windows `[T, T+W)` and
+/// call a window safe when every port's arrivals in it pass the dynamic
+/// threshold even if all of the window's arrivals `A` land and nothing
+/// leaves: `occ_port(T) + A_port < α·(cap − live(T) − |A|)`. Only a safe
+/// window's ports could run on separate workers and still reproduce the
+/// one-worker drain. The pool state at `T` is read from the gauges every
+/// round samples (`sample_every: 1`; the trees are unshaped, so a port's
+/// depth is its pool occupancy).
+///
+/// Safe windows hold under half of the admitted packets at every `W`
+/// tried: each incast wave lands 1 024 packets in one instant, more than
+/// the whole pool, so no window containing one is safe.
+#[test]
+fn safe_windows_hold_under_half_of_the_admitted_packets() {
+    let (num, den) = (1, 1);
+    let arr = arrivals();
+    let mut sb = SwitchBuilder::new(10_000_000_000);
+    sb.with_shared_pool(
+        POOL_CAPACITY,
+        AdmissionPolicy::DynamicThreshold { num, den },
+    );
+    sb.with_telemetry(TelemetryConfig {
+        path_records: false,
+        sample_every: 1,
+    });
+    for _ in 0..PORTS {
+        sb.add_shared_port(|h| port_tree(PifoBackend::Bucket, h));
+    }
+    let run = sb.build(Box::new(classify)).run(&arr, 1);
+    let admitted: std::collections::HashSet<u64> = run
+        .ports
+        .iter()
+        .flat_map(|p| p.departures.iter().map(|d| d.packet.id.0))
+        .collect();
+
+    // Each port's occupancy after its last round before `t`, and the pool
+    // live count after the fabric's last round before `t` (rounds run in
+    // `(time, port)` order). Gauges: `[depth, pool occupancy, ..]`.
+    let state_before = |t: Nanos| {
+        let mut occ = [0usize; PORTS];
+        let mut last = (Nanos::ZERO, 0, 0);
+        for (port, trace) in run.ports.iter().enumerate() {
+            let n = trace.gauges[0].points.partition_point(|g| g.time < t);
+            if n > 0 {
+                occ[port] = trace.gauges[0].points[n - 1].value as usize;
+                let live = trace.gauges[1].points[n - 1];
+                if (live.time, port) >= (last.0, last.1) {
+                    last = (live.time, port, live.value as usize);
+                }
+            }
+        }
+        (occ, last.2)
+    };
+
+    let mut shares = Vec::new();
+    for w_us in [1u64, 10, 100] {
+        let w = w_us * 1_000;
+        let (mut safe, mut total, mut i) = (0usize, 0usize, 0usize);
+        while i < arr.len() {
+            let start = arr[i].arrival.as_nanos() / w * w;
+            let end = arr.partition_point(|p| p.arrival.as_nanos() < start + w);
+            let window = &arr[i..end];
+            let mut per_port = [0usize; PORTS];
+            for p in window {
+                per_port[classify(p)] += 1;
+            }
+            let (occ, live) = state_before(Nanos(start));
+            let free = POOL_CAPACITY.saturating_sub(live + window.len());
+            let is_safe =
+                (0..PORTS).all(|p| per_port[p] == 0 || occ[p] + per_port[p] < free * num / den);
+            let here = window.iter().filter(|p| admitted.contains(&p.id.0)).count();
+            total += here;
+            if is_safe {
+                safe += here;
+            }
+            i = end;
+        }
+        let share = safe as f64 / total as f64;
+        println!("W = {w_us} us: {safe} of {total} admitted packets in safe windows ({share:.3})");
+        shares.push(share);
+    }
+    assert!(
+        shares.iter().all(|&s| s < 0.5),
+        "safe windows hold at least half the admitted packets: {shares:?}"
+    );
 }

@@ -102,14 +102,14 @@ fn umbrella_reexports_cover_every_subcrate() {
     tree.enqueue(Packet::new(0, FlowId(0), 100, Nanos(0)), Nanos(0))
         .expect("fig3 tree accepts flow 0");
     assert_eq!(
-        tree.packet_buffer().live(),
+        tree.pool_handle().pool().live(),
         1,
         "packet lives once, in the slab"
     );
     assert_eq!(tree.peek_at(Nanos(1)).expect("previews head").id.0, 0);
     assert_eq!(tree.dequeue(Nanos(1)).expect("serves it").id.0, 0);
     assert_eq!(
-        tree.packet_buffer().live(),
+        tree.pool_handle().pool().live(),
         0,
         "dequeue moved it out of its slot"
     );
