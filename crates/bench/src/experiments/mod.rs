@@ -10,8 +10,11 @@
 //! observationally equivalent — enforced by the differential property
 //! suites); running the suite per backend in CI catches engine
 //! regressions at experiment scale. The approximate engines (`sp-pifo`,
-//! `rifo`, `aifo`) legally reorder departures, so their experiment
-//! output is a measurement, not a golden trace.
+//! `rifo`, `aifo`) relax the sorted pop, so their experiment output is a
+//! measurement, not a golden trace: `sp-pifo` legally reorders
+//! departures, while `rifo` and `aifo` only gate admission to a bounded
+//! queue by rank — and tree nodes are unbounded — so on them every node
+//! is a plain FIFO.
 
 use pifo_core::prelude::*;
 use std::sync::Mutex;

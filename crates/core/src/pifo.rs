@@ -174,10 +174,13 @@ pub enum PifoBackend {
         queues: u8,
     },
     /// [`Rifo`](crate::approx::Rifo) — **approximate**: single FIFO with
-    /// windowed min/max rank admission.
+    /// windowed min/max rank admission. Only a bounded queue admits by
+    /// rank, and a tree's node PIFOs are unbounded, so every node of a
+    /// tree on this backend is a plain FIFO.
     Rifo,
     /// [`Aifo`](crate::approx::Aifo) — **approximate**: single FIFO with
-    /// windowed-quantile rank admission.
+    /// windowed-quantile rank admission. As for [`Rifo`](Self::Rifo),
+    /// every node of a tree on this backend is a plain FIFO.
     Aifo,
 }
 

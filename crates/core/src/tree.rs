@@ -1588,6 +1588,34 @@ mod tests {
         }
     }
 
+    /// A tree's node PIFOs are unbounded, and an unbounded RIFO or AIFO
+    /// admits everything into one FIFO: a one-node tree on either departs
+    /// in arrival order whatever the rank, where an exact engine sorts.
+    #[test]
+    fn rifo_and_aifo_tree_nodes_are_fifos() {
+        let run = |backend: PifoBackend| -> Vec<u64> {
+            let mut b = TreeBuilder::new();
+            b.with_backend(backend);
+            let latest_first = Box::new(FnTransaction::new("lifo", |ctx: &EnqCtx<'_>| {
+                Rank(1_000 - ctx.packet.id.0)
+            }));
+            let root = b.add_root("lifo", latest_first);
+            let mut tree = b.build(Box::new(move |_| root)).unwrap();
+            for i in 0..20u64 {
+                tree.enqueue(pkt(i, i as u32, i), Nanos(i)).unwrap();
+            }
+            std::iter::from_fn(|| tree.dequeue(Nanos(100)))
+                .map(|p| p.id.0)
+                .collect()
+        };
+        let arrival_order: Vec<u64> = (0..20).collect();
+        for backend in [PifoBackend::Rifo, PifoBackend::Aifo] {
+            assert_eq!(run(backend), arrival_order, "{backend}");
+        }
+        let sorted: Vec<u64> = arrival_order.iter().rev().copied().collect();
+        assert_eq!(run(PifoBackend::SortedArray), sorted);
+    }
+
     /// A node sorts flow heads exactly when its transaction declares
     /// per-flow monotone ranks and its backend is the heap or the bucket
     /// calendar. The sorted reference, the approximate engines and

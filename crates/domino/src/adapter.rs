@@ -22,7 +22,6 @@ pub struct DominoScheduling {
     interp: Interp,
     label: String,
     weights: HashMap<FlowId, u64>,
-    default_weight: u64,
 }
 
 impl DominoScheduling {
@@ -32,21 +31,13 @@ impl DominoScheduling {
             interp,
             label: label.to_string(),
             weights: HashMap::new(),
-            default_weight: 1,
         }
     }
 
-    /// Set the `weight` builtin for one flow.
+    /// Set the `weight` builtin for one flow (unlisted flows weigh 1).
     pub fn with_weight(mut self, flow: FlowId, weight: u64) -> Self {
         assert!(weight > 0, "weight must be positive");
         self.weights.insert(flow, weight);
-        self
-    }
-
-    /// Set the `weight` builtin for unlisted flows.
-    pub fn with_default_weight(mut self, weight: u64) -> Self {
-        assert!(weight > 0, "weight must be positive");
-        self.default_weight = weight;
         self
     }
 
@@ -56,11 +47,7 @@ impl DominoScheduling {
     }
 
     fn view(&self, ctx: &EnqCtx<'_>) -> PacketView {
-        let w = self
-            .weights
-            .get(&ctx.flow)
-            .copied()
-            .unwrap_or(self.default_weight);
+        let w = self.weights.get(&ctx.flow).copied().unwrap_or(1);
         PacketView::from_packet(ctx.packet, ctx.now, ctx.flow, w)
     }
 }

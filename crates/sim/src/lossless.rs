@@ -33,20 +33,25 @@
 //! instead of being dropped, and the resulting pressure is what trips
 //! the pause watermark — drops become backpressure.
 //!
+//! Every port's tree buffers in **one** shared pool, §5.1's one buffer
+//! ([`LosslessFabric::new`] panics, naming the port, otherwise).
+//!
 //! # Determinism
 //!
 //! The driver executes one global event loop in `(time, kind, index)`
 //! order — control-frame deliveries before emissions before scheduling
-//! rounds at equal instants, lowest index first within a kind — and
-//! rounds reuse the exact
-//! [`Switch`]-fabric round semantics (admit-by-arrival-instant, `burst`
-//! dequeues decided at the round time, back-to-back transmit through
-//! [`crate::port`]'s one transmit accounting). All
-//! decisions read tree/pool state that is identical across the exact
-//! engines, so departure traces *and* the pause/resume event log are
-//! bit-identical across backends. The loop runs on the calling thread,
-//! with every shared pool lent to it for the run, and takes no worker
-//! count: a lossless fabric is globally coupled
+//! rounds at equal instants, lowest index first within a kind. A round
+//! shares the [`Switch`] round's rules — each packet admitted at its own
+//! arrival instant, `burst` dequeues decided at the round time, sent
+//! back-to-back through [`crate::port`]'s one transmit — and adds its own:
+//! skid packets enter head-of-line gated, a port with nothing to hop to
+//! parks until an emission or another port's progress wakes it (live
+//! sources have no known next arrival), and per-class pressure is
+//! re-evaluated after each round. All decisions read tree/pool state
+//! that is identical across the exact engines, so departure traces *and*
+//! the pause/resume event log are bit-identical across backends. The
+//! loop runs on the calling thread, with the pool lent to it for the
+//! run, and takes no worker count: a lossless fabric is globally coupled
 //! through the pause wire, the same serial dependency chain that keeps
 //! the ports of one shared pool on one worker in [`Switch::run`], so
 //! there are no independent ports to spread.
@@ -101,7 +106,6 @@
 //! against its specification; release builds contain no such scan.
 
 use crate::port::transmit;
-use crate::scheduler::{shared_pools, LentTree, PortScheduler};
 use crate::switch::{PortTrace, Switch, SwitchRun};
 use crate::traffic::TrafficSource;
 use pifo_core::prelude::*;
@@ -109,6 +113,7 @@ use pifo_core::telemetry::NO_NODE;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::ControlFlow;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -454,18 +459,6 @@ impl LosslessRun {
 // The driver
 // ---------------------------------------------------------------------------
 
-/// A pause/resume control frame in flight from the switch to the
-/// sources. Ordered by `(deliver, seq)` for the deterministic frame
-/// queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Frame {
-    deliver: Nanos,
-    seq: u64,
-    port: usize,
-    class: u8,
-    action: PauseAction,
-}
-
 /// Per-`(port, class)` pressure and pause state, one entry per class
 /// number in [`PortState::classes`].
 #[derive(Debug, Default, Clone)]
@@ -485,12 +478,12 @@ struct ClassState {
     visible: bool,
 }
 
-/// Per-port driver state (the tree itself stays in the switch, borrowed
-/// per round exactly like `Switch::run`).
+/// Per-port driver state (the tree itself stays in the switch).
+#[derive(Default)]
 struct PortState {
     /// Decision time of the next scheduling round; `None` = parked
     /// (woken by emissions or by other ports' progress). Mirrored into
-    /// the due array by [`due_of`].
+    /// the due array by [`Driver::schedule`].
     t: Option<Nanos>,
     /// The transmitter is committed until this instant: arrivals may
     /// wake a parked or idle-hopping port but never rewind one
@@ -498,6 +491,8 @@ struct PortState {
     busy_until: Nanos,
     /// Horizon reached: no further rounds start.
     done: bool,
+    /// The port's line rate under the slow-drain fault.
+    rate: u64,
     trace: PortTrace,
     /// The PFC skid buffer: packets held at ingress, FIFO.
     skid: VecDeque<Packet>,
@@ -527,36 +522,58 @@ struct SourceState {
     /// Classified target of `next`: `Some((port, class))`, or `None`
     /// for a misroute.
     target: Option<(usize, u8)>,
-    /// True while the source-visible pause covers `next`'s target.
-    blocked: bool,
-    blocked_since: Nanos,
+    /// Since when the source-visible pause has covered `next`'s target.
+    blocked: Option<Nanos>,
     /// Emissions may not precede this instant (set by resume delivery):
     /// packets stamped earlier are in-flight work released now.
     gate: Nanos,
     /// The calendar entry carrying this stamp is the source's valid one;
-    /// a pause delivery bumps it to invalidate the entry in place.
+    /// blocking bumps it to invalidate the entry in place.
     stamp: u64,
     stats: SourcePauseStats,
+}
+
+impl SourceState {
+    /// Pull the source's next packet and classify it onto a port of
+    /// `switch`.
+    fn pull(&mut self, switch: &Switch) {
+        self.next = self.src.next_packet();
+        self.target = self.next.as_ref().and_then(|p| {
+            let port = (switch.classifier)(p);
+            (port < switch.ports.len()).then_some((port, p.class))
+        });
+    }
+
+    /// A pause reaches the source at `now`.
+    fn block(&mut self, now: Nanos) {
+        self.stamp += 1;
+        self.blocked = Some(now);
+        self.stats.pauses += 1;
+        self.src.pause(now);
+    }
+
+    /// Close the source's pause at `now` in its accounting.
+    fn unblock(&mut self, now: Nanos) {
+        let since = self.blocked.take().expect("only a blocked source unblocks");
+        let dur = now.saturating_sub(since);
+        self.stats.resumes += 1;
+        self.stats.total_paused += dur;
+        self.stats.max_pause = self.stats.max_pause.max(dur);
+    }
 }
 
 /// An emission-calendar entry: `(instant, source, stamp)`, min first.
 type EmitEntry = Reverse<(Nanos, usize, u64)>;
 
-/// Packets currently resident across the fabric's buffers: every shared
-/// pool the run holds, plus the pools the `owned` trees own.
-fn fabric_live(switch: &Switch, lent: &[LentPool], owned: &[usize]) -> usize {
-    let owned = owned
-        .iter()
-        .map(|&i| switch.ports[i].pool_handle().pool().live());
-    owned.sum::<usize>() + lent.iter().map(|p| p.live()).sum::<usize>()
-}
+/// A pause-index entry: `(paused_since, port, class)`.
+type PauseEntry = (Nanos, usize, u8);
 
 /// The emission instant of a source's head packet — its stamp, or the
 /// resume gate when that is later. `None` while the source is blocked
 /// or exhausted, which is exactly when it has no valid calendar entry.
 fn emit_at(s: &SourceState) -> Option<Nanos> {
     match &s.next {
-        Some(p) if !s.blocked => Some(p.arrival.max(s.gate)),
+        Some(p) if s.blocked.is_none() => Some(p.arrival.max(s.gate)),
         _ => None,
     }
 }
@@ -566,12 +583,14 @@ fn emit_entry(si: usize, s: &SourceState) -> Option<EmitEntry> {
     emit_at(s).map(|t| Reverse((t, si, s.stamp)))
 }
 
-/// A port's due-array entry: its next round time, or `Nanos::MAX` while
-/// it is parked or past the horizon.
-fn due_of(ps: &PortState) -> Nanos {
-    match ps.t {
-        Some(t) if !ps.done => t,
-        _ => Nanos::MAX,
+/// A stall of `kind` diagnosed at `at`, with how long the oldest pause
+/// still asserted had been held by then.
+fn stall(kind: StallKind, at: Nanos, oldest_pause: Option<PauseEntry>) -> FabricStall {
+    let paused_for = oldest_pause.map_or(Nanos::ZERO, |(since, ..)| at.saturating_sub(since));
+    FabricStall {
+        kind,
+        at,
+        paused_for,
     }
 }
 
@@ -580,19 +599,20 @@ fn due_of(ps: &PortState) -> Nanos {
 /// unblocked source with a packet, the earliest `paused_since` over
 /// every `(port, class)` pair, the earliest round time over every port
 /// short of its horizon, lowest index first — would have chosen.
-/// Written out independently of [`emit_at`] and [`due_of`] on purpose.
+/// Written out independently of [`emit_at`] and [`Driver::schedule`] on
+/// purpose.
 #[cfg(debug_assertions)]
 fn assert_calendar_heads(
     srcs: &[SourceState],
     ports: &[PortState],
     next_emit: Option<(Nanos, usize)>,
-    oldest_pause: Option<(Nanos, usize, u8)>,
+    oldest_pause: Option<PauseEntry>,
     next_round: Option<(Nanos, usize)>,
 ) {
     let scanned_emit = srcs
         .iter()
         .enumerate()
-        .filter(|(_, s)| !s.blocked)
+        .filter(|(_, s)| s.blocked.is_none())
         .filter_map(|(si, s)| s.next.as_ref().map(|p| (p.arrival.max(s.gate), si)))
         .min();
     assert_eq!(
@@ -625,104 +645,77 @@ fn assert_calendar_heads(
     );
 }
 
-/// A [`Switch`] driven closed-loop: watermark-triggered PFC pause and
-/// resume to the traffic sources instead of admission drops. Build the
-/// switch as usual (a shared pool under
-/// [`AdmissionPolicy::PortFlow`](pifo_core::pool::AdmissionPolicy) is
-/// the intended configuration), wrap it, and [`run`](Self::run) it
-/// against live [`TrafficSource`]s.
-pub struct LosslessFabric {
-    switch: Switch,
-    cfg: LosslessConfig,
+/// The next event; variant order is the kind order at one instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    Control,
+    Emit(usize),
+    Round(usize),
 }
 
-impl LosslessFabric {
-    /// Wrap `switch` in the lossless control loop under `cfg`.
-    pub fn new(switch: Switch, cfg: LosslessConfig) -> Self {
-        LosslessFabric { switch, cfg }
-    }
+/// One lossless run: the fabric's switch and its pool, lent for the
+/// run, and all per-run state. [`step`](Self::step) executes one event.
+struct Driver<'a> {
+    switch: &'a mut Switch,
+    pool: LentPool<'a>,
+    cfg: LosslessConfig,
+    faults: &'a FaultPlan,
+    ports: Vec<PortState>,
+    srcs: Vec<SourceState>,
+    /// The event calendar (see the module docs): unblocked sources with
+    /// a pending packet by emission instant, asserted pauses by
+    /// assertion instant, every port's next round time, and the control
+    /// frames in flight by delivery instant, then by the index of the
+    /// [`PauseEvent`] each carries.
+    emit_cal: BinaryHeap<EmitEntry>,
+    paused: BinaryHeap<Reverse<PauseEntry>>,
+    due: Vec<Nanos>,
+    frames: BinaryHeap<Reverse<(Nanos, usize)>>,
+    /// `(port, class)` pairs with a pause asserted.
+    paused_pairs: usize,
+    /// Packets held in all skid buffers together.
+    skid_total: usize,
+    pause_events: Vec<PauseEvent>,
+    misrouted: u64,
+    skid_overflow: u64,
+    max_pool_live: usize,
+    rounds: u64,
+    next_id: u64,
+    /// The fabric-level gauges' sampling stride: it rides the global
+    /// round counter, whose one order keeps the series bit-reproducible.
+    sample_every: Option<u64>,
+    gauges: [GaugeSeries; 3],
+}
 
-    /// The wrapped switch (tree/pool inspection after a run).
-    pub fn switch(&self) -> &Switch {
-        &self.switch
-    }
-
-    /// The control-loop configuration.
-    pub fn config(&self) -> &LosslessConfig {
-        &self.cfg
-    }
-
-    /// Run `sources` through the fabric under `faults`
-    /// ([`FaultPlan::default`] injects none).
-    ///
-    /// Sources are polled lazily — a paused source is simply not asked
-    /// for packets — and every decision happens in one deterministic
-    /// global `(time, kind, index)` event order: control-frame
-    /// deliveries, then emissions, then scheduling rounds at equal
-    /// times, index-ordered within a kind. That order is sequential by
-    /// nature — the pause wire couples every port, see the module docs.
-    ///
-    /// Each port's departure trace is allocated once, sized from what
-    /// its sources can still send ([`TrafficSource::size_hint`]); a
-    /// source without a bound makes its port's trace grow as it fills.
-    pub fn run(&mut self, sources: Vec<Box<dyn TrafficSource>>, faults: FaultPlan) -> LosslessRun {
-        let n = self.switch.ports.len();
-        let (xoff, xon) = (self.cfg.watermarks.xoff, self.cfg.watermarks.xon);
-
-        // Effective per-port drain rates under the slow-drain fault.
-        let rate: Vec<u64> = (0..n)
-            .map(|i| {
-                let k = faults
-                    .slow_drain
-                    .iter()
-                    .rev()
-                    .find(|&&(p, _)| p == i)
-                    .map_or(1, |&(_, k)| k.max(1));
-                (self.switch.rate_bps / k as u64).max(1)
-            })
-            .collect();
-        let dead = |i: usize| faults.dead_ports.contains(&i);
-
-        let mut ports: Vec<PortState> = (0..n)
-            .map(|_| PortState {
-                t: None,
-                busy_until: Nanos::ZERO,
-                done: false,
-                trace: PortTrace::default(),
-                skid: VecDeque::new(),
-                classes: Vec::new(),
-                peak_skid: 0,
-                paused_total: Nanos::ZERO,
-            })
-            .collect();
-
+impl<'a> Driver<'a> {
+    fn new(
+        fabric: &'a mut LosslessFabric,
+        faults: &'a FaultPlan,
+        sources: Vec<Box<dyn TrafficSource>>,
+    ) -> Self {
+        let LosslessFabric { switch, cfg, pool } = fabric;
         let mut srcs: Vec<SourceState> = sources
             .into_iter()
-            .map(|mut src| {
-                let next = src.next_packet();
-                let target = next.as_ref().and_then(|p| {
-                    let port = (self.switch.classifier)(p);
-                    (port < n).then_some((port, p.class))
-                });
-                SourceState {
+            .map(|src| {
+                let mut s = SourceState {
                     src,
-                    next,
-                    target,
-                    blocked: false,
-                    blocked_since: Nanos::ZERO,
+                    next: None,
+                    target: None,
+                    blocked: None,
                     gate: Nanos::ZERO,
                     stamp: 0,
                     stats: SourcePauseStats::default(),
-                }
+                };
+                s.pull(switch);
+                s
             })
             .collect();
-
         // Size each port's trace, and the path log its tree is handed for
         // the run, once: a port sends at most its sources' held heads
         // plus what those sources can still emit. A port with a source of
         // unknown bound, or whose reservation the allocator refuses,
         // grows them as it fills instead.
-        let mut bound: Vec<Option<usize>> = vec![Some(0); n];
+        let mut bound: Vec<Option<usize>> = vec![Some(0); switch.ports.len()];
         for s in &mut srcs {
             if let Some((port, _)) = s.target {
                 bound[port] = bound[port]
@@ -730,485 +723,420 @@ impl LosslessFabric {
                     .and_then(|(b, left)| b.checked_add(left)?.checked_add(1));
             }
         }
-        let paths = self.switch.telemetry.is_some_and(|c| c.path_records);
-        for ((ps, tree), bound) in ports.iter_mut().zip(&mut self.switch.ports).zip(bound) {
-            let mut log = PathLog::new();
-            if let Some(b) = bound {
-                let _ = ps.trace.departures.try_reserve_exact(b);
-                if paths {
-                    let _ = log.try_reserve_exact(b, b);
+        let paths = switch.telemetry.is_some_and(|c| c.path_records);
+        let ports = (switch.ports.iter_mut().zip(bound).enumerate())
+            .map(|(i, (tree, bound))| {
+                let (mut ps, mut log) = (PortState::default(), PathLog::new());
+                let slow = faults.slow_drain.iter().rev().find(|&&(p, _)| p == i);
+                ps.rate = (switch.rate_bps / slow.map_or(1, |&(_, k)| k.max(1)) as u64).max(1);
+                if let Some(b) = bound {
+                    let _ = ps.trace.departures.try_reserve_exact(b);
+                    if paths {
+                        let _ = log.try_reserve_exact(b, b);
+                    }
                 }
-            }
-            tree.replace_path_log(log);
-        }
-
-        // Every shared pool the ports buffer in, lent for the whole run:
-        // `port!(i)` is port `i`'s tree with its pool in hand.
-        let (shared, pool_of) = shared_pools(&self.switch.ports);
-        let mut lent: Vec<LentPool> = shared.iter().map(SharedPool::lend).collect();
-        let owned: Vec<usize> = (0..n).filter(|&i| pool_of[i].is_none()).collect();
-        macro_rules! port {
-            ($i:expr) => {{
-                let i: usize = $i;
-                LentTree {
-                    tree: &mut self.switch.ports[i],
-                    pool: pool_of[i].map(|g| &mut lent[g]),
-                }
-            }};
-        }
-
-        // The event calendar (see the module docs): unblocked sources
-        // with a pending packet by emission instant, asserted pauses by
-        // assertion instant, and every port's next round time.
-        let mut emit_cal: BinaryHeap<EmitEntry> = srcs
-            .iter()
-            .enumerate()
-            .filter_map(|(si, s)| emit_entry(si, s))
+                tree.replace_path_log(log);
+                ps
+            })
             .collect();
-        let mut paused: BinaryHeap<Reverse<(Nanos, usize, u8)>> = BinaryHeap::new();
-        let mut paused_pairs = 0usize;
-        let mut due: Vec<Nanos> = vec![Nanos::MAX; n];
-        // Packets held in all skid buffers together.
-        let mut skid_total = 0usize;
+        Driver {
+            emit_cal: srcs
+                .iter()
+                .enumerate()
+                .filter_map(|(si, s)| emit_entry(si, s))
+                .collect(),
+            pool: pool.lend(),
+            cfg: *cfg,
+            faults,
+            ports,
+            srcs,
+            paused: BinaryHeap::new(),
+            due: vec![Nanos::MAX; switch.ports.len()],
+            frames: BinaryHeap::new(),
+            paused_pairs: 0,
+            skid_total: 0,
+            pause_events: Vec::new(),
+            misrouted: 0,
+            skid_overflow: 0,
+            max_pool_live: 0,
+            rounds: 0,
+            next_id: 0,
+            sample_every: switch.telemetry.map(|c| c.sample_every.max(1)),
+            gauges: [
+                "fabric.pool_live",
+                "fabric.paused_classes",
+                "fabric.skid_occupancy",
+            ]
+            .map(GaugeSeries::new),
+            switch,
+        }
+    }
 
-        let mut frames: BinaryHeap<Reverse<Frame>> = BinaryHeap::new();
-        let mut frame_seq = 0u64;
-        let mut pause_events: Vec<PauseEvent> = Vec::new();
-        let mut misrouted = 0u64;
-        let mut skid_overflow = 0u64;
-        let mut max_pool_live = 0usize;
-        let mut rounds = 0u64;
-        let mut next_id = 0u64;
-        let mut stall: Option<FabricStall> = None;
-        // Fabric-level gauge sampling rides the global round counter —
-        // the one round order keeps the series bit-reproducible.
-        let sample_every = self
-            .switch
-            .telemetry_config()
-            .map(|c| c.sample_every.max(1));
-        let mut g_pool = GaugeSeries::new("fabric.pool_live");
-        let mut g_paused = GaugeSeries::new("fabric.paused_classes");
-        let mut g_skid = GaugeSeries::new("fabric.skid_occupancy");
+    /// Execute the next event in `(time, kind, index)` order, once the
+    /// watchdog has checked it. `Break` ends the run: `None` for a
+    /// complete drain, else the stall that stopped it.
+    fn step(&mut self) -> ControlFlow<Option<FabricStall>> {
+        // Discard stale heads (see the module docs) before reading.
+        while let Some(&Reverse((_, si, stamp))) = self.emit_cal.peek() {
+            if self.srcs[si].stamp == stamp {
+                break;
+            }
+            self.emit_cal.pop();
+        }
+        while let Some(&Reverse((since, i, class))) = self.paused.peek() {
+            if self.ports[i].classes[class as usize].paused_since == Some(since) {
+                break;
+            }
+            self.paused.pop();
+        }
+        let next_emit = self.emit_cal.peek().map(|&Reverse((t, si, _))| (t, si));
+        let oldest_pause = self.paused.peek().map(|r| r.0);
+        let next_round = (self.due.iter().enumerate())
+            .min_by_key(|&(_, &t)| t)
+            .filter(|&(_, &t)| t < Nanos::MAX)
+            .map(|(i, &t)| (t, i));
+        #[cfg(debug_assertions)]
+        assert_calendar_heads(&self.srcs, &self.ports, next_emit, oldest_pause, next_round);
+        let pick = [
+            self.frames
+                .peek()
+                .map(|&Reverse((t, _))| (t, Event::Control)),
+            next_emit.map(|(t, si)| (t, Event::Emit(si))),
+            next_round.map(|(t, i)| (t, Event::Round(i))),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
 
-        // The switch-side pause evaluation for one port at `now`:
-        // compare every class's pressure against the watermarks, emit
-        // transitions, and schedule the control frames.
-        macro_rules! eval_pause {
-            ($i:expr, $now:expr) => {{
-                let i: usize = $i;
-                let now: Nanos = $now;
-                let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
-                let pool_ok = !stuck && port!(i).would_admit(None);
-                let ps = &mut ports[i];
-                for (class, cs) in ps.classes.iter_mut().enumerate() {
-                    if !cs.seen {
-                        continue;
-                    }
-                    let class = class as u8;
-                    let pressure = cs.occ + cs.skid;
-                    match cs.paused_since {
-                        None if pressure >= xoff || !pool_ok => {
-                            cs.paused_since = Some(now);
-                            paused.push(Reverse((now, i, class)));
-                            paused_pairs += 1;
-                            pause_events.push(PauseEvent {
-                                time: now,
-                                port: i,
-                                class,
-                                action: PauseAction::Pause,
-                            });
-                            frames.push(Reverse(Frame {
-                                deliver: now + self.cfg.wire_delay,
-                                seq: frame_seq,
-                                port: i,
-                                class,
-                                action: PauseAction::Pause,
-                            }));
-                            frame_seq += 1;
-                        }
-                        Some(since) if pressure <= xon && pool_ok => {
-                            // Its pause-index entry is stale from here.
-                            cs.paused_since = None;
-                            paused_pairs -= 1;
-                            ps.paused_total += now.saturating_sub(since);
-                            pause_events.push(PauseEvent {
-                                time: now,
-                                port: i,
-                                class,
-                                action: PauseAction::Resume,
-                            });
-                            frames.push(Reverse(Frame {
-                                deliver: now + self.cfg.wire_delay + faults.resume_delay,
-                                seq: frame_seq,
-                                port: i,
-                                class,
-                                action: PauseAction::Resume,
-                            }));
-                            frame_seq += 1;
-                        }
-                        _ => {}
-                    }
-                }
-            }};
+        // The watchdog: the oldest asserted pause must not outlive
+        // max_pause before the next event runs.
+        if let (Some((since, port, _)), Some((next, _))) = (oldest_pause, pick) {
+            let deadline = since + self.cfg.max_pause;
+            if next > deadline {
+                let kind = if self.faults.dead_ports.contains(&port) {
+                    StallKind::DeadPort { port }
+                } else if self.faults.stuck_pool_at.is_some_and(|t| deadline >= t) {
+                    StallKind::StuckPool
+                } else {
+                    StallKind::PauseStorm { port }
+                };
+                return ControlFlow::Break(Some(stall(kind, deadline, oldest_pause)));
+            }
         }
 
-        loop {
-            // --- choose the next event: (time, kind, index) order ----
-            let next_control = frames.peek().map(|r| r.0.deliver);
-            // Discard stale heads (see the module docs) before reading.
-            while let Some(&Reverse((_, si, stamp))) = emit_cal.peek() {
-                if srcs[si].stamp == stamp {
-                    break;
+        match pick {
+            None => return ControlFlow::Break(self.quiescent(oldest_pause)),
+            Some((now, Event::Control)) => self.deliver(now),
+            Some((now, Event::Emit(si))) => self.emit(now, si),
+            Some((now, Event::Round(i))) => {
+                // The round budget bounds every run.
+                self.rounds += 1;
+                if self.rounds > self.cfg.round_budget {
+                    let kind = StallKind::RoundBudget {
+                        rounds: self.rounds,
+                    };
+                    return ControlFlow::Break(Some(stall(kind, now, oldest_pause)));
                 }
-                emit_cal.pop();
+                self.round(now, i);
             }
-            let next_emit = emit_cal.peek().map(|&Reverse((t, si, _))| (t, si));
-            while let Some(&Reverse((since, i, class))) = paused.peek() {
-                if ports[i].classes[class as usize].paused_since == Some(since) {
-                    break;
-                }
-                paused.pop();
-            }
-            let oldest_pause = paused.peek().map(|r| r.0);
-            let mut next_round: Option<(Nanos, usize)> = None;
-            let mut best = Nanos::MAX;
-            for (i, &t) in due.iter().enumerate() {
-                if t < best {
-                    best = t;
-                    next_round = Some((t, i));
-                }
-            }
-            #[cfg(debug_assertions)]
-            assert_calendar_heads(&srcs, &ports, next_emit, oldest_pause, next_round);
-            // kind: 0 = control, 1 = emission, 2 = round.
-            let mut pick: Option<(Nanos, u8)> = None;
-            for (t, kind) in [
-                (next_control, 0u8),
-                (next_emit.map(|(t, _)| t), 1),
-                (next_round.map(|(t, _)| t), 2),
-            ] {
-                if let Some(t) = t {
-                    if pick.map_or(true, |(bt, bk)| (t, kind) < (bt, bk)) {
-                        pick = Some((t, kind));
-                    }
-                }
-            }
+        }
+        ControlFlow::Continue(())
+    }
 
-            // --- watchdog: the oldest asserted pause must not outlive
-            // max_pause before the next event runs --------------------
-            if let (Some((since, port, _)), Some((tev, _))) = (oldest_pause, pick) {
-                let deadline = since + self.cfg.max_pause;
-                if tev > deadline {
-                    let kind = if dead(port) {
-                        StallKind::DeadPort { port }
-                    } else if faults.stuck_pool_at.is_some_and(|t| deadline >= t) {
-                        StallKind::StuckPool
-                    } else {
-                        StallKind::PauseStorm { port }
-                    };
-                    stall = Some(FabricStall {
-                        kind,
-                        at: deadline,
-                        paused_for: self.cfg.max_pause,
-                    });
-                    break;
-                }
-            }
+    /// The injected stuck pool admits nothing at `now`.
+    fn stuck(&self, now: Nanos) -> bool {
+        self.faults.stuck_pool_at.is_some_and(|t| now >= t)
+    }
 
-            let Some((now, kind)) = pick else {
-                // Quiescent. Complete drain, or a wait nothing can break?
-                let trapped = srcs.iter().any(|s| s.next.is_some())
-                    || ports.iter().enumerate().any(|(i, ps)| {
-                        !ps.skid.is_empty()
-                            || (!ps.done
-                                && (!self.switch.ports[i].is_empty()
-                                    || self.switch.ports[i].shaped_len() > 0))
-                    });
-                if trapped {
-                    // With a pause still asserted and no event left, the
-                    // pause outlives any bound: report the watchdog
-                    // deadline. Otherwise stamp the last event time.
-                    let (at, paused_for) = match oldest_pause {
-                        Some((since, ..)) => (since + self.cfg.max_pause, self.cfg.max_pause),
-                        None => (
-                            pause_events.last().map_or(Nanos::ZERO, |e| e.time),
-                            Nanos::ZERO,
-                        ),
-                    };
-                    let kind = if let Some(&p) = faults.dead_ports.iter().find(|&&p| {
-                        p < n && (!self.switch.ports[p].is_empty() || !ports[p].skid.is_empty())
-                    }) {
-                        StallKind::DeadPort { port: p }
-                    } else if faults.stuck_pool_at.is_some() {
-                        StallKind::StuckPool
-                    } else {
-                        StallKind::CircularWait
-                    };
-                    stall = Some(FabricStall {
-                        kind,
-                        at,
-                        paused_for,
-                    });
+    /// The pool's full port × flow verdict for a packet of `flow` at
+    /// port `i`.
+    fn admits(&self, i: usize, flow: FlowId) -> bool {
+        let port = self.switch.ports[i].pool_handle().port();
+        self.pool.would_admit_flow(port, flow)
+    }
+
+    /// Set port `i`'s next round time (`None`: parked), and its due-array
+    /// entry: that time, or `Nanos::MAX` while parked or past the
+    /// horizon.
+    fn schedule(&mut self, i: usize, t: Option<Nanos>) {
+        let ps = &mut self.ports[i];
+        ps.t = t;
+        self.due[i] = t.filter(|_| !ps.done).unwrap_or(Nanos::MAX);
+    }
+
+    /// No deliverable control frame, no eligible emission, no runnable
+    /// round: a complete drain, or packets trapped in a wait nothing can
+    /// break. The stall is stamped at the watchdog deadline of a pause
+    /// still asserted (with no event left it outlives any bound), else at
+    /// the last pause-signal decision.
+    fn quiescent(&self, oldest_pause: Option<PauseEntry>) -> Option<FabricStall> {
+        let trees = &self.switch.ports;
+        let trapped = self.srcs.iter().any(|s| s.next.is_some())
+            || self.ports.iter().zip(trees).any(|(ps, tree)| {
+                !ps.skid.is_empty() || (!ps.done && (!tree.is_empty() || tree.shaped_len() > 0))
+            });
+        if !trapped {
+            return None;
+        }
+        let at = match oldest_pause {
+            Some((since, ..)) => since + self.cfg.max_pause,
+            None => self.pause_events.last().map_or(Nanos::ZERO, |e| e.time),
+        };
+        let dead = self.faults.dead_ports.iter().find(|&&p| {
+            p < trees.len() && (!trees[p].is_empty() || !self.ports[p].skid.is_empty())
+        });
+        let kind = match dead {
+            Some(&port) => StallKind::DeadPort { port },
+            None if self.faults.stuck_pool_at.is_some() => StallKind::StuckPool,
+            None => StallKind::CircularWait,
+        };
+        Some(stall(kind, at, oldest_pause))
+    }
+
+    /// Deliver the earliest control frame at `now`: a pause blocks every
+    /// unblocked source whose head packet it covers, a resume puts every
+    /// blocked one back on the calendar, gated at `now`.
+    fn deliver(&mut self, now: Nanos) {
+        let Reverse((_, e)) = self.frames.pop().expect("picked control frame");
+        let ev = self.pause_events[e];
+        // A frame only ever names a pair that paused, so the class exists
+        // on the port.
+        self.ports[ev.port].classes[ev.class as usize].visible = ev.action == PauseAction::Pause;
+        for (si, s) in self.srcs.iter_mut().enumerate() {
+            if s.target != Some((ev.port, ev.class)) {
+                continue;
+            }
+            match ev.action {
+                PauseAction::Pause if s.blocked.is_none() => s.block(now),
+                PauseAction::Resume if s.blocked.is_some() => {
+                    s.unblock(now);
+                    s.src.resume(now);
+                    s.gate = now;
+                    // Back on the calendar, no earlier than the gate.
+                    self.emit_cal.extend(emit_entry(si, s));
                 }
+                _ => {}
+            }
+        }
+    }
+
+    /// Emit source `si`'s head packet at `now` (the source heads the
+    /// calendar) into its port's tree — if the pool admits it and nothing
+    /// is held back ahead of it — else its skid buffer, else lose it to
+    /// headroom overflow; wake the port and re-evaluate its pause signal.
+    /// Then pull the source's next packet and re-key its entry.
+    fn emit(&mut self, now: Nanos, si: usize) {
+        let s = &mut self.srcs[si];
+        let mut p = s.next.take().expect("eligible emission");
+        let target = s.target.take();
+        // Stamp the true emission instant (a gated release happens at the
+        // gate, not the original stamp) and a globally unique id.
+        p.arrival = p.arrival.max(s.gate);
+        p.id = PacketId(self.next_id);
+        self.next_id += 1;
+        if let Some((i, class)) = target {
+            self.ports[i].mark_seen(class);
+            // Direct admission keeps arrival order: only when nothing is
+            // already held back may this packet bypass the skid queue.
+            if !self.stuck(now) && self.ports[i].skid.is_empty() && self.admits(i, p.flow) {
+                self.enqueue(i, p, now);
+            } else if self.ports[i].skid.len() < self.cfg.headroom {
+                let ps = &mut self.ports[i];
+                ps.classes[class as usize].skid += 1;
+                ps.skid.push_back(p);
+                ps.peak_skid = ps.peak_skid.max(ps.skid.len());
+                self.skid_total += 1;
+            } else {
+                // Headroom overflow: the one loss mode.
+                self.ports[i].trace.drops += 1;
+                self.skid_overflow += 1;
+            }
+            // Wake the port no earlier than its transmitter allows.
+            let ps = &self.ports[i];
+            let wake = now.max(ps.busy_until);
+            if !ps.done && ps.t.map_or(true, |t| t > wake) {
+                self.schedule(i, Some(wake));
+            }
+            self.eval_pause(i, now);
+            // The pool peaks at admission instants: dequeues only lower it.
+            self.max_pool_live = self.max_pool_live.max(self.pool.live());
+        } else {
+            self.misrouted += 1;
+        }
+
+        let s = &mut self.srcs[si];
+        s.pull(self.switch);
+        // The emitter was unblocked: a pause already visible for its next
+        // packet blocks it now.
+        if let Some((port, class)) = s.target {
+            let classes = &self.ports[port].classes;
+            if classes.get(class as usize).is_some_and(|cs| cs.visible) {
+                s.block(now);
+            }
+        }
+        // Re-key the head in place; a blocked or exhausted source leaves.
+        let mut head = self
+            .emit_cal
+            .peek_mut()
+            .expect("the emitter heads the calendar");
+        match emit_at(s) {
+            Some(t) => head.0 .0 = t,
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+
+    /// Enqueue `p` into port `i`'s tree at `at`, counting it against its
+    /// class — or as a drop if the tree refuses what the pool admitted
+    /// (unknown flow and the like).
+    fn enqueue(&mut self, i: usize, p: Packet, at: Nanos) {
+        let class = p.class as usize;
+        let tree = &mut self.switch.ports[i];
+        if tree.enqueue_lent(Some(&mut self.pool), p, at).is_ok() {
+            self.ports[i].classes[class].occ += 1;
+        } else {
+            self.ports[i].trace.drops += 1;
+        }
+    }
+
+    /// Port `i`'s scheduling round at `now`: admit the skid buffer's
+    /// admissible head, decide and transmit up to `burst` dequeues, set
+    /// the next round, and re-evaluate the port's pause signal.
+    fn round(&mut self, now: Nanos, i: usize) {
+        if now >= self.switch.horizon {
+            self.ports[i].done = true;
+            return self.schedule(i, None);
+        }
+
+        // Admit gated skid packets, oldest first, each at its own arrival
+        // instant — stop at the first the pool still refuses
+        // (head-of-line, not reorder).
+        let stuck = self.stuck(now);
+        while let Some(front) = self.ports[i].skid.front() {
+            if front.arrival > now || stuck || !self.admits(i, front.flow) {
+                break;
+            }
+            let p = self.ports[i].skid.pop_front().expect("peeked front");
+            self.ports[i].classes[p.class as usize].skid -= 1;
+            self.skid_total -= 1;
+            let at = p.arrival;
+            self.enqueue(i, p, at);
+        }
+        self.max_pool_live = self.max_pool_live.max(self.pool.live());
+
+        // Up to `burst` dequeues decided at `now` (a dead port decides
+        // nothing), each leaving the tree for the wire back-to-back at the
+        // port's (possibly fault-slowed) line rate.
+        let dead = self.faults.dead_ports.contains(&i);
+        let burst = if dead { 0 } else { self.switch.burst };
+        let (ps, tree) = (&mut self.ports[i], &mut self.switch.ports[i]);
+        let (mut t, mut sent) = (now, 0);
+        while sent < burst {
+            let Some(p) = tree.dequeue_lent(Some(&mut self.pool), now) else {
                 break;
             };
+            ps.classes[p.class as usize].occ -= 1;
+            t = transmit(p, t, ps.rate, &mut ps.trace.departures);
+            sent += 1;
+        }
 
-            match kind {
-                // --- control-frame delivery --------------------------
-                0 => {
-                    let Frame {
-                        port,
-                        class,
-                        action,
-                        ..
-                    } = frames.pop().expect("peeked control frame").0;
-                    // A frame only ever names a pair that paused, so the
-                    // class exists on the port.
-                    let cs = &mut ports[port].classes[class as usize];
-                    match action {
-                        PauseAction::Pause => {
-                            cs.visible = true;
-                            for s in srcs.iter_mut() {
-                                if !s.blocked && s.target == Some((port, class)) {
-                                    // Its calendar entry is stale from here.
-                                    s.stamp += 1;
-                                    s.blocked = true;
-                                    s.blocked_since = now;
-                                    s.stats.pauses += 1;
-                                    s.src.pause(now);
-                                }
-                            }
-                        }
-                        PauseAction::Resume => {
-                            cs.visible = false;
-                            for (si, s) in srcs.iter_mut().enumerate() {
-                                if s.blocked && s.target == Some((port, class)) {
-                                    s.blocked = false;
-                                    let dur = now.saturating_sub(s.blocked_since);
-                                    s.stats.resumes += 1;
-                                    s.stats.total_paused += dur;
-                                    s.stats.max_pause = s.stats.max_pause.max(dur);
-                                    s.src.resume(now);
-                                    s.gate = now;
-                                    // Back on the calendar, no earlier
-                                    // than the gate just set.
-                                    emit_cal.extend(emit_entry(si, s));
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // --- emission ----------------------------------------
-                1 => {
-                    let (_, si) = next_emit.expect("picked emission");
-                    let s = &mut srcs[si];
-                    let mut p = s.next.take().expect("eligible emission");
-                    let target = s.target.take();
-                    // Stamp the true emission instant (a gated release
-                    // happens at the gate, not the original stamp) and a
-                    // globally unique id.
-                    p.arrival = p.arrival.max(s.gate);
-                    p.id = PacketId(next_id);
-                    next_id += 1;
-
-                    match target {
-                        None => misrouted += 1,
-                        Some((i, class)) => {
-                            let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
-                            let ps = &mut ports[i];
-                            ps.mark_seen(class);
-                            // Direct admission keeps arrival order: only
-                            // when nothing is already held back may this
-                            // packet bypass the skid queue.
-                            let gate_open =
-                                !stuck && ps.skid.is_empty() && port!(i).would_admit(Some(p.flow));
-                            if gate_open {
-                                if port!(i).enqueue(p, now) {
-                                    ps.classes[class as usize].occ += 1;
-                                } else {
-                                    // would_admit_flow said yes and
-                                    // nothing ran in between; a reject
-                                    // here is a tree-level refusal
-                                    // (unknown flow etc.).
-                                    ps.trace.drops += 1;
-                                }
-                            } else if ps.skid.len() < self.cfg.headroom {
-                                ps.classes[class as usize].skid += 1;
-                                ps.skid.push_back(p);
-                                skid_total += 1;
-                                ps.peak_skid = ps.peak_skid.max(ps.skid.len());
-                            } else {
-                                // Headroom overflow: the one loss mode.
-                                ps.trace.drops += 1;
-                                skid_overflow += 1;
-                            }
-                            // Wake the port (no earlier than its
-                            // transmitter allows) and re-evaluate its
-                            // pause signal at the arrival instant.
-                            let wake = now.max(ps.busy_until);
-                            if !ps.done && ps.t.map_or(true, |t| t > wake) {
-                                ps.t = Some(wake);
-                                due[i] = wake;
-                            }
-                            eval_pause!(i, now);
-                            // The pool peaks at admission instants (a
-                            // round's burst may drain it before the
-                            // round-end sample).
-                            max_pool_live =
-                                max_pool_live.max(fabric_live(&self.switch, &lent, &owned));
-                        }
-                    }
-
-                    // Pull the next packet and classify it.
-                    let s = &mut srcs[si];
-                    s.next = s.src.next_packet();
-                    s.target = s.next.as_ref().and_then(|p| {
-                        let port = (self.switch.classifier)(p);
-                        (port < n).then_some((port, p.class))
-                    });
-                    if let Some((port, class)) = s.target {
-                        let visible = ports[port]
-                            .classes
-                            .get(class as usize)
-                            .is_some_and(|cs| cs.visible);
-                        if visible && !s.blocked {
-                            s.blocked = true;
-                            s.blocked_since = now;
-                            s.stats.pauses += 1;
-                            s.src.pause(now);
-                        }
-                    }
-                    // Re-key the head in place; a source blocked by an
-                    // already-visible pause (or exhausted) leaves.
-                    let mut head = emit_cal.peek_mut().expect("the emitter heads the calendar");
-                    match emit_at(s) {
-                        Some(t) => head.0 .0 = t,
-                        None => {
-                            PeekMut::pop(head);
-                        }
-                    }
-                }
-
-                // --- scheduling round --------------------------------
-                _ => {
-                    let (_, i) = next_round.expect("picked round");
-                    rounds += 1;
-                    if rounds > self.cfg.round_budget {
-                        stall = Some(FabricStall {
-                            kind: StallKind::RoundBudget { rounds },
-                            at: now,
-                            paused_for: oldest_pause
-                                .map_or(Nanos::ZERO, |(s, ..)| now.saturating_sub(s)),
-                        });
-                        break;
-                    }
-                    if now >= self.switch.horizon {
-                        ports[i].done = true;
-                        ports[i].t = None;
-                        due[i] = Nanos::MAX;
-                        continue;
-                    }
-                    let stuck = faults.stuck_pool_at.is_some_and(|t| now >= t);
-
-                    // Admit gated skid packets, oldest first, each at
-                    // its own arrival instant — stop at the first the
-                    // pool still refuses (head-of-line, not reorder).
-                    while let Some(front) = ports[i].skid.front() {
-                        if front.arrival > now || stuck || !port!(i).would_admit(Some(front.flow)) {
-                            break;
-                        }
-                        let ps = &mut ports[i];
-                        let p = ps.skid.pop_front().expect("peeked front");
-                        skid_total -= 1;
-                        let (class, at) = (p.class as usize, p.arrival);
-                        ps.classes[class].skid -= 1;
-                        if port!(i).enqueue(p, at) {
-                            ps.classes[class].occ += 1;
-                        } else {
-                            ps.trace.drops += 1;
-                        }
-                    }
-                    max_pool_live = max_pool_live.max(fabric_live(&self.switch, &lent, &owned));
-
-                    // Up to `burst` dequeues decided at `now` (a dead port
-                    // decides nothing), each leaving the tree for the
-                    // wire back-to-back at the port's (possibly
-                    // fault-slowed) line rate.
-                    let burst = if dead(i) { 0 } else { self.switch.burst };
-                    let (port, mut tree) = (&mut ports[i], port!(i));
-                    let (mut t, mut sent) = (now, 0);
-                    while sent < burst {
-                        let Some(p) = tree.dequeue(now) else {
-                            break;
-                        };
-                        let cs = &mut port.classes[p.class as usize];
-                        cs.occ = cs.occ.saturating_sub(1);
-                        t = transmit(p, t, rate[i], &mut port.trace.departures);
-                        sent += 1;
-                    }
-
-                    let round_end = if sent == 0 {
-                        // Idle: hop to the next local cause — a future
-                        // skid arrival or a shaping release — or park
-                        // until an emission or another port's progress
-                        // wakes us (a gated head, arrival <= now, cannot
-                        // be hopped to: it waits for pool space).
-                        let next_skid = ports[i].skid.front().map(|p| p.arrival);
-                        let next_ready = self.switch.ports[i].next_shaping_event();
-                        let next = [next_skid, next_ready].into_iter().flatten().min();
-                        ports[i].busy_until = now;
-                        ports[i].t = next.filter(|&t| t > now);
-                        due[i] = due_of(&ports[i]);
-                        now
-                    } else {
-                        let port = &mut ports[i];
-                        port.busy_until = t;
-                        port.t = Some(t);
-                        due[i] = t;
-                        // Progress frees pool space: wake parked ports
-                        // whose skid heads may now be admissible (none
-                        // can be parked on one while every skid is empty).
-                        if skid_total > 0 {
-                            for (j, other) in ports.iter_mut().enumerate() {
-                                if j != i
-                                    && !other.done
-                                    && other.t.is_none()
-                                    && !other.skid.is_empty()
-                                {
-                                    let wake = t.max(other.busy_until);
-                                    other.t = Some(wake);
-                                    due[j] = wake;
-                                }
-                            }
-                        }
-                        t
-                    };
-                    // Re-evaluate the pause signal at the instant the
-                    // round's effect is complete: the last transmit
-                    // finish, or the decision time of an idle round.
-                    eval_pause!(i, round_end);
-                    max_pool_live = max_pool_live.max(fabric_live(&self.switch, &lent, &owned));
-                    if sample_every.is_some_and(|every| rounds % every == 0) {
-                        g_pool.push(round_end, fabric_live(&self.switch, &lent, &owned) as u64);
-                        g_paused.push(round_end, paused_pairs as u64);
-                        g_skid.push(round_end, skid_total as u64);
+        let round_end = if sent == 0 {
+            // Idle: hop to the next local cause — a future skid arrival
+            // or a shaping release — or park until an emission or another
+            // port's progress wakes us (a gated head, arrival <= now,
+            // cannot be hopped to: it waits for pool space).
+            let next_skid = ps.skid.front().map(|p| p.arrival);
+            let next = next_skid.into_iter().chain(tree.next_shaping_event()).min();
+            ps.busy_until = now;
+            self.schedule(i, next.filter(|&t| t > now));
+            now
+        } else {
+            ps.busy_until = t;
+            self.schedule(i, Some(t));
+            // Progress frees pool space: wake parked ports whose skid
+            // heads may now be admissible (none can be parked on one while
+            // every skid is empty; this port is not parked).
+            if self.skid_total > 0 {
+                for j in 0..self.ports.len() {
+                    let other = &self.ports[j];
+                    if !other.done && other.t.is_none() && !other.skid.is_empty() {
+                        self.schedule(j, Some(t.max(other.busy_until)));
                     }
                 }
             }
+            t
+        };
+        // Re-evaluate the pause signal at the instant the round's effect
+        // is complete: the last transmit finish, or the decision time of
+        // an idle round.
+        self.eval_pause(i, round_end);
+        if self.sample_every.is_some_and(|n| self.rounds % n == 0) {
+            let [pool, paused, skid] = &mut self.gauges;
+            pool.push(round_end, self.pool.live() as u64);
+            paused.push(round_end, self.paused_pairs as u64);
+            skid.push(round_end, self.skid_total as u64);
         }
+    }
 
-        // A cleanly drained fabric resolves any pause still asserted
-        // (e.g. one tripped by the very last round) so the event log
-        // reconciles: every pause has a matching resume or the stall
-        // report explains why not.
+    /// The switch-side pause evaluation for port `i` at `now`: compare
+    /// every seen class's pressure against the watermarks, and the
+    /// pool's port-side probe, and signal each transition.
+    fn eval_pause(&mut self, i: usize, now: Nanos) {
+        let port = self.switch.ports[i].pool_handle().port();
+        let pool_ok = !self.stuck(now) && self.pool.would_admit(port);
+        let Watermarks { xoff, xon } = self.cfg.watermarks;
+        for class in 0..self.ports[i].classes.len() {
+            let ps = &mut self.ports[i];
+            let cs = &mut ps.classes[class];
+            let pressure = cs.occ + cs.skid;
+            let action = match cs.paused_since {
+                _ if !cs.seen => continue,
+                None if pressure >= xoff || !pool_ok => {
+                    cs.paused_since = Some(now);
+                    self.paused.push(Reverse((now, i, class as u8)));
+                    self.paused_pairs += 1;
+                    PauseAction::Pause
+                }
+                Some(since) if pressure <= xon && pool_ok => {
+                    // Its pause-index entry is stale from here.
+                    cs.paused_since = None;
+                    self.paused_pairs -= 1;
+                    ps.paused_total += now.saturating_sub(since);
+                    PauseAction::Resume
+                }
+                _ => continue,
+            };
+            let delay = match action {
+                PauseAction::Pause => self.cfg.wire_delay,
+                PauseAction::Resume => self.cfg.wire_delay + self.faults.resume_delay,
+            };
+            // The frame carries the logged event: frames leave in
+            // decision order at one delivery instant.
+            self.frames
+                .push(Reverse((now + delay, self.pause_events.len())));
+            self.pause_events.push(PauseEvent {
+                time: now,
+                port: i,
+                class: class as u8,
+                action,
+            });
+        }
+    }
+
+    /// End the run and report it. A cleanly drained fabric first
+    /// resolves any pause still asserted (e.g. one tripped by the very
+    /// last round) and closes every source's pause, so the event log
+    /// reconciles: every pause has a matching resume or the stall report
+    /// explains why not.
+    fn finish(mut self, stall: Option<FabricStall>) -> LosslessRun {
         if stall.is_none() {
-            let end = pause_events.last().map_or(Nanos::ZERO, |e| e.time);
-            for (i, ps) in ports.iter_mut().enumerate() {
+            let end = self.pause_events.last().map_or(Nanos::ZERO, |e| e.time);
+            for (i, ps) in self.ports.iter_mut().enumerate() {
                 for (class, cs) in ps.classes.iter_mut().enumerate() {
                     if let Some(since) = cs.paused_since.take() {
                         ps.paused_total += end.saturating_sub(since);
-                        pause_events.push(PauseEvent {
+                        self.pause_events.push(PauseEvent {
                             time: end,
                             port: i,
                             class: class as u8,
@@ -1217,33 +1145,25 @@ impl LosslessFabric {
                     }
                 }
             }
-            for s in srcs.iter_mut() {
-                if s.blocked {
-                    s.blocked = false;
-                    s.stats.resumes += 1;
-                    let dur = end.saturating_sub(s.blocked_since);
-                    s.stats.total_paused += dur;
-                    s.stats.max_pause = s.stats.max_pause.max(dur);
-                }
+            for s in self.srcs.iter_mut().filter(|s| s.blocked.is_some()) {
+                s.unblock(end);
             }
         }
-
+        let traces = (self.ports.iter_mut().zip(self.switch.ports.iter_mut()))
+            .map(|(ps, tree)| {
+                ps.trace.take_paths(tree);
+                std::mem::take(&mut ps.trace)
+            })
+            .collect();
         let run = SwitchRun {
-            ports: ports
-                .iter_mut()
-                .zip(&mut self.switch.ports)
-                .map(|(p, tree)| {
-                    p.trace.take_paths(tree);
-                    std::mem::take(&mut p.trace)
-                })
-                .collect(),
-            misrouted,
+            ports: traces,
+            misrouted: self.misrouted,
         };
         let telemetry = self.switch.telemetry_snapshot(&run).map(|mut snap| {
             // Pause/resume transitions and the stall verdict are driver
             // state, not tree state: synthesize their trace events here,
             // off the hot path.
-            let pauses = pause_events.iter().map(|e| TraceEvent {
+            let pauses = self.pause_events.iter().map(|e| TraceEvent {
                 time: e.time,
                 kind: match e.action {
                     PauseAction::Pause => EventKind::Pause,
@@ -1281,21 +1201,103 @@ impl LosslessFabric {
             // Stable: at one `(time, port)` the trees' events stay ahead
             // of the fabric's, in recording order.
             snap.sort_events();
-            snap.gauges.extend([g_pool, g_paused, g_skid]);
+            snap.gauges.extend(self.gauges);
             snap
         });
-
         LosslessRun {
             run,
-            pause_events,
+            pause_events: self.pause_events,
             stall,
-            sources: srcs.iter().map(|s| s.stats).collect(),
-            port_paused: ports.iter().map(|p| p.paused_total).collect(),
-            peak_skid: ports.iter().map(|p| p.peak_skid).collect(),
-            skid_overflow,
-            max_pool_live,
-            rounds,
+            sources: self.srcs.iter().map(|s| s.stats).collect(),
+            port_paused: self.ports.iter().map(|p| p.paused_total).collect(),
+            peak_skid: self.ports.iter().map(|p| p.peak_skid).collect(),
+            skid_overflow: self.skid_overflow,
+            max_pool_live: self.max_pool_live,
+            rounds: self.rounds,
             telemetry,
+        }
+    }
+}
+
+/// A [`Switch`] driven closed-loop: watermark-triggered PFC pause and
+/// resume to the traffic sources instead of admission drops. Build the
+/// switch on one shared pool (under
+/// [`AdmissionPolicy::PortFlow`](pifo_core::pool::AdmissionPolicy) for
+/// the intended configuration), wrap it, and [`run`](Self::run) it
+/// against live [`TrafficSource`]s.
+pub struct LosslessFabric {
+    switch: Switch,
+    cfg: LosslessConfig,
+    /// The pool every port's tree buffers in.
+    pool: SharedPool,
+}
+
+impl LosslessFabric {
+    /// Wrap `switch` in the lossless control loop under `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the first port that does not, unless every port's
+    /// tree buffers in one [`SharedPool`] — §5.1's one buffer, the pool
+    /// [`LosslessConfig::min_pool_capacity`] sizes (build the switch
+    /// with `SwitchBuilder::with_shared_pool` and `add_shared_port`).
+    pub fn new(switch: Switch, cfg: LosslessConfig) -> Self {
+        let pool = switch.ports[0].pool_handle().shared().cloned();
+        for (i, tree) in switch.ports.iter().enumerate() {
+            let shared = tree.pool_handle().shared().zip(pool.as_ref());
+            assert!(
+                shared.is_some_and(|(p, q)| p.same_pool(q)),
+                "LosslessFabric::new: port {i} does not buffer in the fabric's one shared pool"
+            );
+        }
+        let pool = pool.expect("port 0 buffers in the shared pool");
+        LosslessFabric { switch, cfg, pool }
+    }
+
+    /// The wrapped switch (tree/pool inspection after a run).
+    pub fn switch(&self) -> &Switch {
+        &self.switch
+    }
+
+    /// The control-loop configuration.
+    pub fn config(&self) -> &LosslessConfig {
+        &self.cfg
+    }
+
+    /// Run `sources` through the fabric under `faults`
+    /// ([`FaultPlan::default`] injects none).
+    ///
+    /// Sources are polled lazily — a paused source is simply not asked
+    /// for packets — and every decision happens in one deterministic
+    /// global `(time, kind, index)` event order: control-frame
+    /// deliveries, then emissions, then scheduling rounds at equal
+    /// times, index-ordered within a kind. That order is sequential by
+    /// nature — the pause wire couples every port, see the module docs.
+    ///
+    /// Each port's departure trace is allocated once, sized from what
+    /// its sources can still send ([`TrafficSource::size_hint`]); a
+    /// source without a bound makes its port's trace grow as it fills.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the port and its backlog, if a port's tree still
+    /// holds packets (a stalled or horizon-cut earlier run leaves them):
+    /// the run's per-class pressure starts from empty trees.
+    pub fn run(&mut self, sources: Vec<Box<dyn TrafficSource>>, faults: FaultPlan) -> LosslessRun {
+        for (i, tree) in self.switch.ports.iter().enumerate() {
+            assert!(
+                tree.is_empty() && tree.shaped_len() == 0,
+                "LosslessFabric::run: port {i}'s tree still holds {} packets ({} shaped) \
+                 from an earlier run; a lossless run starts from empty trees",
+                tree.len(),
+                tree.shaped_len()
+            );
+        }
+        let mut driver = Driver::new(self, &faults, sources);
+        loop {
+            if let ControlFlow::Break(stall) = driver.step() {
+                return driver.finish(stall);
+            }
         }
     }
 }
@@ -1413,6 +1415,28 @@ mod tests {
         assert_eq!(stall.kind, StallKind::DeadPort { port: 0 });
         // Port 1 kept transmitting — the fault is contained.
         assert!(!run.run.ports[1].departures.is_empty());
+    }
+
+    /// A lossless fabric is one shared buffer: a port that owns its pool
+    /// is refused, by name.
+    #[test]
+    #[should_panic(expected = "port 2 does not buffer in the fabric's one shared pool")]
+    fn private_pool_port_rejected() {
+        let mut sb = SwitchBuilder::new(8_000_000_000);
+        sb.with_shared_pool(64, AdmissionPolicy::Unlimited);
+        let stfq = |b: &mut TreeBuilder| b.add_root("stfq", Box::new(Stfq::unweighted()));
+        for _ in 0..2 {
+            sb.add_shared_port(|h| {
+                let mut b = TreeBuilder::new();
+                let root = stfq(&mut b);
+                b.build_in_pool(Box::new(move |_| root), h).unwrap()
+            });
+        }
+        let mut b = TreeBuilder::new();
+        let root = stfq(&mut b);
+        sb.add_port(b.build(Box::new(move |_| root)).unwrap());
+        let switch = sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 3));
+        let _ = LosslessFabric::new(switch, LosslessConfig::new(8, 2));
     }
 
     /// Config invariants hold and are enforced.

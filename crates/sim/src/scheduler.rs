@@ -82,8 +82,8 @@ impl PortScheduler for ScheduleTree {
 }
 
 /// A port's tree with the shared pool its drain holds (`None` for a
-/// tree that owns its pool): what `Switch::run` and the lossless fabric
-/// hand each operation, so no tree operation locks.
+/// tree that owns its pool): what `Switch::run` hands each operation, so
+/// no tree operation locks.
 pub(crate) struct LentTree<'a, 'p> {
     pub(crate) tree: &'a mut ScheduleTree,
     pub(crate) pool: Option<&'a mut LentPool<'p>>,
@@ -98,16 +98,6 @@ impl LentTree<'_, '_> {
             (None, TreePool::Shared(h)) => {
                 panic!("port {}: drained without its shared pool", h.port())
             }
-        }
-    }
-
-    /// The pool's admission verdict for this tree's port: the port side
-    /// alone, or the full verdict for a packet of `flow`.
-    pub(crate) fn would_admit(&self, flow: Option<FlowId>) -> bool {
-        let (pool, port) = (self.pool(), self.tree.pool_handle().port());
-        match flow {
-            Some(flow) => pool.would_admit_flow(port, flow),
-            None => pool.would_admit(port),
         }
     }
 }

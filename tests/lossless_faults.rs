@@ -252,3 +252,49 @@ fn slow_drain_completes_without_stall() {
     // The slowed port was paused harder than its healthy peers.
     assert!(run.port_paused[0] > run.port_paused[1]);
 }
+
+/// A CBR stream of `class` packets on `flow` (port `flow % PORTS`),
+/// overdriving its port 1.5×.
+fn cbr(flow: u32, class: u8) -> Box<dyn TrafficSource> {
+    let src = CbrSource::new(
+        FlowId(flow),
+        1_000,
+        15_000_000_000,
+        Nanos::ZERO,
+        Nanos(40_000),
+    );
+    Box::new(src.with_class(class))
+}
+
+/// A stall leaves packets in the dead port's tree. A second run refuses
+/// to start on them, naming the port, rather than dequeue packets whose
+/// class its per-class pressure never counted.
+#[test]
+#[should_panic(expected = "port 2's tree still holds")]
+fn a_run_after_a_stall_refuses_the_leftover_backlog() {
+    let mut fabric = build_fabric();
+    let stalled = fabric.run(
+        (0..PORTS as u32).map(|f| cbr(f, 3)).collect(),
+        FaultPlan::none().dead_port(2),
+    );
+    assert_eq!(
+        stalled.stall.map(|s| s.kind),
+        Some(StallKind::DeadPort { port: 2 })
+    );
+    fabric.run(vec![cbr(2, 0)], FaultPlan::none());
+}
+
+/// A cleanly drained fabric runs again, and the second run is the
+/// first one over.
+#[test]
+fn a_run_after_a_clean_drain_starts_afresh() {
+    let mut fabric = build_fabric();
+    let first = fabric.run(sources(PORTS), FaultPlan::none());
+    assert!(first.stall.is_none(), "{:?}", first.stall);
+    assert!(
+        first.count_events(PauseAction::Pause) > 0,
+        "the load pauses"
+    );
+    let second = fabric.run(sources(PORTS), FaultPlan::none());
+    assert_same_run(&first, &second);
+}
