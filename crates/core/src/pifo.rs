@@ -67,6 +67,14 @@
 //! an interior node) rather than every packet beneath it. It pops in
 //! exactly [`SortedArrayPifo`]'s order, which the `EXACT` differential
 //! suites check by running the reference at every node.
+//!
+//! It comes in two halves, as in §5.2's PIFO block: a [`FlowScheduler`]
+//! per logical PIFO (the heap of flow heads, the flow table, the push
+//! counter) and a [`RankStore`] (the cells of the flow FIFOs and one
+//! LIFO free list), which several schedulers may share. A `FlowPifo`
+//! owns one of each; a scheduling tree shares one store among all its
+//! flow-sorting nodes, as every logical PIFO mapped to a PIFO block
+//! shares the block's rank store.
 
 use crate::packet::FlowId;
 use crate::rank::Rank;
@@ -924,49 +932,90 @@ struct FlowCell<T> {
     item: Option<T>,
 }
 
-/// Fig 12's decomposition of one PIFO: a small heap of per-flow **heads**
-/// (the flow scheduler) over per-flow FIFOs (the rank store, §5.2).
+/// The rank store of §5.2: the cells that hold the elements of every
+/// flow FIFO of one or more [`FlowScheduler`]s, with one LIFO free list.
 ///
-/// Exact only under a precondition the caller declares: within one flow,
-/// ranks never decrease
-/// ([`SchedulingTransaction::ranks_monotone_per_flow`](
-/// crate::transaction::SchedulingTransaction::ranks_monotone_per_flow)).
-/// Then each flow's elements are already in `(rank, seq)` order, so the
-/// global minimum is the minimum over flow heads, and a pop sorts among
-/// the active flows instead of among every buffered element. [`push`](
-/// Self::push) asserts the precondition in every build. Strictly, only
-/// a flow's *queued* elements must be in rank order: a flow that drains
-/// leaves the table and may return at any rank.
-///
-/// Pops come out in exactly [`SortedArrayPifo`]'s `(rank, seq)` order,
-/// FIFO ties across flows included, because a head is keyed by its
-/// element's *original* push sequence number, not one taken when it
-/// became the head. (The hardware model's flow scheduler re-inserts
-/// heads in arrival order and is not exact on cross-flow ties.)
-///
-/// Storage is one arena of cells with a free list, so a push or pop
-/// allocates only when the arena or the flow table grows past its peak.
-/// A flow's table entry is removed when its FIFO empties: state is
-/// bounded by the *active* flows, not by every flow ever seen.
-///
-/// ```
-/// use pifo_core::pifo::FlowPifo;
-/// use pifo_core::prelude::*;
-///
-/// let mut q = FlowPifo::new();
-/// q.push(FlowId(1), Rank(10), "a1");
-/// q.push(FlowId(2), Rank(10), "b1");
-/// q.push(FlowId(1), Rank(20), "a2");
-/// q.push(FlowId(2), Rank(15), "b2");
-/// let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-/// assert_eq!(order, ["a1", "b1", "b2", "a2"]);
-/// assert_eq!(q.flows(), 0, "drained flows leave no table entries");
-/// ```
+/// In the paper's PIFO block, every logical PIFO mapped to the block
+/// shares one rank store; here every flow-sorting node of one
+/// [`ScheduleTree`](crate::tree::ScheduleTree) shares one `RankStore`.
+/// The store only decides which cell holds an element: order is the
+/// schedulers'. Because the free list is LIFO across all of them, a
+/// push reuses the cell the most recent pop freed, whichever scheduler
+/// popped it, and the store grows only to the peak of the elements its
+/// schedulers hold together, not to the sum of their peaks. A push
+/// allocates only when the store grows past that peak.
 #[derive(Debug, Clone)]
-pub struct FlowPifo<T> {
+pub struct RankStore<T> {
     cells: Vec<FlowCell<T>>,
     /// Head of the free-cell list.
     free: u32,
+}
+
+impl<T> Default for RankStore<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> RankStore<T> {
+    /// An empty store.
+    pub fn new() -> Self {
+        RankStore {
+            cells: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Cells ever allocated: the most elements the store has held at
+    /// once.
+    pub fn high_water(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Cells on the free list. Walks the list: for tests and
+    /// introspection, not the per-packet path.
+    pub fn free_cells(&self) -> usize {
+        let linked = |i: u32| (i != NIL).then_some(i);
+        std::iter::successors(linked(self.free), |&i| linked(self.cells[i as usize].next))
+            .take(self.cells.len() + 1)
+            .count()
+    }
+
+    /// Cells holding an element: [`high_water`](Self::high_water) less
+    /// the free list (so it walks the list too).
+    pub fn live(&self) -> usize {
+        self.cells.len() - self.free_cells()
+    }
+
+    /// Take a cell from the free list, or grow the store.
+    fn alloc(&mut self, cell: FlowCell<T>) -> u32 {
+        if self.free == NIL {
+            let idx = u32::try_from(self.cells.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("a RankStore holds fewer than u32::MAX elements");
+            self.cells.push(cell);
+            idx
+        } else {
+            let idx = self.free;
+            let slot = &mut self.cells[idx as usize];
+            self.free = slot.next;
+            *slot = cell;
+            idx
+        }
+    }
+}
+
+/// Fig 12's flow scheduler for one logical PIFO: a small heap of
+/// per-flow **heads** over per-flow FIFOs whose cells live in a
+/// [`RankStore`] the caller passes in, which other schedulers may share.
+///
+/// Every call must pass the store that this scheduler's earlier pushes
+/// went to. [`FlowPifo`] pairs one scheduler with a store of its own;
+/// the scheduling tree runs one scheduler per flow-sorting node over one
+/// store for the whole tree. The semantics are [`FlowPifo`]'s.
+#[derive(Debug, Clone)]
+pub struct FlowScheduler {
     /// Active flow → its tail cell.
     tails: FlowIndex,
     /// Min-heap of flow heads keyed `(rank, seq, head cell, flow)`; `seq`
@@ -976,18 +1025,16 @@ pub struct FlowPifo<T> {
     len: usize,
 }
 
-impl<T> Default for FlowPifo<T> {
+impl Default for FlowScheduler {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> FlowPifo<T> {
-    /// An empty queue.
+impl FlowScheduler {
+    /// An empty scheduler.
     pub fn new() -> Self {
-        FlowPifo {
-            cells: Vec::new(),
-            free: NIL,
+        FlowScheduler {
             tails: FlowIndex::new(),
             heads: BinaryHeap::new(),
             seq: 0,
@@ -995,14 +1042,15 @@ impl<T> FlowPifo<T> {
         }
     }
 
-    /// Push `item` with `rank` onto the tail of `flow`'s FIFO.
+    /// Push `item` with `rank` onto the tail of `flow`'s FIFO, in a cell
+    /// of `store`.
     ///
     /// # Panics
     ///
-    /// Panics if `rank` is below the rank of `flow`'s current tail: the
-    /// caller broke the per-flow monotone precondition this queue's
-    /// exactness rests on.
-    pub fn push(&mut self, flow: FlowId, rank: Rank, item: T) {
+    /// Panics if `rank` is below the rank of `flow`'s current tail (see
+    /// [`FlowPifo::push`]).
+    #[inline]
+    pub fn push<T>(&mut self, store: &mut RankStore<T>, flow: FlowId, rank: Rank, item: T) {
         let seq = self.seq;
         self.seq += 1;
         let cell = FlowCell {
@@ -1014,18 +1062,18 @@ impl<T> FlowPifo<T> {
         match self.tails.find(flow) {
             Ok(at) => {
                 let tail = self.tails.slots[at].1 as usize;
-                let tail_rank = self.cells[tail].rank;
+                let tail_rank = store.cells[tail].rank;
                 assert!(
                     tail_rank <= rank,
                     "FlowPifo: flow {flow} pushed rank {rank} behind rank {tail_rank}; \
                      its transaction declared per-flow monotone ranks"
                 );
-                let idx = self.alloc(cell);
-                self.cells[tail].next = idx;
+                let idx = store.alloc(cell);
+                store.cells[tail].next = idx;
                 self.tails.slots[at].1 = idx;
             }
             Err(at) => {
-                let idx = self.alloc(cell);
+                let idx = store.alloc(cell);
                 self.tails.insert(at, flow, idx);
                 self.heads.push(Reverse((rank, seq, idx, flow)));
             }
@@ -1034,14 +1082,16 @@ impl<T> FlowPifo<T> {
     }
 
     /// Pop the head: the lowest `(rank, push order)` across all flows.
-    pub fn pop(&mut self) -> Option<(Rank, T)> {
+    /// Its cell goes back on `store`'s free list.
+    #[inline]
+    pub fn pop<T>(&mut self, store: &mut RankStore<T>) -> Option<(Rank, T)> {
         let mut top = self.heads.peek_mut()?;
         let Reverse((rank, _, idx, flow)) = *top;
-        let cell = &mut self.cells[idx as usize];
+        let cell = &mut store.cells[idx as usize];
         let item = cell.item.take().expect("a flow head is a live cell");
         let next = cell.next;
-        cell.next = self.free;
-        self.free = idx;
+        cell.next = store.free;
+        store.free = idx;
         if next == NIL {
             PeekMut::pop(top);
             let at = self.tails.find(flow).expect("an active flow has a tail");
@@ -1049,7 +1099,7 @@ impl<T> FlowPifo<T> {
         } else {
             // The flow's next element becomes its head under its own
             // original sequence number, which keeps cross-flow ties FIFO.
-            let head = &self.cells[next as usize];
+            let head = &store.cells[next as usize];
             *top = Reverse((head.rank, head.seq, next, flow));
         }
         self.len -= 1;
@@ -1057,9 +1107,10 @@ impl<T> FlowPifo<T> {
     }
 
     /// Inspect the head without removing it.
-    pub fn peek(&self) -> Option<(Rank, &T)> {
+    #[inline]
+    pub fn peek<'s, T>(&self, store: &'s RankStore<T>) -> Option<(Rank, &'s T)> {
         let Reverse((rank, _, idx, _)) = self.heads.peek()?;
-        let item = self.cells[*idx as usize].item.as_ref();
+        let item = store.cells[*idx as usize].item.as_ref();
         Some((*rank, item.expect("a flow head is a live cell")))
     }
 
@@ -1080,34 +1131,136 @@ impl<T> FlowPifo<T> {
     }
 
     /// Iterate over `(rank, item)` in dequeue order without removing.
-    /// Sorts a view of the rank store: for introspection, not the
-    /// per-packet path.
-    pub fn iter_in_order(&self) -> impl Iterator<Item = (Rank, &T)> {
-        let mut live: Vec<(Rank, u64, &T)> = self
-            .cells
-            .iter()
-            .filter_map(|c| c.item.as_ref().map(|item| (c.rank, c.seq, item)))
-            .collect();
+    /// Walks this scheduler's own flow chains from their heads (never
+    /// the whole store, which may hold other schedulers' elements) and
+    /// sorts them: for introspection, not the per-packet path.
+    pub fn iter_in_order<'s, T>(
+        &self,
+        store: &'s RankStore<T>,
+    ) -> impl Iterator<Item = (Rank, &'s T)> + 's {
+        let mut live: Vec<(Rank, u64, &T)> = Vec::with_capacity(self.len);
+        for &Reverse((_, _, head, _)) in self.heads.iter() {
+            let mut at = head;
+            while at != NIL {
+                let c = &store.cells[at as usize];
+                live.push((
+                    c.rank,
+                    c.seq,
+                    c.item.as_ref().expect("a queued cell is live"),
+                ));
+                at = c.next;
+            }
+        }
         live.sort_unstable_by_key(|&(rank, seq, _)| (rank, seq));
         live.into_iter().map(|(rank, _, item)| (rank, item))
     }
+}
 
-    /// Take a cell from the free list, or grow the arena.
-    fn alloc(&mut self, cell: FlowCell<T>) -> u32 {
-        if self.free == NIL {
-            let idx = u32::try_from(self.cells.len())
-                .ok()
-                .filter(|&i| i != NIL)
-                .expect("FlowPifo holds fewer than u32::MAX elements");
-            self.cells.push(cell);
-            idx
-        } else {
-            let idx = self.free;
-            let slot = &mut self.cells[idx as usize];
-            self.free = slot.next;
-            *slot = cell;
-            idx
+/// Fig 12's decomposition of one PIFO: a small heap of per-flow **heads**
+/// (the flow scheduler) over per-flow FIFOs (the rank store, §5.2).
+///
+/// Exact only under a precondition the caller declares: within one flow,
+/// ranks never decrease
+/// ([`SchedulingTransaction::ranks_monotone_per_flow`](
+/// crate::transaction::SchedulingTransaction::ranks_monotone_per_flow)).
+/// Then each flow's elements are already in `(rank, seq)` order, so the
+/// global minimum is the minimum over flow heads, and a pop sorts among
+/// the active flows instead of among every buffered element. [`push`](
+/// Self::push) asserts the precondition in every build. Strictly, only
+/// a flow's *queued* elements must be in rank order: a flow that drains
+/// leaves the table and may return at any rank.
+///
+/// Pops come out in exactly [`SortedArrayPifo`]'s `(rank, seq)` order,
+/// FIFO ties across flows included, because a head is keyed by its
+/// element's *original* push sequence number, not one taken when it
+/// became the head. (The hardware model's flow scheduler re-inserts
+/// heads in arrival order and is not exact on cross-flow ties.)
+///
+/// The two halves are separate types: a [`FlowScheduler`] (the heads
+/// and the flow table) over a [`RankStore`] (the cells and their free
+/// list). A `FlowPifo` owns one of each; the scheduling tree runs one
+/// scheduler per flow-sorting node over a single store, as a PIFO
+/// block's logical PIFOs share its rank store (§5.2). Either way a push
+/// or pop allocates only when the store or the flow table grows past
+/// its peak. A flow's table entry is removed when its FIFO empties:
+/// state is bounded by the *active* flows, not by every flow ever seen.
+///
+/// ```
+/// use pifo_core::pifo::FlowPifo;
+/// use pifo_core::prelude::*;
+///
+/// let mut q = FlowPifo::new();
+/// q.push(FlowId(1), Rank(10), "a1");
+/// q.push(FlowId(2), Rank(10), "b1");
+/// q.push(FlowId(1), Rank(20), "a2");
+/// q.push(FlowId(2), Rank(15), "b2");
+/// let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+/// assert_eq!(order, ["a1", "b1", "b2", "a2"]);
+/// assert_eq!(q.flows(), 0, "drained flows leave no table entries");
+/// ```
+#[derive(Debug, Clone)]
+pub struct FlowPifo<T> {
+    sched: FlowScheduler,
+    store: RankStore<T>,
+}
+
+impl<T> Default for FlowPifo<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> FlowPifo<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        FlowPifo {
+            sched: FlowScheduler::new(),
+            store: RankStore::new(),
         }
+    }
+
+    /// Push `item` with `rank` onto the tail of `flow`'s FIFO.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is below the rank of `flow`'s current tail: the
+    /// caller broke the per-flow monotone precondition this queue's
+    /// exactness rests on.
+    pub fn push(&mut self, flow: FlowId, rank: Rank, item: T) {
+        self.sched.push(&mut self.store, flow, rank, item);
+    }
+
+    /// Pop the head: the lowest `(rank, push order)` across all flows.
+    pub fn pop(&mut self) -> Option<(Rank, T)> {
+        self.sched.pop(&mut self.store)
+    }
+
+    /// Inspect the head without removing it.
+    pub fn peek(&self) -> Option<(Rank, &T)> {
+        self.sched.peek(&self.store)
+    }
+
+    /// Number of buffered elements.
+    pub fn len(&self) -> usize {
+        self.sched.len()
+    }
+
+    /// True when no element is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.sched.is_empty()
+    }
+
+    /// Number of flow-table entries: the flows with at least one element
+    /// buffered.
+    pub fn flows(&self) -> usize {
+        self.sched.flows()
+    }
+
+    /// Iterate over `(rank, item)` in dequeue order without removing.
+    /// Sorts a view of the queued elements: for introspection, not the
+    /// per-packet path.
+    pub fn iter_in_order(&self) -> impl Iterator<Item = (Rank, &T)> {
+        self.sched.iter_in_order(&self.store)
     }
 }
 
@@ -1470,7 +1623,7 @@ mod tests {
         while q.pop().is_some() {}
         assert_eq!(q.flows(), 0);
         assert!(
-            q.cells.len() <= 9 && q.tails.slots.len() <= 4 * 9,
+            q.store.cells.len() <= 9 && q.sched.tails.slots.len() <= 4 * 9,
             "storage grew past the peak"
         );
     }

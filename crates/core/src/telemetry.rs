@@ -20,7 +20,10 @@
 //!   [`PathLog`] — a 40-byte [`PathRecord`] header over a hop arena that
 //!   holds only the hops its walk took — for post-hoc joins against the
 //!   departure trace. A fabric hands each port's log to its tree for the
-//!   length of a run and takes it back at the end.
+//!   length of a run, stamps each record's departure in the round that
+//!   sends its packet, and takes the log back at the end. A record in
+//!   flight is staged by the port's [`PathRecorder`], which grows with
+//!   the packets the port holds, not with the pool's slot count.
 //! * [`GaugeSeries`] — named time series of sampled counters (per-port
 //!   queue depth, pool occupancy, free-list length, paused-class count,
 //!   inversion counters), assembled by the simulation layer.
@@ -469,18 +472,26 @@ impl PathLog {
     }
 }
 
-/// One pool slot's in-flight record. `hops` past `head.hop_count` is
-/// whatever the slot's previous occupants left there.
+/// One in-flight record. `hops` past `head.hop_count` is whatever the
+/// stage's previous occupants left there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct InFlight {
-    live: bool,
     head: PathRecord,
     hops: [PathHop; MAX_PATH_HOPS],
 }
 
+/// The mark of a pool slot with no record in flight.
+const NO_STAGE: u32 = u32::MAX;
+
 /// Accumulates [`PathRecord`]s for in-flight packets, keyed by their
 /// packet-pool slot, and appends each to the caller's [`PathLog`] when it
 /// finishes, so a log holds its records in departure order.
+///
+/// A record is staged in a dense array that grows only to the most
+/// records this recorder has had in flight at once (its port's peak
+/// occupancy); a slot reaches its stage through a four-byte index. A
+/// tree on a fabric-wide shared pool therefore pays four bytes per pool
+/// slot it has used, not a whole staged record.
 ///
 /// `hop` and `finish` are no-ops for slots with no record in flight, so
 /// hook sites never need to know whether a given walk belongs to a
@@ -488,7 +499,11 @@ struct InFlight {
 /// departed).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PathRecorder {
-    inflight: Vec<InFlight>,
+    /// Pool slot → its record's index in `stages`, or `NO_STAGE`.
+    stage_of: Vec<u32>,
+    stages: Vec<InFlight>,
+    /// Stages whose record finished, reused last-freed first.
+    spare: Vec<u32>,
 }
 
 impl PathRecorder {
@@ -498,14 +513,21 @@ impl PathRecorder {
     }
 
     /// Start a record for the packet admitted into pool slot `slot`.
-    /// Resets the slot's header only: the hop storage is reused as is.
+    /// Resets the stage's header only: the hop storage is reused as is.
     pub fn begin(&mut self, slot: usize, packet: u64, flow: FlowId, port: u16, enqueued: Nanos) {
-        if slot >= self.inflight.len() {
-            self.inflight.resize(slot + 1, InFlight::default());
+        if slot >= self.stage_of.len() {
+            self.stage_of.resize(slot + 1, NO_STAGE);
         }
-        let s = &mut self.inflight[slot];
-        s.live = true;
-        s.head = PathRecord {
+        if self.stage_of[slot] == NO_STAGE {
+            self.stage_of[slot] = match self.spare.pop() {
+                Some(stage) => stage,
+                None => {
+                    self.stages.push(InFlight::default());
+                    u32::try_from(self.stages.len() - 1).expect("fewer than 2³² records in flight")
+                }
+            };
+        }
+        self.stages[self.stage_of[slot] as usize].head = PathRecord {
             packet,
             flow,
             port,
@@ -517,12 +539,19 @@ impl PathRecorder {
         };
     }
 
+    /// The stage of slot `slot`'s record in flight, if any.
+    #[inline]
+    fn stage(&self, slot: usize) -> Option<u32> {
+        self.stage_of.get(slot).copied().filter(|&s| s != NO_STAGE)
+    }
+
     /// Append a hop to slot `slot`'s record (no-op when untracked; sets
     /// `truncated` past [`MAX_PATH_HOPS`]).
     pub fn hop(&mut self, slot: usize, node: u32, rank: u64, depth: u32, entered: Nanos) {
-        let Some(s) = self.inflight.get_mut(slot).filter(|s| s.live) else {
+        let Some(stage) = self.stage(slot) else {
             return;
         };
+        let s = &mut self.stages[stage as usize];
         let n = s.head.hop_count as usize;
         if n < MAX_PATH_HOPS {
             s.hops[n] = PathHop {
@@ -540,10 +569,12 @@ impl PathRecorder {
     /// Close slot `slot`'s record at `departed` and append it, with the
     /// hops it took, to `log` (no-op when untracked).
     pub fn finish(&mut self, slot: usize, departed: Nanos, log: &mut PathLog) {
-        let Some(s) = self.inflight.get_mut(slot).filter(|s| s.live) else {
+        let Some(stage) = self.stage(slot) else {
             return;
         };
-        s.live = false;
+        self.stage_of[slot] = NO_STAGE;
+        self.spare.push(stage);
+        let s = &self.stages[stage as usize];
         log.records.push(PathRecord {
             departed,
             first_hop: log.hops.len() as u64,
@@ -853,6 +884,27 @@ mod tests {
         let third = log.get(2).expect("third occupant");
         assert_eq!(third.packet, 3);
         assert!(third.hops().is_empty());
+    }
+
+    /// Staging grows with the records in flight, not with the slot
+    /// indices: two packets far apart in a large shared pool stage two
+    /// records, and a finished record's stage serves the next packet.
+    #[test]
+    fn staging_grows_with_records_in_flight_not_slot_indices() {
+        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
+        pr.begin(59_999, 1, FlowId(1), 0, Nanos(0));
+        pr.begin(30_000, 2, FlowId(2), 0, Nanos(1));
+        pr.hop(59_999, 4, 40, 0, Nanos(0));
+        assert_eq!(pr.stages.len(), 2);
+        pr.finish(59_999, Nanos(2), &mut log);
+        pr.begin(7, 3, FlowId(3), 0, Nanos(3));
+        assert_eq!(pr.stages.len(), 2, "the freed stage is reused");
+        pr.finish(7, Nanos(4), &mut log);
+        pr.finish(30_000, Nanos(5), &mut log);
+        let packets: Vec<u64> = log.iter().map(|r| r.packet).collect();
+        assert_eq!(packets, [1, 3, 2]);
+        assert_eq!(log.get(0).expect("first").hops()[0].node, 4);
+        assert!(log.get(1).expect("second").hops().is_empty());
     }
 
     #[test]

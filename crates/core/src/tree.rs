@@ -41,13 +41,27 @@
 //! per-flow monotone ranks
 //! ([`SchedulingTransaction::ranks_monotone_per_flow`], e.g. STFQ) and
 //! its backend is the heap or the bucket calendar, the node runs Fig
-//! 12's decomposition, [`FlowPifo`]: a heap of flow heads (its children,
-//! or its packets' flows at a leaf) over per-flow FIFOs. A pop then
-//! sorts among the node's active flows, not among every buffered
-//! element, and the order is exactly the sorted reference's. Every other
-//! node — the `SortedArray` reference, the approximate engines, and
-//! undeclared transactions such as SRPT, LSTF or EDF — runs the engine
-//! its backend names, as an [`EnumPifo`].
+//! 12's decomposition ([`FlowPifo`](crate::pifo::FlowPifo)'s): a heap of
+//! flow heads (its children, or its packets' flows at a leaf) over
+//! per-flow FIFOs. A pop then sorts among the node's active flows, not
+//! among every buffered element, and the order is exactly the sorted
+//! reference's. Every other node — the `SortedArray` reference, the
+//! approximate engines, and undeclared transactions such as SRPT, LSTF
+//! or EDF — runs the engine its backend names, as an [`EnumPifo`].
+//!
+//! # One rank store per tree
+//!
+//! In the paper's PIFO block every logical PIFO mapped to the block
+//! shares one rank store, its cells and one free list (§5.2). A tree
+//! does the same: each flow-sorting node keeps only its flow scheduler
+//! ([`FlowScheduler`]: heads, flow table, push counter), and the cells of
+//! every such node's flow FIFOs live in one [`RankStore`] the tree owns.
+//! The store only decides which cell holds an element; order is each
+//! node's `(rank, push order)`, so departures are what per-node stores
+//! gave. The free list is LIFO across the tree, so an enqueue walk
+//! reuses the cells the previous dequeue walk freed, still in cache, and
+//! the store grows to the tree's peak of resident elements, not to the
+//! sum of every node's peak.
 //!
 //! # Invariants
 //!
@@ -60,7 +74,10 @@
 //!   any enqueue/dequeue at a later wall-clock time is processed.
 //! * Slab accounting: the tree's port occupancy `== len() +
 //!   shaped_refs_holding_packets()`, and the slab's free list is whole
-//!   again once the tree fully drains (no leaked slots).
+//!   again once the tree fully drains (no leaked slots). Likewise the
+//!   rank store's live cells equal the elements its flow-sorting nodes
+//!   hold, and its free list holds every cell it ever allocated once the
+//!   tree drains.
 //! * A node sorts flow heads only if its transaction declared per-flow
 //!   monotone ranks; a push that breaks the declaration panics instead
 //!   of mis-ordering. Either way the node pops in the reference's
@@ -68,7 +85,7 @@
 
 use crate::metrics::{InversionStats, InversionTracker};
 use crate::packet::{FlowId, Packet};
-use crate::pifo::{EnumPifo, FlowPifo, PifoBackend, PifoQueue};
+use crate::pifo::{EnumPifo, FlowScheduler, PifoBackend, PifoQueue, RankStore};
 use crate::pool::{AdmissionPolicy, LentPool, PktHandle, PoolHandle, SharedPacketPool, TreePool};
 use crate::rank::Rank;
 use crate::telemetry::{
@@ -251,16 +268,18 @@ struct Node {
 /// monomorphize: Fig 12's flow-head decomposition where the node's
 /// transaction declares per-flow monotone ranks and its backend is the
 /// heap or the bucket calendar; the backend's own engine otherwise.
+/// Every `Flows` node keeps its flow FIFOs in the tree's one
+/// [`RankStore`], which each call passes in (an `Engine` ignores it).
 enum SchedPifo {
     Engine(EnumPifo<Element>),
-    Flows(FlowPifo<Element>),
+    Flows(FlowScheduler),
 }
 
 impl SchedPifo {
     fn new(backend: PifoBackend, sched: &dyn SchedulingTransaction) -> Self {
         let exact_fast = matches!(backend, PifoBackend::Heap | PifoBackend::Bucket);
         if exact_fast && sched.ranks_monotone_per_flow() {
-            SchedPifo::Flows(FlowPifo::new())
+            SchedPifo::Flows(FlowScheduler::new())
         } else {
             SchedPifo::Engine(backend.make_enum())
         }
@@ -268,26 +287,26 @@ impl SchedPifo {
 
     /// Push an element of `flow` (the transaction's `EnqCtx::flow`).
     #[inline]
-    fn push(&mut self, flow: FlowId, rank: Rank, elem: Element) {
+    fn push(&mut self, store: &mut RankStore<Element>, flow: FlowId, rank: Rank, elem: Element) {
         match self {
             SchedPifo::Engine(q) => q.push(rank, elem),
-            SchedPifo::Flows(q) => q.push(flow, rank, elem),
+            SchedPifo::Flows(q) => q.push(store, flow, rank, elem),
         }
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<(Rank, Element)> {
+    fn pop(&mut self, store: &mut RankStore<Element>) -> Option<(Rank, Element)> {
         match self {
             SchedPifo::Engine(q) => q.pop(),
-            SchedPifo::Flows(q) => q.pop(),
+            SchedPifo::Flows(q) => q.pop(store),
         }
     }
 
     #[inline]
-    fn peek(&self) -> Option<(Rank, &Element)> {
+    fn peek<'a>(&'a self, store: &'a RankStore<Element>) -> Option<(Rank, &'a Element)> {
         match self {
             SchedPifo::Engine(q) => q.peek(),
-            SchedPifo::Flows(q) => q.peek(),
+            SchedPifo::Flows(q) => q.peek(store),
         }
     }
 
@@ -299,10 +318,13 @@ impl SchedPifo {
         }
     }
 
-    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &Element)> + '_> {
+    fn iter_in_order<'a>(
+        &'a self,
+        store: &'a RankStore<Element>,
+    ) -> Box<dyn Iterator<Item = (Rank, &'a Element)> + 'a> {
         match self {
             SchedPifo::Engine(q) => q.iter_in_order(),
-            SchedPifo::Flows(q) => Box::new(q.iter_in_order()),
+            SchedPifo::Flows(q) => Box::new(q.iter_in_order(store)),
         }
     }
 }
@@ -560,6 +582,7 @@ impl TreeBuilder {
             .collect();
         let state = TreeState {
             nodes,
+            store: RankStore::new(),
             backend,
             root: NodeId(0),
             classifier,
@@ -594,6 +617,8 @@ pub struct ScheduleTree {
 /// two apart: the pool the tree owns, or the one its drain lends it.
 struct TreeState {
     nodes: Vec<Node>,
+    /// The rank store every `Flows` node's flow FIFOs share (§5.2).
+    store: RankStore<Element>,
     /// The builder's engine choice, the same for every node.
     backend: PifoBackend,
     root: NodeId,
@@ -695,8 +720,8 @@ impl ScheduleTree {
     ///
     /// What runs is that backend's engine, except at a heap or bucket
     /// node whose transaction declares per-flow monotone ranks: that node
-    /// runs [`FlowPifo`], Fig 12's flow-head decomposition, which pops in
-    /// the same order (see the module docs).
+    /// runs [`FlowPifo`](crate::pifo::FlowPifo)'s flow-head decomposition,
+    /// which pops in the same order (see the module docs).
     pub fn node_backend(&self, node: NodeId) -> PifoBackend {
         assert!(node.index() < self.state.nodes.len(), "unknown node {node}");
         self.state.backend
@@ -879,10 +904,17 @@ impl ScheduleTree {
     /// start of a run and takes it back (with an empty one) at the end.
     /// The `departed` stamp is the tree dequeue instant; fabrics that
     /// model transmission (e.g. `pifo-sim`'s switch) overwrite it with
-    /// the transmit start so the record's wait reconciles exactly with
-    /// the departure trace.
+    /// the transmit start, through [`path_log_mut`](Self::path_log_mut),
+    /// so the record's wait reconciles exactly with the departure trace.
     pub fn replace_path_log(&mut self, log: PathLog) -> PathLog {
         std::mem::replace(&mut self.state.path_log, log)
+    }
+
+    /// The log finished path records are appended to (see
+    /// [`replace_path_log`](Self::replace_path_log)), for a driver that
+    /// stamps each record's `departed` in the round that sends it.
+    pub fn path_log_mut(&mut self) -> &mut PathLog {
+        &mut self.state.path_log
     }
 
     /// A copy of the packet that `dequeue` would return *right now*,
@@ -897,7 +929,8 @@ impl ScheduleTree {
     pub fn peek(&self) -> Option<Packet> {
         let mut node = self.state.root;
         let handle = loop {
-            let (_, elem) = self.state.nodes[node.index()].sched_pifo.peek()?;
+            let s = &self.state;
+            let (_, elem) = s.nodes[node.index()].sched_pifo.peek(&s.store)?;
             match elem {
                 Element::Packet(h) => break *h,
                 Element::Ref(child) => node = *child,
@@ -922,7 +955,7 @@ impl ScheduleTree {
         let pool = self.pool.pool();
         let items: Vec<String> = self.state.nodes[node.index()]
             .sched_pifo
-            .iter_in_order()
+            .iter_in_order(&self.state.store)
             .map(|(r, e)| match e {
                 Element::Packet(h) => format!("{}@{}", pool.get(*h).id, r),
                 Element::Ref(c) => format!("{}@{}", self.node_name(*c), r),
@@ -993,7 +1026,8 @@ impl TreeState {
             };
             let rank = node.sched.rank(&ctx);
             let depth = node.sched_pifo.len();
-            node.sched_pifo.push(flow, rank, Element::Packet(handle));
+            node.sched_pifo
+                .push(&mut self.store, flow, rank, Element::Packet(handle));
             (rank, flow, depth, p.id.0)
         };
         if self.recorder.is_some() {
@@ -1108,9 +1142,10 @@ impl TreeState {
             };
             let rank = pnode.sched.rank(&ctx);
             let depth = pnode.sched_pifo.len();
+            let elem = Element::Ref(node);
             pnode
                 .sched_pifo
-                .push(node.as_flow(), rank, Element::Ref(node));
+                .push(&mut self.store, node.as_flow(), rank, elem);
             (rank, depth)
         };
         if let Some(paths) = &mut self.paths {
@@ -1156,7 +1191,7 @@ impl TreeState {
         self.release_due(pool, now);
         let mut node = self.root;
         loop {
-            let (rank, elem) = self.nodes[node.index()].sched_pifo.pop()?;
+            let (rank, elem) = self.nodes[node.index()].sched_pifo.pop(&mut self.store)?;
             // The first pop of the walk is the root's scheduling
             // decision — the rank whose ordering defines the tree's
             // departure schedule, so it is what inversion tracking
@@ -1650,6 +1685,69 @@ mod tests {
             tree.enqueue(pkt(0, 0, 0), Nanos(0)).unwrap();
             assert_eq!(tree.dequeue(Nanos(1)).unwrap().id.0, 0);
         }
+    }
+
+    /// Every flow-sorting node of a tree keeps its flow FIFOs in the
+    /// tree's one rank store, so the store grows to the tree's peak of
+    /// resident elements, not to the sum of the nodes' peaks, and each
+    /// node's view lists only its own elements.
+    #[test]
+    fn one_rank_store_grows_to_the_tree_peak() {
+        struct Declared;
+        impl SchedulingTransaction for Declared {
+            fn rank(&mut self, ctx: &EnqCtx<'_>) -> Rank {
+                Rank(ctx.now.as_nanos())
+            }
+            fn ranks_monotone_per_flow(&self) -> bool {
+                true
+            }
+        }
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("root", Box::new(Declared));
+        let l = b.add_child(root, "L", Box::new(Declared));
+        let r = b.add_child(root, "R", Box::new(Declared));
+        let mut tree = b
+            .build(Box::new(
+                move |p: &Packet| if p.flow.0 == 0 { l } else { r },
+            ))
+            .unwrap();
+        let held = |tree: &ScheduleTree| [root, l, r].map(|n| tree.sched_pifo_len(n)).iter().sum();
+        // L fills to 8 packets (16 elements with the root's references)
+        // and drains before R fills to 8: per-node stores would peak at
+        // 8 + 8 + 8 cells, the shared one at 16.
+        for i in 0..8 {
+            tree.enqueue(pkt(i, 0, i), Nanos(i)).unwrap();
+        }
+        assert_eq!(tree.state.store.live(), 16);
+        for _ in 0..8 {
+            assert_eq!(tree.dequeue(Nanos(9)).unwrap().flow, FlowId(0));
+        }
+        assert_eq!(tree.state.store.live(), 0);
+        for i in 8..16 {
+            tree.enqueue(pkt(i, 1, i + 2), Nanos(i + 2)).unwrap();
+        }
+        assert_eq!(tree.state.store.high_water(), 16, "the tree's peak");
+        // Both leaves hold elements in one store; each lists its own.
+        for i in 16..18 {
+            tree.enqueue(pkt(i, 0, i + 4), Nanos(i + 4)).unwrap();
+        }
+        assert_eq!(tree.state.store.live(), held(&tree));
+        assert_eq!(tree.debug_pifo(l), "[p16@20, p17@21]");
+        assert_eq!(
+            tree.debug_pifo(r),
+            "[p8@10, p9@11, p10@12, p11@13, p12@14, p13@15, p14@16, p15@17]"
+        );
+        assert_eq!(
+            tree.debug_pifo(root),
+            "[R@10, R@11, R@12, R@13, R@14, R@15, R@16, R@17, L@20, L@21]"
+        );
+        let order: Vec<u64> = std::iter::from_fn(|| tree.dequeue(Nanos(30)))
+            .map(|p| p.id.0)
+            .collect();
+        assert_eq!(order, (8..18).collect::<Vec<_>>());
+        let store = &tree.state.store;
+        assert_eq!(store.high_water(), 20);
+        assert_eq!(store.free_cells(), store.high_water(), "no leaked cells");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! contract) are covered here by the `PifoBackend::ALL` sweeps and in
 //! `tests/approx_props.rs`.
 
+use pifo_core::pifo::{FlowScheduler, RankStore};
 use pifo_core::prelude::*;
 use proptest::prelude::*;
 
@@ -246,6 +247,74 @@ proptest! {
                 break;
             }
         }
+    }
+}
+
+proptest! {
+    /// Flow schedulers sharing one `RankStore`, as a tree's flow-sorting
+    /// nodes do, each behave exactly like a sorted reference of their
+    /// own: after every op of a random interleaving across them, each
+    /// pops, peeks and counts like its reference, and the store's live
+    /// cells are the sum of their lengths. The store grows only to their
+    /// joint peak, each scheduler's ordered view holds only its own
+    /// elements, and once all drain the free list holds every cell the
+    /// store ever allocated.
+    #[test]
+    fn shared_rank_store_matches_per_pifo_references(
+        k in 1usize..9,
+        flows in 1u32..17,
+        ops in proptest::collection::vec((0usize..8, flow_op_strategy()), 0..400),
+    ) {
+        let mut store = RankStore::new();
+        let mut scheds: Vec<FlowScheduler> = (0..k).map(|_| FlowScheduler::new()).collect();
+        let mut refs: Vec<SortedArrayPifo<(u32, usize)>> =
+            (0..k).map(|_| SortedArrayPifo::new()).collect();
+        // Per scheduler, per flow: (elements buffered, tail rank).
+        let mut tails = vec![vec![(0usize, 0u64); flows as usize]; k];
+        let mut peak = 0;
+        for (i, (which, op)) in ops.into_iter().enumerate() {
+            let p = which % k;
+            match op {
+                FlowOp::Push { flow, step, fresh } => {
+                    let f = flow % flows;
+                    let (n, tail) = &mut tails[p][f as usize];
+                    *tail = if *n == 0 { fresh } else { *tail + step };
+                    *n += 1;
+                    refs[p].push(Rank(*tail), (f, i));
+                    scheds[p].push(&mut store, FlowId(f), Rank(*tail), (f, i));
+                }
+                FlowOp::Pop => {
+                    let want = refs[p].pop();
+                    if let Some((_, (f, _))) = want {
+                        tails[p][f as usize].0 -= 1;
+                    }
+                    prop_assert_eq!(scheds[p].pop(&mut store), want, "pop diverges after op {}", i);
+                }
+            }
+            for (j, (q, reference)) in scheds.iter().zip(&refs).enumerate() {
+                prop_assert_eq!(q.peek(&store), reference.peek(), "{} peeks wrong after op {}", j, i);
+                prop_assert_eq!(q.len(), reference.len(), "{} counts wrong after op {}", j, i);
+                let active = tails[j].iter().filter(|(n, _)| *n > 0).count();
+                prop_assert_eq!(q.flows(), active, "{}'s table holds only active flows", j);
+            }
+            let held: usize = scheds.iter().map(FlowScheduler::len).sum();
+            prop_assert_eq!(store.live(), held, "live cells after op {}", i);
+            peak = peak.max(held);
+        }
+        prop_assert_eq!(store.high_water(), peak, "the store grows to the joint peak only");
+        for (q, reference) in scheds.iter_mut().zip(&mut refs) {
+            let view: Vec<_> = q.iter_in_order(&store).collect();
+            let want_view: Vec<_> = reference.iter().collect();
+            prop_assert_eq!(view, want_view, "iter_in_order diverges");
+            loop {
+                let want = reference.pop();
+                prop_assert_eq!(q.pop(&mut store), want, "drain diverges");
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(store.free_cells(), store.high_water(), "every cell is free again");
     }
 }
 

@@ -1032,6 +1032,7 @@ impl<'a> Driver<'a> {
         let burst = if dead { 0 } else { self.switch.burst };
         let (ps, tree) = (&mut self.ports[i], &mut self.switch.ports[i]);
         let (mut t, mut sent) = (now, 0);
+        let logged = tree.path_log_mut().len();
         while sent < burst {
             let Some(p) = tree.dequeue_lent(Some(&mut self.pool), now) else {
                 break;
@@ -1040,6 +1041,7 @@ impl<'a> Driver<'a> {
             t = transmit(p, t, ps.rate, &mut ps.trace.departures);
             sent += 1;
         }
+        ps.trace.stamp_paths(tree.path_log_mut(), logged);
 
         let round_end = if sent == 0 {
             // Idle: hop to the next local cause — a future skid arrival
@@ -1151,7 +1153,7 @@ impl<'a> Driver<'a> {
         }
         let traces = (self.ports.iter_mut().zip(self.switch.ports.iter_mut()))
             .map(|(ps, tree)| {
-                ps.trace.take_paths(tree);
+                ps.trace.paths = tree.replace_path_log(PathLog::new());
                 std::mem::take(&mut ps.trace)
             })
             .collect();

@@ -38,8 +38,9 @@
 //! [`Departure`]. Each port's departure trace is allocated once, at the
 //! port's arrival count, and so is its path log: the run hands the log
 //! to the port's tree, the tree writes each record into it once, when
-//! its packet departs, and the run takes it back into
-//! [`PortTrace::paths`] at the end.
+//! its packet departs, the round that sends the packet stamps its
+//! transmit start while the record is still in cache, and the run moves
+//! the log into [`PortTrace::paths`] at the end.
 //!
 //! # One buffer for all ports
 //!
@@ -340,14 +341,14 @@ pub struct SwitchRun {
 }
 
 impl PortTrace {
-    /// Take back the path log `tree` was handed for the run — one record
-    /// per packet it dequeued, in dequeue order, which is the order of
-    /// [`departures`](Self::departures) — and finalize each `departed` to
-    /// its packet's transmit start so telemetry waits reconcile with
-    /// `Departure::wait`.
-    pub(crate) fn take_paths(&mut self, tree: &mut ScheduleTree) {
-        self.paths = tree.replace_path_log(PathLog::new());
-        for (r, d) in self.paths.records_mut().iter_mut().zip(&self.departures) {
+    /// Finalize the path records `log` gained since it held `from` of
+    /// them, while they are still in cache: record `k` digests departure
+    /// `k`, so its `departed` becomes that packet's transmit start and
+    /// telemetry waits reconcile with `Departure::wait`. A driver calls
+    /// this after every round that dequeues.
+    pub(crate) fn stamp_paths(&self, log: &mut PathLog, from: usize) {
+        let records = log.records_mut().iter_mut().skip(from);
+        for (r, d) in records.zip(self.departures.iter().skip(from)) {
             r.departed = d.start;
         }
     }
@@ -537,8 +538,7 @@ impl Switch {
 /// Run `ports` to completion in `(time, port)` order: always advance the
 /// port whose next scheduling round is earliest, ties to the one listed
 /// first (the lowest port index), with every shared pool of these ports
-/// lent for the whole run. Then take back each tree's path log, on this
-/// worker, so the closing pass over the logs runs in parallel.
+/// lent for the whole run. Then take back each tree's path log.
 fn drain_in_time_order(
     mut ports: Vec<(&mut SwitchPort, &mut ScheduleTree)>,
     rate_bps: u64,
@@ -560,7 +560,7 @@ fn drain_in_time_order(
         port.step(LentTree { tree, pool }, rate_bps, horizon, burst);
     }
     for (port, tree) in ports {
-        port.sim.trace.take_paths(tree);
+        port.sim.trace.paths = tree.replace_path_log(PathLog::new());
     }
 }
 
@@ -626,12 +626,15 @@ impl<'a> SwitchPort<'a> {
         trace
     }
 
-    /// Run one round on `tree`, then sample its gauges.
+    /// Run one round on `tree`, stamp the path records it logged, then
+    /// sample its gauges.
     fn step(&mut self, mut tree: LentTree, rate_bps: u64, horizon: Nanos, burst: usize) {
         let t = self.sim.t;
+        let logged = tree.tree.path_log_mut().len();
         if !self.sim.step_round(&mut tree, rate_bps, horizon, burst) {
             return;
         }
+        self.sim.trace.stamp_paths(tree.tree.path_log_mut(), logged);
         // Sampled after the round: transmission leaves the tree alone,
         // so the values are those at the decision instant `t`, whatever
         // the worker count.

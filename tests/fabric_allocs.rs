@@ -13,8 +13,10 @@
 //! packet costs.
 //!
 //! The same allocator also tracks the live heap's peak, which pins
-//! `merge`'s memory: a lazy merge of time-sorted sources holds its output
-//! and one head per source, and no sort scratch.
+//! `merge`'s memory (a lazy merge of time-sorted sources holds its output
+//! and one head per source, and no sort scratch) and what path records
+//! cost a fabric on one shared pool (a few bytes per pool slot per port,
+//! not a staged record per pool slot per port).
 //!
 //! An integration test is its own binary, so it can install its own
 //! `#[global_allocator]`. There is exactly one `#[test]` here: the
@@ -203,6 +205,50 @@ fn measure_port(n: u64) -> (u64, u64) {
     (CALLS.load(Relaxed), BYTES.load(Relaxed))
 }
 
+const SHARED_PORTS: usize = 16;
+const SHARED_SLOTS: usize = 16_384;
+const SHARED_PORT_LIMIT: usize = SHARED_SLOTS / SHARED_PORTS;
+
+/// The live heap's peak above its starting level during one
+/// single-worker `Switch::run` of an incast of `n` packets on sixteen
+/// ports of one 16 384-slot shared pool: every port receives one packet
+/// per 50 ns against an 800 ns service time, so each fills to its
+/// 1 024-packet share, the pool fills to its last slot, and every port
+/// buffers packets in slots spread across the whole pool. Returns the
+/// peak with the number of path records the run logged.
+fn measure_shared_peak(n: u64, telemetry: TelemetryConfig) -> (u64, usize) {
+    let mut sb = SwitchBuilder::new(RATE_BPS);
+    sb.with_telemetry(telemetry);
+    sb.with_shared_pool(
+        SHARED_SLOTS,
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Static(SHARED_PORT_LIMIT),
+            flow: Threshold::Unlimited,
+        },
+    );
+    for _ in 0..SHARED_PORTS {
+        sb.add_shared_port(|h| {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
+            b.build_in_pool(Box::new(move |_| root), h).expect("tree")
+        });
+    }
+    let mut sw = sb.build(Box::new(|p: &Packet| p.flow.0 as usize % SHARED_PORTS));
+    let arr: Vec<Packet> = (0..n)
+        .map(|i| {
+            let flow = FlowId((i % SHARED_PORTS as u64) as u32);
+            Packet::new(i, flow, 1_000, Nanos(i / SHARED_PORTS as u64 * 50))
+        })
+        .collect();
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let run = sw.run(&arr, 1);
+    let peak = PEAK.load(Relaxed) - base;
+    let dropped: u64 = run.ports.iter().map(|p| p.drops).sum();
+    assert!(dropped > 0, "every port reached its share of the pool");
+    (peak, run.ports.iter().map(|p| p.paths.len()).sum())
+}
+
 /// Allocator calls and bytes requested during one `Switch::run`.
 fn measure(n: u64, workers: usize, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
     let arr = arrivals(n);
@@ -280,6 +326,28 @@ fn run_allocations_do_not_scale_with_packets() {
         "[merge] live heap peaked {peak} B above its start merging {} packets from \
          {sources} sources, expected at most {bound} (output capacity {capacity})",
         4 * N
+    );
+
+    // Path records on a shared pool: a port stages each record in flight
+    // and reaches it from the packet's pool slot, so staging costs a few
+    // bytes per pool slot a port has used plus one stage per packet the
+    // port holds, not a whole stage per pool slot on every port. Against
+    // a run with the flight recorder alone, path records may add each
+    // port's log (a 40-byte record and one 24-byte hop per arrival), 16
+    // bytes per port per pool slot and 512 bytes per packet of a port's
+    // share; staging 240 bytes per slot on every port exceeds that
+    // several times over.
+    let n = 2 * SHARED_SLOTS as u64;
+    let (recorder_peak, _) = measure_shared_peak(n, TelemetryConfig::default());
+    let (paths_peak, records) = measure_shared_peak(n, TelemetryConfig::with_paths());
+    assert!(records > SHARED_SLOTS, "the pool filled and drained");
+    let bound =
+        n as usize * 64 + SHARED_PORTS * SHARED_SLOTS * 16 + SHARED_PORTS * SHARED_PORT_LIMIT * 512;
+    let extra = paths_peak.saturating_sub(recorder_peak);
+    assert!(
+        extra <= bound as u64,
+        "[shared paths] path records raised the live heap's peak by {extra} B on \
+         {SHARED_PORTS} ports of a {SHARED_SLOTS}-slot pool, expected at most {bound}"
     );
 
     // The lossless fabric's own event loop, on a busy stream that never
