@@ -15,8 +15,9 @@
 //!
 //! * [`pifo`] — the PIFO contract ([`pifo::PifoQueue`]) and its
 //!   interchangeable backends: [`pifo::SortedArrayPifo`] (reference
-//!   semantics), [`pifo::HeapPifo`] (binary heap, the default) and
-//!   [`pifo::BucketPifo`] (Eiffel-style FFS bucket calendar).
+//!   semantics), [`pifo::HeapPifo`] (binary heap) and
+//!   [`pifo::BucketPifo`] (Eiffel-style FFS bucket calendar, the
+//!   default).
 //!   [`pifo::PifoBackend`] selects one at runtime as a statically
 //!   dispatched [`pifo::EnumPifo`]; see the module docs for the
 //!   "choosing a backend" table. [`pifo::FlowPifo`] is Fig 12's

@@ -28,27 +28,32 @@
 //! | Backend | `push` | `pop` | Notes |
 //! |---|---|---|---|
 //! | [`SortedArrayPifo`] | O(n) | O(1) | **The reference** every differential suite compares against; direct analogue of the flat sorted array §5.2 rejects for a 60 K-packet buffer. Best below ~1 K elements and for debugging; name it ([`PifoBackend::SortedArray`]) wherever a reference is meant. A tree runs it literally at every node. |
-//! | [`HeapPifo`] | O(log n) | O(log n) | **The default** ([`PifoBackend::default`]). Binary heap with explicit sequence numbers for FIFO ties; a packet's cost does not grow with the backlog. At a tree node whose transaction declares per-flow monotone ranks, the tree runs [`FlowPifo`] instead. |
-//! | [`BucketPifo`] | O(1)* | O(1)* | Eiffel-style FFS bucket calendar (integer-rank buckets, two-level find-first-set bitmap, overflow heap). Fastest at Trident-scale occupancies when ranks spread across the bucket window; *amortised, degrades gracefully toward the heap when they do not. Declared tree nodes run [`FlowPifo`], as for the heap. |
+//! | [`HeapPifo`] | O(log n) | O(log n) | Binary heap over the whole backlog, keyed `(rank << 64) \| seq` so FIFO ties cost no extra compare; a packet's cost does not grow with the backlog. The benchmark's second exact engine, which checks the default. At a tree node whose transaction declares per-flow monotone ranks, the tree runs [`FlowPifo`] instead. |
+//! | [`BucketPifo`] | O(1)* + O(log b) | O(1)* + O(log b) | **The default** ([`PifoBackend::default`]). Eiffel-style FFS bucket calendar (integer-rank buckets, two-level find-first-set bitmap, overflow heap); each bucket a heap of its `b` residents. *Amortised: no operation sweeps the window; a rank below the window rebases it a quarter window lower, walking only occupied buckets, and ranks beyond it cost an overflow-heap operation. Declared tree nodes run [`FlowPifo`], as for the heap. |
 //! | [`SpPifo`](crate::approx::SpPifo) | O(k) | O(k) | **Approximate.** k strict-priority FIFOs with SP-PIFO push-up/push-down bound adaptation; exact between rank bands, FIFO within one. |
 //! | [`Rifo`](crate::approx::Rifo) | O(1) | O(1) | **Approximate.** Single FIFO; rank-awareness only at admission (windowed min/max relative-rank gate when bounded). |
 //! | [`Aifo`](crate::approx::Aifo) | O(W) | O(1) | **Approximate.** Single FIFO with windowed-quantile admission against a small sliding rank sample. |
 //!
 //! [`PifoBackend::default`] — what `TreeBuilder::new()` and every
-//! constructor above it hand out — is the heap: it is exact, it matches
-//! the sorted array on shallow queues, and at depth it is the engine whose
-//! push does not memmove the backlog (`hpfq_fig3` at 60 K occupancy:
-//! `sorted` ≈ 0.2 M pkts/s, `heap` ≈ 2.0 M; `BENCH_tree.json`). The
-//! bucket calendar is faster still on a single deep queue but costs a
-//! 4 096-bucket calendar per tree node, so it stays opt-in
-//! (`TreeBuilder::with_backend`, for the whole tree).
+//! constructor above it hand out — is the bucket calendar: it is exact,
+//! and at depth its pop finds the head with two find-first-set steps and
+//! a small heap, where the heap engine sifts through the whole backlog
+//! (`port1_deep_srpt`, one undeclared SRPT node over a 20 000-packet
+//! buffer: median ≈ 2.9 → 3.9 M pkts/s end to end against the heap). No rank
+//! pattern costs it more than twice the heap: ranks falling below its
+//! window, rising past it, crowding one bucket, or spread uniformly over
+//! 64 bits (`tests/engine_probe.rs`). A node that never sees a packet
+//! allocates none of its 4 096 buckets. Both are far ahead of the sorted
+//! array, whose push memmoves the backlog (`hpfq_fig3` at 60 K
+//! occupancy: `sorted` ≈ 0.2 M pkts/s, `heap` ≈ 2.0 M;
+//! `BENCH_tree.json`).
 //!
 //! The first three — [`PifoBackend::EXACT`] — are **exactly** equivalent
 //! observationally: same dequeue order, same FIFO tie-breaks, same
 //! admission decisions, which the cross-backend differential property
 //! suite in `tests/proptests.rs` enforces. `BucketPifo` is exact (not
 //! approximate like Eiffel's gradient buckets) because ranks are
-//! integers and each bucket keeps its few residents sorted. The last
+//! integers and each bucket orders its residents by `(rank, seq)`. The last
 //! three — [`PifoBackend::APPROX`] — deliberately relax the sorted-pop
 //! invariant for cheaper operations; how far a run strayed from the
 //! ideal schedule is measured, not guessed (see the
@@ -168,12 +173,18 @@ pub enum PifoBackend {
     /// runs the literal sorted array at every node, declared or not, so
     /// it is also the reference for [`FlowPifo`]'s decomposition.
     SortedArray,
-    /// [`HeapPifo`] — O(log n) binary heap; the default, so that a
-    /// packet's cost does not grow with the backlog. Tree nodes with a
-    /// declared transaction run [`FlowPifo`] instead.
-    #[default]
+    /// [`HeapPifo`] — O(log n) binary heap over the whole backlog. The
+    /// benchmark's second exact engine, which checks the default's
+    /// digests. Tree nodes with a declared transaction run [`FlowPifo`]
+    /// instead.
     Heap,
-    /// [`BucketPifo`] — FFS bucket calendar, O(1) amortised.
+    /// [`BucketPifo`] — FFS bucket calendar; the default. O(1) amortised
+    /// calendar work per push and pop plus O(log b) inside a bucket of
+    /// `b` residents, with no O(window) step: a packet's cost does not
+    /// grow with the backlog, nor with a rank pattern that falls, rises
+    /// past the window or crowds one bucket. Tree nodes with a declared
+    /// transaction run [`FlowPifo`] instead.
+    #[default]
     Bucket,
     /// [`SpPifo`](crate::approx::SpPifo) — **approximate**: k
     /// strict-priority FIFOs with adaptive bounds.
@@ -533,23 +544,55 @@ struct HeapEntry<T> {
     item: T,
 }
 
+impl<T> HeapEntry<T> {
+    /// `(rank, seq)` as one integer, `(rank << 64) | seq`: ordering two
+    /// entries is one 128-bit compare, with no branch on equal ranks.
+    /// (Built from the two words on demand, so an entry keeps 8-byte
+    /// alignment.) `seq` is unique per queue, so keys never tie.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.rank.value()) << 64) | u128::from(self.seq)
+    }
+}
+
+// `BinaryHeap` is a max-heap: every comparison is inverted so the
+// smallest key — lowest rank, earliest push among ties — is at the top.
+// The operators are spelled out because the heap's sifts call `<=`
+// directly.
 impl<T> PartialEq for HeapEntry<T> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<T> Eq for HeapEntry<T> {}
 
 impl<T> Ord for HeapEntry<T> {
+    #[inline]
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the smallest (rank, seq) is
-        // at the top. seq breaks ties FIFO.
-        (other.rank, other.seq).cmp(&(self.rank, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 impl<T> PartialOrd for HeapEntry<T> {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        self.key() > other.key()
+    }
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        self.key() >= other.key()
+    }
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        self.key() < other.key()
+    }
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        self.key() <= other.key()
     }
 }
 
@@ -557,7 +600,7 @@ impl<T> PartialOrd for HeapEntry<T> {
 /// order) — the heaps' ordered view for [`PifoQueue::iter_in_order`].
 fn sorted_refs<T>(heap: &BinaryHeap<HeapEntry<T>>) -> Vec<&HeapEntry<T>> {
     let mut v: Vec<&HeapEntry<T>> = heap.iter().collect();
-    v.sort_by_key(|e| (e.rank, e.seq));
+    v.sort_unstable_by_key(|e| e.key());
     v
 }
 
@@ -652,29 +695,44 @@ impl<T> PifoQueue<T> for HeapPifo<T> {
 const BUCKET_WORDS: usize = 64;
 /// Number of calendar buckets (one bit each in the two-level bitmap).
 const NUM_BUCKETS: usize = BUCKET_WORDS * 64; // 4096
+/// Buckets left free below a rank that falls under the calendar's base:
+/// a downward rebase anchors this far below it, so a falling rank stream
+/// rebases once per `HEADROOM` buckets it falls, not once per push.
+const HEADROOM: u64 = NUM_BUCKETS as u64 / 4;
 
 /// Eiffel-inspired bucketed calendar PIFO with a two-level find-first-set
-/// bitmap: `O(1)` amortised push/pop for integer ranks.
+/// bitmap: `O(1)` amortised calendar work per push and pop for integer
+/// ranks, plus `O(log b)` inside a bucket of `b` residents.
 ///
 /// Ranks are mapped to one of `NUM_BUCKETS` (4096) buckets of `2^shift`
 /// consecutive rank values, starting at a moving `base`. A 64×64-bit
 /// hierarchical bitmap finds the lowest non-empty bucket with two
 /// `trailing_zeros` instructions (the software analogue of Eiffel's FFS
 /// circular queues, NSDI'19). Ranks beyond the calendar horizon go to an
-/// overflow heap and migrate into the calendar as it drains; ranks below
-/// the current base trigger a (rare, amortised) downward rebase.
+/// overflow heap; when the calendar empties, a pop re-anchors it at the
+/// overflow minimum, returns that minimum and migrates the overflow
+/// entries within the new window. A rank below the base rebases the
+/// calendar a quarter window below it, walking only the occupied buckets
+/// (those pushed past the horizon spill to the overflow heap), so no
+/// operation sweeps the whole window.
 ///
 /// Unlike Eiffel's approximate gradient buckets this structure is
-/// **exact**: residents of one bucket are kept sorted by
-/// `(rank, sequence)`, so the dequeue trace — including FIFO tie-breaks —
-/// is byte-identical to [`SortedArrayPifo`]'s (enforced by the
-/// cross-backend differential property suite).
+/// **exact**: each bucket is a binary heap in `(rank, sequence)` order,
+/// so the dequeue trace — including FIFO tie-breaks — is byte-identical
+/// to [`SortedArrayPifo`]'s (enforced by the cross-backend differential
+/// property suite). A bucket that holds many equal or close ranks (a few
+/// strict-priority classes) costs what the heap engine does.
+///
+/// The 4 096 bucket headers are allocated on the first push: a calendar
+/// that never sees an element costs only its fixed fields.
 #[derive(Debug, Clone)]
 pub struct BucketPifo<T> {
-    buckets: Vec<VecDeque<(Rank, u64, T)>>,
+    /// `NUM_BUCKETS` heaps once the first push has allocated them.
+    buckets: Vec<BinaryHeap<HeapEntry<T>>>,
     /// Bit `w` set ⇔ `words[w] != 0`.
     summary: u64,
-    /// Bit `b` of `words[w]` set ⇔ bucket `w*64 + b` is non-empty.
+    /// Bit `b` of `words[w]` set ⇔ bucket `w*64 + b` is non-empty
+    /// (`BUCKET_WORDS` words, allocated with `buckets`).
     words: Vec<u64>,
     /// `rank >> shift` of bucket 0.
     base_bucket: u64,
@@ -685,6 +743,10 @@ pub struct BucketPifo<T> {
     len: usize,
     seq: u64,
     capacity: Option<usize>,
+    /// Buckets the downward rebases have visited (each one moved or
+    /// spilled), for the tests that bound rebase work.
+    #[cfg(test)]
+    rebase_visits: u64,
 }
 
 /// Default bucket granularity: 2^8 rank values per bucket, giving a
@@ -718,33 +780,43 @@ impl<T> BucketPifo<T> {
     pub fn with_shift(shift: u32) -> Self {
         assert!(shift < 56, "bucket shift {shift} leaves no rank bits");
         BucketPifo {
-            buckets: (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: Vec::new(),
             summary: 0,
-            words: vec![0; BUCKET_WORDS],
+            words: Vec::new(),
             base_bucket: 0,
             shift,
             overflow: BinaryHeap::new(),
             len: 0,
             seq: 0,
             capacity: None,
+            #[cfg(test)]
+            rebase_visits: 0,
         }
     }
 
+    /// Build the bucket array and its bitmap (the first push).
+    #[cold]
+    fn allocate(&mut self) {
+        self.buckets = (0..NUM_BUCKETS).map(|_| BinaryHeap::new()).collect();
+        self.words = vec![0; BUCKET_WORDS];
+    }
+
+    #[inline]
     fn mark(&mut self, idx: usize) {
         self.words[idx / 64] |= 1 << (idx % 64);
         self.summary |= 1 << (idx / 64);
     }
 
-    fn unmark_if_empty(&mut self, idx: usize) {
-        if self.buckets[idx].is_empty() {
-            self.words[idx / 64] &= !(1 << (idx % 64));
-            if self.words[idx / 64] == 0 {
-                self.summary &= !(1 << (idx / 64));
-            }
+    #[inline]
+    fn unmark(&mut self, idx: usize) {
+        self.words[idx / 64] &= !(1 << (idx % 64));
+        if self.words[idx / 64] == 0 {
+            self.summary &= !(1 << (idx / 64));
         }
     }
 
     /// Lowest non-empty bucket index, via two FFS steps.
+    #[inline]
     fn first_occupied(&self) -> Option<usize> {
         if self.summary == 0 {
             return None;
@@ -754,59 +826,51 @@ impl<T> BucketPifo<T> {
         Some(w * 64 + b)
     }
 
-    fn rebuild_bitmap(&mut self) {
-        self.summary = 0;
-        self.words.iter_mut().for_each(|w| *w = 0);
-        for idx in 0..NUM_BUCKETS {
-            if !self.buckets[idx].is_empty() {
-                self.mark(idx);
-            }
-        }
-    }
-
-    /// Shift the calendar down so that bucket 0 covers `new_base`
-    /// (a virtual bucket index below the current base). Occupied buckets
-    /// move up by the same delta; those pushed past the horizon spill to
-    /// the overflow heap. O(NUM_BUCKETS + moved) — rare, amortised.
+    /// Shift the calendar down so that bucket 0 covers `new_base` (a
+    /// virtual bucket index below the current base). Walks only the
+    /// occupied buckets, off the bitmap and from the top: each moves up
+    /// by the same delta into a slot the walk has already vacated, or
+    /// spills to the overflow heap if that passes the horizon.
     fn rebase_down(&mut self, new_base: u64) {
         let delta = self.base_bucket - new_base;
-        if self.summary != 0 {
-            for i in (0..NUM_BUCKETS).rev() {
-                if self.buckets[i].is_empty() {
-                    continue;
+        self.base_bucket = new_base;
+        let mut summary = std::mem::take(&mut self.summary);
+        while summary != 0 {
+            let w = 63 - summary.leading_zeros() as usize;
+            summary &= !(1 << w);
+            // Taken, not read: targets lie at or above `w`, so the marks
+            // the moves set land in words this walk has already emptied.
+            let mut bits = std::mem::take(&mut self.words[w]);
+            while bits != 0 {
+                let b = 63 - bits.leading_zeros() as usize;
+                bits &= !(1 << b);
+                let i = w * 64 + b;
+                #[cfg(test)]
+                {
+                    self.rebase_visits += 1;
                 }
                 // Saturating: a huge delta (rebasing down from a near-max
                 // base) must spill to overflow, not wrap around.
                 let target = (i as u64).saturating_add(delta);
                 if target < NUM_BUCKETS as u64 {
-                    // Descending iteration guarantees the target slot was
-                    // already vacated (it moved by the same delta).
                     self.buckets.swap(i, target as usize);
+                    self.mark(target as usize);
                 } else {
-                    for (r, s, t) in self.buckets[i].drain(..) {
-                        self.overflow.push(HeapEntry {
-                            rank: r,
-                            seq: s,
-                            item: t,
-                        });
-                    }
+                    let spilled = &mut self.buckets[i];
+                    self.overflow.extend(spilled.drain());
                 }
             }
         }
-        self.base_bucket = new_base;
-        self.rebuild_bitmap();
     }
 
-    /// All buckets are empty but the overflow heap is not: re-anchor the
-    /// calendar at the overflow minimum and migrate everything within the
-    /// new window. Heap pops come out in `(rank, seq)` order, so plain
-    /// `push_back` keeps each bucket sorted.
-    fn refill_from_overflow(&mut self) {
+    /// The calendar is empty but the overflow heap is not: pop the
+    /// overflow minimum (the global minimum), re-anchor the calendar at
+    /// it and migrate every overflow entry within the new window. The
+    /// minimum itself is returned, never parked in a bucket, so a lone
+    /// entry (the next one beyond the window) costs one heap pop.
+    fn refill_from_overflow(&mut self) -> Option<HeapEntry<T>> {
         debug_assert_eq!(self.summary, 0);
-        let min = self
-            .overflow
-            .peek()
-            .expect("refill called with empty overflow");
+        let min = self.overflow.pop()?;
         self.base_bucket = min.rank.value() >> self.shift;
         while let Some(e) = self.overflow.peek() {
             // Offset from the new base; overflow-free because the base is
@@ -817,32 +881,31 @@ impl<T> BucketPifo<T> {
                 break;
             }
             let e = self.overflow.pop().expect("peeked entry vanished");
-            self.buckets[off as usize].push_back((e.rank, e.seq, e.item));
+            self.buckets[off as usize].push(e);
             self.mark(off as usize);
         }
+        Some(min)
     }
 
-    /// Place `(rank, seq, item)` on the correct side of the horizon.
+    /// Place an entry on the correct side of the horizon.
     ///
     /// Invariant maintained throughout: every calendar rank `<` every
     /// overflow rank (bucket ranks are below the horizon, overflow ranks
     /// at or above it, and the horizon only moves when it preserves this).
-    fn place(&mut self, rank: Rank, seq: u64, item: T) {
-        let vb = rank.value() >> self.shift;
+    fn place(&mut self, e: HeapEntry<T>) {
+        let vb = e.rank.value() >> self.shift;
         if self.summary == 0 && self.overflow.is_empty() {
             self.base_bucket = vb;
         } else if vb < self.base_bucket {
-            self.rebase_down(vb);
+            self.rebase_down(vb.saturating_sub(HEADROOM));
         }
         // Offset comparison, not an absolute horizon: `base + NUM_BUCKETS`
         // would overflow u64 for near-max ranks at tiny shifts.
         let off = vb - self.base_bucket;
         if off >= NUM_BUCKETS as u64 {
-            self.overflow.push(HeapEntry { rank, seq, item });
+            self.overflow.push(e);
         } else {
-            let bucket = &mut self.buckets[off as usize];
-            let pos = bucket.partition_point(|(r, s, _)| (*r, *s) <= (rank, seq));
-            bucket.insert(pos, (rank, seq, item));
+            self.buckets[off as usize].push(e);
             self.mark(off as usize);
         }
     }
@@ -859,33 +922,39 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
                 });
             }
         }
+        if self.buckets.is_empty() {
+            self.allocate();
+        }
         let seq = self.seq;
         self.seq += 1;
-        self.place(rank, seq, item);
+        self.place(HeapEntry { rank, seq, item });
         self.len += 1;
         Ok(())
     }
 
     fn pop(&mut self) -> Option<(Rank, T)> {
-        if self.summary == 0 {
-            if self.overflow.is_empty() {
-                return None;
+        let e = match self.first_occupied() {
+            Some(idx) => {
+                let bucket = &mut self.buckets[idx];
+                let e = bucket.pop().expect("bitmap said occupied");
+                if bucket.is_empty() {
+                    self.unmark(idx);
+                }
+                e
             }
-            self.refill_from_overflow();
-        }
-        let idx = self.first_occupied().expect("non-empty after refill");
-        let (r, _, t) = self.buckets[idx].pop_front().expect("bitmap said occupied");
-        self.unmark_if_empty(idx);
+            None => self.refill_from_overflow()?,
+        };
         self.len -= 1;
-        Some((r, t))
+        Some((e.rank, e.item))
     }
 
     fn peek(&self) -> Option<(Rank, &T)> {
-        match self.first_occupied() {
-            Some(idx) => self.buckets[idx].front().map(|(r, _, t)| (*r, t)),
+        let e = match self.first_occupied() {
+            Some(idx) => self.buckets[idx].peek(),
             // Calendar empty: the overflow minimum is the global minimum.
-            None => self.overflow.peek().map(|e| (e.rank, &e.item)),
-        }
+            None => self.overflow.peek(),
+        };
+        e.map(|e| (e.rank, &e.item))
     }
 
     fn len(&self) -> usize {
@@ -898,16 +967,14 @@ impl<T> PifoQueue<T> for BucketPifo<T> {
 
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
         // Calendar ranks all precede overflow ranks (horizon invariant),
-        // so dequeue order is: buckets by index, then overflow sorted.
+        // so dequeue order is: buckets by index, each sorted, then the
+        // overflow sorted.
         Box::new(
             self.buckets
                 .iter()
-                .flat_map(|b| b.iter().map(|(r, _, t)| (*r, t)))
-                .chain(
-                    sorted_refs(&self.overflow)
-                        .into_iter()
-                        .map(|e| (e.rank, &e.item)),
-                ),
+                .chain(std::iter::once(&self.overflow))
+                .flat_map(sorted_refs)
+                .map(|e| (e.rank, &e.item)),
         )
     }
 }
@@ -1724,6 +1791,70 @@ mod tests {
         assert_eq!(q.peek().map(|(r, v)| (r, *v)), Some((Rank(far), 0)));
         assert_eq!(q.pop(), Some((Rank(far), 0)));
         assert_eq!(q.pop(), Some((Rank(far + 7), 1)));
+    }
+
+    /// A rank stream falling one bucket per push, over a 10 K standing
+    /// backlog, rebases once per `HEADROOM` buckets it falls, and each
+    /// rebase visits only the occupied buckets (at most the window):
+    /// at most `NUM_BUCKETS / HEADROOM` = 4 bucket visits per push. A
+    /// rebase that anchors at the new rank and sweeps the whole window
+    /// twice visits 8 192 buckets on every push of this stream.
+    #[test]
+    fn bucket_falling_stream_rebases_in_linear_work() {
+        const BACKLOG: u64 = 10_000;
+        const PUSHES: u64 = 100_000;
+        let bucket = 1u64 << DEFAULT_BUCKET_SHIFT;
+        let rank = |i: u64| Rank((1 << 40) - i * bucket);
+        let mut q: BucketPifo<u64> = BucketPifo::new();
+        for i in 0..BACKLOG {
+            q.push(rank(i), i);
+        }
+        q.rebase_visits = 0;
+        for i in BACKLOG..BACKLOG + PUSHES {
+            q.push(rank(i), i);
+            assert_eq!(q.pop(), Some((rank(i), i)), "the newest rank is the lowest");
+        }
+        assert_eq!(q.len(), BACKLOG as usize);
+        let bound = (NUM_BUCKETS as u64 / HEADROOM) * PUSHES;
+        assert!(
+            q.rebase_visits <= bound,
+            "{} bucket visits for {PUSHES} pushes, expected at most {bound}",
+            q.rebase_visits
+        );
+        // The backlog drains in rank order, wherever the rebases left it.
+        let drained: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
+        assert_eq!(drained, (0..BACKLOG).rev().collect::<Vec<_>>());
+    }
+
+    /// A calendar allocates its buckets on the first push, not before.
+    #[test]
+    fn bucket_allocates_on_first_push() {
+        let mut q: BucketPifo<u32> = BucketPifo::new();
+        assert!(q.buckets.is_empty() && q.words.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek(), None);
+        assert_eq!(q.iter_in_order().count(), 0);
+        q.push(Rank(7), 1);
+        assert_eq!(q.buckets.len(), NUM_BUCKETS);
+        assert_eq!(q.pop(), Some((Rank(7), 1)));
+    }
+
+    /// A refill whose minimum is alone in its window returns it without
+    /// parking it in a bucket: the calendar stays empty.
+    #[test]
+    fn bucket_refill_returns_a_lone_minimum_directly() {
+        let mut q: BucketPifo<u32> = BucketPifo::with_shift(0);
+        let window = NUM_BUCKETS as u64;
+        q.push(Rank(0), 0);
+        for k in 1..4 {
+            q.push(Rank(k * window), k as u32);
+        }
+        assert_eq!(q.pop(), Some((Rank(0), 0)));
+        for k in 1..4 {
+            assert_eq!(q.pop(), Some((Rank(k * window), k as u32)));
+            assert_eq!(q.summary, 0, "the lone minimum was not parked");
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

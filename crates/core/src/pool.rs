@@ -642,6 +642,12 @@ impl SharedPacketPool {
         self.accounting_errors
     }
 
+    /// The pool's slot count, if bounded (what [`stats`](Self::stats)
+    /// reports, without copying the per-port counters).
+    pub(crate) fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
     /// A copyable snapshot of the pool-wide and per-port counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {

@@ -447,6 +447,12 @@ impl PathLog {
         self.records.is_empty()
     }
 
+    /// The records the log has room for without growing: what a driver
+    /// presized it to.
+    pub(crate) fn record_capacity(&self) -> usize {
+        self.records.capacity()
+    }
+
     /// Record `i` with its hops, or `None` past the end.
     pub fn get(&self, i: usize) -> Option<PathRef<'_>> {
         self.records.get(i).map(|r| self.entry(r))
@@ -472,16 +478,24 @@ impl PathLog {
     }
 }
 
-/// One in-flight record. `hops` past `head.hop_count` is whatever the
-/// stage's previous occupants left there.
+/// The mark of a pool slot with no record in flight, and the end of the
+/// free-stage list.
+const NO_STAGE: u32 = u32::MAX;
+
+/// A record in flight: its [`PathRecord`] header less the fields
+/// [`PathRecorder::finish`] stamps. While the stage is free, `packet`
+/// links the next free stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct InFlight {
-    head: PathRecord,
-    hops: [PathHop; MAX_PATH_HOPS],
+struct Staged {
+    packet: u64,
+    enqueued: Nanos,
+    flow: FlowId,
+    port: u16,
+    hop_count: u8,
+    truncated: bool,
 }
 
-/// The mark of a pool slot with no record in flight.
-const NO_STAGE: u32 = u32::MAX;
+const _: () = assert!(std::mem::size_of::<Staged>() == 24);
 
 /// Accumulates [`PathRecord`]s for in-flight packets, keyed by their
 /// packet-pool slot, and appends each to the caller's [`PathLog`] when it
@@ -491,25 +505,68 @@ const NO_STAGE: u32 = u32::MAX;
 /// records this recorder has had in flight at once (its port's peak
 /// occupancy); a slot reaches its stage through a four-byte index. A
 /// tree on a fabric-wide shared pool therefore pays four bytes per pool
-/// slot it has used, not a whole staged record.
+/// slot it has used, not a whole staged record. A stage keeps as many
+/// hops as its tree is tall (at most [`MAX_PATH_HOPS`]): a walk visits
+/// each node from its leaf to the root once, so a one-level tree stages
+/// a 24-byte header and one hop per record. A tree sizes its recorder's
+/// staging once per run, from the path log the run hands it (see
+/// [`ScheduleTree::replace_path_log`](crate::tree::ScheduleTree::replace_path_log)).
 ///
 /// `hop` and `finish` are no-ops for slots with no record in flight, so
 /// hook sites never need to know whether a given walk belongs to a
 /// tracked packet (e.g. shaping resumptions whose packet already
 /// departed).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathRecorder {
-    /// Pool slot → its record's index in `stages`, or `NO_STAGE`.
+    /// Pool slot → its record's stage, or `NO_STAGE`.
     stage_of: Vec<u32>,
-    stages: Vec<InFlight>,
-    /// Stages whose record finished, reused last-freed first.
-    spare: Vec<u32>,
+    /// Stage → the record staged there.
+    stages: Vec<Staged>,
+    /// Stage `s`'s hops, at `s * stride..`. Past the record's
+    /// `hop_count` they are whatever the stage's previous occupants left.
+    hops: Vec<PathHop>,
+    /// Hops kept per record.
+    stride: usize,
+    /// The last stage whose record finished: free stages are reused
+    /// last-freed first.
+    free: u32,
+}
+
+impl Default for PathRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl PathRecorder {
-    /// An empty recorder.
+    /// An empty recorder that keeps up to [`MAX_PATH_HOPS`] hops per
+    /// record.
     pub fn new() -> Self {
-        Self::default()
+        Self::for_height(MAX_PATH_HOPS)
+    }
+
+    /// An empty recorder for a tree `height` levels tall: no walk takes
+    /// more hops than that, so a stage keeps `height` of them (at least
+    /// one, at most [`MAX_PATH_HOPS`]).
+    pub(crate) fn for_height(height: usize) -> Self {
+        PathRecorder {
+            stage_of: Vec::new(),
+            stages: Vec::new(),
+            hops: Vec::new(),
+            stride: height.clamp(1, MAX_PATH_HOPS),
+            free: NO_STAGE,
+        }
+    }
+
+    /// Reserve (not fill) room for `records` records in flight on pool
+    /// slots below `records`, so a run within that never grows the
+    /// staging while it runs.
+    pub(crate) fn reserve(&mut self, records: usize) {
+        let more = |len: usize| records.saturating_sub(len);
+        self.stage_of.reserve_exact(more(self.stage_of.len()));
+        self.stages.reserve_exact(more(self.stages.len()));
+        self.hops
+            .reserve_exact(more(self.stages.len()).saturating_mul(self.stride));
     }
 
     /// Start a record for the packet admitted into pool slot `slot`.
@@ -519,23 +576,26 @@ impl PathRecorder {
             self.stage_of.resize(slot + 1, NO_STAGE);
         }
         if self.stage_of[slot] == NO_STAGE {
-            self.stage_of[slot] = match self.spare.pop() {
-                Some(stage) => stage,
-                None => {
-                    self.stages.push(InFlight::default());
+            self.stage_of[slot] = match self.free {
+                NO_STAGE => {
+                    self.stages.push(Staged::default());
+                    let hops = self.hops.len() + self.stride;
+                    self.hops.resize(hops, PathHop::default());
                     u32::try_from(self.stages.len() - 1).expect("fewer than 2³² records in flight")
+                }
+                stage => {
+                    self.free = self.stages[stage as usize].packet as u32;
+                    stage
                 }
             };
         }
-        self.stages[self.stage_of[slot] as usize].head = PathRecord {
+        self.stages[self.stage_of[slot] as usize] = Staged {
             packet,
+            enqueued,
             flow,
             port,
             hop_count: 0,
             truncated: false,
-            enqueued,
-            departed: enqueued,
-            first_hop: 0,
         };
     }
 
@@ -546,23 +606,24 @@ impl PathRecorder {
     }
 
     /// Append a hop to slot `slot`'s record (no-op when untracked; sets
-    /// `truncated` past [`MAX_PATH_HOPS`]).
+    /// `truncated` past [`MAX_PATH_HOPS`], which a tree's walks never
+    /// reach below that height).
     pub fn hop(&mut self, slot: usize, node: u32, rank: u64, depth: u32, entered: Nanos) {
         let Some(stage) = self.stage(slot) else {
             return;
         };
         let s = &mut self.stages[stage as usize];
-        let n = s.head.hop_count as usize;
-        if n < MAX_PATH_HOPS {
-            s.hops[n] = PathHop {
+        let n = s.hop_count as usize;
+        if n < self.stride {
+            self.hops[stage as usize * self.stride + n] = PathHop {
                 node,
                 rank,
                 depth,
                 entered,
             };
-            s.head.hop_count += 1;
+            s.hop_count += 1;
         } else {
-            s.head.truncated = true;
+            s.truncated = true;
         }
     }
 
@@ -573,15 +634,22 @@ impl PathRecorder {
             return;
         };
         self.stage_of[slot] = NO_STAGE;
-        self.spare.push(stage);
-        let s = &self.stages[stage as usize];
+        let s = &mut self.stages[stage as usize];
         log.records.push(PathRecord {
+            packet: s.packet,
+            flow: s.flow,
+            port: s.port,
+            hop_count: s.hop_count,
+            truncated: s.truncated,
+            enqueued: s.enqueued,
             departed,
             first_hop: log.hops.len() as u64,
-            ..s.head
         });
+        let first = stage as usize * self.stride;
         log.hops
-            .extend_from_slice(&s.hops[..s.head.hop_count as usize]);
+            .extend_from_slice(&self.hops[first..first + s.hop_count as usize]);
+        s.packet = u64::from(self.free);
+        self.free = stage;
     }
 }
 

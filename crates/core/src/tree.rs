@@ -887,7 +887,7 @@ impl ScheduleTree {
             s.recorder = Some(Box::new(ring));
         }
         if cfg.path_records && s.paths.is_none() {
-            s.paths = Some(Box::new(PathRecorder::new()));
+            s.paths = Some(Box::new(PathRecorder::for_height(s.height())));
         }
     }
 
@@ -906,7 +906,18 @@ impl ScheduleTree {
     /// model transmission (e.g. `pifo-sim`'s switch) overwrite it with
     /// the transmit start, through [`path_log_mut`](Self::path_log_mut),
     /// so the record's wait reconciles exactly with the departure trace.
+    ///
+    /// A log with room for `n` records sizes the tree's path-record
+    /// staging for the run: room for `n` records in flight, capped by the
+    /// pool's slot count, reserved once here rather than grown while the
+    /// run goes. (The fabrics hand in the empty [`PathLog::new`] at the
+    /// end of a run, which reserves nothing and leaves the pool alone.)
     pub fn replace_path_log(&mut self, log: PathLog) -> PathLog {
+        let expected = log.record_capacity();
+        if let Some(paths) = self.state.paths.as_deref_mut().filter(|_| expected > 0) {
+            let slots = self.pool.pool().capacity();
+            paths.reserve(slots.map_or(expected, |slots| expected.min(slots)));
+        }
         std::mem::replace(&mut self.state.path_log, log)
     }
 
@@ -966,6 +977,22 @@ impl ScheduleTree {
 }
 
 impl TreeState {
+    /// Levels from the deepest node to the root, inclusive: the most
+    /// nodes one enqueue walk visits.
+    fn height(&self) -> usize {
+        let levels = |mut node: NodeId| {
+            let mut n = 1;
+            while let Some(parent) = self.nodes[node.index()].parent {
+                (node, n) = (parent, n + 1);
+            }
+            n
+        };
+        (0..self.nodes.len())
+            .map(|i| levels(NodeId(i as u32)))
+            .max()
+            .unwrap_or(1)
+    }
+
     fn enqueue(
         &mut self,
         pool: &mut SharedPacketPool,

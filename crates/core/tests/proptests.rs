@@ -41,6 +41,84 @@ fn narrow_op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One calendar window at the default bucket width: 4 096 buckets of
+/// 2^8 rank values.
+const WINDOW: u64 = 1 << 20;
+const BUCKET: u64 = 1 << 8;
+
+/// A step of a rank that drifts across calendar windows: a push moves
+/// the drift point `windows` windows (0–3) plus `buckets` buckets up or
+/// down and pushes that point plus a `jitter` inside its bucket; or a
+/// pop.
+#[derive(Debug, Clone)]
+enum Drift {
+    Push {
+        windows: u64,
+        buckets: u64,
+        down: bool,
+        jitter: u64,
+        item: u32,
+    },
+    Pop,
+}
+
+fn drift_strategy() -> impl Strategy<Value = Drift> {
+    prop_oneof![
+        3 => (
+            0u64..4,
+            prop_oneof![1 => Just(0u64), 1 => 0u64..64, 1 => 0u64..4_096],
+            any::<bool>(),
+            0u64..16,
+            any::<u32>(),
+        )
+            .prop_map(|(windows, buckets, down, jitter, item)| Drift::Push {
+                windows,
+                buckets,
+                down,
+                jitter,
+                item,
+            }),
+        2 => Just(Drift::Pop),
+    ]
+}
+
+/// The drift steps as absolute pushes, from a point far from both ends
+/// of the rank space, after a fixed prefix that runs each of the bucket
+/// calendar's window moves once at the default bucket width: a rebase
+/// that moves buckets, one that spills them, a refill that migrates
+/// overflow entries into the new window and one that finds its minimum
+/// alone.
+fn drifting_ops(steps: Vec<Drift>) -> Vec<Op> {
+    let mut point = 1u64 << 40;
+    let prefix = [
+        Op::Push(point, 0),              // anchors the calendar
+        Op::Push(point + 8 * BUCKET, 1), // eight buckets up
+        Op::Push(point - BUCKET, 2),     // rebase: both buckets move
+        Op::Push(point - 2 * WINDOW, 3), // rebase: all three spill
+        Op::Push(point + 3 * WINDOW, 4), // past the horizon
+        Op::Pop,                         // the calendar's only entry
+        Op::Pop,                         // refill: two entries migrate
+        Op::Pop,
+        Op::Pop,
+        Op::Pop, // refill: a lone minimum
+    ];
+    let drift = steps.into_iter().map(|step| match step {
+        Drift::Push {
+            windows,
+            buckets,
+            down,
+            jitter,
+            item,
+        } => {
+            let by = windows * WINDOW + buckets * BUCKET;
+            point = if down { point - by } else { point + by };
+            Op::Push(point + jitter, item)
+        }
+        Drift::Pop => Op::Pop,
+    });
+    prefix.into_iter().chain(drift).collect()
+}
+
 /// Drive every exact backend with the same op stream and assert
 /// identical observable behaviour at each step: admission, pops, peeks,
 /// lengths, the `PifoFull` round-trip, and the ordered inspection view.
@@ -118,6 +196,16 @@ proptest! {
     #[test]
     fn backends_agree_narrow_ranks(ops in proptest::collection::vec(narrow_op_strategy(), 0..300)) {
         assert_backends_agree(None, ops);
+    }
+
+    /// All backends agree with ranks that drift up and down across
+    /// several calendar windows: the bucket calendar's downward rebase
+    /// (moving buckets, spilling those past its horizon), its refill from
+    /// the overflow heap and its lone-minimum refill all run, against the
+    /// sorted reference.
+    #[test]
+    fn backends_agree_drifting_ranks(steps in proptest::collection::vec(drift_strategy(), 200..500)) {
+        assert_backends_agree(None, drifting_ops(steps));
     }
 
     /// All backends admit and reject identically against the same

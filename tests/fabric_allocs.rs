@@ -12,6 +12,10 @@
 //! run. The lossless and `run_port` legs also bound the bytes each extra
 //! packet costs.
 //!
+//! It also bounds what building a tree costs before any packet arrives:
+//! a node's PIFO allocates its storage on first use, so a tree of idle
+//! nodes costs a few hundred bytes per node, whatever its engine.
+//!
 //! The same allocator also tracks the live heap's peak, which pins
 //! `merge`'s memory (a lazy merge of time-sorted sources holds its output
 //! and one head per source, and no sort scratch) and what path records
@@ -249,6 +253,31 @@ fn measure_shared_peak(n: u64, telemetry: TelemetryConfig) -> (u64, usize) {
     (peak, run.ports.iter().map(|p| p.paths.len()).sum())
 }
 
+const IDLE_LEAVES: usize = 64;
+
+/// Bytes requested building a default tree (`TreeBuilder::new()`): a
+/// strict-priority root over `IDLE_LEAVES` SRPT leaves, which no packet
+/// ever reaches. Neither transaction declares per-flow monotone ranks, so
+/// every node runs the default engine. Returns the bytes with the node
+/// count.
+fn measure_idle_tree() -> (u64, usize) {
+    BYTES.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let mut b = TreeBuilder::new();
+    let root = b.add_root("prio", Box::new(StrictPriority));
+    let leaves: Vec<NodeId> = (0..IDLE_LEAVES)
+        .map(|i| b.add_child(root, &format!("srpt{i}"), Box::new(Srpt)))
+        .collect();
+    let tree = b
+        .build(Box::new(move |p: &Packet| {
+            leaves[p.flow.0 as usize % IDLE_LEAVES]
+        }))
+        .expect("tree");
+    COUNTING.store(false, Relaxed);
+    assert!(tree.is_empty());
+    (BYTES.load(Relaxed), 1 + IDLE_LEAVES)
+}
+
 /// Allocator calls and bytes requested during one `Switch::run`.
 fn measure(n: u64, workers: usize, telemetry: Option<TelemetryConfig>) -> (u64, u64) {
     let arr = arrivals(n);
@@ -348,6 +377,17 @@ fn run_allocations_do_not_scale_with_packets() {
         extra <= bound as u64,
         "[shared paths] path records raised the live heap's peak by {extra} B on \
          {SHARED_PORTS} ports of a {SHARED_SLOTS}-slot pool, expected at most {bound}"
+    );
+
+    // An idle tree: each node's queue engine (the bucket calendar's
+    // 4 096 bucket headers, by default) is allocated on its first push,
+    // not when the tree is built.
+    let (bytes, nodes) = measure_idle_tree();
+    let per_node = bytes / nodes as u64;
+    assert!(
+        per_node <= 1_024,
+        "[idle tree] building {nodes} idle nodes allocated {per_node} B per node, \
+         expected at most 1 KiB"
     );
 
     // The lossless fabric's own event loop, on a busy stream that never
