@@ -38,8 +38,7 @@
 //! and cheap when enabled.
 //!
 //! Results go to `BENCH_approx.json` at the repo root (override with
-//! `BENCH_APPROX_OUT`); `--smoke` / `BENCH_APPROX_SMOKE=1` drops the
-//! 60 K occupancy for CI.
+//! `BENCH_APPROX_OUT`); `--smoke` drops the 60 K occupancy for CI.
 
 use pifo_core::metrics::{
     replay_with_stats, score_against_oracle, InversionStats, OracleScore, TraceOp,
@@ -252,7 +251,7 @@ fn tree_churn_pps(tracking: bool, occ: usize, churn: usize) -> f64 {
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_APPROX_SMOKE");
+    let smoke = pifo_bench::cli::smoke_flag();
     let occupancies: &[usize] = if smoke {
         &[1_000, 10_000]
     } else {

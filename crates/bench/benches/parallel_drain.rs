@@ -9,8 +9,7 @@
 //! byte-identical to the one-worker run — the
 //! sweep measures a drain that is *provably* the same schedule, not a
 //! relaxed one. Results land in `BENCH_parallel.json` (override with
-//! `BENCH_PARALLEL_OUT`); `--smoke` / `BENCH_PARALLEL_SMOKE=1` shrinks
-//! the sweep for CI.
+//! `BENCH_PARALLEL_OUT`); `--smoke` shrinks the sweep for CI.
 //!
 //! The JSON records `available_parallelism` so the numbers are
 //! interpretable: on a 1-core box the parallel legs can only tie the
@@ -111,7 +110,7 @@ fn assert_same_schedule(label: &str, reference: &SwitchRun, candidate: &SwitchRu
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_PARALLEL_SMOKE");
+    let smoke = pifo_bench::cli::smoke_flag();
 
     // Full mode: ~1.3 M packets (5 000 waves x 16 ports x 16 fan-in).
     // Smoke: ~5 K.

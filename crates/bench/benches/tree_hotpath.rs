@@ -15,8 +15,8 @@
 //! drain) on [`PifoBackend::default`], with a `sorted` reference row per
 //! occupancy for `hpfq_fig3`; the results are printed and written to
 //! `BENCH_tree.json` at the repo root (override with `BENCH_TREE_OUT`)
-//! so CI can archive a per-PR perf trajectory. `--smoke` (or
-//! `BENCH_TREE_SMOKE=1`) skips the largest occupancy for fast CI runs.
+//! so CI can archive a perf trajectory. `--smoke` skips the
+//! largest occupancy for fast CI runs.
 
 use pifo_algos::{fig3_hpfq, Hierarchy, TokenBucketFilter};
 use pifo_core::prelude::*;
@@ -147,7 +147,7 @@ fn run_one(
 }
 
 fn main() {
-    let smoke = pifo_bench::cli::smoke_flag("BENCH_TREE_SMOKE");
+    let smoke = pifo_bench::cli::smoke_flag();
     let occupancies: &[usize] = if smoke {
         &[1_000, 10_000]
     } else {

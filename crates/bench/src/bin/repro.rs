@@ -6,9 +6,9 @@
 //! repro all                         # run everything in order
 //! repro --backend bucket <id>...    # run on a specific PIFO engine
 //! repro --backend sp-pifo:4 <id>... # … including approximate ones
-//! repro --lossless [<id>...]        # add the Sec 6.2 lossless demo
-//! repro --domino [<id>...]          # add the Sec 4.1 compiler pipeline
-//! repro --telemetry [<id>...]       # add the observability tour
+//! repro pfc                         # the Sec 6.2 lossless demo
+//! repro domino                      # the Sec 4.1 compiler pipeline
+//! repro telemetry                   # the observability tour
 //! ```
 
 use pifo_bench::cli;
@@ -30,38 +30,9 @@ fn main() {
     }
     let backend = experiments::backend();
 
-    // `--lossless` appends the Sec 6.2 lossless experiment to whatever
-    // was asked for — alone it runs just that demo (`all` already
-    // includes it).
-    if cli::extract_flag(&mut args, "--lossless")
-        && args.first().map(|a| a.as_str()) != Some("all")
-        && !args.iter().any(|a| a == "pfc")
-    {
-        args.push("pfc".to_string());
-    }
-
-    // `--domino` likewise appends the Sec 4.1 staged-compiler experiment:
-    // every figure program through lex -> parse -> check -> analyze ->
-    // hw map -> interp, printing the pipeline report per figure.
-    if cli::extract_flag(&mut args, "--domino")
-        && args.first().map(|a| a.as_str()) != Some("all")
-        && !args.iter().any(|a| a == "domino")
-    {
-        args.push("domino".to_string());
-    }
-
-    // `--telemetry` appends the observability tour: flight-recorder
-    // events, per-packet path records, gauges, and the JSON snapshot.
-    if cli::extract_flag(&mut args, "--telemetry")
-        && args.first().map(|a| a.as_str()) != Some("all")
-        && !args.iter().any(|a| a == "telemetry")
-    {
-        args.push("telemetry".to_string());
-    }
-
     if args.is_empty() || args[0] == "list" || args[0] == "--help" || args[0] == "-h" {
         eprintln!(
-            "usage: repro {} [--lossless] [--domino] [--telemetry] <experiment id>... | all | list\n",
+            "usage: repro {} <experiment id>... | all | list\n",
             cli::backend_usage()
         );
         eprintln!("experiments:");

@@ -1,11 +1,11 @@
 //! The one command-line parser every pifo-bench entry point shares.
 //!
-//! The `repro` binary takes a PIFO engine selector and its mode flags,
-//! and the three bench mains take a CI smoke switch; routing them through
-//! this module keeps the accepted spellings and the error text identical
-//! everywhere. In particular there is exactly one place that knows how
-//! to turn a `--backend` value into a [`PifoBackend`]: the enum's
-//! `FromStr` impl via [`extract_backend`], so a new backend variant (or a
+//! The `repro` binary takes a PIFO engine selector and the three bench
+//! mains take a CI smoke switch; routing them through this module keeps
+//! the accepted spellings and the error text identical everywhere. In
+//! particular there is exactly one place that knows how to turn a
+//! `--backend` value into a [`PifoBackend`]: the enum's `FromStr` impl
+//! via [`extract_backend`], so a new backend variant (or a
 //! parameterised one like `sp-pifo:4`) becomes available to every binary
 //! the moment the enum learns it — no per-binary match arms to drift out
 //! of sync.
@@ -49,20 +49,10 @@ pub fn backend_usage() -> String {
 }
 
 /// True when the invocation asks for the CI smoke scale: `--smoke` on
-/// the command line or `env_var=1` in the environment. Every bench main
-/// consults this instead of probing `std::env` itself.
-pub fn smoke_flag(env_var: &str) -> bool {
-    std::env::args().any(|a| a == "--smoke") || std::env::var(env_var).is_ok_and(|v| v == "1")
-}
-
-/// Pull a boolean `flag` (e.g. `"--lossless"`) out of `args`, removing
-/// every occurrence. Returns true when the flag appeared at least once.
-/// The same removal-parser contract as [`extract_backend`]: untouched
-/// arguments stay in place, in order, for the positional parser behind.
-pub fn extract_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
+/// the command line. Every bench main consults this instead of probing
+/// `std::env` itself.
+pub fn smoke_flag() -> bool {
+    std::env::args().any(|a| a == "--smoke")
 }
 
 #[cfg(test)]
@@ -112,16 +102,5 @@ mod tests {
         let err = extract_backend(&mut a).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
         assert!(err.contains("sp-pifo"), "{err}");
-    }
-
-    #[test]
-    fn boolean_flag_is_consumed_wherever_it_appears() {
-        let mut a = args(&["--lossless", "fig2", "--lossless"]);
-        assert!(extract_flag(&mut a, "--lossless"));
-        assert_eq!(a, args(&["fig2"]));
-
-        let mut a = args(&["fig2", "stfq"]);
-        assert!(!extract_flag(&mut a, "--lossless"));
-        assert_eq!(a, args(&["fig2", "stfq"]));
     }
 }

@@ -96,8 +96,8 @@ pub mod prelude {
     };
     pub use crate::rank::{Rank, VT_SHIFT};
     pub use crate::telemetry::{
-        EventKind, FlightRecorder, GaugePoint, GaugeSeries, PathHop, PathLog, PathRecord,
-        PathRecorder, PathRef, TelemetryConfig, TelemetrySnapshot, TraceEvent,
+        EventKind, FlightRecorder, GaugePoint, GaugeSeries, PathHop, PathLog, PathRecord, PathRef,
+        TelemetryConfig, TelemetrySnapshot, TraceEvent,
     };
     pub use crate::time::{bytes_in, tx_time, Nanos};
     pub use crate::transaction::{

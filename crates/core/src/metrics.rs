@@ -319,20 +319,6 @@ pub fn score_against_oracle(actual: &[Rank], oracle: &[Rank]) -> OracleScore {
     score
 }
 
-/// Replay `trace` through `backend` and diff it against the unbounded
-/// sorted oracle in one call; returns the backend's pop ranks alongside
-/// the score so callers can also run tracker metrics on them.
-pub fn score_backend_on_trace(
-    backend: PifoBackend,
-    capacity: Option<usize>,
-    trace: &[TraceOp],
-) -> (Vec<Rank>, OracleScore) {
-    let actual = replay_backend(backend, capacity, trace);
-    let oracle = oracle_pop_ranks(trace);
-    let score = score_against_oracle(&actual, &oracle);
-    (actual, score)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,8 +413,9 @@ mod tests {
         let trace: Vec<TraceOp> = (0..50u64)
             .flat_map(|i| [Push(Rank(997 * i % 131)), Pop])
             .collect();
+        let oracle = oracle_pop_ranks(&trace);
         for backend in PifoBackend::EXACT {
-            let (_, score) = score_backend_on_trace(backend, None, &trace);
+            let score = score_against_oracle(&replay_backend(backend, None, &trace), &oracle);
             assert!(score.is_exact(), "{backend} diverged from oracle");
         }
     }
@@ -438,7 +425,8 @@ mod tests {
         use TraceOp::{Pop, Push};
         let mut trace: Vec<TraceOp> = (0..10u64).rev().map(|r| Push(Rank(r))).collect();
         trace.extend([Pop; 10]);
-        let (pops, score) = score_backend_on_trace(PifoBackend::SpPifo { queues: 1 }, None, &trace);
+        let pops = replay_backend(PifoBackend::SpPifo { queues: 1 }, None, &trace);
+        let score = score_against_oracle(&pops, &oracle_pop_ranks(&trace));
         assert_eq!(pops.len(), 10);
         assert!(score.displaced > 0);
         let s = inversion_stats_of(&pops);

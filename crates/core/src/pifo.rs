@@ -414,11 +414,10 @@ impl FromStr for PifoBackend {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let lower = s.to_ascii_lowercase();
-        if let Some(k) = ["sp-pifo", "sp_pifo", "sppifo"].iter().find_map(|fam| {
-            lower
-                .strip_prefix(fam)
-                .and_then(|rest| rest.strip_prefix(':').or(rest.is_empty().then_some("")))
-        }) {
+        if let Some(k) = lower
+            .strip_prefix("sp-pifo")
+            .and_then(|rest| rest.strip_prefix(':').or(rest.is_empty().then_some("")))
+        {
             let queues = if k.is_empty() {
                 crate::approx::DEFAULT_SP_PIFO_QUEUES
             } else {
@@ -430,9 +429,9 @@ impl FromStr for PifoBackend {
             return Ok(PifoBackend::SpPifo { queues });
         }
         match lower.as_str() {
-            "sorted" | "sorted-array" | "sorted_array" | "array" => Ok(PifoBackend::SortedArray),
+            "sorted" => Ok(PifoBackend::SortedArray),
             "heap" => Ok(PifoBackend::Heap),
-            "bucket" | "calendar" | "ffs" => Ok(PifoBackend::Bucket),
+            "bucket" => Ok(PifoBackend::Bucket),
             "rifo" => Ok(PifoBackend::Rifo),
             "aifo" => Ok(PifoBackend::Aifo),
             other => Err(format!(
@@ -777,7 +776,7 @@ impl<T> BucketPifo<T> {
     /// An unbounded PIFO whose buckets each cover `2^shift` rank values.
     /// Smaller shifts mean finer buckets (fewer residents each) but a
     /// narrower calendar window before ranks spill to the overflow heap.
-    pub fn with_shift(shift: u32) -> Self {
+    fn with_shift(shift: u32) -> Self {
         assert!(shift < 56, "bucket shift {shift} leaves no rank bits");
         BucketPifo {
             buckets: Vec::new(),
@@ -1583,10 +1582,9 @@ mod tests {
         for backend in PifoBackend::EXACT {
             assert_eq!(backend.to_string(), backend.label());
         }
-        assert_eq!(
-            "sorted-array".parse::<PifoBackend>(),
-            Ok(PifoBackend::SortedArray)
-        );
+        // Each engine has one spelling; any other is an unknown name.
+        let err = "sorted-array".parse::<PifoBackend>().unwrap_err();
+        assert!(err.contains(BACKEND_NAMES), "{err}");
         assert_eq!(
             "sp-pifo:4".parse::<PifoBackend>(),
             Ok(PifoBackend::SpPifo { queues: 4 })

@@ -12,7 +12,7 @@
 //!   source. Recording is O(1) and allocation-free; the recorder is
 //!   `Option`-gated at every hook site, so a disabled recorder costs one
 //!   pointer-null branch on the hot path and nothing else.
-//! * [`PathLog`] / [`PathRecorder`] — INT-style per-packet digests: an
+//! * [`PathLog`] — INT-style per-packet digests: an
 //!   opt-in mode where each packet accumulates a bounded list of
 //!   [`PathHop`]s (node, rank, queue depth seen at enqueue, entry time)
 //!   plus its enqueue/departure instants. A finished digest is written
@@ -22,8 +22,8 @@
 //!   departure trace. A fabric hands each port's log to its tree for the
 //!   length of a run, stamps each record's departure in the round that
 //!   sends its packet, and takes the log back at the end. A record in
-//!   flight is staged by the port's [`PathRecorder`], which grows with
-//!   the packets the port holds, not with the pool's slot count.
+//!   flight is staged by the port's tree, whose staging grows with the
+//!   packets the port holds, not with the pool's slot count.
 //! * [`GaugeSeries`] — named time series of sampled counters (per-port
 //!   queue depth, pool occupancy, free-list length, paused-class count,
 //!   inversion counters), assembled by the simulation layer.
@@ -517,7 +517,7 @@ const _: () = assert!(std::mem::size_of::<Staged>() == 24);
 /// tracked packet (e.g. shaping resumptions whose packet already
 /// departed).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathRecorder {
+pub(crate) struct PathRecorder {
     /// Pool slot → its record's stage, or `NO_STAGE`.
     stage_of: Vec<u32>,
     /// Stage → the record staged there.
@@ -532,19 +532,7 @@ pub struct PathRecorder {
     free: u32,
 }
 
-impl Default for PathRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PathRecorder {
-    /// An empty recorder that keeps up to [`MAX_PATH_HOPS`] hops per
-    /// record.
-    pub fn new() -> Self {
-        Self::for_height(MAX_PATH_HOPS)
-    }
-
     /// An empty recorder for a tree `height` levels tall: no walk takes
     /// more hops than that, so a stage keeps `height` of them (at least
     /// one, at most [`MAX_PATH_HOPS`]).
@@ -571,7 +559,14 @@ impl PathRecorder {
 
     /// Start a record for the packet admitted into pool slot `slot`.
     /// Resets the stage's header only: the hop storage is reused as is.
-    pub fn begin(&mut self, slot: usize, packet: u64, flow: FlowId, port: u16, enqueued: Nanos) {
+    pub(crate) fn begin(
+        &mut self,
+        slot: usize,
+        packet: u64,
+        flow: FlowId,
+        port: u16,
+        enqueued: Nanos,
+    ) {
         if slot >= self.stage_of.len() {
             self.stage_of.resize(slot + 1, NO_STAGE);
         }
@@ -608,7 +603,7 @@ impl PathRecorder {
     /// Append a hop to slot `slot`'s record (no-op when untracked; sets
     /// `truncated` past [`MAX_PATH_HOPS`], which a tree's walks never
     /// reach below that height).
-    pub fn hop(&mut self, slot: usize, node: u32, rank: u64, depth: u32, entered: Nanos) {
+    pub(crate) fn hop(&mut self, slot: usize, node: u32, rank: u64, depth: u32, entered: Nanos) {
         let Some(stage) = self.stage(slot) else {
             return;
         };
@@ -629,7 +624,7 @@ impl PathRecorder {
 
     /// Close slot `slot`'s record at `departed` and append it, with the
     /// hops it took, to `log` (no-op when untracked).
-    pub fn finish(&mut self, slot: usize, departed: Nanos, log: &mut PathLog) {
+    pub(crate) fn finish(&mut self, slot: usize, departed: Nanos, log: &mut PathLog) {
         let Some(stage) = self.stage(slot) else {
             return;
         };
@@ -849,7 +844,7 @@ mod tests {
 
     #[test]
     fn multi_hop_record_round_trips_leaf_first() {
-        let mut pr = PathRecorder::new();
+        let mut pr = PathRecorder::for_height(MAX_PATH_HOPS);
         pr.begin(3, 42, FlowId(1), 5, Nanos(10));
         pr.hop(3, 7, 100, 2, Nanos(10));
         pr.hop(3, 4, 200, 1, Nanos(25));
@@ -880,7 +875,7 @@ mod tests {
     /// A ninth hop sets `truncated` and keeps the first eight.
     #[test]
     fn path_recorder_tracks_hops_and_truncates() {
-        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
+        let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
         pr.begin(0, 1, FlowId(0), 0, Nanos(0));
         for i in 0..MAX_PATH_HOPS as u32 {
             pr.hop(0, i, i as u64, i, Nanos(0));
@@ -906,7 +901,7 @@ mod tests {
     /// later reports hops for a record that is already closed.
     #[test]
     fn hop_and_finish_on_unknown_or_finished_slots_are_no_ops() {
-        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
+        let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
         pr.hop(99, 0, 0, 0, Nanos(10));
         pr.finish(99, Nanos(50), &mut log);
         assert!(log.is_empty(), "never-begun slots are ignored");
@@ -928,7 +923,7 @@ mod tests {
 
     #[test]
     fn reused_slot_starts_from_zero_hops() {
-        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
+        let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
         pr.begin(0, 1, FlowId(1), 0, Nanos(0));
         for i in 0..=MAX_PATH_HOPS as u32 {
             pr.hop(0, 50 + i, 5, 5, Nanos(0));
@@ -959,7 +954,7 @@ mod tests {
     /// records, and a finished record's stage serves the next packet.
     #[test]
     fn staging_grows_with_records_in_flight_not_slot_indices() {
-        let (mut pr, mut log) = (PathRecorder::new(), PathLog::new());
+        let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
         pr.begin(59_999, 1, FlowId(1), 0, Nanos(0));
         pr.begin(30_000, 2, FlowId(2), 0, Nanos(1));
         pr.hop(59_999, 4, 40, 0, Nanos(0));

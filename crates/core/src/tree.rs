@@ -359,8 +359,9 @@ impl Default for TreeBuilder {
 }
 
 impl TreeBuilder {
-    /// An empty builder using [`PifoBackend::default`] — the heap, whose
-    /// per-packet cost does not grow with the backlog. Tests that compare
+    /// An empty builder using [`PifoBackend::default`] — the bucket
+    /// calendar, whose per-packet cost does not grow with the backlog.
+    /// Tests that compare
     /// *against* a reference name [`PifoBackend::SortedArray`] through
     /// [`with_backend`](Self::with_backend).
     pub fn new() -> Self {

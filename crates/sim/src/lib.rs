@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod buffer;
 pub mod gps;
 pub mod lossless;
 pub mod metrics;
@@ -40,7 +39,6 @@ pub mod switch;
 pub mod traffic;
 
 pub use baselines::{DrrSched, FifoSched};
-pub use buffer::{Red, RedScheduler};
 pub use gps::FluidGps;
 pub use lossless::{
     FabricStall, FaultPlan, LosslessConfig, LosslessFabric, LosslessRun, PauseAction, PauseEvent,

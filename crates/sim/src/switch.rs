@@ -476,11 +476,6 @@ impl Switch {
         }
     }
 
-    /// The telemetry configuration this fabric was built with, if any.
-    pub fn telemetry_config(&self) -> Option<TelemetryConfig> {
-        self.telemetry
-    }
-
     /// Merge every port's flight recorder and the run's sampled gauge
     /// series into one [`TelemetrySnapshot`], events in canonical
     /// `(time, port)` order (stable, so each port's recording order is

@@ -8,10 +8,96 @@
 //! paper's answer (§6.1) is per-flow thresholds in front of the
 //! scheduler; the dynamic Choudhury–Hahne variant \[14\] restores the
 //! scheduler's weighted shares without retuning.
+//!
+//! The thresholds are `pifo-core`'s pool policy: a tree built with
+//! `TreeBuilder::build_in_pool` under `PortFlow { port: Unlimited, flow:
+//! t }` is a scheduler with per-flow thresholds in front of it. The
+//! packet-level tests below pin that composition before the end-to-end
+//! lockout scenario.
 
 use pifo_algos::{Stfq, WeightTable};
 use pifo_core::prelude::*;
-use pifo_sim::{run_port, throughput, CbrSource, PortConfig, TrafficSource, TreeScheduler};
+use pifo_sim::{
+    run_port, throughput, CbrSource, PortConfig, PortScheduler, TrafficSource, TreeScheduler,
+};
+
+fn pkt(id: u64, flow: u32) -> Packet {
+    Packet::new(id, FlowId(flow), 1_000, Nanos(id))
+}
+
+/// A FIFO tree behind per-flow `threshold`s in a `capacity`-packet
+/// pool: the §6.1 composition, thresholds in front of the scheduler.
+fn flow_threshold_fifo(capacity: usize, threshold: Threshold) -> TreeScheduler {
+    let pool = SharedPacketPool::new(
+        capacity,
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Unlimited,
+            flow: threshold,
+        },
+    )
+    .unwrap()
+    .into_shared();
+    let mut b = TreeBuilder::new();
+    let root = b.add_root("fifo", Box::new(pifo_algos::Fifo));
+    let tree = b
+        .build_in_pool(Box::new(move |_| root), pool.register_port())
+        .unwrap();
+    TreeScheduler::new("fifo", tree)
+}
+
+#[test]
+fn static_threshold_caps_each_flow() {
+    let mut s = flow_threshold_fifo(100, Threshold::Static(2));
+    assert!(s.enqueue(pkt(0, 1), Nanos(0)));
+    assert!(s.enqueue(pkt(1, 1), Nanos(0)));
+    assert!(!s.enqueue(pkt(2, 1), Nanos(0)), "third of flow 1 dropped");
+    assert!(s.enqueue(pkt(3, 2), Nanos(0)), "other flows unaffected");
+    assert_eq!(s.drops(), 1);
+    assert_eq!(
+        s.tree().pool_handle().pool().flow_occupancy(FlowId(1)),
+        Some(2)
+    );
+}
+
+#[test]
+fn dequeue_frees_headroom() {
+    let mut s = flow_threshold_fifo(100, Threshold::Static(1));
+    assert!(s.enqueue(pkt(0, 1), Nanos(0)));
+    assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
+    s.dequeue(Nanos(1)).expect("packet");
+    assert!(s.enqueue(pkt(2, 1), Nanos(2)), "freed by the dequeue");
+}
+
+#[test]
+fn dynamic_threshold_prevents_monopoly_lockout() {
+    // The classic tail-drop pathology: one flow owning the whole
+    // buffer. With dynamic thresholds a second flow always finds
+    // room.
+    let mut s = flow_threshold_fifo(64, Threshold::Dynamic { num: 1, den: 1 });
+    let mut id = 0;
+    for _ in 0..200 {
+        let _ = s.enqueue(pkt(id, 1), Nanos(id));
+        id += 1;
+    }
+    let hog = s.tree().pool_handle().pool().flow_occupancy(FlowId(1));
+    assert!(hog <= Some(32), "hog capped at half: {hog:?}");
+    assert!(s.enqueue(pkt(id, 2), Nanos(id)), "victim admitted");
+}
+
+#[test]
+fn inner_rejection_counts_as_drop() {
+    // The buffer is full even though the flow threshold would admit:
+    // capacity rejects, and the reject is one drop, counted once.
+    let mut s = flow_threshold_fifo(1, Threshold::Static(50));
+    assert!(s.enqueue(pkt(0, 1), Nanos(0)));
+    assert!(!s.enqueue(pkt(1, 1), Nanos(0)));
+    assert_eq!(s.drops(), 1);
+    assert_eq!(
+        s.tree().pool_handle().pool().live(),
+        1,
+        "occupancy not double-counted"
+    );
+}
 
 const LINK: u64 = 10_000_000_000;
 
