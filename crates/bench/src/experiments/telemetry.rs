@@ -127,10 +127,8 @@ pub fn tour() -> String {
         run.ports.iter().map(|p| p.paths.len()).sum::<usize>()
     );
     if let Some(port) = with_paths.first() {
-        // The record reconciles with the departure it is aligned to.
-        let rec = port.paths.get(0).expect("port has path records");
-        let dep = &port.departures[0];
-        assert_eq!(rec.wait(), dep.wait, "telemetry wait == departure wait");
+        // The record is joined with the departure it is aligned to.
+        let rec = port.path(0).expect("port has path records");
         let _ = writeln!(
             s,
             "sample: packet {} flow {} — enqueued t={}, departed t={}, wait {} \

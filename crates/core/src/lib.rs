@@ -32,7 +32,7 @@
 //!   diff any backend's pop trace against the exact sorted oracle.
 //! * [`telemetry`] — fabric observability: the always-on
 //!   [`telemetry::FlightRecorder`] ring of compact trace events, opt-in
-//!   INT-style [`telemetry::PathRecord`]s per packet, sampled
+//!   INT-style per-packet path records in a [`telemetry::PathLog`], sampled
 //!   [`telemetry::GaugeSeries`], and the JSON-exportable
 //!   [`telemetry::TelemetrySnapshot`].
 //! * [`packet`], [`rank`], [`time`] — the vocabulary types.
@@ -96,8 +96,8 @@ pub mod prelude {
     };
     pub use crate::rank::{Rank, VT_SHIFT};
     pub use crate::telemetry::{
-        EventKind, FlightRecorder, GaugePoint, GaugeSeries, PathHop, PathLog, PathRecord, PathRef,
-        TelemetryConfig, TelemetrySnapshot, TraceEvent,
+        EventKind, FlightRecorder, GaugePoint, GaugeSeries, PathHop, PathLog, TelemetryConfig,
+        TelemetrySnapshot, TraceEvent,
     };
     pub use crate::time::{bytes_in, tx_time, Nanos};
     pub use crate::transaction::{

@@ -12,18 +12,18 @@
 //!   source. Recording is O(1) and allocation-free; the recorder is
 //!   `Option`-gated at every hook site, so a disabled recorder costs one
 //!   pointer-null branch on the hot path and nothing else.
-//! * [`PathLog`] — INT-style per-packet digests: an
-//!   opt-in mode where each packet accumulates a bounded list of
-//!   [`PathHop`]s (node, rank, queue depth seen at enqueue, entry time)
-//!   plus its enqueue/departure instants. A finished digest is written
-//!   once, when its packet departs, straight into the caller's
-//!   [`PathLog`] — a 40-byte [`PathRecord`] header over a hop arena that
-//!   holds only the hops its walk took — for post-hoc joins against the
-//!   departure trace. A fabric hands each port's log to its tree for the
-//!   length of a run, stamps each record's departure in the round that
-//!   sends its packet, and takes the log back at the end. A record in
-//!   flight is staged by the port's tree, whose staging grows with the
-//!   packets the port holds, not with the pool's slot count.
+//! * [`PathLog`] — INT-style per-packet digests: an opt-in mode where
+//!   each packet accumulates a bounded list of [`PathHop`]s (node, rank,
+//!   queue depth seen at enqueue, entry time). A finished digest is
+//!   written once, when its packet leaves the tree, straight into the
+//!   caller's [`PathLog`], which keeps only the hops: one arena of them
+//!   and a four-byte end word per record. A record digests the departure
+//!   at its own index, and everything else it reports (packet, flow,
+//!   enqueue and departure instants) is that departure's: `pifo-sim`'s
+//!   `PortTrace::path` joins the two. A fabric hands each port's log to
+//!   its tree for the length of a run and takes it back at the end. A
+//!   record in flight is staged by the port's tree, whose staging grows
+//!   with the packets the port holds, not with the pool's slot count.
 //! * [`GaugeSeries`] — named time series of sampled counters (per-port
 //!   queue depth, pool occupancy, free-list length, paused-class count,
 //!   inversion counters), assembled by the simulation layer.
@@ -300,9 +300,9 @@ fn write_event_json(s: &mut String, ev: &TraceEvent) {
     );
 }
 
-/// Maximum hops retained per packet in a [`PathRecord`]; deeper walks set
-/// [`PathRecord::truncated`]. Eight levels is far beyond any scheduling
-/// hierarchy in the paper (Fig 3 is two levels).
+/// Maximum hops retained per packet in a path record; deeper walks set
+/// the record's truncation flag. Eight levels is far beyond any
+/// scheduling hierarchy in the paper (Fig 3 is two levels).
 pub const MAX_PATH_HOPS: usize = 8;
 
 /// One hop of a packet's enqueue walk: which node ranked it, the rank it
@@ -319,96 +319,27 @@ pub struct PathHop {
     pub entered: Nanos,
 }
 
-/// An INT-style per-packet digest: who the packet was, the instants it
-/// entered and left the tree, and where in its [`PathLog`]'s hop arena
-/// the hops of its enqueue walk sit. Read one through
-/// [`PathLog::get`]/[`PathLog::iter`], which pair it with those hops.
-///
-/// `departed - enqueued` reconciles exactly with the departure trace's
-/// wait accounting (`Departure::wait` in `pifo-sim`) — the simulation
-/// layer finalizes `departed` with the transmit start time, and
-/// `enqueued` is the tree-enqueue instant, which is the packet's arrival.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathRecord {
-    /// Raw packet id.
-    pub packet: u64,
-    /// The packet's flow.
-    pub flow: FlowId,
-    /// The pool port of the tree that buffered it.
-    pub port: u16,
-    hop_count: u8,
-    /// True when the walk had more than [`MAX_PATH_HOPS`] hops and the
-    /// extra hops were discarded.
-    pub truncated: bool,
-    /// When the packet entered the tree (tree-enqueue `now`).
-    pub enqueued: Nanos,
-    /// When the packet departed (finalized by the sim layer to the
-    /// transmit start instant).
-    pub departed: Nanos,
-    /// Index of this record's first hop in its log's arena.
-    first_hop: u64,
-}
-
-// Like `TraceEvent`'s, these layouts are a perf contract: a one-hop
-// packet costs the log 64 bytes, not a fixed eight-hop record.
-const _: () = assert!(std::mem::size_of::<PathRecord>() == 40);
+// Like `TraceEvent`'s, this layout is a perf contract: a one-hop packet
+// costs the log 28 bytes, its hop and its end word.
 const _: () = assert!(std::mem::size_of::<PathHop>() == 24);
 
-impl PathRecord {
-    /// Time from tree enqueue to departure — the packet's total
-    /// residence in the tree.
-    pub fn wait(&self) -> Nanos {
-        Nanos(
-            self.departed
-                .as_nanos()
-                .saturating_sub(self.enqueued.as_nanos()),
-        )
-    }
-}
+/// The bit of a record's end word (and of a staged record's hop count)
+/// that marks a walk with more hops than were kept.
+const TRUNCATED: u32 = 1 << 31;
 
-/// One entry of a [`PathLog`]: a [`PathRecord`] (reachable through
-/// `Deref`) together with the hops its walk took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathRef<'a> {
-    record: &'a PathRecord,
-    hops: &'a [PathHop],
-}
-
-impl std::ops::Deref for PathRef<'_> {
-    type Target = PathRecord;
-
-    fn deref(&self) -> &PathRecord {
-        self.record
-    }
-}
-
-impl<'a> PathRef<'a> {
-    /// The recorded hops, leaf first.
-    pub fn hops(&self) -> &'a [PathHop] {
-        self.hops
-    }
-
-    /// Residence time attributable to hop `i`: from that hop's entry to
-    /// the next hop's entry (or to departure for the last hop). For
-    /// work-conserving trees every hop of one walk shares an entry time,
-    /// so the leaf hop carries the full residence.
-    pub fn residence(&self, i: usize) -> Nanos {
-        let start = self.hops[i].entered.as_nanos();
-        let end = self
-            .hops
-            .get(i + 1)
-            .map(|h| h.entered.as_nanos())
-            .unwrap_or(self.departed.as_nanos());
-        Nanos(end.saturating_sub(start))
-    }
-}
-
-/// Completed path records in departure order: 40-byte [`PathRecord`]
-/// headers over one arena holding only the hops each walk took.
+/// Completed path records in departure order: the hops each packet's
+/// enqueue walk took, in one arena, and one four-byte word per record
+/// saying where its hops end (its high bit set when the walk was
+/// truncated). Record `i` digests the `i`-th packet its tree dequeued;
+/// who that packet was and when it entered and left the tree are its
+/// departure's, so a log keeps none of it — `pifo-sim`'s
+/// `PortTrace::path` joins the two.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathLog {
-    records: Vec<PathRecord>,
     hops: Vec<PathHop>,
+    /// Record `i`'s hops are `hops[ends[i - 1]..ends[i]]` (from 0 for the
+    /// first), each end read without its `TRUNCATED` bit.
+    ends: Vec<u32>,
 }
 
 impl PathLog {
@@ -417,64 +348,65 @@ impl PathLog {
         Self::default()
     }
 
-    /// An empty log with room for `records` records and `hops` hops.
-    pub fn with_capacity(records: usize, hops: usize) -> Self {
+    /// An empty log with room for `records` records. The tree it is
+    /// handed to adds room for their hops (see
+    /// [`ScheduleTree::replace_path_log`](crate::tree::ScheduleTree::replace_path_log)).
+    pub fn with_capacity(records: usize) -> Self {
         PathLog {
-            records: Vec::with_capacity(records),
-            hops: Vec::with_capacity(hops),
+            hops: Vec::new(),
+            ends: Vec::with_capacity(records),
         }
     }
 
-    /// Reserve room for `records` more records and `hops` more hops,
-    /// allocating exactly that, or report that the allocator refused (the
-    /// log stays usable and grows as it fills).
+    /// Reserve room for `records` more records, allocating exactly that,
+    /// or report that the allocator refused (the log stays usable and
+    /// grows as it fills).
     pub fn try_reserve_exact(
         &mut self,
         records: usize,
-        hops: usize,
     ) -> Result<(), std::collections::TryReserveError> {
-        self.records.try_reserve_exact(records)?;
-        self.hops.try_reserve_exact(hops)
+        self.ends.try_reserve_exact(records)
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.ends.len()
     }
 
     /// True when the log holds no record.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.ends.is_empty()
+    }
+
+    /// Record `i`'s hops, leaf first, and whether its walk had more hops
+    /// than were kept; `None` past the end.
+    pub fn get(&self, i: usize) -> Option<(&[PathHop], bool)> {
+        let end = *self.ends.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j] & !TRUNCATED);
+        let hops = &self.hops[start as usize..(end & !TRUNCATED) as usize];
+        Some((hops, end & TRUNCATED != 0))
     }
 
     /// The records the log has room for without growing: what a driver
     /// presized it to.
     pub(crate) fn record_capacity(&self) -> usize {
-        self.records.capacity()
+        self.ends.capacity()
     }
 
-    /// Record `i` with its hops, or `None` past the end.
-    pub fn get(&self, i: usize) -> Option<PathRef<'_>> {
-        self.records.get(i).map(|r| self.entry(r))
+    /// Room for `hops` more hops, if the allocator grants it.
+    pub(crate) fn reserve_hops(&mut self, hops: usize) {
+        let _ = self.hops.try_reserve_exact(hops);
     }
 
-    /// Every record with its hops, in departure order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = PathRef<'_>> + '_ {
-        self.records.iter().map(|r| self.entry(r))
-    }
-
-    /// The record headers, mutable — for drivers that model transmission
-    /// and finalize `departed` to the transmit start.
-    pub fn records_mut(&mut self) -> &mut [PathRecord] {
-        &mut self.records
-    }
-
-    fn entry<'a>(&'a self, record: &'a PathRecord) -> PathRef<'a> {
-        let first = record.first_hop as usize;
-        PathRef {
-            record,
-            hops: &self.hops[first..first + record.hop_count as usize],
-        }
+    /// Append one record: its walk's `hops` and `truncated` flag.
+    fn push(&mut self, hops: &[PathHop], truncated: bool) {
+        self.hops.extend_from_slice(hops);
+        let end = u32::try_from(self.hops.len())
+            .ok()
+            .filter(|&end| end < TRUNCATED)
+            .expect("a path log holds fewer than 2³¹ hops");
+        self.ends
+            .push(if truncated { end | TRUNCATED } else { end });
     }
 }
 
@@ -482,34 +414,20 @@ impl PathLog {
 /// free-stage list.
 const NO_STAGE: u32 = u32::MAX;
 
-/// A record in flight: its [`PathRecord`] header less the fields
-/// [`PathRecorder::finish`] stamps. While the stage is free, `packet`
-/// links the next free stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Staged {
-    packet: u64,
-    enqueued: Nanos,
-    flow: FlowId,
-    port: u16,
-    hop_count: u8,
-    truncated: bool,
-}
-
-const _: () = assert!(std::mem::size_of::<Staged>() == 24);
-
-/// Accumulates [`PathRecord`]s for in-flight packets, keyed by their
-/// packet-pool slot, and appends each to the caller's [`PathLog`] when it
-/// finishes, so a log holds its records in departure order.
+/// Accumulates the hops of in-flight packets' path records, keyed by
+/// their packet-pool slot, and appends each record to the caller's
+/// [`PathLog`] when its packet is dequeued, so a log holds its records in
+/// departure order.
 ///
 /// A record is staged in a dense array that grows only to the most
 /// records this recorder has had in flight at once (its port's peak
 /// occupancy); a slot reaches its stage through a four-byte index. A
 /// tree on a fabric-wide shared pool therefore pays four bytes per pool
-/// slot it has used, not a whole staged record. A stage keeps as many
-/// hops as its tree is tall (at most [`MAX_PATH_HOPS`]): a walk visits
-/// each node from its leaf to the root once, so a one-level tree stages
-/// a 24-byte header and one hop per record. A tree sizes its recorder's
-/// staging once per run, from the path log the run hands it (see
+/// slot it has used, not a whole staged record. A stage is one word, the
+/// record's hop count and truncation flag, plus as many hops as its tree
+/// is tall (at most [`MAX_PATH_HOPS`]): a walk visits each node from its
+/// leaf to the root once. A tree sizes its recorder's staging once per
+/// run, from the path log the run hands it (see
 /// [`ScheduleTree::replace_path_log`](crate::tree::ScheduleTree::replace_path_log)).
 ///
 /// `hop` and `finish` are no-ops for slots with no record in flight, so
@@ -520,10 +438,11 @@ const _: () = assert!(std::mem::size_of::<Staged>() == 24);
 pub(crate) struct PathRecorder {
     /// Pool slot → its record's stage, or `NO_STAGE`.
     stage_of: Vec<u32>,
-    /// Stage → the record staged there.
-    stages: Vec<Staged>,
-    /// Stage `s`'s hops, at `s * stride..`. Past the record's
-    /// `hop_count` they are whatever the stage's previous occupants left.
+    /// Stage → the hop count of the record staged there, with its
+    /// `TRUNCATED` bit; while the stage is free, the next free stage.
+    staged: Vec<u32>,
+    /// Stage `s`'s hops, at `s * stride..`. Past the record's hop count
+    /// they are whatever the stage's previous occupants left.
     hops: Vec<PathHop>,
     /// Hops kept per record.
     stride: usize,
@@ -539,11 +458,17 @@ impl PathRecorder {
     pub(crate) fn for_height(height: usize) -> Self {
         PathRecorder {
             stage_of: Vec::new(),
-            stages: Vec::new(),
+            staged: Vec::new(),
             hops: Vec::new(),
             stride: height.clamp(1, MAX_PATH_HOPS),
             free: NO_STAGE,
         }
+    }
+
+    /// Hops kept per record: the most a log of `n` records needs is `n`
+    /// times this.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
     }
 
     /// Reserve (not fill) room for `records` records in flight on pool
@@ -552,46 +477,34 @@ impl PathRecorder {
     pub(crate) fn reserve(&mut self, records: usize) {
         let more = |len: usize| records.saturating_sub(len);
         self.stage_of.reserve_exact(more(self.stage_of.len()));
-        self.stages.reserve_exact(more(self.stages.len()));
+        self.staged.reserve_exact(more(self.staged.len()));
         self.hops
-            .reserve_exact(more(self.stages.len()).saturating_mul(self.stride));
+            .reserve_exact(more(self.staged.len()).saturating_mul(self.stride));
     }
 
-    /// Start a record for the packet admitted into pool slot `slot`.
-    /// Resets the stage's header only: the hop storage is reused as is.
-    pub(crate) fn begin(
-        &mut self,
-        slot: usize,
-        packet: u64,
-        flow: FlowId,
-        port: u16,
-        enqueued: Nanos,
-    ) {
+    /// Start a record for the packet admitted into pool slot `slot`, with
+    /// no hops yet. The stage's hop storage is reused as is.
+    pub(crate) fn begin(&mut self, slot: usize) {
         if slot >= self.stage_of.len() {
             self.stage_of.resize(slot + 1, NO_STAGE);
         }
-        if self.stage_of[slot] == NO_STAGE {
-            self.stage_of[slot] = match self.free {
+        let stage = match self.stage_of[slot] {
+            NO_STAGE => match self.free {
                 NO_STAGE => {
-                    self.stages.push(Staged::default());
+                    self.staged.push(0);
                     let hops = self.hops.len() + self.stride;
                     self.hops.resize(hops, PathHop::default());
-                    u32::try_from(self.stages.len() - 1).expect("fewer than 2³² records in flight")
+                    u32::try_from(self.staged.len() - 1).expect("fewer than 2³² records in flight")
                 }
                 stage => {
-                    self.free = self.stages[stage as usize].packet as u32;
+                    self.free = self.staged[stage as usize];
                     stage
                 }
-            };
-        }
-        self.stages[self.stage_of[slot] as usize] = Staged {
-            packet,
-            enqueued,
-            flow,
-            port,
-            hop_count: 0,
-            truncated: false,
+            },
+            stage => stage,
         };
+        self.stage_of[slot] = stage;
+        self.staged[stage as usize] = 0;
     }
 
     /// The stage of slot `slot`'s record in flight, if any.
@@ -601,14 +514,14 @@ impl PathRecorder {
     }
 
     /// Append a hop to slot `slot`'s record (no-op when untracked; sets
-    /// `truncated` past [`MAX_PATH_HOPS`], which a tree's walks never
-    /// reach below that height).
+    /// the truncation flag past [`MAX_PATH_HOPS`], which a tree's walks
+    /// never reach below that height).
     pub(crate) fn hop(&mut self, slot: usize, node: u32, rank: u64, depth: u32, entered: Nanos) {
         let Some(stage) = self.stage(slot) else {
             return;
         };
-        let s = &mut self.stages[stage as usize];
-        let n = s.hop_count as usize;
+        let word = &mut self.staged[stage as usize];
+        let n = (*word & !TRUNCATED) as usize;
         if n < self.stride {
             self.hops[stage as usize * self.stride + n] = PathHop {
                 node,
@@ -616,34 +529,24 @@ impl PathRecorder {
                 depth,
                 entered,
             };
-            s.hop_count += 1;
+            *word += 1;
         } else {
-            s.truncated = true;
+            *word |= TRUNCATED;
         }
     }
 
-    /// Close slot `slot`'s record at `departed` and append it, with the
-    /// hops it took, to `log` (no-op when untracked).
-    pub(crate) fn finish(&mut self, slot: usize, departed: Nanos, log: &mut PathLog) {
+    /// Close slot `slot`'s record and append its hops to `log` (no-op
+    /// when untracked).
+    pub(crate) fn finish(&mut self, slot: usize, log: &mut PathLog) {
         let Some(stage) = self.stage(slot) else {
             return;
         };
         self.stage_of[slot] = NO_STAGE;
-        let s = &mut self.stages[stage as usize];
-        log.records.push(PathRecord {
-            packet: s.packet,
-            flow: s.flow,
-            port: s.port,
-            hop_count: s.hop_count,
-            truncated: s.truncated,
-            enqueued: s.enqueued,
-            departed,
-            first_hop: log.hops.len() as u64,
-        });
+        let word = self.staged[stage as usize];
         let first = stage as usize * self.stride;
-        log.hops
-            .extend_from_slice(&self.hops[first..first + s.hop_count as usize]);
-        s.packet = u64::from(self.free);
+        let n = (word & !TRUNCATED) as usize;
+        log.push(&self.hops[first..first + n], word & TRUNCATED != 0);
+        self.staged[stage as usize] = self.free;
         self.free = stage;
     }
 }
@@ -688,7 +591,8 @@ impl GaugeSeries {
 /// turns it on for each tree with `ScheduleTree::enable_telemetry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Also collect per-packet [`PathRecord`]s (the most expensive mode).
+    /// Also collect per-packet path records into a [`PathLog`] per port
+    /// (the most expensive mode).
     pub path_records: bool,
     /// Sample gauges every this many scheduling rounds.
     pub sample_every: u64,
@@ -842,57 +746,55 @@ mod tests {
         assert_eq!(FlightRecorder::new(4096).capacity(), 4096);
     }
 
-    #[test]
-    fn multi_hop_record_round_trips_leaf_first() {
-        let mut pr = PathRecorder::for_height(MAX_PATH_HOPS);
-        pr.begin(3, 42, FlowId(1), 5, Nanos(10));
-        pr.hop(3, 7, 100, 2, Nanos(10));
-        pr.hop(3, 4, 200, 1, Nanos(25));
-        pr.hop(3, 0, 300, 0, Nanos(40));
-        let mut log = PathLog::new();
-        pr.finish(3, Nanos(50), &mut log);
-        assert_eq!(log.len(), 1);
-        assert!(log.get(1).is_none());
-        let r = log.get(0).expect("one record");
-        assert_eq!((r.packet, r.flow, r.port), (42, FlowId(1), 5));
-        assert_eq!((r.enqueued, r.departed), (Nanos(10), Nanos(50)));
-        assert!(!r.truncated);
-        let hop = |node, rank, depth, entered| PathHop {
+    fn hop(node: u32, rank: u64, depth: u32, entered: u64) -> PathHop {
+        PathHop {
             node,
             rank,
             depth,
             entered: Nanos(entered),
-        };
-        assert_eq!(
-            r.hops(),
-            [hop(7, 100, 2, 10), hop(4, 200, 1, 25), hop(0, 300, 0, 40)]
-        );
-        assert_eq!(r.wait(), Nanos(40));
-        let residences: Vec<Nanos> = (0..3).map(|i| r.residence(i)).collect();
-        assert_eq!(residences, [Nanos(15), Nanos(15), Nanos(10)]);
+        }
     }
 
-    /// A ninth hop sets `truncated` and keeps the first eight.
+    #[test]
+    fn multi_hop_record_round_trips_leaf_first() {
+        let mut pr = PathRecorder::for_height(MAX_PATH_HOPS);
+        pr.begin(3);
+        pr.hop(3, 7, 100, 2, Nanos(10));
+        pr.hop(3, 4, 200, 1, Nanos(25));
+        pr.hop(3, 0, 300, 0, Nanos(40));
+        let mut log = PathLog::new();
+        pr.finish(3, &mut log);
+        assert_eq!(log.len(), 1);
+        assert!(log.get(1).is_none());
+        let (hops, truncated) = log.get(0).expect("one record");
+        assert!(!truncated);
+        assert_eq!(
+            hops,
+            [hop(7, 100, 2, 10), hop(4, 200, 1, 25), hop(0, 300, 0, 40)]
+        );
+    }
+
+    /// A ninth hop sets the truncation flag and keeps the first eight.
     #[test]
     fn path_recorder_tracks_hops_and_truncates() {
         let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
-        pr.begin(0, 1, FlowId(0), 0, Nanos(0));
+        pr.begin(0);
         for i in 0..MAX_PATH_HOPS as u32 {
             pr.hop(0, i, i as u64, i, Nanos(0));
         }
-        pr.finish(0, Nanos(1), &mut log);
-        pr.begin(0, 2, FlowId(0), 0, Nanos(1));
+        pr.finish(0, &mut log);
+        pr.begin(0);
         for i in 0..=MAX_PATH_HOPS as u32 {
             pr.hop(0, 100 + i, i as u64, i, Nanos(1));
         }
-        pr.finish(0, Nanos(2), &mut log);
+        pr.finish(0, &mut log);
 
-        let exact = log.get(0).expect("eight-hop record");
-        assert_eq!(exact.hops().len(), MAX_PATH_HOPS);
-        assert!(!exact.truncated, "eight hops fit");
-        let over = log.get(1).expect("nine-hop record");
-        assert!(over.truncated);
-        let nodes: Vec<u32> = over.hops().iter().map(|h| h.node).collect();
+        let (exact, truncated) = log.get(0).expect("eight-hop record");
+        assert_eq!(exact.len(), MAX_PATH_HOPS);
+        assert!(!truncated, "eight hops fit");
+        let (over, truncated) = log.get(1).expect("nine-hop record");
+        assert!(truncated);
+        let nodes: Vec<u32> = over.iter().map(|h| h.node).collect();
         assert_eq!(nodes, (100..100 + MAX_PATH_HOPS as u32).collect::<Vec<_>>());
     }
 
@@ -903,50 +805,44 @@ mod tests {
     fn hop_and_finish_on_unknown_or_finished_slots_are_no_ops() {
         let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
         pr.hop(99, 0, 0, 0, Nanos(10));
-        pr.finish(99, Nanos(50), &mut log);
+        pr.finish(99, &mut log);
         assert!(log.is_empty(), "never-begun slots are ignored");
 
-        pr.begin(2, 7, FlowId(0), 0, Nanos(10));
+        pr.begin(2);
         pr.hop(2, 1, 1, 0, Nanos(10));
-        pr.finish(2, Nanos(20), &mut log);
+        pr.finish(2, &mut log);
         pr.hop(2, 0, 9, 9, Nanos(30));
-        pr.finish(2, Nanos(40), &mut log);
+        pr.finish(2, &mut log);
         // In range but never begun: storage exists, no record is live.
         pr.hop(1, 0, 0, 0, Nanos(30));
-        pr.finish(1, Nanos(40), &mut log);
+        pr.finish(1, &mut log);
 
-        assert_eq!(log.len(), 1);
-        let r = log.get(0).expect("the one finished record");
-        assert_eq!(r.departed, Nanos(20), "the late finish changed nothing");
-        assert_eq!(r.hops().len(), 1, "the late hop was dropped");
+        assert_eq!(log.len(), 1, "the late finishes logged nothing");
+        let (hops, _) = log.get(0).expect("the one finished record");
+        assert_eq!(hops, [hop(1, 1, 0, 10)], "the late hop was dropped");
     }
 
     #[test]
     fn reused_slot_starts_from_zero_hops() {
         let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
-        pr.begin(0, 1, FlowId(1), 0, Nanos(0));
+        pr.begin(0);
         for i in 0..=MAX_PATH_HOPS as u32 {
             pr.hop(0, 50 + i, 5, 5, Nanos(0));
         }
-        pr.finish(0, Nanos(5), &mut log);
+        pr.finish(0, &mut log);
         // Same slot, next occupant: one hop, then none at all.
-        pr.begin(0, 2, FlowId(2), 0, Nanos(6));
+        pr.begin(0);
         pr.hop(0, 9, 1, 0, Nanos(6));
-        pr.finish(0, Nanos(7), &mut log);
-        pr.begin(0, 3, FlowId(3), 0, Nanos(8));
-        pr.finish(0, Nanos(9), &mut log);
+        pr.finish(0, &mut log);
+        pr.begin(0);
+        pr.finish(0, &mut log);
 
-        let second = log.get(1).expect("second occupant");
-        assert_eq!(second.packet, 2);
-        assert!(
-            !second.truncated,
-            "truncation does not leak across occupants"
-        );
-        assert_eq!(second.hops().len(), 1);
-        assert_eq!(second.hops()[0].node, 9);
-        let third = log.get(2).expect("third occupant");
-        assert_eq!(third.packet, 3);
-        assert!(third.hops().is_empty());
+        let (second, truncated) = log.get(1).expect("second occupant");
+        assert!(!truncated, "truncation does not leak across occupants");
+        assert_eq!(second, [hop(9, 1, 0, 6)]);
+        let (third, truncated) = log.get(2).expect("third occupant");
+        assert!(third.is_empty() && !truncated);
+        assert!(log.get(0).expect("first occupant").1);
     }
 
     /// Staging grows with the records in flight, not with the slot
@@ -955,19 +851,21 @@ mod tests {
     #[test]
     fn staging_grows_with_records_in_flight_not_slot_indices() {
         let (mut pr, mut log) = (PathRecorder::for_height(MAX_PATH_HOPS), PathLog::new());
-        pr.begin(59_999, 1, FlowId(1), 0, Nanos(0));
-        pr.begin(30_000, 2, FlowId(2), 0, Nanos(1));
-        pr.hop(59_999, 4, 40, 0, Nanos(0));
-        assert_eq!(pr.stages.len(), 2);
-        pr.finish(59_999, Nanos(2), &mut log);
-        pr.begin(7, 3, FlowId(3), 0, Nanos(3));
-        assert_eq!(pr.stages.len(), 2, "the freed stage is reused");
-        pr.finish(7, Nanos(4), &mut log);
-        pr.finish(30_000, Nanos(5), &mut log);
-        let packets: Vec<u64> = log.iter().map(|r| r.packet).collect();
-        assert_eq!(packets, [1, 3, 2]);
-        assert_eq!(log.get(0).expect("first").hops()[0].node, 4);
-        assert!(log.get(1).expect("second").hops().is_empty());
+        pr.begin(59_999);
+        pr.begin(30_000);
+        pr.hop(59_999, 1, 40, 0, Nanos(0));
+        pr.hop(30_000, 2, 40, 0, Nanos(1));
+        assert_eq!(pr.staged.len(), 2);
+        pr.finish(59_999, &mut log);
+        pr.begin(7);
+        assert_eq!(pr.staged.len(), 2, "the freed stage is reused");
+        pr.hop(7, 3, 40, 0, Nanos(3));
+        pr.finish(7, &mut log);
+        pr.finish(30_000, &mut log);
+        let nodes: Vec<u32> = (0..log.len())
+            .map(|i| log.get(i).expect("in range").0[0].node)
+            .collect();
+        assert_eq!(nodes, [1, 3, 2], "records land in finishing order");
     }
 
     #[test]

@@ -873,11 +873,12 @@ impl ScheduleTree {
     /// Switch on telemetry from this point: a flight recorder retaining
     /// the most recent [`TelemetryConfig::RING_CAPACITY`] trace events
     /// (enqueue/dequeue/drop/shaping/pool — see [`EventKind`]) and, when
-    /// `cfg.path_records` is set, an INT-style
-    /// [`PathRecord`](crate::telemetry::PathRecord) per packet: the hops
-    /// of its enqueue walk (node, rank, queue depth seen) plus enqueue
-    /// and departure instants. Idempotent: a running recorder keeps its
-    /// ring and counters, and packets already buffered get no record.
+    /// `cfg.path_records` is set, an INT-style path record per packet:
+    /// the hops of its enqueue walk (node, rank, queue depth seen, entry
+    /// instant), logged when it leaves the tree (see
+    /// [`replace_path_log`](Self::replace_path_log)). Idempotent: a
+    /// running recorder keeps its ring and counters, and packets already
+    /// buffered get no record.
     /// Off by default; when off every hook site costs one `Option` null
     /// check. A fabric switches it on for every port through
     /// `pifo-sim`'s `SwitchBuilder::with_telemetry`.
@@ -900,33 +901,28 @@ impl ScheduleTree {
 
     /// Hand the tree the log its finished path records are appended to,
     /// returning the log it held until now. Each record is written once,
-    /// into this log, when its packet is dequeued; nothing is written
-    /// when path records are off. A fabric hands in a port's log at the
-    /// start of a run and takes it back (with an empty one) at the end.
-    /// The `departed` stamp is the tree dequeue instant; fabrics that
-    /// model transmission (e.g. `pifo-sim`'s switch) overwrite it with
-    /// the transmit start, through [`path_log_mut`](Self::path_log_mut),
-    /// so the record's wait reconciles exactly with the departure trace.
+    /// into this log, when its packet is dequeued, so record `k` digests
+    /// the `k`-th packet dequeued while the log is in; nothing is written
+    /// when path records are off. A record holds only its walk's hops:
+    /// the packet, its flow and the instants it entered and left are its
+    /// departure's (`pifo-sim`'s `PortTrace::path` joins the two). A
+    /// fabric hands in a port's log at the start of a run and takes it
+    /// back (with an empty one) at the end.
     ///
-    /// A log with room for `n` records sizes the tree's path-record
-    /// staging for the run: room for `n` records in flight, capped by the
-    /// pool's slot count, reserved once here rather than grown while the
-    /// run goes. (The fabrics hand in the empty [`PathLog::new`] at the
-    /// end of a run, which reserves nothing and leaves the pool alone.)
-    pub fn replace_path_log(&mut self, log: PathLog) -> PathLog {
+    /// A log with room for `n` records sizes the run once, rather than
+    /// growing while it goes: the log gets room for `n` times the tree's
+    /// height in hops, and the tree's path-record staging room for `n`
+    /// records in flight, capped by the pool's slot count. (The fabrics
+    /// hand in the empty [`PathLog::new`] at the end of a run, which
+    /// reserves nothing and leaves the pool alone.)
+    pub fn replace_path_log(&mut self, mut log: PathLog) -> PathLog {
         let expected = log.record_capacity();
         if let Some(paths) = self.state.paths.as_deref_mut().filter(|_| expected > 0) {
+            log.reserve_hops(expected.saturating_mul(paths.stride()));
             let slots = self.pool.pool().capacity();
             paths.reserve(slots.map_or(expected, |slots| expected.min(slots)));
         }
         std::mem::replace(&mut self.state.path_log, log)
-    }
-
-    /// The log finished path records are appended to (see
-    /// [`replace_path_log`](Self::replace_path_log)), for a driver that
-    /// stamps each record's `departed` in the round that sends it.
-    pub fn path_log_mut(&mut self) -> &mut PathLog {
-        &mut self.state.path_log
     }
 
     /// A copy of the packet that `dequeue` would return *right now*,
@@ -1043,7 +1039,7 @@ impl TreeState {
         };
 
         // Leaf: the element is a handle to the buffered packet.
-        let (leaf_rank, leaf_flow, leaf_depth, id) = {
+        let (leaf_rank, leaf_flow, leaf_depth) = {
             let node = &mut self.nodes[leaf.index()];
             let p = pool.get(handle);
             let flow = flow_of(&node.flow_fn, p);
@@ -1056,10 +1052,10 @@ impl TreeState {
             let depth = node.sched_pifo.len();
             node.sched_pifo
                 .push(&mut self.store, flow, rank, Element::Packet(handle));
-            (rank, flow, depth, p.id.0)
+            (rank, flow, depth)
         };
         if self.recorder.is_some() {
-            self.note_admission(handle, id, leaf, leaf_rank, leaf_flow, leaf_depth, now);
+            self.note_admission(handle, leaf, leaf_rank, leaf_flow, leaf_depth, now);
         }
         if leaf == self.root {
             // Single-node tree: the leaf PIFO *is* the departure
@@ -1243,7 +1239,7 @@ impl TreeState {
                         let remaining = self.buffered as u32;
                         self.emit(EventKind::Dequeue, now, node.0, flow, rank.0, remaining);
                         if let Some(paths) = &mut self.paths {
-                            paths.finish(h.index(), now, &mut self.path_log);
+                            paths.finish(h.index(), &mut self.path_log);
                         }
                     }
                     // Common case: the leaf element is the last holder and
@@ -1299,11 +1295,9 @@ impl TreeState {
 
     /// Telemetry for one admitted packet: `PoolAlloc` then `Enqueue`,
     /// plus the path record's leaf hop.
-    #[allow(clippy::too_many_arguments)]
     fn note_admission(
         &mut self,
         handle: PktHandle,
-        id: u64,
         leaf: NodeId,
         rank: Rank,
         flow: FlowId,
@@ -1314,7 +1308,7 @@ impl TreeState {
         self.emit(EventKind::PoolAlloc, now, leaf.0, flow, slot as u64, 0);
         self.emit(EventKind::Enqueue, now, leaf.0, flow, rank.0, depth as u32);
         if let Some(paths) = &mut self.paths {
-            paths.begin(slot, id, flow, self.port, now);
+            paths.begin(slot);
             paths.hop(slot, leaf.0, rank.0, depth as u32, now);
         }
     }

@@ -18,7 +18,7 @@
 //! Observability rides along without steering: build a fabric with
 //! [`SwitchBuilder::with_telemetry`] and every port tree records flight
 //! recorder events, optional per-packet path records
-//! ([`PortTrace::paths`]), and sampled gauges, merged after a run by
+//! ([`PortTrace::path`]), and sampled gauges, merged after a run by
 //! [`Switch::telemetry_snapshot`] (or [`LosslessRun::telemetry`] for the
 //! lossless fabric) — with departure traces bit-identical to a
 //! telemetry-off run.
@@ -52,7 +52,7 @@ pub use pfabric_ref::PFabricQueue;
 pub use pipeline::{run_pipeline, Hop, PipelineResult};
 pub use port::{run_port, Departure, PortConfig};
 pub use scheduler::{PortScheduler, TreeScheduler};
-pub use switch::{PortClassifier, PortTrace, Switch, SwitchBuilder, SwitchRun};
+pub use switch::{PathView, PortClassifier, PortTrace, Switch, SwitchBuilder, SwitchRun};
 pub use traffic::{
     flow_workload, merge, renumber, CbrSource, FlowSpec, IncastSource, MarkovOnOffSource,
     OnOffSource, PoissonSource, SizeDistribution, TrafficSource,

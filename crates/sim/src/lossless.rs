@@ -727,12 +727,13 @@ impl<'a> Driver<'a> {
         let ports = (switch.ports.iter_mut().zip(bound).enumerate())
             .map(|(i, (tree, bound))| {
                 let (mut ps, mut log) = (PortState::default(), PathLog::new());
+                ps.trace.port = tree.pool_handle().port() as u16;
                 let slow = faults.slow_drain.iter().rev().find(|&&(p, _)| p == i);
                 ps.rate = (switch.rate_bps / slow.map_or(1, |&(_, k)| k.max(1)) as u64).max(1);
                 if let Some(b) = bound {
                     let _ = ps.trace.departures.try_reserve_exact(b);
                     if paths {
-                        let _ = log.try_reserve_exact(b, b);
+                        let _ = log.try_reserve_exact(b);
                     }
                 }
                 tree.replace_path_log(log);
@@ -991,6 +992,8 @@ impl<'a> Driver<'a> {
     /// class — or as a drop if the tree refuses what the pool admitted
     /// (unknown flow and the like).
     fn enqueue(&mut self, i: usize, p: Packet, at: Nanos) {
+        // A path record's enqueue instant is its departure's arrival.
+        debug_assert_eq!(at, p.arrival, "port {i} enqueues a packet off its arrival");
         let class = p.class as usize;
         let tree = &mut self.switch.ports[i];
         if tree.enqueue_lent(Some(&mut self.pool), p, at).is_ok() {
@@ -1032,7 +1035,6 @@ impl<'a> Driver<'a> {
         let burst = if dead { 0 } else { self.switch.burst };
         let (ps, tree) = (&mut self.ports[i], &mut self.switch.ports[i]);
         let (mut t, mut sent) = (now, 0);
-        let logged = tree.path_log_mut().len();
         while sent < burst {
             let Some(p) = tree.dequeue_lent(Some(&mut self.pool), now) else {
                 break;
@@ -1041,7 +1043,6 @@ impl<'a> Driver<'a> {
             t = transmit(p, t, ps.rate, &mut ps.trace.departures);
             sent += 1;
         }
-        ps.trace.stamp_paths(tree.path_log_mut(), logged);
 
         let round_end = if sent == 0 {
             // Idle: hop to the next local cause — a future skid arrival

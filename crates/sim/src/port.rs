@@ -19,9 +19,9 @@ use pifo_core::prelude::*;
 /// records live in a side channel
 /// ([`PortTrace::paths`](crate::switch::PortTrace::paths),
 /// index-aligned with the departures), so a telemetry-on trace stays
-/// byte-comparable to a telemetry-off one. `wait` reconciles exactly
-/// with the telemetry layer's
-/// [`PathRecord::wait`](pifo_core::telemetry::PathRecord::wait).
+/// byte-comparable to a telemetry-off one.
+/// [`PortTrace::path`](crate::switch::PortTrace::path) joins a record
+/// with its departure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Departure {
     /// The packet as it left (fields may have been updated, e.g. LSTF

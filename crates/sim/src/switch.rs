@@ -37,10 +37,10 @@
 //! call that buffers it — and moves out of the buffer into its
 //! [`Departure`]. Each port's departure trace is allocated once, at the
 //! port's arrival count, and so is its path log: the run hands the log
-//! to the port's tree, the tree writes each record into it once, when
-//! its packet departs, the round that sends the packet stamps its
-//! transmit start while the record is still in cache, and the run moves
-//! the log into [`PortTrace::paths`] at the end.
+//! to the port's tree, the tree writes each record's hops into it once,
+//! when its packet departs, and the run moves the log into
+//! [`PortTrace::paths`] at the end. A record keeps nothing its departure
+//! already says: [`PortTrace::path`] joins the two.
 //!
 //! # One buffer for all ports
 //!
@@ -170,12 +170,13 @@ impl SwitchBuilder {
 
     /// Collect telemetry during runs: every port tree gets a
     /// [`FlightRecorder`] ring of [`TelemetryConfig::RING_CAPACITY`] trace
-    /// events (plus per-packet [`PathRecord`]s when `cfg.path_records` is
+    /// events (plus per-packet path records when `cfg.path_records` is
     /// set), and each port samples its gauge series — queue depth, pool
     /// occupancy, cumulative inversions when tracking — every
     /// `cfg.sample_every` scheduling rounds. Read the merged result after
     /// a run with [`Switch::telemetry_snapshot`]; per-port path records
-    /// land on [`PortTrace::paths`]. Off by default — disabled telemetry
+    /// land on [`PortTrace::paths`] (read them with [`PortTrace::path`]).
+    /// Off by default — disabled telemetry
     /// costs one null check per tree operation. Telemetry observes only:
     /// departure traces are bit-identical with it on or off.
     pub fn with_telemetry(&mut self, cfg: TelemetryConfig) -> &mut Self {
@@ -318,16 +319,62 @@ pub struct PortTrace {
     /// Packets this port's tree rejected (buffer full / unknown flow).
     pub drops: u64,
     /// Completed per-packet path records, index-aligned with
-    /// [`departures`](Self::departures) (`paths.get(i)` digests
-    /// `departures[i]`'s walk, with `departed` finalized to its transmit
-    /// start so `PathRecord::wait` equals `Departure::wait` exactly).
-    /// Empty unless the fabric enabled
+    /// [`departures`](Self::departures): record `i` holds the hops of
+    /// `departures[i]`'s enqueue walk, and nothing the departure says
+    /// already. Read a record whole with [`path`](Self::path) or
+    /// [`path_views`](Self::path_views). Empty unless the fabric enabled
     /// [`TelemetryConfig::path_records`].
     pub paths: PathLog,
     /// This port's sampled gauge series (queue depth, pool occupancy,
     /// cumulative inversions when tracking). Empty unless the fabric was
     /// built with [`SwitchBuilder::with_telemetry`].
     pub gauges: Vec<GaugeSeries>,
+    /// The port path records name: the tree's pool port.
+    pub(crate) port: u16,
+}
+
+/// One departure's path record: the hops its tree logged for it, joined
+/// with the departure they belong to ([`PortTrace::path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathView<'a> {
+    /// Raw packet id.
+    pub packet: u64,
+    /// The packet's flow.
+    pub flow: FlowId,
+    /// The port whose tree buffered it.
+    pub port: u16,
+    /// True when the walk had more than
+    /// [`MAX_PATH_HOPS`](pifo_core::telemetry::MAX_PATH_HOPS) hops and the
+    /// extra hops were discarded.
+    pub truncated: bool,
+    /// When the packet entered the tree: its arrival, which both fabrics
+    /// enqueue it at.
+    pub enqueued: Nanos,
+    /// When its transmission began.
+    pub departed: Nanos,
+    hops: &'a [PathHop],
+}
+
+impl<'a> PathView<'a> {
+    /// The recorded hops, leaf first.
+    pub fn hops(&self) -> &'a [PathHop] {
+        self.hops
+    }
+
+    /// Time from tree enqueue to departure — the packet's total
+    /// residence in the tree, which is its [`Departure::wait`].
+    pub fn wait(&self) -> Nanos {
+        self.departed.saturating_sub(self.enqueued)
+    }
+
+    /// Residence time attributable to hop `i`: from that hop's entry to
+    /// the next hop's entry (or to departure for the last hop). For
+    /// work-conserving trees every hop of one walk shares an entry time,
+    /// so the leaf hop carries the full residence.
+    pub fn residence(&self, i: usize) -> Nanos {
+        let end = self.hops.get(i + 1).map_or(self.departed, |h| h.entered);
+        end.saturating_sub(self.hops[i].entered)
+    }
 }
 
 /// The result of one [`Switch::run`]: per-port traces plus fabric-level
@@ -341,16 +388,25 @@ pub struct SwitchRun {
 }
 
 impl PortTrace {
-    /// Finalize the path records `log` gained since it held `from` of
-    /// them, while they are still in cache: record `k` digests departure
-    /// `k`, so its `departed` becomes that packet's transmit start and
-    /// telemetry waits reconcile with `Departure::wait`. A driver calls
-    /// this after every round that dequeues.
-    pub(crate) fn stamp_paths(&self, log: &mut PathLog, from: usize) {
-        let records = log.records_mut().iter_mut().skip(from);
-        for (r, d) in records.zip(self.departures.iter().skip(from)) {
-            r.departed = d.start;
-        }
+    /// Path record `i` joined with `departures[i]`, or `None` past the
+    /// end of [`paths`](Self::paths).
+    pub fn path(&self, i: usize) -> Option<PathView<'_>> {
+        let (hops, truncated) = self.paths.get(i)?;
+        let d = &self.departures[i];
+        Some(PathView {
+            packet: d.packet.id.0,
+            flow: d.packet.flow,
+            port: self.port,
+            truncated,
+            enqueued: d.packet.arrival,
+            departed: d.start,
+            hops,
+        })
+    }
+
+    /// Every path record joined with its departure, in departure order.
+    pub fn path_views(&self) -> impl ExactSizeIterator<Item = PathView<'_>> + '_ {
+        (0..self.paths.len()).map(|i| self.path(i).expect("one departure per path record"))
     }
 }
 
@@ -592,8 +648,9 @@ impl<'a> SwitchPort<'a> {
         let idle = pending.is_empty() && tree.is_empty() && tree.shaped_len() == 0;
         let mut sim = PortSim::new(arrivals, Some(pending));
         sim.done = idle;
+        sim.trace.port = tree.pool_handle().port() as u16;
         tree.replace_path_log(if telemetry.is_some_and(|c| c.path_records) {
-            PathLog::with_capacity(expect, expect)
+            PathLog::with_capacity(expect)
         } else {
             PathLog::new()
         });
@@ -621,15 +678,12 @@ impl<'a> SwitchPort<'a> {
         trace
     }
 
-    /// Run one round on `tree`, stamp the path records it logged, then
-    /// sample its gauges.
+    /// Run one round on `tree`, then sample its gauges.
     fn step(&mut self, mut tree: LentTree, rate_bps: u64, horizon: Nanos, burst: usize) {
         let t = self.sim.t;
-        let logged = tree.tree.path_log_mut().len();
         if !self.sim.step_round(&mut tree, rate_bps, horizon, burst) {
             return;
         }
-        self.sim.trace.stamp_paths(tree.tree.path_log_mut(), logged);
         // Sampled after the round: transmission leaves the tree alone,
         // so the values are those at the decision instant `t`, whatever
         // the worker count.

@@ -76,11 +76,10 @@ fn main() {
     }
 
     // 2. Path records: one INT-style digest per departure, index-aligned
-    //    with the departure trace for post-hoc joins.
+    //    with the departure trace, which `path_views` joins them with.
     let port0 = &run.ports[0];
     println!("\npath records on port 0: {}", port0.paths.len());
-    for (rec, dep) in port0.paths.iter().zip(&port0.departures).take(3) {
-        assert_eq!(rec.wait(), dep.wait, "telemetry wait == departure wait");
+    for rec in port0.path_views().take(3) {
         println!(
             "  packet {:>4} flow {:>2}: wait {:>12} rank {:>6} depth-at-enqueue {:>3}",
             rec.packet,

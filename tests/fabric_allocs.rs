@@ -9,8 +9,8 @@
 //! with the packet count — the shape of regression (a `mem::take` per
 //! round, a packet clone per demux) that otherwise only shows up as
 //! `alloc.count_per_pkt` / `alloc.bytes_per_pkt` in a traced benchmark
-//! run. The lossless and `run_port` legs also bound the bytes each extra
-//! packet costs.
+//! run. Every leg also bounds the bytes each extra packet costs, path
+//! records included.
 //!
 //! It also bounds what building a tree costs before any packet arrives:
 //! a node's PIFO allocates its storage on first use, so a tree of idle
@@ -90,6 +90,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const PORTS: usize = 4;
 const RATE_BPS: u64 = 10_000_000_000;
+/// One path hop, and what a one-hop packet's record costs its log: the
+/// hop and a four-byte end word.
+const HOP: usize = std::mem::size_of::<PathHop>();
+const PATH_RECORD: usize = HOP + 4;
 
 /// Four private-slab single-node STFQ ports behind a flow-hash
 /// classifier.
@@ -315,16 +319,23 @@ fn run_allocations_do_not_scale_with_packets() {
                  something allocates per packet or per round",
                 4 * N
             );
-            if telemetry.is_none() {
-                // Each extra packet costs its `Departure` and an index:
-                // a second copy of the packet anywhere would show.
-                let per_pkt = big_bytes.saturating_sub(small_bytes) / (3 * N);
-                let bound = std::mem::size_of::<Departure>() + std::mem::size_of::<Packet>();
-                assert!(
-                    per_pkt < bound as u64,
-                    "[{label}] {per_pkt} B allocated per extra packet, expected under {bound}"
-                );
-            }
+            // Each extra packet costs its `Departure` and an index: a
+            // second copy of the packet anywhere would show. With path
+            // records it also costs its record (its one hop and an end
+            // word) and, on these pools without a slot limit, the stage
+            // reserved for it (two index words and a hop), plus a few
+            // bytes of gauge series: a record that kept a copy of its
+            // departure would show.
+            let per_pkt = big_bytes.saturating_sub(small_bytes) / (3 * N);
+            let bound = std::mem::size_of::<Departure>()
+                + match telemetry {
+                    None => std::mem::size_of::<Packet>(),
+                    Some(_) => 4 + PATH_RECORD + 8 + HOP + 16,
+                };
+            assert!(
+                per_pkt < bound as u64,
+                "[{label}] {per_pkt} B allocated per extra packet, expected under {bound}"
+            );
         }
     }
 
@@ -362,16 +373,18 @@ fn run_allocations_do_not_scale_with_packets() {
     // bytes per pool slot a port has used plus one stage per packet the
     // port holds, not a whole stage per pool slot on every port. Against
     // a run with the flight recorder alone, path records may add each
-    // port's log (a 40-byte record and one 24-byte hop per arrival), 16
+    // port's log (one record per arrival: its hop and end word), 16
     // bytes per port per pool slot and 512 bytes per packet of a port's
     // share; staging 240 bytes per slot on every port exceeds that
-    // several times over.
+    // several times over, and so does a record that keeps more than its
+    // hops.
     let n = 2 * SHARED_SLOTS as u64;
     let (recorder_peak, _) = measure_shared_peak(n, TelemetryConfig::default());
     let (paths_peak, records) = measure_shared_peak(n, TelemetryConfig::with_paths());
     assert!(records > SHARED_SLOTS, "the pool filled and drained");
-    let bound =
-        n as usize * 64 + SHARED_PORTS * SHARED_SLOTS * 16 + SHARED_PORTS * SHARED_PORT_LIMIT * 512;
+    let bound = n as usize * PATH_RECORD
+        + SHARED_PORTS * SHARED_SLOTS * 16
+        + SHARED_PORTS * SHARED_PORT_LIMIT * 512;
     let extra = paths_peak.saturating_sub(recorder_peak);
     assert!(
         extra <= bound as u64,

@@ -232,7 +232,7 @@ proptest! {
                     prop_assert_eq!(port.paths.len(), port.departures.len(),
                         "one path record per departure");
                     let from_paths: Vec<u64> =
-                        port.paths.iter().map(|r| r.wait().as_nanos()).collect();
+                        port.path_views().map(|r| r.wait().as_nanos()).collect();
                     let from_departures = pifo::sim::metrics::waits_of(&port.departures, None);
                     prop_assert_eq!(&from_paths, &from_departures,
                         "telemetry waits must equal departure waits");
@@ -240,14 +240,11 @@ proptest! {
                         latency_stats(&from_paths),
                         latency_stats(&from_departures)
                     );
-                    // Spot the stronger per-record identity too.
+                    // Each record's hops are its own packet's walk through
+                    // the tree: they start when the packet arrived and
+                    // their residences add up to its departure's wait.
                     let tree = sw.port(i);
-                    for (rec, dep) in port.paths.iter().zip(&port.departures) {
-                        prop_assert_eq!(rec.packet, dep.packet.id.0);
-                        prop_assert_eq!(rec.wait(), dep.wait);
-                        prop_assert_eq!(rec.departed, dep.start);
-                        prop_assert_eq!(rec.enqueued, dep.packet.arrival);
-
+                    for (rec, dep) in port.path_views().zip(&port.departures) {
                         // The hops are the leaf-to-root walk, in order.
                         let hops = rec.hops();
                         prop_assert!(!rec.truncated);
@@ -263,20 +260,21 @@ proptest! {
                             .collect();
                         prop_assert_eq!(&nodes, &walk,
                             "[{}] hops follow parent links up to the root", workers);
-                        prop_assert_eq!(hops[0].entered, rec.enqueued);
+                        prop_assert_eq!(hops[0].entered, dep.packet.arrival,
+                            "the leaf hop is entered at the packet's arrival");
                         prop_assert!(hops.windows(2).all(|w| w[0].entered <= w[1].entered),
                             "entry times never go back");
                         let total: u64 =
                             (0..hops.len()).map(|k| rec.residence(k).as_nanos()).sum();
-                        prop_assert_eq!(Nanos(total), rec.wait(),
-                            "per-hop residences add up to the wait");
+                        prop_assert_eq!(Nanos(total), dep.wait,
+                            "per-hop residences add up to the departure's wait");
                     }
                     if shaped {
-                        prop_assert!(port.paths.iter().all(|r| r.hops().len() == 2));
+                        prop_assert!(port.path_views().all(|r| r.hops().len() == 2));
                     }
                 }
                 if shaped {
-                    let parked = run.ports.iter().flat_map(|p| p.paths.iter())
+                    let parked = run.ports.iter().flat_map(|p| p.path_views())
                         .filter(|r| r.residence(0) > Nanos::ZERO).count();
                     prop_assert!(parked > 0, "the shaper must hold some walk at its leaf");
                 }

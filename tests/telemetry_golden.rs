@@ -5,7 +5,8 @@
 //! rendered fails here; a deliberate change re-records the digests.
 
 use pifo::prelude::*;
-use pifo_core::telemetry::{PathLog, TelemetrySnapshot};
+use pifo::sim::PortTrace;
+use pifo_core::telemetry::TelemetrySnapshot;
 
 const RATE_BPS: u64 = 10_000_000_000;
 
@@ -37,12 +38,12 @@ fn json_digest(snap: &TelemetrySnapshot) -> u64 {
 
 /// Every record's identity, flags and instants, then its hops, port by
 /// port.
-fn paths_digest(ports: &[&PathLog]) -> u64 {
+fn paths_digest(ports: &[PortTrace]) -> u64 {
     let mut h = Fnv::new();
-    for (port, log) in ports.iter().enumerate() {
+    for (port, trace) in ports.iter().enumerate() {
         h.word(port as u64);
-        h.word(log.len() as u64);
-        for r in log.iter() {
+        h.word(trace.paths.len() as u64);
+        for r in trace.path_views() {
             for w in [
                 r.packet,
                 r.flow.0 as u64,
@@ -116,9 +117,8 @@ fn shaped_switch_telemetry_is_pinned() {
         let run = sw.run(&arrivals, workers);
         assert_eq!(run.total_departures(), arrivals.len(), "nothing dropped");
         let snap = sw.telemetry_snapshot(&run).expect("telemetry on");
-        let logs: Vec<&PathLog> = run.ports.iter().map(|p| &p.paths).collect();
         assert_eq!(
-            (json_digest(&snap), paths_digest(&logs)),
+            (json_digest(&snap), paths_digest(&run.ports)),
             (0xf9ba_cfc4_5028_bc65, 0x8c88_1bae_e7a8_7d9d),
             "[{workers} workers] snapshot JSON and path-log digests"
         );
@@ -164,13 +164,12 @@ fn lossless_fabric_telemetry_is_pinned() {
     );
     assert_eq!(run.total_drops(), 0, "lossless stays lossless");
     let snap = run.telemetry.as_ref().expect("telemetry on");
-    let logs: Vec<&PathLog> = run.run.ports.iter().map(|p| &p.paths).collect();
     assert!(
-        logs.iter().all(|l| !l.is_empty()),
+        run.run.ports.iter().all(|p| !p.paths.is_empty()),
         "every port records paths"
     );
     assert_eq!(
-        (json_digest(snap), paths_digest(&logs)),
+        (json_digest(snap), paths_digest(&run.run.ports)),
         (0x19f5_393e_63e9_64a9, 0x1652_e538_cc58_f425),
         "snapshot JSON and path-log digests"
     );
