@@ -143,8 +143,9 @@ pub struct TraceEvent {
     pub time: Nanos,
     /// What happened.
     pub kind: EventKind,
-    /// Source port (a tree's pool port, or the fabric port for
-    /// pause/fault events).
+    /// Source port: the pool port of the tree that recorded it, which a
+    /// fabric's snapshot renames to the fabric port (pause/fault events
+    /// carry the fabric port from the start).
     pub port: u16,
     /// Source tree node, or [`NO_NODE`].
     pub node: u32,

@@ -727,7 +727,7 @@ impl<'a> Driver<'a> {
         let ports = (switch.ports.iter_mut().zip(bound).enumerate())
             .map(|(i, (tree, bound))| {
                 let (mut ps, mut log) = (PortState::default(), PathLog::new());
-                ps.trace.port = tree.pool_handle().port() as u16;
+                ps.trace.port = i as u16;
                 let slow = faults.slow_drain.iter().rev().find(|&&(p, _)| p == i);
                 ps.rate = (switch.rate_bps / slow.map_or(1, |&(_, k)| k.max(1)) as u64).max(1);
                 if let Some(b) = bound {

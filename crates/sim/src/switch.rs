@@ -329,7 +329,7 @@ pub struct PortTrace {
     /// cumulative inversions when tracking). Empty unless the fabric was
     /// built with [`SwitchBuilder::with_telemetry`].
     pub gauges: Vec<GaugeSeries>,
-    /// The port path records name: the tree's pool port.
+    /// The fabric port this trace is of, which its path records name.
     pub(crate) port: u16,
 }
 
@@ -341,7 +341,7 @@ pub struct PathView<'a> {
     pub packet: u64,
     /// The packet's flow.
     pub flow: FlowId,
-    /// The port whose tree buffered it.
+    /// The fabric port whose tree buffered it.
     pub port: u16,
     /// True when the walk had more than
     /// [`MAX_PATH_HOPS`](pifo_core::telemetry::MAX_PATH_HOPS) hops and the
@@ -536,14 +536,20 @@ impl Switch {
     /// series into one [`TelemetrySnapshot`], events in canonical
     /// `(time, port)` order (stable, so each port's recording order is
     /// preserved within an instant) — byte-reproducible for a seeded
-    /// run, whatever the worker count. `None` unless the fabric was built
-    /// with [`SwitchBuilder::with_telemetry`].
+    /// run, whatever the worker count. Each event names the fabric port
+    /// whose tree recorded it (a tree stamps its pool port, which is 0
+    /// for every private pool). `None` unless the fabric was built with
+    /// [`SwitchBuilder::with_telemetry`].
     pub fn telemetry_snapshot(&self, run: &SwitchRun) -> Option<TelemetrySnapshot> {
         self.telemetry?;
         let mut snap = TelemetrySnapshot::default();
-        for tree in &self.ports {
+        for (port, tree) in self.ports.iter().enumerate() {
             if let Some(r) = tree.flight_recorder() {
+                let from = snap.events.len();
                 snap.absorb_recorder(r);
+                for ev in &mut snap.events[from..] {
+                    ev.port = port as u16;
+                }
             }
         }
         snap.sort_events();
@@ -648,7 +654,7 @@ impl<'a> SwitchPort<'a> {
         let idle = pending.is_empty() && tree.is_empty() && tree.shaped_len() == 0;
         let mut sim = PortSim::new(arrivals, Some(pending));
         sim.done = idle;
-        sim.trace.port = tree.pool_handle().port() as u16;
+        sim.trace.port = port as u16;
         tree.replace_path_log(if telemetry.is_some_and(|c| c.path_records) {
             PathLog::with_capacity(expect)
         } else {

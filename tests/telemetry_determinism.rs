@@ -406,3 +406,34 @@ fn lossless_snapshot_carries_pause_events() {
     );
     assert_eq!(run.total_drops(), 0, "lossless stays lossless");
 }
+
+/// Every private-pool tree is port 0 of its own pool, yet each port's
+/// trace events and path records name the fabric port that recorded
+/// them, at one worker and at two.
+#[test]
+fn private_ports_name_their_fabric_port() {
+    let arr = arrivals(16, 2, 64);
+    for workers in WORKERS {
+        let mut sw = build_shaped_hpfq_switch(TelemetryConfig::with_paths());
+        let run = sw.run(&arr, workers);
+        let snap = sw.telemetry_snapshot(&run).expect("telemetry on");
+        // The classifier sends flow `f` to port `f % ports`, and every
+        // tree event carries its packet's flow.
+        let ports = run.ports.len();
+        assert!(!snap.events.is_empty(), "the recorder kept events");
+        for ev in &snap.events {
+            assert_eq!(
+                ev.port as usize,
+                ev.flow.0 as usize % ports,
+                "[{workers} workers] {ev:?} names another port"
+            );
+        }
+        for (i, trace) in run.ports.iter().enumerate() {
+            assert!(!trace.paths.is_empty(), "port {i} records paths");
+            assert!(
+                trace.path_views().all(|r| r.port as usize == i),
+                "[{workers} workers] port {i}'s path records name another port"
+            );
+        }
+    }
+}

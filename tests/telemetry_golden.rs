@@ -119,7 +119,7 @@ fn shaped_switch_telemetry_is_pinned() {
         let snap = sw.telemetry_snapshot(&run).expect("telemetry on");
         assert_eq!(
             (json_digest(&snap), paths_digest(&run.ports)),
-            (0xf9ba_cfc4_5028_bc65, 0x8c88_1bae_e7a8_7d9d),
+            (0xbac7_018a_ddf3_1873, 0x8b1d_c171_f607_9a6d),
             "[{workers} workers] snapshot JSON and path-log digests"
         );
     }
