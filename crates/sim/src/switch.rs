@@ -176,9 +176,9 @@ impl SwitchBuilder {
     /// `cfg.sample_every` scheduling rounds. Read the merged result after
     /// a run with [`Switch::telemetry_snapshot`]; per-port path records
     /// land on [`PortTrace::paths`] (read them with [`PortTrace::path`]).
-    /// Off by default — disabled telemetry
-    /// costs one null check per tree operation. Telemetry observes only:
-    /// departure traces are bit-identical with it on or off.
+    /// Off by default — disabled telemetry costs one null check per tree
+    /// operation. Telemetry observes only: departure traces are
+    /// bit-identical with it on or off.
     pub fn with_telemetry(&mut self, cfg: TelemetryConfig) -> &mut Self {
         self.telemetry = Some(cfg);
         self
@@ -712,6 +712,30 @@ mod tests {
     use crate::traffic::{merge, renumber, CbrSource, IncastSource, TrafficSource};
     use pifo_algos::{Stfq, TokenBucketFilter};
     use pifo_core::transaction::FnTransaction;
+
+    /// A three-hop walk's residences split its wait at each hop's entry.
+    #[test]
+    fn path_view_splits_the_wait_across_hops() {
+        let hop = |node, entered| PathHop {
+            node,
+            rank: 0,
+            depth: 0,
+            entered: Nanos(entered),
+        };
+        let hops = [hop(7, 10), hop(4, 25), hop(0, 40)];
+        let view = PathView {
+            packet: 42,
+            flow: FlowId(1),
+            port: 5,
+            truncated: false,
+            enqueued: Nanos(10),
+            departed: Nanos(50),
+            hops: &hops,
+        };
+        assert_eq!(view.wait(), Nanos(40));
+        let residences: Vec<Nanos> = (0..3).map(|i| view.residence(i)).collect();
+        assert_eq!(residences, [Nanos(15), Nanos(15), Nanos(10)]);
+    }
 
     fn fifo_tree() -> ScheduleTree {
         let mut b = TreeBuilder::new();
