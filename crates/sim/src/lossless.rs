@@ -33,8 +33,9 @@
 //! instead of being dropped, and the resulting pressure is what trips
 //! the pause watermark — drops become backpressure.
 //!
-//! Every port's tree buffers in **one** shared pool, §5.1's one buffer
-//! ([`LosslessFabric::new`] panics, naming the port, otherwise).
+//! Every port's tree buffers in the switch's **one** shared pool, §5.1's
+//! one buffer ([`LosslessFabric::new`] panics, naming the port,
+//! otherwise), so port `i` is pool port `i`.
 //!
 //! # Determinism
 //!
@@ -689,11 +690,12 @@ struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     fn new(
-        fabric: &'a mut LosslessFabric,
+        switch: &'a mut Switch,
+        pool: &'a SharedPool,
+        cfg: LosslessConfig,
         faults: &'a FaultPlan,
         sources: Vec<Box<dyn TrafficSource>>,
     ) -> Self {
-        let LosslessFabric { switch, cfg, pool } = fabric;
         let mut srcs: Vec<SourceState> = sources
             .into_iter()
             .map(|src| {
@@ -747,7 +749,7 @@ impl<'a> Driver<'a> {
                 .filter_map(|(si, s)| emit_entry(si, s))
                 .collect(),
             pool: pool.lend(),
-            cfg: *cfg,
+            cfg,
             faults,
             ports,
             srcs,
@@ -850,10 +852,9 @@ impl<'a> Driver<'a> {
     }
 
     /// The pool's full port × flow verdict for a packet of `flow` at
-    /// port `i`.
+    /// port `i` (which is also its pool port).
     fn admits(&self, i: usize, flow: FlowId) -> bool {
-        let port = self.switch.ports[i].pool_handle().port();
-        self.pool.would_admit_flow(port, flow)
+        self.pool.would_admit_flow(i, flow)
     }
 
     /// Set port `i`'s next round time (`None`: parked), and its due-array
@@ -1086,8 +1087,7 @@ impl<'a> Driver<'a> {
     /// every seen class's pressure against the watermarks, and the
     /// pool's port-side probe, and signal each transition.
     fn eval_pause(&mut self, i: usize, now: Nanos) {
-        let port = self.switch.ports[i].pool_handle().port();
-        let pool_ok = !self.stuck(now) && self.pool.would_admit(port);
+        let pool_ok = !self.stuck(now) && self.pool.would_admit(i);
         let Watermarks { xoff, xon } = self.cfg.watermarks;
         for class in 0..self.ports[i].classes.len() {
             let ps = &mut self.ports[i];
@@ -1231,8 +1231,6 @@ impl<'a> Driver<'a> {
 pub struct LosslessFabric {
     switch: Switch,
     cfg: LosslessConfig,
-    /// The pool every port's tree buffers in.
-    pool: SharedPool,
 }
 
 impl LosslessFabric {
@@ -1241,20 +1239,17 @@ impl LosslessFabric {
     /// # Panics
     ///
     /// Panics, naming the first port that does not, unless every port's
-    /// tree buffers in one [`SharedPool`] — §5.1's one buffer, the pool
-    /// [`LosslessConfig::min_pool_capacity`] sizes (build the switch
-    /// with `SwitchBuilder::with_shared_pool` and `add_shared_port`).
+    /// tree buffers in the switch's shared pool — §5.1's one buffer, the
+    /// pool [`LosslessConfig::min_pool_capacity`] sizes (build the
+    /// switch with `SwitchBuilder::with_shared_pool` and
+    /// `add_shared_port`).
     pub fn new(switch: Switch, cfg: LosslessConfig) -> Self {
-        let pool = switch.ports[0].pool_handle().shared().cloned();
-        for (i, tree) in switch.ports.iter().enumerate() {
-            let shared = tree.pool_handle().shared().zip(pool.as_ref());
-            assert!(
-                shared.is_some_and(|(p, q)| p.same_pool(q)),
-                "LosslessFabric::new: port {i} does not buffer in the fabric's one shared pool"
-            );
-        }
-        let pool = pool.expect("port 0 buffers in the shared pool");
-        LosslessFabric { switch, cfg, pool }
+        assert!(
+            switch.shared == switch.ports.len(),
+            "LosslessFabric::new: port {} does not buffer in the fabric's one shared pool",
+            switch.shared
+        );
+        LosslessFabric { switch, cfg }
     }
 
     /// The wrapped switch (tree/pool inspection after a run).
@@ -1296,7 +1291,12 @@ impl LosslessFabric {
                 tree.shaped_len()
             );
         }
-        let mut driver = Driver::new(self, &faults, sources);
+        let pool = self
+            .switch
+            .pool
+            .clone()
+            .expect("every port buffers in the pool");
+        let mut driver = Driver::new(&mut self.switch, &pool, self.cfg, &faults, sources);
         loop {
             if let ControlFlow::Break(stall) = driver.step() {
                 return driver.finish(stall);

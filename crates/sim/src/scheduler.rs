@@ -125,27 +125,6 @@ impl PortScheduler for LentTree<'_, '_> {
     }
 }
 
-/// The distinct shared pools `trees` buffer in, in order of first use,
-/// and each tree's index among them (`None`: the tree owns its pool) —
-/// what a drain lends once for its run.
-pub(crate) fn shared_pools<'t>(
-    trees: impl IntoIterator<Item = &'t ScheduleTree>,
-) -> (Vec<SharedPool>, Vec<Option<usize>>) {
-    let mut pools: Vec<SharedPool> = Vec::new();
-    let of_tree = trees
-        .into_iter()
-        .map(|tree| {
-            let shared = tree.pool_handle().shared()?;
-            let at = pools.iter().position(|p| p.same_pool(shared));
-            Some(at.unwrap_or_else(|| {
-                pools.push(shared.clone());
-                pools.len() - 1
-            }))
-        })
-        .collect();
-    (pools, of_tree)
-}
-
 impl PortScheduler for TreeScheduler {
     fn enqueue(&mut self, pkt: Packet, now: Nanos) -> bool {
         let admitted = PortScheduler::enqueue(&mut self.tree, pkt, now);

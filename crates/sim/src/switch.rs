@@ -46,13 +46,17 @@
 //!
 //! The paper's switch serves every port from **one** shared packet
 //! buffer (§5.1), with §6.1 threshold counters deciding drops before any
-//! enqueue. [`SwitchBuilder::with_shared_pool`] builds the fabric that
-//! way: each [`SwitchBuilder::add_shared_port`] tree holds a
-//! [`PoolHandle`] into one [`SharedPacketPool`], so incast pressure on
-//! one port genuinely consumes — and, under
+//! enqueue. A switch has one such memory, its own:
+//! [`SwitchBuilder::with_shared_pool`] creates it (a second call
+//! panics), and each [`SwitchBuilder::add_shared_port`] tree holds a
+//! [`PoolHandle`] into that one [`SharedPacketPool`], so incast pressure
+//! on one port genuinely consumes — and, under
 //! [`AdmissionPolicy::DynamicThreshold`], is fenced away from — the
-//! memory every other port draws on. Ports with private slabs
-//! ([`SwitchBuilder::add_port`]) remain embarrassingly independent.
+//! memory every other port draws on. Shared ports come first, so port
+//! `i`'s counters sit at pool port `i`. Ports with private slabs
+//! ([`SwitchBuilder::add_port`], which refuses a tree built in any
+//! shared pool) follow, and remain embarrassingly independent. Read any
+//! port's pool after a run with [`Switch::pool_of`].
 //!
 //! Because ports contend for shared state, [`Switch::run`] runs the
 //! rounds of ports sharing a pool in **`(time, port)` order** — the
@@ -68,14 +72,14 @@
 //! with the pool it owns or its handle into a shared one (see
 //! `pifo_core::pool`), so whole port state machines can migrate to
 //! worker threads. [`Switch::run`] groups ports by the pool their tree
-//! buffers in — a tree owning its pool is a group of one, and trees on
-//! one shared pool (or on clones of one [`PoolHandle`]) are one group —
-//! and deals the groups round-robin to `min(groups, workers)` workers.
-//! Each worker lends itself every shared pool of its groups once, for the
-//! whole run, and runs the `(time, port)`-ordered round loop over its own
-//! ports only, so it walks the arrival stream front to back once and no
-//! tree operation locks. Worker 0 is the caller's thread and the rest are
-//! scoped threads, so a one-worker drain spawns nothing.
+//! buffers in — the shared ports are group 0, and each private port is
+//! a group of its own — and deals the groups round-robin to
+//! `min(groups, workers)` workers. Worker 0 is the caller's thread, and
+//! it lends itself the shared pool once, for the whole run; the rest are
+//! scoped threads, so a one-worker drain spawns nothing. Each worker runs
+//! the `(time, port)`-ordered round loop over its own ports only, so it
+//! walks the arrival stream front to back once and no tree operation
+//! locks.
 //!
 //! Ports in distinct pools share no state, so each per-port trace — and
 //! therefore the merged `(time, port)`-ordered trace — is
@@ -90,7 +94,7 @@
 //! thread order.
 
 use crate::port::{Departure, PortSim};
-use crate::scheduler::{shared_pools, LentTree};
+use crate::scheduler::LentTree;
 use pifo_core::prelude::*;
 
 /// Maps a packet to the egress port that must transmit it — the shared
@@ -187,20 +191,30 @@ impl SwitchBuilder {
     /// Add an egress port owning `tree`; returns the port index the
     /// classifier must use for it (assigned densely from 0).
     ///
-    /// A tree built with `TreeBuilder::build` keeps its **private** slab
-    /// — this port shares memory with nobody. Use
-    /// [`add_shared_port`](Self::add_shared_port) for ports drawing on
-    /// the fabric-wide pool.
+    /// The tree keeps the **private** slab `TreeBuilder::build` gave it —
+    /// this port shares memory with nobody. Ports drawing on the
+    /// fabric's one shared pool are added with
+    /// [`add_shared_port`](Self::add_shared_port), before any of these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` buffers in a shared pool: a switch has one
+    /// shared pool, its own, and registers its ports itself.
     pub fn add_port(&mut self, tree: ScheduleTree) -> usize {
+        assert!(
+            matches!(tree.pool_handle(), TreePool::Owned(_)),
+            "add_port: port {} buffers in a shared pool; a switch shares only its own \
+             pool, through add_shared_port",
+            self.trees.len()
+        );
         self.trees.push(tree);
         self.trees.len() - 1
     }
 
-    /// Attach the fabric-wide shared packet pool (§5.1's one buffer for
-    /// all ports): `capacity` packets, admission decided per port by
-    /// `policy` (§6.1). Returns the [`SharedPool`] so the caller can
-    /// read occupancies and per-port admitted/rejected counters after a
-    /// run (as can any port's `pool_handle().pool()`).
+    /// Give the fabric its shared packet pool (§5.1's one buffer for all
+    /// ports): `capacity` packets, admission decided per port by
+    /// `policy` (§6.1). Read its occupancies and per-port
+    /// admitted/rejected counters after a run with [`Switch::pool_of`].
     ///
     /// Call before [`add_shared_port`](Self::add_shared_port).
     ///
@@ -210,45 +224,50 @@ impl SwitchBuilder {
     /// would silently split the fabric's "shared" memory in two — or if
     /// `SharedPacketPool::new` refuses the capacity or policy (with the
     /// [`PoolError`]'s message).
-    pub fn with_shared_pool(&mut self, capacity: usize, policy: AdmissionPolicy) -> SharedPool {
+    pub fn with_shared_pool(&mut self, capacity: usize, policy: AdmissionPolicy) -> &mut Self {
         assert!(
             self.pool.is_none(),
             "the fabric already has a shared pool; one switch shares one memory"
         );
         let pool = SharedPacketPool::new(capacity, policy)
-            .unwrap_or_else(|e| panic!("with_shared_pool: {e}"))
-            .into_shared();
-        self.pool = Some(pool.clone());
-        pool
+            .unwrap_or_else(|e| panic!("with_shared_pool: {e}"));
+        self.pool = Some(pool.into_shared());
+        self
     }
 
     /// Add an egress port whose tree buffers in the fabric's shared
     /// pool: registers a pool port and hands its [`PoolHandle`] to
-    /// `build` (which typically finishes with
-    /// `TreeBuilder::build_in_pool`). Returns the port index.
+    /// `build`, which finishes with `TreeBuilder::build_in_pool`.
+    /// Returns the port index, which is also the port's index in the
+    /// pool.
     ///
     /// # Panics
     ///
     /// Panics if [`with_shared_pool`](Self::with_shared_pool) was not
-    /// called first, or if the new pool port's index would not match
-    /// the switch port's (mixing [`add_port`](Self::add_port) and
-    /// `add_shared_port`, or registering extra pool ports by hand,
-    /// would silently misalign the pool's per-port counters with the
-    /// run's port traces — for a heterogeneous layout, register pool
-    /// handles yourself and use `add_port`).
+    /// called first, if a port was already added with
+    /// [`add_port`](Self::add_port) (shared ports come first, so the
+    /// pool's per-port counters line up with the run's port traces), or
+    /// if `build` returns a tree that does not buffer at that pool port.
     pub fn add_shared_port(&mut self, build: impl FnOnce(PoolHandle) -> ScheduleTree) -> usize {
         let handle = self
             .pool
             .as_ref()
             .expect("call with_shared_pool before add_shared_port")
             .register_port();
+        let port = handle.port();
         assert_eq!(
-            handle.port(),
+            port,
             self.trees.len(),
-            "pool port index diverged from switch port index: keep add_shared_port \
-             fabrics homogeneous (or wire PoolHandles to add_port manually)"
+            "pool port index diverged from switch port index: add shared ports before \
+             private ones"
         );
-        self.add_port(build(handle))
+        let tree = build(handle);
+        assert!(
+            matches!(tree.pool_handle(), TreePool::Shared(h) if h.port() == port),
+            "add_shared_port: port {port}'s tree must be built in the handle it was given"
+        );
+        self.trees.push(tree);
+        port
     }
 
     /// Set the simulation horizon: no scheduling round *starts* at or
@@ -290,6 +309,8 @@ impl SwitchBuilder {
             }
         }
         Switch {
+            shared: self.pool.as_ref().map_or(0, |p| p.pool().num_ports()),
+            pool: self.pool,
             ports,
             classifier,
             rate_bps: self.rate_bps,
@@ -304,6 +325,10 @@ impl SwitchBuilder {
 /// [`SwitchBuilder`]; driven by [`run`](Self::run).
 pub struct Switch {
     pub(crate) ports: Vec<ScheduleTree>,
+    /// The pool the first [`shared`](Self::shared) ports buffer in.
+    pub(crate) pool: Option<SharedPool>,
+    /// How many ports, from port 0, buffer in the shared pool.
+    pub(crate) shared: usize,
     pub(crate) classifier: PortClassifier,
     pub(crate) rate_bps: u64,
     pub(crate) horizon: Nanos,
@@ -447,6 +472,22 @@ impl Switch {
         &self.ports[i]
     }
 
+    /// The pool port `i`'s tree buffers in: the switch's shared pool for
+    /// a port added with [`SwitchBuilder::add_shared_port`] (where the
+    /// port's counters sit at pool port `i`), else the private pool the
+    /// tree owns (its counters at pool port 0). A shared pool is locked
+    /// while the guard lives, so take one guard at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn pool_of(&self, i: usize) -> PoolGuard<'_> {
+        match &self.pool {
+            Some(pool) if i < self.shared => pool.pool(),
+            _ => self.ports[i].pool_handle().pool(),
+        }
+    }
+
     /// Port `i`'s rank-inversion counters; `None` unless the fabric was
     /// built with [`SwitchBuilder::track_inversions`] (or the port tree
     /// enabled tracking itself).
@@ -559,64 +600,65 @@ impl Switch {
         Some(snap)
     }
 
-    /// Drain every port on up to `workers` threads, one pool per group,
-    /// as the module docs' threading model describes.
+    /// Drain every port on up to `workers` threads, as the module docs'
+    /// threading model describes.
     fn drain(&mut self, sims: &mut [SwitchPort], workers: usize) {
-        // One group per shared pool, then one per tree owning its pool.
-        let (shared, pool_of) = shared_pools(&self.ports);
-        let mut groups = shared.len();
-        let group: Vec<usize> = pool_of
-            .iter()
-            .map(|g| {
-                g.unwrap_or_else(|| {
-                    groups += 1;
-                    groups - 1
-                })
-            })
-            .collect();
-        let workers = workers.clamp(1, groups);
-        let mut shards: Vec<Vec<(&mut SwitchPort, &mut ScheduleTree)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for ((sim, tree), g) in sims.iter_mut().zip(&mut self.ports).zip(group) {
-            shards[g % workers].push((sim, tree));
+        // The shared ports are group 0; each private port is a group of
+        // its own.
+        let shared = self.shared;
+        let first_private = usize::from(shared > 0);
+        let workers = workers.clamp(1, first_private + self.ports.len() - shared);
+        let mut shards: Vec<Vec<DrainPort>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, (sim, tree)) in sims.iter_mut().zip(&mut self.ports).enumerate() {
+            let group = if i < shared {
+                0
+            } else {
+                first_private + i - shared
+            };
+            shards[group % workers].push((sim, tree, i < shared));
         }
         let (rate_bps, horizon, burst) = (self.rate_bps, self.horizon, self.burst);
         let mut shards = shards.into_iter();
         let mine = shards.next().expect("at least one worker");
+        // Group 0, and with it the shared pool, stays on this thread.
+        let mut pool = self.pool.as_ref().map(SharedPool::lend);
         std::thread::scope(|s| {
             for shard in shards {
-                s.spawn(move || drain_in_time_order(shard, rate_bps, horizon, burst));
+                s.spawn(move || drain_in_time_order(shard, None, rate_bps, horizon, burst));
             }
-            drain_in_time_order(mine, rate_bps, horizon, burst);
+            drain_in_time_order(mine, pool.as_mut(), rate_bps, horizon, burst);
         });
     }
 }
 
+/// One port of a drain: its run state, its tree, and whether the tree
+/// buffers in the shared pool.
+type DrainPort<'s, 'a> = (&'s mut SwitchPort<'a>, &'s mut ScheduleTree, bool);
+
 /// Run `ports` to completion in `(time, port)` order: always advance the
 /// port whose next scheduling round is earliest, ties to the one listed
-/// first (the lowest port index), with every shared pool of these ports
-/// lent for the whole run. Then take back each tree's path log.
+/// first (the lowest port index), lending the shared ports `pool`. Then
+/// take back each tree's path log.
 fn drain_in_time_order(
-    mut ports: Vec<(&mut SwitchPort, &mut ScheduleTree)>,
+    mut ports: Vec<DrainPort>,
+    mut pool: Option<&mut LentPool>,
     rate_bps: u64,
     horizon: Nanos,
     burst: usize,
 ) {
-    let (shared, pool_of) = shared_pools(ports.iter().map(|(_, tree)| &**tree));
-    let mut lent: Vec<LentPool> = shared.iter().map(SharedPool::lend).collect();
     loop {
         let mut best: Option<(usize, Nanos)> = None;
-        for (i, (p, _)) in ports.iter().enumerate() {
+        for (i, (p, _, _)) in ports.iter().enumerate() {
             if !p.sim.done && best.map_or(true, |(_, t)| p.sim.t < t) {
                 best = Some((i, p.sim.t));
             }
         }
         let Some((i, _)) = best else { break };
-        let (port, tree) = &mut ports[i];
-        let pool = pool_of[i].map(|g| &mut lent[g]);
+        let (port, tree, shared) = &mut ports[i];
+        let pool = pool.as_deref_mut().filter(|_| *shared);
         port.step(LentTree { tree, pool }, rate_bps, horizon, burst);
     }
-    for (port, tree) in ports {
+    for (port, tree, _) in ports {
         port.sim.trace.paths = tree.replace_path_log(PathLog::new());
     }
 }
@@ -986,7 +1028,7 @@ mod tests {
     #[test]
     fn shared_pool_counters_reconcile_with_traces() {
         let mut sb = SwitchBuilder::new(8_000_000_000);
-        let pool = sb.with_shared_pool(32, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 });
+        sb.with_shared_pool(32, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 });
         for _ in 0..3 {
             sb.add_shared_port(|h| pooled_fifo_tree(PifoBackend::Bucket, h));
         }
@@ -996,7 +1038,7 @@ mod tests {
             .collect();
         let run = sw.run(&arrivals, 1);
 
-        let pool = pool.pool();
+        let pool = sw.pool_of(0);
         let stats = pool.stats();
         assert_eq!(stats.live, 0, "fabric drained: pool must be empty");
         for (port, trace) in run.ports.iter().enumerate() {
@@ -1011,6 +1053,48 @@ mod tests {
             );
         }
         pool.assert_coherent();
+    }
+
+    /// A switch shares only its own pool: a tree built in any other
+    /// shared pool is refused at `add_port`, by port.
+    #[test]
+    #[should_panic(expected = "add_port: port 1 buffers in a shared pool")]
+    fn add_port_refuses_a_tree_in_a_shared_pool() {
+        let other = SharedPacketPool::unbounded().into_shared();
+        let mut sb = SwitchBuilder::new(8_000_000_000);
+        sb.add_port(fifo_tree());
+        sb.add_port(pooled_fifo_tree(PifoBackend::Heap, other.register_port()));
+    }
+
+    /// `pool_of` reads the pool each port's tree buffers in: the
+    /// switch's own for the shared ports, the tree's for private ones.
+    #[test]
+    fn pool_of_is_the_pool_each_tree_buffers_in() {
+        let mut sb = SwitchBuilder::new(8_000_000_000);
+        sb.with_shared_pool(16, AdmissionPolicy::Static { per_port: 4 });
+        for _ in 0..2 {
+            sb.add_shared_port(|h| pooled_fifo_tree(PifoBackend::Heap, h));
+        }
+        sb.add_port(fifo_tree());
+        let mut sw = sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 3));
+        // Six packets per port at one instant: the shared ports reject
+        // two each, the unbounded private port none.
+        let arrivals: Vec<Packet> = (0..18)
+            .map(|i| Packet::new(i, FlowId((i % 3) as u32), 1_000, Nanos(0)))
+            .collect();
+        let run = sw.run(&arrivals, 1);
+        assert_eq!(run.total_drops(), 4);
+        for i in 0..3 {
+            let via_switch = sw.pool_of(i).stats();
+            let via_tree = sw.port(i).pool_handle().pool().stats();
+            assert_eq!(via_switch, via_tree, "port {i}");
+        }
+        let shared = sw.pool_of(0).stats();
+        assert_eq!((shared.capacity, shared.ports.len()), (Some(16), 2));
+        assert_eq!(shared.ports[1].rejected, 2);
+        let private = sw.pool_of(2).stats();
+        assert_eq!((private.capacity, private.ports.len()), (None, 1));
+        assert_eq!(private.ports[0].admitted, 6);
     }
 
     /// A shaped port sleeps across shaping gaps instead of spinning, on

@@ -4,7 +4,7 @@
 //! on/off bursts, heavy-tailed bounded-Pareto flows), for private-slab
 //! fabrics (one group per port, genuinely concurrent workers),
 //! shared-pool fabrics (one group, the caller's thread) and a mix of
-//! both. The reference is `Switch::run(.., 1)`, the one-worker drain.
+//! both (the shared ports first, as a switch lays them out). The reference is `Switch::run(.., 1)`, the one-worker drain.
 //!
 //! "Merged trace" is the fabric-level departure sequence committed in
 //! global `(start time, port, per-port order)` order — the order a
@@ -183,7 +183,7 @@ fn parallel_drain_matches_sequential_shared_pool() {
                     &reference,
                     &parallel,
                 );
-                let pool = sw.port(0).pool_handle().pool();
+                let pool = sw.pool_of(0);
                 assert_eq!(pool.live(), 0, "fabric drained clean");
                 pool.assert_coherent();
             }
@@ -191,102 +191,69 @@ fn parallel_drain_matches_sequential_shared_pool() {
     }
 }
 
-/// Two trees built on clones of one `PoolHandle` share one pool that
-/// registers a single port. They are one group: the drain keeps them on
-/// one worker and interleaves their rounds in `(time, port)` order, so
-/// each port's admissions see the other's occupancy as of that instant.
-#[test]
-fn cloned_pool_handles_drain_as_one_pool() {
-    let build = || {
-        let pool = SharedPacketPool::new(16, AdmissionPolicy::Unlimited)
-            .unwrap()
-            .into_shared();
-        let handle = pool.register_port();
-        let mut sb = SwitchBuilder::new(1_000_000_000);
-        for _ in 0..2 {
-            let mut b = TreeBuilder::new();
-            let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
-            sb.add_port(
-                b.build_in_pool(Box::new(move |_| root), handle.clone())
-                    .unwrap(),
-            );
-        }
-        sb.with_burst(8);
-        (sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 2)), pool)
-    };
-    // Two flows per port, one packet every 1 µs overall: each port is
-    // offered 4x its 8 µs-per-packet line rate, so the pool stays full.
-    let arrivals: Vec<Packet> = (0..400)
-        .map(|i| Packet::new(i, FlowId((i % 4) as u32), 1_000, Nanos(i * 1_000)))
-        .collect();
-    let reference = build().0.run(&arrivals, 1);
-    assert!(
-        reference.ports.iter().all(|p| p.drops > 0),
-        "both ports must contend for the pool"
-    );
-    for workers in [1usize, 2, 0] {
-        let (mut sw, pool) = build();
-        let run = sw.run(&arrivals, workers);
-        assert_identical(&format!("cloned-handle/w{workers}"), &reference, &run);
-        let pool = pool.pool();
-        assert_eq!(pool.live(), 0, "fabric drained clean");
-        pool.assert_coherent();
-    }
-}
-
-/// Two shared pools of two ports each plus four private ports, laid out
-/// so no group is contiguous (A, p, B, p, A, p, B, p). Every worker
-/// count deals the six groups differently; each must reproduce the
-/// one-worker drain's traces and both pools' counters.
+/// One shared pool of four ports plus four private ports: five groups,
+/// the pool's on the caller's thread and the private ports dealt
+/// round-robin. Every worker count must reproduce the one-worker
+/// drain's traces and every pool's counters.
 #[test]
 fn mixed_pools_match_one_worker() {
+    const SHARED: usize = 4;
     const MIXED: usize = 8;
     let build = |backend: PifoBackend| {
-        let pools = [0, 1].map(|_| {
-            SharedPacketPool::new(64, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 })
-                .unwrap()
-                .into_shared()
-        });
         let mut sb = SwitchBuilder::new(1_000_000_000);
-        for port in 0..MIXED {
+        sb.with_shared_pool(64, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 });
+        let tree = |pool: Option<PoolHandle>| {
             let mut b = TreeBuilder::new();
             b.with_backend(backend);
             let root = b.add_root("stfq", Box::new(Stfq::unweighted()));
             let classify: Classifier = Box::new(move |_| root);
-            let tree = if port % 2 == 0 {
-                let pool = &pools[(port / 2) % 2];
-                b.build_in_pool(classify, pool.register_port()).unwrap()
-            } else {
-                b.buffer_limit(24);
-                b.build(classify).unwrap()
-            };
-            sb.add_port(tree);
+            match pool {
+                Some(pool) => b.build_in_pool(classify, pool).unwrap(),
+                None => {
+                    b.buffer_limit(24);
+                    b.build(classify).unwrap()
+                }
+            }
+        };
+        for _ in 0..SHARED {
+            sb.add_shared_port(|pool| tree(Some(pool)));
+        }
+        for _ in SHARED..MIXED {
+            sb.add_port(tree(None));
         }
         sb.with_burst(8);
-        (
-            sb.build(Box::new(|p: &Packet| p.flow.0 as usize % MIXED)),
-            pools,
-        )
+        sb.build(Box::new(|p: &Packet| p.flow.0 as usize % MIXED))
+    };
+    // The shared pool (read through port 0), then each private pool.
+    let pool_stats = |sw: &pifo_sim::Switch| -> Vec<PoolStats> {
+        std::iter::once(0)
+            .chain(SHARED..MIXED)
+            .map(|i| {
+                let pool = sw.pool_of(i);
+                pool.assert_coherent();
+                pool.stats()
+            })
+            .collect()
     };
     for (pattern, arrivals) in patterns() {
         for backend in PifoBackend::ALL {
-            let (mut sw, pools) = build(backend);
+            let mut sw = build(backend);
             let reference = sw.run(&arrivals, 1);
             assert!(
                 reference.total_drops() > 0,
                 "{pattern}: admission must reject"
             );
-            let reference_pools = pools.map(|p| p.pool().stats());
+            let reference_pools = pool_stats(&sw);
             for workers in [1usize, 2, 3, 8, 0] {
                 let label = format!("{backend}/{pattern}/mixed/w{workers}");
-                let (mut sw, pools) = build(backend);
+                let mut sw = build(backend);
                 let run = sw.run(&arrivals, workers);
                 assert_identical(&label, &reference, &run);
-                for (pool, expected) in pools.iter().zip(&reference_pools) {
-                    let pool = pool.pool();
-                    assert_eq!(&pool.stats(), expected, "[{label}] pool counters diverge");
-                    pool.assert_coherent();
-                }
+                assert_eq!(
+                    pool_stats(&sw),
+                    reference_pools,
+                    "[{label}] pool counters diverge"
+                );
             }
         }
     }

@@ -114,7 +114,7 @@ fn main() {
 
     // --- One pool, dynamic thresholds: the storm is fenced. -------------
     let mut sb = SwitchBuilder::new(10_000_000_000);
-    let pool = sb.with_shared_pool(POOL, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 });
+    sb.with_shared_pool(POOL, AdmissionPolicy::DynamicThreshold { num: 1, den: 1 });
     for _ in 0..PORTS {
         sb.add_shared_port(|h| {
             let mut b = TreeBuilder::new();
@@ -122,10 +122,12 @@ fn main() {
             b.build_in_pool(Box::new(move |_| root), h).unwrap()
         });
     }
-    let run = sb.build(Box::new(classify)).run(&arr, 1);
+    let mut switch = sb.build(Box::new(classify));
+    let run = switch.run(&arr, 1);
     report("shared pool, dynamic alpha=1", &run);
 
-    let stats = pool.pool().stats();
+    // Every port reads the one pool: port 0's view is the whole pool's.
+    let stats = switch.pool_of(0).stats();
     println!(
         "\npool after the run: {} live / {:?} capacity; per-port rejects: {:?}",
         stats.live,

@@ -99,12 +99,13 @@ fn run_shared(
     arr: &[Packet],
 ) -> (SwitchRun, PoolStats) {
     let mut sb = SwitchBuilder::new(10_000_000_000);
-    let pool = sb.with_shared_pool(POOL_CAPACITY, policy);
+    sb.with_shared_pool(POOL_CAPACITY, policy);
     for _ in 0..PORTS {
         sb.add_shared_port(|h| port_tree(backend, h));
     }
-    let run = sb.build(Box::new(classify)).run(arr, workers);
-    let stats = pool.pool().stats();
+    let mut switch = sb.build(Box::new(classify));
+    let run = switch.run(arr, workers);
+    let stats = switch.pool_of(0).stats();
     (run, stats)
 }
 
