@@ -24,7 +24,10 @@
 //! * [`SharedPool`] is a pool shared by several trees, and
 //!   [`PoolHandle`] is one port's capability into it: a scheduling tree
 //!   built in a shared pool holds a handle, so N trees genuinely compete
-//!   for — and are protected within — one memory.
+//!   for — and are protected within — one memory. A switch has one:
+//!   `pifo-sim`'s `SwitchBuilder::with_shared_pool` creates it and
+//!   registers its ports, the shared ports first, and its stats are read
+//!   through `Switch::pool_of`.
 //! * [`Threshold`] is the per-entity threshold arithmetic, applied to
 //!   ports and (under [`AdmissionPolicy::PortFlow`]) to flows.
 //!
@@ -38,16 +41,17 @@
 //! * A tree built with `TreeBuilder::build` **owns** its pool and reaches
 //!   it without a lock.
 //! * A shared pool is one `Arc<Mutex<SharedPacketPool>>` behind its
-//!   [`PoolHandle`]s. The code that drains it (`pifo-sim`'s `Switch::run`
-//!   workers and `LosslessFabric::run`) locks it **once per run** with
-//!   [`SharedPool::lend`] and lends `&mut` pool to every tree operation
-//!   and admission probe, in the global `(time, port)` round order that
-//!   keeps traces deterministic. A direct call through a handle, or on a
-//!   shared-pool tree, locks once for that call, so handles are
-//!   `Send + Sync`.
-//! * A direct call on a pool the calling thread already holds — lent to a
-//!   drain, or read through a [`PoolGuard`] — would wait on itself; it
-//!   panics instead, naming the port.
+//!   [`PoolHandle`]s, and it has **one user at a time**: the drain it is
+//!   lent to, or one call. The code that drains it (`pifo-sim`'s
+//!   `Switch::run`, on the caller's thread, and `LosslessFabric::run`)
+//!   takes it **once per run** with [`SharedPool::lend`] and lends `&mut`
+//!   pool to every tree operation and admission probe, in the global
+//!   `(time, port)` round order that keeps traces deterministic. A direct
+//!   call through a handle, or on a shared-pool tree, takes the pool for
+//!   that call alone.
+//! * A shared pool is **never waited on**: a call that finds it in use —
+//!   lent to a drain, or read through a [`PoolGuard`], on this thread or
+//!   any other — panics, naming the port, instead of blocking.
 //!
 //! Accounting is **checked**: decrementing an occupancy counter that is
 //! already zero (a double release) panics in debug builds and increments
@@ -56,7 +60,6 @@
 
 use crate::packet::{FlowId, FlowMap, Packet};
 use core::fmt;
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
@@ -724,13 +727,6 @@ impl SharedPacketPool {
     }
 }
 
-thread_local! {
-    /// The shared pools this thread holds — lent to a drain, or read
-    /// through a [`PoolGuard`] — by address: a direct call that finds one
-    /// of them locked would wait on itself.
-    static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-}
-
 /// A [`SharedPacketPool`] shared by several trees: register their ports
 /// on it, lend it to the code that drains them, read its statistics.
 ///
@@ -763,75 +759,57 @@ impl SharedPool {
         }
     }
 
-    /// The pool, locked for as long as the guard lives (statistics,
+    /// The pool, held for as long as the guard lives (statistics,
     /// coherence checks).
     ///
     /// # Panics
     ///
-    /// Panics if this thread already holds the pool.
+    /// Panics if the pool is in use.
     pub fn pool(&self) -> PoolGuard<'_> {
-        PoolGuard(Guard::Held(self.hold(None)))
+        PoolGuard(Guard::Held(self.lock(None)))
     }
 
-    /// Lend the pool to the code that drains it: one lock for the whole
-    /// run, and `&mut` pool for every tree operation and probe in it
-    /// (`ScheduleTree::enqueue_lent`, [`SharedPacketPool::would_admit`]).
-    /// Until the loan drops, a direct call on this thread through a
-    /// handle, or on a tree built in the pool, panics naming its port; a
-    /// call from another thread waits for the loan to end.
+    /// Lend the pool to the code that drains it: the pool's one user for
+    /// the whole run, with `&mut` pool for every tree operation and probe
+    /// in it (`ScheduleTree::enqueue_lent`,
+    /// [`SharedPacketPool::would_admit`]). Until the loan drops, any
+    /// other call on the pool — through a handle, or on a tree built in
+    /// it, from any thread — panics naming its port.
     ///
     /// # Panics
     ///
-    /// Panics if this thread already holds the pool.
+    /// Panics if the pool is in use.
     pub fn lend(&self) -> LentPool<'_> {
-        self.hold(None)
+        LentPool {
+            shared: self,
+            pool: self.lock(None),
+        }
     }
 
-    /// Lock the pool and mark it held by this thread until the loan
-    /// drops.
-    fn hold(&self, port: Option<u32>) -> LentPool<'_> {
-        let pool = self.lock(port);
-        HELD.with(|held| held.borrow_mut().push(self.key()));
-        LentPool { shared: self, pool }
-    }
-
-    /// Do the two name the same pool?
-    pub fn same_pool(&self, other: &SharedPool) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    fn key(&self) -> usize {
-        Arc::as_ptr(&self.0) as usize
-    }
-
-    /// Lock the pool for one call made for `port` (or for the pool as a
-    /// whole): panic, rather than wait on itself, when this thread holds
-    /// the pool already.
+    /// Take the pool for one user, made for `port` (or for the pool as a
+    /// whole): a pool in use panics, it is never waited on.
     fn lock(&self, port: Option<u32>) -> MutexGuard<'_, SharedPacketPool> {
-        const POISONED: &str = "shared pool poisoned by a panicking caller";
         match self.0.try_lock() {
             Ok(pool) => pool,
             Err(TryLockError::WouldBlock) => {
-                if HELD.with(|held| held.borrow().contains(&self.key())) {
-                    let whose = port.map_or("the shared pool".to_string(), |p| {
-                        format!("port {p}'s shared pool")
-                    });
-                    panic!(
-                        "{whose} is held by this thread (lent to a drain, or read through \
-                         `pool()`), and a direct call would wait on itself"
-                    );
-                }
-                self.0.lock().expect(POISONED)
+                let whose = port.map_or("the shared pool".to_string(), |p| {
+                    format!("port {p}'s shared pool")
+                });
+                panic!(
+                    "{whose} is in use (lent to a drain, or read through `pool()`): a shared \
+                     pool has one user at a time and is never waited on"
+                );
             }
-            Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
+            Err(TryLockError::Poisoned(_)) => {
+                panic!("shared pool poisoned by a panicking caller")
+            }
         }
     }
 }
 
 /// A shared pool lent to the code that drains it for a whole run (see
 /// [`SharedPool::lend`]): `&mut` access with no further locking. The
-/// pool returns to its handles when the loan drops. (A [`PoolGuard`] of
-/// a shared pool holds one too, read-only.)
+/// pool returns to its handles when the loan drops.
 pub struct LentPool<'a> {
     shared: &'a SharedPool,
     pool: MutexGuard<'a, SharedPacketPool>,
@@ -850,27 +828,14 @@ impl DerefMut for LentPool<'_> {
     }
 }
 
-impl Drop for LentPool<'_> {
-    fn drop(&mut self) {
-        let key = self.shared.key();
-        // `try_with`: during thread teardown there is nothing to unmark.
-        let _ = HELD.try_with(|held| {
-            let mut held = held.borrow_mut();
-            if let Some(i) = held.iter().position(|&k| k == key) {
-                held.swap_remove(i);
-            }
-        });
-    }
-}
-
 /// Read access to a pool (see [`PoolHandle::pool`],
-/// [`TreePool::pool`]): borrowed from the tree that owns it, or locked
-/// for as long as the guard lives.
+/// [`TreePool::pool`]): borrowed from the tree that owns it, or a shared
+/// pool held for as long as the guard lives.
 pub struct PoolGuard<'a>(Guard<'a>);
 
 enum Guard<'a> {
     Owned(&'a SharedPacketPool),
-    Held(LentPool<'a>),
+    Held(MutexGuard<'a, SharedPacketPool>),
 }
 
 impl Deref for PoolGuard<'_> {
@@ -884,8 +849,9 @@ impl Deref for PoolGuard<'_> {
 }
 
 /// One port's capability into a [`SharedPool`] — what a `ScheduleTree`
-/// built in a shared pool holds. Every call locks the pool once, so a
-/// handle is `Send + Sync`; a clone refers to the same port. Admission
+/// built in a shared pool holds. Every call takes the pool for that call
+/// alone, and panics if the pool is in use; a clone refers to the same
+/// port. Admission
 /// probes and everything else go to the pool itself, with
 /// [`port`](Self::port): [`pool`](Self::pool), or the drain's loan.
 ///
@@ -918,13 +884,13 @@ impl PoolHandle {
     }
 
     /// The pool itself (slab occupancy, coherence checks, counters),
-    /// locked for as long as the guard lives.
+    /// held for as long as the guard lives.
     ///
     /// # Panics
     ///
-    /// Panics, naming the port, if this thread already holds the pool.
+    /// Panics, naming the port, if the pool is in use.
     pub fn pool(&self) -> PoolGuard<'_> {
-        PoolGuard(Guard::Held(self.shared.hold(Some(self.port))))
+        PoolGuard(Guard::Held(self.lock()))
     }
 
     fn lock(&self) -> MutexGuard<'_, SharedPacketPool> {
@@ -934,11 +900,6 @@ impl PoolHandle {
     /// [`SharedPacketPool::try_insert`] for this port.
     pub fn try_insert(&self, packet: Packet) -> Result<PktHandle, Packet> {
         self.lock().try_insert(self.port(), packet)
-    }
-
-    /// [`SharedPacketPool::retain`].
-    pub fn retain(&self, handle: PktHandle) {
-        self.lock().retain(handle);
     }
 
     /// [`SharedPacketPool::release`]: the counters settle against the
@@ -972,9 +933,9 @@ impl TreePool {
         }
     }
 
-    /// The pool (slab occupancy, coherence checks, counters). For a
-    /// shared pool this locks it for as long as the guard lives, and
-    /// panics, naming the port, if this thread already holds it.
+    /// The pool (slab occupancy, coherence checks, counters). A shared
+    /// pool is held for as long as the guard lives, and panics, naming
+    /// the port, if it is in use.
     pub fn pool(&self) -> PoolGuard<'_> {
         match self {
             TreePool::Owned(pool) => PoolGuard(Guard::Owned(pool)),
@@ -982,24 +943,18 @@ impl TreePool {
         }
     }
 
-    /// The shared pool, unless the tree owns its pool.
-    pub fn shared(&self) -> Option<&SharedPool> {
-        match self {
-            TreePool::Owned(_) => None,
-            TreePool::Shared(handle) => Some(&handle.shared),
-        }
-    }
-
     /// Run `f` on the pool for one tree operation: the shared pool the
     /// caller holds `lent`, else an owned pool directly, or a shared one
-    /// under its per-call lock.
+    /// taken for this call.
     pub(crate) fn with<R>(
         &mut self,
         lent: Option<&mut LentPool<'_>>,
         f: impl FnOnce(&mut SharedPacketPool) -> R,
     ) -> R {
         match (self, lent) {
-            (TreePool::Shared(h), Some(lent)) if h.shared.same_pool(lent.shared) => f(lent),
+            (TreePool::Shared(h), Some(lent)) if Arc::ptr_eq(&h.shared.0, &lent.shared.0) => {
+                f(lent)
+            }
             (pool, Some(_)) => panic!(
                 "port {}: lent a pool this tree does not buffer in",
                 pool.port()
@@ -1011,13 +966,10 @@ impl TreePool {
 }
 
 // The threading contract, checked by the compiler: a tree (with the pool
-// it owns, or its handle) moves to a worker thread whole, and a handle
-// may be shared between threads.
+// it owns, or its handle) moves to a worker thread whole.
 const _: () = {
     const fn send<T: Send>() {}
-    const fn send_sync<T: Send + Sync>() {}
     send::<crate::tree::ScheduleTree>();
-    send_sync::<PoolHandle>();
 };
 
 #[cfg(test)]

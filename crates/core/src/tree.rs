@@ -773,16 +773,17 @@ impl ScheduleTree {
     /// Going backwards does not corrupt the structure, but shaped
     /// elements already released by a later-timed call stay released.
     ///
-    /// A tree in a shared pool locks it for the call; while this thread
-    /// has lent that pool to a drain, use
-    /// [`enqueue_lent`](Self::enqueue_lent) (this call panics).
+    /// A tree in a shared pool takes the pool for the call, and panics,
+    /// naming its port, if the pool is in use: a shared pool is never
+    /// waited on. The drain it is lent to calls
+    /// [`enqueue_lent`](Self::enqueue_lent) instead.
     pub fn enqueue(&mut self, packet: Packet, now: Nanos) -> Result<(), TreeError> {
         self.enqueue_lent(None, packet, now)
     }
 
     /// [`enqueue`](Self::enqueue), given the shared pool the caller
     /// drains (`lent`, see [`SharedPool::lend`](crate::pool::SharedPool::lend))
-    /// so the call does not lock; `None` reaches the pool as `enqueue`
+    /// so the call takes nothing; `None` reaches the pool as `enqueue`
     /// does.
     ///
     /// # Panics
@@ -825,8 +826,8 @@ impl ScheduleTree {
     /// popping one element per level until a packet is reached (Fig 2).
     ///
     /// Returns `None` if the root PIFO is empty — which, with shapers, can
-    /// happen even while packets are buffered (non-work-conserving). The
-    /// same locking as [`enqueue`](Self::enqueue) applies.
+    /// happen even while packets are buffered (non-work-conserving). A
+    /// shared pool is taken as for [`enqueue`](Self::enqueue).
     pub fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
         self.dequeue_lent(None, now)
     }
