@@ -912,16 +912,20 @@ impl ScheduleTree {
     ///
     /// A log with room for `n` records sizes the run once, rather than
     /// growing while it goes: the log gets room for `n` times the tree's
-    /// height in hops, and the tree's path-record staging room for `n`
-    /// records in flight, capped by the pool's slot count. (The fabrics
-    /// hand in the empty [`PathLog::new`] at the end of a run, which
-    /// reserves nothing and leaves the pool alone.)
+    /// height in hops, and, when the pool has a slot limit, the tree's
+    /// path-record staging room for `n` records in flight, capped by that
+    /// limit. A pool without one gives no bound short of `n`, while the
+    /// records in flight never outnumber the packets the port holds, so
+    /// the staging then grows as it is used. (The fabrics hand in the
+    /// empty [`PathLog::new`] at the end of a run, which reserves nothing
+    /// and leaves the pool alone.)
     pub fn replace_path_log(&mut self, mut log: PathLog) -> PathLog {
         let expected = log.record_capacity();
         if let Some(paths) = self.state.paths.as_deref_mut().filter(|_| expected > 0) {
             log.reserve_hops(expected.saturating_mul(paths.stride()));
-            let slots = self.pool.pool().capacity();
-            paths.reserve(slots.map_or(expected, |slots| expected.min(slots)));
+            if let Some(slots) = self.pool.pool().capacity() {
+                paths.reserve(expected.min(slots));
+            }
         }
         std::mem::replace(&mut self.state.path_log, log)
     }

@@ -322,15 +322,16 @@ fn run_allocations_do_not_scale_with_packets() {
             // Each extra packet costs its `Departure` and an index: a
             // second copy of the packet anywhere would show. With path
             // records it also costs its record (its one hop and an end
-            // word) and, on these pools without a slot limit, the stage
-            // reserved for it (two index words and a hop), plus a few
-            // bytes of gauge series: a record that kept a copy of its
-            // departure would show.
+            // word) plus a few bytes of gauge series. These pools have
+            // no slot limit, so no stage is reserved per expected record
+            // (a port stages only the records of packets it holds): a
+            // record that kept a copy of its departure, or a stage
+            // reserved per arrival, would show.
             let per_pkt = big_bytes.saturating_sub(small_bytes) / (3 * N);
             let bound = std::mem::size_of::<Departure>()
                 + match telemetry {
                     None => std::mem::size_of::<Packet>(),
-                    Some(_) => 4 + PATH_RECORD + 8 + HOP + 16,
+                    Some(_) => 4 + PATH_RECORD + 16,
                 };
             assert!(
                 per_pkt < bound as u64,
@@ -369,22 +370,26 @@ fn run_allocations_do_not_scale_with_packets() {
     );
 
     // Path records on a shared pool: a port stages each record in flight
-    // and reaches it from the packet's pool slot, so staging costs a few
-    // bytes per pool slot a port has used plus one stage per packet the
-    // port holds, not a whole stage per pool slot on every port. Against
+    // and reaches it from the packet's pool slot, so staging costs one
+    // index word per pool slot a port has used plus one stage per record
+    // in flight, not a whole stage per pool slot on every port. Against
     // a run with the flight recorder alone, path records may add each
-    // port's log (one record per arrival: its hop and end word), 16
-    // bytes per port per pool slot and 512 bytes per packet of a port's
-    // share; staging 240 bytes per slot on every port exceeds that
-    // several times over, and so does a record that keeps more than its
-    // hops.
+    // port's log (one record per arrival: its hop and end word), the
+    // stages reserved for a port's arrivals (a stage's word, its slot's
+    // index word and its hop, for at most the pool's slot count) and six
+    // bytes per pool slot per port (the slot index, and the half-size
+    // buffer it grew from): 3.54 MB against 3.08 MB measured. A record
+    // sixteen bytes wider than its hop and end word overruns it (the
+    // 64-byte records of the layout before this one measured 4.91 MB),
+    // and so would a stage per pool slot on every port.
     let n = 2 * SHARED_SLOTS as u64;
     let (recorder_peak, _) = measure_shared_peak(n, TelemetryConfig::default());
     let (paths_peak, records) = measure_shared_peak(n, TelemetryConfig::with_paths());
     assert!(records > SHARED_SLOTS, "the pool filled and drained");
+    let port_arrivals = (n as usize / SHARED_PORTS).min(SHARED_SLOTS);
     let bound = n as usize * PATH_RECORD
-        + SHARED_PORTS * SHARED_SLOTS * 16
-        + SHARED_PORTS * SHARED_PORT_LIMIT * 512;
+        + SHARED_PORTS * port_arrivals * (4 + 4 + HOP)
+        + SHARED_PORTS * SHARED_SLOTS * 6;
     let extra = paths_peak.saturating_sub(recorder_peak);
     assert!(
         extra <= bound as u64,
