@@ -13,6 +13,12 @@
 //!   port may hold at most `alpha ×` the remaining free space, so the
 //!   storm is fenced to a fraction of the pool and victims sail through.
 //!
+//! A switch has one shared memory, its own: `with_shared_pool` creates
+//! it, `add_shared_port` adds its ports (they come first, so port `i`'s
+//! counters sit at pool port `i`), and `Switch::pool_of` reads it after
+//! the run. The run is the pool's one user while it drains; the pool is
+//! never waited on, so reading it mid-run would panic, not block.
+//!
 //! ```sh
 //! cargo run --release --example shared_pool_admission
 //! ```
