@@ -851,9 +851,8 @@ impl Deref for PoolGuard<'_> {
 /// One port's capability into a [`SharedPool`] — what a `ScheduleTree`
 /// built in a shared pool holds. Every call takes the pool for that call
 /// alone, and panics if the pool is in use; a clone refers to the same
-/// port. Admission
-/// probes and everything else go to the pool itself, with
-/// [`port`](Self::port): [`pool`](Self::pool), or the drain's loan.
+/// port. Admission probes and everything else go to the pool itself,
+/// with [`port`](Self::port): [`pool`](Self::pool), or the drain's loan.
 ///
 /// Reading a resident packet needs the pool itself
 /// ([`SharedPacketPool::get`]), and the borrow holds the pool: the slot

@@ -379,9 +379,8 @@ fn run_allocations_do_not_scale_with_packets() {
     // index word and its hop, for at most the pool's slot count) and six
     // bytes per pool slot per port (the slot index, and the half-size
     // buffer it grew from): 3.54 MB against 3.08 MB measured. A record
-    // sixteen bytes wider than its hop and end word overruns it (the
-    // 64-byte records of the layout before this one measured 4.91 MB),
-    // and so would a stage per pool slot on every port.
+    // sixteen bytes wider than its hop and end word overruns it (3.60
+    // MB), and so would a stage per pool slot on every port.
     let n = 2 * SHARED_SLOTS as u64;
     let (recorder_peak, _) = measure_shared_peak(n, TelemetryConfig::default());
     let (paths_peak, records) = measure_shared_peak(n, TelemetryConfig::with_paths());

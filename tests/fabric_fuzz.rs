@@ -23,8 +23,9 @@
 //! without faults, must never stall, must resume every pause, and must
 //! give the same departures and pause log on every exact engine.
 //!
-//! A failing case prints its index and its `Case`: the cases are seeded
-//! by index, so `cargo test --test fabric_fuzz` replays it.
+//! A failing case prints its index: the cases are seeded by index, so
+//! `cargo test --test fabric_fuzz` (with the same `PROPTEST_CASES`)
+//! replays it.
 
 use pifo::prelude::*;
 use pifo::sim::{OnOffSource, PortClassifier, PortTrace};
@@ -32,17 +33,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 const RATE_BPS: u64 = 10_000_000_000;
-const TELEMETRY: [Option<TelemetryConfig>; 3] = [
-    None,
-    Some(TelemetryConfig {
-        path_records: false,
-        sample_every: 16,
-    }),
-    Some(TelemetryConfig {
-        path_records: true,
-        sample_every: 16,
-    }),
-];
 
 /// A uniform draw from `lo..=hi`.
 fn pick(rng: &mut TestRng, lo: u64, hi: u64) -> u64 {
@@ -412,9 +402,14 @@ fn check_switch(case: &Case) {
         .run(&arrivals, 1);
     // Each telemetry setting's snapshot and path views, from its first run.
     let mut observed: [Option<(Option<String>, Paths)>; 3] = Default::default();
+    let settings = [
+        None,
+        Some(TelemetryConfig::default()),
+        Some(TelemetryConfig::with_paths()),
+    ];
     for engine in PifoBackend::EXACT {
         for workers in [1, 2, 0] {
-            for (t, telemetry) in TELEMETRY.into_iter().enumerate() {
+            for (t, telemetry) in settings.into_iter().enumerate() {
                 let label = format!("{engine}/w{workers}/telemetry {t}");
                 let mut sw = case.switch(engine, telemetry);
                 let run = sw.run(&arrivals, workers);
