@@ -8,8 +8,10 @@
 //! A packet's slack — time remaining until its deadline — is initialised at
 //! the end host and decremented by the queueing wait at each switch. The
 //! decrement happens in the data path (the switch tags packets with
-//! timestamps before and after the queue); in this workspace the multi-hop
-//! simulator (`pifo-sim`) performs it via [`charge_wait`]. The scheduling
+//! timestamps before and after the queue); in this workspace [`charge_wait`]
+//! is its one definition, which `pifo-sim`'s `run_port` applies to every
+//! departure of a port configured with `PortConfig::with_lstf_charging`
+//! (so a multi-hop `run_pipeline` charges each hop). The scheduling
 //! transaction itself just ranks by the already-updated slack.
 
 use pifo_core::prelude::*;

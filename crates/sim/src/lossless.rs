@@ -92,19 +92,20 @@
 //!   exists on a port once it has carried a packet there, and only
 //!   existing classes are evaluated against the watermarks and the pool
 //!   probe. The source-visible pause is a flag on the same entry;
-//! * **round times** are a dense per-port due array (`Nanos::MAX` while a
-//!   port is parked or done), rewritten wherever a port's next round time
-//!   or horizon flag changes; the next round is its first minimum. Ports
-//!   parked on a gated skid head are woken by other ports' progress, a
-//!   scan that runs only while some skid buffer holds a packet.
+//! * **round times** are a dense per-port due array, the only record of
+//!   a port's next round (`Nanos::MAX` while the port is parked); the
+//!   next round is its first minimum. Ports parked on a gated skid head
+//!   are woken by other ports' progress, a scan that runs only while
+//!   some skid buffer holds a packet.
 //!
 //! Tuple order *is* the event order: equal instants fall back to the
 //! lower source (or port) index, as the `(time, kind, index)` rule
-//! demands. Debug builds re-derive all three heads — next emission,
-//! oldest pause, next round — before every event by the definitional
-//! scan over all sources, all `(port, class)` pairs and all ports, and
-//! assert they agree, so every debug test run checks the calendar
-//! against its specification; release builds contain no such scan.
+//! demands. Debug builds re-derive both heap heads — next emission,
+//! oldest pause — before every event by the definitional scan over all
+//! sources and all `(port, class)` pairs, and assert they agree, so
+//! every debug test run checks the calendar against its specification;
+//! release builds contain no such scan. The next round is read off the
+//! due array itself, which no other record shadows.
 
 use crate::port::transmit;
 use crate::switch::{PortTrace, Switch, SwitchRun};
@@ -479,19 +480,14 @@ struct ClassState {
     visible: bool,
 }
 
-/// Per-port driver state (the tree itself stays in the switch).
+/// Per-port driver state (the tree itself stays in the switch; the next
+/// round's time is the port's entry in [`Driver::due`]).
 #[derive(Default)]
 struct PortState {
-    /// Decision time of the next scheduling round; `None` = parked
-    /// (woken by emissions or by other ports' progress). Mirrored into
-    /// the due array by [`Driver::schedule`].
-    t: Option<Nanos>,
     /// The transmitter is committed until this instant: arrivals may
     /// wake a parked or idle-hopping port but never rewind one
     /// mid-transmit.
     busy_until: Nanos,
-    /// Horizon reached: no further rounds start.
-    done: bool,
     /// The port's line rate under the slow-drain fault.
     rate: u64,
     trace: PortTrace,
@@ -595,20 +591,17 @@ fn stall(kind: StallKind, at: Nanos, oldest_pause: Option<PauseEntry>) -> Fabric
     }
 }
 
-/// The debug oracle: the calendar heads must equal what the
-/// definitional scans — the earliest `max(arrival, gate)` over every
-/// unblocked source with a packet, the earliest `paused_since` over
-/// every `(port, class)` pair, the earliest round time over every port
-/// short of its horizon, lowest index first — would have chosen.
-/// Written out independently of [`emit_at`] and [`Driver::schedule`] on
-/// purpose.
+/// The debug oracle: the heap heads must equal what the definitional
+/// scans — the earliest `max(arrival, gate)` over every unblocked source
+/// with a packet, the earliest `paused_since` over every `(port, class)`
+/// pair, lowest index first — would have chosen. Written out
+/// independently of [`emit_at`] on purpose.
 #[cfg(debug_assertions)]
 fn assert_calendar_heads(
     srcs: &[SourceState],
     ports: &[PortState],
     next_emit: Option<(Nanos, usize)>,
     oldest_pause: Option<PauseEntry>,
-    next_round: Option<(Nanos, usize)>,
 ) {
     let scanned_emit = srcs
         .iter()
@@ -634,16 +627,6 @@ fn assert_calendar_heads(
         oldest_pause, scanned_pause,
         "pause index head disagrees with the scan over all (port, class) pairs"
     );
-    let scanned_round = ports
-        .iter()
-        .enumerate()
-        .filter(|(_, ps)| !ps.done)
-        .filter_map(|(i, ps)| ps.t.map(|t| (t, i)))
-        .min();
-    assert_eq!(
-        next_round, scanned_round,
-        "due array head disagrees with the scan over all ports"
-    );
 }
 
 /// The next event; variant order is the kind order at one instant.
@@ -665,9 +648,10 @@ struct Driver<'a> {
     srcs: Vec<SourceState>,
     /// The event calendar (see the module docs): unblocked sources with
     /// a pending packet by emission instant, asserted pauses by
-    /// assertion instant, every port's next round time, and the control
-    /// frames in flight by delivery instant, then by the index of the
-    /// [`PauseEvent`] each carries.
+    /// assertion instant, every port's next round time (`Nanos::MAX`:
+    /// parked, woken by emissions or by other ports' progress), and the
+    /// control frames in flight by delivery instant, then by the index
+    /// of the [`PauseEvent`] each carries.
     emit_cal: BinaryHeap<EmitEntry>,
     paused: BinaryHeap<Reverse<PauseEntry>>,
     due: Vec<Nanos>,
@@ -799,7 +783,7 @@ impl<'a> Driver<'a> {
             .filter(|&(_, &t)| t < Nanos::MAX)
             .map(|(i, &t)| (t, i));
         #[cfg(debug_assertions)]
-        assert_calendar_heads(&self.srcs, &self.ports, next_emit, oldest_pause, next_round);
+        assert_calendar_heads(&self.srcs, &self.ports, next_emit, oldest_pause);
         let pick = [
             self.frames
                 .peek()
@@ -857,15 +841,6 @@ impl<'a> Driver<'a> {
         self.pool.would_admit_flow(i, flow)
     }
 
-    /// Set port `i`'s next round time (`None`: parked), and its due-array
-    /// entry: that time, or `Nanos::MAX` while parked or past the
-    /// horizon.
-    fn schedule(&mut self, i: usize, t: Option<Nanos>) {
-        let ps = &mut self.ports[i];
-        ps.t = t;
-        self.due[i] = t.filter(|_| !ps.done).unwrap_or(Nanos::MAX);
-    }
-
     /// No deliverable control frame, no eligible emission, no runnable
     /// round: a complete drain, or packets trapped in a wait nothing can
     /// break. The stall is stamped at the watchdog deadline of a pause
@@ -873,10 +848,9 @@ impl<'a> Driver<'a> {
     /// the last pause-signal decision.
     fn quiescent(&self, oldest_pause: Option<PauseEntry>) -> Option<FabricStall> {
         let trees = &self.switch.ports;
-        let trapped = self.srcs.iter().any(|s| s.next.is_some())
-            || self.ports.iter().zip(trees).any(|(ps, tree)| {
-                !ps.skid.is_empty() || (!ps.done && (!tree.is_empty() || tree.shaped_len() > 0))
-            });
+        let trapped = self.skid_total > 0
+            || self.srcs.iter().any(|s| s.next.is_some())
+            || trees.iter().any(|t| !t.is_empty() || t.shaped_len() > 0);
         if !trapped {
             return None;
         }
@@ -954,11 +928,8 @@ impl<'a> Driver<'a> {
                 self.skid_overflow += 1;
             }
             // Wake the port no earlier than its transmitter allows.
-            let ps = &self.ports[i];
-            let wake = now.max(ps.busy_until);
-            if !ps.done && ps.t.map_or(true, |t| t > wake) {
-                self.schedule(i, Some(wake));
-            }
+            let wake = now.max(self.ports[i].busy_until);
+            self.due[i] = self.due[i].min(wake);
             self.eval_pause(i, now);
             // The pool peaks at admission instants: dequeues only lower it.
             self.max_pool_live = self.max_pool_live.max(self.pool.live());
@@ -1008,11 +979,6 @@ impl<'a> Driver<'a> {
     /// admissible head, decide and transmit up to `burst` dequeues, set
     /// the next round, and re-evaluate the port's pause signal.
     fn round(&mut self, now: Nanos, i: usize) {
-        if now >= self.switch.horizon {
-            self.ports[i].done = true;
-            return self.schedule(i, None);
-        }
-
         // Admit gated skid packets, oldest first, each at its own arrival
         // instant — stop at the first the pool still refuses
         // (head-of-line, not reorder).
@@ -1053,19 +1019,18 @@ impl<'a> Driver<'a> {
             let next_skid = ps.skid.front().map(|p| p.arrival);
             let next = next_skid.into_iter().chain(tree.next_shaping_event()).min();
             ps.busy_until = now;
-            self.schedule(i, next.filter(|&t| t > now));
+            self.due[i] = next.filter(|&t| t > now).unwrap_or(Nanos::MAX);
             now
         } else {
             ps.busy_until = t;
-            self.schedule(i, Some(t));
+            self.due[i] = t;
             // Progress frees pool space: wake parked ports whose skid
             // heads may now be admissible (none can be parked on one while
             // every skid is empty; this port is not parked).
             if self.skid_total > 0 {
-                for j in 0..self.ports.len() {
-                    let other = &self.ports[j];
-                    if !other.done && other.t.is_none() && !other.skid.is_empty() {
-                        self.schedule(j, Some(t.max(other.busy_until)));
+                for (other, due) in self.ports.iter().zip(&mut self.due) {
+                    if *due == Nanos::MAX && !other.skid.is_empty() {
+                        *due = t.max(other.busy_until);
                     }
                 }
             }
@@ -1279,7 +1244,7 @@ impl LosslessFabric {
     /// # Panics
     ///
     /// Panics, naming the port and its backlog, if a port's tree still
-    /// holds packets (a stalled or horizon-cut earlier run leaves them):
+    /// holds packets (a stalled earlier run leaves them):
     /// the run's per-class pressure starts from empty trees.
     pub fn run(&mut self, sources: Vec<Box<dyn TrafficSource>>, faults: FaultPlan) -> LosslessRun {
         for (i, tree) in self.switch.ports.iter().enumerate() {

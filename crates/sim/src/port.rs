@@ -40,9 +40,11 @@ pub struct Departure {
 pub struct PortConfig {
     /// Link rate in bits/second.
     pub rate_bps: u64,
-    /// Simulation horizon: packets not transmitted by then stay queued.
+    /// Simulation horizon: no round starts at or after it (a round in
+    /// flight may finish past it); packets not sent by then stay queued.
     pub horizon: Nanos,
-    /// Charge LSTF slack (Fig 6: `slack -= wait`) on each departure.
+    /// Charge LSTF slack (Fig 6: `slack -= wait`) on each departure,
+    /// through [`pifo_algos::charge_wait`].
     pub charge_lstf_slack: bool,
 }
 
@@ -86,14 +88,14 @@ pub fn run_port(
         "arrivals must be time-sorted"
     );
     let mut port = PortSim::new(arrivals, None);
-    while !port.done {
-        port.step_round(sched, cfg.rate_bps, cfg.horizon, 1);
+    while port.t < cfg.horizon {
+        port.step_round(sched, cfg.rate_bps, 1);
     }
     let mut out = port.trace.departures;
     if cfg.charge_lstf_slack {
         // Exact after the run: no scheduler sees a departed packet.
         for d in &mut out {
-            d.packet.slack -= d.wait.as_nanos() as i64;
+            pifo_algos::charge_wait(&mut d.packet, d.start);
         }
     }
     out
@@ -109,10 +111,9 @@ pub(crate) struct PortSim<'a> {
     /// several ports (`None`: all of it). `next` of them are admitted.
     pending: Option<Vec<u32>>,
     next: usize,
-    /// Decision time of the next round.
+    /// Decision time of the next round; `Nanos::MAX` once drained with
+    /// nothing left to wait for.
     pub(crate) t: Nanos,
-    /// Past the horizon, or drained with nothing left to wait for.
-    pub(crate) done: bool,
     pub(crate) trace: PortTrace,
 }
 
@@ -125,7 +126,6 @@ impl<'a> PortSim<'a> {
             pending,
             next: 0,
             t: Nanos::ZERO,
-            done: false,
             trace: PortTrace {
                 departures: Vec::with_capacity(expect),
                 ..PortTrace::default()
@@ -146,19 +146,13 @@ impl<'a> PortSim<'a> {
         self.arrivals.get(i)
     }
 
-    /// Run one round at `self.t`. Returns `false`, and marks the port
-    /// done, when `t` has reached `horizon` (no round starts there).
+    /// Run one round at `self.t` and set `t` to the next round's time.
     pub(crate) fn step_round<S: PortScheduler + ?Sized>(
         &mut self,
         sched: &mut S,
         rate_bps: u64,
-        horizon: Nanos,
         burst: usize,
-    ) -> bool {
-        if self.t >= horizon {
-            self.done = true;
-            return false;
-        }
+    ) {
         while let Some(p) = self.head().filter(|p| p.arrival <= self.t) {
             self.next += 1;
             if !sched.enqueue(p.clone(), p.arrival) {
@@ -177,17 +171,17 @@ impl<'a> PortSim<'a> {
             sent += 1;
         }
         if sent > 0 {
-            return true;
+            return;
         }
         // Idle: hop to the next arrival or shaping release (strictly
-        // later: the round released everything due at `t`).
+        // later: the round released everything due at `t`), or, drained
+        // for good, to `Nanos::MAX`.
         let next_arrival = self.head().map(|p| p.arrival);
         let next = [next_arrival, sched.next_ready(self.t)];
-        match next.into_iter().flatten().min() {
-            Some(next) => self.t = next.max(Nanos(self.t.as_nanos() + 1)),
-            None => self.done = true, // drained for good
-        }
-        true
+        self.t = match next.into_iter().flatten().min() {
+            Some(next) => next.max(Nanos(self.t.as_nanos() + 1)),
+            None => Nanos::MAX,
+        };
     }
 }
 

@@ -133,7 +133,6 @@ pub type PortClassifier = Box<dyn Fn(&Packet) -> usize + Send>;
 pub struct SwitchBuilder {
     trees: Vec<ScheduleTree>,
     rate_bps: u64,
-    horizon: Nanos,
     burst: usize,
     pool: Option<SharedPool>,
     track_inversions: bool,
@@ -141,8 +140,8 @@ pub struct SwitchBuilder {
 }
 
 impl SwitchBuilder {
-    /// A switch whose ports each transmit at `rate_bps`, with a long
-    /// horizon and the default scheduling round of 32 packets.
+    /// A switch whose ports each transmit at `rate_bps`, in the default
+    /// scheduling round of 32 packets. A run drains every port to empty.
     ///
     /// # Panics
     ///
@@ -152,7 +151,6 @@ impl SwitchBuilder {
         SwitchBuilder {
             trees: Vec::new(),
             rate_bps,
-            horizon: Nanos::from_secs(3_600),
             burst: 32,
             pool: None,
             track_inversions: false,
@@ -270,13 +268,6 @@ impl SwitchBuilder {
         port
     }
 
-    /// Set the simulation horizon: no scheduling round *starts* at or
-    /// after it (a round in flight may finish past it).
-    pub fn with_horizon(&mut self, horizon: Nanos) -> &mut Self {
-        self.horizon = horizon;
-        self
-    }
-
     /// Packets committed per scheduling round (default 32). It defines
     /// the decision epochs; [`Switch::run`]'s worker count only chooses
     /// which thread runs each port's rounds.
@@ -314,7 +305,6 @@ impl SwitchBuilder {
             ports,
             classifier,
             rate_bps: self.rate_bps,
-            horizon: self.horizon,
             burst: self.burst,
             telemetry: self.telemetry,
         }
@@ -331,7 +321,6 @@ pub struct Switch {
     pub(crate) shared: usize,
     pub(crate) classifier: PortClassifier,
     pub(crate) rate_bps: u64,
-    pub(crate) horizon: Nanos,
     pub(crate) burst: usize,
     pub(crate) telemetry: Option<TelemetryConfig>,
 }
@@ -617,16 +606,16 @@ impl Switch {
             };
             shards[group % workers].push((sim, tree, i < shared));
         }
-        let (rate_bps, horizon, burst) = (self.rate_bps, self.horizon, self.burst);
+        let (rate_bps, burst) = (self.rate_bps, self.burst);
         let mut shards = shards.into_iter();
         let mine = shards.next().expect("at least one worker");
         // Group 0, and with it the shared pool, stays on this thread.
         let mut pool = self.pool.as_ref().map(SharedPool::lend);
         std::thread::scope(|s| {
             for shard in shards {
-                s.spawn(move || drain_in_time_order(shard, None, rate_bps, horizon, burst));
+                s.spawn(move || drain_in_time_order(shard, None, rate_bps, burst));
             }
-            drain_in_time_order(mine, pool.as_mut(), rate_bps, horizon, burst);
+            drain_in_time_order(mine, pool.as_mut(), rate_bps, burst);
         });
     }
 }
@@ -637,26 +626,26 @@ type DrainPort<'s, 'a> = (&'s mut SwitchPort<'a>, &'s mut ScheduleTree, bool);
 
 /// Run `ports` to completion in `(time, port)` order: always advance the
 /// port whose next scheduling round is earliest, ties to the one listed
-/// first (the lowest port index), lending the shared ports `pool`. Then
-/// take back each tree's path log.
+/// first (the lowest port index), lending the shared ports `pool`, until
+/// every port's next round is `Nanos::MAX`. Then take back each tree's
+/// path log.
 fn drain_in_time_order(
     mut ports: Vec<DrainPort>,
     mut pool: Option<&mut LentPool>,
     rate_bps: u64,
-    horizon: Nanos,
     burst: usize,
 ) {
     loop {
-        let mut best: Option<(usize, Nanos)> = None;
+        let (mut best, mut best_t) = (None, Nanos::MAX);
         for (i, (p, _, _)) in ports.iter().enumerate() {
-            if !p.sim.done && best.map_or(true, |(_, t)| p.sim.t < t) {
-                best = Some((i, p.sim.t));
+            if p.sim.t < best_t {
+                (best, best_t) = (Some(i), p.sim.t);
             }
         }
-        let Some((i, _)) = best else { break };
+        let Some(i) = best else { break };
         let (port, tree, shared) = &mut ports[i];
         let pool = pool.as_deref_mut().filter(|_| *shared);
-        port.step(LentTree { tree, pool }, rate_bps, horizon, burst);
+        port.step(LentTree { tree, pool }, rate_bps, burst);
     }
     for (port, tree, _) in ports {
         port.sim.trace.paths = tree.replace_path_log(PathLog::new());
@@ -695,7 +684,9 @@ impl<'a> SwitchPort<'a> {
         let expect = pending.len();
         let idle = pending.is_empty() && tree.is_empty() && tree.shaped_len() == 0;
         let mut sim = PortSim::new(arrivals, Some(pending));
-        sim.done = idle;
+        if idle {
+            sim.t = Nanos::MAX;
+        }
         sim.trace.port = port as u16;
         tree.replace_path_log(if telemetry.is_some_and(|c| c.path_records) {
             PathLog::with_capacity(expect)
@@ -727,11 +718,9 @@ impl<'a> SwitchPort<'a> {
     }
 
     /// Run one round on `tree`, then sample its gauges.
-    fn step(&mut self, mut tree: LentTree, rate_bps: u64, horizon: Nanos, burst: usize) {
+    fn step(&mut self, mut tree: LentTree, rate_bps: u64, burst: usize) {
         let t = self.sim.t;
-        if !self.sim.step_round(&mut tree, rate_bps, horizon, burst) {
-            return;
-        }
+        self.sim.step_round(&mut tree, rate_bps, burst);
         // Sampled after the round: transmission leaves the tree alone,
         // so the values are those at the decision instant `t`, whatever
         // the worker count.
@@ -995,7 +984,7 @@ mod tests {
             for _ in 0..4 {
                 sb.add_shared_port(|pool| pooled_fifo_tree(backend, pool));
             }
-            sb.with_horizon(end).with_burst(8);
+            sb.with_burst(8);
             sb.build(Box::new(|p: &Packet| p.flow.0 as usize % 4))
         };
         let reference = build(PifoBackend::SortedArray).run(&arrivals, 1);

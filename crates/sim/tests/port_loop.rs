@@ -1,10 +1,12 @@
 //! Differential pin: a one-port [`Switch`] at burst 1 on one worker and
 //! [`run_port`] over the same tree are the same port loop. Both must
-//! give identical departures (packet, start, finish, wait), identical
-//! drops and an identical backlog left behind, on every exact PIFO
-//! engine, for a flat STFQ tree, a flat SRPT tree and a two-level tree
-//! with a token-bucket-shaped leaf, under a 64-packet buffer that drops,
-//! an unbounded buffer, and a horizon that cuts the run mid-backlog.
+//! give identical departures (packet, start, finish, wait) and
+//! identical drops, and both must drain to empty, on every exact PIFO
+//! engine, for a flat STFQ tree, a flat SRPT tree and a two-level
+//! tree with a token-bucket-shaped leaf, under a 64-packet buffer that
+//! drops and an unbounded buffer. A [`run_port`] horizon only cuts the
+//! loop: the cut run sends exactly the uncut run's departures that start
+//! before it.
 
 use pifo_algos::{Srpt, Stfq, TokenBucketFilter};
 use pifo_core::prelude::*;
@@ -38,8 +40,6 @@ enum Case {
     Tight,
     /// No buffer limit: the port drains to empty.
     Unbounded,
-    /// Unbounded, but the horizon stops the port with packets queued.
-    Horizon,
 }
 
 fn tree(shape: Shape, backend: PifoBackend, case: Case) -> ScheduleTree {
@@ -76,26 +76,22 @@ fn tree(shape: Shape, backend: PifoBackend, case: Case) -> ScheduleTree {
     }
 }
 
+const SHAPES: [Shape; 3] = [Shape::Stfq, Shape::Srpt, Shape::ShapedTwoLevel];
+
 #[test]
 fn one_port_switch_equals_run_port() {
     let arr = arrivals();
-    let last = arr.last().expect("workload").arrival;
     for backend in PifoBackend::EXACT {
-        for shape in [Shape::Stfq, Shape::Srpt, Shape::ShapedTwoLevel] {
-            for case in [Case::Tight, Case::Unbounded, Case::Horizon] {
+        for shape in SHAPES {
+            for case in [Case::Tight, Case::Unbounded] {
                 let label = format!("{backend}/{shape:?}/{case:?}");
-                let horizon = match case {
-                    Case::Horizon => Nanos(last.as_nanos() / 2),
-                    _ => Nanos::from_secs(3_600),
-                };
 
                 let mut sched = TreeScheduler::new("port", tree(shape, backend, case));
-                let cfg = PortConfig::new(RATE_BPS).with_horizon(horizon);
-                let port = run_port(&arr, &mut sched, &cfg);
+                let port = run_port(&arr, &mut sched, &PortConfig::new(RATE_BPS));
 
                 let mut sb = SwitchBuilder::new(RATE_BPS);
                 sb.add_port(tree(shape, backend, case));
-                sb.with_burst(1).with_horizon(horizon);
+                sb.with_burst(1);
                 let mut sw = sb.build(Box::new(|_: &Packet| 0));
                 let run = sw.run(&arr, 1);
 
@@ -105,19 +101,39 @@ fn one_port_switch_equals_run_port() {
                     "[{label}] departures diverge"
                 );
                 assert_eq!(run.ports[0].drops, sched.drops(), "[{label}] drops");
-                assert_eq!(
-                    sw.port(0).len(),
-                    sched.tree().len(),
-                    "[{label}] backlog left behind"
+                assert!(
+                    sw.port(0).is_empty() && sched.tree().is_empty(),
+                    "[{label}] both drained"
                 );
                 match case {
                     Case::Tight => assert!(sched.drops() > 0, "[{label}] buffer must drop"),
-                    Case::Unbounded => assert_eq!(port.len(), arr.len(), "[{label}] drained"),
-                    Case::Horizon => {
-                        assert!(!sched.tree().is_empty(), "[{label}] cut mid-backlog")
-                    }
+                    Case::Unbounded => assert_eq!(port.len(), arr.len(), "[{label}] all sent"),
                 }
             }
+        }
+    }
+}
+
+/// A horizon `H` only stops the loop: no round starts at or after `H`,
+/// so the cut run sends exactly the uncut run's departures with
+/// `start < H` and leaves the rest queued.
+#[test]
+fn horizon_cut_run_sends_the_uncut_runs_prefix() {
+    let arr = arrivals();
+    let cut = Nanos(arr.last().expect("workload").arrival.as_nanos() / 2);
+    for backend in PifoBackend::EXACT {
+        for shape in SHAPES {
+            let label = format!("{backend}/{shape:?}");
+            let mut whole = TreeScheduler::new("port", tree(shape, backend, Case::Unbounded));
+            let uncut = run_port(&arr, &mut whole, &PortConfig::new(RATE_BPS));
+
+            let mut sched = TreeScheduler::new("port", tree(shape, backend, Case::Unbounded));
+            let cfg = PortConfig::new(RATE_BPS).with_horizon(cut);
+            let port = run_port(&arr, &mut sched, &cfg);
+
+            let before: Vec<_> = uncut.into_iter().filter(|d| d.start < cut).collect();
+            assert_eq!(port, before, "[{label}] departures before the cut");
+            assert!(!sched.tree().is_empty(), "[{label}] cut mid-backlog");
         }
     }
 }

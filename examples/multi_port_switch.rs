@@ -1,7 +1,8 @@
 //! Multi-port switch fabric: one shared classifier spraying mixed
 //! traffic — an incast storm, Markov on/off bursts and smooth CBR —
 //! across four egress ports, each scheduled by its own PIFO tree, then
-//! drained at line rate.
+//! drained at line rate until every port is empty (a switch run has no
+//! horizon: every packet departs or is dropped).
 //!
 //! ```sh
 //! cargo run --release --example multi_port_switch
@@ -77,7 +78,7 @@ fn main() {
             for _ in 0..PORTS {
                 sb.add_port(port_tree(backend));
             }
-            sb.with_horizon(end).with_burst(64);
+            sb.with_burst(64);
             sb.build(Box::new(classify))
         };
         let t0 = std::time::Instant::now();

@@ -14,14 +14,16 @@
 //! on, or on with path records, must then give:
 //!
 //! * the reference's departures, drops and misroutes;
-//! * offered = departed + dropped + misrouted + resident;
+//! * every tree empty at the end (a run drains: nothing stays resident),
+//!   so offered = departed + dropped + misrouted;
 //! * coherent pools whose counters agree with the traces and the trees;
 //! * for each telemetry setting, the reference's snapshot JSON byte for
 //!   byte, and the same path views.
 //!
 //! The same ports, all on one pool and behind the PFC control loop
-//! without faults, must never stall, must resume every pause, and must
-//! give the same departures and pause log on every exact engine.
+//! without faults, must never stall, must resume every pause, must leave
+//! every tree empty, and must give the same departures and pause log on
+//! every exact engine.
 //!
 //! A failing case prints its index: the cases are seeded by index, so
 //! `cargo test --test fabric_fuzz` (with the same `PROPTEST_CASES`)
@@ -351,19 +353,32 @@ fn assert_same_run(label: &str, reference: &SwitchRun, run: &SwitchRun) {
     }
 }
 
-/// Every offered packet is accounted for once, and every pool agrees
-/// with the trees that buffer in it and with the run's traces.
+/// No port tree holds a packet, buffered or shaped: the run drained.
+fn assert_drained(label: &str, sw: &Switch) {
+    for i in 0..sw.num_ports() {
+        let tree = sw.port(i);
+        assert_eq!(
+            (tree.len(), tree.shaped_len()),
+            (0, 0),
+            "[{label}] port {i} still holds (buffered, shaped) packets"
+        );
+    }
+}
+
+/// The run drained, every offered packet is accounted for once, and
+/// every pool agrees with the trees that buffer in it and with the run's
+/// traces.
 fn assert_accounted(label: &str, case: &Case, sw: &Switch, run: &SwitchRun, offered: usize) {
-    let resident: usize = (0..sw.num_ports()).map(|i| sw.port(i).len()).sum();
+    assert_drained(label, sw);
     assert_eq!(
-        run.total_departures() as u64 + run.total_drops() + run.misrouted + resident as u64,
+        run.total_departures() as u64 + run.total_drops() + run.misrouted,
         offered as u64,
-        "[{label}] offered = departed + dropped + misrouted + resident"
+        "[{label}] offered = departed + dropped + misrouted"
     );
     let mut shared_live = 0;
     for (i, trace) in run.ports.iter().enumerate() {
         let tree = sw.port(i);
-        let held = tree.len() + tree.shaped_refs_holding_packets();
+        let held = tree.shaped_refs_holding_packets();
         let pool = tree.pool_handle().pool();
         let port = if i < case.shared { i } else { 0 };
         pool.assert_coherent();
@@ -379,7 +394,7 @@ fn assert_accounted(label: &str, case: &Case, sw: &Switch, run: &SwitchRun, offe
         );
         assert_eq!(
             pool.port_admitted(port),
-            (trace.departures.len() + tree.len()) as u64,
+            trace.departures.len() as u64,
             "[{label}] port {i} admissions"
         );
         if i < case.shared {
@@ -442,10 +457,10 @@ fn check_lossless(case: &Case, rng: &mut TestRng) {
     for engine in PifoBackend::EXACT {
         for telemetry in [false, true] {
             let label = format!("lossless {engine}/telemetry {telemetry}");
-            let run = case
-                .lossless(engine, cfg, telemetry)
-                .run(case.sources(), FaultPlan::none());
+            let mut fabric = case.lossless(engine, cfg, telemetry);
+            let run = fabric.run(case.sources(), FaultPlan::none());
             assert!(run.stall.is_none(), "[{label}] stalled: {:?}", run.stall);
+            assert_drained(&label, fabric.switch());
             assert_eq!(run.total_drops(), 0, "[{label}] lossless");
             assert_eq!(
                 run.count_events(PauseAction::Pause),
@@ -476,7 +491,7 @@ proptest! {
     }
 
     /// The same ports behind the PFC loop, without faults, never stall
-    /// and drain alike on every exact engine.
+    /// and drain to empty trees alike on every exact engine.
     #[test]
     fn lossless_fabrics_drain_alike_without_stalling(case in Cases, seed in any::<u64>()) {
         check_lossless(&case, &mut TestRng::from_seed(seed));
