@@ -8,15 +8,14 @@
 //!   Scheduling"): map ranks onto `k` strict-priority FIFOs whose queue
 //!   bounds adapt online (*push-up* on every enqueue, *push-down* on
 //!   every inversion at the head queue). O(k) push/pop, no sorting.
-//! * [`Rifo`] — RIFO ("RIFO: Pushing the Efficiency of Programmable
-//!   Packet Schedulers"): a **single FIFO** whose only rank-awareness is
-//!   an admission gate — a packet is admitted iff its rank sits low
-//!   enough inside the `[min, max]` span of a sliding window of recently
-//!   offered ranks, relative to the free buffer fraction. O(1) amortised.
-//! * [`Aifo`] — AIFO-style windowed-quantile admission: like RIFO but
-//!   the gate compares the rank's *quantile* within a sliding sample of
-//!   offered ranks against the free buffer fraction. O(W) per push for a
-//!   small constant window W.
+//! * [`GatedFifo`] — a **single FIFO** whose only rank-awareness is an
+//!   admission gate metered against the free buffer fraction, one engine
+//!   per gate: [`Rifo`] (RIFO, "RIFO: Pushing the Efficiency of
+//!   Programmable Packet Schedulers") behind [`SpanGate`], which admits a
+//!   rank low enough inside the `[min, max]` span of a sliding window of
+//!   offered ranks (O(1) amortised), and the AIFO-style [`Aifo`] behind
+//!   [`QuantileGate`], which compares the rank's *quantile* within a
+//!   sliding sample (O(W) per push for a small constant window W).
 //!
 //! # The relaxed contract
 //!
@@ -27,8 +26,8 @@
 //! * Invariant 3 (`len` = pushes − pops) holds exactly, as do capacity
 //!   bounds and [`PifoFull`] field round-trips — so trees, pools and
 //!   switches account packets identically.
-//! * Invariant 2 (FIFO within equal rank) holds for [`Rifo`] and
-//!   [`Aifo`] (they are FIFOs), and for [`SpPifo`] with `k = 1`. For
+//! * Invariant 2 (FIFO within equal rank) holds for [`GatedFifo`] (a
+//!   FIFO), and for [`SpPifo`] with `k = 1`. For
 //!   `k > 1` SP-PIFO can invert equal ranks across queues: with `k = 2`,
 //!   pushing ranks `5, 3, 7, 5` maps the first 5 to queue 1 and — after
 //!   7 pushes queue 1's bound up — the second 5 to queue 0, which drains
@@ -47,10 +46,10 @@ use std::collections::VecDeque;
 /// SP-PIFO paper's headline configuration (8 queues on Tofino).
 pub const DEFAULT_SP_PIFO_QUEUES: u8 = 8;
 
-/// Default sliding-window length for [`Rifo`]'s min/max rank tracker.
+/// Sliding-window length for [`SpanGate`]'s min/max rank tracker.
 pub const DEFAULT_RIFO_WINDOW: usize = 64;
 
-/// Default sliding-sample length for [`Aifo`]'s quantile estimate. The
+/// Sliding-sample length for [`QuantileGate`]'s quantile estimate. The
 /// AIFO paper shows small samples suffice (their hardware uses ~10s of
 /// slots).
 pub const DEFAULT_AIFO_WINDOW: usize = 32;
@@ -194,31 +193,151 @@ impl<T> PifoQueue<T> for SpPifo<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Sliding-window rank statistics (shared by Rifo / Aifo)
+// GatedFifo: Rifo and Aifo
 // ---------------------------------------------------------------------------
 
-/// Sliding window over the last `W` *offered* ranks with O(1) amortised
-/// min/max via the classic monotonic-deque trick.
+/// The rank test in front of a [`GatedFifo`] — the only code in which
+/// [`Rifo`] and [`Aifo`] differ.
+pub trait RankGate: Default {
+    /// Record an offered rank (every push, admitted or not).
+    fn observe(&mut self, rank: u64);
+
+    /// Admit the just-observed `rank` into a FIFO with `free` of its
+    /// `capacity` slots unused (`free >= 1`)?
+    fn admits(&self, rank: u64, free: usize, capacity: usize) -> bool;
+}
+
+/// A single FIFO whose only rank-awareness is an admission gate `G`.
+///
+/// The queue itself never reorders. Every offered rank updates the
+/// gate; a push into a *bounded* queue is admitted iff it fits and the
+/// gate admits its rank against the free-buffer fraction. Rejections
+/// surface as ordinary [`PifoFull`] errors, so drop accounting in
+/// trees/switches is unchanged. An **unbounded** queue has no scarcity
+/// signal and admits everything (a plain FIFO).
 #[derive(Debug, Clone)]
-struct RankWindow {
+pub struct GatedFifo<T, G> {
+    fifo: VecDeque<(Rank, T)>,
+    gate: G,
+    capacity: Option<usize>,
+    rejects: u64,
+}
+
+/// RIFO: a [`GatedFifo`] behind the windowed relative-rank [`SpanGate`].
+pub type Rifo<T> = GatedFifo<T, SpanGate>;
+
+/// AIFO-style: a [`GatedFifo`] behind the windowed-quantile [`QuantileGate`].
+pub type Aifo<T> = GatedFifo<T, QuantileGate>;
+
+impl<T, G: RankGate> Default for GatedFifo<T, G> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T, G: RankGate> GatedFifo<T, G> {
+    /// An unbounded queue (degenerates to a plain FIFO — the gate needs a
+    /// capacity to meter against).
+    pub fn new() -> Self {
+        GatedFifo {
+            fifo: VecDeque::new(),
+            gate: G::default(),
+            capacity: None,
+            rejects: 0,
+        }
+    }
+
+    /// A bounded queue admitting through its gate against `capacity`.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut q = Self::new();
+        q.capacity = Some(capacity);
+        q
+    }
+
+    /// How many pushes the admission gate refused.
+    pub fn rejects(&self) -> u64 {
+        self.rejects
+    }
+}
+
+impl<T, G: RankGate> PifoQueue<T> for GatedFifo<T, G> {
+    fn try_push(&mut self, rank: Rank, item: T) -> Result<(), PifoFull<T>> {
+        let r = rank.value();
+        self.gate.observe(r);
+        if let Some(cap) = self.capacity {
+            let free = cap - self.fifo.len();
+            if free == 0 || !self.gate.admits(r, free, cap) {
+                self.rejects += 1;
+                return Err(PifoFull {
+                    rank,
+                    item,
+                    capacity: cap,
+                });
+            }
+        }
+        self.fifo.push_back((rank, item));
+        Ok(())
+    }
+
+    fn pop(&mut self) -> Option<(Rank, T)> {
+        self.fifo.pop_front()
+    }
+
+    fn peek(&self) -> Option<(Rank, &T)> {
+        self.fifo.front().map(|(r, t)| (*r, t))
+    }
+
+    fn len(&self) -> usize {
+        self.fifo.len()
+    }
+
+    fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
+        Box::new(self.fifo.iter().map(|(r, t)| (*r, t)))
+    }
+}
+
+/// RIFO's gate: a rank is admitted iff its relative position inside the
+/// `[min, max]` span of the last [`DEFAULT_RIFO_WINDOW`] offered ranks
+/// does not exceed the free-buffer fraction:
+///
+/// ```text
+/// (rank - wmin) / (wmax - wmin)  <=  free / capacity
+/// ```
+///
+/// evaluated in exact integer arithmetic. A nearly empty queue admits
+/// almost everything; a nearly full queue admits only ranks near the
+/// windowed minimum — RIFO's "important packets get the scarce buffer"
+/// rule. The min and max are O(1) amortised via monotonic deques.
+#[derive(Debug, Clone)]
+pub struct SpanGate {
     size: usize,
     ranks: VecDeque<u64>,
     minq: VecDeque<u64>, // non-decreasing; front = window min
     maxq: VecDeque<u64>, // non-increasing; front = window max
 }
 
-impl RankWindow {
-    fn new(size: usize) -> Self {
-        assert!(size >= 1, "rank window needs at least one slot");
-        RankWindow {
+impl SpanGate {
+    fn with_window(size: usize) -> Self {
+        SpanGate {
             size,
             ranks: VecDeque::with_capacity(size + 1),
             minq: VecDeque::new(),
             maxq: VecDeque::new(),
         }
     }
+}
 
-    /// Record an offered rank, evicting the oldest beyond the window.
+impl Default for SpanGate {
+    fn default() -> Self {
+        Self::with_window(DEFAULT_RIFO_WINDOW)
+    }
+}
+
+impl RankGate for SpanGate {
     fn observe(&mut self, r: u64) {
         self.ranks.push_back(r);
         while self.minq.back().is_some_and(|&b| b > r) {
@@ -240,232 +359,52 @@ impl RankWindow {
         }
     }
 
-    fn min(&self) -> u64 {
-        *self.minq.front().expect("observe before min")
-    }
-
-    fn max(&self) -> u64 {
-        *self.maxq.front().expect("observe before max")
+    fn admits(&self, r: u64, free: usize, cap: usize) -> bool {
+        let (wmin, wmax) = (self.minq[0], self.maxq[0]);
+        // (r - wmin) * cap <= (wmax - wmin) * free, in u128 so full-range
+        // u64 ranks cannot overflow.
+        wmax == wmin || (r - wmin) as u128 * cap as u128 <= (wmax - wmin) as u128 * free as u128
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rifo
-// ---------------------------------------------------------------------------
-
-/// RIFO: a single FIFO with a windowed **relative-rank** admission gate.
-///
-/// The queue itself never reorders — all rank-awareness lives at
-/// admission. Every offered rank updates a sliding window (length
-/// [`DEFAULT_RIFO_WINDOW`]) tracking the min and max rank seen recently.
-/// A push into a *bounded* Rifo is admitted iff the rank's relative
-/// position inside the window span does not exceed the free-buffer
+/// AIFO's gate: a rank is admitted iff its quantile within the last
+/// [`DEFAULT_AIFO_WINDOW`] offered ranks does not exceed the free-buffer
 /// fraction:
-///
-/// ```text
-/// (rank - wmin) / (wmax - wmin)  <=  free / capacity
-/// ```
-///
-/// evaluated in exact integer arithmetic. A nearly empty queue admits
-/// almost everything; a nearly full queue admits only ranks near the
-/// windowed minimum — RIFO's "important packets get the scarce buffer"
-/// rule. Rejections surface as ordinary [`PifoFull`] errors, so drop
-/// accounting in trees/switches is unchanged. An **unbounded** Rifo has
-/// no scarcity signal and admits everything (a plain FIFO).
-#[derive(Debug, Clone)]
-pub struct Rifo<T> {
-    fifo: VecDeque<(Rank, T)>,
-    window: RankWindow,
-    capacity: Option<usize>,
-    rejects: u64,
-}
-
-impl<T> Default for Rifo<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Rifo<T> {
-    /// An unbounded Rifo (degenerates to a plain FIFO — the admission
-    /// gate needs a capacity to meter against).
-    pub fn new() -> Self {
-        Rifo {
-            fifo: VecDeque::new(),
-            window: RankWindow::new(DEFAULT_RIFO_WINDOW),
-            capacity: None,
-            rejects: 0,
-        }
-    }
-
-    /// A bounded Rifo admitting by windowed relative rank against
-    /// `capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.capacity = Some(capacity);
-        q
-    }
-
-    /// How many pushes the admission gate refused.
-    pub fn rejects(&self) -> u64 {
-        self.rejects
-    }
-}
-
-impl<T> PifoQueue<T> for Rifo<T> {
-    fn try_push(&mut self, rank: Rank, item: T) -> Result<(), PifoFull<T>> {
-        let r = rank.value();
-        self.window.observe(r);
-        if let Some(cap) = self.capacity {
-            let len = self.fifo.len();
-            let admitted = len < cap && {
-                let (wmin, wmax) = (self.window.min(), self.window.max());
-                // (r - wmin) * cap <= (wmax - wmin) * free, in u128 so
-                // full-range u64 ranks cannot overflow.
-                wmax == wmin
-                    || (r - wmin) as u128 * cap as u128
-                        <= (wmax - wmin) as u128 * (cap - len) as u128
-            };
-            if !admitted {
-                self.rejects += 1;
-                return Err(PifoFull {
-                    rank,
-                    item,
-                    capacity: cap,
-                });
-            }
-        }
-        self.fifo.push_back((rank, item));
-        Ok(())
-    }
-
-    fn pop(&mut self) -> Option<(Rank, T)> {
-        self.fifo.pop_front()
-    }
-
-    fn peek(&self) -> Option<(Rank, &T)> {
-        self.fifo.front().map(|(r, t)| (*r, t))
-    }
-
-    fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
-        Box::new(self.fifo.iter().map(|(r, t)| (*r, t)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Aifo
-// ---------------------------------------------------------------------------
-
-/// AIFO-style single FIFO with **windowed-quantile** admission.
-///
-/// Keeps a sliding sample of the last [`DEFAULT_AIFO_WINDOW`] offered
-/// ranks. A push into a *bounded* Aifo is admitted iff the rank's
-/// quantile within the sample does not exceed the free-buffer fraction:
 ///
 /// ```text
 /// |{w in window : w < rank}| / |window|  <=  free / capacity
 /// ```
 ///
 /// in exact integer arithmetic (equal ranks do not count against the
-/// candidate, biasing ties toward admission). Compared with [`Rifo`]'s
-/// min/max span this is insensitive to rank outliers — one giant rank
-/// cannot stretch the gate open — at O(W) per push for the sample scan.
-/// Unbounded Aifo admits everything (a plain FIFO).
+/// candidate, biasing ties toward admission). Compared with
+/// [`SpanGate`]'s min/max span this is insensitive to rank outliers —
+/// one giant rank cannot stretch the gate open — at O(W) per push for
+/// the sample scan.
 #[derive(Debug, Clone)]
-pub struct Aifo<T> {
-    fifo: VecDeque<(Rank, T)>,
+pub struct QuantileGate {
     window: VecDeque<u64>,
-    window_size: usize,
-    capacity: Option<usize>,
-    rejects: u64,
 }
 
-impl<T> Default for Aifo<T> {
+impl Default for QuantileGate {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Aifo<T> {
-    /// An unbounded Aifo (degenerates to a plain FIFO — the quantile
-    /// gate needs a capacity to meter against).
-    pub fn new() -> Self {
-        Aifo {
-            fifo: VecDeque::new(),
+        QuantileGate {
             window: VecDeque::with_capacity(DEFAULT_AIFO_WINDOW + 1),
-            window_size: DEFAULT_AIFO_WINDOW,
-            capacity: None,
-            rejects: 0,
         }
     }
-
-    /// A bounded Aifo admitting by windowed rank quantile against
-    /// `capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.capacity = Some(capacity);
-        q
-    }
-
-    /// How many pushes the admission gate refused.
-    pub fn rejects(&self) -> u64 {
-        self.rejects
-    }
 }
 
-impl<T> PifoQueue<T> for Aifo<T> {
-    fn try_push(&mut self, rank: Rank, item: T) -> Result<(), PifoFull<T>> {
-        let r = rank.value();
+impl RankGate for QuantileGate {
+    fn observe(&mut self, r: u64) {
         self.window.push_back(r);
-        if self.window.len() > self.window_size {
+        if self.window.len() > DEFAULT_AIFO_WINDOW {
             self.window.pop_front();
         }
-        if let Some(cap) = self.capacity {
-            let len = self.fifo.len();
-            let admitted = len < cap && {
-                let below = self.window.iter().filter(|&&w| w < r).count();
-                // below / |window| <= free / cap, cross-multiplied.
-                below as u128 * cap as u128 <= (cap - len) as u128 * self.window.len() as u128
-            };
-            if !admitted {
-                self.rejects += 1;
-                return Err(PifoFull {
-                    rank,
-                    item,
-                    capacity: cap,
-                });
-            }
-        }
-        self.fifo.push_back((rank, item));
-        Ok(())
     }
 
-    fn pop(&mut self) -> Option<(Rank, T)> {
-        self.fifo.pop_front()
-    }
-
-    fn peek(&self) -> Option<(Rank, &T)> {
-        self.fifo.front().map(|(r, t)| (*r, t))
-    }
-
-    fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    fn iter_in_order(&self) -> Box<dyn Iterator<Item = (Rank, &T)> + '_> {
-        Box::new(self.fifo.iter().map(|(r, t)| (*r, t)))
+    fn admits(&self, r: u64, free: usize, cap: usize) -> bool {
+        let below = self.window.iter().filter(|&&w| w < r).count();
+        // below / |window| <= free / cap, cross-multiplied.
+        below as u128 * cap as u128 <= free as u128 * self.window.len() as u128
     }
 }
 
@@ -568,17 +507,18 @@ mod tests {
 
     #[test]
     fn window_min_max_tracks_eviction() {
-        let mut w = RankWindow::new(3);
+        let mut w = SpanGate::with_window(3);
         for r in [5, 1, 9] {
             w.observe(r);
         }
-        assert_eq!((w.min(), w.max()), (1, 9));
+        let span = |w: &SpanGate| (w.minq[0], w.maxq[0]);
+        assert_eq!(span(&w), (1, 9));
         w.observe(2); // evicts 5
-        assert_eq!((w.min(), w.max()), (1, 9));
+        assert_eq!(span(&w), (1, 9));
         w.observe(3); // evicts 1
-        assert_eq!((w.min(), w.max()), (2, 9));
+        assert_eq!(span(&w), (2, 9));
         w.observe(4); // evicts 9
-        assert_eq!((w.min(), w.max()), (2, 4));
+        assert_eq!(span(&w), (2, 4));
     }
 
     #[test]

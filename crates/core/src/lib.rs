@@ -25,8 +25,9 @@
 //!   ranks run on the heap and bucket backends.
 //! * [`approx`] — deliberately inexact engines behind the same contract:
 //!   [`approx::SpPifo`] (k strict-priority FIFOs, SP-PIFO bound
-//!   adaptation), [`approx::Rifo`] (windowed min/max admission FIFO),
-//!   [`approx::Aifo`] (windowed-quantile admission FIFO).
+//!   adaptation), and [`approx::GatedFifo`], one FIFO behind a rank
+//!   admission gate: [`approx::Rifo`] (windowed min/max span gate) and
+//!   [`approx::Aifo`] (windowed-quantile gate).
 //! * [`metrics`] — rank-inversion scoring: [`metrics::InversionTracker`]
 //!   streams inversions/unpifoness per dequeue, and the offline helpers
 //!   diff any backend's pop trace against the exact sorted oracle.

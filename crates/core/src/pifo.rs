@@ -31,8 +31,8 @@
 //! | [`HeapPifo`] | O(log n) | O(log n) | Binary heap over the whole backlog, keyed `(rank << 64) \| seq` so FIFO ties cost no extra compare; a packet's cost does not grow with the backlog. The benchmark's second exact engine, which checks the default. At a tree node whose transaction declares per-flow monotone ranks, the tree runs [`FlowPifo`] instead. |
 //! | [`BucketPifo`] | O(1)* + O(log b) | O(1)* + O(log b) | **The default** ([`PifoBackend::default`]). Eiffel-style FFS bucket calendar (integer-rank buckets, two-level find-first-set bitmap, overflow heap); each bucket a heap of its `b` residents. *Amortised: no operation sweeps the window; a rank below the window rebases it a quarter window lower, walking only occupied buckets, and ranks beyond it cost an overflow-heap operation. Declared tree nodes run [`FlowPifo`], as for the heap. |
 //! | [`SpPifo`](crate::approx::SpPifo) | O(k) | O(k) | **Approximate.** k strict-priority FIFOs with SP-PIFO push-up/push-down bound adaptation; exact between rank bands, FIFO within one. |
-//! | [`Rifo`](crate::approx::Rifo) | O(1) | O(1) | **Approximate.** Single FIFO; rank-awareness only at admission (windowed min/max relative-rank gate when bounded). |
-//! | [`Aifo`](crate::approx::Aifo) | O(W) | O(1) | **Approximate.** Single FIFO with windowed-quantile admission against a small sliding rank sample. |
+//! | [`Rifo`](crate::approx::Rifo) | O(1) | O(1) | **Approximate.** A [`GatedFifo`](crate::approx::GatedFifo): single FIFO, rank-awareness only at admission ([`SpanGate`](crate::approx::SpanGate), a windowed min/max relative-rank gate, when bounded). |
+//! | [`Aifo`](crate::approx::Aifo) | O(W) | O(1) | **Approximate.** The same [`GatedFifo`](crate::approx::GatedFifo) behind [`QuantileGate`](crate::approx::QuantileGate): windowed-quantile admission against a small sliding rank sample. |
 //!
 //! [`PifoBackend::default`] — what `TreeBuilder::new()` and every
 //! constructor above it hand out — is the bucket calendar: it is exact,

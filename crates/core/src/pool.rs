@@ -16,11 +16,12 @@
 //! * [`AdmissionPolicy`] decides drops *before* any slab insert:
 //!   [`AdmissionPolicy::Unlimited`] (global capacity only — the naive
 //!   shared buffer whose lockout pathology motivates §6.1),
-//!   [`AdmissionPolicy::Static`] (a fixed per-port cap), and
 //!   [`AdmissionPolicy::DynamicThreshold`] (Choudhury–Hahne \[14\]: a
 //!   port may hold at most `alpha ×` the *remaining free* space, which
 //!   tightens automatically under pressure and guarantees no port can
-//!   lock the others out).
+//!   lock the others out), and [`AdmissionPolicy::PortFlow`] (a port and
+//!   a flow [`Threshold`] together; a fixed per-port cap is
+//!   `PortFlow { port: Threshold::Static(n), flow: Threshold::Unlimited }`).
 //! * [`SharedPool`] is a pool shared by several trees, and
 //!   [`PoolHandle`] is one port's capability into it: a scheduling tree
 //!   built in a shared pool holds a handle, so N trees genuinely compete
@@ -113,11 +114,17 @@ impl Threshold {
     /// Would an entity currently holding `used` packets be allowed one
     /// more, given `free` unoccupied slots? (The global `free > 0` check
     /// is the caller's — this is only the threshold comparison.)
+    ///
+    /// The dynamic threshold admits iff `used < ⌊free · num / den⌋`,
+    /// computed as `(used + 1) · den ≤ free · num` in `u128`: no
+    /// division, and no product of two `usize`s can overflow.
     pub fn admits(self, used: usize, free: usize) -> bool {
         match self {
             Threshold::Unlimited => true,
             Threshold::Static(t) => used < t,
-            Threshold::Dynamic { num, den } => used < (free * num) / den,
+            Threshold::Dynamic { num, den } => {
+                (used as u128 + 1) * den as u128 <= free as u128 * num as u128
+            }
         }
     }
 }
@@ -142,12 +149,6 @@ pub enum AdmissionPolicy {
     /// exist to prevent. Also the right policy for a pool one tree owns.
     #[default]
     Unlimited,
-    /// A fixed per-port cap: a port holding `per_port` packets is
-    /// rejected regardless of how empty the rest of the pool is.
-    Static {
-        /// Maximum packets any one port may hold.
-        per_port: usize,
-    },
     /// Choudhury–Hahne dynamic thresholds: a port may hold at most
     /// `(num/den) × free_space` packets. As the pool fills, every port's
     /// threshold tightens; because a hog's own occupancy shrinks the free
@@ -186,7 +187,6 @@ impl AdmissionPolicy {
     pub fn admits(self, used: usize, free: usize) -> bool {
         match self {
             AdmissionPolicy::Unlimited => true,
-            AdmissionPolicy::Static { per_port } => Threshold::Static(per_port).admits(used, free),
             AdmissionPolicy::DynamicThreshold { num, den } => {
                 Threshold::Dynamic { num, den }.admits(used, free)
             }
@@ -194,7 +194,7 @@ impl AdmissionPolicy {
         }
     }
 
-    /// The full admission verdict given both occupancies. For the three
+    /// The full admission verdict given both occupancies. For the two
     /// port-only policies `flow_used` is ignored and this equals
     /// [`AdmissionPolicy::admits`]; for [`AdmissionPolicy::PortFlow`]
     /// both thresholds must pass.
@@ -218,24 +218,12 @@ impl AdmissionPolicy {
             }
         )
     }
-
-    /// Short stable label for reports (`unlimited` / `static` /
-    /// `dynamic` / `port_flow`).
-    pub fn label(self) -> &'static str {
-        match self {
-            AdmissionPolicy::Unlimited => "unlimited",
-            AdmissionPolicy::Static { .. } => "static",
-            AdmissionPolicy::DynamicThreshold { .. } => "dynamic",
-            AdmissionPolicy::PortFlow { .. } => "port_flow",
-        }
-    }
 }
 
 impl fmt::Display for AdmissionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AdmissionPolicy::Unlimited => write!(f, "unlimited"),
-            AdmissionPolicy::Static { per_port } => write!(f, "static({per_port})"),
             AdmissionPolicy::DynamicThreshold { num, den } => write!(f, "dynamic({num}/{den})"),
             AdmissionPolicy::PortFlow { port, flow } => {
                 write!(f, "port_flow(port={port},flow={flow})")
@@ -995,6 +983,45 @@ mod tests {
         pool
     }
 
+    /// A fixed per-port cap and no flow threshold.
+    fn static_per_port(n: usize) -> AdmissionPolicy {
+        AdmissionPolicy::PortFlow {
+            port: Threshold::Static(n),
+            flow: Threshold::Unlimited,
+        }
+    }
+
+    /// `free · num` above `usize::MAX` must not wrap: a nearly empty
+    /// pool of 2^62 slots at alpha 8 admits its first packet.
+    #[test]
+    fn dynamic_threshold_does_not_overflow() {
+        let alpha = AdmissionPolicy::DynamicThreshold { num: 8, den: 1 };
+        let mut p = pool(1 << 62, alpha, 1);
+        assert!(p.would_admit(0));
+        p.try_insert(0, pkt(0, 1)).expect("first packet admitted");
+        assert!(Threshold::Dynamic { num: 8, den: 1 }.admits(1 << 62, usize::MAX));
+    }
+
+    /// The cross-multiplied dynamic threshold decides as the floor
+    /// formula `used < ⌊free · num / den⌋` wherever that one does not
+    /// overflow.
+    #[test]
+    fn dynamic_threshold_matches_the_floor_formula() {
+        for used in 0..=12 {
+            for free in 0..=12 {
+                for num in 0..=6 {
+                    for den in 1..=6 {
+                        assert_eq!(
+                            Threshold::Dynamic { num, den }.admits(used, free),
+                            used < free * num / den,
+                            "used {used}, free {free}, alpha {num}/{den}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// A single-port pool — what a tree built with `TreeBuilder::build`
     /// owns — gates on its capacity alone, like a private slab.
     #[test]
@@ -1082,7 +1109,7 @@ mod tests {
 
     #[test]
     fn static_policy_caps_each_port_independently() {
-        let mut p = pool(100, AdmissionPolicy::Static { per_port: 2 }, 2);
+        let mut p = pool(100, static_per_port(2), 2);
         p.try_insert(0, pkt(0, 1)).unwrap();
         p.try_insert(0, pkt(1, 1)).unwrap();
         assert!(
@@ -1333,7 +1360,7 @@ mod tests {
 
     #[test]
     fn would_admit_flow_matches_try_insert_for_port_only_policies() {
-        let mut p = pool(2, AdmissionPolicy::Static { per_port: 2 }, 1);
+        let mut p = pool(2, static_per_port(2), 1);
         assert!(p.would_admit_flow(0, FlowId(7)));
         let _a = p.try_insert(0, pkt(0, 7)).expect("admitted");
         let _b = p.try_insert(0, pkt(1, 7)).expect("admitted");
@@ -1349,7 +1376,6 @@ mod tests {
             port: Threshold::Static(64),
             flow: Threshold::Dynamic { num: 1, den: 4 },
         };
-        assert_eq!(p.label(), "port_flow");
         assert_eq!(
             p.to_string(),
             "port_flow(port=static(64),flow=dynamic(1/4))"

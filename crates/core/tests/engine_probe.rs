@@ -1,5 +1,8 @@
 //! Rank-pattern probe: the heap and the bucket calendar timed on the
-//! seven rank patterns that once cost the calendar 3–60× the heap.
+//! seven rank patterns that once cost the calendar 3–60× the heap, and
+//! on two timestamp-like rising patterns — the ranks that FIFO and EDF
+//! nodes push into the calendar — one whose live span stays inside the
+//! calendar's window and one whose span exceeds it.
 //!
 //! Each pattern keeps a 10 K standing backlog and then runs 100 K
 //! operations, one push and one pop each, on both engines in one
@@ -19,6 +22,8 @@ const REPS: usize = 5;
 
 /// The calendar's default bucket width (2^8 rank values).
 const BUCKET: u64 = 1 << 8;
+/// Rank jitter of the rising patterns: an arrival time plus up to 1 023.
+const JITTER: u64 = 1023;
 /// A start high enough that the falling patterns never reach zero.
 const TOP: u64 = 1 << 40;
 
@@ -38,6 +43,10 @@ fn ranks(pattern: &str) -> Vec<u64> {
             "falling by 1" => TOP - i,
             "falling by one bucket" => TOP - i * BUCKET,
             "rising by 2^20" => i << 20,
+            // The backlog spans 640 K ranks, under the 1 M window.
+            "rising by 64" => i * 64 + (splitmix(&mut rng) & JITTER),
+            // The backlog spans 5 M ranks, past the window.
+            "rising by 2 buckets" => i * 2 * BUCKET + (splitmix(&mut rng) & JITTER),
             "eight classes" => splitmix(&mut rng) % 8,
             "uniform 0..2^16" => splitmix(&mut rng) >> 48,
             "uniform 0..2^40" => splitmix(&mut rng) >> 24,
@@ -82,6 +91,8 @@ fn rank_pattern_probe() {
         "falling by 1",
         "falling by one bucket",
         "rising by 2^20",
+        "rising by 64",
+        "rising by 2 buckets",
         "eight classes",
         "uniform 0..2^16",
         "uniform 0..2^40",

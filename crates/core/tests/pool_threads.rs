@@ -144,7 +144,10 @@ fn threshold_strategy() -> impl Strategy<Value = Threshold> {
 fn policy_strategy() -> impl Strategy<Value = AdmissionPolicy> {
     prop_oneof![
         Just(AdmissionPolicy::Unlimited),
-        (1usize..16).prop_map(|per_port| AdmissionPolicy::Static { per_port }),
+        (1usize..16).prop_map(|per_port| AdmissionPolicy::PortFlow {
+            port: Threshold::Static(per_port),
+            flow: Threshold::Unlimited,
+        }),
         (1usize..4, 1usize..4)
             .prop_map(|(num, den)| AdmissionPolicy::DynamicThreshold { num, den }),
         (threshold_strategy(), threshold_strategy())

@@ -1060,7 +1060,13 @@ mod tests {
     #[test]
     fn pool_of_is_the_pool_each_tree_buffers_in() {
         let mut sb = SwitchBuilder::new(8_000_000_000);
-        sb.with_shared_pool(16, AdmissionPolicy::Static { per_port: 4 });
+        sb.with_shared_pool(
+            16,
+            AdmissionPolicy::PortFlow {
+                port: Threshold::Static(4),
+                flow: Threshold::Unlimited,
+            },
+        );
         for _ in 0..2 {
             sb.add_shared_port(|h| pooled_fifo_tree(PifoBackend::Heap, h));
         }

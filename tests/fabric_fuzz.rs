@@ -115,8 +115,9 @@ impl Strategy for Cases {
         let capacity = pick(rng, 8, 128) as usize;
         let policy = match rng.below(4) {
             0 => AdmissionPolicy::Unlimited,
-            1 => AdmissionPolicy::Static {
-                per_port: pick(rng, 4, 64) as usize,
+            1 => AdmissionPolicy::PortFlow {
+                port: Threshold::Static(pick(rng, 4, 64) as usize),
+                flow: Threshold::Unlimited,
             },
             2 => AdmissionPolicy::DynamicThreshold {
                 num: pick(rng, 1, 3) as usize,
