@@ -90,7 +90,9 @@ impl MinRateGuarantee {
         } else {
             1
         };
-        b.last_time = now;
+        // An earlier call than the last refills nothing and keeps the
+        // clock, as in `TokenBucketFilter`.
+        b.last_time = b.last_time.max(now);
         over
     }
 }
@@ -166,6 +168,15 @@ mod tests {
         // Second packet: bucket has 1000 B left, need strictly-greater.
         assert_eq!(t.over_min(FlowId(1), 1_000, Nanos(0)), 1);
         assert_eq!(t.over_min(FlowId(1), 1_000, Nanos(0)), 1);
+    }
+
+    #[test]
+    fn an_earlier_call_does_not_move_the_clock_back() {
+        let mut t = MinRateGuarantee::new(8_000_000_000, 1_000); // 1 B/ns
+        assert_eq!(t.over_min(FlowId(1), 500, Nanos(1_000)), 0); // 500 B left
+        assert_eq!(t.over_min(FlowId(1), 500, Nanos(500)), 1);
+        // No time has passed since 1000 ns: still 500 B, not a refill.
+        assert_eq!(t.over_min(FlowId(1), 500, Nanos(1_000)), 1);
     }
 
     #[test]

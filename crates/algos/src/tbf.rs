@@ -73,7 +73,11 @@ impl ShapingTransaction for TokenBucketFilter {
             Nanos(now.as_nanos() + wait_ns as u64)
         };
         self.tokens -= need;
-        self.last_time = now;
+        // A call earlier than the last (the lossless fabric admits a
+        // skid-buffer packet at its own arrival instant) refills nothing,
+        // and must not move the clock back: the next call would credit
+        // the same interval a second time.
+        self.last_time = self.last_time.max(now);
         send
     }
 
@@ -155,6 +159,18 @@ mod tests {
         }
         let expected_ns = ((100 * 1_500 - 15_000) as u64) * 8 * 1_000_000_000 / 10_000_000;
         assert_eq!(last.as_nanos(), expected_ns);
+    }
+
+    #[test]
+    fn an_earlier_call_does_not_move_the_clock_back() {
+        let mut tbf = TokenBucketFilter::new(8_000_000_000, 1_000); // 1 byte/ns
+        let p = Packet::new(0, FlowId(0), 1_000, Nanos(0));
+        // The full bucket pays for the first packet; the second, called
+        // earlier, borrows 1000 B.
+        assert_eq!(tbf.send_time(&ctx(&p, 1_000)), Nanos(1_000));
+        assert_eq!(tbf.send_time(&ctx(&p, 500)), Nanos(1_500));
+        // No time has passed since 1000 ns: 2000 B owed, none refilled.
+        assert_eq!(tbf.send_time(&ctx(&p, 1_000)), Nanos(3_000));
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! interior nodes). Dequeueing walks from the root, popping one element at
 //! each level, until a packet is reached.
 //!
-//! Enqueueing a packet executes the scheduling transaction at every node on
-//! the leaf→root path, pushing the packet at the leaf and a reference to
-//! each child at its parent. A node with a *shaping transaction* suspends
-//! this walk (Fig 5): the reference destined for the parent is parked in
-//! the node's shaping PIFO, ranked by wall-clock release time, and the walk
-//! resumes at the parent only when that time arrives.
+//! Enqueueing a packet is one walk up the leaf→root path: at each node it
+//! runs the scheduling transaction and pushes, the packet at the leaf and
+//! a reference to the child below at each ancestor. A node with a
+//! *shaping transaction* suspends the walk (Fig 5): the reference
+//! destined for the parent is parked on the shaping agenda, ranked by
+//! wall-clock release time, and when that time arrives the same walk
+//! resumes, entering at the parked node's parent with the reference.
 //!
 //! # Zero-copy hot path
 //!
@@ -665,14 +666,15 @@ impl fmt::Debug for ScheduleTree {
     }
 }
 
-/// Resolve the flow an element belongs to at a node: the node's override
-/// when set, the packet's own flow otherwise. A free function (not a
-/// `&self` method) so callers can hold `&mut` node borrows alongside the
-/// slab borrow feeding `packet`.
-fn flow_of(flow_fn: &Option<FlowFn>, packet: &Packet) -> FlowId {
-    match flow_fn {
-        Some(f) => f(packet),
-        None => packet.flow,
+/// The flow `elem` belongs to at a node ([`EnqCtx::flow`]): a packet's
+/// own flow, or the node's override when set, at a leaf; the child at an
+/// interior node. A free function (not a `&self` method) so callers can
+/// hold `&mut` node borrows alongside the slab borrow.
+fn flow_of(flow_fn: &Option<FlowFn>, elem: Element, pool: &SharedPacketPool) -> FlowId {
+    match (elem, flow_fn) {
+        (Element::Packet(h), Some(f)) => f(pool.get(h)),
+        (Element::Packet(h), None) => pool.get(h).flow,
+        (Element::Ref(child), _) => child.as_flow(),
     }
 }
 
@@ -768,10 +770,16 @@ impl ScheduleTree {
     /// drive the tree with only `enqueue`/`dequeue` and
     /// [`next_shaping_event`](Self::next_shaping_event).
     ///
-    /// **Time contract:** successive calls into one tree must use
+    /// **Time contract:** successive calls into one tree should use
     /// non-decreasing `now` values (a switch experiences time forward).
-    /// Going backwards does not corrupt the structure, but shaped
-    /// elements already released by a later-timed call stay released.
+    /// A call at an earlier instant than the last does not corrupt the
+    /// structure: shaped elements already released by a later-timed call
+    /// stay released, and the transactions see the earlier `now` (a FIFO
+    /// ranks the packet before ones already queued; `pifo-algos`' token
+    /// buckets refill nothing for it and keep their clock). `pifo-sim`'s
+    /// lossless fabric makes such calls: it admits a skid-buffer packet
+    /// at its own arrival instant, after its port's tree has run later
+    /// rounds.
     ///
     /// A tree in a shared pool takes the pool for the call, and panics,
     /// naming its port, if the pool is in use: a shared pool is never
@@ -1003,191 +1011,117 @@ impl TreeState {
     ) -> Result<(), TreeError> {
         self.release_due(pool, now);
         let leaf = (self.classifier)(&packet);
-        if leaf.index() >= self.nodes.len() {
-            self.emit(
-                EventKind::Drop,
-                now,
-                leaf.0,
-                packet.flow,
-                packet.id.0,
-                drop_reason::UNKNOWN_NODE,
-            );
-            return Err(TreeError::UnknownNode(leaf));
-        }
-        if !self.nodes[leaf.index()].children.is_empty() {
-            self.emit(
-                EventKind::Drop,
-                now,
-                leaf.0,
-                packet.flow,
-                packet.id.0,
-                drop_reason::NOT_A_LEAF,
-            );
-            return Err(TreeError::NotALeaf(leaf));
-        }
-        // Admission is the pool insert itself, before any other state
-        // changes: a policy or capacity reject hands the caller's packet
-        // back unchanged (moved, never cloned).
-        let handle = match pool.try_insert(self.port as usize, packet) {
-            Ok(h) => h,
-            Err(packet) => {
-                self.emit(
-                    EventKind::Drop,
-                    now,
-                    leaf.0,
-                    packet.flow,
-                    packet.id.0,
-                    drop_reason::BUFFER_FULL,
-                );
-                return Err(TreeError::BufferFull(packet));
+        let (flow, id) = (packet.flow, packet.id.0);
+        let (err, reason) = match self.nodes.get(leaf.index()) {
+            None => (TreeError::UnknownNode(leaf), drop_reason::UNKNOWN_NODE),
+            Some(n) if !n.children.is_empty() => {
+                (TreeError::NotALeaf(leaf), drop_reason::NOT_A_LEAF)
             }
+            // Admission is the pool insert itself, before any other state
+            // changes: a policy or capacity reject hands the caller's
+            // packet back unchanged (moved, never cloned).
+            Some(_) => match pool.try_insert(self.port as usize, packet) {
+                Ok(handle) => {
+                    self.buffered += 1;
+                    self.walk(pool, leaf, Element::Packet(handle), handle, now);
+                    return Ok(());
+                }
+                Err(packet) => (TreeError::BufferFull(packet), drop_reason::BUFFER_FULL),
+            },
         };
+        self.emit(EventKind::Drop, now, leaf.0, flow, id, reason);
+        Err(err)
+    }
 
-        // Leaf: the element is a handle to the buffered packet.
-        let (leaf_rank, leaf_flow, leaf_depth) = {
-            let node = &mut self.nodes[leaf.index()];
-            let p = pool.get(handle);
-            let flow = flow_of(&node.flow_fn, p);
+    /// The enqueue walk (§2.2, Fig 5): push `elem` into `node`'s
+    /// scheduling PIFO, then park at `node`'s shaper or climb to its
+    /// parent with `Ref(node)`, until the root. A fresh enqueue enters at
+    /// the leaf with `Packet(handle)`; a shaping resume enters at the
+    /// parked node's parent with `Ref(parked)` and owns the agenda entry's
+    /// slot reference, which it hands on if it parks again and drops at
+    /// the root (freeing the slot if the packet already departed).
+    fn walk(
+        &mut self,
+        pool: &mut SharedPacketPool,
+        mut node: NodeId,
+        mut elem: Element,
+        handle: PktHandle,
+        now: Nanos,
+    ) {
+        let owns_ref = matches!(elem, Element::Ref(_));
+        let slot = handle.index();
+        loop {
+            let n = &mut self.nodes[node.index()];
+            let flow = flow_of(&n.flow_fn, elem, pool);
             let ctx = EnqCtx {
-                packet: p,
+                packet: pool.get(handle),
                 now,
                 flow,
             };
-            let rank = node.sched.rank(&ctx);
-            let depth = node.sched_pifo.len();
-            node.sched_pifo
-                .push(&mut self.store, flow, rank, Element::Packet(handle));
-            (rank, flow, depth)
-        };
-        if self.recorder.is_some() {
-            self.note_admission(handle, leaf, leaf_rank, leaf_flow, leaf_depth, now);
-        }
-        if leaf == self.root {
-            // Single-node tree: the leaf PIFO *is* the departure
-            // schedule, so its pushes feed the inversion tracker.
-            if let Some(t) = &mut self.tracker {
-                t.record_push(leaf_rank);
+            let rank = n.sched.rank(&ctx);
+            let depth = n.sched_pifo.len();
+            n.sched_pifo.push(&mut self.store, flow, rank, elem);
+            let at_leaf = matches!(elem, Element::Packet(_));
+            if at_leaf && self.recorder.is_some() {
+                self.emit(EventKind::PoolAlloc, now, node.0, flow, slot as u64, 0);
+                self.emit(EventKind::Enqueue, now, node.0, flow, rank.0, depth as u32);
             }
-        }
-        self.buffered += 1;
-
-        self.after_insert(pool, leaf, handle, now, false);
-        Ok(())
-    }
-
-    /// Continue the upward walk after an element entered `node`'s
-    /// scheduling PIFO: either suspend at `node`'s shaper or push a
-    /// reference into the parent (and recurse).
-    ///
-    /// `owns_ref` is true when this walk is a shaping *resumption* and
-    /// therefore carries the popped agenda entry's buffer reference; a
-    /// fresh enqueue walk does not (the leaf element holds the packet).
-    fn after_insert(
-        &mut self,
-        pool: &mut SharedPacketPool,
-        node: NodeId,
-        handle: PktHandle,
-        now: Nanos,
-        owns_ref: bool,
-    ) {
-        if self.nodes[node.index()].shaper.is_some() {
-            let release;
-            {
-                let n = &mut self.nodes[node.index()];
-                let p = pool.get(handle);
-                let flow = flow_of(&n.flow_fn, p);
-                let ctx = EnqCtx {
-                    packet: p,
-                    now,
-                    flow,
-                };
-                release = n.shaper.as_mut().expect("checked above").send_time(&ctx);
+            if let Some(paths) = &mut self.paths {
+                if at_leaf {
+                    paths.begin(slot);
+                }
+                paths.hop(slot, node.0, rank.0, depth as u32, now);
             }
-            if !owns_ref {
-                // The parked entry keeps the packet's fields alive even if
-                // the packet departs through an earlier reference first.
-                pool.retain(handle);
-            }
-            self.agenda.push(Reverse(AgendaEntry {
-                release: release.as_nanos(),
-                node: node.0,
-                seq: self.agenda_seq,
-                handle,
-            }));
-            self.agenda_seq += 1;
-            self.shaped += 1;
-            if self.recorder.is_some() {
-                let flow = pool.get(handle).flow;
-                self.emit(
-                    EventKind::ShapingPark,
-                    now,
-                    node.0,
-                    flow,
-                    release.as_nanos(),
-                    handle.index() as u32,
-                );
-            }
-            return; // Suspended: the parent sees nothing until release.
-        }
-        self.push_ref_to_parent(pool, node, handle, now, owns_ref);
-    }
-
-    /// Push `Ref(node)` into `node`'s parent scheduling PIFO, executing the
-    /// parent's scheduling transaction, then continue upward.
-    fn push_ref_to_parent(
-        &mut self,
-        pool: &mut SharedPacketPool,
-        node: NodeId,
-        handle: PktHandle,
-        now: Nanos,
-        owns_ref: bool,
-    ) {
-        let Some(parent) = self.nodes[node.index()].parent else {
-            // Reached the root: walk complete. A resumption drops the
-            // agenda entry's buffer reference; if the packet already
-            // departed, that frees the slot.
-            if owns_ref {
-                if let Some(p) = pool.release(handle) {
-                    self.dangling_shaped -= 1;
-                    self.emit(
-                        EventKind::PoolFree,
-                        now,
-                        node.0,
-                        p.flow,
-                        handle.index() as u64,
-                        0,
-                    );
+            if node == self.root {
+                // Root pushes feed the inversion tracker: these ranks are
+                // the departure schedule the root pops score against.
+                if let Some(t) = &mut self.tracker {
+                    t.record_push(rank);
                 }
             }
-            return;
-        };
-        let (rank, depth) = {
-            let pnode = &mut self.nodes[parent.index()];
-            let p = pool.get(handle);
-            let ctx = EnqCtx {
-                packet: p,
-                now,
-                flow: node.as_flow(),
-            };
-            let rank = pnode.sched.rank(&ctx);
-            let depth = pnode.sched_pifo.len();
-            let elem = Element::Ref(node);
-            pnode
-                .sched_pifo
-                .push(&mut self.store, node.as_flow(), rank, elem);
-            (rank, depth)
-        };
-        if let Some(paths) = &mut self.paths {
-            paths.hop(handle.index(), parent.0, rank.0, depth as u32, now);
-        }
-        if parent == self.root {
-            // Root pushes feed the inversion tracker — these ranks are
-            // the departure schedule the root pops score against.
-            if let Some(t) = &mut self.tracker {
-                t.record_push(rank);
+            let n = &mut self.nodes[node.index()];
+            if let Some(shaper) = &mut n.shaper {
+                let flow = flow_of(&n.flow_fn, Element::Packet(handle), pool);
+                let release = shaper.send_time(&EnqCtx { flow, ..ctx }).as_nanos();
+                if !owns_ref {
+                    // The parked entry keeps the packet's fields alive even
+                    // if the packet departs through an earlier reference.
+                    pool.retain(handle);
+                }
+                self.agenda.push(Reverse(AgendaEntry {
+                    release,
+                    node: node.0,
+                    seq: self.agenda_seq,
+                    handle,
+                }));
+                self.agenda_seq += 1;
+                self.shaped += 1;
+                if self.recorder.is_some() {
+                    let flow = pool.get(handle).flow;
+                    self.emit(
+                        EventKind::ShapingPark,
+                        now,
+                        node.0,
+                        flow,
+                        release,
+                        slot as u32,
+                    );
+                }
+                return; // Suspended: the parent sees nothing until release.
+            }
+            match n.parent {
+                Some(parent) => (node, elem) = (parent, Element::Ref(node)),
+                None => {
+                    if owns_ref {
+                        if let Some(p) = pool.release(handle) {
+                            self.dangling_shaped -= 1;
+                            self.emit(EventKind::PoolFree, now, node.0, p.flow, slot as u64, 0);
+                        }
+                    }
+                    return;
+                }
             }
         }
-        self.after_insert(pool, parent, handle, now, owns_ref);
     }
 
     /// See [`ScheduleTree::release_due`].
@@ -1211,7 +1145,11 @@ impl TreeState {
                     e.handle.index() as u32,
                 );
             }
-            self.push_ref_to_parent(pool, NodeId(e.node), e.handle, now, true);
+            let parked = NodeId(e.node);
+            let parent = self.nodes[parked.index()]
+                .parent
+                .expect("no shaper on the root");
+            self.walk(pool, parent, Element::Ref(parked), e.handle, now);
         }
     }
 
@@ -1230,54 +1168,43 @@ impl TreeState {
                     t.record_pop(rank);
                 }
             }
-            match elem {
-                Element::Packet(h) => {
-                    let flow = {
-                        let n = &self.nodes[node.index()];
-                        flow_of(&n.flow_fn, pool.get(h))
-                    };
-                    self.nodes[node.index()]
-                        .sched
-                        .on_dequeue(rank, &DeqCtx { now, flow });
-                    self.buffered -= 1;
-                    if self.recorder.is_some() {
-                        let remaining = self.buffered as u32;
-                        self.emit(EventKind::Dequeue, now, node.0, flow, rank.0, remaining);
-                        if let Some(paths) = &mut self.paths {
-                            paths.finish(h.index(), &mut self.path_log);
-                        }
-                    }
-                    // Common case: the leaf element is the last holder and
-                    // the packet moves out of its slot, zero-copy. Rare
-                    // case: a parked shaping entry still needs the fields
-                    // (this packet overtook its own suspended reference),
-                    // so the slot stays live until that entry resumes.
-                    return Some(match pool.release(h) {
-                        Some(p) => {
-                            self.emit(EventKind::PoolFree, now, node.0, flow, h.index() as u64, 0);
-                            p
-                        }
-                        None => {
-                            self.dangling_shaped += 1;
-                            pool.get(h).clone()
-                        }
-                    });
-                }
+            let n = &mut self.nodes[node.index()];
+            let flow = flow_of(&n.flow_fn, elem, pool);
+            n.sched.on_dequeue(rank, &DeqCtx { now, flow });
+            let h = match elem {
+                Element::Packet(h) => h,
                 Element::Ref(child) => {
-                    self.nodes[node.index()].sched.on_dequeue(
-                        rank,
-                        &DeqCtx {
-                            now,
-                            flow: child.as_flow(),
-                        },
-                    );
                     debug_assert!(
                         self.nodes[child.index()].sched_pifo.len() > 0,
                         "dequeued a reference to empty child {child} — tree invariant broken"
                     );
                     node = child;
+                    continue;
+                }
+            };
+            self.buffered -= 1;
+            if self.recorder.is_some() {
+                let remaining = self.buffered as u32;
+                self.emit(EventKind::Dequeue, now, node.0, flow, rank.0, remaining);
+                if let Some(paths) = &mut self.paths {
+                    paths.finish(h.index(), &mut self.path_log);
                 }
             }
+            // Common case: the leaf element is the last holder and the
+            // packet moves out of its slot, zero-copy. Rare case: a parked
+            // shaping entry still needs the fields (this packet overtook
+            // its own suspended reference), so the slot stays live until
+            // that entry resumes.
+            return Some(match pool.release(h) {
+                Some(p) => {
+                    self.emit(EventKind::PoolFree, now, node.0, flow, h.index() as u64, 0);
+                    p
+                }
+                None => {
+                    self.dangling_shaped += 1;
+                    pool.get(h).clone()
+                }
+            });
         }
     }
 
@@ -1295,26 +1222,6 @@ impl TreeState {
                 value,
                 aux,
             });
-        }
-    }
-
-    /// Telemetry for one admitted packet: `PoolAlloc` then `Enqueue`,
-    /// plus the path record's leaf hop.
-    fn note_admission(
-        &mut self,
-        handle: PktHandle,
-        leaf: NodeId,
-        rank: Rank,
-        flow: FlowId,
-        depth: usize,
-        now: Nanos,
-    ) {
-        let slot = handle.index();
-        self.emit(EventKind::PoolAlloc, now, leaf.0, flow, slot as u64, 0);
-        self.emit(EventKind::Enqueue, now, leaf.0, flow, rank.0, depth as u32);
-        if let Some(paths) = &mut self.paths {
-            paths.begin(slot);
-            paths.hop(slot, leaf.0, rank.0, depth as u32, now);
         }
     }
 }
@@ -1897,6 +1804,37 @@ mod tests {
             other => panic!("expected BufferFull, got {other:?}"),
         }
         assert_eq!(tree.pool_handle().pool().live(), 1, "no slab slot consumed");
+    }
+
+    /// Each refusal records one `Drop` naming the node the classifier
+    /// chose, the packet's flow and id, and the reason code.
+    #[test]
+    fn each_refusal_records_one_drop_event() {
+        let mut b = TreeBuilder::new();
+        let root = b.add_root("root", fifo_tx());
+        let leaf = b.add_child(root, "leaf", fifo_tx());
+        b.buffer_limit(1);
+        let targets = [leaf, root, NodeId::INVALID];
+        let classifier = move |p: &Packet| targets[p.flow.0 as usize % 3];
+        let mut tree = b.build(Box::new(classifier)).unwrap();
+        tree.enable_telemetry(&TelemetryConfig::default());
+        tree.enqueue(pkt(10, 0, 0), Nanos(0)).unwrap();
+        let not_a_leaf = tree.enqueue(pkt(11, 4, 1), Nanos(1));
+        assert_eq!(not_a_leaf, Err(TreeError::NotALeaf(root)));
+        let unknown = tree.enqueue(pkt(12, 5, 2), Nanos(2));
+        assert_eq!(unknown, Err(TreeError::UnknownNode(NodeId::INVALID)));
+        let full = tree.enqueue(pkt(13, 3, 3), Nanos(3));
+        assert_eq!(full, Err(TreeError::BufferFull(pkt(13, 3, 3))));
+        let drops: Vec<_> = (tree.flight_recorder().unwrap().iter())
+            .filter(|e| e.kind == EventKind::Drop)
+            .map(|e| (e.time.as_nanos(), e.port, e.node, e.flow.0, e.value, e.aux))
+            .collect();
+        let want = vec![
+            (1, 0, root.0, 4, 11, drop_reason::NOT_A_LEAF),
+            (2, 0, u32::MAX, 5, 12, drop_reason::UNKNOWN_NODE),
+            (3, 0, leaf.0, 3, 13, drop_reason::BUFFER_FULL),
+        ];
+        assert_eq!(drops, want);
     }
 
     /// A packet can overtake its own parked shaping entry: an earlier

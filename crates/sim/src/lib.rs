@@ -3,12 +3,13 @@
 //! A deterministic discrete-event network-simulation substrate for the
 //! PIFO reproduction: traffic generators (CBR, Poisson, deterministic
 //! and Markov on/off bursts, incast, heavy-tailed flow workloads), the
-//! one output-port loop ([`port`]) that [`run_port`], the [`switch`]
-//! fabric and the [`lossless`] fabric all drive, multi-hop paths, metric
-//! collectors, the fixed-function FIFO and DRR baselines the paper
-//! contrasts against (§1), a fluid GPS reference for fairness ground
-//! truth, and the pFabric reference queue used by the §3.5
-//! inexpressibility demonstration.
+//! one output-port loop ([`port`]) that [`run_port`] and the [`switch`]
+//! fabric drive (the [`lossless`] fabric decides its own rounds, for
+//! skid buffers and pauses, and shares only the port's transmit),
+//! multi-hop paths, metric collectors, the fixed-function FIFO and DRR
+//! baselines the paper contrasts against (§1), a fluid GPS reference for
+//! fairness ground truth, and the pFabric reference queue used by the
+//! §3.5 inexpressibility demonstration.
 //!
 //! Everything is seeded and deterministic: identical inputs produce
 //! identical outputs, bit for bit — including the [`switch`] fabric's

@@ -335,11 +335,17 @@ impl Model {
                 now: Nanos(now),
                 flow: self.flow(node, elem),
             };
+            // A shaper sees the packet's flow, at every level.
+            let packet_flow = self.flow(node, Elem::Packet(packet));
             let n = &mut self.nodes[node];
             let rank = n.sched.rank(&ctx);
             let at = n.queue.partition_point(|&(r, _)| r <= rank);
             n.queue.insert(at, (rank, elem));
             if let Some(shaper) = &mut n.shaper {
+                let ctx = EnqCtx {
+                    flow: packet_flow,
+                    ..ctx
+                };
                 let release = shaper.send_time(&ctx).as_nanos();
                 let seq = self.parks;
                 self.parks += 1;
